@@ -92,8 +92,12 @@ func TestKillRestartRecovery(t *testing.T) {
 	h0 := waitHeight(t, metricsPort+0, 3, 60*time.Second, "initial block production on node 0")
 
 	// The overload-armor observability surface must be in the scrape:
-	// admission counters by reason plus per-lane mempool depth gauges.
+	// admission counters by reason plus per-lane mempool depth gauges;
+	// likewise the vote fast path's account and the lag-sync pull count.
 	assertMetricsSeries(t, metricsPort+0,
+		"gpbft_votes_verified_total",
+		"gpbft_votes_dropped_surplus_total",
+		"gpbft_sync_lag_pulls_total",
 		"gpbft_admission_accepted_total",
 		`gpbft_admission_rejected_total{reason="rate-limit"}`,
 		`gpbft_admission_shed_total{reason="overload"}`,

@@ -275,11 +275,13 @@ func SetRequestSealCheck(on bool) bool { return requestSealCheck.Swap(on) }
 func RequestSealCheck() bool { return requestSealCheck.Load() }
 
 // OpenUnverified decodes the body without checking the envelope seal.
-// It is only sound for payloads that authenticate themselves — a
-// relayed transaction carries its own signature over its full content,
-// so the relayer's seal adds no integrity and one ed25519 check per
-// relay hop per receiver. Consensus votes MUST keep using Open: their
-// authenticity is exactly the seal.
+// On its own it is only sound for payloads that authenticate
+// themselves — a relayed transaction carries its own signature over its
+// full content, so the relayer's seal adds no integrity and one ed25519
+// check per relay hop per receiver. A consensus vote's authenticity is
+// exactly the seal: the vote handlers decode with this only to decide
+// whether the vote can still count, and call Verify before anything
+// decoded from it is stored or acted on (pbft.admitVote).
 func OpenUnverified(e *Envelope, want MsgKind, dst interface {
 	UnmarshalCanonical(*codec.Reader) error
 }) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"time"
 
 	"gpbft/internal/consensus"
@@ -108,6 +109,7 @@ const (
 	tEraTick tpurpose = iota + 1
 	tResume
 	tSyncRetry
+	tLagCheck
 )
 
 // maxBuffered bounds the next-era message buffer.
@@ -151,6 +153,13 @@ type Engine struct {
 	retries    uint32
 	retrySeq   uint64
 	sstats     syncStats
+
+	// Lag suspicion (maybeLagSync): the in-window commit that found this
+	// node without a proposal for its next slot, and the grace timer
+	// after which that still being so counts as having fallen behind.
+	lagTID  consensus.TimerID
+	lagSeq  uint64
+	lagFrom gcrypto.Address
 
 	// pendingDurable is the recovered consensus state awaiting the
 	// first buildInstance; consumed exactly once (later instances start
@@ -363,6 +372,8 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 		return e.onResume(now)
 	case tSyncRetry:
 		return e.onSyncRetry(now)
+	case tLagCheck:
+		return e.onLagCheck()
 	}
 	return nil
 }
@@ -437,12 +448,21 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 	}
 }
 
-// maybeLagSync turns overheard commit votes for heights we do not
-// have into a block-sync pull. Seeing a commit for seq beyond
-// height+1 means the committee finalized blocks this node missed —
-// the restarted-mid-era case, where no EraAnnounce will arrive until
-// the era actually switches. The vote itself still flows to the
-// inner engine; the pull runs alongside it.
+// maybeLagSync turns overheard commit votes that show this node has
+// fallen behind into a block-sync pull — the restarted-mid-era case,
+// where no EraAnnounce will arrive until the era actually switches. A
+// commit for seq > height+1 does not show that by itself: the committee
+// pipelines MaxInFlight slots, so commits for the whole window above
+// the head are ordinary traffic for blocks this node is about to commit
+// too, and pulling them would only ship them twice. Two things do show
+// it. A commit beyond the window: pull at once. Or a commit inside the
+// window while this node holds no proposal for its own next slot — but
+// only if that lasts: under load a vote from one peer routinely
+// overtakes the proposal from another by a few milliseconds, so the
+// node pulls only when, one sync-retry period later, the commit still
+// lies above its next slot and that slot's proposal is still missing.
+// The vote itself still flows to the inner engine; the pull runs
+// alongside it.
 func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	if env.MsgKind != consensus.KindCommit {
 		return nil
@@ -451,6 +471,38 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	if !ok || seq <= e.chain.Height()+1 {
 		return nil
 	}
+	if e.inner.BeyondWindow(seq) {
+		return e.lagPull(seq, env.From)
+	}
+	if next := e.inner.NextSeq(); seq <= next || e.inner.HasProposal(next) || e.lagTID != 0 {
+		return nil
+	}
+	// Suspicious, not conclusive: look again after the grace period. The
+	// first such commit is kept — a later one would restart the doubt a
+	// busy committee raises with every slot.
+	e.lagSeq, e.lagFrom = seq, env.From
+	e.lagTID = e.cfg.Timers.Next()
+	e.timers[e.lagTID] = tLagCheck
+	return []consensus.Action{consensus.StartTimer{ID: e.lagTID, Delay: e.cfg.SyncRetryBase}}
+}
+
+// onLagCheck settles a lag suspicion: a node that keeps up has long
+// executed the suspicious commit's slot, or at least holds its next
+// slot's proposal.
+func (e *Engine) onLagCheck() []consensus.Action {
+	e.lagTID = 0
+	if e.inner == nil || e.switching {
+		return nil
+	}
+	if next := e.inner.NextSeq(); e.lagSeq <= next || e.inner.HasProposal(next) {
+		return nil
+	}
+	return e.lagPull(e.lagSeq, e.lagFrom)
+}
+
+// lagPull asks from, whose commit for seq proved blocks up to seq-1
+// exist on its chain, for the blocks above this node's head.
+func (e *Engine) lagPull(seq uint64, from gcrypto.Address) []consensus.Action {
 	// While the snapshot state machine runs, just track the moving
 	// head; the tail pull after the install covers it.
 	if e.fsPhase != fsIdle {
@@ -459,9 +511,8 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 		}
 		return nil
 	}
-	// A commit for seq proves blocks up to seq-1 exist on the sender's
-	// chain. Suppress duplicate pulls while one is in flight, but allow
-	// a re-request when the head keeps moving past the current target
+	// Suppress duplicate pulls while one is in flight, but allow a
+	// re-request when the head keeps moving past the current target
 	// (covers a lost response: the next commit re-arms the sync).
 	if e.syncInFlight && e.syncTarget >= seq-1 {
 		return nil
@@ -471,8 +522,9 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	}
 	e.syncInFlight = true
 	e.syncTarget = seq - 1
+	e.sstats.lagPulls.Add(1)
 	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
-	return e.armSyncRetry([]consensus.Action{consensus.Send{To: env.From, Env: req}})
+	return e.armSyncRetry([]consensus.Action{consensus.Send{To: from, Env: req}})
 }
 
 // peekEra reads the leading Era field every intra-era payload starts
@@ -509,6 +561,14 @@ func peekSeq(env *consensus.Envelope) (uint64, bool) {
 // any misbehavior evidence awaiting submission (detection may have
 // fired during the very events that produced these actions).
 func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []consensus.Action {
+	if e.inner != nil {
+		// Every delivery to the inner engine passes through here: fold its
+		// vote counts into totals that outlive the era instance.
+		if verified, surplus := e.inner.TakeVoteCounts(); verified|surplus != 0 {
+			e.sstats.votesVerified.Add(verified)
+			e.sstats.votesSurplus.Add(surplus)
+		}
+	}
 	out := acts
 	if len(acts) > 0 {
 		out = make([]consensus.Action, 0, len(acts)+2)
@@ -1044,6 +1104,16 @@ func (a *eraApp) ValidateBlockOn(b, parent *types.Block) error {
 		return errors.New("gpbft: application does not support speculative validation")
 	}
 	return app.ValidateBlockOn(b, parent)
+}
+
+// MinSpeculativeBatch implements pbft.SpeculativeApplication. An
+// application without the speculative surface never builds on an
+// in-flight parent, which no pool depth can satisfy.
+func (a *eraApp) MinSpeculativeBatch() int {
+	if app, ok := a.Application.(pbft.SpeculativeApplication); ok {
+		return app.MinSpeculativeBatch()
+	}
+	return math.MaxInt
 }
 
 // blockHasConfig reports whether any transaction in b is a TxConfig.

@@ -60,6 +60,9 @@ const maxSyncRetries = 6
 // metrics endpoint snapshots them from outside the event loop.
 type syncStats struct {
 	retries        atomic.Uint64
+	lagPulls       atomic.Uint64
+	votesVerified  atomic.Uint64
+	votesSurplus   atomic.Uint64
 	blocksSynced   atomic.Uint64
 	snapsInstalled atomic.Uint64
 	snapsRejected  atomic.Uint64
@@ -73,6 +76,9 @@ type syncStats struct {
 func (e *Engine) SyncStats() runtime.SyncStats {
 	return runtime.SyncStats{
 		Retries:            e.sstats.retries.Load(),
+		LagPulls:           e.sstats.lagPulls.Load(),
+		VotesVerified:      e.sstats.votesVerified.Load(),
+		VotesSurplus:       e.sstats.votesSurplus.Load(),
 		BlocksSynced:       e.sstats.blocksSynced.Load(),
 		SnapshotsInstalled: e.sstats.snapsInstalled.Load(),
 		SnapshotsRejected:  e.sstats.snapsRejected.Load(),
@@ -390,6 +396,11 @@ func (e *Engine) rotationPeer() gcrypto.Address {
 // unanswered for a full backoff window.
 func (e *Engine) onSyncRetry(now consensus.Time) []consensus.Action {
 	e.retryTID = 0
+	if e.fsPhase == fsIdle && e.chain.Height() >= e.syncTarget {
+		// Consensus got there first: a retry would only have blocks this
+		// node already holds shipped again.
+		e.syncInFlight = false
+	}
 	if e.fsPhase == fsIdle && !e.syncInFlight {
 		return nil // satisfied in the meantime
 	}

@@ -96,46 +96,168 @@ func TestAnnounceTriggersSingleSync(t *testing.T) {
 	}
 }
 
+// syncRequests counts the block-sync sends among acts.
+func syncRequests(acts []consensus.Action) int {
+	n := 0
+	for _, k := range sendKinds(acts) {
+		if k == consensus.KindBlockSync {
+			n++
+		}
+	}
+	return n
+}
+
+// commitVote seals a peer's commit for seq in era 0, view 0.
+func commitVote(peer *gcrypto.KeyPair, seq uint64) *consensus.Envelope {
+	return consensus.Seal(peer, &pbft.Commit{Era: 0, View: 0, Seq: seq, Digest: gcrypto.Hash{0xab}})
+}
+
 // TestLaggingCommitTriggersSync: an endorser that overhears a commit
-// vote for a height beyond its own head has provably missed blocks
-// (a node restarted mid-era sees exactly this) and must pull them
-// right away instead of waiting for the next era announcement.
+// vote beyond the pipelining window above its own head has provably
+// missed blocks (a node restarted mid-era sees exactly this) and must
+// pull them right away instead of waiting for the next era announcement.
 func TestLaggingCommitTriggersSync(t *testing.T) {
 	c := grownCluster(t, 4)
 	endorser := c.CoreEngine(0)
 	peer := c.Node(1).Key
 	h := c.Node(0).App.Chain().Height()
-
-	syncReqs := func(acts []consensus.Action) int {
-		n := 0
-		for _, k := range sendKinds(acts) {
-			if k == consensus.KindBlockSync {
-				n++
-			}
-		}
-		return n
-	}
+	_, depth := endorser.InFlight()
+	window := uint64(depth)
 	commitAt := func(seq uint64) []consensus.Action {
-		m := &pbft.Commit{Era: 0, View: 0, Seq: seq, Digest: gcrypto.Hash{0xab}}
-		return endorser.OnEnvelope(0, consensus.Seal(peer, m))
+		return endorser.OnEnvelope(0, commitVote(peer, seq))
 	}
 
 	// A commit for the very next height is normal consensus traffic.
-	if n := syncReqs(commitAt(h + 1)); n != 0 {
+	if n := syncRequests(commitAt(h + 1)); n != 0 {
 		t.Fatalf("commit for next height spawned %d sync requests", n)
 	}
-	// A commit beyond head+1 reveals the gap: exactly one pull.
-	if n := syncReqs(commitAt(h + 3)); n != 1 {
+	// A commit beyond the window reveals the gap: exactly one pull.
+	if n := syncRequests(commitAt(h + window + 1)); n != 1 {
 		t.Fatalf("lagging commit spawned %d sync requests, want 1", n)
 	}
 	// While that pull is in flight, an equal-or-lower commit is quiet.
-	if n := syncReqs(commitAt(h + 3)); n != 0 {
+	if n := syncRequests(commitAt(h + window + 1)); n != 0 {
 		t.Fatalf("duplicate lagging commit spawned %d requests", n)
 	}
 	// The head moving past the target re-arms the sync (covers a lost
 	// response: the next commit re-requests).
-	if n := syncReqs(commitAt(h + 6)); n != 1 {
+	if n := syncRequests(commitAt(h + window + 4)); n != 1 {
 		t.Fatalf("higher lagging commit spawned %d requests, want 1", n)
+	}
+	if got := endorser.SyncStats().LagPulls; got != 2 {
+		t.Fatalf("LagPulls=%d, want 2", got)
+	}
+}
+
+// lagTimers returns the timers acts start with the lag-check delay (the
+// sync retry base, which no other timer in these tests uses).
+func lagTimers(acts []consensus.Action) []consensus.TimerID {
+	var ids []consensus.TimerID
+	for _, a := range acts {
+		if st, ok := a.(consensus.StartTimer); ok && st.Delay == 500*time.Millisecond {
+			ids = append(ids, st.ID)
+		}
+	}
+	return ids
+}
+
+// TestInWindowCommitPullsNothing: the committee pipelines MaxInFlight
+// slots, so commits for the whole window above an endorser's head are
+// ordinary traffic for blocks it is about to commit itself — whether it
+// already holds its next slot's proposal or that proposal is still on
+// its way. A missing proposal only raises a doubt that is settled one
+// grace period later, and by then the proposal has arrived.
+func TestInWindowCommitPullsNothing(t *testing.T) {
+	c := grownCluster(t, 4)
+	prim := 0
+	for !c.CoreEngine(prim).Inner().IsPrimary() {
+		prim++
+	}
+	backup := c.CoreEngine((prim + 1) % 4)
+	peer := c.Node((prim + 2) % 4).Key
+	h := c.Node(prim).App.Chain().Height()
+	_, depth := c.CoreEngine(prim).InFlight()
+	window := uint64(depth)
+	inWindow := func(eng *core.Engine, when string) (timers []consensus.TimerID) {
+		t.Helper()
+		for seq := h + 2; seq <= h+window; seq++ {
+			acts := eng.OnEnvelope(c.Now(), commitVote(peer, seq))
+			if n := syncRequests(acts); n != 0 {
+				t.Fatalf("%s: in-window commit for head+%d spawned %d sync requests", when, seq-h, n)
+			}
+			timers = append(timers, lagTimers(acts)...)
+		}
+		return timers
+	}
+
+	// The primary proposes head+1 and so holds its next slot's proposal:
+	// no pull and no doubt.
+	tx := c.NewNodeTx(prim, c.Now(), []byte("window"), 1)
+	if err := c.Node(prim).App.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	var ppEnv *consensus.Envelope
+	for _, a := range c.CoreEngine(prim).OnRequest(c.Now(), tx) {
+		if bc, ok := a.(consensus.Broadcast); ok && bc.Env.MsgKind == consensus.KindPrePrepare {
+			ppEnv = bc.Env
+		}
+	}
+	if ppEnv == nil {
+		t.Fatal("setup: the primary did not propose")
+	}
+	if timers := inWindow(c.CoreEngine(prim), "proposal held"); len(timers) != 0 {
+		t.Fatalf("proposal held: %d lag checks armed", len(timers))
+	}
+
+	// The backup holds no proposal for head+1; it may simply be in
+	// flight. One lag check is armed for the whole burst, nothing pulled.
+	timers := inWindow(backup, "proposal not yet seen")
+	if len(timers) != 1 {
+		t.Fatalf("proposal not yet seen: %d lag checks armed, want 1", len(timers))
+	}
+	// The proposal arrives; the check finds the doubt resolved.
+	backup.OnEnvelope(c.Now(), ppEnv)
+	if n := syncRequests(backup.OnTimer(c.Now(), timers[0])); n != 0 {
+		t.Fatalf("lag check after the proposal arrived spawned %d sync requests", n)
+	}
+	if got := backup.SyncStats().LagPulls; got != 0 {
+		t.Fatalf("LagPulls=%d, want 0", got)
+	}
+}
+
+// TestMissedProposalThenIdlePulls: a node that missed fewer than
+// MaxInFlight slots (restarted, or cut off for a moment) and then sees
+// only the tail of the committee's commits before the load stops never
+// gets a commit beyond its window and never a newer proposal. The lag
+// check is what catches it: one grace period after the first such
+// commit its next slot's proposal is still missing, and it pulls.
+func TestMissedProposalThenIdlePulls(t *testing.T) {
+	c := grownCluster(t, 4)
+	endorser := c.CoreEngine(0)
+	peer := c.Node(1).Key
+	h := c.Node(0).App.Chain().Height()
+
+	acts := endorser.OnEnvelope(c.Now(), commitVote(peer, h+2))
+	timers := lagTimers(acts)
+	if syncRequests(acts) != 0 || len(timers) != 1 {
+		t.Fatalf("in-window commit: %d sync requests, %d lag checks, want 0 and 1", syncRequests(acts), len(timers))
+	}
+	// More of the tail arrives while the check is pending: still quiet.
+	if acts := endorser.OnEnvelope(c.Now(), commitVote(peer, h+3)); syncRequests(acts) != 0 || len(lagTimers(acts)) != 0 {
+		t.Fatal("a second in-window commit pulled or armed a second lag check")
+	}
+	// Then nothing. The grace period runs out with head+1 still missing.
+	acts = endorser.OnTimer(c.Now(), timers[0])
+	if n := syncRequests(acts); n != 1 {
+		t.Fatalf("lag check on a node still missing its next proposal spawned %d sync requests, want 1", n)
+	}
+	for _, a := range acts {
+		if s, ok := a.(consensus.Send); ok && s.To != peer.Address() {
+			t.Fatalf("pull sent to %s, want the peer whose commit raised the doubt", s.To.Short())
+		}
+	}
+	if got := endorser.SyncStats().LagPulls; got != 1 {
+		t.Fatalf("LagPulls=%d, want 1", got)
 	}
 }
 

@@ -137,6 +137,11 @@ type Result struct {
 	TPS       float64 `json:"tps"`
 	P50Ms     float64 `json:"p50_ms"`
 	P99Ms     float64 `json:"p99_ms"`
+	// BlocksSynced sums, over a TCP run's nodes, the blocks applied
+	// through block sync rather than consensus (zero and omitted on a
+	// healthy crash-free run: nobody fell behind, nothing was shipped
+	// twice).
+	BlocksSynced uint64 `json:"blocks_synced,omitempty"`
 	// Attack-run extras (zero and omitted for plain runs): what the
 	// flooders offered and how much of it the armor turned away.
 	Attackers       int    `json:"attackers,omitempty"`

@@ -97,6 +97,26 @@ func TestRunTCPSmall(t *testing.T) {
 	}
 }
 
+// TestRunTCPSaturatedPullsNothing: offered far more than it can commit
+// in the window, the cluster runs its pipeline full the whole time —
+// commits for slots ahead of a node's head are the normal case, not a
+// sign of lag, and no block may travel by block sync.
+func TestRunTCPSaturatedPullsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tcp load run in -short mode")
+	}
+	res, err := Run("test-tcp-sat", Config{Mode: "tcp", Committee: 4, Rate: 4000, Duration: time.Second, BatchSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed != res.Offered {
+		t.Fatalf("committed %d of %d", res.Committed, res.Offered)
+	}
+	if res.BlocksSynced != 0 {
+		t.Fatalf("%d blocks travelled by block sync on a crash-free run", res.BlocksSynced)
+	}
+}
+
 // TestRunSerialKnobsRestored: Run must restore every global
 // verification knob it flips for the serial ablation.
 func TestRunSerialKnobsRestored(t *testing.T) {

@@ -257,6 +257,9 @@ func runTCP(c Config) (Result, error) {
 		P50Ms:     stats.Quantile(lat, 0.50),
 		P99Ms:     stats.Quantile(lat, 0.99),
 	}
+	for _, node := range nodes {
+		res.BlocksSynced += node.Counters().Sync.BlocksSynced
+	}
 	if c.Gossip {
 		fillRelayResult(&res, n, chains[0].Head().Header.Height, func(i int) (consensus.RelayStats, int) {
 			return nodes[i].Counters().Relay, nodes[i].Relay.Fanout()

@@ -56,6 +56,11 @@ type SpeculativeApplication interface {
 	// ValidateBlockOn checks b as the immediate child of parent,
 	// independent of the chain head.
 	ValidateBlockOn(b, parent *types.Block) error
+	// MinSpeculativeBatch is the fewest transactions BuildBlockOn packs:
+	// with fewer pooled transactions outside exclude it returns nil. The
+	// engine uses it to tell, from counts alone, when assembling the
+	// exclusion set cannot lead to a block.
+	MinSpeculativeBatch() int
 }
 
 // Config configures one PBFT engine instance (one era in G-PBFT).
@@ -113,11 +118,15 @@ type instance struct {
 	prePrepare *consensus.Envelope
 	prepares   map[gcrypto.Address]*consensus.Envelope
 	commits    map[gcrypto.Address]*consensus.Envelope
-	certVotes  []types.Vote
-	certSeen   map[gcrypto.Address]bool
-	prepared   bool
-	committed  bool
-	executed   bool
+	// matching counts the stored prepares whose digest equals the
+	// accepted one; meaningful once prePrepare is set, and kept in step at
+	// every insert so the prepared test never rescans the map.
+	matching  int
+	certVotes []types.Vote
+	certSeen  map[gcrypto.Address]bool
+	prepared  bool
+	committed bool
+	executed  bool
 }
 
 func newInstance(view uint64) *instance {
@@ -201,6 +210,8 @@ type Engine struct {
 	// stats
 	executedBlocks uint64
 	viewChangesFin uint64
+	votesVerified  uint64 // since the last TakeVoteCounts
+	votesSurplus   uint64
 }
 
 type vcRecord struct {
@@ -292,6 +303,34 @@ func (e *Engine) InFlight() (used, depth int) {
 		}
 	}
 	return used, e.maxInFlight
+}
+
+// BeyondWindow reports whether seq lies beyond the pipelining depth
+// above the slot this replica executes next. No correct primary proposes
+// that far ahead of a replica that keeps up, so a vote for such a slot
+// shows the replica has fallen behind rather than being ordinary
+// pipelined traffic.
+func (e *Engine) BeyondWindow(seq uint64) bool {
+	return seq >= e.execNext+uint64(e.maxInFlight)
+}
+
+// HasProposal reports whether this replica holds an accepted proposal
+// for seq.
+func (e *Engine) HasProposal(seq uint64) bool {
+	inst := e.insts[seq]
+	return inst != nil && inst.prePrepare != nil
+}
+
+// TakeVoteCounts returns what the vote fast path did with the prepares,
+// commits and checkpoints delivered since the previous call: verified
+// counts seal checks (each vote once, when it first entered engine
+// state), surplus the votes dropped unverified because their phase
+// already held its quorum or their slot was already stable. The era
+// layer folds them into totals that outlive this instance.
+func (e *Engine) TakeVoteCounts() (verified, surplus uint64) {
+	verified, surplus = e.votesVerified, e.votesSurplus
+	e.votesVerified, e.votesSurplus = 0, 0
+	return verified, surplus
 }
 
 // CompletedViewChanges returns how many view changes this replica has
@@ -580,6 +619,21 @@ func (e *Engine) buildAt(now consensus.Time, seq uint64) *types.Block {
 	if parent == nil {
 		return nil
 	}
+	// Count before hashing. This replica's own unexecuted proposals were
+	// packed from its pool and stay there until they commit, so the pool
+	// holds at most PendingTxs minus their transactions for a new block;
+	// below a full batch BuildBlockOn would decline, and the exclusion
+	// set (a SHA-256 per in-flight transaction) need not be built to hear
+	// it say so. A primary runs this on every relayed request.
+	packed := 0
+	for s := e.execNext; s < seq; s++ {
+		if inst := e.insts[s]; inst != nil && inst.block != nil && !inst.executed && inst.block.Header.Proposer == e.self {
+			packed += len(inst.block.Txs)
+		}
+	}
+	if e.cfg.App.PendingTxs()-packed < e.spec.MinSpeculativeBatch() {
+		return nil
+	}
 	// Exclude everything packed below seq — including executed blocks
 	// whose CommitBlock action has not been applied yet — because those
 	// transactions still sit in the pool.
@@ -704,6 +758,11 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		prep := &Prepare{Era: pp.Era, View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
 		prepEnv := consensus.Seal(e.cfg.Key, prep)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: prepEnv})
+		// A pre-prepare delivered twice (retransmission, replay) reaches
+		// this point again with the own prepare already counted.
+		if inst.prepares[e.self] == nil {
+			inst.matching++
+		}
 		inst.prepares[e.self] = prepEnv
 		acts = e.maybePrepared(now, pp.Seq, acts)
 	}
@@ -726,29 +785,92 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *conse
 	// Every accepted proposal gets its own deadline so an earlier slot's
 	// progress can never mask a primary stalling a later one.
 	acts = e.armSlotTimer(pp.Seq, acts)
-	// Commits that raced ahead of the pre-prepare can now contribute
-	// their certificate votes.
+	// Votes that raced ahead of the pre-prepare can now be judged against
+	// the accepted digest: prepares join the matching count, commits
+	// contribute their certificate votes. Stored envelopes were verified
+	// before they were stored, so decoding is all that is left.
+	inst.matching = 0
+	for _, penv := range inst.prepares {
+		var p Prepare
+		if consensus.OpenUnverified(penv, consensus.KindPrepare, &p) == nil && p.Digest == inst.digest {
+			inst.matching++
+		}
+	}
 	for from, cenv := range inst.commits {
 		var c Commit
-		if consensus.Open(cenv, consensus.KindCommit, &c) == nil {
+		if consensus.OpenUnverified(cenv, consensus.KindCommit, &c) == nil {
 			e.recordCommitVote(inst, from, &c)
 		}
 	}
 	return e.maybePrepared(now, pp.Seq, acts)
 }
 
+// admitVote judges a prepare or commit from its decoded but still
+// unverified body. The invariant it keeps for the vote handlers: a
+// vote's seal is checked exactly when the vote is about to enter engine
+// state (the instance log, the hold-back buffer, the seen-vote index),
+// and nothing unverified is ever stored. Everything that can rule a
+// vote out without the seal runs first, so the ed25519 check is paid
+// only for votes that can still count.
+//
+// A vote is surplus when it agrees with the slot's accepted digest and
+// its phase already holds its quorum (or the slot is at or below the
+// stable checkpoint): storing it could never change an outcome, so it
+// is dropped unverified. The exception keeps accountability whole — if
+// the sender is already on record for this slot with a different
+// digest, the vote is verified and cross-checked as before, so a
+// double-sign is still proven no matter how late its second half
+// arrives. What is given up is only the late vote that agrees both with
+// the accepted digest and with everything its sender was seen to say.
+func (e *Engine) admitVote(env *consensus.Envelope, era, view, seq uint64, digest gcrypto.Hash) bool {
+	if era != e.cfg.Era || !e.com.IsMember(env.From) {
+		return false
+	}
+	if view != e.view || e.inViewChange {
+		return false
+	}
+	if seq <= e.lowWater {
+		e.countVote(&e.votesSurplus)
+		return false
+	}
+	prev, seen := e.seenVotes[seenSlot{kind: env.MsgKind, view: view, seq: seq, from: env.From}]
+	if seen && prev.digest == digest {
+		return false // retransmission of a vote already on record
+	}
+	if inst := e.insts[seq]; !seen && inst != nil && inst.view == view {
+		stored, full := inst.prepares, inst.prepared
+		if env.MsgKind == consensus.KindCommit {
+			stored, full = inst.commits, len(inst.certVotes) >= e.com.Quorum()
+		}
+		if stored[env.From] != nil {
+			return false // the sender's slot is taken
+		}
+		if full && inst.prePrepare != nil && inst.digest == digest {
+			e.countVote(&e.votesSurplus)
+			return false
+		}
+	}
+	if env.Verify() != nil {
+		return false
+	}
+	e.countVote(&e.votesVerified)
+	return true
+}
+
+// countVote counts a vote's fate once: a vote redelivered from the
+// hold-back buffer was verified, and counted, when it was buffered.
+func (e *Engine) countVote(counter *uint64) {
+	if !e.draining {
+		*counter++
+	}
+}
+
 func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consensus.Action {
 	var p Prepare
-	if err := consensus.Open(env, consensus.KindPrepare, &p); err != nil {
+	if err := consensus.OpenUnverified(env, consensus.KindPrepare, &p); err != nil {
 		return nil
 	}
-	if p.Era != e.cfg.Era || !e.com.IsMember(env.From) {
-		return nil
-	}
-	if p.View != e.view || e.inViewChange {
-		return nil
-	}
-	if p.Seq <= e.lowWater {
+	if !e.admitVote(env, p.Era, p.View, p.Seq, p.Digest) {
 		return nil
 	}
 	if p.Seq > e.highWater() {
@@ -769,6 +891,9 @@ func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consen
 		return nil
 	}
 	inst.prepares[env.From] = env
+	if inst.prePrepare != nil {
+		inst.matching++
+	}
 	return e.maybePrepared(now, p.Seq, nil)
 }
 
@@ -781,16 +906,9 @@ func (e *Engine) maybePrepared(now consensus.Time, seq uint64, acts []consensus.
 		return acts
 	}
 	if !inst.prepared {
-		matching := 0
-		for _, penv := range inst.prepares {
-			var p Prepare
-			if consensus.Open(penv, consensus.KindPrepare, &p) == nil && p.Digest == inst.digest {
-				matching++
-			}
-		}
 		// pre-prepare (primary) + (quorum-1) prepares = quorum distinct
 		// replicas.
-		if matching < e.com.Quorum()-1 {
+		if inst.matching < e.com.Quorum()-1 {
 			return acts
 		}
 		// Make the prepared certificate durable first (a replica that
@@ -850,16 +968,10 @@ func (e *Engine) parentPrepared(seq uint64) bool {
 
 func (e *Engine) onCommit(now consensus.Time, env *consensus.Envelope) []consensus.Action {
 	var c Commit
-	if err := consensus.Open(env, consensus.KindCommit, &c); err != nil {
+	if err := consensus.OpenUnverified(env, consensus.KindCommit, &c); err != nil {
 		return nil
 	}
-	if c.Era != e.cfg.Era || !e.com.IsMember(env.From) {
-		return nil
-	}
-	if c.View != e.view || e.inViewChange {
-		return nil
-	}
-	if c.Seq <= e.lowWater {
+	if !e.admitVote(env, c.Era, c.View, c.Seq, c.Digest) {
 		return nil
 	}
 	if c.Seq > e.highWater() {
@@ -969,16 +1081,26 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 // --- checkpoints ---
 
 func (e *Engine) onCheckpoint(now consensus.Time, env *consensus.Envelope) []consensus.Action {
+	// Same order as admitVote: everything that rules the checkpoint out
+	// without its seal first, the seal check only when it will be stored.
 	var ck Checkpoint
-	if err := consensus.Open(env, consensus.KindCheckpoint, &ck); err != nil {
+	if err := consensus.OpenUnverified(env, consensus.KindCheckpoint, &ck); err != nil {
 		return nil
 	}
 	if ck.Era != e.cfg.Era || !e.com.IsMember(env.From) {
 		return nil
 	}
 	if ck.Seq <= e.lowWater {
+		e.votesSurplus++
+		return nil // already stable: the quorum formed without this one
+	}
+	if d, dup := e.checkpoints[ck.Seq][env.From]; dup && d == ck.Digest {
 		return nil
 	}
+	if env.Verify() != nil {
+		return nil
+	}
+	e.votesVerified++
 	e.noteCheckpoint(ck.Seq, env.From, ck.Digest)
 	// A stabilized checkpoint lifts the watermarks: buffered messages
 	// just above the old window may be deliverable now.

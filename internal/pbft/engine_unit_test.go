@@ -28,6 +28,12 @@ type unitRig struct {
 // at sorted position selfPos.
 func newUnitRig(t *testing.T, selfPos int) *unitRig {
 	t.Helper()
+	return newUnitRigWith(t, selfPos, nil)
+}
+
+// newUnitRigWith is newUnitRig with a hook to adjust the engine config.
+func newUnitRigWith(t *testing.T, selfPos int, adjust func(*pbft.Config)) *unitRig {
+	t.Helper()
 	g := &ledger.Genesis{ChainID: "unit", Timestamp: epoch, Policy: ledger.DefaultPolicy()}
 	raw := make(map[gcrypto.Address]*gcrypto.KeyPair)
 	for i := 0; i < 4; i++ {
@@ -51,11 +57,15 @@ func newUnitRig(t *testing.T, selfPos int) *unitRig {
 		t.Fatal(err)
 	}
 	app := runtime.NewApp(chain, runtime.NewMempool(0), keys[selfPos].Address(), epoch, 8)
-	eng, err := pbft.New(pbft.Config{
+	cfg := pbft.Config{
 		Committee: com, Key: keys[selfPos], App: app,
 		Timers: consensus.NewTimerAllocator(), StartHeight: 1,
 		ViewChangeTimeout: time.Second,
-	})
+	}
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	eng, err := pbft.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

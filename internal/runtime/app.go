@@ -138,6 +138,10 @@ func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *ty
 	}, txs)
 }
 
+// MinSpeculativeBatch implements pbft.SpeculativeApplication: the full
+// base batch BuildBlockOn insists on.
+func (a *App) MinSpeculativeBatch() int { return a.batch }
+
 // ValidateBlock implements consensus.Application.
 func (a *App) ValidateBlock(b *types.Block) error {
 	return a.chain.ValidateBlock(b)

@@ -129,6 +129,18 @@ type SyncStats struct {
 	// Retries counts timed-out sync/head/snapshot requests that were
 	// re-issued (with backoff) to the same or a rotated peer.
 	Retries uint64
+	// LagPulls counts block pulls started because an overheard commit
+	// proved this node behind the committee (zero on a healthy run:
+	// commits inside the pipelining window pull nothing).
+	LagPulls uint64
+	// VotesVerified and VotesSurplus are the engine's account of its
+	// vote fast path, carried in the one engine snapshot the runtime
+	// reads: prepares, commits and checkpoints whose seal was checked
+	// because they were about to be stored, and those dropped unverified
+	// because their phase already held its quorum or their slot was
+	// already stable.
+	VotesVerified uint64
+	VotesSurplus  uint64
 	// BlocksSynced counts blocks applied through the sync path (as
 	// opposed to ordinary consensus commits).
 	BlocksSynced uint64

@@ -35,7 +35,10 @@ func (m SyncMetrics) WritePrometheus(w io.Writer, ns string) {
 	counter("snapshot_rejected_total", m.Stats.SnapshotsRejected)
 	counter("snapshot_served_total", m.Stats.SnapshotsServed)
 	counter("sync_retries_total", m.Stats.Retries)
+	counter("sync_lag_pulls_total", m.Stats.LagPulls)
 	counter("sync_blocks_total", m.Stats.BlocksSynced)
+	counter("votes_verified_total", m.Stats.VotesVerified)
+	counter("votes_dropped_surplus_total", m.Stats.VotesSurplus)
 	gauge("sync_mode", uint64(m.Stats.Mode))
 	gauge("compacted_bytes", m.CompactedBytes)
 }

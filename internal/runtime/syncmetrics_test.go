@@ -14,6 +14,9 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 			SnapshotsRejected:  3,
 			SnapshotsServed:    5,
 			Retries:            2,
+			LagPulls:           4,
+			VotesVerified:      60,
+			VotesSurplus:       40,
 		},
 		SnapshotsWritten: 7,
 		CompactedBytes:   4096,
@@ -23,14 +26,17 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 	out := sb.String()
 
 	want := map[string]string{
-		"gpbft_snapshot_written_total":   "7",
-		"gpbft_snapshot_installed_total": "1",
-		"gpbft_snapshot_rejected_total":  "3",
-		"gpbft_snapshot_served_total":    "5",
-		"gpbft_sync_retries_total":       "2",
-		"gpbft_sync_blocks_total":        "42",
-		"gpbft_sync_mode":                "2",
-		"gpbft_compacted_bytes":          "4096",
+		"gpbft_snapshot_written_total":      "7",
+		"gpbft_snapshot_installed_total":    "1",
+		"gpbft_snapshot_rejected_total":     "3",
+		"gpbft_snapshot_served_total":       "5",
+		"gpbft_sync_retries_total":          "2",
+		"gpbft_sync_lag_pulls_total":        "4",
+		"gpbft_sync_blocks_total":           "42",
+		"gpbft_votes_verified_total":        "60",
+		"gpbft_votes_dropped_surplus_total": "40",
+		"gpbft_sync_mode":                   "2",
+		"gpbft_compacted_bytes":             "4096",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	got := map[string]string{}

@@ -120,17 +120,23 @@ type verifyJob struct {
 }
 
 // preVerify runs on a worker goroutine: it performs the expensive
-// signature work an envelope will need — the envelope seal itself,
-// plus the transaction signatures a request or proposal carries — so
-// the serial event loop finds every check memoized. Failures are not
+// signature work an envelope is sure to need — the envelope seal, plus
+// the transaction signatures a request or proposal carries — so the
+// serial event loop finds every check memoized. Failures are not
 // acted on here: an envelope that fails is still delivered, and the
 // engine's own Open rejects it exactly as it would have without the
 // pipeline (only success is memoized, so semantics are unchanged).
+//
+// Prepares, commits and checkpoints are deliberately NOT verified here.
+// Only the engine can tell whether a vote still counts (pbft.admitVote):
+// a phase needs 2f or 2f+1 of the n-1 votes sent for it, and checking
+// the rest up front is the single largest CPU cost of a round.
 func preVerify(env *consensus.Envelope) {
-	if env.MsgKind == consensus.KindRelay {
+	switch env.MsgKind {
+	case consensus.KindRelay:
 		// A relay frame is unsealed by design; the work to front-load is
 		// decoding the batch (memoized on the envelope — the event loop
-		// reuses this result) and verifying each inner envelope.
+		// reuses this result) and pre-verifying each inner envelope.
 		// Recursion is safe: the decoder rejects nested relay frames.
 		entries, err := env.RelayEntries()
 		if err != nil {
@@ -139,9 +145,7 @@ func preVerify(env *consensus.Envelope) {
 		for i := range entries {
 			preVerify(entries[i].Env)
 		}
-		return
-	}
-	if env.MsgKind == consensus.KindRequest {
+	case consensus.KindRequest:
 		// Request envelopes skip the seal check end to end (see
 		// pbft.onRequestEnv): the transaction inside is what
 		// authenticates, so that is what gets warmed.
@@ -149,12 +153,7 @@ func preVerify(env *consensus.Envelope) {
 		if consensus.OpenUnverified(env, consensus.KindRequest, &req) == nil {
 			types.PrewarmTxs([]types.Transaction{req.Tx})
 		}
-		return
-	}
-	if env.Verify() != nil {
-		return
-	}
-	switch env.MsgKind {
+	case consensus.KindPrepare, consensus.KindCommit, consensus.KindCheckpoint:
 	case consensus.KindPrePrepare:
 		// The pipelining payoff: the next block's transaction batch
 		// verifies here, in parallel, while the event loop is still
@@ -163,6 +162,8 @@ func preVerify(env *consensus.Envelope) {
 		if consensus.Open(env, consensus.KindPrePrepare, &pp) == nil {
 			types.PrewarmTxs(pp.Block.Txs)
 		}
+	default:
+		_ = env.Verify() // warms the memo; the engine acts on the verdict
 	}
 }
 

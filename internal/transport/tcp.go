@@ -202,9 +202,13 @@ type peer struct {
 	// wake interrupts a backoff wait early: an endpoint change or an
 	// adopted inbound connection makes an immediate retry worthwhile.
 	wake chan struct{}
-	// wbuf is the writer's coalescing scratch buffer; only the
-	// writeLoop goroutine touches it.
-	wbuf []byte
+	// wbuf is the writer's coalescing scratch buffer, and wconn/wprefix
+	// the connection it last framed for with that connection's
+	// sender-prefix state (see compact.go); only the writeLoop goroutine
+	// touches them.
+	wbuf    []byte
+	wconn   net.Conn
+	wprefix prefixState
 
 	mu          sync.Mutex
 	conn        net.Conn
@@ -415,15 +419,12 @@ func (t *TCP) serveInbound(conn net.Conn) {
 		if p := t.adoptInbound(h.Addr, conn); p != nil {
 			defer p.dropConn(conn)
 		}
-		t.readFrames(conn, false)
+		t.readFrames(conn, false, nil)
 		return
 	}
 	// No hello: an unattributed client (or legacy) connection. Client
 	// traffic gets the ingress byte budget and admission replies.
-	if !t.deliverPayload(conn, payload, true) {
-		return
-	}
-	t.readFrames(conn, true)
+	t.readFrames(conn, true, payload)
 }
 
 // adoptInbound offers an attributed inbound connection to the peer's
@@ -444,19 +445,20 @@ func (t *TCP) adoptInbound(addr gcrypto.Address, conn net.Conn) *peer {
 	return p
 }
 
-// deliverPayload decodes and queues one received frame; a malformed
+// deliverPayload decodes and queues one received frame, restored to
+// canonical bytes (wireLen is what it weighed on the wire); a malformed
 // frame is a protocol violation that closes the connection. Request
 // envelopes pass through the AdmitTx gate first: a rejected request is
 // dropped (the connection survives) and, on client connections, is
 // answered with a signed TxRejected reply carrying the retry-after
 // hint.
-func (t *TCP) deliverPayload(conn net.Conn, payload []byte, client bool) bool {
+func (t *TCP) deliverPayload(conn net.Conn, payload []byte, wireLen int, client bool) bool {
 	env, err := consensus.DecodeEnvelope(payload)
 	if err != nil {
 		return false
 	}
 	t.ctr.framesIn.Add(1)
-	t.ctr.bytesIn.Add(int64(4 + len(payload)))
+	t.ctr.bytesIn.Add(int64(4 + wireLen))
 	if env.MsgKind == consensus.KindRequest && t.cfg.AdmitTx != nil {
 		var req pbft.Request
 		if consensus.OpenUnverified(env, consensus.KindRequest, &req) != nil {
@@ -498,11 +500,20 @@ func (t *TCP) sendReject(conn net.Conn, txID gcrypto.Hash, cause error) {
 	conn.SetWriteDeadline(time.Time{})
 }
 
-// readFrames pumps envelopes off a connection until it fails. Client
+// readFrames pumps envelopes off a connection until it fails, starting
+// with first when the caller already read a frame off it. Client
 // connections additionally pay a per-connection ingress byte budget:
 // when the configured rate is exceeded, only this connection's read
 // loop sleeps off the deficit, so one flooder cannot slow anyone else.
-func (t *TCP) readFrames(conn net.Conn, client bool) {
+func (t *TCP) readFrames(conn net.Conn, client bool, first []byte) {
+	var prefix prefixState // this connection's inbound direction
+	deliver := func(wire []byte) bool {
+		payload, err := prefix.expand(wire)
+		return err == nil && t.deliverPayload(conn, payload, len(wire), client)
+	}
+	if first != nil && !deliver(first) {
+		return
+	}
 	var budget float64
 	var last time.Time
 	rate := float64(t.cfg.IngressBytesPerSec)
@@ -540,7 +551,7 @@ func (t *TCP) readFrames(conn net.Conn, client bool) {
 				}
 			}
 		}
-		if !t.deliverPayload(conn, payload, client) {
+		if !deliver(payload) {
 			return
 		}
 	}
@@ -583,26 +594,29 @@ func (p *peer) writeLoop() {
 	}
 }
 
-// deliver writes a batch of pre-encoded frames as one connection
+// deliver writes a batch of pre-encoded envelopes as one connection
 // write, establishing a connection first if needed. A failed write
 // burns the connection and retries once on a fresh one; a second
 // failure drops the batch (consensus protocols tolerate loss —
 // blocking the whole queue does not). It returns false when the
 // transport is shutting down.
 func (p *peer) deliver(frames [][]byte) bool {
-	buf := p.wbuf[:0]
-	var hdr [4]byte
-	for _, f := range frames {
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(f)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, f...)
-	}
-	p.wbuf = buf
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, ok := p.ensureConn()
 		if !ok {
 			return false
 		}
+		// Framing depends on what this connection has already carried, so
+		// it happens per attempt: a fresh connection starts with no sender
+		// prefix, and the retry after a failed write re-frames in full.
+		if conn != p.wconn {
+			p.wconn, p.wprefix = conn, prefixState{}
+		}
+		buf := p.wbuf[:0]
+		for _, f := range frames {
+			buf = p.wprefix.appendFrame(buf, f)
+		}
+		p.wbuf = buf
 		conn.SetWriteDeadline(time.Now().Add(p.t.cfg.WriteTimeout))
 		if _, err := conn.Write(buf); err == nil {
 			// Count every frame in the coalesced batch, not the batch as
@@ -724,7 +738,7 @@ func (t *TCP) serveOutbound(p *peer, conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer p.dropConn(conn)
-	t.readFrames(conn, false)
+	t.readFrames(conn, false, nil)
 }
 
 // offerConn installs a connection as the peer's writer conduit; it

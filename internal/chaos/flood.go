@@ -25,12 +25,6 @@ type FloodReport struct {
 	HonestSubmitted   int
 	HonestCommitted   int
 	HonestRejected    int
-	// HonestRetried counts client-side resubmissions through another
-	// endorser ("a client will send the transaction to multiple
-	// endorsers") for honest txs that had not committed within the
-	// retry timeout — e.g. because the entry node was mid view-change
-	// when it should have relayed the request.
-	HonestRetried     int
 	AttackerOffered   int
 	AttackerCommitted int
 
@@ -76,16 +70,9 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 
 	// Node 0 observes commit latency: the flood schedule never crashes
 	// nodes, so its OnCommit wrapper survives the whole run. Honest
-	// latency is measured per transaction in virtual time from first
-	// submit to the observer's commit — the client-perceived latency.
-	type inflightTx struct {
-		tx    *types.Transaction
-		first consensus.Time // first submit (latency anchor)
-		last  consensus.Time // most recent (re)submit
-		entry int            // entry node of the last submit
-	}
-	pending := make(map[gcrypto.Hash]*inflightTx)
-	var order []gcrypto.Hash // deterministic retry iteration order
+	// latency is measured per transaction in virtual time from its one
+	// submission to the observer's commit — the client-perceived latency.
+	pending := make(map[gcrypto.Hash]consensus.Time) // tx ID -> submit time
 	var honestLat []time.Duration
 	obs := c.nodes[0]
 	prevCommit := obs.OnCommit
@@ -97,8 +84,8 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 				rep.AttackerCommitted++
 				continue
 			}
-			if p, ok := pending[tx.ID()]; ok {
-				honestLat = append(honestLat, time.Duration(now-p.first))
+			if submitted, ok := pending[tx.ID()]; ok {
+				honestLat = append(honestLat, time.Duration(now-submitted))
 				delete(pending, tx.ID())
 				rep.HonestCommitted++
 			}
@@ -126,43 +113,14 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 			rep.HonestRejected++
 			return
 		}
-		id := tx.ID()
-		pending[id] = &inflightTx{tx: tx, first: c.net.Now(), last: c.net.Now(), entry: i}
-		order = append(order, id)
+		pending[tx.ID()] = c.net.Now()
 	}
 
-	// retryStuck models honest client behavior: a transaction that has
-	// not committed within the retry timeout is resent through the NEXT
-	// endorser. A request can silently die at its entry node — the
-	// relay is skipped while that node is mid view-change or era
-	// switch, and there is no pool re-gossip — so without this a
-	// perfectly honest transaction can wait forever.
-	const retryTimeout = time.Second
-	retryStuck := func() {
-		now := c.net.Now()
-		for _, id := range order {
-			p, ok := pending[id]
-			if !ok || now-p.last < retryTimeout {
-				continue
-			}
-			p.entry = (p.entry + 1) % len(c.nodes)
-			p.last = now
-			rep.HonestRetried++
-			if err := c.nodes[p.entry].Submit(now, p.tx); err != nil {
-				rep.HonestRejected++
-			}
-		}
-	}
-
-	// drain lets in-flight work finish: keep retrying stuck honest txs
-	// until the pipeline empties or the retry budget runs out.
-	drain := func() {
-		for r := 0; r < 10 && len(pending) > 0; r++ {
-			retryStuck()
-			c.RunFor(500 * time.Millisecond)
-		}
-		c.RunUntilIdleFor(10 * time.Second)
-	}
+	// drain lets in-flight work finish. Every honest transaction is
+	// submitted once, through one endorser: a request that reaches its
+	// entry node mid view-change or era switch is held there and relayed
+	// when the node can, so the client has nothing to retry.
+	drain := func() { c.RunUntilIdleFor(15 * time.Second) }
 
 	// Phase 1: unloaded baseline.
 	for s := 0; s < steps; s++ {
@@ -170,7 +128,6 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 			honestTx(i, s)
 		}
 		c.RunFor(c.opts.StepInterval)
-		retryStuck()
 		if err := c.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("baseline step %d: %w", s, err)
 		}
@@ -201,7 +158,6 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 			}
 		}
 		c.RunFor(c.opts.StepInterval)
-		retryStuck()
 		for i := range c.nodes {
 			if lvl := c.nodes[i].Admission.Level(); lvl > rep.MaxShedLevel {
 				rep.MaxShedLevel = lvl

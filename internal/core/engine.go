@@ -115,6 +115,10 @@ const (
 // maxBuffered bounds the next-era message buffer.
 const maxBuffered = 4096
 
+// maxBacklog bounds the pending pool the proposer of a config block
+// hands to the endorsers that block adds.
+const maxBacklog = 128
+
 // Engine is the G-PBFT era layer: a consensus.Engine that runs a fresh
 // PBFT instance per era and orchestrates geographic authentication,
 // era switches, block sync and announcements. Candidate nodes run the
@@ -138,6 +142,15 @@ type Engine struct {
 	resumeID consensus.TimerID
 
 	buffered []*consensus.Envelope
+
+	// held lists the transactions that entered this node's pool during
+	// the switch pause and that no other node may know: a local
+	// submission, or a request whose sender is outside the committee (an
+	// observer's or client's single send). A fellow member's relay is
+	// never held — its sender broadcast it to everyone. Resume hands each
+	// to the new era's request path once; the list needs no cap, every
+	// entry passed pool admission.
+	held []types.Transaction
 
 	syncInFlight bool
 	syncTarget   uint64
@@ -388,9 +401,11 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 }
 
 // OnRequest implements consensus.Engine. During a switch the system
-// refuses to process transactions; they wait in the pool.
+// refuses to process transactions; they wait in the pool (the runtime
+// put tx there) and on the held list.
 func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
 	if e.switching {
+		e.hold(tx)
 		return nil
 	}
 	if e.inner != nil {
@@ -423,6 +438,7 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		return e.onBlockSync(now, env)
 	case consensus.KindRequest:
 		if e.switching || e.inner == nil {
+			e.poolRequest(env)
 			return nil
 		}
 		return e.filterInner(now, e.inner.OnEnvelope(now, env))
@@ -446,6 +462,42 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		acts := e.maybeLagSync(env)
 		return append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
 	}
+}
+
+// poolRequest admits a request that reaches this node while it runs no
+// consensus — in the switch pause, or elected and still syncing toward
+// its first era, when the backlog arrives (see onResume) — to the pool
+// and relays nothing: "refuses to process or commit" holds, pool
+// admission is neither. A request is never dropped because the node is
+// between eras.
+func (e *Engine) poolRequest(env *consensus.Envelope) {
+	tx, err := pbft.OpenRequest(env)
+	if err != nil || e.cfg.App.SubmitTx(tx) != nil {
+		return
+	}
+	if e.switching && !e.committee.IsMember(env.From) {
+		e.hold(tx)
+	}
+}
+
+// hold remembers a pooled transaction that only this node may know.
+func (e *Engine) hold(tx *types.Transaction) {
+	e.held = append(e.held, *tx)
+	e.sstats.reqHeld.Add(1)
+}
+
+// relayHeld hands the held transactions to the request path of the era
+// that has just begun, once each: an endorser relays them to the new
+// committee, a node the switch demoted forwards them to a member as any
+// observer would.
+func (e *Engine) relayHeld(now consensus.Time, acts []consensus.Action) []consensus.Action {
+	held := e.held
+	e.held = nil
+	for i := range held {
+		e.sstats.reqRerelayed.Add(1)
+		acts = append(acts, e.OnRequest(now, &held[i])...)
+	}
+	return acts
 }
 
 // maybeLagSync turns overheard commit votes that show this node has
@@ -564,9 +616,11 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 	if e.inner != nil {
 		// Every delivery to the inner engine passes through here: fold its
 		// vote counts into totals that outlive the era instance.
-		if verified, surplus := e.inner.TakeVoteCounts(); verified|surplus != 0 {
-			e.sstats.votesVerified.Add(verified)
-			e.sstats.votesSurplus.Add(surplus)
+		if c := e.inner.TakeCounts(); c != (pbft.Counts{}) {
+			e.sstats.votesVerified.Add(c.VotesVerified)
+			e.sstats.votesSurplus.Add(c.VotesSurplus)
+			e.sstats.reqHeld.Add(c.RequestsHeld)
+			e.sstats.reqRerelayed.Add(c.RequestsRerelayed)
 		}
 	}
 	out := acts
@@ -718,6 +772,7 @@ func (e *Engine) onResume(now consensus.Time) []consensus.Action {
 			acts = append(acts, consensus.Send{To: addr, Env: announce})
 		}
 	}
+	acts = e.sendBacklog(acts)
 	e.pendingAdds = nil
 
 	acts = e.buildInstance(now, acts)
@@ -738,22 +793,27 @@ func (e *Engine) onResume(now consensus.Time) []consensus.Action {
 	} else {
 		e.buffered = nil
 	}
-	acts = e.redisseminatePending(now, acts)
-	return acts
+	return e.relayHeld(now, acts)
 }
 
-// redisseminatePending re-announces pooled transactions to the new
-// era's committee: requests that reached only this endorser while the
-// switch was in progress would otherwise sit invisible to the new
-// primary until a view change rotated leadership to their holder.
-func (e *Engine) redisseminatePending(now consensus.Time, acts []consensus.Action) []consensus.Action {
-	if e.inner == nil {
+// sendBacklog gives the endorsers a switch adds the transactions relayed
+// before it: every old member pools them and no added member does, so an
+// added member leading the new era's first view would have nothing to
+// propose while everyone else waits on it. One node sends — the proposer
+// of the config block, which is the chain head (nothing commits during
+// the pause) and names the same node to everyone — so a receiver's cost
+// is bounded by the pool, whatever the committee size. Every member
+// re-announcing its pool to every other cost each receiver n x pool
+// envelopes in front of the new era's first pre-prepare.
+func (e *Engine) sendBacklog(acts []consensus.Action) []consensus.Action {
+	if len(e.pendingAdds) == 0 || e.chain.Head().Header.Proposer != e.self {
 		return acts
 	}
-	const resendCap = 128
-	for _, tx := range e.cfg.App.PendingList(resendCap) {
-		tx := tx
-		acts = append(acts, e.filterInner(now, e.inner.OnRequest(now, &tx))...)
+	for _, tx := range e.cfg.App.PendingList(maxBacklog) {
+		env := consensus.Seal(e.cfg.Key, &pbft.Request{Tx: tx})
+		for _, addr := range e.pendingAdds {
+			acts = append(acts, consensus.Send{To: addr, Env: env})
+		}
 	}
 	return acts
 }
@@ -1008,8 +1068,7 @@ func (e *Engine) maybeJoin(now consensus.Time) []consensus.Action {
 			}
 		}
 	}
-	acts = e.redisseminatePending(now, acts)
-	return acts
+	return e.relayHeld(now, acts)
 }
 
 // eraApp wraps the node's application to enforce era-switch semantics

@@ -63,6 +63,8 @@ type syncStats struct {
 	lagPulls       atomic.Uint64
 	votesVerified  atomic.Uint64
 	votesSurplus   atomic.Uint64
+	reqHeld        atomic.Uint64
+	reqRerelayed   atomic.Uint64
 	blocksSynced   atomic.Uint64
 	snapsInstalled atomic.Uint64
 	snapsRejected  atomic.Uint64
@@ -79,6 +81,8 @@ func (e *Engine) SyncStats() runtime.SyncStats {
 		LagPulls:           e.sstats.lagPulls.Load(),
 		VotesVerified:      e.sstats.votesVerified.Load(),
 		VotesSurplus:       e.sstats.votesSurplus.Load(),
+		RequestsHeld:       e.sstats.reqHeld.Load(),
+		RequestsRerelayed:  e.sstats.reqRerelayed.Load(),
 		BlocksSynced:       e.sstats.blocksSynced.Load(),
 		SnapshotsInstalled: e.sstats.snapsInstalled.Load(),
 		SnapshotsRejected:  e.sstats.snapsRejected.Load(),

@@ -7,7 +7,6 @@ import (
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/store"
-	"gpbft/internal/types"
 )
 
 // WAL is the durable sink for consensus events. The engine appends a
@@ -237,12 +236,7 @@ func (e *Engine) resendRecoveredVotes(acts []consensus.Action) []consensus.Actio
 		if !e.recordVote(store.WALCommit, e.sentCommits, inst.view, seq, inst.digest, nil) {
 			continue
 		}
-		certSig := e.cfg.Key.Sign(types.VoteDigest(inst.digest, e.cfg.Era, inst.view))
-		c := &Commit{Era: e.cfg.Era, View: inst.view, Seq: seq, Digest: inst.digest, CertSig: certSig}
-		cenv := consensus.Seal(e.cfg.Key, c)
-		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: cenv})
-		e.recordCommitVote(inst, e.self, c)
-		inst.commits[e.self] = cenv
+		acts = e.sendOwnCommit(inst, seq, acts)
 	}
 	return acts
 }

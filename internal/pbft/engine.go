@@ -38,7 +38,7 @@ type Application interface {
 	// PendingTxs reports how many transactions await inclusion.
 	PendingTxs() int
 	// PendingList returns up to max pending transactions (FIFO order);
-	// the era layer re-disseminates them after an era switch.
+	// the era layer hands them to the endorsers an era switch adds.
 	PendingList(max int) []types.Transaction
 }
 
@@ -207,11 +207,21 @@ type Engine struct {
 	seenVotes map[seenSlot]seenVote
 	accused   map[gcrypto.Address]bool
 
+	// held lists the transactions that entered this replica's pool while
+	// a view change kept it from relaying them, and that no other replica
+	// may know: a local submission, or a non-member's single send. A
+	// relay from a fellow member is never held — its sender broadcast it
+	// to everyone. enterNewView relays each once; the list needs no cap,
+	// every entry passed pool admission.
+	held []types.Transaction
+
 	// stats
 	executedBlocks uint64
 	viewChangesFin uint64
-	votesVerified  uint64 // since the last TakeVoteCounts
+	votesVerified  uint64 // since the last TakeCounts
 	votesSurplus   uint64
+	reqHeld        uint64
+	reqRerelayed   uint64
 }
 
 type vcRecord struct {
@@ -321,16 +331,25 @@ func (e *Engine) HasProposal(seq uint64) bool {
 	return inst != nil && inst.prePrepare != nil
 }
 
-// TakeVoteCounts returns what the vote fast path did with the prepares,
-// commits and checkpoints delivered since the previous call: verified
-// counts seal checks (each vote once, when it first entered engine
-// state), surplus the votes dropped unverified because their phase
-// already held its quorum or their slot was already stable. The era
-// layer folds them into totals that outlive this instance.
-func (e *Engine) TakeVoteCounts() (verified, surplus uint64) {
-	verified, surplus = e.votesVerified, e.votesSurplus
-	e.votesVerified, e.votesSurplus = 0, 0
-	return verified, surplus
+// Counts is what an engine did since the previous TakeCounts. The vote
+// fast path: VotesVerified counts seal checks on prepares, commits and
+// checkpoints (each vote once, when it first entered engine state),
+// VotesSurplus the votes dropped unverified because their phase already
+// held its quorum or their slot was already stable. The request path
+// across a view change: RequestsHeld counts transactions pooled without
+// a relay (see Engine.held), RequestsRerelayed those relayed on entering
+// the new view; the two are equal once the view change has completed.
+type Counts struct {
+	VotesVerified, VotesSurplus     uint64
+	RequestsHeld, RequestsRerelayed uint64
+}
+
+// TakeCounts reads and resets the engine's counters. The era layer folds
+// them into totals that outlive this instance.
+func (e *Engine) TakeCounts() Counts {
+	c := Counts{e.votesVerified, e.votesSurplus, e.reqHeld, e.reqRerelayed}
+	e.votesVerified, e.votesSurplus, e.reqHeld, e.reqRerelayed = 0, 0, 0, 0
+	return c
 }
 
 // CompletedViewChanges returns how many view changes this replica has
@@ -417,15 +436,38 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 	if e.halted {
 		return nil
 	}
-	var acts []consensus.Action
-	if !e.inViewChange {
-		env := consensus.Seal(e.cfg.Key, &Request{Tx: *tx})
-		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
-	}
+	acts := e.relayOrHold(tx, nil)
 	if e.IsPrimary() {
 		acts = e.maybePropose(now, acts)
 	}
 	acts = e.ensureProgressTimer(acts)
+	return acts
+}
+
+// relayOrHold announces a transaction only this replica may know to the
+// committee. During a view change it remembers it instead, for
+// enterNewView to announce: a replica between views may be cut off from
+// the others — most view changes begin that way — and the new view's
+// certificate is the proof that the committee hears it again.
+func (e *Engine) relayOrHold(tx *types.Transaction, acts []consensus.Action) []consensus.Action {
+	if e.inViewChange {
+		e.held = append(e.held, *tx)
+		e.reqHeld++
+		return acts
+	}
+	env := consensus.Seal(e.cfg.Key, &Request{Tx: *tx})
+	return append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
+}
+
+// relayHeld announces the transactions held through the view change,
+// once each.
+func (e *Engine) relayHeld(acts []consensus.Action) []consensus.Action {
+	held := e.held
+	e.held = nil
+	for i := range held {
+		e.reqRerelayed++
+		acts = e.relayOrHold(&held[i], acts)
+	}
 	return acts
 }
 
@@ -512,7 +554,9 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 
 // --- normal case ---
 
-func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []consensus.Action {
+// OpenRequest decodes a request envelope and checks the transaction it
+// carries.
+func OpenRequest(env *consensus.Envelope) (*types.Transaction, error) {
 	// OpenUnverified: a request envelope is a transport wrapper, not a
 	// vote — authenticity comes from the transaction's own signature
 	// (checked right below, memoized), so the relayer's seal is not
@@ -527,23 +571,30 @@ func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []con
 	}
 	var req Request
 	if err := open(env, consensus.KindRequest, &req); err != nil {
-		return nil
+		return nil, err
 	}
 	// VerifyCached: a relayed transaction has usually already been
 	// verified once on this node (local submission or an earlier relay),
 	// so the ed25519 check is memoized.
 	if err := req.Tx.VerifyCached(); err != nil {
+		return nil, err
+	}
+	return &req.Tx, nil
+}
+
+func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []consensus.Action {
+	tx, err := OpenRequest(env)
+	if err != nil {
 		return nil
 	}
-	if err := e.cfg.App.SubmitTx(&req.Tx); err != nil {
+	if err := e.cfg.App.SubmitTx(tx); err != nil {
 		return nil
 	}
 	var acts []consensus.Action
-	if !e.com.IsMember(env.From) && !e.inViewChange {
+	if !e.com.IsMember(env.From) {
 		// Direct client submission: relay to the committee (a relay
 		// from a fellow member is terminal — no re-broadcast loops).
-		relay := consensus.Seal(e.cfg.Key, &req)
-		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: relay})
+		acts = e.relayOrHold(tx, acts)
 	}
 	if e.IsPrimary() {
 		acts = e.maybePropose(now, acts)
@@ -945,15 +996,28 @@ func (e *Engine) maybeSendCommit(now consensus.Time, seq uint64, acts []consensu
 	if !e.recordVote(store.WALCommit, e.sentCommits, inst.view, seq, inst.digest, nil) {
 		return acts
 	}
-	certSig := e.cfg.Key.Sign(types.VoteDigest(inst.digest, e.cfg.Era, inst.view))
-	c := &Commit{Era: e.cfg.Era, View: inst.view, Seq: seq, Digest: inst.digest, CertSig: certSig}
-	cenv := consensus.Seal(e.cfg.Key, c)
-	acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: cenv})
-	e.recordCommitVote(inst, e.self, c)
-	inst.commits[e.self] = cenv
+	acts = e.sendOwnCommit(inst, seq, acts)
 	acts = e.maybeCommitted(now, seq, acts)
 	// Releasing this commit may unblock the child's deferred one.
 	return e.maybeSendCommit(now, seq+1, acts)
+}
+
+// sendOwnCommit signs and broadcasts this replica's commit for a
+// prepared instance and tallies its certificate vote. The vote is valid
+// by construction — this replica is a member and just signed the
+// accepted digest — so it is recorded without the ed25519 check
+// recordCommitVote runs on a peer's, and noted in the vote cache, where
+// Certificate.Verify finds it when the block commits.
+func (e *Engine) sendOwnCommit(inst *instance, seq uint64, acts []consensus.Action) []consensus.Action {
+	digest := types.VoteDigest(inst.digest, e.cfg.Era, inst.view)
+	certSig := e.cfg.Key.Sign(digest)
+	c := &Commit{Era: e.cfg.Era, View: inst.view, Seq: seq, Digest: inst.digest, CertSig: certSig}
+	cenv := consensus.Seal(e.cfg.Key, c)
+	inst.commits[e.self] = cenv
+	types.NoteSignedVote(e.self, digest, certSig)
+	inst.certSeen[e.self] = true
+	inst.certVotes = append(inst.certVotes, types.Vote{Endorser: e.self, Signature: certSig})
+	return append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: cenv})
 }
 
 // parentPrepared reports whether seq's predecessor is prepared or

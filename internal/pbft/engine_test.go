@@ -431,3 +431,56 @@ func TestHaltStopsEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestDuringViewChangeCommitsUnderNewPrimary closes the strand a
+// view change used to leave: a transaction submitted to a backup while
+// it is between views is pooled without a relay, so only that backup
+// knows it. On entering the new view the backup relays it once, and the
+// new primary — not the holder, many views later — proposes it.
+func TestRequestDuringViewChangeCommitsUnderNewPrimary(t *testing.T) {
+	o := defaultOpts(4)
+	// No jitter: a new primary's first pre-prepare that overtakes its
+	// NewView is dropped by a backup still between views, and the view
+	// changes again; with three of four replicas alive every such loss
+	// costs a view. Links that keep order keep this test about requests.
+	o.simCfg.Latency = simnet.UniformLatency{Base: time.Millisecond}
+	c := newCluster(t, o)
+	prim := c.primary()
+	c.net.Crash(prim)
+	// The holder is neither the crashed primary nor view 1's primary.
+	var holder gcrypto.Address
+	for _, a := range c.com.Addresses() {
+		if a != prim && a != c.com.Primary(1) {
+			holder = a
+		}
+	}
+	first, stranded := clientTx(0, 1), clientTx(1, 2)
+	c.submitAt(10*time.Millisecond, holder, first)
+	for c.net.Now() < 10*time.Second && !c.engines[holder].InViewChange() {
+		c.net.Run(c.net.Now() + time.Millisecond)
+	}
+	if err := c.nodes[holder].Submit(c.net.Now(), stranded); err != nil {
+		t.Fatal(err)
+	}
+	if !c.engines[holder].InViewChange() {
+		t.Fatal("setup: the holder left the view change before the submission")
+	}
+	c.run(30 * time.Second)
+
+	for a, n := range c.nodes {
+		if a == prim {
+			continue
+		}
+		for _, tx := range []*types.Transaction{first, stranded} {
+			if _, ok := n.App.Chain().FindTx(tx.ID()); !ok {
+				t.Fatalf("node %s never committed a transaction submitted during the view change", a.Short())
+			}
+		}
+		if v := c.engines[a].View(); v != 1 {
+			t.Fatalf("node %s ended in view %d: the transaction waited for more than the one view change", a.Short(), v)
+		}
+	}
+	if got := c.engines[holder].TakeCounts(); got.RequestsHeld != 1 || got.RequestsRerelayed != 1 {
+		t.Fatalf("holder held %d requests and re-relayed %d, want 1 and 1", got.RequestsHeld, got.RequestsRerelayed)
+	}
+}

@@ -161,6 +161,7 @@ func TestBackupThreePhaseFlow(t *testing.T) {
 	// Two more prepares (from the two other backups) complete 2f=2
 	// prepares plus the pre-prepare.
 	var all []consensus.Action
+	_, missesBefore := types.SigCacheStats()
 	for i := 0; i < 4; i++ {
 		if i == selfPos || i == prim {
 			continue
@@ -169,6 +170,11 @@ func TestBackupThreePhaseFlow(t *testing.T) {
 	}
 	if !hasKind(all, consensus.KindCommit) {
 		t.Fatal("backup must multicast commit once prepared")
+	}
+	// The commit carries the certificate vote this replica just signed:
+	// tallying it takes no signature check.
+	if _, misses := types.SigCacheStats(); misses != missesBefore {
+		t.Fatalf("the replica verified its own commit vote (%d vote-cache misses)", misses-missesBefore)
 	}
 	// Commits: own (implicit) + two others = 3 = quorum.
 	var done []consensus.Action

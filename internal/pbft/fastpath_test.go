@@ -54,9 +54,9 @@ func newFastPathRig(t *testing.T) *fastPathRig {
 // counts folds the engine's vote counts into the rig's totals, the way
 // the era layer does, and returns them.
 func (f *fastPathRig) counts() (verified, surplus uint64) {
-	v, s := f.eng.TakeVoteCounts()
-	f.verified += v
-	f.surplus += s
+	c := f.eng.TakeCounts()
+	f.verified += c.VotesVerified
+	f.surplus += c.VotesSurplus
 	return f.verified, f.surplus
 }
 
@@ -219,7 +219,7 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 
 	ahead := consensus.Seal(r.keys[peer], &pbft.Commit{Era: 0, View: 0, Seq: 5, Digest: gcrypto.Hash{0x05}})
 	r.eng.OnEnvelope(0, ahead)
-	if v, _ := r.eng.TakeVoteCounts(); v != 1 {
+	if v := r.eng.TakeCounts().VotesVerified; v != 1 {
 		t.Fatalf("buffering the vote counted %d seal checks, want 1", v)
 	}
 	if _, b, _ := r.eng.StoredVotes(consensus.KindCommit, 5); b != 1 {
@@ -232,14 +232,14 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 	for seq := uint64(1); seq <= 2; seq++ {
 		digest = r.driveCommit(t, seq, prim, selfPos).Hash()
 	}
-	r.eng.TakeVoteCounts()
+	r.eng.TakeCounts()
 	for _, i := range []int{prim, peer} {
 		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{Era: 0, Seq: 2, Digest: digest}))
 	}
 	if l, b, _ := r.eng.StoredVotes(consensus.KindCommit, 5); l != 1 || b != 0 {
 		t.Fatalf("after the drain: %d logged, %d buffered, want 1 and 0", l, b)
 	}
-	if v, s := r.eng.TakeVoteCounts(); v != 2 || s != 0 {
-		t.Fatalf("two checkpoints and a redelivery counted verified=%d surplus=%d, want 2 and 0", v, s)
+	if c := r.eng.TakeCounts(); c.VotesVerified != 2 || c.VotesSurplus != 0 {
+		t.Fatalf("two checkpoints and a redelivery counted verified=%d surplus=%d, want 2 and 0", c.VotesVerified, c.VotesSurplus)
 	}
 }

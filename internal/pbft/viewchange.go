@@ -416,6 +416,7 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.
 		}
 		acts = append(acts, e.onPrePrepare(now, ppEnv)...)
 	}
+	acts = e.relayHeld(acts)
 	acts = e.maybePropose(now, acts)
 	acts = e.drainBuffered(now, acts)
 	acts = e.ensureProgressTimer(acts)

@@ -141,6 +141,12 @@ type SyncStats struct {
 	// already stable.
 	VotesVerified uint64
 	VotesSurplus  uint64
+	// RequestsHeld counts transactions pooled while the engine could not
+	// relay them (era switch pause, view change) and that no other node
+	// may know; RequestsRerelayed counts those relayed once the switch or
+	// view change completed. The two are equal whenever none is under way.
+	RequestsHeld      uint64
+	RequestsRerelayed uint64
 	// BlocksSynced counts blocks applied through the sync path (as
 	// opposed to ordinary consensus commits).
 	BlocksSynced uint64

@@ -39,6 +39,8 @@ func (m SyncMetrics) WritePrometheus(w io.Writer, ns string) {
 	counter("sync_blocks_total", m.Stats.BlocksSynced)
 	counter("votes_verified_total", m.Stats.VotesVerified)
 	counter("votes_dropped_surplus_total", m.Stats.VotesSurplus)
+	counter("requests_held_total", m.Stats.RequestsHeld)
+	counter("requests_rerelayed_total", m.Stats.RequestsRerelayed)
 	gauge("sync_mode", uint64(m.Stats.Mode))
 	gauge("compacted_bytes", m.CompactedBytes)
 }

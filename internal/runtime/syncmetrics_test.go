@@ -17,6 +17,8 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 			LagPulls:           4,
 			VotesVerified:      60,
 			VotesSurplus:       40,
+			RequestsHeld:       9,
+			RequestsRerelayed:  8,
 		},
 		SnapshotsWritten: 7,
 		CompactedBytes:   4096,
@@ -35,6 +37,8 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 		"gpbft_sync_blocks_total":           "42",
 		"gpbft_votes_verified_total":        "60",
 		"gpbft_votes_dropped_surplus_total": "40",
+		"gpbft_requests_held_total":         "9",
+		"gpbft_requests_rerelayed_total":    "8",
 		"gpbft_sync_mode":                   "2",
 		"gpbft_compacted_bytes":             "4096",
 	}

@@ -153,6 +153,16 @@ func VerifyVoteCached(pub gcrypto.PublicKey, endorser gcrypto.Address, digest, s
 	return nil
 }
 
+// NoteSignedVote enters a certificate vote this process has just signed
+// into the vote cache: valid by construction, as consensus.Seal treats
+// the envelopes it signs, so neither the signer's own tally nor
+// Certificate.Verify at commit pays an ed25519 check to hear it.
+func NoteSignedVote(endorser gcrypto.Address, digest, sig []byte) {
+	if sigCacheUsable() {
+		sigCacheStore(voteCacheKey(endorser, digest, sig))
+	}
+}
+
 // VerifyTxs verifies a batch of transactions, returning one result
 // slot per index — errs[i] is exactly what txs[i].Verify() would
 // return. Structural checks run serially (cheap); signature checks not

@@ -182,3 +182,34 @@ func TestSigCacheRotation(t *testing.T) {
 		s.mu.Unlock()
 	}
 }
+
+// TestNoteSignedVote: a vote its signer noted is served from the cache
+// under exactly its (endorser, digest, signature), and a note taken
+// while crypto is disabled is not there once it is back on.
+func TestNoteSignedVote(t *testing.T) {
+	kp := gcrypto.DeterministicKeyPair(4242)
+	digest := VoteDigest(gcrypto.Hash{0x14}, 3, 1)
+	sig := kp.Sign(digest)
+
+	_, before := SigCacheStats()
+	NoteSignedVote(kp.Address(), digest, sig)
+	if err := VerifyVoteCached(kp.Public(), kp.Address(), digest, sig); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := SigCacheStats(); after != before {
+		t.Fatalf("noted vote cost %d cache misses", after-before)
+	}
+	forged := append([]byte(nil), sig...)
+	forged[0] ^= 0xFF
+	if VerifyVoteCached(kp.Public(), kp.Address(), digest, forged) == nil {
+		t.Fatal("a different signature rode in on the noted vote")
+	}
+
+	prev := gcrypto.SetVerification(false)
+	other := VoteDigest(gcrypto.Hash{0x15}, 3, 1)
+	NoteSignedVote(kp.Address(), other, forged)
+	gcrypto.SetVerification(prev)
+	if VerifyVoteCached(kp.Public(), kp.Address(), other, forged) == nil {
+		t.Fatal("vote noted with crypto off accepted after re-enabling it")
+	}
+}

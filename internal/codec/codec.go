@@ -35,6 +35,7 @@ var (
 	ErrOversize    = errors.New("codec: length prefix exceeds limit")
 	ErrTrailing    = errors.New("codec: trailing bytes after decode")
 	ErrNonMinimal  = errors.New("codec: non-minimal varint encoding")
+	ErrBadBool     = errors.New("codec: boolean byte is neither 0 nor 1")
 )
 
 // Writer accumulates a canonical encoding. The zero value is ready to
@@ -177,8 +178,16 @@ func (r *Reader) Uint8() uint8 {
 	return b[0]
 }
 
-// Bool reads a boolean byte.
-func (r *Reader) Bool() bool { return r.Uint8() != 0 }
+// Bool reads a boolean byte. Only 0 and 1 are accepted: any other value
+// would decode as true and re-encode as 1, two encodings of one value.
+func (r *Reader) Bool() bool {
+	b := r.Uint8()
+	if b > 1 {
+		r.fail(ErrBadBool)
+		return false
+	}
+	return b == 1
+}
 
 // Uint16 reads a big-endian uint16.
 func (r *Reader) Uint16() uint16 {

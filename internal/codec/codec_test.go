@@ -133,6 +133,15 @@ func TestOversizePrefixRejected(t *testing.T) {
 	}
 }
 
+func TestBoolIsCanonical(t *testing.T) {
+	for b, want := range map[byte]error{0: nil, 1: nil, 2: ErrBadBool, '0': ErrBadBool, 0xFF: ErrBadBool} {
+		r := NewReader([]byte{b})
+		if got := r.Bool(); got != (b == 1) || r.Err() != want {
+			t.Fatalf("Bool(%#x) = %v, err %v; want %v, err %v", b, got, r.Err(), b == 1, want)
+		}
+	}
+}
+
 func TestTrailingBytes(t *testing.T) {
 	w := NewWriter(0)
 	w.Uint32(7)

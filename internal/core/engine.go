@@ -143,13 +143,13 @@ type Engine struct {
 
 	buffered []*consensus.Envelope
 
-	// held lists the transactions that entered this node's pool during
-	// the switch pause and that no other node may know: a local
-	// submission, or a request whose sender is outside the committee (an
-	// observer's or client's single send). A fellow member's relay is
-	// never held — its sender broadcast it to everyone. Resume hands each
-	// to the new era's request path once; the list needs no cap, every
-	// entry passed pool admission.
+	// held lists the transactions that entered this node's pool while it
+	// ran no request path — before Init, or during the switch pause — and
+	// that no other node may know: a local submission, or a request whose
+	// sender is outside the committee (an observer's or client's single
+	// send). A fellow member's relay is never held — its sender broadcast
+	// it to everyone. Init and resume hand each to the request path once;
+	// the list needs no cap, every entry passed pool admission.
 	held []types.Transaction
 
 	syncInFlight bool
@@ -278,7 +278,7 @@ func (e *Engine) Init(now consensus.Time) []consensus.Action {
 		// the ordinary sync path before relying on timers to notice.
 		acts = e.requestCatchUp(acts)
 	}
-	return acts
+	return e.relayHeld(now, acts)
 }
 
 // requestCatchUp asks the committee for blocks beyond our head. The
@@ -402,9 +402,13 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 
 // OnRequest implements consensus.Engine. During a switch the system
 // refuses to process transactions; they wait in the pool (the runtime
-// put tx there) and on the held list.
+// put tx there) and on the held list. So does a transaction handed to a
+// node that has not run Init (no committee yet, no inner engine): sent
+// to one member as an observer would, it would be taken for that
+// member's committee-wide relay and sit in two pools until one of the
+// two led a view.
 func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
-	if e.switching {
+	if e.switching || e.committee == nil {
 		e.hold(tx)
 		return nil
 	}
@@ -412,13 +416,6 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 		return e.filterInner(now, e.inner.OnRequest(now, tx))
 	}
 	// Observer: relay to the first known endorser.
-	if e.committee == nil {
-		com, err := e.buildCommittee()
-		if err != nil {
-			return nil
-		}
-		e.committee = com
-	}
 	if e.committee.Size() == 0 {
 		return nil
 	}
@@ -615,12 +612,14 @@ func peekSeq(env *consensus.Envelope) (uint64, bool) {
 func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []consensus.Action {
 	if e.inner != nil {
 		// Every delivery to the inner engine passes through here: fold its
-		// vote counts into totals that outlive the era instance.
+		// counts into totals that outlive the era instance.
 		if c := e.inner.TakeCounts(); c != (pbft.Counts{}) {
 			e.sstats.votesVerified.Add(c.VotesVerified)
 			e.sstats.votesSurplus.Add(c.VotesSurplus)
 			e.sstats.reqHeld.Add(c.RequestsHeld)
 			e.sstats.reqRerelayed.Add(c.RequestsRerelayed)
+			e.sstats.propHeld.Add(c.ProposalsHeld)
+			e.sstats.propHeldFired.Add(c.ProposalsHeldFired)
 		}
 	}
 	out := acts

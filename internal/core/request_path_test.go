@@ -145,6 +145,55 @@ func TestObserverRequestDuringSwitchRelayedOnce(t *testing.T) {
 	assertHeldAllRerelayed(t, c, 0, 1)
 }
 
+// TestRequestBeforeInitRelayedAtInit: a transaction handed to a node
+// whose engine has not started is held, not forwarded observer-style to
+// one member (which would take a member's message for a committee-wide
+// relay and strand it in two pools): Init relays it to the whole
+// committee, and it commits under the first primary even though that
+// primary is neither the entry node nor the observer path's target.
+func TestRequestBeforeInitRelayedAtInit(t *testing.T) {
+	o := fastOpts(5)
+	o.MaxEndorsers = 4
+	o.DisableEraSwitch = true
+	c, err := gpbft.NewCluster(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nodes 1-3 are backups of view 0; node 4 is an observer.
+	taps := map[int]*requestTap{}
+	txs := map[int]*types.Transaction{}
+	for _, i := range []int{1, 2, 3, 4} {
+		taps[i] = tapRequests(c, i)
+		txs[i] = c.NewNodeTx(i, 0, []byte{byte(i)}, 1)
+		if err := c.Node(i).Submit(0, txs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(taps[i].sent[txs[i].ID()]); got != 0 {
+			t.Fatalf("node %d sent its request to %d peers before Init", i, got)
+		}
+	}
+	c.RunUntilIdle(time.Minute)
+
+	for i, tx := range txs {
+		want := 3 // an endorser relays to the three other members
+		if i == 4 {
+			want = 1 // an observer forwards to one member, which relays
+		}
+		if got := len(taps[i].sent[tx.ID()]); got != want {
+			t.Fatalf("node %d sent its pre-Init request to %d peers, want %d", i, got, want)
+		}
+		if !committed(c, 0, tx) {
+			t.Fatalf("request handed to node %d before Init never committed", i)
+		}
+		assertHeldAllRerelayed(t, c, i, 1)
+	}
+	for i := 0; i < 4; i++ {
+		if v := c.CoreEngine(i).Inner().View(); v != 0 {
+			t.Fatalf("node %d ended in view %d: a pre-Init request needed a view change", i, v)
+		}
+	}
+}
+
 // TestMemberRelayDuringSwitchIsTerminal: a fellow member's relay that
 // arrives in the pause was broadcast to everyone, so it is pooled and
 // resume says nothing about it.

@@ -65,6 +65,8 @@ type syncStats struct {
 	votesSurplus   atomic.Uint64
 	reqHeld        atomic.Uint64
 	reqRerelayed   atomic.Uint64
+	propHeld       atomic.Uint64
+	propHeldFired  atomic.Uint64
 	blocksSynced   atomic.Uint64
 	snapsInstalled atomic.Uint64
 	snapsRejected  atomic.Uint64
@@ -83,6 +85,8 @@ func (e *Engine) SyncStats() runtime.SyncStats {
 		VotesSurplus:       e.sstats.votesSurplus.Load(),
 		RequestsHeld:       e.sstats.reqHeld.Load(),
 		RequestsRerelayed:  e.sstats.reqRerelayed.Load(),
+		ProposalsHeld:      e.sstats.propHeld.Load(),
+		ProposalsHeldFired: e.sstats.propHeldFired.Load(),
 		BlocksSynced:       e.sstats.blocksSynced.Load(),
 		SnapshotsInstalled: e.sstats.snapsInstalled.Load(),
 		SnapshotsRejected:  e.sstats.snapsRejected.Load(),

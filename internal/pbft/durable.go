@@ -72,8 +72,12 @@ func RecoverState(era uint64, recs []store.WALRecord) *DurableState {
 		case store.WALPrepare:
 			d.SentPrepares[k] = rec.Digest
 		case store.WALCommit:
+			// Written by earlier versions only; see persistPrepared.
 			d.SentCommits[k] = rec.Digest
 		case store.WALPrepared:
+			// The prepared record is also the promise of the commit vote,
+			// whether or not the proof below survives.
+			d.SentCommits[k] = rec.Digest
 			var proof PreparedProof
 			r := codec.NewReader(rec.Data)
 			if proof.UnmarshalCanonical(r) != nil || r.Finish() != nil {
@@ -134,19 +138,19 @@ func (e *Engine) recordPosition(kind store.WALKind, view uint64) {
 // restarted replica can still exhibit the value in view changes. It
 // returns false if the proof could not be made durable — the caller
 // then refuses to advance to prepared (and to send its commit).
+//
+// The record doubles as the persist-before-send record of this replica's
+// commit vote for the same (view, seq, digest): a prepared replica sends
+// that commit and no other, at once or when the parent gate opens, and
+// RecoverState reads the record back into the sent-commit ledger. So the
+// entry is made here, and the recordVote(WALCommit) calls on the send
+// paths find it and append nothing: one fsync per prepared slot, not two.
 func (e *Engine) persistPrepared(seq uint64, inst *instance) bool {
-	if e.wal == nil {
-		return true
+	var data []byte
+	if e.wal != nil {
+		data = codec.Encode(e.proofForInstance(seq, inst))
 	}
-	proof := e.proofForInstance(seq, inst)
-	if proof == nil {
-		return true // cannot happen at the prepared transition; be lenient
-	}
-	err := e.wal.Append(store.WALRecord{
-		Kind: store.WALPrepared, Era: e.cfg.Era, View: inst.view, Seq: seq,
-		Digest: inst.digest, Data: codec.Encode(proof),
-	})
-	return err == nil
+	return e.recordVote(store.WALPrepared, e.sentCommits, inst.view, seq, inst.digest, data)
 }
 
 // restoreDurable installs recovered state into a freshly built engine:

@@ -217,3 +217,76 @@ func TestViewSurvivesRestart(t *testing.T) {
 		t.Fatalf("restarted view=%d, want 1 (position lost)", r2.eng.View())
 	}
 }
+
+// TestPreparedRecordIsTheCommitPromise: the prepared record is the only
+// thing persisted at the prepared transition — it stands for the commit
+// vote too. A replica that crashes after persisting it and before its
+// commit leaves re-sends the identical commit from the record alone; and
+// the record, even with its proof destroyed, refuses a commit for any
+// other digest at that (view, seq).
+func TestPreparedRecordIsTheCommitPromise(t *testing.T) {
+	prim := newUnitRig(t, 0).primaryPos()
+	selfPos := (prim + 1) % 4
+	wal := &store.MemWAL{}
+	r := newDurableRig(t, selfPos, wal, nil)
+	r.eng.Init(0)
+	peer, _ := otherBackups(prim, selfPos)
+
+	b1, pp1 := r.proposal(*clientTx(0, 1))
+	r.eng.OnEnvelope(0, pp1)
+	// The crash: the prepared transition ran (record on disk), its commit
+	// never reached the network.
+	unsent := commitEnvIn(t, r.eng.OnEnvelope(0, r.prepareFrom(peer, b1.Hash())))
+	var prepared store.WALRecord
+	for _, rec := range wal.Records() {
+		switch rec.Kind {
+		case store.WALPrepared:
+			prepared = rec
+		case store.WALCommit:
+			t.Fatal("a separate commit record: the prepared transition costs two fsyncs again")
+		}
+	}
+	if prepared.Digest != b1.Hash() {
+		t.Fatal("no prepared record for the accepted digest")
+	}
+
+	r2 := r.restart(t, wal)
+	resent := commitEnvIn(t, r2.eng.Init(0))
+	if string(consensus.EncodeEnvelope(resent)) != string(consensus.EncodeEnvelope(unsent)) {
+		t.Fatal("the recovered commit differs from the one the crash swallowed")
+	}
+
+	// Only the record's header survives (proof destroyed, nothing else in
+	// the log): no instance comes back, but the promise does.
+	prepared.Data = []byte("damaged")
+	r3 := newDurableRig(t, selfPos, &store.MemWAL{}, pbft.RecoverState(0, []store.WALRecord{prepared}))
+	if hasKind(r3.eng.Init(0), consensus.KindCommit) {
+		t.Fatal("setup: the damaged proof still restored the instance")
+	}
+	b2, pp2 := r3.proposal(*clientTx(1, 2))
+	r3.eng.OnEnvelope(0, pp2)
+	if acts := r3.eng.OnEnvelope(0, r3.prepareFrom(peer, b2.Hash())); hasKind(acts, consensus.KindCommit) {
+		t.Fatal("committed a second digest at a (view, seq) whose prepared record promised another")
+	}
+	if prepared, _ := r3.eng.PreparedProof(1); prepared {
+		t.Fatal("prepared a second digest against the recovered promise")
+	}
+}
+
+// commitEnvIn returns the one commit broadcast in acts.
+func commitEnvIn(t *testing.T, acts []consensus.Action) *consensus.Envelope {
+	t.Helper()
+	var out *consensus.Envelope
+	for _, a := range acts {
+		if bc, ok := a.(consensus.Broadcast); ok && bc.Env.MsgKind == consensus.KindCommit {
+			if out != nil {
+				t.Fatal("more than one commit broadcast")
+			}
+			out = bc.Env
+		}
+	}
+	if out == nil {
+		t.Fatal("no commit broadcast")
+	}
+	return out
+}

@@ -38,7 +38,8 @@ type Application interface {
 	// PendingTxs reports how many transactions await inclusion.
 	PendingTxs() int
 	// PendingList returns up to max pending transactions (FIFO order);
-	// the era layer hands them to the endorsers an era switch adds.
+	// the era layer hands them to the endorsers an era switch adds, and
+	// the primary looks through a small backlog for control transactions.
 	PendingList(max int) []types.Transaction
 }
 
@@ -127,6 +128,10 @@ type instance struct {
 	prepared  bool
 	committed bool
 	executed  bool
+	// proposed marks a slot this replica proposed itself, as primary of
+	// inst.view, at proposedAt; its execution then measures a round.
+	proposed   bool
+	proposedAt consensus.Time
 }
 
 func newInstance(view uint64) *instance {
@@ -145,6 +150,7 @@ const (
 	timerProgress timerPurpose = iota + 1
 	timerViewChange
 	timerSlot
+	timerHold
 )
 
 // Engine is one replica's PBFT state machine. It is not safe for
@@ -215,13 +221,17 @@ type Engine struct {
 	// every entry passed pool admission.
 	held []types.Transaction
 
+	// Proposal policy (see holdHead): lastRound is the propose-to-execute
+	// time of the own slot that has just executed, until the
+	// OnCommitApplied that follows consumes it; holdTID is the timer of a
+	// head block being held, zero when none is.
+	lastRound time.Duration
+	holdTID   consensus.TimerID
+
 	// stats
 	executedBlocks uint64
 	viewChangesFin uint64
-	votesVerified  uint64 // since the last TakeCounts
-	votesSurplus   uint64
-	reqHeld        uint64
-	reqRerelayed   uint64
+	counts         Counts // since the last TakeCounts
 }
 
 type vcRecord struct {
@@ -339,16 +349,20 @@ func (e *Engine) HasProposal(seq uint64) bool {
 // across a view change: RequestsHeld counts transactions pooled without
 // a relay (see Engine.held), RequestsRerelayed those relayed on entering
 // the new view; the two are equal once the view change has completed.
+// The proposal policy: ProposalsHeld counts the under-full head blocks
+// the primary held back (see maybePropose), ProposalsHeldFired those
+// whose hold ran its full time instead of ending early on a fuller pool.
 type Counts struct {
-	VotesVerified, VotesSurplus     uint64
-	RequestsHeld, RequestsRerelayed uint64
+	VotesVerified, VotesSurplus       uint64
+	RequestsHeld, RequestsRerelayed   uint64
+	ProposalsHeld, ProposalsHeldFired uint64
 }
 
 // TakeCounts reads and resets the engine's counters. The era layer folds
 // them into totals that outlive this instance.
 func (e *Engine) TakeCounts() Counts {
-	c := Counts{e.votesVerified, e.votesSurplus, e.reqHeld, e.reqRerelayed}
-	e.votesVerified, e.votesSurplus, e.reqHeld, e.reqRerelayed = 0, 0, 0, 0
+	c := e.counts
+	e.counts = Counts{}
 	return c
 }
 
@@ -421,6 +435,7 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 		return nil
 	}
 	var acts []consensus.Action
+	acts = e.holdHead(acts)
 	acts = e.maybePropose(now, acts)
 	acts = e.ensureProgressTimer(acts)
 	return acts
@@ -449,14 +464,30 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 // enterNewView to announce: a replica between views may be cut off from
 // the others — most view changes begin that way — and the new view's
 // certificate is the proof that the committee hears it again.
+//
+// The primary gets its copy by a send of its own, ahead of the
+// broadcast to the rest: a broadcast may travel by epidemic relay, which
+// reaches every member only with high probability, and the one member a
+// request must not miss is the one that proposes it — the others would
+// sit on it for a whole progress timeout and then change views.
 func (e *Engine) relayOrHold(tx *types.Transaction, acts []consensus.Action) []consensus.Action {
 	if e.inViewChange {
 		e.held = append(e.held, *tx)
-		e.reqHeld++
+		e.counts.RequestsHeld++
 		return acts
 	}
 	env := consensus.Seal(e.cfg.Key, &Request{Tx: *tx})
-	return append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
+	rest := e.com.Others(e.self)
+	if primary := e.com.Primary(e.view); primary != e.self {
+		acts = append(acts, consensus.Send{To: primary, Env: env})
+		for i, addr := range rest {
+			if addr == primary {
+				rest = append(rest[:i], rest[i+1:]...)
+				break
+			}
+		}
+	}
+	return append(acts, consensus.Broadcast{To: rest, Env: env})
 }
 
 // relayHeld announces the transactions held through the view change,
@@ -465,7 +496,7 @@ func (e *Engine) relayHeld(acts []consensus.Action) []consensus.Action {
 	held := e.held
 	e.held = nil
 	for i := range held {
-		e.reqRerelayed++
+		e.counts.RequestsRerelayed++
 		acts = e.relayOrHold(&held[i], acts)
 	}
 	return acts
@@ -523,6 +554,11 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 			return e.startViewChange(now, e.vcTarget+1)
 		}
 		return nil
+	case timerHold:
+		// The held head block waited its round: propose what there is.
+		e.holdTID = 0
+		e.counts.ProposalsHeldFired++
+		return e.ensureProgressTimer(e.maybePropose(now, nil))
 	}
 	return nil
 }
@@ -608,6 +644,10 @@ func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []con
 // depth (bounded by the high watermark). Slot execNext extends the
 // applied chain head; later slots are built speculatively on their
 // in-flight predecessor, so the window always forms a hash chain.
+//
+// Every slot is proposed as soon as it can be built, with one exception
+// (DESIGN.md 5l): a head block that holdHead is holding back waits until
+// the pool is no longer under-full or the hold's timer fires.
 func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []consensus.Action {
 	if e.inViewChange || !e.IsPrimary() {
 		return acts
@@ -629,6 +669,12 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 	for seq := seqStart; seq <= maxSeq; seq++ {
 		if inst := e.insts[seq]; inst != nil && inst.view == e.view && inst.prePrepare != nil {
 			continue // already proposed in this view
+		}
+		if e.holdTID != 0 {
+			if e.underfull() {
+				break
+			}
+			acts = e.endHold(acts)
 		}
 		block := e.buildAt(now, seq)
 		if block == nil {
@@ -652,7 +698,77 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 		env := consensus.Seal(e.cfg.Key, pp)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
 		acts = e.acceptPrePrepare(now, pp, env, acts)
+		if inst := e.insts[seq]; inst != nil {
+			inst.proposed, inst.proposedAt = true, now
+		}
 	}
+	return acts
+}
+
+// holdHead runs when this replica's commits have been applied, so the
+// pool shows what the round that just ended left behind. A round costs
+// every replica ~4f vote verifications whatever its block carries, and
+// one signature check per transaction: a backlog of fewer than f
+// transactions does not pay for a round of its own, and proposing it
+// back to back is how a busy committee spends its whole CPU on blocks
+// of two or three transactions. The primary therefore lets such a
+// backlog wait for company. How long comes from the round it has just
+// measured, propose to execute: the backlog gathered while that round
+// ran, so it is half a round old on average, and it waits as long again
+// — half the round. (A whole round packs more and costs a tenth more
+// latency at the median and the tail, DESIGN.md 5l.) An empty pool arms
+// nothing: the next arrival finds no hold and is proposed at once.
+//
+// The hold is also capped at a quarter of the progress timeout, so that
+// a request waits at most round + hold + round and no backup's progress
+// timer fires on a request that is merely held.
+func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
+	round := e.lastRound
+	e.lastRound = 0
+	if round <= 0 || !e.underfull() {
+		return acts
+	}
+	hold := round / 2
+	if max := e.cfg.ViewChangeTimeout / 4; hold > max {
+		hold = max
+	}
+	e.holdTID = e.cfg.Timers.Next()
+	e.timers[e.holdTID] = timerHold
+	e.counts.ProposalsHeld++
+	return append(acts, consensus.StartTimer{ID: e.holdTID, Delay: hold})
+}
+
+// underfull reports whether the pool holds a backlog too small to pay
+// for a round: some transactions, fewer than min(f, base batch), and
+// none of them control-lane (an era switch, evidence or a checkpoint
+// never waits for company). At n = 4, f = 1 and no backlog is under-full.
+func (e *Engine) underfull() bool {
+	limit := e.com.F()
+	if e.spec != nil && e.spec.MinSpeculativeBatch() < limit {
+		limit = e.spec.MinSpeculativeBatch()
+	}
+	n := e.cfg.App.PendingTxs()
+	if n == 0 || n >= limit {
+		return false
+	}
+	for _, tx := range e.cfg.App.PendingList(n) {
+		if tx.Type.Control() {
+			return false
+		}
+	}
+	return true
+}
+
+// endHold forgets the measured round and releases a held head block, if
+// there is one; what happens to the block is the caller's business.
+func (e *Engine) endHold(acts []consensus.Action) []consensus.Action {
+	e.lastRound = 0
+	if e.holdTID == 0 {
+		return acts
+	}
+	acts = append(acts, consensus.StopTimer{ID: e.holdTID})
+	delete(e.timers, e.holdTID)
+	e.holdTID = 0
 	return acts
 }
 
@@ -727,14 +843,21 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	if err := consensus.Open(env, consensus.KindPrePrepare, &pp); err != nil {
 		return nil
 	}
-	if pp.Era != e.cfg.Era || e.inViewChange || pp.View != e.view {
-		return nil
-	}
-	if env.From != e.com.Primary(pp.View) {
+	if pp.Era != e.cfg.Era || env.From != e.com.Primary(pp.View) {
 		return nil // only the view's primary may pre-prepare
 	}
 	if pp.Seq < e.execNext {
 		return nil // already executed locally
+	}
+	if e.inViewChange && pp.View == e.vcTarget && pp.Seq < e.execNext+uint64(e.maxInFlight) {
+		// The new primary sends NewView and then its first proposals; on a
+		// link that reorders, a proposal overtakes the certificate. Hold one
+		// window of them for enterNewView's drain — dropping one costs
+		// another view change.
+		return e.bufferVote(pp.Seq, env)
+	}
+	if e.inViewChange || pp.View != e.view {
+		return nil
 	}
 	if pp.Seq >= e.execNext+uint64(e.maxInFlight) || pp.Seq > e.highWater() {
 		// Ahead of the pipelining window: hold it back deterministically
@@ -881,7 +1004,7 @@ func (e *Engine) admitVote(env *consensus.Envelope, era, view, seq uint64, diges
 		return false
 	}
 	if seq <= e.lowWater {
-		e.countVote(&e.votesSurplus)
+		e.countVote(&e.counts.VotesSurplus)
 		return false
 	}
 	prev, seen := e.seenVotes[seenSlot{kind: env.MsgKind, view: view, seq: seq, from: env.From}]
@@ -897,14 +1020,14 @@ func (e *Engine) admitVote(env *consensus.Envelope, era, view, seq uint64, diges
 			return false // the sender's slot is taken
 		}
 		if full && inst.prePrepare != nil && inst.digest == digest {
-			e.countVote(&e.votesSurplus)
+			e.countVote(&e.counts.VotesSurplus)
 			return false
 		}
 	}
 	if env.Verify() != nil {
 		return false
 	}
-	e.countVote(&e.votesVerified)
+	e.countVote(&e.counts.VotesVerified)
 	return true
 }
 
@@ -919,6 +1042,13 @@ func (e *Engine) countVote(counter *uint64) {
 func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consensus.Action {
 	var p Prepare
 	if err := consensus.OpenUnverified(env, consensus.KindPrepare, &p); err != nil {
+		return nil
+	}
+	if env.From == e.com.Primary(p.View) {
+		// The primary's vote is its pre-prepare. A prepare from it counts
+		// toward no prepared proof (proofForInstance, verifyPreparedProof),
+		// so it must not count toward the 2f here either: a Byzantine
+		// primary would buy a quorum one honest vote short.
 		return nil
 	}
 	if !e.admitVote(env, p.Era, p.View, p.Seq, p.Digest) {
@@ -1101,6 +1231,9 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 			break
 		}
 		inst.executed = true
+		if inst.proposed {
+			e.lastRound = now - inst.proposedAt
+		}
 		seq := e.execNext
 		e.execNext++
 		e.executedBlocks++
@@ -1155,7 +1288,7 @@ func (e *Engine) onCheckpoint(now consensus.Time, env *consensus.Envelope) []con
 		return nil
 	}
 	if ck.Seq <= e.lowWater {
-		e.votesSurplus++
+		e.counts.VotesSurplus++
 		return nil // already stable: the quorum formed without this one
 	}
 	if d, dup := e.checkpoints[ck.Seq][env.From]; dup && d == ck.Digest {
@@ -1164,7 +1297,7 @@ func (e *Engine) onCheckpoint(now consensus.Time, env *consensus.Envelope) []con
 	if env.Verify() != nil {
 		return nil
 	}
-	e.votesVerified++
+	e.counts.VotesVerified++
 	e.noteCheckpoint(ck.Seq, env.From, ck.Digest)
 	// A stabilized checkpoint lifts the watermarks: buffered messages
 	// just above the old window may be deliverable now.
@@ -1329,8 +1462,8 @@ func (e *Engine) bufferVote(seq uint64, env *consensus.Envelope) []consensus.Act
 func (e *Engine) bufferedDeliverable(env *consensus.Envelope, seq uint64) bool {
 	switch env.MsgKind {
 	case consensus.KindPrePrepare:
-		if seq < e.execNext || seq >= e.execNext+uint64(e.maxInFlight) || seq > e.highWater() {
-			return false
+		if e.inViewChange || seq < e.execNext || seq >= e.execNext+uint64(e.maxInFlight) || seq > e.highWater() {
+			return false // between views a proposal can only bounce back
 		}
 		// Redelivering a proposal whose parent is still missing would
 		// only bounce it back into the buffer.

@@ -484,3 +484,71 @@ func TestRequestDuringViewChangeCommitsUnderNewPrimary(t *testing.T) {
 		t.Fatalf("holder held %d requests and re-relayed %d, want 1 and 1", got.RequestsHeld, got.RequestsRerelayed)
 	}
 }
+
+// arrivalTap shows a test each envelope as it arrives at a node.
+type arrivalTap struct {
+	*runtime.Node
+	arrived func(env *consensus.Envelope)
+}
+
+func (a arrivalTap) HandleMessage(now consensus.Time, env *consensus.Envelope) {
+	a.arrived(env)
+	a.Node.HandleMessage(now, env)
+}
+
+// TestProposalOvertakingNewViewIsHeld: the new primary sends its NewView
+// and then its first pre-prepare. On a link where a larger message
+// travels longer, the small pre-prepare arrives first, at backups still
+// between views. Dropped there, it cost another view change every time
+// (this cluster went 1 → 2 → 3 → 5 → 6 on jitter alone); held for the
+// NewView that is right behind it, the request commits in view 1.
+func TestProposalOvertakingNewViewIsHeld(t *testing.T) {
+	o := defaultOpts(4)
+	// 100 kB/s and no jitter: a NewView carrying 2f+1 view-change
+	// envelopes takes milliseconds longer than a one-transaction
+	// pre-prepare, every time.
+	o.simCfg.Latency = simnet.UniformLatency{Base: time.Millisecond, BytesPerSec: 100e3}
+	c := newCluster(t, o)
+	prim, next := c.primary(), c.com.Primary(1)
+	var holder gcrypto.Address
+	overtaken := 0 // backups reached by view 1's first pre-prepare before its NewView
+	for a, n := range c.nodes {
+		if a == prim || a == next {
+			continue
+		}
+		holder = a
+		inView := false
+		c.net.AddNode(a, arrivalTap{n, func(env *consensus.Envelope) {
+			if env.From != next {
+				return
+			}
+			switch env.MsgKind {
+			case consensus.KindNewView:
+				inView = true
+			case consensus.KindPrePrepare:
+				if !inView {
+					overtaken++
+				}
+			}
+		}})
+	}
+	c.net.Crash(prim)
+	tx := clientTx(0, 1)
+	c.submitAt(10*time.Millisecond, holder, tx)
+	c.run(30 * time.Second)
+
+	if overtaken != 2 {
+		t.Fatalf("setup: the pre-prepare overtook its NewView at %d backups, want both", overtaken)
+	}
+	for a, n := range c.nodes {
+		if a == prim {
+			continue
+		}
+		if _, ok := n.App.Chain().FindTx(tx.ID()); !ok {
+			t.Fatalf("node %s never committed the transaction", a.Short())
+		}
+		if v := c.engines[a].View(); v != 1 {
+			t.Fatalf("node %s ended in view %d: the overtaken proposal cost further view changes", a.Short(), v)
+		}
+	}
+}

@@ -34,9 +34,15 @@ func newUnitRig(t *testing.T, selfPos int) *unitRig {
 // newUnitRigWith is newUnitRig with a hook to adjust the engine config.
 func newUnitRigWith(t *testing.T, selfPos int, adjust func(*pbft.Config)) *unitRig {
 	t.Helper()
+	return newUnitRigN(t, 4, selfPos, adjust)
+}
+
+// newUnitRigN is newUnitRigWith for a committee of n members.
+func newUnitRigN(t *testing.T, n, selfPos int, adjust func(*pbft.Config)) *unitRig {
+	t.Helper()
 	g := &ledger.Genesis{ChainID: "unit", Timestamp: epoch, Policy: ledger.DefaultPolicy()}
 	raw := make(map[gcrypto.Address]*gcrypto.KeyPair)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < n; i++ {
 		kp := gcrypto.DeterministicKeyPair(i)
 		raw[kp.Address()] = kp
 		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
@@ -48,8 +54,8 @@ func newUnitRigWith(t *testing.T, selfPos int, adjust func(*pbft.Config)) *unitR
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]*gcrypto.KeyPair, 4)
-	for i := 0; i < 4; i++ {
+	keys := make([]*gcrypto.KeyPair, n)
+	for i := 0; i < n; i++ {
 		keys[i] = raw[com.Member(i).Address]
 	}
 	chain, err := ledger.NewChain(g)
@@ -566,5 +572,51 @@ func TestAdvanceToSkipsSyncedHeights(t *testing.T) {
 	r.eng.AdvanceTo(0, 2)
 	if r.eng.NextSeq() != 6 {
 		t.Fatal("AdvanceTo must never regress")
+	}
+}
+
+// TestRequestGoesToThePrimaryByItsOwnSend: a backup relays a request it
+// was handed with one send to the view's primary and one broadcast to
+// the other members — the broadcast may travel by epidemic relay, which
+// can miss a member, and the primary is the member that must not be
+// missed. The primary itself broadcasts to everyone else.
+func TestRequestGoesToThePrimaryByItsOwnSend(t *testing.T) {
+	prim := newUnitRig(t, 0).primaryPos()
+	for _, self := range []int{prim, (prim + 1) % 4} {
+		r := newUnitRig(t, self)
+		r.eng.Init(0)
+		tx := clientTx(0, 1)
+		if err := r.app.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		got := map[gcrypto.Address]int{}
+		sends := 0
+		for _, a := range r.eng.OnRequest(0, tx) {
+			switch v := a.(type) {
+			case consensus.Send:
+				if v.Env.MsgKind == consensus.KindRequest {
+					sends++
+					if v.To != r.com.Primary(0) {
+						t.Fatalf("position %d sent its request to %x, not the primary", self, v.To[:4])
+					}
+					got[v.To]++
+				}
+			case consensus.Broadcast:
+				if v.Env.MsgKind == consensus.KindRequest {
+					for _, to := range v.To {
+						got[to]++
+					}
+				}
+			}
+		}
+		if want := map[bool]int{true: 0, false: 1}[self == prim]; sends != want {
+			t.Fatalf("position %d: %d direct sends, want %d", self, sends, want)
+		}
+		for i := 0; i < 4; i++ {
+			addr := r.com.Member(i).Address
+			if want := map[bool]int{true: 0, false: 1}[i == self]; got[addr] != want {
+				t.Fatalf("position %d: member %d receives %d copies, want %d", self, i, got[addr], want)
+			}
+		}
 	}
 }

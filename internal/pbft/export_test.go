@@ -25,3 +25,13 @@ func (e *Engine) StoredVotes(kind consensus.MsgKind, seq uint64) (logged, buffer
 	}
 	return logged, buffered, seen
 }
+
+// PreparedProof reports whether seq is prepared and whether the proof
+// the engine would exhibit for it in a view change verifies.
+func (e *Engine) PreparedProof(seq uint64) (prepared, verifies bool) {
+	inst := e.insts[seq]
+	if inst == nil || !inst.prepared {
+		return false, false
+	}
+	return true, e.verifyPreparedProof(e.proofForInstance(seq, inst))
+}

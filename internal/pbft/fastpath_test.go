@@ -206,6 +206,31 @@ func TestReplayedPrePrepareDoesNotPrepare(t *testing.T) {
 	}
 }
 
+// TestPrimaryPrepareDoesNotCount: the primary's vote is its pre-prepare.
+// A prepare it sends on top counts toward no prepared proof, so it must
+// not bring a backup to prepared either — at n=4 the backup needs its own
+// prepare and one from another BACKUP, or a Byzantine primary prepares a
+// replica one honest vote short. Whenever the backup is prepared, the
+// proof it would exhibit in a view change verifies.
+func TestPrimaryPrepareDoesNotCount(t *testing.T) {
+	f := newFastPathRig(t)
+	if acts := f.eng.OnEnvelope(0, f.prepareFrom(f.prim, f.digest)); hasKind(acts, consensus.KindCommit) {
+		t.Fatal("the primary's pre-prepare, its prepare and the backup's own prepare reached prepared")
+	}
+	if logged, _, _ := f.eng.StoredVotes(consensus.KindPrepare, 1); logged != 1 {
+		t.Fatalf("%d prepares logged, want the backup's own alone", logged)
+	}
+	if prepared, _ := f.eng.PreparedProof(1); prepared {
+		t.Fatal("prepared without 2f prepares from backups")
+	}
+	if acts := f.eng.OnEnvelope(0, f.prepareFrom(f.others[0], f.digest)); !hasKind(acts, consensus.KindCommit) {
+		t.Fatal("not prepared after 2f prepares from backups")
+	}
+	if prepared, verifies := f.eng.PreparedProof(1); !prepared || !verifies {
+		t.Fatalf("prepared=%v but its prepared proof verifies=%v", prepared, verifies)
+	}
+}
+
 // TestBufferedVoteCountedOnce: a vote above the high watermark is
 // verified and counted when it enters the hold-back buffer; its
 // redelivery once the window reaches it is neither verified nor counted

@@ -483,10 +483,12 @@ func TestRestartStreamsOutOfOrderCommits(t *testing.T) {
 }
 
 // TestWALOrdersParentPreparedBeforeChildCommit checks the durable form
-// of the parent gate: by the time a commit for slot s+1 hits the WAL,
-// the prepared proof for slot s is already on disk — so no crash window
-// exists where the replica has voted to commit a block whose ancestry
-// it could not re-exhibit in a view change.
+// of the parent gate: by the time a commit for slot s+1 leaves the
+// replica, the prepared proofs for slots s and s+1 are already on disk —
+// so no crash window exists where the replica has voted to commit a
+// block whose ancestry it could not re-exhibit in a view change. The
+// prepared record is the commit's persist-before-send record: the WAL
+// holds no separate commit record, deferred commits included.
 func TestWALOrdersParentPreparedBeforeChildCommit(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
@@ -499,41 +501,34 @@ func TestWALOrdersParentPreparedBeforeChildCommit(t *testing.T) {
 	for _, env := range envs {
 		r.eng.OnEnvelope(0, env)
 	}
+	preparedOnDisk := func(seq uint64) bool {
+		for _, rec := range wal.Records() {
+			if rec.Kind == store.WALPrepared && rec.Seq == seq {
+				return true
+			}
+		}
+		return false
+	}
 	// Prepare the suffix first so the gate actually defers, then the
 	// head to release the cascade.
+	sent := 0
 	for _, s := range []uint64{2, 3, 1} {
 		d := blocks[s-1].Hash()
-		r.eng.OnEnvelope(0, r.prepareAt(p1, s, d))
-		r.eng.OnEnvelope(0, r.prepareAt(p2, s, d))
-	}
-
-	preparedAt := make(map[uint64]int)
-	commitAt := make(map[uint64]int)
-	for i, rec := range wal.Records() {
-		switch rec.Kind {
-		case store.WALPrepared:
-			if _, ok := preparedAt[rec.Seq]; !ok {
-				preparedAt[rec.Seq] = i
-			}
-		case store.WALCommit:
-			if _, ok := commitAt[rec.Seq]; !ok {
-				commitAt[rec.Seq] = i
+		acts := r.eng.OnEnvelope(0, r.prepareAt(p1, s, d))
+		acts = append(acts, r.eng.OnEnvelope(0, r.prepareAt(p2, s, d))...)
+		for _, cs := range commitSeqs(t, acts) {
+			sent++
+			if !preparedOnDisk(cs) || (cs > 1 && !preparedOnDisk(cs-1)) {
+				t.Fatalf("commit for slot %d sent before its and its parent's prepared proofs were persisted", cs)
 			}
 		}
 	}
-	for s := uint64(1); s <= 3; s++ {
-		if _, ok := commitAt[s]; !ok {
-			t.Fatalf("no commit record for slot %d", s)
-		}
+	if sent != 3 {
+		t.Fatalf("%d commits sent, want 3", sent)
 	}
-	for s := uint64(2); s <= 3; s++ {
-		pp, ok := preparedAt[s-1]
-		if !ok {
-			t.Fatalf("no prepared record for slot %d", s-1)
-		}
-		if pp >= commitAt[s] {
-			t.Fatalf("commit for slot %d persisted before parent's prepared proof (wal index %d >= %d)",
-				s, pp, commitAt[s])
+	for _, rec := range wal.Records() {
+		if rec.Kind == store.WALCommit {
+			t.Fatalf("a separate commit record for slot %d: the prepared record already covers it", rec.Seq)
 		}
 	}
 }

@@ -26,6 +26,7 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 		e.progressTID = 0
 	}
 	acts = e.stopAllSlotTimers(acts)
+	acts = e.endHold(acts)
 	// Arm the view-change completion timer (escalate if it stalls).
 	if e.vcTID != 0 {
 		acts = append(acts, consensus.StopTimer{ID: e.vcTID})
@@ -384,8 +385,10 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.
 		e.vcTID = 0
 	}
 	// Slot deadlines belong to the old view; surviving proposals get
-	// fresh ones as their re-issues are accepted below.
+	// fresh ones as their re-issues are accepted below. So does a held
+	// head block: what the new view proposes first is never held.
 	acts = e.stopAllSlotTimers(acts)
+	acts = e.endHold(acts)
 	// Drop un-executed instances from older views; prepared values
 	// come back through the re-issued pre-prepares.
 	for s, inst := range e.insts {

@@ -65,17 +65,10 @@ func (l Lane) String() string {
 // laneForType maps a transaction type to its base lane; per-identity
 // fair-share accounting may demote data traffic to LaneBulk.
 func laneForType(t types.TxType) Lane {
-	switch t {
-	case types.TxConfig, types.TxEvidence, types.TxWitness, types.TxLocationReport:
+	if t.Control() {
 		return LaneControl
-	case types.TxTransferApply, types.TxRegionCheckpoint:
-		// Cross-region plumbing: delegate-submitted applies and
-		// checkpoints must not starve behind a flood of data traffic, or
-		// anchored transfers stall region-wide.
-		return LaneControl
-	default:
-		return LaneNormal
 	}
+	return LaneNormal
 }
 
 // QoSConfig enables priority lanes and per-identity fair-share

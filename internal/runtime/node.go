@@ -147,6 +147,12 @@ type SyncStats struct {
 	// view change completed. The two are equal whenever none is under way.
 	RequestsHeld      uint64
 	RequestsRerelayed uint64
+	// ProposalsHeld counts the under-full head blocks this node, as
+	// primary, held back for half a round time instead of proposing them back
+	// to back; ProposalsHeldFired counts the holds that ran their full
+	// time (the rest ended early on a fuller pool or a view change).
+	ProposalsHeld      uint64
+	ProposalsHeldFired uint64
 	// BlocksSynced counts blocks applied through the sync path (as
 	// opposed to ordinary consensus commits).
 	BlocksSynced uint64

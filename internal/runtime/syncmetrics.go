@@ -41,6 +41,8 @@ func (m SyncMetrics) WritePrometheus(w io.Writer, ns string) {
 	counter("votes_dropped_surplus_total", m.Stats.VotesSurplus)
 	counter("requests_held_total", m.Stats.RequestsHeld)
 	counter("requests_rerelayed_total", m.Stats.RequestsRerelayed)
+	counter("proposals_held_total", m.Stats.ProposalsHeld)
+	counter("proposals_held_expired_total", m.Stats.ProposalsHeldFired)
 	gauge("sync_mode", uint64(m.Stats.Mode))
 	gauge("compacted_bytes", m.CompactedBytes)
 }

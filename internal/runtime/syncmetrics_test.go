@@ -19,6 +19,8 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 			VotesSurplus:       40,
 			RequestsHeld:       9,
 			RequestsRerelayed:  8,
+			ProposalsHeld:      6,
+			ProposalsHeldFired: 5,
 		},
 		SnapshotsWritten: 7,
 		CompactedBytes:   4096,
@@ -28,19 +30,21 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 	out := sb.String()
 
 	want := map[string]string{
-		"gpbft_snapshot_written_total":      "7",
-		"gpbft_snapshot_installed_total":    "1",
-		"gpbft_snapshot_rejected_total":     "3",
-		"gpbft_snapshot_served_total":       "5",
-		"gpbft_sync_retries_total":          "2",
-		"gpbft_sync_lag_pulls_total":        "4",
-		"gpbft_sync_blocks_total":           "42",
-		"gpbft_votes_verified_total":        "60",
-		"gpbft_votes_dropped_surplus_total": "40",
-		"gpbft_requests_held_total":         "9",
-		"gpbft_requests_rerelayed_total":    "8",
-		"gpbft_sync_mode":                   "2",
-		"gpbft_compacted_bytes":             "4096",
+		"gpbft_snapshot_written_total":       "7",
+		"gpbft_snapshot_installed_total":     "1",
+		"gpbft_snapshot_rejected_total":      "3",
+		"gpbft_snapshot_served_total":        "5",
+		"gpbft_sync_retries_total":           "2",
+		"gpbft_sync_lag_pulls_total":         "4",
+		"gpbft_sync_blocks_total":            "42",
+		"gpbft_votes_verified_total":         "60",
+		"gpbft_votes_dropped_surplus_total":  "40",
+		"gpbft_requests_held_total":          "9",
+		"gpbft_requests_rerelayed_total":     "8",
+		"gpbft_proposals_held_total":         "6",
+		"gpbft_proposals_held_expired_total": "5",
+		"gpbft_sync_mode":                    "2",
+		"gpbft_compacted_bytes":              "4096",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	got := map[string]string{}

@@ -86,6 +86,21 @@ func (t TxType) String() string {
 // Valid reports whether t is a known type.
 func (t TxType) Valid() bool { return t <= TxRegionCheckpoint }
 
+// Control reports whether t is protocol-critical traffic rather than
+// data: configuration changes, evidence, the location and witness
+// reports elections run on, and the cross-region plumbing
+// (delegate-submitted applies and checkpoints, which must not starve
+// behind data traffic or anchored transfers stall region-wide). The
+// mempool serves it first and a primary never holds it back.
+func (t TxType) Control() bool {
+	switch t {
+	case TxConfig, TxEvidence, TxWitness, TxLocationReport, TxTransferApply, TxRegionCheckpoint:
+		return true
+	default:
+		return false
+	}
+}
+
 // RejectReason explains why admission control refused a transaction.
 // It travels inside the signed TxRejected reply so clients can tell a
 // transient condition (back off and retry) from a hard one.

@@ -67,26 +67,19 @@ func (d *DoubleVoter) mutate(acts []consensus.Action) []consensus.Action {
 }
 
 // twin builds a validly signed conflicting vote for prepare/commit
-// broadcasts, nil for everything else.
+// broadcasts, nil for everything else: the same slot re-sealed over
+// another digest.
 func (d *DoubleVoter) twin(env *consensus.Envelope) *consensus.Envelope {
+	slot, ok := consensus.PeekSlot(env)
+	if !ok {
+		return nil
+	}
+	slot.Digest = flipDigest(slot.Digest)
 	switch env.MsgKind {
 	case consensus.KindPrepare:
-		var p pbft.Prepare
-		if consensus.Open(env, consensus.KindPrepare, &p) != nil {
-			return nil
-		}
-		p.Digest = flipDigest(p.Digest)
-		return consensus.Seal(d.Key, &p)
+		return consensus.Seal(d.Key, &pbft.Prepare{SlotHeader: slot})
 	case consensus.KindCommit:
-		var c pbft.Commit
-		if consensus.Open(env, consensus.KindCommit, &c) != nil {
-			return nil
-		}
-		c.Digest = flipDigest(c.Digest)
-		// Re-derive the certificate signature so the twin is
-		// indistinguishable from a genuine vote for the other digest.
-		c.CertSig = d.Key.Sign(types.VoteDigest(c.Digest, c.Era, c.View))
-		return consensus.Seal(d.Key, &c)
+		return consensus.Seal(d.Key, &pbft.Commit{SlotHeader: slot})
 	default:
 		return nil
 	}

@@ -66,23 +66,9 @@ func (ck *Checker) Observe(_ consensus.Time, _, _ simnet.NodeID, env *consensus.
 
 func (ck *Checker) observeEnvelope(env *consensus.Envelope) {
 	switch env.MsgKind {
-	case consensus.KindPrePrepare:
-		var m pbft.PrePrepare
-		if !decodeBody(env, &m) {
-			ck.violations = append(ck.violations, fmt.Sprintf("%s from %s: undecodable body", env.MsgKind, env.From.Short()))
-			return
-		}
-		ck.note(env.From, env.MsgKind, m.Era, m.View, m.Seq, m.Digest)
-	case consensus.KindPrepare:
-		var m pbft.Prepare
-		if !decodeBody(env, &m) {
-			ck.violations = append(ck.violations, fmt.Sprintf("%s from %s: undecodable body", env.MsgKind, env.From.Short()))
-			return
-		}
-		ck.note(env.From, env.MsgKind, m.Era, m.View, m.Seq, m.Digest)
-	case consensus.KindCommit:
-		var m pbft.Commit
-		if !decodeBody(env, &m) {
+	case consensus.KindPrePrepare, consensus.KindPrepare, consensus.KindCommit:
+		m, ok := consensus.PeekSlot(env)
+		if !ok {
 			ck.violations = append(ck.violations, fmt.Sprintf("%s from %s: undecodable body", env.MsgKind, env.From.Short()))
 			return
 		}

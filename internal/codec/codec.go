@@ -3,7 +3,8 @@
 // encoding the same block must produce identical bytes, or signature
 // and digest checks would diverge. The format is:
 //
-//   - fixed-width big-endian integers for counts and scalars,
+//   - fixed-width big-endian integers for scalars,
+//   - minimal uvarints for sequence lengths and consensus slot numbers,
 //   - IEEE-754 bits for floats (coordinates),
 //   - uvarint-length-prefixed byte strings,
 //   - int64 UnixNano for timestamps.
@@ -31,11 +32,12 @@ const (
 
 // Errors returned by the decoder.
 var (
-	ErrShortBuffer = errors.New("codec: short buffer")
-	ErrOversize    = errors.New("codec: length prefix exceeds limit")
-	ErrTrailing    = errors.New("codec: trailing bytes after decode")
-	ErrNonMinimal  = errors.New("codec: non-minimal varint encoding")
-	ErrBadBool     = errors.New("codec: boolean byte is neither 0 nor 1")
+	ErrShortBuffer    = errors.New("codec: short buffer")
+	ErrOversize       = errors.New("codec: length prefix exceeds limit")
+	ErrTrailing       = errors.New("codec: trailing bytes after decode")
+	ErrNonMinimal     = errors.New("codec: non-minimal varint encoding")
+	ErrVarintOverflow = errors.New("codec: varint overflows 64 bits")
+	ErrBadBool        = errors.New("codec: boolean byte is neither 0 nor 1")
 )
 
 // Writer accumulates a canonical encoding. The zero value is ready to
@@ -118,8 +120,12 @@ func (w *Writer) Time(t time.Time) {
 }
 
 // Count appends a sequence length as uvarint.
-func (w *Writer) Count(n int) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(n))
+func (w *Writer) Count(n int) { w.Uvarint(uint64(n)) }
+
+// Uvarint appends v in its minimal base-128 form: the width of small
+// numbers that are sent often (an era, a view, a sequence number).
+func (w *Writer) Uvarint(v uint64) {
+	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 // Reader decodes a canonical encoding. Methods record the first error
@@ -222,13 +228,19 @@ func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
 // Float64 reads an IEEE-754 float64.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
-func (r *Reader) uvarint() uint64 {
+// Uvarint reads a number written by Writer.Uvarint. Only the minimal
+// form is accepted; a padded or overflowing one fails the reader.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
+	if n == 0 {
 		r.fail(ErrShortBuffer)
+		return 0
+	}
+	if n < 0 {
+		r.fail(ErrVarintOverflow)
 		return 0
 	}
 	// Reject padded encodings (a trailing zero continuation byte): every
@@ -245,7 +257,7 @@ func (r *Reader) uvarint() uint64 {
 
 // ReadBytes reads a length-prefixed byte string, returning a copy.
 func (r *Reader) ReadBytes() []byte {
-	n := r.uvarint()
+	n := r.Uvarint()
 	if r.err != nil {
 		return nil
 	}
@@ -264,7 +276,7 @@ func (r *Reader) ReadBytes() []byte {
 
 // ReadString reads a length-prefixed string.
 func (r *Reader) ReadString() string {
-	n := r.uvarint()
+	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
@@ -304,14 +316,21 @@ func (r *Reader) Time() time.Time {
 	return time.Unix(0, v).UTC()
 }
 
-// Count reads a sequence length, bounded by MaxSliceLen.
+// Count reads a sequence length, bounded by MaxSliceLen and by the bytes
+// left to read: every element of every sequence takes at least one, so
+// a larger count cannot be honest, and is refused before the caller
+// allocates for it (a seven-byte view change could ask for 96 MB).
 func (r *Reader) Count() int {
-	n := r.uvarint()
+	n := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
 	if n > MaxSliceLen {
 		r.fail(ErrOversize)
+		return 0
+	}
+	if n > uint64(r.Remaining()) {
+		r.fail(ErrShortBuffer)
 		return 0
 	}
 	return int(n)

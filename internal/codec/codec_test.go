@@ -157,9 +157,53 @@ func TestCountRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 300, MaxSliceLen} {
 		w := NewWriter(0)
 		w.Count(n)
+		w.Raw(make([]byte, n)) // the least n elements can take
 		r := NewReader(w.Bytes())
 		if got := r.Count(); got != n {
 			t.Errorf("Count(%d) round-tripped to %d", n, got)
+		}
+		// One byte fewer than one per element: nobody allocates for it.
+		if n > 0 {
+			r = NewReader(w.Bytes()[:w.Len()-1])
+			if got := r.Count(); got != 0 || r.Err() != ErrShortBuffer {
+				t.Errorf("Count(%d) over %d bytes = %d, err %v", n, n-1, got, r.Err())
+			}
+		}
+	}
+}
+
+// Every uint64 has exactly one accepted uvarint form: the minimal one.
+func TestUvarintMinimalForm(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 32, math.MaxUint64} {
+		w := NewWriter(0)
+		w.Uvarint(v)
+		r := NewReader(w.Bytes())
+		if got := r.Uvarint(); got != v || r.Finish() != nil {
+			t.Errorf("Uvarint(%d) round-tripped to %d (%v)", v, got, r.Finish())
+		}
+	}
+	w := NewWriter(0)
+	w.Uvarint(1000)
+	if w.Len() != 2 {
+		t.Errorf("1000 took %d bytes, want 2", w.Len())
+	}
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"padded zero", []byte{0x80, 0x00}, ErrNonMinimal},
+		{"padded one", []byte{0x81, 0x00}, ErrNonMinimal},
+		{"padded twice", []byte{0x81, 0x80, 0x00}, ErrNonMinimal},
+		{"65 bits", overflow, ErrVarintOverflow},
+		{"eleven bytes", append(bytes.Repeat([]byte{0x80}, 10), 0x01), ErrVarintOverflow},
+		{"truncated", []byte{0x80}, ErrShortBuffer},
+		{"empty", nil, ErrShortBuffer},
+	} {
+		r := NewReader(c.in)
+		if got := r.Uvarint(); got != 0 || r.Err() != c.want {
+			t.Errorf("%s: Uvarint = %d, err %v; want 0, %v", c.name, got, r.Err(), c.want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math"
 	"time"
@@ -441,7 +440,7 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		return e.filterInner(now, e.inner.OnEnvelope(now, env))
 	default:
 		// Intra-era consensus traffic.
-		msgEra, ok := peekEra(env)
+		msgEra, ok := consensus.PeekEra(env)
 		if !ok {
 			return nil
 		}
@@ -516,7 +515,8 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	if env.MsgKind != consensus.KindCommit {
 		return nil
 	}
-	seq, ok := peekSeq(env)
+	slot, ok := consensus.PeekSlot(env)
+	seq := slot.Seq
 	if !ok || seq <= e.chain.Height()+1 {
 		return nil
 	}
@@ -574,35 +574,6 @@ func (e *Engine) lagPull(seq uint64, from gcrypto.Address) []consensus.Action {
 	e.sstats.lagPulls.Add(1)
 	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
 	return e.armSyncRetry([]consensus.Action{consensus.Send{To: from, Env: req}})
-}
-
-// peekEra reads the leading Era field every intra-era payload starts
-// with.
-func peekEra(env *consensus.Envelope) (uint64, bool) {
-	switch env.MsgKind {
-	case consensus.KindPrePrepare, consensus.KindPrepare, consensus.KindCommit,
-		consensus.KindCheckpoint, consensus.KindViewChange, consensus.KindNewView:
-		if len(env.Body) < 8 {
-			return 0, false
-		}
-		return binary.BigEndian.Uint64(env.Body[:8]), true
-	default:
-		return 0, false
-	}
-}
-
-// peekSeq reads the Seq field of the fixed-layout vote payloads
-// (Era, View and Seq lead the PrePrepare, Prepare and Commit bodies).
-func peekSeq(env *consensus.Envelope) (uint64, bool) {
-	switch env.MsgKind {
-	case consensus.KindPrePrepare, consensus.KindPrepare, consensus.KindCommit:
-		if len(env.Body) < 24 {
-			return 0, false
-		}
-		return binary.BigEndian.Uint64(env.Body[16:24]), true
-	default:
-		return 0, false
-	}
 }
 
 // filterInner passes inner-engine actions through, watching committed
@@ -785,7 +756,7 @@ func (e *Engine) onResume(now consensus.Time) []consensus.Action {
 		pending := e.buffered
 		e.buffered = nil
 		for _, env := range pending {
-			if msgEra, ok := peekEra(env); ok && msgEra == e.era {
+			if msgEra, ok := consensus.PeekEra(env); ok && msgEra == e.era {
 				acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
 			}
 		}
@@ -1062,7 +1033,7 @@ func (e *Engine) maybeJoin(now consensus.Time) []consensus.Action {
 		pending := e.buffered
 		e.buffered = nil
 		for _, env := range pending {
-			if msgEra, ok := peekEra(env); ok && msgEra == e.era {
+			if msgEra, ok := consensus.PeekEra(env); ok && msgEra == e.era {
 				acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
 			}
 		}

@@ -109,7 +109,7 @@ func syncRequests(acts []consensus.Action) int {
 
 // commitVote seals a peer's commit for seq in era 0, view 0.
 func commitVote(peer *gcrypto.KeyPair, seq uint64) *consensus.Envelope {
-	return consensus.Seal(peer, &pbft.Commit{Era: 0, View: 0, Seq: seq, Digest: gcrypto.Hash{0xab}})
+	return consensus.Seal(peer, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: gcrypto.Hash{0xab}}})
 }
 
 // TestLaggingCommitTriggersSync: an endorser that overhears a commit

@@ -208,25 +208,6 @@ func (rec *Record) Verify(ctx VerifyContext) error {
 	}
 }
 
-// voteFields is the common prefix every vote body shares: PrePrepare,
-// Prepare and Commit all marshal Era, View, Seq, Digest first (see
-// pbft/messages.go). Parsing just the prefix keeps this package free of
-// a pbft dependency, which the pbft engine needs to import us.
-type voteFields struct {
-	Era, View, Seq uint64
-	Digest         gcrypto.Hash
-}
-
-func parseVoteBody(body []byte) (voteFields, error) {
-	var v voteFields
-	r := codec.NewReader(body)
-	v.Era = r.Uint64()
-	v.View = r.Uint64()
-	v.Seq = r.Uint64()
-	r.RawInto(v.Digest[:])
-	return v, r.Err()
-}
-
 func (rec *Record) verifyDoubleSign() error {
 	if len(rec.Offenders) != 1 || len(rec.Proofs) != 2 {
 		return ErrShape
@@ -262,13 +243,12 @@ func (rec *Record) verifyDoubleSign() error {
 	if err := envB.Verify(); err != nil {
 		return fmt.Errorf("%w: %v", ErrProof, err)
 	}
-	va, err := parseVoteBody(envA.Body)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrProof, err)
-	}
-	vb, err := parseVoteBody(envB.Body)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrProof, err)
+	// The slot header is all of a vote this package needs, which keeps
+	// it free of a pbft dependency (the pbft engine imports us).
+	va, okA := consensus.PeekSlot(envA)
+	vb, okB := consensus.PeekSlot(envB)
+	if !okA || !okB {
+		return fmt.Errorf("%w: vote body has no slot header", ErrProof)
 	}
 	if va.Era != vb.Era || va.View != vb.View || va.Seq != vb.Seq {
 		return fmt.Errorf("%w: votes are for different slots", ErrProof)
@@ -467,7 +447,7 @@ func (rec *Record) Describe() string {
 	switch rec.Kind {
 	case DoubleSign:
 		if env, err := consensus.DecodeEnvelope(rec.Proofs[0]); err == nil {
-			if v, err := parseVoteBody(env.Body); err == nil {
+			if v, ok := consensus.PeekSlot(env); ok {
 				detail = fmt.Sprintf(" %v era=%d view=%d seq=%d", env.MsgKind, v.Era, v.View, v.Seq)
 			}
 		}

@@ -27,8 +27,8 @@ func ctxAllowAll() evidence.VerifyContext {
 
 func conflictingPrepares(t *testing.T, kp *gcrypto.KeyPair) (*consensus.Envelope, *consensus.Envelope) {
 	t.Helper()
-	a := &pbft.Prepare{Era: 3, View: 1, Seq: 7, Digest: gcrypto.HashBytes([]byte("block-a"))}
-	b := &pbft.Prepare{Era: 3, View: 1, Seq: 7, Digest: gcrypto.HashBytes([]byte("block-b"))}
+	a := &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 3, View: 1, Seq: 7, Digest: gcrypto.HashBytes([]byte("block-a"))}}
+	b := &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 3, View: 1, Seq: 7, Digest: gcrypto.HashBytes([]byte("block-b"))}}
 	return consensus.Seal(kp, a), consensus.Seal(kp, b)
 }
 
@@ -100,14 +100,14 @@ func TestDoubleSignRejectsNonOffenses(t *testing.T) {
 	other := gcrypto.DeterministicKeyPair(2)
 
 	// Two identical votes are not an offense.
-	v := &pbft.Prepare{Era: 1, View: 0, Seq: 2, Digest: gcrypto.HashBytes([]byte("x"))}
+	v := &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, View: 0, Seq: 2, Digest: gcrypto.HashBytes([]byte("x"))}}
 	env := consensus.Seal(kp, v)
 	if _, err := evidence.NewDoubleSign(env, env); err == nil {
 		t.Fatal("accepted a single vote presented twice")
 	}
 
 	// Votes for different slots are not an offense.
-	w := &pbft.Prepare{Era: 1, View: 0, Seq: 3, Digest: gcrypto.HashBytes([]byte("y"))}
+	w := &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, View: 0, Seq: 3, Digest: gcrypto.HashBytes([]byte("y"))}}
 	if _, err := evidence.NewDoubleSign(env, consensus.Seal(kp, w)); err == nil {
 		t.Fatal("accepted votes for different sequence numbers")
 	}

@@ -20,8 +20,8 @@ import (
 // compute different IDs for one committed record).
 func FuzzDecodeEvidence(f *testing.F) {
 	kp := gcrypto.DeterministicKeyPair(1)
-	a := consensus.Seal(kp, &pbft.Prepare{Era: 1, View: 0, Seq: 2, Digest: gcrypto.HashBytes([]byte("a"))})
-	b := consensus.Seal(kp, &pbft.Prepare{Era: 1, View: 0, Seq: 2, Digest: gcrypto.HashBytes([]byte("b"))})
+	a := consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, View: 0, Seq: 2, Digest: gcrypto.HashBytes([]byte("a"))}})
+	b := consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, View: 0, Seq: 2, Digest: gcrypto.HashBytes([]byte("b"))}})
 	if rec, err := evidence.NewDoubleSign(a, b); err == nil {
 		f.Add(evidence.Encode(rec))
 	}

@@ -326,7 +326,7 @@ func (c *Chain) validateStatelessLocked(b *types.Block) error {
 		n := len(c.endorsers)
 		f := (n - 1) / 3
 		quorum := (n+f)/2 + 1 // ⌈(n+f+1)/2⌉, see consensus.QuorumFor
-		if err := b.Cert.Verify(b.Hash(), keys, quorum); err != nil {
+		if err := b.Cert.Verify(b.Hash(), b.Header.Seq, keys, quorum); err != nil {
 			return err
 		}
 	}

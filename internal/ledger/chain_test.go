@@ -327,7 +327,7 @@ func TestCertQuorumGeneralized(t *testing.T) {
 	hash := b.Hash()
 	vote := func(i int) types.Vote {
 		kp := gcrypto.DeterministicKeyPair(i)
-		return types.Vote{Endorser: kp.Address(), Signature: kp.Sign(types.VoteDigest(hash, 0, 0))}
+		return types.Vote{Endorser: kp.Address(), Signature: kp.Sign(types.CommitVoteBytes(kp.Address(), 0, 0, b.Header.Seq, hash))}
 	}
 	b.Cert = &types.Certificate{BlockHash: hash, Era: 0, View: 0,
 		Votes: []types.Vote{vote(0), vote(1), vote(2)}}

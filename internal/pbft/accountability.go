@@ -39,17 +39,17 @@ type seenVote struct {
 // votes of the same sender for the same slot, emitting a DoubleSign
 // record on conflict. Callers must pass envelopes that already passed
 // consensus.Open (the proof embeds them verbatim).
-func (e *Engine) noteVote(env *consensus.Envelope, view, seq uint64, digest gcrypto.Hash) {
+func (e *Engine) noteVote(env *consensus.Envelope, h *consensus.SlotHeader) {
 	if e.cfg.EvidenceSink == nil {
 		return
 	}
-	k := seenSlot{kind: env.MsgKind, view: view, seq: seq, from: env.From}
+	k := seenSlot{kind: env.MsgKind, view: h.View, seq: h.Seq, from: env.From}
 	prev, ok := e.seenVotes[k]
 	if !ok {
-		e.seenVotes[k] = seenVote{digest: digest, env: env}
+		e.seenVotes[k] = seenVote{digest: h.Digest, env: env}
 		return
 	}
-	if prev.digest == digest || e.accused[env.From] {
+	if prev.digest == h.Digest || e.accused[env.From] {
 		return // retransmission, or offender already reported this era
 	}
 	rec, err := evidence.NewDoubleSign(prev.env, env)

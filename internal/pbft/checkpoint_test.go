@@ -22,27 +22,20 @@ func (r *unitRig) driveCommit(t *testing.T, seq uint64, prim, selfPos int) *type
 		Proposer:  r.com.Primary(0),
 		Timestamp: epoch.Add(1),
 	}, []types.Transaction{*tx})
-	pp := consensus.Seal(r.keys[prim], &pbft.PrePrepare{
-		Era: 0, View: 0, Seq: seq, Digest: b.Hash(), Block: *b,
-	})
+	pp := consensus.Seal(r.keys[prim], &pbft.PrePrepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}, Block: *b})
 	r.eng.OnEnvelope(0, pp)
 	for i := 0; i < 4; i++ {
 		if i == selfPos || i == prim {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Prepare{
-			Era: 0, View: 0, Seq: seq, Digest: b.Hash(),
-		}))
+		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}}))
 	}
 	var committedBlock *types.Block
 	for i := 0; i < 4; i++ {
 		if i == selfPos {
 			continue
 		}
-		acts := r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Commit{
-			Era: 0, View: 0, Seq: seq, Digest: b.Hash(),
-			CertSig: r.keys[i].Sign(types.VoteDigest(b.Hash(), 0, 0)),
-		}))
+		acts := r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}}))
 		for _, cb := range commitsOf(acts) {
 			committedBlock = cb
 			// Mirror the runtime: apply to the chain so the next
@@ -83,9 +76,7 @@ func TestCheckpointStabilizationGC(t *testing.T) {
 		if i == selfPos {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{
-			Era: 0, Seq: 2, Digest: digests[1],
-		}))
+		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: digests[1]}}))
 		count++
 	}
 	if r.eng.LowWater() != 2 {
@@ -108,9 +99,7 @@ func TestCheckpointMismatchedDigestIgnored(t *testing.T) {
 		if i == selfPos {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{
-			Era: 0, Seq: 2, Digest: bogus,
-		}))
+		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: bogus}}))
 	}
 	if r.eng.LowWater() != 0 {
 		t.Fatalf("mismatched checkpoints stabilized: low water %d", r.eng.LowWater())
@@ -146,9 +135,7 @@ func TestCheckpointPruneNeverReproposes(t *testing.T) {
 		if i == prim {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{
-			Era: 0, Seq: 2, Digest: ckDigest,
-		}))
+		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: ckDigest}}))
 	}
 	if r.eng.LowWater() != 2 {
 		t.Fatalf("low water %d after quorum of checkpoints, want 2", r.eng.LowWater())

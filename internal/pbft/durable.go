@@ -72,7 +72,8 @@ func RecoverState(era uint64, recs []store.WALRecord) *DurableState {
 		case store.WALPrepare:
 			d.SentPrepares[k] = rec.Digest
 		case store.WALCommit:
-			// Written by earlier versions only; see persistPrepared.
+			// Found in logs written before the prepared record took this
+			// role; nothing appends one any more (see persistPrepared).
 			d.SentCommits[k] = rec.Digest
 		case store.WALPrepared:
 			// The prepared record is also the promise of the commit vote,
@@ -143,14 +144,23 @@ func (e *Engine) recordPosition(kind store.WALKind, view uint64) {
 // commit vote for the same (view, seq, digest): a prepared replica sends
 // that commit and no other, at once or when the parent gate opens, and
 // RecoverState reads the record back into the sent-commit ledger. So the
-// entry is made here, and the recordVote(WALCommit) calls on the send
-// paths find it and append nothing: one fsync per prepared slot, not two.
+// entry is made here, and the send paths only look it up
+// (commitPromised): one fsync per prepared slot, not two.
 func (e *Engine) persistPrepared(seq uint64, inst *instance) bool {
 	var data []byte
 	if e.wal != nil {
 		data = codec.Encode(e.proofForInstance(seq, inst))
 	}
 	return e.recordVote(store.WALPrepared, e.sentCommits, inst.view, seq, inst.digest, data)
+}
+
+// commitPromised reports whether the sent-commit ledger holds this
+// instance's digest for (view, seq) — the entry persistPrepared made, or
+// the one recovered from the log. A commit for anything else would
+// contradict a vote that may already be on the wire, and is withheld.
+func (e *Engine) commitPromised(inst *instance, seq uint64) bool {
+	prev, ok := e.sentCommits[voteKey{View: inst.view, Seq: seq}]
+	return ok && prev == inst.digest
 }
 
 // restoreDurable installs recovered state into a freshly built engine:
@@ -237,7 +247,7 @@ func (e *Engine) resendRecoveredVotes(acts []consensus.Action) []consensus.Actio
 		if !e.parentPrepared(seq) {
 			continue
 		}
-		if !e.recordVote(store.WALCommit, e.sentCommits, inst.view, seq, inst.digest, nil) {
+		if !e.commitPromised(inst, seq) {
 			continue
 		}
 		acts = e.sendOwnCommit(inst, seq, acts)

@@ -689,11 +689,8 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 			break
 		}
 		pp := &PrePrepare{
-			Era:    e.cfg.Era,
-			View:   e.view,
-			Seq:    seq,
-			Digest: block.Hash(),
-			Block:  *block,
+			SlotHeader: consensus.SlotHeader{Era: e.cfg.Era, View: e.view, Seq: seq, Digest: block.Hash()},
+			Block:      *block,
 		}
 		env := consensus.Seal(e.cfg.Key, pp)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
@@ -865,7 +862,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		// advances (or is discarded once it can never be).
 		return e.bufferVote(pp.Seq, env)
 	}
-	e.noteVote(env, pp.View, pp.Seq, pp.Digest)
+	e.noteVote(env, &pp.SlotHeader)
 	if pp.Digest != pp.Block.Hash() {
 		return nil
 	}
@@ -929,7 +926,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	// instance. Only a still-live slot needs this backup's own prepare.
 	if inst := e.insts[pp.Seq]; inst != nil {
 		// A backup that accepts multicasts prepare to all others.
-		prep := &Prepare{Era: pp.Era, View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
+		prep := &Prepare{pp.SlotHeader}
 		prepEnv := consensus.Seal(e.cfg.Key, prep)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: prepEnv})
 		// A pre-prepare delivered twice (retransmission, replay) reaches
@@ -961,8 +958,8 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *conse
 	acts = e.armSlotTimer(pp.Seq, acts)
 	// Votes that raced ahead of the pre-prepare can now be judged against
 	// the accepted digest: prepares join the matching count, commits
-	// contribute their certificate votes. Stored envelopes were verified
-	// before they were stored, so decoding is all that is left.
+	// become certificate votes. Stored envelopes were verified before they
+	// were stored, so decoding is all that is left.
 	inst.matching = 0
 	for _, penv := range inst.prepares {
 		var p Prepare
@@ -970,10 +967,10 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *conse
 			inst.matching++
 		}
 	}
-	for from, cenv := range inst.commits {
+	for _, cenv := range inst.commits {
 		var c Commit
 		if consensus.OpenUnverified(cenv, consensus.KindCommit, &c) == nil {
-			e.recordCommitVote(inst, from, &c)
+			e.recordCommitVote(inst, cenv, &c)
 		}
 	}
 	return e.maybePrepared(now, pp.Seq, acts)
@@ -996,22 +993,22 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *conse
 // double-sign is still proven no matter how late its second half
 // arrives. What is given up is only the late vote that agrees both with
 // the accepted digest and with everything its sender was seen to say.
-func (e *Engine) admitVote(env *consensus.Envelope, era, view, seq uint64, digest gcrypto.Hash) bool {
-	if era != e.cfg.Era || !e.com.IsMember(env.From) {
+func (e *Engine) admitVote(env *consensus.Envelope, h *consensus.SlotHeader) bool {
+	if h.Era != e.cfg.Era || !e.com.IsMember(env.From) {
 		return false
 	}
-	if view != e.view || e.inViewChange {
+	if h.View != e.view || e.inViewChange {
 		return false
 	}
-	if seq <= e.lowWater {
+	if h.Seq <= e.lowWater {
 		e.countVote(&e.counts.VotesSurplus)
 		return false
 	}
-	prev, seen := e.seenVotes[seenSlot{kind: env.MsgKind, view: view, seq: seq, from: env.From}]
-	if seen && prev.digest == digest {
+	prev, seen := e.seenVotes[seenSlot{kind: env.MsgKind, view: h.View, seq: h.Seq, from: env.From}]
+	if seen && prev.digest == h.Digest {
 		return false // retransmission of a vote already on record
 	}
-	if inst := e.insts[seq]; !seen && inst != nil && inst.view == view {
+	if inst := e.insts[h.Seq]; !seen && inst != nil && inst.view == h.View {
 		stored, full := inst.prepares, inst.prepared
 		if env.MsgKind == consensus.KindCommit {
 			stored, full = inst.commits, len(inst.certVotes) >= e.com.Quorum()
@@ -1019,7 +1016,7 @@ func (e *Engine) admitVote(env *consensus.Envelope, era, view, seq uint64, diges
 		if stored[env.From] != nil {
 			return false // the sender's slot is taken
 		}
-		if full && inst.prePrepare != nil && inst.digest == digest {
+		if full && inst.prePrepare != nil && inst.digest == h.Digest {
 			e.countVote(&e.counts.VotesSurplus)
 			return false
 		}
@@ -1051,7 +1048,7 @@ func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consen
 		// primary would buy a quorum one honest vote short.
 		return nil
 	}
-	if !e.admitVote(env, p.Era, p.View, p.Seq, p.Digest) {
+	if !e.admitVote(env, &p.SlotHeader) {
 		return nil
 	}
 	if p.Seq > e.highWater() {
@@ -1059,7 +1056,7 @@ func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consen
 	}
 	// Cross-check before the conflicting/duplicate drops below: those
 	// would silently discard exactly the vote that proves a double-sign.
-	e.noteVote(env, p.View, p.Seq, p.Digest)
+	e.noteVote(env, &p.SlotHeader)
 	inst := e.insts[p.Seq]
 	if inst == nil || inst.view != p.View {
 		inst = newInstance(p.View)
@@ -1123,7 +1120,7 @@ func (e *Engine) maybeSendCommit(now consensus.Time, seq uint64, acts []consensu
 	if !e.parentPrepared(seq) {
 		return acts // deferred until the parent prepares
 	}
-	if !e.recordVote(store.WALCommit, e.sentCommits, inst.view, seq, inst.digest, nil) {
+	if !e.commitPromised(inst, seq) {
 		return acts
 	}
 	acts = e.sendOwnCommit(inst, seq, acts)
@@ -1132,21 +1129,15 @@ func (e *Engine) maybeSendCommit(now consensus.Time, seq uint64, acts []consensu
 	return e.maybeSendCommit(now, seq+1, acts)
 }
 
-// sendOwnCommit signs and broadcasts this replica's commit for a
-// prepared instance and tallies its certificate vote. The vote is valid
-// by construction — this replica is a member and just signed the
-// accepted digest — so it is recorded without the ed25519 check
-// recordCommitVote runs on a peer's, and noted in the vote cache, where
-// Certificate.Verify finds it when the block commits.
+// sendOwnCommit seals and broadcasts this replica's commit for a
+// prepared instance and tallies it as a certificate vote: one signature
+// is both. The vote is valid by construction — this replica is a member
+// and just signed the accepted digest.
 func (e *Engine) sendOwnCommit(inst *instance, seq uint64, acts []consensus.Action) []consensus.Action {
-	digest := types.VoteDigest(inst.digest, e.cfg.Era, inst.view)
-	certSig := e.cfg.Key.Sign(digest)
-	c := &Commit{Era: e.cfg.Era, View: inst.view, Seq: seq, Digest: inst.digest, CertSig: certSig}
+	c := &Commit{consensus.SlotHeader{Era: e.cfg.Era, View: inst.view, Seq: seq, Digest: inst.digest}}
 	cenv := consensus.Seal(e.cfg.Key, c)
 	inst.commits[e.self] = cenv
-	types.NoteSignedVote(e.self, digest, certSig)
-	inst.certSeen[e.self] = true
-	inst.certVotes = append(inst.certVotes, types.Vote{Endorser: e.self, Signature: certSig})
+	e.recordCommitVote(inst, cenv, c)
 	return append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: cenv})
 }
 
@@ -1165,13 +1156,13 @@ func (e *Engine) onCommit(now consensus.Time, env *consensus.Envelope) []consens
 	if err := consensus.OpenUnverified(env, consensus.KindCommit, &c); err != nil {
 		return nil
 	}
-	if !e.admitVote(env, c.Era, c.View, c.Seq, c.Digest) {
+	if !e.admitVote(env, &c.SlotHeader) {
 		return nil
 	}
 	if c.Seq > e.highWater() {
 		return e.bufferVote(c.Seq, env)
 	}
-	e.noteVote(env, c.View, c.Seq, c.Digest)
+	e.noteVote(env, &c.SlotHeader)
 	inst := e.insts[c.Seq]
 	if inst == nil || inst.view != c.View {
 		inst = newInstance(c.View)
@@ -1184,32 +1175,29 @@ func (e *Engine) onCommit(now consensus.Time, env *consensus.Envelope) []consens
 		return nil
 	}
 	inst.commits[env.From] = env
-	e.recordCommitVote(inst, env.From, &c)
+	e.recordCommitVote(inst, env, &c)
 	return e.maybeCommitted(now, c.Seq, nil)
 }
 
-// recordCommitVote validates and stores the certificate signature
-// riding on a commit message. Votes are only recorded once the
-// instance's digest is known and matches, so the vote set always
-// certifies the accepted value.
-func (e *Engine) recordCommitVote(inst *instance, from gcrypto.Address, c *Commit) {
-	if inst.prePrepare == nil || c.Digest != inst.digest || inst.certSeen[from] {
+// recordCommitVote turns a stored commit into a certificate vote: the
+// vote is the envelope's seal, which admitVote verified before the commit
+// was stored (this replica's own is valid as sealed), so nothing is
+// checked again. The vote is only noted in the vote cache, where
+// Certificate.Verify finds it when the block is added to the chain.
+// Votes are recorded once the instance's digest is known and matches, so
+// the vote set always certifies the accepted value.
+func (e *Engine) recordCommitVote(inst *instance, env *consensus.Envelope, c *Commit) {
+	if inst.prePrepare == nil || c.Digest != inst.digest || inst.certSeen[env.From] {
 		return
 	}
-	pub := e.com.PubKey(from)
-	if pub == nil {
-		return
-	}
-	if types.VerifyVoteCached(pub, from, types.VoteDigest(c.Digest, c.Era, c.View), c.CertSig) != nil {
-		return
-	}
-	inst.certSeen[from] = true
-	inst.certVotes = append(inst.certVotes, types.Vote{Endorser: from, Signature: c.CertSig})
+	types.NoteVote(env.From, types.CommitVoteBytes(env.From, c.Era, c.View, c.Seq, c.Digest), env.Signature)
+	inst.certSeen[env.From] = true
+	inst.certVotes = append(inst.certVotes, types.Vote{Endorser: env.From, Signature: env.Signature})
 }
 
-// maybeCommitted fires when 2f+1 distinct, certificate-valid commits
-// (including our own) match the accepted digest; execution is strictly
-// in sequence order. Counting only valid CertSigs guarantees the
+// maybeCommitted fires when 2f+1 distinct verified commits (including
+// our own) match the accepted digest; execution is strictly in sequence
+// order. Every counted commit's seal is a certificate vote, so the
 // assembled certificate always verifies at quorum strength.
 func (e *Engine) maybeCommitted(now consensus.Time, seq uint64, acts []consensus.Action) []consensus.Action {
 	inst := e.insts[seq]
@@ -1238,7 +1226,7 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 		e.execNext++
 		e.executedBlocks++
 		block := inst.block
-		// Attach the commit certificate assembled from CertSigs.
+		// Attach the commit certificate: the seals of the counted commits.
 		votes := inst.certVotes
 		if len(votes) > e.com.Quorum() {
 			votes = votes[:e.com.Quorum()]
@@ -1260,7 +1248,7 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 		acts = e.resetProgressTimer(acts)
 
 		if seq%e.cfg.CheckpointInterval == 0 {
-			ck := &Checkpoint{Era: e.cfg.Era, Seq: seq, Digest: inst.digest}
+			ck := &Checkpoint{consensus.SlotHeader{Era: e.cfg.Era, Seq: seq, Digest: inst.digest}}
 			ckEnv := consensus.Seal(e.cfg.Key, ck)
 			acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: ckEnv})
 			e.noteCheckpoint(seq, e.self, inst.digest)

@@ -201,7 +201,7 @@ func TestHappyPathSingleTx(t *testing.T) {
 		if b.Cert == nil {
 			t.Fatal("committed block missing certificate")
 		}
-		if err := b.Cert.Verify(b.Hash(), c.com.Keys(), c.com.Quorum()); err != nil {
+		if err := b.Cert.Verify(b.Hash(), b.Header.Seq, c.com.Keys(), c.com.Quorum()); err != nil {
 			t.Fatalf("certificate: %v", err)
 		}
 	}
@@ -355,8 +355,8 @@ func TestEquivocatingPrimaryIsSafe(t *testing.T) {
 	}
 	b1 := mkBlock(clientTx(0, 1))
 	b2 := mkBlock(clientTx(1, 2))
-	pp1 := consensus.Seal(primKey, &pbft.PrePrepare{Era: 0, View: 0, Seq: 1, Digest: b1.Hash(), Block: *b1})
-	pp2 := consensus.Seal(primKey, &pbft.PrePrepare{Era: 0, View: 0, Seq: 1, Digest: b2.Hash(), Block: *b2})
+	pp1 := consensus.Seal(primKey, &pbft.PrePrepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 1, Digest: b1.Hash()}, Block: *b1})
+	pp2 := consensus.Seal(primKey, &pbft.PrePrepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 1, Digest: b2.Hash()}, Block: *b2})
 
 	c.net.Schedule(10*time.Millisecond, func(now consensus.Time) {
 		// Two backups get proposal 1, one gets proposal 2.

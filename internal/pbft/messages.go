@@ -46,14 +46,11 @@ func (m *Request) UnmarshalCanonical(r *codec.Reader) error {
 	return m.Tx.UnmarshalCanonical(r)
 }
 
-// PrePrepare is the primary's proposal for (era, view, seq): the full
-// block piggybacked with its digest.
+// PrePrepare is the primary's proposal for the header's (era, view,
+// seq): the full block piggybacked with its digest.
 type PrePrepare struct {
-	Era    uint64
-	View   uint64
-	Seq    uint64
-	Digest gcrypto.Hash
-	Block  types.Block
+	consensus.SlotHeader
+	Block types.Block
 }
 
 // Kind implements consensus.Payload.
@@ -61,109 +58,45 @@ func (*PrePrepare) Kind() consensus.MsgKind { return consensus.KindPrePrepare }
 
 // MarshalCanonical implements codec.Marshaler.
 func (m *PrePrepare) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(m.Era)
-	w.Uint64(m.View)
-	w.Uint64(m.Seq)
-	w.Raw(m.Digest[:])
+	m.SlotHeader.MarshalCanonical(w)
 	m.Block.MarshalCanonical(w)
 }
 
 // UnmarshalCanonical decodes the payload.
 func (m *PrePrepare) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uint64()
-	m.View = r.Uint64()
-	m.Seq = r.Uint64()
-	r.RawInto(m.Digest[:])
+	if err := m.SlotHeader.UnmarshalCanonical(r); err != nil {
+		return err
+	}
 	return m.Block.UnmarshalCanonical(r)
 }
 
-// Prepare is a backup's agreement to the proposal digest.
-type Prepare struct {
-	Era    uint64
-	View   uint64
-	Seq    uint64
-	Digest gcrypto.Hash
-}
+// Prepare is a backup's agreement to the proposal digest: a slot header
+// and nothing else, encoded by the embedded type.
+type Prepare struct{ consensus.SlotHeader }
 
 // Kind implements consensus.Payload.
 func (*Prepare) Kind() consensus.MsgKind { return consensus.KindPrepare }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *Prepare) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(m.Era)
-	w.Uint64(m.View)
-	w.Uint64(m.Seq)
-	w.Raw(m.Digest[:])
-}
-
-// UnmarshalCanonical decodes the payload.
-func (m *Prepare) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uint64()
-	m.View = r.Uint64()
-	m.Seq = r.Uint64()
-	r.RawInto(m.Digest[:])
-	return r.Err()
-}
-
-// Commit is a replica's commit vote. CertSig additionally signs the
-// types.VoteDigest of the block so commits double as certificate votes
-// that third parties (clients, late joiners) can verify on the block.
-type Commit struct {
-	Era     uint64
-	View    uint64
-	Seq     uint64
-	Digest  gcrypto.Hash
-	CertSig []byte
-}
+// Commit is a replica's commit vote, and the same bytes again are its
+// vote in the block's certificate: the seal of the commit envelope
+// signs (kind = commit, sender, era, view, seq, digest), which a third
+// party (a client, a late joiner) rebuilds from the block and verifies
+// cold (types.Certificate.Verify). The body carries no signature of its
+// own.
+type Commit struct{ consensus.SlotHeader }
 
 // Kind implements consensus.Payload.
 func (*Commit) Kind() consensus.MsgKind { return consensus.KindCommit }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *Commit) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(m.Era)
-	w.Uint64(m.View)
-	w.Uint64(m.Seq)
-	w.Raw(m.Digest[:])
-	w.WriteBytes(m.CertSig)
-}
-
-// UnmarshalCanonical decodes the payload.
-func (m *Commit) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uint64()
-	m.View = r.Uint64()
-	m.Seq = r.Uint64()
-	r.RawInto(m.Digest[:])
-	m.CertSig = r.ReadBytes()
-	return r.Err()
-}
-
 // Checkpoint attests that the replica executed through Seq with the
 // given block digest; 2f+1 matching checkpoints form a stable
-// checkpoint and let replicas garbage-collect their logs.
-type Checkpoint struct {
-	Era    uint64
-	Seq    uint64
-	Digest gcrypto.Hash
-}
+// checkpoint and let replicas garbage-collect their logs. View is left
+// zero and never read: a sequence number is executed once, whatever view
+// decided it.
+type Checkpoint struct{ consensus.SlotHeader }
 
 // Kind implements consensus.Payload.
 func (*Checkpoint) Kind() consensus.MsgKind { return consensus.KindCheckpoint }
-
-// MarshalCanonical implements codec.Marshaler.
-func (m *Checkpoint) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(m.Era)
-	w.Uint64(m.Seq)
-	w.Raw(m.Digest[:])
-}
-
-// UnmarshalCanonical decodes the payload.
-func (m *Checkpoint) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uint64()
-	m.Seq = r.Uint64()
-	r.RawInto(m.Digest[:])
-	return r.Err()
-}
 
 // PreparedProof shows that a proposal reached prepared state: the
 // pre-prepare envelope plus 2f prepare envelopes from distinct
@@ -179,8 +112,8 @@ type PreparedProof struct {
 
 // MarshalCanonical implements codec.Marshaler.
 func (p *PreparedProof) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(p.Seq)
-	w.Uint64(p.View)
+	w.Uvarint(p.Seq)
+	w.Uvarint(p.View)
 	w.Raw(p.Digest[:])
 	w.WriteBytes(p.PrePrepareEnv)
 	w.Count(len(p.PrepareEnvs))
@@ -191,8 +124,8 @@ func (p *PreparedProof) MarshalCanonical(w *codec.Writer) {
 
 // UnmarshalCanonical decodes the proof.
 func (p *PreparedProof) UnmarshalCanonical(r *codec.Reader) error {
-	p.Seq = r.Uint64()
-	p.View = r.Uint64()
+	p.Seq = r.Uvarint()
+	p.View = r.Uvarint()
 	r.RawInto(p.Digest[:])
 	p.PrePrepareEnv = r.ReadBytes()
 	n := r.Count()
@@ -221,9 +154,9 @@ func (*ViewChange) Kind() consensus.MsgKind { return consensus.KindViewChange }
 
 // MarshalCanonical implements codec.Marshaler.
 func (m *ViewChange) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(m.Era)
-	w.Uint64(m.NewView)
-	w.Uint64(m.LastStable)
+	w.Uvarint(m.Era)
+	w.Uvarint(m.NewView)
+	w.Uvarint(m.LastStable)
 	w.Count(len(m.Prepared))
 	for i := range m.Prepared {
 		m.Prepared[i].MarshalCanonical(w)
@@ -232,9 +165,9 @@ func (m *ViewChange) MarshalCanonical(w *codec.Writer) {
 
 // UnmarshalCanonical decodes the payload.
 func (m *ViewChange) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uint64()
-	m.NewView = r.Uint64()
-	m.LastStable = r.Uint64()
+	m.Era = r.Uvarint()
+	m.NewView = r.Uvarint()
+	m.LastStable = r.Uvarint()
 	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
@@ -262,8 +195,8 @@ func (*NewView) Kind() consensus.MsgKind { return consensus.KindNewView }
 
 // MarshalCanonical implements codec.Marshaler.
 func (m *NewView) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(m.Era)
-	w.Uint64(m.View)
+	w.Uvarint(m.Era)
+	w.Uvarint(m.View)
 	w.Count(len(m.ViewChangeEnvs))
 	for _, e := range m.ViewChangeEnvs {
 		w.WriteBytes(e)
@@ -276,8 +209,8 @@ func (m *NewView) MarshalCanonical(w *codec.Writer) {
 
 // UnmarshalCanonical decodes the payload.
 func (m *NewView) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uint64()
-	m.View = r.Uint64()
+	m.Era = r.Uvarint()
+	m.View = r.Uvarint()
 	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()

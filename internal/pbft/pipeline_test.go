@@ -56,9 +56,7 @@ func (r *unitRig) chainProposals(n int) ([]*types.Block, []*consensus.Envelope) 
 			Proposer:  r.com.Primary(0),
 			Timestamp: epoch.Add(time.Duration(s) * time.Second),
 		}, []types.Transaction{*tx})
-		envs[s-1] = consensus.Seal(r.keys[r.primaryPos()], &pbft.PrePrepare{
-			Era: 0, View: 0, Seq: uint64(s), Digest: b.Hash(), Block: *b,
-		})
+		envs[s-1] = consensus.Seal(r.keys[r.primaryPos()], &pbft.PrePrepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: uint64(s), Digest: b.Hash()}, Block: *b})
 		blocks[s-1] = b
 		prev = b.Hash()
 	}
@@ -67,14 +65,11 @@ func (r *unitRig) chainProposals(n int) ([]*types.Block, []*consensus.Envelope) 
 
 // prepareAt / commitAt seal votes for an arbitrary slot from position i.
 func (r *unitRig) prepareAt(i int, seq uint64, digest gcrypto.Hash) *consensus.Envelope {
-	return consensus.Seal(r.keys[i], &pbft.Prepare{Era: 0, View: 0, Seq: seq, Digest: digest})
+	return consensus.Seal(r.keys[i], &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: digest}})
 }
 
 func (r *unitRig) commitAt(i int, seq uint64, digest gcrypto.Hash) *consensus.Envelope {
-	return consensus.Seal(r.keys[i], &pbft.Commit{
-		Era: 0, View: 0, Seq: seq, Digest: digest,
-		CertSig: r.keys[i].Sign(types.VoteDigest(digest, 0, 0)),
-	})
+	return consensus.Seal(r.keys[i], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: digest}})
 }
 
 // commitSeqs extracts the slot numbers of commit votes broadcast in acts.
@@ -345,8 +340,8 @@ func TestWatermarkEdges(t *testing.T) {
 
 	// Peer checkpoints at seq 2 stabilize it: the window becomes (2, 6]
 	// and the drain must replay the buffered slot-5 traffic.
-	ck1 := consensus.Seal(r.keys[p1], &pbft.Checkpoint{Era: 0, Seq: 2, Digest: blocks[1].Hash()})
-	ck2 := consensus.Seal(r.keys[p2], &pbft.Checkpoint{Era: 0, Seq: 2, Digest: blocks[1].Hash()})
+	ck1 := consensus.Seal(r.keys[p1], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
+	ck2 := consensus.Seal(r.keys[p2], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
 	var ckActs []consensus.Action
 	ckActs = append(ckActs, r.eng.OnEnvelope(0, ck1)...)
 	ckActs = append(ckActs, r.eng.OnEnvelope(0, ck2)...)

@@ -325,7 +325,10 @@ func (e *Engine) reissuedPrePrepares(target uint64, chosen []*vcRecord) []*conse
 		block := src.Block
 		// The block header keeps its original view (it is the same
 		// value); the new pre-prepare carries the new view.
-		pp := &PrePrepare{Era: e.cfg.Era, View: target, Seq: s, Digest: p.Digest, Block: block}
+		pp := &PrePrepare{
+			SlotHeader: consensus.SlotHeader{Era: e.cfg.Era, View: target, Seq: s, Digest: p.Digest},
+			Block:      block,
+		}
 		out = append(out, consensus.Seal(e.cfg.Key, pp))
 	}
 	return out

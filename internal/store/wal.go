@@ -29,12 +29,14 @@ const (
 	// (Era, View, Seq).
 	WALPrepare
 	// WALCommit: this replica sent a commit (certificate vote) for
-	// Digest at (Era, View, Seq).
+	// Digest at (Era, View, Seq). Only read, from logs of earlier
+	// versions: the WALPrepared record has stood for the commit since.
 	WALCommit
-	// WALPrepared: the instance at (Era, Seq) reached prepared state;
-	// Data holds the encoded prepared proof (pre-prepare envelope plus
-	// 2f prepare envelopes) so a restarted replica can still exhibit
-	// the value in view changes.
+	// WALPrepared: the instance at (Era, Seq) reached prepared state,
+	// which is also the promise of its commit for Digest; Data holds the
+	// encoded prepared proof (pre-prepare envelope plus 2f prepare
+	// envelopes) so a restarted replica can still exhibit the value in
+	// view changes.
 	WALPrepared
 	// WALViewChange: this replica asked to move to View in Era.
 	WALViewChange

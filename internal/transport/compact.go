@@ -12,7 +12,7 @@ import (
 // Sender-identity elision. A canonical envelope opens with its kind
 // byte and then the sender's identity, From‖len‖FromPub: 53 bytes that
 // are the same on almost every frame a connection carries, because a
-// node mostly sends envelopes it sealed itself, and that weigh 22–30 %
+// node mostly sends envelopes it sealed itself, and that weigh a third
 // of a vote frame. Per connection and direction, the writer sends that
 // prefix only when it differs from the one on the previous envelope
 // frame it wrote; otherwise it writes a compact frame

@@ -9,7 +9,9 @@ import (
 
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
+	"gpbft/internal/geo"
 	"gpbft/internal/pbft"
+	"gpbft/internal/types"
 )
 
 // recvEnvelope waits for the next envelope an endpoint delivers.
@@ -44,7 +46,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestCompactFrameRoundTrip(t *testing.T) {
 	a, b := gcrypto.DeterministicKeyPair(1), gcrypto.DeterministicKeyPair(2)
 	vote := func(kp *gcrypto.KeyPair, seq uint64) *consensus.Envelope {
-		return consensus.Seal(kp, &pbft.Prepare{Era: 1, Seq: seq})
+		return consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: seq}})
 	}
 	inner := vote(b, 9)
 	relay := consensus.NewRelayEnvelope(a.Address(), []consensus.RelayEntry{
@@ -57,7 +59,7 @@ func TestCompactFrameRoundTrip(t *testing.T) {
 	}{
 		{vote(a, 1), false}, // first frame on the connection
 		{vote(a, 2), true},
-		{consensus.Seal(a, &pbft.Commit{Era: 1, Seq: 2, CertSig: make([]byte, 64)}), true},
+		{consensus.Seal(a, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 2}}), true},
 		{relay, false},     // no public key: never compact,
 		{vote(a, 3), true}, // and it leaves the remembered sender alone
 		{reject, false},    // another sender interleaves
@@ -107,6 +109,39 @@ func TestCompactFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVoteWireSize pins what a round's messages weigh at sequence 1000,
+// canonical (what is signed over, stored and relayed) and as the frame a
+// warm connection carries (length prefix, marker, kind, body, seal): a
+// round is O(n²) of the first two, so a byte here is n² bytes a block. A
+// vote is kind 1 + sender 53 + body 1 + 36 + seal 1 + 64; the frame
+// trades the sender for a 4-byte length and a 1-byte marker.
+func TestVoteWireSize(t *testing.T) {
+	kp := gcrypto.DeterministicKeyPair(1)
+	tx := &types.Transaction{Type: types.TxNormal, Nonce: 1, Payload: []byte("sensor-reading"), Fee: 10,
+		Geo: types.GeoInfo{Location: geo.Point{Lng: 114.17, Lat: 22.30}, Timestamp: time.Unix(1565025600, 0)}}
+	tx.Sign(kp)
+	block := types.NewBlock(types.BlockHeader{Height: 1000, Era: 3, View: 1, Seq: 1000, Proposer: kp.Address(),
+		Timestamp: time.Unix(1565025600, 0)}, []types.Transaction{*tx})
+	slot := consensus.SlotHeader{Era: 3, View: 1, Seq: 1000, Digest: block.Hash()}
+	for _, c := range []struct {
+		name            string
+		msg             consensus.Payload
+		canonical, warm int
+	}{
+		{"prepare", &pbft.Prepare{SlotHeader: slot}, 156, 108},
+		{"commit", &pbft.Commit{SlotHeader: slot}, 156, 108},
+		{"pre-prepare of one tx", &pbft.PrePrepare{SlotHeader: slot, Block: *block}, 472, 424},
+	} {
+		var conn prefixState
+		conn.appendFrame(nil, consensus.EncodeEnvelope(consensus.Seal(kp, &pbft.Checkpoint{})))
+		canonical := consensus.EncodeEnvelope(consensus.Seal(kp, c.msg))
+		if warm := len(conn.appendFrame(nil, canonical)); len(canonical) != c.canonical || warm != c.warm {
+			t.Errorf("%s: %d bytes canonical and %d on a warm connection, want %d and %d",
+				c.name, len(canonical), warm, c.canonical, c.warm)
+		}
+	}
+}
+
 // TestCompactFramesOverTCP: two endpoints, one connection carrying both
 // directions. Envelopes arrive canonical and verifiable, Stats count
 // wire bytes on both sides, and after the connection is cut the new one
@@ -128,8 +163,8 @@ func TestCompactFramesOverTCP(t *testing.T) {
 	var canonAB, canonBA int64 // canonical frame bytes offered per direction
 	exchange := func(seq uint64) {
 		t.Helper()
-		ab := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: seq})
-		ba := consensus.Seal(kpB, &pbft.Prepare{Era: 2, Seq: seq})
+		ab := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: seq}})
+		ba := consensus.Seal(kpB, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 2, Seq: seq}})
 		for _, hop := range []struct {
 			from, to *TCP
 			dst      gcrypto.Address
@@ -204,8 +239,8 @@ func TestCompactBeforeFullClosesConnection(t *testing.T) {
 	defer b.Close()
 
 	var w prefixState
-	first := consensus.Seal(kp, &pbft.Prepare{Era: 1, Seq: 1})
-	second := consensus.Seal(kp, &pbft.Prepare{Era: 1, Seq: 2})
+	first := consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
+	second := consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 2}})
 	full := w.appendFrame(nil, consensus.EncodeEnvelope(first))
 	compact := w.appendFrame(nil, consensus.EncodeEnvelope(second))
 	if compact[4] != compactMarker {
@@ -260,7 +295,7 @@ func FuzzCompactFrameStream(f *testing.F) {
 	var w prefixState
 	var good []byte
 	for i, kp := range []*gcrypto.KeyPair{a, a, b, a, a} {
-		good = w.appendFrame(good, consensus.EncodeEnvelope(consensus.Seal(kp, &pbft.Prepare{Seq: uint64(i)})))
+		good = w.appendFrame(good, consensus.EncodeEnvelope(consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Seq: uint64(i)}})))
 	}
 	f.Add(good)
 	f.Add(good[4+1+senderPrefixLen:]) // cut inside the first frame

@@ -14,7 +14,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	kp := gcrypto.DeterministicKeyPair(1)
 	var good bytes.Buffer
-	if err := WriteFrame(&good, consensus.Seal(kp, &pbft.Prepare{Era: 1, Seq: 2})); err != nil {
+	if err := WriteFrame(&good, consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 2}})); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())

@@ -18,8 +18,12 @@ const (
 	// helloMagic prefixes a hello frame payload; it cannot collide with
 	// an envelope, whose first byte is a small MsgKind.
 	helloMagic = "GPBH"
-	// helloVersion is bumped on incompatible hello layout changes.
-	helloVersion = 1
+	// helloVersion is bumped on every incompatible change to what a
+	// connection carries — the hello layout, or the envelopes behind it —
+	// so that peers of different versions refuse each other here and do
+	// not silently drop each other's votes. 2: slot headers as uvarints,
+	// a commit's seal as its certificate vote.
+	helloVersion = 2
 	// MaxHello bounds a hello frame payload; anything larger is a
 	// protocol violation and the connection is dropped.
 	MaxHello = 1024

@@ -154,7 +154,7 @@ func TestInboundHelloRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestBidirectionalReuse(t *testing.T) {
 	defer a.Close()
 
 	// A -> B establishes the attributed connection.
-	if err := a.Send(kpB.Address(), consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})); err != nil {
+	if err := a.Send(kpB.Address(), consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -198,7 +198,7 @@ func TestBidirectionalReuse(t *testing.T) {
 	}
 
 	// B -> A rides the adopted inbound connection.
-	if err := b.Send(kpA.Address(), consensus.Seal(kpB, &pbft.Prepare{Era: 1, Seq: 2})); err != nil {
+	if err := b.Send(kpA.Address(), consensus.Seal(kpB, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 2}})); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -232,7 +232,7 @@ func TestLegacyClientConn(t *testing.T) {
 	conn := dialRaw(t, b.ListenAddr())
 	defer conn.Close()
 	for i := uint64(1); i <= 3; i++ {
-		if err := WriteFrame(conn, consensus.Seal(kpC, &pbft.Prepare{Era: 1, Seq: i})); err != nil {
+		if err := WriteFrame(conn, consensus.Seal(kpC, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: i}})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -92,7 +92,7 @@ func TestStalledPeerDropsNotBlocks(t *testing.T) {
 	// The healthy peer must stay live while the other stalls: each
 	// frame sent to it arrives promptly (its own writer, own queue).
 	for i := 0; i < 16; i++ {
-		if err := a.Send(kpGood.Address(), consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: uint64(i)})); err != nil {
+		if err := a.Send(kpGood.Address(), consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: uint64(i)}})); err != nil {
 			t.Fatal(err)
 		}
 		select {

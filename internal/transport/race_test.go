@@ -38,7 +38,7 @@ func TestSendAddPeerRace(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for s := 0; s < 2; s++ {
@@ -99,7 +99,7 @@ func TestConnPruning(t *testing.T) {
 
 	const cycles = 40
 	kpC := gcrypto.DeterministicKeyPair(3)
-	env := consensus.Seal(kpC, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpC, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	for i := 0; i < cycles; i++ {
 		conn, err := net.DialTimeout("tcp", b.ListenAddr(), 2*time.Second)
 		if err != nil {
@@ -182,7 +182,7 @@ func TestManyPeersChurn(t *testing.T) {
 		}(b)
 	}
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

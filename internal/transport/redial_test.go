@@ -36,7 +36,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	// Fire one message into the void; the writer retries with backoff.
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestAddPeerEndpointChangeLiveConn(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAddPeerEndpointChangeWhileBackingOff(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSendQueueOverflowDrops(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1}})
 	for i := 0; i < 50; i++ {
 		if err := a.Send(kpB.Address(), env); err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func TestStatsSnapshotAndPrometheus(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 1}})
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCoalescedBatchCountsPerFrame(t *testing.T) {
 
 	const burst = 32
 	for i := 0; i < burst; i++ {
-		env := consensus.Seal(kpA, &pbft.Prepare{Era: 1, Seq: uint64(i + 1)})
+		env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: uint64(i + 1)}})
 		if err := a.Send(kpB.Address(), env); err != nil {
 			t.Fatal(err)
 		}

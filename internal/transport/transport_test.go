@@ -20,7 +20,7 @@ var epoch = time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
 
 func TestFrameRoundTrip(t *testing.T) {
 	kp := gcrypto.DeterministicKeyPair(1)
-	env := consensus.Seal(kp, &pbft.Prepare{Era: 1, View: 2, Seq: 3})
+	env := consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, View: 2, Seq: 3}})
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestTCPSendReceive(t *testing.T) {
 	}
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 7, View: 0, Seq: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 7, View: 0, Seq: 1}})
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTCPAddPeerLater(t *testing.T) {
 	a, _ := New(Config{Listen: "127.0.0.1:0", Self: kpA.Address()})
 	defer a.Close()
 
-	env := consensus.Seal(kpA, &pbft.Prepare{Era: 1})
+	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1}})
 	if err := a.Send(kpB.Address(), env); err != ErrUnknownPeer {
 		t.Fatal("peer should be unknown before AddPeer")
 	}

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -56,14 +57,16 @@ func (h *BlockHeader) Hash() gcrypto.Hash {
 	return gcrypto.HashBytes(codec.Encode(h))
 }
 
-// Vote is one endorser's commit signature over a block hash.
+// Vote is one endorser's commit vote for a block: the seal of the commit
+// envelope it sent (see CommitVoteBytes).
 type Vote struct {
 	Endorser  gcrypto.Address
 	Signature []byte
 }
 
-// Certificate proves a block committed: 2f+1 endorser votes over the
-// block hash within a given era and view.
+// Certificate proves a block committed: 2f+1 endorser votes for the
+// block hash within a given era and view. The sequence number the votes
+// also sign is the block header's.
 type Certificate struct {
 	BlockHash gcrypto.Hash
 	Era       uint64
@@ -71,14 +74,25 @@ type Certificate struct {
 	Votes     []Vote
 }
 
-// VoteDigest is the message endorsers sign to certify blockHash at
-// (era, view).
-func VoteDigest(blockHash gcrypto.Hash, era, view uint64) []byte {
-	w := codec.NewWriter(64)
-	w.String("gpbft/vote/v1")
-	w.Raw(blockHash[:])
-	w.Uint64(era)
-	w.Uint64(view)
+// CommitVoteBytes returns what an endorser signs to commit blockHash at
+// (era, view, seq) — byte for byte what consensus.Seal signs for the
+// pbft commit it broadcasts, rebuilt here from what a block and its
+// certificate hold, so the commit's one signature is also the
+// certificate vote. The message kind sits inside the signed bytes: the
+// seal of a prepare for the same slot and digest is a signature over
+// other bytes and never passes as a vote.
+func CommitVoteBytes(endorser gcrypto.Address, era, view, seq uint64, blockHash gcrypto.Hash) []byte {
+	const kindCommit = 4 // consensus.KindCommit
+	body := codec.NewWriter(3*binary.MaxVarintLen64 + len(blockHash))
+	body.Uvarint(era)
+	body.Uvarint(view)
+	body.Uvarint(seq)
+	body.Raw(blockHash[:])
+	w := codec.NewWriter(64 + body.Len())
+	w.String("gpbft/envelope/v1")
+	w.Uint8(kindCommit)
+	w.Raw(endorser[:])
+	w.WriteBytes(body.Bytes())
 	return w.Bytes()
 }
 
@@ -222,14 +236,14 @@ func (c *Certificate) UnmarshalCanonical(r *codec.Reader) error {
 	return r.Err()
 }
 
-// Verify checks the certificate against a block hash and the committee
-// key set: each vote must come from a distinct committee member with a
-// valid signature, and there must be at least quorum votes.
-func (c *Certificate) Verify(blockHash gcrypto.Hash, keys map[gcrypto.Address]gcrypto.PublicKey, quorum int) error {
+// Verify checks the certificate against a block's hash and sequence
+// number and the committee key set: each vote must come from a distinct
+// committee member with a valid signature, and there must be at least
+// quorum votes.
+func (c *Certificate) Verify(blockHash gcrypto.Hash, seq uint64, keys map[gcrypto.Address]gcrypto.PublicKey, quorum int) error {
 	if c.BlockHash != blockHash {
 		return ErrCertBlockHash
 	}
-	digest := VoteDigest(c.BlockHash, c.Era, c.View)
 	seen := make(map[gcrypto.Address]bool, len(c.Votes))
 	items := make([]gcrypto.BatchItem, 0, len(c.Votes))
 	keys2 := make([]gcrypto.Hash, 0, len(c.Votes))
@@ -245,18 +259,18 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, keys map[gcrypto.Address]gc
 		if !ok {
 			continue // not a committee member this era
 		}
-		// Votes the consensus tally already accepted (see
-		// VerifyVoteCached) are served from the cache; only the rest hit
-		// the verification pool.
+		// Votes the consensus tally already accepted (see NoteVote) are
+		// served from the cache; only the rest hit the verification pool.
+		msg := CommitVoteBytes(v.Endorser, c.Era, c.View, seq, c.BlockHash)
 		if useCache {
-			key := voteCacheKey(v.Endorser, digest, v.Signature)
+			key := voteCacheKey(v.Endorser, msg, v.Signature)
 			if sigCacheLookup(key) {
 				valid++
 				continue
 			}
 			keys2 = append(keys2, key)
 		}
-		items = append(items, gcrypto.BatchItem{Pub: pub, Addr: v.Endorser, Msg: digest, Sig: v.Signature})
+		items = append(items, gcrypto.BatchItem{Pub: pub, Addr: v.Endorser, Msg: msg, Sig: v.Signature})
 	}
 	// The per-vote checks fan out over the verification pool; a vote
 	// counts toward quorum iff the serial check would have accepted it.

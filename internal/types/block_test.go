@@ -105,6 +105,12 @@ func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// certVote signs what an endorser's commit envelope signs for hash at
+// (era, view, seq).
+func certVote(kp *gcrypto.KeyPair, era, view, seq uint64, hash gcrypto.Hash) Vote {
+	return Vote{Endorser: kp.Address(), Signature: kp.Sign(CommitVoteBytes(kp.Address(), era, view, seq, hash))}
+}
+
 func TestBlockWithCertRoundTrip(t *testing.T) {
 	b := testBlock(t, 1)
 	hash := b.Hash()
@@ -113,10 +119,7 @@ func TestBlockWithCertRoundTrip(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		kp := gcrypto.DeterministicKeyPair(10 + i)
 		keys[kp.Address()] = kp.Public()
-		votes = append(votes, Vote{
-			Endorser:  kp.Address(),
-			Signature: kp.Sign(VoteDigest(hash, 1, 0)),
-		})
+		votes = append(votes, certVote(kp, 1, 0, b.Header.Seq, hash))
 	}
 	b.Cert = &Certificate{BlockHash: hash, Era: 1, View: 0, Votes: votes}
 
@@ -127,7 +130,7 @@ func TestBlockWithCertRoundTrip(t *testing.T) {
 	if got.Cert == nil {
 		t.Fatal("certificate lost in round trip")
 	}
-	if err := got.Cert.Verify(hash, keys, 3); err != nil {
+	if err := got.Cert.Verify(hash, got.Header.Seq, keys, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,53 +143,65 @@ func TestCertificateVerifyQuorum(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		kp := gcrypto.DeterministicKeyPair(20 + i)
 		keys[kp.Address()] = kp.Public()
-		votes = append(votes, Vote{Endorser: kp.Address(), Signature: kp.Sign(VoteDigest(hash, 1, 0))})
+		votes = append(votes, certVote(kp, 1, 0, 3, hash))
 	}
 	cert := &Certificate{BlockHash: hash, Era: 1, View: 0, Votes: votes}
-	if err := cert.Verify(hash, keys, 3); err == nil {
+	if err := cert.Verify(hash, 3, keys, 3); err == nil {
 		t.Fatal("2 votes must not satisfy quorum 3")
 	}
-	if err := cert.Verify(hash, keys, 2); err != nil {
+	if err := cert.Verify(hash, 3, keys, 2); err != nil {
 		t.Fatalf("2 votes should satisfy quorum 2: %v", err)
 	}
 }
 
+// TestCertificateVerifyRejects runs with the signature cache off, as a
+// node that took no part in the round verifies: every vote cold.
 func TestCertificateVerifyRejects(t *testing.T) {
+	defer SetSigCache(SetSigCache(false))
 	b := testBlock(t, 1)
 	hash := b.Hash()
 	kp := gcrypto.DeterministicKeyPair(30)
 	keys := map[gcrypto.Address]gcrypto.PublicKey{kp.Address(): kp.Public()}
-	good := Vote{Endorser: kp.Address(), Signature: kp.Sign(VoteDigest(hash, 1, 0))}
+	good := certVote(kp, 1, 2, 3, hash)
+	if err := (&Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{good}}).Verify(hash, 3, keys, 1); err != nil {
+		t.Fatalf("good vote refused: %v", err)
+	}
 
 	// Wrong block hash.
-	cert := &Certificate{BlockHash: gcrypto.HashBytes([]byte("other")), Era: 1, Votes: []Vote{good}}
-	if err := cert.Verify(hash, keys, 1); err != ErrCertBlockHash {
+	cert := &Certificate{BlockHash: gcrypto.HashBytes([]byte("other")), Era: 1, View: 2, Votes: []Vote{good}}
+	if err := cert.Verify(hash, 3, keys, 1); err != ErrCertBlockHash {
 		t.Errorf("wrong hash: %v", err)
 	}
 
 	// Duplicate voter.
-	cert = &Certificate{BlockHash: hash, Era: 1, Votes: []Vote{good, good}}
-	if err := cert.Verify(hash, keys, 1); err != ErrCertDupVote {
+	cert = &Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{good, good}}
+	if err := cert.Verify(hash, 3, keys, 1); err != ErrCertDupVote {
 		t.Errorf("dup voter: %v", err)
 	}
 
 	// Non-member vote doesn't count.
 	outsider := gcrypto.DeterministicKeyPair(31)
-	cert = &Certificate{BlockHash: hash, Era: 1, Votes: []Vote{{
-		Endorser:  outsider.Address(),
-		Signature: outsider.Sign(VoteDigest(hash, 1, 0)),
-	}}}
-	if err := cert.Verify(hash, keys, 1); err == nil {
+	cert = &Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{certVote(outsider, 1, 2, 3, hash)}}
+	if err := cert.Verify(hash, 3, keys, 1); err == nil {
 		t.Error("outsider vote must not satisfy quorum")
 	}
 
-	// Signature over wrong era doesn't count.
-	cert = &Certificate{BlockHash: hash, Era: 1, Votes: []Vote{{
-		Endorser:  kp.Address(),
-		Signature: kp.Sign(VoteDigest(hash, 2, 0)),
-	}}}
-	if err := cert.Verify(hash, keys, 1); err == nil {
-		t.Error("wrong-era signature must not satisfy quorum")
+	// A vote for another era, view or sequence number doesn't count,
+	// whichever side of the comparison is off.
+	for name, c := range map[string]struct {
+		cert Certificate
+		seq  uint64
+	}{
+		"signed era":  {Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{certVote(kp, 9, 2, 3, hash)}}, 3},
+		"signed view": {Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{certVote(kp, 1, 0, 3, hash)}}, 3},
+		"signed seq":  {Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{certVote(kp, 1, 2, 4, hash)}}, 3},
+		"cert era":    {Certificate{BlockHash: hash, Era: 9, View: 2, Votes: []Vote{good}}, 3},
+		"cert view":   {Certificate{BlockHash: hash, Era: 1, View: 0, Votes: []Vote{good}}, 3},
+		"header seq":  {Certificate{BlockHash: hash, Era: 1, View: 2, Votes: []Vote{good}}, 4},
+	} {
+		if err := c.cert.Verify(hash, c.seq, keys, 1); err == nil {
+			t.Errorf("wrong %s satisfied quorum", name)
+		}
 	}
 }
 
@@ -203,15 +218,5 @@ func TestDecodeBlockErrors(t *testing.T) {
 	bad[5] ^= 0xFF
 	if _, err := DecodeBlock(bad); err == nil {
 		t.Error("bad tag must fail")
-	}
-}
-
-func TestVoteDigestDomains(t *testing.T) {
-	h := gcrypto.HashBytes([]byte("b"))
-	if bytes.Equal(VoteDigest(h, 1, 0), VoteDigest(h, 1, 1)) {
-		t.Error("view must affect digest")
-	}
-	if bytes.Equal(VoteDigest(h, 1, 0), VoteDigest(h, 2, 0)) {
-		t.Error("era must affect digest")
 	}
 }

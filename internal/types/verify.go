@@ -124,42 +124,22 @@ func (tx *Transaction) VerifyCached() error {
 }
 
 // voteCacheKey binds a cached vote verdict to the exact endorser,
-// signed digest, and signature bytes. The address stands in for the
+// signed bytes, and signature bytes. The address stands in for the
 // public key: gcrypto.Verify enforces the pub↔address binding, so
-// (address, digest, signature) fully determines the verdict.
-func voteCacheKey(endorser gcrypto.Address, digest, sig []byte) gcrypto.Hash {
-	return gcrypto.HashConcat([]byte("vote"), endorser[:], digest, sig)
+// (address, signed bytes, signature) fully determines the verdict.
+func voteCacheKey(endorser gcrypto.Address, signed, sig []byte) gcrypto.Hash {
+	return gcrypto.HashConcat([]byte("vote"), endorser[:], signed, sig)
 }
 
-// VerifyVoteCached checks one certificate vote signature with
-// memoization. Every commit-certificate signature is verified twice on
-// the hot path — once as the vote arrives (consensus tallying) and
-// again when the assembled certificate is validated at block commit —
-// and the second check is always a replay of the first. Accept/reject
-// behaviour is identical to gcrypto.Verify; only successes under real
-// crypto are cached.
-func VerifyVoteCached(pub gcrypto.PublicKey, endorser gcrypto.Address, digest, sig []byte) error {
-	if !sigCacheUsable() {
-		return gcrypto.Verify(pub, endorser, digest, sig)
-	}
-	key := voteCacheKey(endorser, digest, sig)
-	if sigCacheLookup(key) {
-		return nil
-	}
-	if err := gcrypto.Verify(pub, endorser, digest, sig); err != nil {
-		return err
-	}
-	sigCacheStore(key)
-	return nil
-}
-
-// NoteSignedVote enters a certificate vote this process has just signed
-// into the vote cache: valid by construction, as consensus.Seal treats
-// the envelopes it signs, so neither the signer's own tally nor
-// Certificate.Verify at commit pays an ed25519 check to hear it.
-func NoteSignedVote(endorser gcrypto.Address, digest, sig []byte) {
+// NoteVote enters a certificate vote into the vote cache. The caller
+// vouches for it: it signed the vote itself, or it has just verified the
+// commit envelope whose seal the vote is. Every such vote comes back
+// once more, inside the assembled certificate, when the block is added
+// to the chain, and Certificate.Verify then finds it here; a vote nobody
+// vouched for — a synced block's, a late joiner's — is verified there.
+func NoteVote(endorser gcrypto.Address, signed, sig []byte) {
 	if sigCacheUsable() {
-		sigCacheStore(voteCacheKey(endorser, digest, sig))
+		sigCacheStore(voteCacheKey(endorser, signed, sig))
 	}
 }
 

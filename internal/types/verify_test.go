@@ -183,17 +183,20 @@ func TestSigCacheRotation(t *testing.T) {
 	}
 }
 
-// TestNoteSignedVote: a vote its signer noted is served from the cache
-// under exactly its (endorser, digest, signature), and a note taken
-// while crypto is disabled is not there once it is back on.
-func TestNoteSignedVote(t *testing.T) {
+// TestNoteVote: a noted vote is served from the cache under exactly its
+// (endorser, signed bytes, signature), and a note taken while crypto is
+// disabled is not there once it is back on.
+func TestNoteVote(t *testing.T) {
 	kp := gcrypto.DeterministicKeyPair(4242)
-	digest := VoteDigest(gcrypto.Hash{0x14}, 3, 1)
-	sig := kp.Sign(digest)
+	keys := map[gcrypto.Address]gcrypto.PublicKey{kp.Address(): kp.Public()}
+	hash := gcrypto.Hash{0x14}
+	signed := CommitVoteBytes(kp.Address(), 3, 1, 7, hash)
+	sig := kp.Sign(signed)
+	cert := &Certificate{BlockHash: hash, Era: 3, View: 1, Votes: []Vote{{Endorser: kp.Address(), Signature: sig}}}
 
 	_, before := SigCacheStats()
-	NoteSignedVote(kp.Address(), digest, sig)
-	if err := VerifyVoteCached(kp.Public(), kp.Address(), digest, sig); err != nil {
+	NoteVote(kp.Address(), signed, sig)
+	if err := cert.Verify(hash, 7, keys, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, after := SigCacheStats(); after != before {
@@ -201,15 +204,15 @@ func TestNoteSignedVote(t *testing.T) {
 	}
 	forged := append([]byte(nil), sig...)
 	forged[0] ^= 0xFF
-	if VerifyVoteCached(kp.Public(), kp.Address(), digest, forged) == nil {
+	cert.Votes[0].Signature = forged
+	if cert.Verify(hash, 7, keys, 1) == nil {
 		t.Fatal("a different signature rode in on the noted vote")
 	}
 
 	prev := gcrypto.SetVerification(false)
-	other := VoteDigest(gcrypto.Hash{0x15}, 3, 1)
-	NoteSignedVote(kp.Address(), other, forged)
+	NoteVote(kp.Address(), CommitVoteBytes(kp.Address(), 3, 1, 8, hash), forged)
 	gcrypto.SetVerification(prev)
-	if VerifyVoteCached(kp.Public(), kp.Address(), other, forged) == nil {
+	if cert.Verify(hash, 8, keys, 1) == nil {
 		t.Fatal("vote noted with crypto off accepted after re-enabling it")
 	}
 }

@@ -75,14 +75,17 @@ func (d *DoubleVoter) twin(env *consensus.Envelope) *consensus.Envelope {
 		return nil
 	}
 	slot.Digest = flipDigest(slot.Digest)
+	var twin *consensus.Envelope
 	switch env.MsgKind {
 	case consensus.KindPrepare:
-		return consensus.Seal(d.Key, &pbft.Prepare{SlotHeader: slot})
+		twin = consensus.Seal(d.Key, &pbft.Prepare{SlotHeader: slot})
 	case consensus.KindCommit:
-		return consensus.Seal(d.Key, &pbft.Commit{SlotHeader: slot})
+		twin = consensus.Seal(d.Key, &pbft.Commit{SlotHeader: slot})
 	default:
 		return nil
 	}
+	twin.Sender = env.Sender
+	return twin
 }
 
 func flipDigest(h gcrypto.Hash) gcrypto.Hash {
@@ -124,29 +127,4 @@ func (s *SybilPair) Reports(ts time.Time) (*types.Transaction, *types.Transactio
 // Addresses returns the pair's two chain identities.
 func (s *SybilPair) Addresses() (gcrypto.Address, gcrypto.Address) {
 	return s.A.Address(), s.B.Address()
-}
-
-// LocationSpoofer is a device that reports a location it does not
-// occupy — it claims Claimed while physically sitting elsewhere. Nearby
-// honest endorsers who can see the claimed cell is empty file disputing
-// witness statements; a MinWitnesses quorum of those becomes
-// LocationSpoof evidence against it.
-type LocationSpoofer struct {
-	Key *gcrypto.KeyPair
-	// Claimed is the fabricated position.
-	Claimed geo.Point
-
-	nonce uint64
-}
-
-// Report returns the spoofer's next fabricated location report.
-func (l *LocationSpoofer) Report(ts time.Time) *types.Transaction {
-	l.nonce++
-	tx := &types.Transaction{
-		Type:  types.TxLocationReport,
-		Nonce: l.nonce,
-		Geo:   types.GeoInfo{Location: l.Claimed, Timestamp: ts},
-	}
-	tx.Sign(l.Key)
-	return tx
 }

@@ -81,6 +81,7 @@ func (e *Equivocator) mutate(acts []consensus.Action) []consensus.Action {
 		twin.Header.Timestamp = twin.Header.Timestamp.Add(1)
 		twin.Digest = twin.Header.Hash()
 		twinEnv := consensus.Seal(e.Key, &twin)
+		twinEnv.Sender = bc.Env.Sender
 		e.Forks++
 
 		half := len(bc.To) / 2

@@ -89,7 +89,8 @@ func (ck *Checker) observeEnvelope(env *consensus.Envelope) {
 	case consensus.KindNewView:
 		// Re-issued pre-prepares ride inside the NewView body and are
 		// never broadcast on their own: unpack them so a conflicting
-		// re-issue cannot hide from the trace check.
+		// re-issue cannot hide from the trace check. Their signer is the
+		// NewView's, the view's primary.
 		var m pbft.NewView
 		if !decodeBody(env, &m) {
 			return
@@ -99,6 +100,7 @@ func (ck *Checker) observeEnvelope(env *consensus.Envelope) {
 			if err != nil {
 				continue
 			}
+			inner.From = env.From
 			ck.observeEnvelope(inner)
 		}
 	}

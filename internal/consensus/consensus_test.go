@@ -73,22 +73,63 @@ func TestEnvelopeTamperDetected(t *testing.T) {
 	}
 }
 
+// TestEnvelopeWireRoundTrip: each kind names its sender on the wire as
+// far as the receiver cannot work it out — a keyed kind by its key, an
+// intra-era kind by committee position (resolved against the committee,
+// refused out of range), a request by nothing (attributed by channel) —
+// and the seal verifies once the sender is named.
 func TestEnvelopeWireRoundTrip(t *testing.T) {
 	kp := gcrypto.DeterministicKeyPair(3)
-	env := Seal(kp, &fakePayload{N: 9, S: "wire"})
-	wire := EncodeEnvelope(env)
-	if env.WireSize() != len(wire) {
-		t.Errorf("WireSize %d != len %d", env.WireSize(), len(wire))
+	com := testCommittee(t, 4)
+	roundTrip := func(env *Envelope, identity int) *Envelope {
+		t.Helper()
+		wire := EncodeEnvelope(env)
+		if env.WireSize() != len(wire) {
+			t.Errorf("%v: WireSize %d != len %d", env.MsgKind, env.WireSize(), len(wire))
+		}
+		if want := 1 + identity + 1 + len(env.Body) + 1 + len(env.Signature); len(wire) != want {
+			t.Errorf("%v: %d bytes on the wire, want %d", env.MsgKind, len(wire), want)
+		}
+		got, err := DecodeEnvelope(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MsgKind != env.MsgKind {
+			t.Fatal("kind mangled in round trip")
+		}
+		return got
 	}
-	got, err := DecodeEnvelope(wire)
-	if err != nil {
-		t.Fatal(err)
+
+	keyed := roundTrip(Seal(kp, &kindPayload{K: KindEraSwitch, Data: []byte("wire")}), 32)
+	if keyed.From != kp.Address() || keyed.Verify() != nil {
+		t.Fatal("keyed envelope: sender not derived from its key")
 	}
-	if err := got.Verify(); err != nil {
-		t.Fatal(err)
+
+	vote := Seal(kp, &kindPayload{K: KindPrepare, Data: []byte("vote")})
+	vote.Sender = uint64(com.IndexOf(kp.Address()))
+	got := roundTrip(vote, 1)
+	if !got.From.IsZero() || got.Verify() == nil {
+		t.Fatal("intra-era envelope named a sender before resolution")
 	}
-	if got.MsgKind != env.MsgKind || got.From != env.From {
-		t.Fatal("fields mangled in round trip")
+	if !got.Resolve(com) || got.From != kp.Address() || got.Verify() != nil {
+		t.Fatal("intra-era envelope did not resolve to its signer")
+	}
+	stray := roundTrip(vote, 1)
+	stray.Sender = uint64(com.Size())
+	if stray.Resolve(com) {
+		t.Fatal("a position outside the committee resolved")
+	}
+
+	req := roundTrip(Unsealed(kp, &fakePayload{N: 9, S: "wire"}), 0)
+	if !req.From.IsZero() {
+		t.Fatal("request carried a sender")
+	}
+	relayer := gcrypto.DeterministicKeyPair(4).Address()
+	if a := Attributed(req, relayer); a == req || a.From != relayer || !req.From.IsZero() {
+		t.Fatal("request not attributed to its channel on a copy")
+	}
+	if Attributed(got, relayer) != got {
+		t.Fatal("an intra-era envelope took its channel's identity")
 	}
 }
 

@@ -82,6 +82,21 @@ func (k MsgKind) String() string {
 	}
 }
 
+// IntraEra reports whether k belongs to one era's PBFT instance: the
+// kinds PeekEra reads an era from, whose sender is a member of that
+// era's committee.
+func (k MsgKind) IntraEra() bool {
+	switch k {
+	case KindPrePrepare, KindPrepare, KindCommit, KindCheckpoint, KindViewChange, KindNewView, KindFetch:
+		return true
+	}
+	return false
+}
+
+// byChannel reports whether k names no sender on the wire: a request or
+// relay frame is attributed by the channel it arrives on (Attributed).
+func (k MsgKind) byChannel() bool { return k == KindRequest || k == KindRelay }
+
 // Payload is a protocol message body with a canonical encoding.
 type Payload interface {
 	codec.Marshaler
@@ -91,10 +106,20 @@ type Payload interface {
 // Envelope is a signed, attributed protocol message: the paper's threat
 // model lets adversaries inject their own messages but not forge or
 // tamper with others', which the signature enforces.
+//
+// The wire names the sender only as far as the receiver cannot work it
+// out (DESIGN.md 5o). An intra-era kind carries Sender, the sender's
+// position in its era's committee, and the receiver fills in From and
+// FromPub with Resolve. A request or relay frame carries no sender at
+// all. Every other kind carries FromPub, and From is derived from it.
+// The signed bytes cover From whichever way it arrived.
 type Envelope struct {
-	MsgKind   MsgKind
-	From      gcrypto.Address
-	FromPub   []byte
+	MsgKind MsgKind
+	From    gcrypto.Address
+	FromPub []byte
+	// Sender is the committee position an intra-era envelope names its
+	// sender by; whoever seals one sets it before it is encoded.
+	Sender    uint64
 	Body      []byte
 	Signature []byte
 
@@ -155,7 +180,7 @@ func Seal(kp *gcrypto.KeyPair, p Payload) *Envelope {
 }
 
 // Unsealed wraps a payload that authenticates itself in an envelope
-// that names the sender and carries no seal: receivers decode it with
+// from kp that carries no seal: receivers decode it with
 // OpenUnverified, and Verify fails on it.
 func Unsealed(kp *gcrypto.KeyPair, p Payload) *Envelope {
 	return &Envelope{
@@ -164,6 +189,36 @@ func Unsealed(kp *gcrypto.KeyPair, p Payload) *Envelope {
 		FromPub: append([]byte(nil), kp.Public()...),
 		Body:    codec.Encode(p),
 	}
+}
+
+// Resolve names the sender of an intra-era envelope that came off the
+// wire: the member of com at its Sender position. It reports false,
+// before any signature work, when com has no such position. Other
+// kinds, and envelopes that already name their key (sealed here, or
+// resolved before), are left as they are.
+func (e *Envelope) Resolve(com *Committee) bool {
+	if !e.MsgKind.IntraEra() || e.FromPub != nil {
+		return true
+	}
+	if e.Sender >= uint64(com.Size()) {
+		return false
+	}
+	m := com.Member(int(e.Sender))
+	e.From, e.FromPub = m.Address, m.PubKey
+	return true
+}
+
+// Attributed returns e as received over a channel from `from`. A
+// request or relay frame names no sender on the wire and takes the
+// channel's identity, on a copy: a delivered envelope may be shared.
+// Every other kind names its own sender and is returned as it is.
+func Attributed(e *Envelope, from gcrypto.Address) *Envelope {
+	if !e.MsgKind.byChannel() || e.From == from {
+		return e
+	}
+	c := *e
+	c.From = from
+	return &c
 }
 
 // verifySum digests every field Verify covers (including the public
@@ -216,8 +271,12 @@ func (e *Envelope) Verify() error {
 // MarshalCanonical appends the wire encoding of the envelope.
 func (e *Envelope) MarshalCanonical(w *codec.Writer) {
 	w.Uint8(uint8(e.MsgKind))
-	w.Raw(e.From[:])
-	w.WriteBytes(e.FromPub)
+	switch {
+	case e.MsgKind.IntraEra():
+		w.Uvarint(e.Sender)
+	case !e.MsgKind.byChannel():
+		w.Raw(e.FromPub)
+	}
 	w.WriteBytes(e.Body)
 	w.WriteBytes(e.Signature)
 }
@@ -225,8 +284,13 @@ func (e *Envelope) MarshalCanonical(w *codec.Writer) {
 // UnmarshalCanonical decodes an envelope.
 func (e *Envelope) UnmarshalCanonical(r *codec.Reader) error {
 	e.MsgKind = MsgKind(r.Uint8())
-	r.RawInto(e.From[:])
-	e.FromPub = r.ReadBytes()
+	switch {
+	case e.MsgKind.IntraEra():
+		e.Sender = r.Uvarint()
+	case !e.MsgKind.byChannel():
+		e.FromPub = r.ReadRaw(ed25519.PublicKeySize)
+		e.From = gcrypto.AddressOf(e.FromPub)
+	}
 	e.Body = r.ReadBytes()
 	e.Signature = r.ReadBytes()
 	return r.Err()

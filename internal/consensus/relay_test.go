@@ -24,10 +24,12 @@ func (p *kindPayload) UnmarshalCanonical(r *codec.Reader) error {
 	return r.Err()
 }
 
+// sealEntry seals a prepare from member idx of testCommittee(t, 4).
 func sealEntry(t *testing.T, idx int, hop uint8, data string) RelayEntry {
 	t.Helper()
 	kp := gcrypto.DeterministicKeyPair(idx)
 	env := Seal(kp, &kindPayload{K: KindPrepare, Data: []byte(data)})
+	env.Sender = uint64(testCommittee(t, 4).IndexOf(kp.Address()))
 	return RelayEntry{Hop: hop, Wire: EncodeEnvelope(env), Env: env}
 }
 
@@ -48,7 +50,7 @@ func TestRelayBodyRoundTrip(t *testing.T) {
 		if out[i].Hop != in[i].Hop || !bytes.Equal(out[i].Wire, in[i].Wire) {
 			t.Fatalf("entry %d mismatch", i)
 		}
-		if out[i].Env.MsgKind != KindPrepare || out[i].Env.From != in[i].Env.From {
+		if out[i].Env.MsgKind != KindPrepare || !out[i].Env.Resolve(testCommittee(t, 4)) || out[i].Env.From != in[i].Env.From {
 			t.Fatalf("entry %d inner envelope mismatch", i)
 		}
 		if err := out[i].Env.Verify(); err != nil {

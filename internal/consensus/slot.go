@@ -57,12 +57,10 @@ func PeekSlot(env *Envelope) (SlotHeader, bool) {
 // uvarint, whether a slot header or a view change's own fields follow —
 // and reports false for the kinds that belong to no era.
 func PeekEra(env *Envelope) (uint64, bool) {
-	switch env.MsgKind {
-	case KindPrePrepare, KindPrepare, KindCommit, KindCheckpoint, KindViewChange, KindNewView, KindFetch:
-		r := codec.NewReader(env.Body)
-		era := r.Uvarint()
-		return era, r.Err() == nil
-	default:
+	if !env.MsgKind.IntraEra() {
 		return 0, false
 	}
+	r := codec.NewReader(env.Body)
+	era := r.Uvarint()
+	return era, r.Err() == nil
 }

@@ -456,6 +456,10 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		if e.inner == nil || e.switching || msgEra < e.era {
 			return nil
 		}
+		// Name the sender, a position in this era's committee, once.
+		if !env.Resolve(e.committee) {
+			return nil
+		}
 		acts := e.maybeLagSync(env)
 		return append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
 	}

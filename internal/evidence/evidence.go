@@ -48,8 +48,9 @@ type Type uint8
 // Offense types.
 const (
 	// DoubleSign proves equivocation: two conflicting signed votes for
-	// one consensus slot. Proofs[0] and Proofs[1] are the encoded
-	// envelopes, ordered lexicographically.
+	// one consensus slot. Proofs[0] is the offender's public key, which
+	// the envelopes name only by committee position; Proofs[1] and
+	// Proofs[2] are the encoded envelopes, ordered lexicographically.
 	DoubleSign Type = iota + 1
 	// SybilSameCell proves two identities sharing one CSC cell at
 	// overlapping times. Proofs are the two encoded transactions, in
@@ -206,25 +207,30 @@ func (rec *Record) Verify(ctx VerifyContext) error {
 }
 
 func (rec *Record) verifyDoubleSign() error {
-	if len(rec.Offenders) != 1 || len(rec.Proofs) != 2 {
+	if len(rec.Offenders) != 1 || len(rec.Proofs) != 3 {
 		return ErrShape
 	}
-	if bytes.Equal(rec.Proofs[0], rec.Proofs[1]) {
+	key := rec.Proofs[0]
+	if gcrypto.AddressOf(key) != rec.Offenders[0] {
+		return fmt.Errorf("%w: key is not the accused's", ErrProof)
+	}
+	if bytes.Equal(rec.Proofs[1], rec.Proofs[2]) {
 		return fmt.Errorf("%w: proofs are the same message", ErrProof)
 	}
-	if bytes.Compare(rec.Proofs[0], rec.Proofs[1]) > 0 {
+	if bytes.Compare(rec.Proofs[1], rec.Proofs[2]) > 0 {
 		return fmt.Errorf("%w: proofs not in canonical order", ErrShape)
 	}
-	envA, err := consensus.DecodeEnvelope(rec.Proofs[0])
+	envA, err := consensus.DecodeEnvelope(rec.Proofs[1])
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrProof, err)
 	}
-	envB, err := consensus.DecodeEnvelope(rec.Proofs[1])
+	envB, err := consensus.DecodeEnvelope(rec.Proofs[2])
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrProof, err)
 	}
-	if envA.From != rec.Offenders[0] || envB.From != rec.Offenders[0] {
-		return fmt.Errorf("%w: envelopes not from the accused", ErrProof)
+	// The seals sign the accused's address; the position named is no part of the proof.
+	for _, env := range []*consensus.Envelope{envA, envB} {
+		env.From, env.FromPub = rec.Offenders[0], key
 	}
 	if envA.MsgKind != envB.MsgKind {
 		return fmt.Errorf("%w: envelopes of different kinds", ErrProof)
@@ -376,7 +382,7 @@ func NewDoubleSign(a, b *consensus.Envelope) (*Record, error) {
 	rec := &Record{
 		Kind:      DoubleSign,
 		Offenders: []gcrypto.Address{a.From},
-		Proofs:    [][]byte{ea, eb},
+		Proofs:    [][]byte{a.FromPub, ea, eb},
 	}
 	if err := rec.verifyDoubleSign(); err != nil {
 		return nil, err
@@ -443,7 +449,7 @@ func (rec *Record) Describe() string {
 	detail := ""
 	switch rec.Kind {
 	case DoubleSign:
-		if env, err := consensus.DecodeEnvelope(rec.Proofs[0]); err == nil {
+		if env, err := consensus.DecodeEnvelope(rec.Proofs[len(rec.Proofs)-1]); err == nil {
 			if v, ok := consensus.PeekSlot(env); ok {
 				detail = fmt.Sprintf(" %v era=%d view=%d seq=%d", env.MsgKind, v.Era, v.View, v.Seq)
 			}

@@ -215,6 +215,10 @@ func (st *ChainState) MarshalCanonical(w *codec.Writer) {
 	}
 }
 
+// hashSize is the encoded width of a digest. The decoder below refuses a
+// list whose count claims more elements than the bytes left can hold.
+const hashSize = len(gcrypto.Hash{})
+
 // UnmarshalCanonical decodes a chain state.
 func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 	if tag := r.ReadString(); r.Err() == nil && tag != chainStateTag {
@@ -226,7 +230,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		return err
 	}
 
-	n := r.Count()
+	n := r.CountOf(types.MinEndorserInfoSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -236,7 +240,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		st.Endorsers[i].PubKey = r.ReadBytes()
 		st.Endorsers[i].Geohash = r.ReadString()
 	}
-	n = r.Count()
+	n = r.CountOf(gcrypto.AddressSize + 1) // an address, then a key of at least its length
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -245,7 +249,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		r.RawInto(st.Accounts[i].Address[:])
 		st.Accounts[i].PubKey = r.ReadBytes()
 	}
-	n = r.Count()
+	n = r.CountOf(gcrypto.AddressSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -253,7 +257,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 	for i := 0; i < n; i++ {
 		r.RawInto(st.EverEndorsers[i][:])
 	}
-	n = r.Count()
+	n = r.CountOf(gcrypto.AddressSize + hashSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -262,7 +266,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		r.RawInto(st.Banned[i].Address[:])
 		r.RawInto(st.Banned[i].Evidence[:])
 	}
-	n = r.Count()
+	n = r.CountOf(hashSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -272,7 +276,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 	}
 
 	st.TableLatest = r.Time()
-	n = r.Count()
+	n = r.CountOf(1 + 8 + 1 + 1) // two strings of at least their length, a time, a count
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -282,7 +286,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		d.Address = r.ReadString()
 		d.Anchor = r.Time()
 		d.LastCSC = r.ReadString()
-		m := r.Count()
+		m := r.CountOf(1 + 8 + 8) // a cell, a time, a timer
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -293,7 +297,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 			d.Entries[j].Timer = time.Duration(r.Int64())
 		}
 	}
-	n = r.Count()
+	n = r.CountOf(2*gcrypto.AddressSize + 1 + 1 + 8 + 16) // two addresses, a cell, a flag, a time, a location
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -308,7 +312,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		w.Loc.Height = r.Uint64()
 		w.Loc.TxIndex = int(r.Uint64())
 	}
-	n = r.Count()
+	n = r.CountOf(gcrypto.AddressSize + 16)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -318,7 +322,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		st.Balances[i].Balance = r.Uint64()
 		st.Balances[i].Produced = r.Uint64()
 	}
-	n = r.Count()
+	n = r.CountOf(hashSize + 16) // an ID and a location
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -329,7 +333,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		st.TxIndex[i].Loc.TxIndex = int(r.Uint64())
 	}
 
-	n = r.Count()
+	n = r.CountOf(shard.MinReceiptSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -339,7 +343,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 			return err
 		}
 	}
-	n = r.Count()
+	n = r.CountOf(hashSize + 16)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -351,7 +355,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 	}
 	st.ReceiptDupes = r.Uint64()
 	st.LockRejects = r.Uint64()
-	n = r.Count()
+	n = r.CountOf(1 + 8 + 8 + hashSize) // a region, an era, a height, a root
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -363,7 +367,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 		a.Height = r.Uint64()
 		r.RawInto(a.Root[:])
 	}
-	n = r.Count()
+	n = r.CountOf(shard.MinReceiptSize)
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -23,19 +23,19 @@ func (r *unitRig) driveCommit(t *testing.T, seq uint64, prim, selfPos int) *type
 		Timestamp: epoch.Add(1),
 	}, []types.Transaction{*tx})
 	r.pool(*tx)
-	r.eng.OnEnvelope(0, consensus.Seal(r.keys[prim], pbft.NewPrePrepare(0, 0, seq, b)))
+	r.eng.OnEnvelope(0, r.seal(prim, pbft.NewPrePrepare(0, 0, seq, b)))
 	for i := 0; i < 4; i++ {
 		if i == selfPos || i == prim {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}}))
+		r.eng.OnEnvelope(0, r.seal(i, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}}))
 	}
 	var committedBlock *types.Block
 	for i := 0; i < 4; i++ {
 		if i == selfPos {
 			continue
 		}
-		acts := r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}}))
+		acts := r.eng.OnEnvelope(0, r.seal(i, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: b.Hash()}}))
 		for _, cb := range commitsOf(acts) {
 			committedBlock = cb
 			// Mirror the runtime: apply to the chain so the next
@@ -76,7 +76,7 @@ func TestCheckpointStabilizationGC(t *testing.T) {
 		if i == selfPos {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: digests[1]}}))
+		r.eng.OnEnvelope(0, r.seal(i, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: digests[1]}}))
 		count++
 	}
 	if r.eng.LowWater() != 2 {
@@ -99,7 +99,7 @@ func TestCheckpointMismatchedDigestIgnored(t *testing.T) {
 		if i == selfPos {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: bogus}}))
+		r.eng.OnEnvelope(0, r.seal(i, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: bogus}}))
 	}
 	if r.eng.LowWater() != 0 {
 		t.Fatalf("mismatched checkpoints stabilized: low water %d", r.eng.LowWater())
@@ -135,7 +135,7 @@ func TestCheckpointPruneNeverReproposes(t *testing.T) {
 		if i == prim {
 			continue
 		}
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: ckDigest}}))
+		r.eng.OnEnvelope(0, r.seal(i, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: ckDigest}}))
 	}
 	if r.eng.LowWater() != 2 {
 		t.Fatalf("low water %d after quorum of checkpoints, want 2", r.eng.LowWater())

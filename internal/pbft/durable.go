@@ -204,7 +204,7 @@ func (e *Engine) reinstallPrepared(seq uint64, slot *preparedSlot) {
 	if !e.verifyPreparedProof(proof) || slot.block.Hash() != proof.Digest || slot.block.VerifyTxRoot() != nil {
 		return // tampered or truncated record: treat as never prepared
 	}
-	ppEnv, err := consensus.DecodeEnvelope(proof.PrePrepareEnv)
+	ppEnv, err := e.decode(proof.PrePrepareEnv)
 	if err != nil {
 		return
 	}
@@ -213,7 +213,7 @@ func (e *Engine) reinstallPrepared(seq uint64, slot *preparedSlot) {
 	inst.block = &slot.block
 	inst.prePrepare = ppEnv
 	for _, raw := range proof.PrepareEnvs {
-		penv, err := consensus.DecodeEnvelope(raw)
+		penv, err := e.decode(raw)
 		if err != nil {
 			continue
 		}

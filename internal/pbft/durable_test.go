@@ -215,10 +215,10 @@ func TestViewSurvivesRestart(t *testing.T) {
 		if i == backup {
 			continue
 		}
-		vc := consensus.Seal(r.keys[i], &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
+		vc := r.seal(i, &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
 		vcEnvs = append(vcEnvs, consensus.EncodeEnvelope(vc))
 	}
-	nv := consensus.Seal(r.keys[v1prim], &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs})
+	nv := r.seal(v1prim, &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs})
 	r.eng.OnEnvelope(0, nv)
 	if r.eng.View() != 1 {
 		t.Fatalf("setup: view=%d, want 1", r.eng.View())

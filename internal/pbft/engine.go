@@ -159,9 +159,10 @@ const (
 // Engine is one replica's PBFT state machine. It is not safe for
 // concurrent use; the runner serializes events.
 type Engine struct {
-	cfg  Config
-	self gcrypto.Address
-	com  *consensus.Committee
+	cfg   Config
+	self  gcrypto.Address
+	index uint64 // self's committee position, which names it on the wire
+	com   *consensus.Committee
 
 	view         uint64
 	lowWater     uint64 // last stable checkpoint seq
@@ -268,6 +269,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:             cfg,
 		self:            cfg.Key.Address(),
+		index:           uint64(cfg.Committee.IndexOf(cfg.Key.Address())),
 		com:             cfg.Committee,
 		lowWater:        cfg.StartHeight - 1,
 		execNext:        cfg.StartHeight,
@@ -586,9 +588,9 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 	return nil
 }
 
-// OnEnvelope dispatches a received protocol message.
+// OnEnvelope names a received protocol message's sender and dispatches it.
 func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []consensus.Action {
-	if e.halted {
+	if e.halted || !env.Resolve(e.com) {
 		return nil
 	}
 	switch env.MsgKind {
@@ -611,6 +613,27 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 	default:
 		return nil
 	}
+}
+
+// seal signs p as this replica, named on the wire by its committee
+// position.
+func (e *Engine) seal(p consensus.Payload) *consensus.Envelope {
+	env := consensus.Seal(e.cfg.Key, p)
+	env.Sender = e.index
+	return env
+}
+
+// decode reads an envelope nested in a NewView, a prepared proof or a
+// WAL record, its sender named from this era's committee.
+func (e *Engine) decode(raw []byte) (*consensus.Envelope, error) {
+	env, err := consensus.DecodeEnvelope(raw)
+	if err != nil {
+		return nil, err
+	}
+	if !env.Resolve(e.com) {
+		return nil, ErrNotMember
+	}
+	return env, nil
 }
 
 // --- normal case ---
@@ -706,7 +729,7 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 			break
 		}
 		pp := NewPrePrepare(e.cfg.Era, e.view, seq, block)
-		env := consensus.Seal(e.cfg.Key, pp)
+		env := e.seal(pp)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
 		acts = e.acceptPrePrepare(now, pp, block, env, acts)
 		if inst := e.insts[seq]; inst != nil {
@@ -952,7 +975,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	if inst := e.insts[pp.Seq]; inst != nil {
 		// A backup that accepts multicasts prepare to all others.
 		prep := &Prepare{pp.SlotHeader}
-		prepEnv := consensus.Seal(e.cfg.Key, prep)
+		prepEnv := e.seal(prep)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: prepEnv})
 		// A pre-prepare delivered twice (retransmission, replay) reaches
 		// this point again with the own prepare already counted.
@@ -1161,7 +1184,7 @@ func (e *Engine) maybeSendCommit(now consensus.Time, seq uint64, acts []consensu
 // and just signed the accepted digest.
 func (e *Engine) sendOwnCommit(inst *instance, seq uint64, acts []consensus.Action) []consensus.Action {
 	c := &Commit{consensus.SlotHeader{Era: e.cfg.Era, View: inst.view, Seq: seq, Digest: inst.digest}}
-	cenv := consensus.Seal(e.cfg.Key, c)
+	cenv := e.seal(c)
 	inst.commits[e.self] = cenv
 	e.recordCommitVote(inst, cenv, c)
 	return append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: cenv})
@@ -1274,7 +1297,7 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 
 		if seq%e.cfg.CheckpointInterval == 0 {
 			ck := &Checkpoint{consensus.SlotHeader{Era: e.cfg.Era, Seq: seq, Digest: inst.digest}}
-			ckEnv := consensus.Seal(e.cfg.Key, ck)
+			ckEnv := e.seal(ck)
 			acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: ckEnv})
 			e.noteCheckpoint(seq, e.self, inst.digest)
 		}

@@ -357,6 +357,8 @@ func TestEquivocatingPrimaryIsSafe(t *testing.T) {
 	b2 := mkBlock(clientTx(1, 2))
 	pp1 := consensus.Seal(primKey, pbft.NewPrePrepare(0, 0, 1, b1))
 	pp2 := consensus.Seal(primKey, pbft.NewPrePrepare(0, 0, 1, b2))
+	pp1.Sender = uint64(c.com.IndexOf(prim))
+	pp2.Sender = pp1.Sender
 
 	c.net.Schedule(10*time.Millisecond, func(now consensus.Time) {
 		// Every backup pools both transactions; two get proposal 1, one

@@ -101,7 +101,7 @@ func (r *unitRig) proposal(txs ...types.Transaction) (*types.Block, *consensus.E
 
 // prePrepare seals view 0's proposal of b at b's height.
 func (r *unitRig) prePrepare(b *types.Block) *consensus.Envelope {
-	return consensus.Seal(r.keys[r.primaryPos()], pbft.NewPrePrepare(0, 0, b.Header.Seq, b))
+	return r.seal(r.primaryPos(), pbft.NewPrePrepare(0, 0, b.Header.Seq, b))
 }
 
 // pool admits transactions to the rig's pool, as their relays would.
@@ -114,14 +114,22 @@ func (r *unitRig) pool(txs ...types.Transaction) {
 	}
 }
 
+// seal seals p from committee position i, named on the wire as the
+// replica there names itself.
+func (r *unitRig) seal(i int, p consensus.Payload) *consensus.Envelope {
+	env := consensus.Seal(r.keys[i], p)
+	env.Sender = uint64(i)
+	return env
+}
+
 // prepareFrom seals a prepare for digest from committee position i.
 func (r *unitRig) prepareFrom(i int, digest gcrypto.Hash) *consensus.Envelope {
-	return consensus.Seal(r.keys[i], &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 1, Digest: digest}})
+	return r.seal(i, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 1, Digest: digest}})
 }
 
 // commitFrom seals a commit from position i.
 func (r *unitRig) commitFrom(i int, digest gcrypto.Hash) *consensus.Envelope {
-	return consensus.Seal(r.keys[i], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 1, Digest: digest}})
+	return r.seal(i, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 1, Digest: digest}})
 }
 
 // hasKind reports whether the actions contain a broadcast of `kind`.
@@ -251,7 +259,7 @@ func TestPrePrepareRejections(t *testing.T) {
 	block, _ := r.proposal(*tx)
 
 	// Pre-prepare from a non-primary member is ignored.
-	bad := consensus.Seal(r.keys[r.backupPos(selfPos)], pbft.NewPrePrepare(0, 0, 1, block))
+	bad := r.seal(r.backupPos(selfPos), pbft.NewPrePrepare(0, 0, 1, block))
 	if acts := r.eng.OnEnvelope(0, bad); hasKind(acts, consensus.KindPrepare) {
 		t.Fatal("pre-prepare from non-primary must be ignored")
 	}
@@ -259,13 +267,13 @@ func TestPrePrepareRejections(t *testing.T) {
 	// Digest mismatch is ignored.
 	wrong := pbft.NewPrePrepare(0, 0, 1, block)
 	wrong.Digest = gcrypto.HashBytes([]byte("wrong"))
-	badDigest := consensus.Seal(r.keys[prim], wrong)
+	badDigest := r.seal(prim, wrong)
 	if acts := r.eng.OnEnvelope(0, badDigest); hasKind(acts, consensus.KindPrepare) {
 		t.Fatal("digest mismatch must be ignored")
 	}
 
 	// Wrong era is ignored.
-	wrongEra := consensus.Seal(r.keys[prim], pbft.NewPrePrepare(9, 0, 1, block))
+	wrongEra := r.seal(prim, pbft.NewPrePrepare(9, 0, 1, block))
 	if acts := r.eng.OnEnvelope(0, wrongEra); hasKind(acts, consensus.KindPrepare) {
 		t.Fatal("wrong era must be ignored")
 	}
@@ -273,7 +281,7 @@ func TestPrePrepareRejections(t *testing.T) {
 	// Seq far beyond the watermark window is ignored.
 	far := *block
 	far.Header.Seq = 1000
-	farEnv := consensus.Seal(r.keys[prim], pbft.NewPrePrepare(0, 0, 1000, &far))
+	farEnv := r.seal(prim, pbft.NewPrePrepare(0, 0, 1000, &far))
 	if acts := r.eng.OnEnvelope(0, farEnv); hasKind(acts, consensus.KindPrepare) {
 		t.Fatal("out-of-window seq must be ignored")
 	}
@@ -438,7 +446,7 @@ func TestNewViewFromQuorumOfViewChanges(t *testing.T) {
 		if i == v1prim {
 			continue
 		}
-		vc := consensus.Seal(r.keys[i], &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
+		vc := r.seal(i, &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
 		acts = append(acts, r.eng.OnEnvelope(0, vc)...)
 	}
 	if !hasKind(acts, consensus.KindNewView) {
@@ -468,10 +476,10 @@ func TestBackupAdoptsNewView(t *testing.T) {
 		if i == backup {
 			continue
 		}
-		vc := consensus.Seal(r.keys[i], &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
+		vc := r.seal(i, &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
 		vcEnvs = append(vcEnvs, consensus.EncodeEnvelope(vc))
 	}
-	nv := consensus.Seal(r.keys[v1prim], &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs})
+	nv := r.seal(v1prim, &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs})
 	r.eng.OnEnvelope(0, nv)
 	if r.eng.View() != 1 {
 		t.Fatalf("backup view=%d, want 1", r.eng.View())
@@ -480,7 +488,7 @@ func TestBackupAdoptsNewView(t *testing.T) {
 	// A NewView from the WRONG sender must be ignored.
 	r2 := newUnitRig(t, backup)
 	r2.eng.Init(0)
-	wrong := consensus.Seal(r2.keys[backup], &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs})
+	wrong := r2.seal(backup, &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs})
 	r2.eng.OnEnvelope(0, wrong)
 	if r2.eng.View() != 0 {
 		t.Fatal("NewView from non-primary must be ignored")
@@ -489,7 +497,7 @@ func TestBackupAdoptsNewView(t *testing.T) {
 	// A NewView without quorum must be ignored.
 	r3 := newUnitRig(t, backup)
 	r3.eng.Init(0)
-	short := consensus.Seal(r3.keys[v1prim], &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs[:1]})
+	short := r3.seal(v1prim, &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs[:1]})
 	r3.eng.OnEnvelope(0, short)
 	if r3.eng.View() != 0 {
 		t.Fatal("NewView without quorum must be ignored")
@@ -514,7 +522,7 @@ func TestStaleViewChangeGetsNewViewCert(t *testing.T) {
 		if i == v1prim {
 			continue
 		}
-		vc := consensus.Seal(r.keys[i], &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
+		vc := r.seal(i, &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
 		r.eng.OnEnvelope(0, vc)
 	}
 	if r.eng.View() != 1 {
@@ -525,7 +533,7 @@ func TestStaleViewChangeGetsNewViewCert(t *testing.T) {
 	// this replica's perspective. The reply must be the NewView cert,
 	// addressed to the petitioner.
 	reven := (v1prim + 1) % 4
-	stale := consensus.Seal(r.keys[reven], &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
+	stale := r.seal(reven, &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
 	var cert *consensus.Envelope
 	for _, a := range r.eng.OnEnvelope(time.Second, stale) {
 		if s, ok := a.(consensus.Send); ok && s.Env.MsgKind == consensus.KindNewView && s.To == r.keys[reven].Address() {
@@ -546,7 +554,7 @@ func TestStaleViewChangeGetsNewViewCert(t *testing.T) {
 
 	// A backup that adopted the view through the certificate serves it
 	// onward too — rejoin does not depend on reaching the primary.
-	stale2 := consensus.Seal(rv.keys[v1prim], &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
+	stale2 := rv.seal(v1prim, &pbft.ViewChange{Era: 0, NewView: 1, LastStable: 0})
 	if acts := rv.eng.OnEnvelope(2*time.Second, stale2); !hasKind(acts, consensus.KindNewView) {
 		t.Fatal("certificate-adopting backup must also answer stale view changes")
 	}
@@ -561,12 +569,12 @@ func TestJoinRuleFPlusOne(t *testing.T) {
 
 	i1 := r.backupPos(selfPos)
 	var acts []consensus.Action
-	vc1 := consensus.Seal(r.keys[i1], &pbft.ViewChange{Era: 0, NewView: 2, LastStable: 0})
+	vc1 := r.seal(i1, &pbft.ViewChange{Era: 0, NewView: 2, LastStable: 0})
 	acts = append(acts, r.eng.OnEnvelope(0, vc1)...)
 	if r.eng.InViewChange() {
 		t.Fatal("one view change must not trigger the join rule")
 	}
-	vc2 := consensus.Seal(r.keys[prim], &pbft.ViewChange{Era: 0, NewView: 2, LastStable: 0})
+	vc2 := r.seal(prim, &pbft.ViewChange{Era: 0, NewView: 2, LastStable: 0})
 	acts = append(acts, r.eng.OnEnvelope(0, vc2)...)
 	if !r.eng.InViewChange() {
 		t.Fatal("f+1 view changes must trigger the join rule")

@@ -140,7 +140,7 @@ func TestNeededVoteBadSealRejected(t *testing.T) {
 	// Above the high watermark votes are held back, not judged; the
 	// buffer takes only what verifies.
 	const far = 2*pbft.DefaultCheckpointInterval + 1
-	ahead := consensus.Seal(f.keys[f.others[0]], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: far, Digest: f.digest}})
+	ahead := f.seal(f.others[0], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: far, Digest: f.digest}})
 	f.eng.OnEnvelope(0, forged(ahead))
 	if _, b, _ := f.eng.StoredVotes(consensus.KindCommit, far); b != 0 {
 		t.Fatal("forged commit entered the hold-back buffer")
@@ -242,7 +242,7 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 	r.eng.Init(0)
 	peer := r.backupPos(selfPos)
 
-	ahead := consensus.Seal(r.keys[peer], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 5, Digest: gcrypto.Hash{0x05}}})
+	ahead := r.seal(peer, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 5, Digest: gcrypto.Hash{0x05}}})
 	r.eng.OnEnvelope(0, ahead)
 	if v := r.eng.TakeCounts().VotesVerified; v != 1 {
 		t.Fatalf("buffering the vote counted %d seal checks, want 1", v)
@@ -259,7 +259,7 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 	}
 	r.eng.TakeCounts()
 	for _, i := range []int{prim, peer} {
-		r.eng.OnEnvelope(0, consensus.Seal(r.keys[i], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: digest}}))
+		r.eng.OnEnvelope(0, r.seal(i, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: digest}}))
 	}
 	if l, b, _ := r.eng.StoredVotes(consensus.KindCommit, 5); l != 1 || b != 0 {
 		t.Fatalf("after the drain: %d logged, %d buffered, want 1 and 0", l, b)

@@ -116,7 +116,7 @@ func (e *Engine) sendFetch(pp *PrePrepare, p *parkedProposal, ids []gcrypto.Hash
 	if len(to) == 0 {
 		to = []gcrypto.Address{e.com.Primary(pp.View)}
 	}
-	env := consensus.Seal(e.cfg.Key, &Fetch{SlotHeader: pp.SlotHeader, IDs: ids})
+	env := e.seal(&Fetch{SlotHeader: pp.SlotHeader, IDs: ids})
 	var acts []consensus.Action
 	for _, addr := range to {
 		if addr != e.self {
@@ -133,12 +133,12 @@ func (e *Engine) proversOf(nv *NewView) map[gcrypto.Hash][]gcrypto.Address {
 	out := make(map[gcrypto.Hash][]gcrypto.Address)
 	for _, raw := range nv.ViewChangeEnvs {
 		var vc ViewChange
-		if env, err := consensus.DecodeEnvelope(raw); err != nil || consensus.OpenUnverified(env, consensus.KindViewChange, &vc) != nil {
+		if env, err := e.decode(raw); err != nil || consensus.OpenUnverified(env, consensus.KindViewChange, &vc) != nil {
 			continue
 		}
 		for _, proof := range vc.Prepared {
 			for _, raw := range proof.PrepareEnvs {
-				prep, err := consensus.DecodeEnvelope(raw)
+				prep, err := e.decode(raw)
 				if err == nil && e.com.IsMember(prep.From) && !slices.Contains(out[proof.Digest], prep.From) {
 					out[proof.Digest] = append(out[proof.Digest], prep.From)
 				}
@@ -172,7 +172,9 @@ func (e *Engine) onFetch(now consensus.Time, env *consensus.Envelope) []consensu
 		return nil
 	}
 	e.counts.FetchesAnswered++
-	return []consensus.Action{consensus.Send{To: env.From, Env: consensus.Unsealed(e.cfg.Key, reply)}}
+	out := consensus.Unsealed(e.cfg.Key, reply)
+	out.Sender = e.index
+	return []consensus.Action{consensus.Send{To: env.From, Env: out}}
 }
 
 // onFetchReply hands a parked proposal the bodies of a reply that holds

@@ -312,11 +312,11 @@ func TestReissueOfAFetchedBlockNeedsNoFetch(t *testing.T) {
 	var vcEnvs [][]byte
 	for i := 0; i < 4; i++ {
 		if i != prim {
-			vcEnvs = append(vcEnvs, consensus.EncodeEnvelope(consensus.Seal(r.keys[i], &pbft.ViewChange{Era: 0, NewView: 1})))
+			vcEnvs = append(vcEnvs, consensus.EncodeEnvelope(r.seal(i, &pbft.ViewChange{Era: 0, NewView: 1})))
 		}
 	}
-	reissue := consensus.Seal(r.keys[v1prim], pbft.NewPrePrepare(0, 1, 1, b))
-	nv := consensus.Seal(r.keys[v1prim], &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs,
+	reissue := r.seal(v1prim, pbft.NewPrePrepare(0, 1, 1, b))
+	nv := r.seal(v1prim, &pbft.NewView{Era: 0, View: 1, ViewChangeEnvs: vcEnvs,
 		PrePrepares: [][]byte{consensus.EncodeEnvelope(reissue)}})
 	acts := r.eng.OnEnvelope(0, nv)
 	if fetches, _ := sent(acts, consensus.KindFetch); len(fetches) != 0 || !hasKind(acts, consensus.KindPrepare) {

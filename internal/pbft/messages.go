@@ -33,9 +33,10 @@ type Request struct {
 	Tx types.Transaction
 }
 
-// NewRequest wraps a transaction for relay: the envelope names the
-// relayer (a member's relay is not relayed again) and carries no seal; a
-// forged relayer costs one extra relay round, as any client can.
+// NewRequest wraps a transaction for relay from kp. The envelope
+// carries no seal and no sender: a receiver attributes it to the
+// channel it arrived on, so a request only a member's own connection
+// delivers counts as that member's relay, which is not relayed again.
 func NewRequest(kp *gcrypto.KeyPair, tx *types.Transaction) *consensus.Envelope {
 	return consensus.Unsealed(kp, &Request{Tx: *tx})
 }

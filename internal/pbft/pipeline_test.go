@@ -66,11 +66,11 @@ func (r *unitRig) chainProposals(n int) ([]*types.Block, []*consensus.Envelope) 
 
 // prepareAt / commitAt seal votes for an arbitrary slot from position i.
 func (r *unitRig) prepareAt(i int, seq uint64, digest gcrypto.Hash) *consensus.Envelope {
-	return consensus.Seal(r.keys[i], &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: digest}})
+	return r.seal(i, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: digest}})
 }
 
 func (r *unitRig) commitAt(i int, seq uint64, digest gcrypto.Hash) *consensus.Envelope {
-	return consensus.Seal(r.keys[i], &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: digest}})
+	return r.seal(i, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: seq, Digest: digest}})
 }
 
 // commitSeqs extracts the slot numbers of commit votes broadcast in acts.
@@ -341,8 +341,8 @@ func TestWatermarkEdges(t *testing.T) {
 
 	// Peer checkpoints at seq 2 stabilize it: the window becomes (2, 6]
 	// and the drain must replay the buffered slot-5 traffic.
-	ck1 := consensus.Seal(r.keys[p1], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
-	ck2 := consensus.Seal(r.keys[p2], &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
+	ck1 := r.seal(p1, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
+	ck2 := r.seal(p2, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
 	var ckActs []consensus.Action
 	ckActs = append(ckActs, r.eng.OnEnvelope(0, ck1)...)
 	ckActs = append(ckActs, r.eng.OnEnvelope(0, ck2)...)

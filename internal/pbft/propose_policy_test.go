@@ -248,7 +248,7 @@ func TestProposalPolicyViewChangeDropsHold(t *testing.T) {
 			continue
 		}
 		asked++
-		vc := consensus.Seal(r.keys[i], &pbft.ViewChange{Era: 0, NewView: 7, LastStable: 0})
+		vc := r.seal(i, &pbft.ViewChange{Era: 0, NewView: 7, LastStable: 0})
 		acts = r.eng.OnEnvelope(round+time.Millisecond, vc)
 		if asked == r.com.WeakQuorum() {
 			if !r.eng.InViewChange() || !stopped(acts, hold.ID) {

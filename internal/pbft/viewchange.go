@@ -44,7 +44,7 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 		LastStable: e.lowWater,
 		Prepared:   e.preparedProofs(),
 	}
-	env := consensus.Seal(e.cfg.Key, vc)
+	env := e.seal(vc)
 	acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
 	e.noteViewChange(env.From, vc, env)
 	// A lone replica (committee of 1) can complete instantly.
@@ -102,7 +102,7 @@ func (e *Engine) proofForInstance(seq uint64, inst *instance) *PreparedProof {
 
 // verifyPreparedProof checks a prepared proof carried in a view-change.
 func (e *Engine) verifyPreparedProof(p *PreparedProof) bool {
-	ppEnv, err := consensus.DecodeEnvelope(p.PrePrepareEnv)
+	ppEnv, err := e.decode(p.PrePrepareEnv)
 	if err != nil {
 		return false
 	}
@@ -122,7 +122,7 @@ func (e *Engine) verifyPreparedProof(p *PreparedProof) bool {
 	seen := map[gcrypto.Address]bool{ppEnv.From: true}
 	valid := 0
 	for _, raw := range p.PrepareEnvs {
-		env, err := consensus.DecodeEnvelope(raw)
+		env, err := e.decode(raw)
 		if err != nil {
 			continue
 		}
@@ -249,7 +249,7 @@ func (e *Engine) maybeFinishViewChange(now consensus.Time, acts []consensus.Acti
 	for _, pp := range e.reissuedPrePrepares(target, chosen) {
 		nv.PrePrepares = append(nv.PrePrepares, consensus.EncodeEnvelope(pp))
 	}
-	env := consensus.Seal(e.cfg.Key, nv)
+	env := e.seal(nv)
 	e.newViewEnv = env
 	acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
 	return e.enterNewView(now, nv, acts)
@@ -300,7 +300,7 @@ func (e *Engine) reissuedPrePrepares(target uint64, chosen []*vcRecord) []*conse
 	first := true
 	for _, s := range seqs {
 		p := best[s]
-		srcEnv, err := consensus.DecodeEnvelope(p.PrePrepareEnv)
+		srcEnv, err := e.decode(p.PrePrepareEnv)
 		if err != nil {
 			continue
 		}
@@ -330,7 +330,7 @@ func (e *Engine) reissuedPrePrepares(target uint64, chosen []*vcRecord) []*conse
 			Header:     src.Header,
 			TxIDs:      src.TxIDs,
 		}
-		out = append(out, consensus.Seal(e.cfg.Key, pp))
+		out = append(out, e.seal(pp))
 	}
 	return out
 }
@@ -350,7 +350,7 @@ func (e *Engine) onNewView(now consensus.Time, env *consensus.Envelope) []consen
 	seen := make(map[gcrypto.Address]bool)
 	valid := 0
 	for _, raw := range nv.ViewChangeEnvs {
-		vcEnv, err := consensus.DecodeEnvelope(raw)
+		vcEnv, err := e.decode(raw)
 		if err != nil {
 			continue
 		}
@@ -417,7 +417,7 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.
 	// we are the new primary: onPrePrepare installs those without a
 	// prepare, once the block is whole).
 	for _, raw := range nv.PrePrepares {
-		if ppEnv, err := consensus.DecodeEnvelope(raw); err == nil {
+		if ppEnv, err := e.decode(raw); err == nil {
 			acts = append(acts, e.onPrePrepare(now, ppEnv)...)
 		}
 	}

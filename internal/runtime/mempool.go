@@ -291,13 +291,16 @@ func (m *Mempool) Add(tx *types.Transaction) error {
 		m.rejectedDup.Add(1)
 		return ErrTxDuplicate
 	}
-	// The size bound is enforced with a reserve-then-rollback on the
-	// global counter: concurrent adds across shards may transiently
-	// overshoot the counter but never the admitted population.
-	if m.size.Add(1) > int64(m.cap) {
-		m.size.Add(-1)
-		m.rejectedFull.Add(1)
-		return ErrPoolFull
+	// Reserve a place by compare-and-swap, so that the counter Len reads
+	// never passes the cap, even for an instant, across shards.
+	for n := m.size.Load(); ; n = m.size.Load() {
+		if n >= int64(m.cap) {
+			m.rejectedFull.Add(1)
+			return ErrPoolFull
+		}
+		if m.size.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
 	s.pending[id] = tx
 	s.queue = append(s.queue, poolEntry{id: id, seq: m.seq.Add(1), tx: tx})

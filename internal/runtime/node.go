@@ -218,9 +218,9 @@ func (n *Node) HandleTimer(now consensus.Time, id consensus.TimerID) {
 
 // Deliver feeds a received envelope to the engine. Relay frames are
 // unwrapped first: each novel inner envelope counts and delivers like
-// a directly received one, duplicates are suppressed by the dupemap,
-// and a stray frame with gossip disabled is dropped (a relay frame is
-// unsealed, so it must never reach an engine's Verify path).
+// one received from the relayer, duplicates are suppressed by the
+// dupemap, and a stray frame with gossip disabled is dropped (a relay
+// frame is unsealed, so it must never reach an engine's Verify path).
 func (n *Node) Deliver(now consensus.Time, env *consensus.Envelope) {
 	if env.MsgKind == consensus.KindRelay {
 		if n.Relay == nil {
@@ -232,7 +232,7 @@ func (n *Node) Deliver(now consensus.Time, env *consensus.Envelope) {
 		}
 		for _, inner := range novel {
 			n.ctr.delivered.Add(1)
-			n.apply(now, n.Engine.OnEnvelope(now, inner))
+			n.apply(now, n.Engine.OnEnvelope(now, consensus.Attributed(inner, env.From)))
 		}
 		n.armRelayFlush(now)
 		return

@@ -89,7 +89,7 @@ func (cp *RegionCheckpoint) UnmarshalCanonical(r *codec.Reader) error {
 	cp.Era = r.Uint64()
 	cp.Height = r.Uint64()
 	r.RawInto(cp.Root[:])
-	n := r.Count()
+	n := r.CountOf(MinReceiptSize)
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -112,6 +112,9 @@ func TestReceiptCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeReceipt(EncodeReceipt(&bad)); err == nil {
 		t.Fatal("zero-amount receipt decoded")
 	}
+	if n := len(EncodeReceipt(&Receipt{})); n != MinReceiptSize {
+		t.Fatalf("shortest receipt encodes to %d bytes, MinReceiptSize is %d", n, MinReceiptSize)
+	}
 }
 
 func TestCheckpointCodecRoundTrip(t *testing.T) {

@@ -109,6 +109,10 @@ type Receipt struct {
 
 const receiptTag = "gpbft/shard/receipt/v1"
 
+// MinReceiptSize is the length of the shortest receipt encoding: its
+// tag, ID, two empty regions, recipient, amount and lock height.
+const MinReceiptSize = 1 + len(receiptTag) + len(gcrypto.Hash{}) + 2 + gcrypto.AddressSize + 16
+
 // Validate checks the receipt's structure.
 func (rc *Receipt) Validate() error {
 	if rc.ID.IsZero() {

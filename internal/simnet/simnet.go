@@ -103,6 +103,7 @@ type event struct {
 	kind eventKind
 
 	node     NodeID
+	from     NodeID // an envelope's sender: the channel it arrives on
 	env      *consensus.Envelope
 	timerID  consensus.TimerID
 	canceled *bool
@@ -222,7 +223,7 @@ func (n *Network) Send(from, to NodeID, env *consensus.Envelope) {
 	if n.cfg.Latency != nil {
 		lat = n.cfg.Latency.Delay(from, to, size, n.rng)
 	}
-	n.push(&event{at: sendDone + lat, kind: evArrival, node: to, env: env})
+	n.push(&event{at: sendDone + lat, kind: evArrival, node: to, from: from, env: env})
 	// Both guards consume rng only when the fault is armed, so existing
 	// seeds replay bit-for-bit with the fault off.
 	if n.cfg.DuplicateRate > 0 && n.rng.Float64() < n.cfg.DuplicateRate {
@@ -230,7 +231,7 @@ func (n *Network) Send(from, to NodeID, env *consensus.Envelope) {
 		if n.cfg.Latency != nil {
 			dup = n.cfg.Latency.Delay(from, to, size, n.rng)
 		}
-		n.push(&event{at: sendDone + dup, kind: evArrival, node: to, env: env})
+		n.push(&event{at: sendDone + dup, kind: evArrival, node: to, from: from, env: env})
 	}
 }
 
@@ -383,13 +384,13 @@ func (n *Network) dispatch(e *event) {
 		}
 		done := start + n.cfg.ProcTime
 		nd.busyUntil = done
-		n.push(&event{at: done, kind: evHandle, node: e.node, env: e.env})
+		n.push(&event{at: done, kind: evHandle, node: e.node, from: e.from, env: e.env})
 	case evHandle:
 		nd := n.nodes[e.node]
 		if nd == nil || nd.crashed || nd.handler == nil {
 			return
 		}
-		nd.handler.HandleMessage(n.now, e.env)
+		nd.handler.HandleMessage(n.now, consensus.Attributed(e.env, e.from))
 	case evTimer:
 		if e.canceled != nil && *e.canceled {
 			return

@@ -36,18 +36,22 @@ const (
 	// walRetiredCommit was a commit record, written by versions whose
 	// chains this one cannot replay (DESIGN.md 5m); OpenWAL refuses it.
 	walRetiredCommit
-	// WALPrepared: the instance at (Era, Seq) reached prepared state,
-	// which is also the promise of its commit for Digest; Data holds the
-	// encoded prepared proof (pre-prepare envelope plus 2f prepare
-	// envelopes) and the block, so a restarted replica can exhibit the
-	// value in view changes and execute it without its pool.
-	WALPrepared
+	// walRetiredPrepared was a prepared record whose proof held envelopes
+	// that named their senders by address and key (DESIGN.md 5o), which
+	// this version would misread; OpenWAL refuses it.
+	walRetiredPrepared
 	// WALViewChange: this replica asked to move to View in Era.
 	WALViewChange
 	// WALNewView: this replica entered View in Era.
 	WALNewView
 	// WALEra: this replica completed a switch into Era.
 	WALEra
+	// WALPrepared: the instance at (Era, Seq) reached prepared state,
+	// which is also the promise of its commit for Digest; Data holds the
+	// encoded prepared proof (pre-prepare envelope plus 2f prepare
+	// envelopes) and the block, so a restarted replica can exhibit the
+	// value in view changes and execute it without its pool.
+	WALPrepared
 )
 
 // String names the record kind.
@@ -165,7 +169,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 		return nil, nil, err
 	}
 	for i := range recs {
-		if recs[i].Kind == walRetiredCommit {
+		if recs[i].Kind == walRetiredCommit || recs[i].Kind == walRetiredPrepared {
 			f.Close()
 			return nil, nil, fmt.Errorf("%w: %s", ErrWALRetired, path)
 		}

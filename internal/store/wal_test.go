@@ -127,22 +127,26 @@ func TestWALMidLogCorruptionRejected(t *testing.T) {
 }
 
 // TestWALRetiredCommitRefused: a log holding a commit record comes from
-// a version whose block logs cannot be replayed either; it is refused,
-// not half-read, wherever in the log the record sits.
+// a version whose block logs cannot be replayed either, and one holding
+// an old prepared record from a version whose envelopes named senders
+// by address; either is refused, not half-read, wherever in the log the
+// record sits.
 func TestWALRetiredCommitRefused(t *testing.T) {
-	for _, at := range []int{0, 2} {
-		path := filepath.Join(t.TempDir(), "consensus.wal")
-		w, _, _ := OpenWAL(path, WALOptions{})
-		for i := 0; i < 3; i++ {
-			kind := WALPrepare
-			if i == at {
-				kind = walRetiredCommit
+	for _, retired := range []WALKind{walRetiredCommit, walRetiredPrepared} {
+		for _, at := range []int{0, 2} {
+			path := filepath.Join(t.TempDir(), "consensus.wal")
+			w, _, _ := OpenWAL(path, WALOptions{})
+			for i := 0; i < 3; i++ {
+				kind := WALPrepare
+				if i == at {
+					kind = retired
+				}
+				w.Append(walRec(kind, 1, 0, uint64(i), byte(i)))
 			}
-			w.Append(walRec(kind, 1, 0, uint64(i), byte(i)))
-		}
-		w.Close()
-		if _, _, err := OpenWAL(path, WALOptions{}); !errors.Is(err, ErrWALRetired) {
-			t.Fatalf("commit record at %d: want ErrWALRetired, got %v", at, err)
+			w.Close()
+			if _, _, err := OpenWAL(path, WALOptions{}); !errors.Is(err, ErrWALRetired) {
+				t.Fatalf("%v record at %d: want ErrWALRetired, got %v", retired, at, err)
+			}
 		}
 	}
 }

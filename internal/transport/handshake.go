@@ -23,8 +23,10 @@ const (
 	// so that peers of different versions refuse each other here and do
 	// not silently drop each other's votes. 2: slot headers as uvarints,
 	// a commit's seal as its certificate vote. 3: pre-prepares name their
-	// transactions by ID, requests travel unsealed, the fetch kind.
-	helloVersion = 3
+	// transactions by ID, requests travel unsealed, the fetch kind. 4:
+	// intra-era envelopes name their sender by committee position,
+	// requests and relay frames name none, others only their key.
+	helloVersion = 4
 	// MaxHello bounds a hello frame payload; anything larger is a
 	// protocol violation and the connection is dropped.
 	MaxHello = 1024

@@ -197,8 +197,9 @@ func TestBidirectionalReuse(t *testing.T) {
 		t.Fatal("A->B delivery timeout")
 	}
 
-	// B -> A rides the adopted inbound connection.
-	if err := b.Send(kpA.Address(), consensus.Seal(kpB, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 2}})); err != nil {
+	// B -> A rides the adopted inbound connection, and a request on it is
+	// attributed to the identity A dialed.
+	if err := b.Send(kpA.Address(), pbft.NewRequest(kpB, mkClientTx(kpB, 2))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -219,7 +220,8 @@ func TestBidirectionalReuse(t *testing.T) {
 }
 
 // TestLegacyClientConn: a connection that never sends a hello (an IoT
-// client framing request envelopes directly) must still deliver.
+// client framing request envelopes directly) must still deliver, its
+// requests attributed to no identity.
 func TestLegacyClientConn(t *testing.T) {
 	kpB := gcrypto.DeterministicKeyPair(2)
 	b, err := New(Config{Listen: "127.0.0.1:0", Key: kpB})
@@ -232,15 +234,16 @@ func TestLegacyClientConn(t *testing.T) {
 	conn := dialRaw(t, b.ListenAddr())
 	defer conn.Close()
 	for i := uint64(1); i <= 3; i++ {
-		if err := WriteFrame(conn, consensus.Seal(kpC, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: i}})); err != nil {
+		if err := WriteFrame(conn, pbft.NewRequest(kpC, mkClientTx(kpC, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
 		select {
 		case env := <-b.Incoming():
-			if err := env.Verify(); err != nil {
-				t.Fatal(err)
+			var req pbft.Request
+			if err := consensus.OpenUnverified(env, consensus.KindRequest, &req); err != nil || !env.From.IsZero() {
+				t.Fatalf("client request: %v, attributed to %s", err, env.From.Short())
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("client frames not delivered")

@@ -123,10 +123,10 @@ type verifyJob struct {
 // engine's own Open rejects it exactly as it would have without the
 // pipeline (only success is memoized, so semantics are unchanged).
 //
-// Prepares, commits and checkpoints are deliberately NOT verified here.
-// Only the engine can tell whether a vote still counts (pbft.admitVote):
-// a phase needs 2f or 2f+1 of the n-1 votes sent for it, and checking
-// the rest up front is the single largest CPU cost of a round.
+// Intra-era kinds are NOT verified here: only the engine holding the
+// era's committee can name their sender (DESIGN.md 5o), and only it can
+// tell whether a vote still counts (pbft.admitVote) — checking the rest
+// up front was the single largest CPU cost of a round.
 func preVerify(env *consensus.Envelope) {
 	switch env.MsgKind {
 	case consensus.KindRelay:
@@ -149,9 +149,10 @@ func preVerify(env *consensus.Envelope) {
 		if consensus.OpenUnverified(env, consensus.KindRequest, &req) == nil {
 			types.PrewarmTxs([]types.Transaction{req.Tx})
 		}
-	case consensus.KindPrepare, consensus.KindCommit, consensus.KindCheckpoint, consensus.KindFetch:
 	default:
-		_ = env.Verify() // warms the memo; the engine acts on the verdict
+		if !env.MsgKind.IntraEra() {
+			_ = env.Verify() // warms the memo; the engine acts on the verdict
+		}
 	}
 }
 

@@ -126,13 +126,13 @@ func (t *TCP) Stats() Stats {
 		Redials:           t.ctr.redials.Load(),
 		Accepted:          t.ctr.accepted.Load(),
 		HandshakeFailures: t.ctr.handshakeFailures.Load(),
-		ConnsPruned:       t.ctr.connsPruned.Load(),
 		IngressRejected:   t.ctr.ingressRejected.Load(),
 		IngressThrottled:  t.ctr.ingressThrottled.Load(),
 		RejectReplies:     t.ctr.rejectReplies.Load(),
 	}
 	t.mu.Lock()
-	s.OpenConns = len(t.conns)
+	// untrack moves a connection from one to the other under mu.
+	s.OpenConns, s.ConnsPruned = len(t.conns), t.ctr.connsPruned.Load()
 	for addr, p := range t.peers {
 		endpoint := t.book[addr]
 		p.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ var epoch = time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
 
 func TestFrameRoundTrip(t *testing.T) {
 	kp := gcrypto.DeterministicKeyPair(1)
-	env := consensus.Seal(kp, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, View: 2, Seq: 3}})
+	env := consensus.Seal(kp, &pbft.TxRejected{TxID: gcrypto.Hash{3}, Reason: types.RejectPoolFull})
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
@@ -73,16 +74,14 @@ func TestTCPSendReceive(t *testing.T) {
 	defer a.Close()
 
 	env := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 7, View: 0, Seq: 1}})
+	env.Sender = 5
 	if err := a.Send(kpB.Address(), env); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case got := <-b.Incoming():
-		if got.From != kpA.Address() || got.MsgKind != consensus.KindPrepare {
+		if got.Sender != 5 || got.MsgKind != consensus.KindPrepare || !bytes.Equal(got.Body, env.Body) {
 			t.Fatal("wrong envelope")
-		}
-		if err := got.Verify(); err != nil {
-			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timeout waiting for delivery")
@@ -117,19 +116,23 @@ func TestTCPAddPeerLater(t *testing.T) {
 	}
 }
 
-// TestRealTCPPBFTCluster runs a full 4-node PBFT committee over real
-// localhost TCP and commits a transaction end to end.
-func TestRealTCPPBFTCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP cluster in -short mode")
-	}
-	const n = 4
-	keys := make([]*gcrypto.KeyPair, n)
+// tcpCluster is an n-member PBFT committee over localhost TCP, every
+// commit reported on one channel; keys are in committee order.
+type tcpCluster struct {
+	keys      []*gcrypto.KeyPair
+	com       *consensus.Committee
+	tcps      []*TCP
+	runners   []*Runner
+	committed chan *types.Block
+}
+
+func startTCPCluster(t *testing.T, n int) *tcpCluster {
+	t.Helper()
 	g := &ledger.Genesis{ChainID: "tcp-test", Timestamp: epoch, Policy: ledger.DefaultPolicy()}
 	for i := 0; i < n; i++ {
-		keys[i] = gcrypto.DeterministicKeyPair(i)
+		kp := gcrypto.DeterministicKeyPair(i)
 		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
-			Address: keys[i].Address(), PubKey: keys[i].Public(),
+			Address: kp.Address(), PubKey: kp.Public(),
 			Geohash: geo.MustEncode(geo.Point{Lng: 114.18, Lat: 22.3}, geo.CSCPrecision),
 		})
 	}
@@ -137,38 +140,38 @@ func TestRealTCPPBFTCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Start all endpoints first so the address book is complete.
-	tcps := make([]*TCP, n)
+	c := &tcpCluster{com: com, committed: make(chan *types.Block, 256)}
 	for i := 0; i < n; i++ {
-		tp, err := New(Config{Listen: "127.0.0.1:0", Key: keys[i]})
+		for j := 0; j < n; j++ {
+			if kp := gcrypto.DeterministicKeyPair(j); kp.Address() == com.Member(i).Address {
+				c.keys = append(c.keys, kp)
+			}
+		}
+		// Start all endpoints first so the address book is complete.
+		tp, err := New(Config{Listen: "127.0.0.1:0", Key: c.keys[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tp.Close()
-		tcps[i] = tp
+		t.Cleanup(tp.Close)
+		c.tcps = append(c.tcps, tp)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
-				tcps[i].AddPeer(Peer{Addr: keys[j].Address(), HostPort: tcps[j].ListenAddr()})
+				c.tcps[i].AddPeer(Peer{Addr: c.keys[j].Address(), HostPort: c.tcps[j].ListenAddr()})
 			}
 		}
 	}
-
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	committed := make(chan uint64, n*4)
-	runners := make([]*Runner, n)
+	t.Cleanup(cancel)
 	for i := 0; i < n; i++ {
 		chain, err := ledger.NewChain(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := runtime.NewApp(chain, runtime.NewMempool(0), keys[i].Address(), epoch, 16)
+		app := runtime.NewApp(chain, runtime.NewMempool(0), c.keys[i].Address(), epoch, 16)
 		eng, err := pbft.New(pbft.Config{
-			Committee: com, Key: keys[i], App: app,
+			Committee: com, Key: c.keys[i], App: app,
 			Timers: consensus.NewTimerAllocator(), StartHeight: 1,
 			ViewChangeTimeout: 5 * time.Second,
 		})
@@ -176,14 +179,23 @@ func TestRealTCPPBFTCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		node := &runtime.Node{
-			ID: keys[i].Address(), Key: keys[i], App: app, Engine: eng,
-			OnCommit: func(_ consensus.Time, b *types.Block) {
-				committed <- b.Header.Height
-			},
+			ID: c.keys[i].Address(), Key: c.keys[i], App: app, Engine: eng,
+			OnCommit: func(_ consensus.Time, b *types.Block) { c.committed <- b },
 		}
-		runners[i] = NewRunner(node, tcps[i])
-		go runners[i].Run(ctx)
+		c.runners = append(c.runners, NewRunner(node, c.tcps[i]))
+		go c.runners[i].Run(ctx)
 	}
+	return c
+}
+
+// TestRealTCPPBFTCluster runs a full 4-node PBFT committee over real
+// localhost TCP and commits a transaction end to end.
+func TestRealTCPPBFTCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP cluster in -short mode")
+	}
+	const n = 4
+	c := startTCPCluster(t, n)
 
 	// Submit one transaction at node 1.
 	tx := &types.Transaction{
@@ -191,7 +203,7 @@ func TestRealTCPPBFTCluster(t *testing.T) {
 		Geo: types.GeoInfo{Location: geo.Point{Lng: 114.18, Lat: 22.3}, Timestamp: epoch.Add(time.Second)},
 	}
 	tx.Sign(gcrypto.DeterministicKeyPair(1000))
-	if err := runners[1].Submit(tx); err != nil {
+	if err := c.runners[1].Submit(tx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,13 +212,160 @@ func TestRealTCPPBFTCluster(t *testing.T) {
 	deadline := time.After(30 * time.Second)
 	for seen < n {
 		select {
-		case h := <-committed:
-			if h == 1 {
+		case b := <-c.committed:
+			if b.Header.Height == 1 {
 				seen++
 			}
 		case <-deadline:
 			t.Fatalf("only %d/%d nodes committed within deadline", seen, n)
 		}
+	}
+}
+
+// TestClientRequestNamesNoRelayer: a request off a client connection is
+// attributed to that connection, whatever relayer its envelope was built
+// for. A request once carried its relayer's address on the wire, and a
+// client that wrote a member's there made the backup it reached take it
+// for that member's relay, relayed no further: the transaction stranded
+// on the backup, whose progress timer then started a view change nobody
+// joined. Now the backup relays it and it commits in view 0, inside one
+// progress timeout.
+func TestClientRequestNamesNoRelayer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP cluster in -short mode")
+	}
+	c := startTCPCluster(t, 4)
+	prim := c.com.IndexOf(c.com.Primary(0))
+	backup, claimed := (prim+1)%4, (prim+2)%4
+	tx := &types.Transaction{
+		Type: types.TxNormal, Nonce: 1, Payload: []byte("from-a-client"), Fee: 1,
+		Geo: types.GeoInfo{Location: geo.Point{Lng: 114.18, Lat: 22.3}, Timestamp: epoch.Add(time.Second)},
+	}
+	tx.Sign(gcrypto.DeterministicKeyPair(1000))
+
+	conn, err := net.Dial("tcp", c.tcps[backup].ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, pbft.NewRequest(c.keys[claimed], tx)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(4 * time.Second)
+	for {
+		select {
+		case b := <-c.committed:
+			if len(b.Txs) == 1 && b.Txs[0].ID() == tx.ID() {
+				if b.Header.View != 0 {
+					t.Fatalf("committed in view %d, want 0", b.Header.View)
+				}
+				return
+			}
+		case <-deadline:
+			t.Fatal("the client's request did not commit in view 0")
+		}
+	}
+}
+
+// TestWireBytesOverTCP: two endpoints, one connection carrying both
+// directions. Every frame weighs its canonical encoding plus the length
+// prefix whatever the connection carried before, and again after the
+// connection is cut and redialed, and Stats count exactly that on both
+// sides. A vote arrives naming its sender by committee position, a
+// request attributed to the identity the connection was made with.
+func TestWireBytesOverTCP(t *testing.T) {
+	kpA, kpB := gcrypto.DeterministicKeyPair(1), gcrypto.DeterministicKeyPair(2)
+	b, err := New(Config{Listen: "127.0.0.1:0", Key: kpB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := New(Config{Listen: "127.0.0.1:0", Key: kpA, Peers: []Peer{{Addr: kpB.Address(), HostPort: b.ListenAddr()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	hello := int64(4 + len(EncodeHello(NewHello(kpA))))
+	var sentAB, sentBA int64 // frame bytes offered per direction
+	exchange := func(seq uint64) {
+		t.Helper()
+		ab := consensus.Seal(kpA, &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 1, Seq: seq}})
+		ab.Sender = 3
+		ba := pbft.NewRequest(kpB, mkClientTx(kpB, seq))
+		if err := a.Send(kpB.Address(), ab); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvEnvelope(t, b); got.Sender != 3 || !bytes.Equal(consensus.EncodeEnvelope(got), consensus.EncodeEnvelope(ab)) {
+			t.Fatal("vote changed on the wire")
+		}
+		if err := b.Send(kpA.Address(), ba); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvEnvelope(t, a); got.From != kpB.Address() || !bytes.Equal(got.Body, ba.Body) {
+			t.Fatal("request not attributed to the connection's identity")
+		}
+		sentAB += int64(4 + ab.WireSize())
+		sentBA += int64(4 + ba.WireSize())
+	}
+	// wireBytes waits for the counters to settle (the writer counts
+	// after its write returns) and checks both ends agree.
+	wireBytes := func() {
+		t.Helper()
+		waitUntil(t, "wire-byte counters", func() bool {
+			sa, sb := a.Stats(), b.Stats()
+			return sa.BytesOut == sa.Dials*hello+sentAB && sb.BytesIn == sentAB &&
+				sb.BytesOut == sentBA && sa.BytesIn == sentBA
+		})
+	}
+
+	exchange(1) // a dials b; b adopts the connection for its own traffic
+	exchange(2)
+	wireBytes()
+	if s := b.Stats(); len(s.Peers) != 1 || !s.Peers[0].Inbound || s.Dials != 0 {
+		t.Fatalf("b did not reuse a's connection: %+v", s)
+	}
+
+	// Cut the connection under both writers; a redials (b has no address
+	// for a and waits to be dialed).
+	a.mu.Lock()
+	p := a.peers[kpB.Address()]
+	a.mu.Unlock()
+	p.mu.Lock()
+	p.conn.Close()
+	p.mu.Unlock()
+	waitUntil(t, "both ends to drop the dead connection", func() bool {
+		return a.Stats().OpenConns == 0 && b.Stats().OpenConns == 0
+	})
+	exchange(3)
+	if sa, sb := a.Stats(), b.Stats(); sa.Dials != 2 || sb.Dials != 0 {
+		t.Fatalf("dials after one cut: a=%d b=%d, want 2 and 0", sa.Dials, sb.Dials)
+	}
+	wireBytes()
+}
+
+// recvEnvelope waits for the next envelope an endpoint delivers.
+func recvEnvelope(t *testing.T, tp *TCP) *consensus.Envelope {
+	t.Helper()
+	select {
+	case env := <-tp.Incoming():
+		return env
+	case <-time.After(5 * time.Second):
+		t.Fatal("timeout waiting for delivery")
+		return nil
+	}
+}
+
+// waitUntil polls cond until it holds; the event waited on is named in
+// the failure.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -228,7 +228,7 @@ func (c *Certificate) UnmarshalCanonical(r *codec.Reader) error {
 	r.RawInto(c.BlockHash[:])
 	c.Era = r.Uint64()
 	c.View = r.Uint64()
-	n := r.Count()
+	n := r.CountOf(gcrypto.AddressSize + 1) // an endorser, then at least a signature's length
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -230,4 +230,8 @@ func TestMinimumEncodings(t *testing.T) {
 	if n := len(EncodeBlock(&Block{})); n != MinBlockSize {
 		t.Fatalf("shortest block encodes to %d bytes, MinBlockSize is %d", n, MinBlockSize)
 	}
+	one := &ConfigChange{Add: make([]EndorserInfo, 1)}
+	if n := len(EncodeConfigChange(one)) - len(EncodeConfigChange(&ConfigChange{})); n != MinEndorserInfoSize {
+		t.Fatalf("shortest endorser encodes to %d bytes, MinEndorserInfoSize is %d", n, MinEndorserInfoSize)
+	}
 }

@@ -341,6 +341,10 @@ type EndorserInfo struct {
 	Geohash string
 }
 
+// MinEndorserInfoSize is the length of the shortest endorser encoding:
+// an address, then a key and a cell of at least their length bytes.
+const MinEndorserInfoSize = gcrypto.AddressSize + 2
+
 // MarshalCanonical appends the canonical encoding of the change set.
 func (c *ConfigChange) MarshalCanonical(w *codec.Writer) {
 	w.Uint64(c.NewEra)
@@ -359,7 +363,7 @@ func (c *ConfigChange) MarshalCanonical(w *codec.Writer) {
 // UnmarshalCanonical decodes a change set.
 func (c *ConfigChange) UnmarshalCanonical(r *codec.Reader) error {
 	c.NewEra = r.Uint64()
-	n := r.Count()
+	n := r.CountOf(MinEndorserInfoSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -369,7 +373,7 @@ func (c *ConfigChange) UnmarshalCanonical(r *codec.Reader) error {
 		c.Add[i].PubKey = r.ReadBytes()
 		c.Add[i].Geohash = r.ReadString()
 	}
-	m := r.Count()
+	m := r.CountOf(gcrypto.AddressSize)
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -316,14 +316,10 @@ func (r *Reader) Time() time.Time {
 	return time.Unix(0, v).UTC()
 }
 
-// Count reads a sequence length, bounded by MaxSliceLen and by the bytes
-// left to read: every element of every sequence takes at least one, so
-// a larger count cannot be honest, and is refused before the caller
-// allocates for it (a seven-byte view change could ask for 96 MB).
-func (r *Reader) Count() int { return r.CountOf(1) }
-
 // CountOf reads the length of a sequence whose elements each encode to
-// at least size bytes, refusing a count the bytes left cannot hold.
+// at least size bytes, bounded by MaxSliceLen and by the bytes left to
+// read: a larger count cannot be honest, and is refused before the
+// caller allocates for it (a seven-byte view change could ask for 96 MB).
 func (r *Reader) CountOf(size int) int {
 	n := r.Uvarint()
 	if r.err != nil {

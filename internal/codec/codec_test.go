@@ -121,7 +121,7 @@ func TestOversizePrefixRejected(t *testing.T) {
 	w := NewWriter(0)
 	w.Count(MaxSliceLen + 1)
 	r := NewReader(w.Bytes())
-	if r.Count() != 0 || r.Err() != ErrOversize {
+	if r.CountOf(1) != 0 || r.Err() != ErrOversize {
 		t.Fatalf("want ErrOversize, got %v", r.Err())
 	}
 
@@ -159,13 +159,13 @@ func TestCountRoundTrip(t *testing.T) {
 		w.Count(n)
 		w.Raw(make([]byte, n)) // the least n elements can take
 		r := NewReader(w.Bytes())
-		if got := r.Count(); got != n {
+		if got := r.CountOf(1); got != n {
 			t.Errorf("Count(%d) round-tripped to %d", n, got)
 		}
 		// One byte fewer than one per element: nobody allocates for it.
 		if n > 0 {
 			r = NewReader(w.Bytes()[:w.Len()-1])
-			if got := r.Count(); got != 0 || r.Err() != ErrShortBuffer {
+			if got := r.CountOf(1); got != 0 || r.Err() != ErrShortBuffer {
 				t.Errorf("Count(%d) over %d bytes = %d, err %v", n, n-1, got, r.Err())
 			}
 		}

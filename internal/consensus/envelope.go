@@ -296,6 +296,11 @@ func (e *Envelope) UnmarshalCanonical(r *codec.Reader) error {
 	return r.Err()
 }
 
+// MinEnvelopeSize is the length of the shortest envelope encoding: a
+// kind that names no sender, then an empty body and signature. A list of
+// encoded envelopes is bounded by it, plus a length byte each.
+const MinEnvelopeSize = 3
+
 // EncodeEnvelope returns the wire bytes of e.
 func EncodeEnvelope(e *Envelope) []byte { return codec.Encode(e) }
 

@@ -87,7 +87,7 @@ func DecodeRelayBody(body []byte) ([]RelayEntry, error) {
 		}
 		return nil, fmt.Errorf("%w: bad magic %q", ErrRelayFrame, magic)
 	}
-	n := r.Count()
+	n := r.CountOf(1 + 1 + MinEnvelopeSize) // a hop, then an envelope's length and bytes
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRelayFrame, err)
 	}

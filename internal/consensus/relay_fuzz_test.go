@@ -2,8 +2,11 @@ package consensus
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
+	"gpbft/internal/codec"
 	"gpbft/internal/gcrypto"
 )
 
@@ -28,6 +31,15 @@ func FuzzDecodeRelayFrame(f *testing.F) {
 	f.Add(EncodeRelayBody([]RelayEntry{mk(KindPrePrepare, "d", maxRelayHopBound)}))
 	f.Add([]byte("gpbft/relay/v1"))
 	f.Add([]byte{0x0e, 'g', 'p', 'b', 'f', 't', '/', 'r', 'e', 'l', 'a', 'y', '/', 'v', '1', 0x01})
+	// The cap in entries, with a byte fewer after the count than that
+	// many of the shortest entries take (a hop, an envelope's length and
+	// bytes): refused at the count, before the batch is allocated.
+	over := binary.AppendUvarint(EncodeRelayBody(nil)[:len(EncodeRelayBody(nil))-1], MaxRelayEntries)
+	over = append(over, make([]byte, MaxRelayEntries*(2+MinEnvelopeSize)-1)...)
+	if _, err := DecodeRelayBody(over); err == nil || !strings.Contains(err.Error(), codec.ErrShortBuffer.Error()) {
+		f.Fatalf("%d entries claimed over %d bytes: %v, want a short buffer at the count", MaxRelayEntries, len(over), err)
+	}
+	f.Add(over)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodeRelayBody(data)

@@ -1153,6 +1153,15 @@ func (a *eraApp) MinSpeculativeBatch() int {
 	return math.MaxInt
 }
 
+// BaseBatch implements pbft.SpeculativeApplication; without the
+// speculative surface the hold's threshold is f alone, as in pbft.
+func (a *eraApp) BaseBatch() int {
+	if app, ok := a.Application.(pbft.SpeculativeApplication); ok {
+		return app.BaseBatch()
+	}
+	return math.MaxInt
+}
+
 // blockHasConfig reports whether any transaction in b is a TxConfig.
 func blockHasConfig(b *types.Block) bool {
 	for i := range b.Txs {

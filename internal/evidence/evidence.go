@@ -124,7 +124,7 @@ func (rec *Record) UnmarshalCanonical(r *codec.Reader) error {
 		return errTag
 	}
 	rec.Kind = Type(r.Uint8())
-	n := r.Count()
+	n := r.CountOf(gcrypto.AddressSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -135,7 +135,7 @@ func (rec *Record) UnmarshalCanonical(r *codec.Reader) error {
 	for i := 0; i < n; i++ {
 		r.RawInto(rec.Offenders[i][:])
 	}
-	m := r.Count()
+	m := r.CountOf(1 + consensus.MinEnvelopeSize) // an envelope or a transaction, the envelope shorter
 	if r.Err() != nil {
 		return r.Err()
 	}

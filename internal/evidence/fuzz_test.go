@@ -45,6 +45,29 @@ func FuzzDecodeEvidence(f *testing.F) {
 		f.Add(evidence.Encode(rec))
 	}
 	f.Add([]byte("gpbft/evidence/v1"))
+	// Each list claiming its cap with fewer bytes after its count than
+	// that many of its shortest elements take (an address; an envelope's
+	// length and bytes): refused at the count, even where one byte per
+	// element would have read as empty proofs.
+	one := &evidence.Record{Kind: evidence.DoubleSign, Offenders: []gcrypto.Address{kp.Address()}, Proofs: [][]byte{consensus.EncodeEnvelope(a)}}
+	for _, tc := range []struct {
+		two         evidence.Record
+		claim, left int
+	}{
+		{evidence.Record{Kind: one.Kind, Offenders: append(one.Offenders, kp.Address()), Proofs: one.Proofs}, evidence.MaxOffenders, evidence.MaxOffenders*gcrypto.AddressSize - 1},
+		{evidence.Record{Kind: one.Kind, Offenders: one.Offenders, Proofs: append(one.Proofs, one.Proofs[0])}, evidence.MaxProofs, evidence.MaxProofs},
+	} {
+		x, y := evidence.Encode(one), evidence.Encode(&tc.two)
+		at := 0
+		for x[at] == y[at] {
+			at++ // to the list's count
+		}
+		over := append(append(y[:at:at], byte(tc.claim)), make([]byte, tc.left)...)
+		if _, err := evidence.Decode(over); err == nil {
+			f.Fatalf("a count of %d at byte %d decoded over %d bytes", tc.claim, at, tc.left)
+		}
+		f.Add(over)
+	}
 	f.Add([]byte{0x11, 0x67, 0x70, 0x62, 0x66, 0x74})
 
 	ctx := evidence.VerifyContext{

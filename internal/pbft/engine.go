@@ -60,11 +60,14 @@ type SpeculativeApplication interface {
 	// ValidateBlockOn checks b as the immediate child of parent,
 	// independent of the chain head.
 	ValidateBlockOn(b, parent *types.Block) error
-	// MinSpeculativeBatch is the fewest transactions BuildBlockOn packs:
-	// with fewer pooled transactions outside exclude it returns nil. The
-	// engine uses it to tell, from counts alone, when assembling the
-	// exclusion set cannot lead to a block.
+	// MinSpeculativeBatch is the fewest transactions BuildBlockOn packs —
+	// a full block: with fewer pooled transactions outside exclude it
+	// returns nil. The engine uses it to tell, from counts alone, when
+	// assembling the exclusion set cannot lead to a block.
 	MinSpeculativeBatch() int
+	// BaseBatch is the application's configured block size, at or below
+	// MinSpeculativeBatch. It bounds the proposal hold's threshold.
+	BaseBatch() int
 }
 
 // Config configures one PBFT engine instance (one era in G-PBFT).
@@ -778,8 +781,8 @@ func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
 // never waits for company). At n = 4, f = 1 and no backlog is under-full.
 func (e *Engine) underfull() bool {
 	limit := e.com.F()
-	if e.spec != nil && e.spec.MinSpeculativeBatch() < limit {
-		limit = e.spec.MinSpeculativeBatch()
+	if e.spec != nil && e.spec.BaseBatch() < limit {
+		limit = e.spec.BaseBatch()
 	}
 	n := e.cfg.App.PendingTxs()
 	if n == 0 || n >= limit {
@@ -823,7 +826,7 @@ func (e *Engine) buildAt(now consensus.Time, seq uint64) *types.Block {
 	// Count before hashing. This replica's own unexecuted proposals were
 	// packed from its pool and stay there until they commit, so the pool
 	// holds at most PendingTxs minus their transactions for a new block;
-	// below a full batch BuildBlockOn would decline, and the exclusion
+	// below a full block BuildBlockOn would decline, and the exclusion
 	// set (a SHA-256 per in-flight transaction) need not be built to hear
 	// it say so. A primary runs this on every relayed request.
 	packed := 0

@@ -43,6 +43,7 @@ func newUnitRigWith(t *testing.T, selfPos int, adjust func(*pbft.Config)) *unitR
 func newUnitRigN(t *testing.T, n, selfPos int, adjust func(*pbft.Config)) *unitRig {
 	t.Helper()
 	g := &ledger.Genesis{ChainID: "unit", Timestamp: epoch, Policy: ledger.DefaultPolicy()}
+	g.Policy.MaxEndorsers = max(g.Policy.MaxEndorsers, n) // the PBFT baseline runs past the paper's 40
 	raw := make(map[gcrypto.Address]*gcrypto.KeyPair)
 	for i := 0; i < n; i++ {
 		kp := gcrypto.DeterministicKeyPair(i)

@@ -47,9 +47,12 @@ func newPBFTMessage(kind consensus.MsgKind) pbftMessage {
 // back to the same bytes. Votes are compared, stored in evidence and
 // WAL proofs, and signed over as bytes, so one message must have one
 // encoding — in particular a slot number has one uvarint form, the
-// minimal one. And a list of transaction IDs or bodies is refused, before
+// minimal one. And a list — of transaction IDs or bodies, envelopes or
+// prepared proofs — is refused, before
 // anything is allocated for it, when its count claims more elements than
-// the bytes after it can hold.
+// the bytes after it can hold: for every list, with as many elements
+// claimed as bytes follow, and for whatever the fuzzer finds as an
+// allocation that stays within a constant times the input.
 func FuzzDecodePBFTMessage(f *testing.F) {
 	kp := gcrypto.DeterministicKeyPair(1)
 	tx := clientTx(0, 1)
@@ -88,6 +91,26 @@ func FuzzDecodePBFTMessage(f *testing.F) {
 	}
 	f.Add(uint8(consensus.KindPrePrepare), counted(&pbft.PrePrepare{SlotHeader: slot, Header: block.Header}, 1))
 	f.Add(uint8(consensus.KindFetch), counted(&pbft.Fetch{SlotHeader: slot}, 1))
+	// The view-change lists, each claiming as many envelopes or proofs as
+	// bytes follow: refused at the count, since each element takes more.
+	for _, pair := range [][2]pbftMessage{
+		{&pbft.ViewChange{Era: 1}, &pbft.ViewChange{Era: 1, Prepared: make([]pbft.PreparedProof, 3)}},
+		{&pbft.ViewChange{Prepared: make([]pbft.PreparedProof, 1)}, &pbft.ViewChange{Prepared: []pbft.PreparedProof{{PrepareEnvs: make([][]byte, 3)}}}},
+		{&pbft.NewView{Era: 1}, &pbft.NewView{Era: 1, ViewChangeEnvs: make([][]byte, 3)}},
+		{&pbft.NewView{Era: 1}, &pbft.NewView{Era: 1, PrePrepares: make([][]byte, 3)}},
+	} {
+		a, b := codec.Encode(pair[0]), codec.Encode(pair[1])
+		at := 0
+		for a[at] == b[at] {
+			at++ // to the list's count
+		}
+		over := append(binary.AppendUvarint(b[:at:at], claim), make([]byte, claim)...)
+		m := newPBFTMessage(pair[0].Kind())
+		if grew, err := allocated(func() error { return m.UnmarshalCanonical(codec.NewReader(over)) }); err == nil || grew > 64<<10 {
+			f.Fatalf("%v list count at byte %d claiming %d elements in %d bytes: %v after %d bytes allocated", m.Kind(), at, claim, claim, err, grew)
+		}
+		f.Add(uint8(m.Kind()), over)
+	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		m := newPBFTMessage(consensus.MsgKind(kind))
@@ -95,26 +118,33 @@ func FuzzDecodePBFTMessage(f *testing.F) {
 			return
 		}
 		r := codec.NewReader(data)
+		grew, err := allocated(func() error { return m.UnmarshalCanonical(r) })
+		bound := 32 * len(data)
 		if over := overCounted(consensus.MsgKind(kind), data); over != "" {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := m.UnmarshalCanonical(r)
-			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatalf("%v decoded with %s", m.Kind(), over)
 			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(2*len(data)+64<<10) {
-				t.Fatalf("%v allocated %d bytes refusing %s", m.Kind(), grew, over)
-			}
-			return
+			bound = 2 * len(data)
 		}
-		if m.UnmarshalCanonical(r) != nil || r.Finish() != nil {
+		if grew > uint64(bound+64<<10) {
+			t.Fatalf("%v allocated %d bytes decoding %d bytes", m.Kind(), grew, len(data))
+		}
+		if err != nil || r.Finish() != nil {
 			return
 		}
 		if again := codec.Encode(m); !bytes.Equal(again, data) {
 			t.Fatalf("%v decode/encode not canonical:\n in:  %x\n out: %x", m.Kind(), data, again)
 		}
 	})
+}
+
+// allocated runs decode and reports what it allocated.
+func allocated(decode func() error) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
 }
 
 // overCounted walks a pre-prepare's or fetch's fields up to each list

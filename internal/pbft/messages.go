@@ -201,6 +201,11 @@ type PreparedProof struct {
 	PrepareEnvs   [][]byte // encoded consensus.Envelopes
 }
 
+// minPreparedProofSize is the length of the shortest prepared proof
+// encoding: two one-byte slot numbers, the digest, a pre-prepare
+// envelope and an empty prepare list.
+const minPreparedProofSize = 1 + 1 + len(gcrypto.Hash{}) + 1 + consensus.MinEnvelopeSize + 1
+
 // MarshalCanonical implements codec.Marshaler.
 func (p *PreparedProof) MarshalCanonical(w *codec.Writer) {
 	w.Uvarint(p.Seq)
@@ -219,7 +224,7 @@ func (p *PreparedProof) UnmarshalCanonical(r *codec.Reader) error {
 	p.View = r.Uvarint()
 	r.RawInto(p.Digest[:])
 	p.PrePrepareEnv = r.ReadBytes()
-	n := r.Count()
+	n := r.CountOf(1 + consensus.MinEnvelopeSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -259,7 +264,7 @@ func (m *ViewChange) UnmarshalCanonical(r *codec.Reader) error {
 	m.Era = r.Uvarint()
 	m.NewView = r.Uvarint()
 	m.LastStable = r.Uvarint()
-	n := r.Count()
+	n := r.CountOf(minPreparedProofSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -302,7 +307,7 @@ func (m *NewView) MarshalCanonical(w *codec.Writer) {
 func (m *NewView) UnmarshalCanonical(r *codec.Reader) error {
 	m.Era = r.Uvarint()
 	m.View = r.Uvarint()
-	n := r.Count()
+	n := r.CountOf(1 + consensus.MinEnvelopeSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -310,7 +315,7 @@ func (m *NewView) UnmarshalCanonical(r *codec.Reader) error {
 	for i := 0; i < n; i++ {
 		m.ViewChangeEnvs[i] = r.ReadBytes()
 	}
-	k := r.Count()
+	k := r.CountOf(1 + consensus.MinEnvelopeSize)
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -1,6 +1,8 @@
 package pbft_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
@@ -175,14 +177,18 @@ func TestProposalPolicyUnderfullWaitsHalfARound(t *testing.T) {
 
 func TestProposalPolicyThresholdEndsHold(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		n, threshold int
+		name                  string
+		n, threshold, ceiling int
 	}{
-		{"f", 22, 7},          // min(f = 7, batch 8)
-		{"base batch", 40, 8}, // min(f = 13, batch 8)
+		{"f", 22, 7, 0},          // min(f = 7, batch 8)
+		{"base batch", 40, 8, 0}, // min(f = 13, batch 8)
+		// min(f = 33, batch 8): the ceiling speculative slots wait for
+		// does not raise the hold's threshold.
+		{"base batch under a ceiling", 100, 8, 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newPrimaryRig(t, tc.n)
+			r.app.SetMaxBatch(tc.ceiling)
 			const round = 20 * time.Millisecond
 			hold := r.heldBacklog(round, 3)
 			for k := 4; k < tc.threshold; k++ {
@@ -294,5 +300,108 @@ func TestProposalPolicyCommitteeOfFour(t *testing.T) {
 	}
 	if c := r.eng.TakeCounts(); c.ProposalsHeld != 0 {
 		t.Fatalf("counts %+v", c)
+	}
+}
+
+// A speculative slot carries a full block or is not proposed (DESIGN.md
+// 5e): with its head slot in flight, the primary opens a second slot only
+// when a ceiling's worth of transactions waits outside it, and however
+// deep the backlog, no more than MaxInFlight slots run at once.
+func TestProposalPolicySpeculativeSlotCarriesTheCeiling(t *testing.T) {
+	const ceiling, depth = 32, 3
+	r := newUnitRigN(t, 4, newUnitRigN(t, 4, 0, nil).primaryPos(), func(c *pbft.Config) { c.MaxInFlight = depth })
+	r.eng.Init(0)
+	r.app.SetMaxBatch(ceiling)
+	head := oneProposal(t, r.request(0, clientTx(0, 1)), "idle arrival")
+	for k := 1; k < ceiling; k++ {
+		if acts := r.request(time.Duration(k)*time.Microsecond, clientTx(k, 1)); len(proposalsIn(t, acts)) != 0 {
+			t.Fatalf("a second slot opened on %d pending, below the ceiling %d", k, ceiling)
+		}
+	}
+	pp := oneProposal(t, r.request(ceiling*time.Microsecond, clientTx(ceiling, 1)), "a ceiling pending")
+	if pp.Seq != head.Seq+1 || len(pp.TxIDs) != ceiling {
+		t.Fatalf("slot %d carries %d transactions, want slot %d with %d", pp.Seq, len(pp.TxIDs), head.Seq+1, ceiling)
+	}
+	// Three ceilings more: one further slot fills the window, and the rest
+	// waits for it to drain.
+	var proposed []*pbft.PrePrepare
+	for k := ceiling + 1; k <= 4*ceiling; k++ {
+		proposed = append(proposed, proposalsIn(t, r.request(time.Duration(k)*time.Microsecond, clientTx(k, 1)))...)
+	}
+	if len(proposed) != depth-2 || len(proposed[0].TxIDs) != ceiling {
+		t.Fatalf("%d further slots proposed on a backlog of three ceilings, want %d full ones", len(proposed), depth-2)
+	}
+	if used, _ := r.eng.InFlight(); used != depth {
+		t.Fatalf("%d slots in flight, want MaxInFlight = %d", used, depth)
+	}
+}
+
+// With no ceiling set the engine acts as it did before speculative slots
+// waited for the ceiling, byte for byte: a scripted run through the head
+// slot, two base-batch speculative slots, the hold and its early end
+// hashes to the digest recorded under the base-batch rule (n = 7: base
+// batch 8, hold threshold min(f = 2, 8)).
+func TestProposalPolicyNoCeilingUnchanged(t *testing.T) {
+	r := newPrimaryRig(t, 7)
+	h := sha256.New()
+	note := func(acts []consensus.Action) []consensus.Action {
+		for _, a := range acts {
+			switch v := a.(type) {
+			case consensus.Broadcast:
+				fmt.Fprintf(h, "B%x|", v.To)
+				h.Write(consensus.EncodeEnvelope(v.Env))
+			case consensus.Send:
+				fmt.Fprintf(h, "S%x|", v.To)
+				h.Write(consensus.EncodeEnvelope(v.Env))
+			case consensus.CommitBlock:
+				fmt.Fprintf(h, "C%x|", v.Block.Hash())
+			default:
+				fmt.Fprintf(h, "%T%+v|", a, a)
+			}
+		}
+		return acts
+	}
+	var pps []*pbft.PrePrepare
+	ms := func(k int) consensus.Time { return time.Duration(k) * time.Millisecond }
+	// Eighteen arrivals: the head slot, two speculative slots of eight,
+	// and one left over.
+	for k := 0; k <= 17; k++ {
+		pps = append(pps, proposalsIn(t, note(r.request(ms(k), clientTx(k, 1))))...)
+	}
+	if len(pps) != 3 || len(pps[1].TxIDs) != 8 || len(pps[2].TxIDs) != 8 {
+		t.Fatalf("setup: %d slots proposed, want the head and two of eight", len(pps))
+	}
+	// Each slot through its quorums; the last leaves one pending, which
+	// is held until an arrival brings the pool to f = 2.
+	var acts []consensus.Action
+	for i, pp := range pps {
+		at := ms(20 + 10*i)
+		var done []consensus.Action
+		for _, vote := range []func(int, uint64, gcrypto.Hash) *consensus.Envelope{r.prepareAt, r.commitAt} {
+			for j, sent := 0, 0; sent < r.com.Quorum()-1; j++ {
+				if j != r.self {
+					done = append(done, note(r.eng.OnEnvelope(at, vote(j, pp.Seq, pp.Digest)))...)
+					sent++
+				}
+			}
+		}
+		for _, b := range commitsOf(done) {
+			if err := r.app.Commit(b); err != nil {
+				t.Fatal(err)
+			}
+			acts = note(r.eng.OnCommitApplied(at))
+		}
+	}
+	hold := holdTimer(acts)
+	if hold == nil {
+		t.Fatal("setup: no hold armed for the one left over")
+	}
+	if pp := oneProposal(t, note(r.request(ms(55), clientTx(18, 1))), "f pending"); len(pp.TxIDs) != 2 {
+		t.Fatalf("setup: the held head slot carries %d transactions, want 2", len(pp.TxIDs))
+	}
+	note(r.eng.OnTimer(ms(55)+hold.Delay, hold.ID))
+	const want = "500d763b09b158f3270b6607b7f9d4548b200353b2851febc0ad092e59e71d08"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("action digest %s, want %s", got, want)
 	}
 }

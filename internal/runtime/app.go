@@ -103,16 +103,18 @@ func (a *App) BuildBlock(now consensus.Time, era, view, seq uint64) *types.Block
 // transactions stay in the pool until their block is applied, so the
 // exclude set filters out everything already packed below seq.
 //
-// A speculative slot must carry a FULL base batch or nothing: every
-// block costs a fixed amount of per-node message processing, so eagerly
-// claiming extra slots for trickle-sized remainders multiplies rounds
-// without moving more transactions. The head slot (BuildBlock) stays
-// eager for latency; pipeline depth beyond it adapts to real backlog.
+// A speculative slot carries a FULL block — the ceiling, or the base
+// batch when no ceiling is set — or nothing. Every round costs each
+// replica ~4f vote checks whatever its block carries, so a second slot
+// is worth opening only for a backlog the head block cannot carry: while
+// the head slot (BuildBlock, eager for latency) runs, the backlog grows
+// into the next head block, and a speculative slot opened on part of it
+// would split one full round into several smaller ones.
 func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
 	if parent == nil || seq != parent.Header.Height+1 {
 		return nil
 	}
-	want := a.effectiveBatch()
+	want := a.MinSpeculativeBatch()
 	peeked := a.pool.Peek(want + len(exclude))
 	txs := make([]types.Transaction, 0, want)
 	for i := range peeked {
@@ -124,7 +126,7 @@ func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *ty
 			break
 		}
 	}
-	if len(txs) < a.batch {
+	if len(txs) < want {
 		return nil
 	}
 	return types.NewBlock(types.BlockHeader{
@@ -139,8 +141,13 @@ func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *ty
 }
 
 // MinSpeculativeBatch implements pbft.SpeculativeApplication: the full
-// base batch BuildBlockOn insists on.
-func (a *App) MinSpeculativeBatch() int { return a.batch }
+// block BuildBlockOn insists on, the ceiling (the base batch if none is
+// set).
+func (a *App) MinSpeculativeBatch() int { return max(a.batch, a.maxBatch) }
+
+// BaseBatch implements pbft.SpeculativeApplication: the configured
+// block size, below any ceiling.
+func (a *App) BaseBatch() int { return a.batch }
 
 // ValidateBlock implements consensus.Application.
 func (a *App) ValidateBlock(b *types.Block) error {

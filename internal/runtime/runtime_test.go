@@ -171,6 +171,51 @@ func TestAppBuildBlock(t *testing.T) {
 	}
 }
 
+// A speculative block carries a full block or is not built: the
+// ceiling when one is set, the base batch otherwise, counting only
+// transactions its in-flight ancestors have not packed.
+func TestAppBuildBlockOnFullBlockOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		base, ceiling, full int
+	}{
+		{"ceiling", 2, 8, 8},
+		{"no ceiling", 2, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chain, _ := ledger.NewChain(mkGenesis(t, 4))
+			app := NewApp(chain, NewMempool(0), gcrypto.DeterministicKeyPair(0).Address(), epoch, tc.base)
+			app.SetMaxBatch(tc.ceiling)
+			if app.MinSpeculativeBatch() != tc.full || app.BaseBatch() != tc.base {
+				t.Fatalf("MinSpeculativeBatch %d, BaseBatch %d", app.MinSpeculativeBatch(), app.BaseBatch())
+			}
+			app.SubmitTx(mkTx(100, 1))
+			parent := app.BuildBlock(time.Second, 0, 0, 1) // in flight, still pooled
+			exclude := map[gcrypto.Hash]bool{parent.Txs[0].ID(): true}
+			for i := 1; i < tc.full; i++ {
+				app.SubmitTx(mkTx(100+i, 1))
+			}
+			if b := app.BuildBlockOn(time.Second, 0, 0, 2, parent, exclude); b != nil {
+				t.Fatalf("built a block of %d on %d unpacked", len(b.Txs), tc.full-1)
+			}
+			app.SubmitTx(mkTx(100+tc.full, 1))
+			app.SubmitTx(mkTx(101+tc.full, 1))
+			b := app.BuildBlockOn(time.Second, 0, 0, 2, parent, exclude)
+			if b == nil || len(b.Txs) != tc.full {
+				t.Fatalf("want a block of exactly %d on %d unpacked", tc.full, tc.full+1)
+			}
+			for i := range b.Txs {
+				if exclude[b.Txs[i].ID()] {
+					t.Fatal("packed a transaction its parent carries")
+				}
+			}
+			if err := app.ValidateBlockOn(b, parent); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestAppSubmitTxValidates(t *testing.T) {
 	chain, _ := ledger.NewChain(mkGenesis(t, 4))
 	app := NewApp(chain, NewMempool(0), gcrypto.DeterministicKeyPair(0).Address(), epoch, 0)

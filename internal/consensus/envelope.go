@@ -15,7 +15,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"gpbft/internal/codec"
 	"gpbft/internal/gcrypto"
@@ -140,7 +139,7 @@ type Envelope struct {
 	verifiedSum gcrypto.Hash
 
 	// relayEntries memoizes the decoded batch of a KindRelay body so
-	// the pre-verify worker's decode (which also warms every inner
+	// the transport read loop's decode (which also warms every inner
 	// envelope's verify memo) is the one the event loop reuses. Same
 	// ownership rule as the verify memo: one writer, strictly before
 	// the single event loop reads.
@@ -239,23 +238,11 @@ func (e *Envelope) markVerified() {
 	e.verified = true
 }
 
-// verifyMemo gates the success memo; the serial ablation baseline in
-// gpbft-bench turns it off to reproduce seed behaviour.
-var verifyMemo atomic.Bool
-
-func init() { verifyMemo.Store(true) }
-
-// SetVerifyMemo toggles envelope-verification memoization; returns the
-// previous setting. Memoization is semantics-preserving (only success
-// over immutable bytes is cached); the switch exists so benchmarks can
-// measure the serial path.
-func SetVerifyMemo(on bool) bool { return verifyMemo.Swap(on) }
-
 // Verify checks the envelope signature and sender binding. A
 // successful check is memoized: envelopes are immutable once sealed,
 // and the single event loop that owns an envelope is the only writer.
 func (e *Envelope) Verify() error {
-	if e.verified && verifyMemo.Load() && e.verifiedSum == e.verifySum() {
+	if e.verified && e.verifiedSum == e.verifySum() {
 		return nil
 	}
 	if len(e.FromPub) != ed25519.PublicKeySize {

@@ -124,8 +124,8 @@ func DecodeRelayBody(body []byte) ([]RelayEntry, error) {
 
 // RelayEntries decodes a KindRelay envelope's batch, memoized under the
 // same single-writer-before-event-loop rule as the verify memo: the
-// transport's pre-verify worker decodes (and verifies inner envelopes)
-// off the hot path, and the event loop reuses that result.
+// transport's read loop decodes (and verifies inner envelopes) off the
+// hot path, and the event loop reuses that result.
 func (e *Envelope) RelayEntries() ([]RelayEntry, error) {
 	if e.MsgKind != KindRelay {
 		return nil, ErrEnvelopeKind

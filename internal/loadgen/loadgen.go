@@ -10,10 +10,7 @@ import (
 	"runtime"
 	"time"
 
-	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
-	"gpbft/internal/transport"
-	"gpbft/internal/types"
 )
 
 // Config describes one load run.
@@ -35,15 +32,11 @@ type Config struct {
 	MempoolShards int
 	MempoolCap    int
 	// Workers overrides the verification pool width for the run
-	// (0 = GOMAXPROCS). Ignored when Serial is set.
+	// (0 = GOMAXPROCS).
 	Workers int
 	// MaxInFlight is the consensus pipelining depth handed to the
 	// engines (0 = engine default; 1 = the serial one-slot ablation).
 	MaxInFlight int
-	// Serial selects the ablation baseline: serial verification, no
-	// signature/envelope memoization, no pipelined pre-verification —
-	// the seed's behaviour.
-	Serial bool
 	// Seed drives deterministic choices (sim mode scheduling, keys).
 	Seed int64
 
@@ -113,12 +106,6 @@ func (c *Config) withDefaults() Config {
 	if out.Attackers > 0 && out.AttackFactor <= 0 {
 		out.AttackFactor = 5
 	}
-	// The seed's scheduler was one-slot-at-a-time, so the full serial
-	// ablation pins the pipelining depth to 1 alongside the
-	// verification knobs (an explicit MaxInFlight still wins).
-	if out.Serial && out.MaxInFlight == 0 {
-		out.MaxInFlight = 1
-	}
 	return out
 }
 
@@ -127,7 +114,6 @@ type Result struct {
 	Name      string  `json:"name"`
 	Mode      string  `json:"mode"`
 	Committee int     `json:"committee"`
-	Serial    bool    `json:"serial"`
 	Workers   int     `json:"workers"`
 	Cores     int     `json:"cores"`
 	RateTPS   int     `json:"rate_tps"`
@@ -170,40 +156,16 @@ type Result struct {
 }
 
 func (r Result) String() string {
-	mode := "parallel"
-	if r.Serial {
-		mode = "serial"
-	}
-	return fmt.Sprintf("%s [%s/%s c=%d cores=%d] offered=%d committed=%d tps=%.1f p50=%.1fms p99=%.1fms",
-		r.Name, r.Mode, mode, r.Committee, r.Cores, r.Offered, r.Committed, r.TPS, r.P50Ms, r.P99Ms)
-}
-
-// engineMode flips every serial-vs-parallel knob as a set and returns
-// a restore function. Serial reproduces the seed's hot path: one-at-a-
-// time signature checks on the consensus goroutine with no caching.
-func engineMode(serial bool, workers int) (restore func()) {
-	if serial {
-		workers = 1
-	}
-	prevW := gcrypto.SetBatchWorkers(workers)
-	prevC := types.SetSigCache(!serial)
-	prevM := consensus.SetVerifyMemo(!serial)
-	prevP := transport.SetPreVerify(!serial)
-	return func() {
-		gcrypto.SetBatchWorkers(prevW)
-		types.SetSigCache(prevC)
-		consensus.SetVerifyMemo(prevM)
-		transport.SetPreVerify(prevP)
-	}
+	return fmt.Sprintf("%s [%s c=%d cores=%d] offered=%d committed=%d tps=%.1f p50=%.1fms p99=%.1fms",
+		r.Name, r.Mode, r.Committee, r.Cores, r.Offered, r.Committed, r.TPS, r.P50Ms, r.P99Ms)
 }
 
 // Run executes one load run per the config.
 func Run(name string, cfg Config) (Result, error) {
 	c := cfg.withDefaults()
-	restore := engineMode(c.Serial, c.Workers)
-	defer restore()
-	// Capture the run's effective parallelism while the engine-mode
-	// window is active: BatchWorkers resolves the 0 = GOMAXPROCS default
+	defer gcrypto.SetBatchWorkers(gcrypto.SetBatchWorkers(c.Workers))
+	// Capture the run's effective parallelism while the run's pool
+	// width is in force: BatchWorkers resolves the 0 = GOMAXPROCS default
 	// to what the verification pool will actually use, and GOMAXPROCS is
 	// what the scheduler grants (not the machine's nominal NumCPU) — so
 	// A/B entries in the bench files are distinguishable.
@@ -232,7 +194,6 @@ func Run(name string, cfg Config) (Result, error) {
 	res.Name = name
 	res.Mode = c.Mode
 	res.Committee = c.Committee
-	res.Serial = c.Serial
 	res.Cores = effCores
 	res.Workers = effWorkers
 	res.RateTPS = c.Rate

@@ -116,21 +116,3 @@ func TestRunTCPSaturatedPullsNothing(t *testing.T) {
 		t.Fatalf("%d blocks travelled by block sync on a crash-free run", res.BlocksSynced)
 	}
 }
-
-// TestRunSerialKnobsRestored: Run must restore every global
-// verification knob it flips for the serial ablation.
-func TestRunSerialKnobsRestored(t *testing.T) {
-	restore := engineMode(false, 0)
-	restore()
-	if _, err := Run("serial-sim", Config{Mode: "sim", Committee: 4, Rate: 50, Duration: time.Second, Serial: true}); err != nil {
-		t.Fatal(err)
-	}
-	// After a serial run the parallel defaults must be back.
-	res, err := Run("parallel-sim", Config{Mode: "sim", Committee: 4, Rate: 50, Duration: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Serial {
-		t.Fatalf("parallel run marked serial: %+v", res)
-	}
-}

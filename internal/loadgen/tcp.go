@@ -59,8 +59,7 @@ func (r *latencyRecorder) snapshot() (committed int, last time.Time, lat []float
 // runTCP builds an in-process TCP cluster — every endorser a real
 // runtime.Node behind its own transport endpoint on 127.0.0.1 — and
 // offers load at the configured rate, measuring wall-clock committed
-// TPS and commit latency. This is the mode where the serial-vs-
-// parallel verification knobs show up as real time.
+// TPS and commit latency.
 func runTCP(c Config) (Result, error) {
 	n := c.Committee
 	epoch := time.Now()

@@ -240,10 +240,20 @@ func TestBackupThreePhaseFlow(t *testing.T) {
 		t.Fatalf("verified %d votes and dropped %d as surplus, want 3 and 1", c.VotesVerified, c.VotesSurplus)
 	}
 	// The certificate is the seals of the counted commits, and a node
-	// that saw none of them (sync, a late joiner) verifies it cold.
-	defer types.SetSigCache(types.SetSigCache(false))
-	if err := blocks[0].Cert.Verify(digest, 1, r.com.Keys(), r.com.Quorum()); err != nil {
-		t.Fatalf("certificate invalid with the signature cache off: %v", err)
+	// that saw none of them (sync, a late joiner) verifies it cold: each
+	// vote checks against its endorser's key without the vote cache.
+	cert := blocks[0].Cert
+	if err := cert.Verify(digest, 1, r.com.Keys(), r.com.Quorum()); err != nil {
+		t.Fatalf("certificate invalid: %v", err)
+	}
+	if len(cert.Votes) < r.com.Quorum() {
+		t.Fatalf("certificate holds %d votes, quorum %d", len(cert.Votes), r.com.Quorum())
+	}
+	for _, v := range cert.Votes {
+		msg := types.CommitVoteBytes(v.Endorser, cert.Era, cert.View, 1, digest)
+		if err := gcrypto.Verify(r.com.Keys()[v.Endorser], v.Endorser, msg, v.Signature); err != nil {
+			t.Fatalf("vote of %s does not verify cold: %v", v.Endorser.Short(), err)
+		}
 	}
 	if r.eng.NextSeq() != 2 {
 		t.Fatalf("NextSeq=%d", r.eng.NextSeq())
@@ -316,7 +326,6 @@ func TestEquivocationSecondProposalIgnored(t *testing.T) {
 // PREPARE's seal for the very same (era, view, seq, digest) is offered as
 // a vote: the message kind is inside the signed bytes.
 func TestCertificateFromCommitEnvelopes(t *testing.T) {
-	defer types.SetSigCache(types.SetSigCache(false))
 	r := newUnitRig(t, 0)
 	digest := gcrypto.HashBytes([]byte("block"))
 	slot := consensus.SlotHeader{Era: 2, View: 1, Seq: 1000, Digest: digest}

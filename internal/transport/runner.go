@@ -3,12 +3,10 @@ package transport
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
-	"gpbft/internal/pbft"
 	"gpbft/internal/runtime"
 	"gpbft/internal/types"
 )
@@ -97,130 +95,11 @@ func (r *Runner) Submit(tx *types.Transaction) error {
 	return <-errCh
 }
 
-// preVerifyEnabled gates the runner's pipelined verification stage;
-// the serial ablation baseline in gpbft-bench turns it off so incoming
-// envelopes hit the event loop unverified, as the seed did.
-var preVerifyEnabled atomic.Bool
-
-func init() { preVerifyEnabled.Store(true) }
-
-// SetPreVerify toggles pipelined envelope pre-verification for all
-// runners; returns the previous setting.
-func SetPreVerify(on bool) bool { return preVerifyEnabled.Swap(on) }
-
-// verifyJob is one incoming envelope in flight through the
-// pre-verification stage.
-type verifyJob struct {
-	env  *consensus.Envelope
-	done chan struct{}
-}
-
-// preVerify runs on a worker goroutine: it performs the expensive
-// signature work an envelope is sure to need — the envelope seal, or the
-// transaction signature a request carries — so the serial event loop
-// finds every check memoized. Failures are not
-// acted on here: an envelope that fails is still delivered, and the
-// engine's own Open rejects it exactly as it would have without the
-// pipeline (only success is memoized, so semantics are unchanged).
-//
-// Intra-era kinds are NOT verified here: only the engine holding the
-// era's committee can name their sender (DESIGN.md 5o), and only it can
-// tell whether a vote still counts (pbft.admitVote) — checking the rest
-// up front was the single largest CPU cost of a round.
-func preVerify(env *consensus.Envelope) {
-	switch env.MsgKind {
-	case consensus.KindRelay:
-		// A relay frame is unsealed by design; the work to front-load is
-		// decoding the batch (memoized on the envelope — the event loop
-		// reuses this result) and pre-verifying each inner envelope.
-		// Recursion is safe: the decoder rejects nested relay frames.
-		entries, err := env.RelayEntries()
-		if err != nil {
-			return
-		}
-		for i := range entries {
-			preVerify(entries[i].Env)
-		}
-	case consensus.KindRequest:
-		// Request envelopes are unsealed (pbft.NewRequest): the
-		// transaction inside is what authenticates, so that is what gets
-		// warmed.
-		var req pbft.Request
-		if consensus.OpenUnverified(env, consensus.KindRequest, &req) == nil {
-			types.PrewarmTxs([]types.Transaction{req.Tx})
-		}
-	default:
-		if !env.MsgKind.IntraEra() {
-			_ = env.Verify() // warms the memo; the engine acts on the verdict
-		}
-	}
-}
-
-// startPipeline spawns the pre-verification stage: a feeder that tags
-// incoming envelopes with an ordered job, a worker pool that verifies
-// them concurrently, and an orderer that releases envelopes to the
-// returned channel strictly in arrival order. The event loop stays the
-// single writer of engine state; only pure signature checks fan out.
-func (r *Runner) startPipeline(ctx context.Context) <-chan *consensus.Envelope {
-	ordered := make(chan verifyJob, 8192)
-	work := make(chan verifyJob, 8192)
-	out := make(chan *consensus.Envelope, 8192)
-
-	workers := gcrypto.BatchWorkers()
-	for i := 0; i < workers; i++ {
-		go func() {
-			for job := range work {
-				if preVerifyEnabled.Load() {
-					preVerify(job.env)
-				}
-				close(job.done)
-			}
-		}()
-	}
-	// Feeder: preserve arrival order in `ordered` while handing the
-	// same job to the workers.
-	go func() {
-		defer close(ordered)
-		defer close(work)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case env := <-r.tcp.Incoming():
-				job := verifyJob{env: env, done: make(chan struct{})}
-				select {
-				case <-ctx.Done():
-					return
-				case work <- job:
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case ordered <- job:
-				}
-			}
-		}
-	}()
-	// Orderer: release each envelope only when verified, in order.
-	go func() {
-		defer close(out)
-		for job := range ordered {
-			<-job.done
-			select {
-			case <-ctx.Done():
-				return
-			case out <- job.env:
-			}
-		}
-	}()
-	return out
-}
-
 // Run processes events until ctx is cancelled. It starts the engine on
-// entry.
+// entry. A received envelope arrives with its signature work done by the
+// connection that read it (TCP.deliverPayload).
 func (r *Runner) Run(ctx context.Context) {
 	r.node.Start(r.now())
-	incoming := r.startPipeline(ctx)
 	for {
 		select {
 		case <-ctx.Done():
@@ -232,11 +111,7 @@ func (r *Runner) Run(ctx context.Context) {
 			}
 			r.mu.Unlock()
 			return
-		case env, ok := <-incoming:
-			if !ok {
-				incoming = nil // pipeline drained at shutdown
-				continue
-			}
+		case env := <-r.tcp.Incoming():
 			r.node.Deliver(r.now(), env)
 		case ev := <-r.events:
 			switch {

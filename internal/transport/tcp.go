@@ -447,6 +447,11 @@ func (t *TCP) adoptInbound(addr gcrypto.Address, conn net.Conn) *peer {
 // first: a rejected request is dropped (the connection survives) and,
 // on client connections, is answered with a signed TxRejected reply
 // carrying the retry-after hint.
+//
+// The connection's read goroutine is the node's pre-verification stage:
+// it does the signature work a queued envelope is sure to need before
+// the single event loop sees it. Each connection keeps its own order,
+// and no envelope waits behind another peer's checks.
 func (t *TCP) deliverPayload(conn net.Conn, from gcrypto.Address, payload []byte, client bool) bool {
 	env, err := consensus.DecodeEnvelope(payload)
 	if err != nil {
@@ -468,11 +473,51 @@ func (t *TCP) deliverPayload(conn net.Conn, from gcrypto.Address, payload []byte
 			return true // drop the envelope, keep the connection
 		}
 	}
+	preVerify(env)
 	select {
 	case t.incoming <- env:
 		return true
 	case <-t.done:
 		return false
+	}
+}
+
+// preVerify does the signature work an envelope is sure to need — the
+// envelope seal, or the transaction signature a request carries — so the
+// event loop finds every check memoized. A failure is not acted on here:
+// the envelope is still delivered and the engine's own Open rejects it,
+// since only success is memoized.
+//
+// Intra-era kinds are NOT verified here: only the engine holding the
+// era's committee can name their sender (DESIGN.md 5o), and only it can
+// tell whether a vote still counts (pbft.admitVote) — checking the rest
+// up front was the single largest CPU cost of a round.
+func preVerify(env *consensus.Envelope) {
+	switch env.MsgKind {
+	case consensus.KindRelay:
+		// A relay frame is unsealed by design; the work to front-load is
+		// decoding the batch (memoized on the envelope — the event loop
+		// reuses this result) and pre-verifying each inner envelope.
+		// Recursion is safe: the decoder rejects nested relay frames.
+		entries, err := env.RelayEntries()
+		if err != nil {
+			return
+		}
+		for i := range entries {
+			preVerify(entries[i].Env)
+		}
+	case consensus.KindRequest:
+		// Request envelopes are unsealed (pbft.NewRequest): the
+		// transaction inside is what authenticates, so that is what gets
+		// warmed.
+		var req pbft.Request
+		if consensus.OpenUnverified(env, consensus.KindRequest, &req) == nil {
+			types.PrewarmTxs([]types.Transaction{req.Tx})
+		}
+	default:
+		if !env.MsgKind.IntraEra() {
+			_ = env.Verify() // warms the memo; the engine acts on the verdict
+		}
 	}
 }
 

@@ -267,6 +267,45 @@ func TestClientRequestNamesNoRelayer(t *testing.T) {
 	}
 }
 
+// TestReadLoopPreVerifiesRequest: the connection that reads a request
+// checks its transaction's signature before the envelope is queued, so
+// the event loop's check is a cache hit.
+func TestReadLoopPreVerifiesRequest(t *testing.T) {
+	node, err := New(Config{Listen: "127.0.0.1:0", Key: gcrypto.DeterministicKeyPair(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	tx := &types.Transaction{
+		Type: types.TxNormal, Nonce: 1, Payload: []byte("read-loop"), Fee: 1,
+		Geo: types.GeoInfo{Location: geo.Point{Lng: 114.18, Lat: 22.3}, Timestamp: epoch.Add(time.Second)},
+	}
+	tx.Sign(gcrypto.DeterministicKeyPair(1001))
+
+	conn := dialRaw(t, node.ListenAddr())
+	defer conn.Close()
+	if err := WriteFrame(conn, pbft.NewRequest(gcrypto.DeterministicKeyPair(9), tx)); err != nil {
+		t.Fatal(err)
+	}
+	var env *consensus.Envelope
+	select {
+	case env = <-node.Incoming():
+	case <-time.After(5 * time.Second):
+		t.Fatal("request not delivered")
+	}
+	var req pbft.Request
+	if err := consensus.OpenUnverified(env, consensus.KindRequest, &req); err != nil {
+		t.Fatal(err)
+	}
+	_, before := types.SigCacheStats()
+	if err := req.Tx.VerifyCached(); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := types.SigCacheStats(); after != before {
+		t.Fatal("the request's transaction reached the event loop unverified")
+	}
+}
+
 // TestWireBytesOverTCP: two endpoints, one connection carrying both
 // directions. Every frame weighs its canonical encoding plus the length
 // prefix whatever the connection carried before, and again after the

@@ -154,10 +154,11 @@ func TestCertificateVerifyQuorum(t *testing.T) {
 	}
 }
 
-// TestCertificateVerifyRejects runs with the signature cache off, as a
-// node that took no part in the round verifies: every vote cold.
+// TestCertificateVerifyRejects: no vote here was noted (NoteVote), so
+// every one is verified cold, as by a node that took no part in the
+// round, and a cached accept of the good vote carries over to no other
+// (era, view, seq, hash).
 func TestCertificateVerifyRejects(t *testing.T) {
-	defer SetSigCache(SetSigCache(false))
 	b := testBlock(t, 1)
 	hash := b.Hash()
 	kp := gcrypto.DeterministicKeyPair(30)

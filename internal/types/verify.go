@@ -32,18 +32,10 @@ type sigStripe struct {
 }
 
 var (
-	sigCache        [sigCacheStripes]sigStripe
-	sigCacheEnabled atomic.Bool
-	sigCacheHits    atomic.Uint64
-	sigCacheMisses  atomic.Uint64
+	sigCache       [sigCacheStripes]sigStripe
+	sigCacheHits   atomic.Uint64
+	sigCacheMisses atomic.Uint64
 )
-
-func init() { sigCacheEnabled.Store(true) }
-
-// SetSigCache toggles the verified-signature cache; returns the
-// previous setting. The serial ablation baseline in gpbft-bench turns
-// it off to reproduce seed behaviour.
-func SetSigCache(on bool) bool { return sigCacheEnabled.Swap(on) }
 
 // SigCacheStats reports cache hits and misses since process start.
 func SigCacheStats() (hits, misses uint64) {
@@ -97,9 +89,7 @@ func sigCacheStore(key gcrypto.Hash) {
 // verdicts. Verification verdicts recorded while real crypto is
 // disabled (simulation sweeps) would be unsound once re-enabled, so
 // the cache stands down entirely in that mode.
-func sigCacheUsable() bool {
-	return sigCacheEnabled.Load() && gcrypto.VerificationEnabled()
-}
+func sigCacheUsable() bool { return gcrypto.VerificationEnabled() }
 
 // VerifyCached is Verify with signature memoization: structural checks
 // always run (they are cheap and stateless), the ed25519 check is

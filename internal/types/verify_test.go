@@ -125,16 +125,6 @@ func TestSigCacheDisabledCrypto(t *testing.T) {
 	gcrypto.SetVerification(prev)
 }
 
-// TestSigCacheToggle: SetSigCache(false) must route through the plain
-// serial path.
-func TestSigCacheToggle(t *testing.T) {
-	prev := SetSigCache(false)
-	defer SetSigCache(prev)
-	txs := []Transaction{signedTx(t, 3), signedTx(t, 4)}
-	txs[1].Signature = nil
-	assertTxEquivalent(t, txs)
-}
-
 // TestVerifyTxsConcurrent hammers the striped cache from many
 // goroutines under -race.
 func TestVerifyTxsConcurrent(t *testing.T) {

@@ -145,6 +145,13 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// Offset returns the number of bytes read so far.
+func (r *Reader) Offset() int { return r.off }
+
+// Since returns the bytes read from offset off up to now. The slice
+// aliases the decoded buffer: hash it or copy it, do not keep it.
+func (r *Reader) Since(off int) []byte { return r.buf[off:r.off] }
+
 // Finish verifies the buffer was fully consumed.
 func (r *Reader) Finish() error {
 	if r.err != nil {

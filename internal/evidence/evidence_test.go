@@ -241,8 +241,8 @@ func TestLocationSpoofVerify(t *testing.T) {
 
 func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":   {},
-		"junk":    []byte("not an evidence record"),
+		"empty": {},
+		"junk":  []byte("not an evidence record"),
 		"tag-only": func() []byte {
 			kp := gcrypto.DeterministicKeyPair(1)
 			a, b := conflictingPrepares(t, kp)

@@ -114,10 +114,10 @@ func TestVerifyBatchLargerThanPool(t *testing.T) {
 // pubkey, wrong address) alongside signature failures.
 func TestVerifyBatchMixedFailures(t *testing.T) {
 	items := batchFixture(t, 8)
-	items[1].Pub = items[1].Pub[:5]     // bad key size
-	items[3].Addr = Address{}           // address/key mismatch
-	items[5].Sig = nil                  // empty signature
-	items = corrupt(items, 6)           // bad signature bytes
+	items[1].Pub = items[1].Pub[:5] // bad key size
+	items[3].Addr = Address{}       // address/key mismatch
+	items[5].Sig = nil              // empty signature
+	items = corrupt(items, 6)       // bad signature bytes
 	assertEquivalent(t, items)
 }
 

@@ -1,6 +1,7 @@
 package gcrypto
 
 import (
+	"crypto/sha256"
 	"errors"
 )
 
@@ -27,11 +28,18 @@ type MerkleTree struct {
 	levels [][]Hash // levels[0] = leaf hashes, last level = [root]
 }
 
-// hashLeaf computes the domain-separated leaf digest.
-func hashLeaf(data []byte) Hash { return HashConcat(leafPrefix, data) }
+// LeafHash computes the domain-separated digest of one leaf payload.
+func LeafHash(data []byte) Hash { return HashConcat(leafPrefix, data) }
 
-// hashNode computes the domain-separated interior digest.
-func hashNode(l, r Hash) Hash { return HashConcat(nodePrefix, l[:], r[:]) }
+// hashNode computes the domain-separated interior digest. Its input has
+// a fixed size, so it is assembled on the stack and hashed in one call.
+func hashNode(l, r Hash) Hash {
+	var b [1 + 2*len(Hash{})]byte
+	b[0] = nodePrefix[0]
+	copy(b[1:], l[:])
+	copy(b[1+len(l):], r[:])
+	return sha256.Sum256(b[:])
+}
 
 // NewMerkleTree builds the tree over the given leaf payloads.
 func NewMerkleTree(leaves [][]byte) (*MerkleTree, error) {
@@ -40,8 +48,14 @@ func NewMerkleTree(leaves [][]byte) (*MerkleTree, error) {
 	}
 	level := make([]Hash, len(leaves))
 	for i, l := range leaves {
-		level[i] = hashLeaf(l)
+		level[i] = LeafHash(l)
 	}
+	return treeOver(level), nil
+}
+
+// treeOver builds the tree whose leaf digests are level (at least one);
+// level becomes the tree's first level and is not modified.
+func treeOver(level []Hash) *MerkleTree {
 	t := &MerkleTree{levels: [][]Hash{level}}
 	for len(level) > 1 {
 		next := make([]Hash, 0, (len(level)+1)/2)
@@ -55,7 +69,7 @@ func NewMerkleTree(leaves [][]byte) (*MerkleTree, error) {
 		t.levels = append(t.levels, next)
 		level = next
 	}
-	return t, nil
+	return t
 }
 
 // MerkleRoot is a convenience that returns just the root of the tree
@@ -70,6 +84,16 @@ func MerkleRoot(leaves [][]byte) Hash {
 		return Hash{}
 	}
 	return t.Root()
+}
+
+// MerkleRootOfLeaves returns the root of the tree whose leaf digests
+// (LeafHash of each payload) are given, without the payloads: the same
+// root MerkleRoot computes over them, and the zero hash for none.
+func MerkleRootOfLeaves(leaves []Hash) Hash {
+	if len(leaves) == 0 {
+		return Hash{}
+	}
+	return treeOver(leaves).Root()
 }
 
 // Root returns the tree root.
@@ -121,7 +145,7 @@ func (t *MerkleTree) Prove(i int) (Proof, error) {
 // VerifyProof checks that leaf data sits at the proof's position under
 // the given root.
 func VerifyProof(root Hash, data []byte, p Proof) bool {
-	h := hashLeaf(data)
+	h := LeafHash(data)
 	for _, s := range p.Steps {
 		if s.Left {
 			h = hashNode(s.Sibling, h)

@@ -100,7 +100,7 @@ func TestMerkleOrderMatters(t *testing.T) {
 func TestMerkleDomainSeparation(t *testing.T) {
 	// The root of [h(a)||h(b)] as a single leaf must not equal the root
 	// of [a, b]: leaf and node hashing are domain separated.
-	la, lb := hashLeaf([]byte("a")), hashLeaf([]byte("b"))
+	la, lb := LeafHash([]byte("a")), LeafHash([]byte("b"))
 	spliced := MerkleRoot([][]byte{append(la[:], lb[:]...)})
 	honest := MerkleRoot([][]byte{[]byte("a"), []byte("b")})
 	if spliced == honest {
@@ -140,5 +140,30 @@ func TestMerkleProofProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// MerkleRoot and MerkleRootOfLeaves fold to the tree's root at every
+// size, odd promotions included.
+func TestMerkleRootsMatchTree(t *testing.T) {
+	for n := 1; n <= 33; n++ {
+		leaves := leavesOf(n)
+		tr, err := NewMerkleTree(leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes := make([]Hash, n)
+		for i, l := range leaves {
+			hashes[i] = LeafHash(l)
+		}
+		if MerkleRoot(leaves) != tr.Root() || MerkleRootOfLeaves(hashes) != tr.Root() {
+			t.Fatalf("n=%d: root mismatch", n)
+		}
+		if hashes[0] != LeafHash(leaves[0]) {
+			t.Fatalf("n=%d: MerkleRootOfLeaves overwrote its input", n)
+		}
+	}
+	if !MerkleRootOfLeaves(nil).IsZero() {
+		t.Fatal("root of no leaf digests must be the zero hash")
 	}
 }

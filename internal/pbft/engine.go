@@ -207,6 +207,13 @@ type Engine struct {
 	pendingMsgs map[uint64][]*consensus.Envelope
 	draining    bool
 
+	// lastExecuted is the block of the last executed slot. The chain
+	// applies it only after the handler that executed it returns, and a
+	// checkpoint that stabilizes in that handler prunes its instance: a
+	// proposal for the next slot replayed in between meets a chain head
+	// one block behind and no retained parent, and is validated on this.
+	lastExecuted *types.Block
+
 	// Block assembly (fetch.go): parked tracks, by seq, the buffered
 	// pre-prepares whose blocks this replica could not assemble yet; the
 	// NewView that set the current view leaves the blocks of the
@@ -944,6 +951,9 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 			return nil
 		}
 		parent := e.parentBlock(pp.Seq)
+		if parent == nil && pp.Seq == e.execNext && e.lastExecuted != nil && e.lastExecuted.Header.Seq+1 == pp.Seq {
+			parent = e.lastExecuted
+		}
 		if parent == nil {
 			if pp.Seq == e.execNext {
 				return nil
@@ -1277,6 +1287,7 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 		seq := e.execNext
 		e.execNext++
 		block := inst.block
+		e.lastExecuted = block
 		// Attach the commit certificate: the seals of the counted commits.
 		votes := inst.certVotes
 		if len(votes) > e.com.Quorum() {

@@ -528,3 +528,49 @@ func TestWALOrdersParentPreparedBeforeChildCommit(t *testing.T) {
 		}
 	}
 }
+
+// TestProposalOnPrunedParentIsKept: a backup that lags its peers gets
+// their checkpoints for slot 1 before executing slot 1, and the proposal
+// for slot 2 before that. Executing slot 1 then stabilizes the
+// checkpoint, pruning slot 1's instance, in the same handler that
+// replays the buffered proposal for slot 2, while slot 1's CommitBlock
+// is not yet applied to the chain. The proposal must be validated on the
+// block just executed and accepted; dropped, it left the backup without
+// a proposal for its next slot until block sync pulled the blocks.
+func TestProposalOnPrunedParentIsKept(t *testing.T) {
+	prim := newUnitRig(t, 0).primaryPos()
+	selfPos := (prim + 1) % 4
+	r := newPipeRig(t, selfPos, 1, 1, nil, nil)
+	r.eng.Init(0)
+	p1, p2 := otherBackups(prim, selfPos)
+
+	blocks, envs := r.chainProposals(2)
+	if acts := r.eng.OnEnvelope(0, envs[0]); !containsSeq(prepareSeqs(t, acts), 1) {
+		t.Fatal("slot 1 must be accepted")
+	}
+	if acts := r.eng.OnEnvelope(0, envs[1]); len(prepareSeqs(t, acts)) != 0 {
+		t.Fatal("slot 2 must wait for slot 1")
+	}
+	d := blocks[0].Hash()
+	for _, i := range []int{p1, p2} {
+		r.eng.OnEnvelope(0, r.seal(i, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 1, Digest: d}}))
+	}
+	if r.eng.LowWater() != 0 {
+		t.Fatal("two peer checkpoints must not stabilize slot 1")
+	}
+
+	var acts []consensus.Action
+	acts = append(acts, r.eng.OnEnvelope(0, r.prepareAt(p1, 1, d))...)
+	acts = append(acts, r.eng.OnEnvelope(0, r.prepareAt(p2, 1, d))...)
+	acts = append(acts, r.eng.OnEnvelope(0, r.commitAt(p1, 1, d))...)
+	acts = append(acts, r.eng.OnEnvelope(0, r.commitAt(p2, 1, d))...)
+	if r.eng.LowWater() != 1 {
+		t.Fatal("executing slot 1 must stabilize its checkpoint")
+	}
+	if len(r.applyCommits(t, acts)) != 1 {
+		t.Fatal("slot 1 did not execute")
+	}
+	if !containsSeq(prepareSeqs(t, acts), 2) || !r.eng.HasProposal(2) {
+		t.Fatal("the proposal for slot 2 was dropped when slot 1's checkpoint pruned its parent")
+	}
+}

@@ -159,8 +159,11 @@ func (a *App) ValidateBlockOn(b, parent *types.Block) error {
 	return a.chain.ValidateBlockAgainst(b, parent)
 }
 
-// SubmitTx implements pbft.Application: verify, dedup, enqueue.
+// SubmitTx implements pbft.Application: verify, dedup, enqueue. The
+// pool holds a sealed copy (types.Transaction.Sealed), so every later
+// ID, root and cache lookup reads the digests it carries.
 func (a *App) SubmitTx(tx *types.Transaction) error {
+	tx = tx.Sealed()
 	// VerifyCached: submission, relay, and block validation all check
 	// the same signature; the first accept is memoized for the rest.
 	if err := tx.VerifyCached(); err != nil {

@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,19 +50,40 @@ func writeRawFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readRawFrame reads one length-prefixed payload from r.
+// frameChunk is the first allocation for a frame's payload; past it the
+// buffer doubles as bytes arrive. A header may claim up to MaxFrame, and
+// allocating that up front would let one unauthenticated 4-byte header
+// pin 32 MiB.
+const frameChunk = 64 << 10
+
+// readBufSize is the per-connection read buffer. The writer coalesces up
+// to maxWriteCoalesce frames into one write, and the buffer lets one read
+// syscall return many of them; it stays small because every connection
+// holds one for its whole life (DESIGN.md §5q).
+const readBufSize = 8 << 10
+
+// readRawFrame reads one length-prefixed payload from r, growing the
+// buffer as the payload arrives rather than as its header claims: at
+// most twice what has arrived, plus frameChunk.
 func readRawFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, 0, min(n, frameChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) { // double, but never past the claim
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
 	}
 	return buf, nil
 }
@@ -399,7 +421,10 @@ func (t *TCP) serveInbound(conn net.Conn) {
 	t.configureConn(conn)
 
 	conn.SetReadDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
-	payload, err := readRawFrame(conn)
+	// The hello and the frames behind it may share a segment, so the
+	// hello is read through the buffer the read loop goes on with.
+	br := bufio.NewReaderSize(conn, readBufSize)
+	payload, err := readRawFrame(br)
 	if err != nil {
 		return
 	}
@@ -414,12 +439,12 @@ func (t *TCP) serveInbound(conn net.Conn) {
 		if p := t.adoptInbound(h.Addr, conn); p != nil {
 			defer p.dropConn(conn)
 		}
-		t.readFrames(conn, h.Addr, false, nil)
+		t.readFrames(conn, br, h.Addr, false, nil)
 		return
 	}
 	// No hello: an unattributed client (or legacy) connection. Client
 	// traffic gets the ingress byte budget and admission replies.
-	t.readFrames(conn, gcrypto.Address{}, true, payload)
+	t.readFrames(conn, br, gcrypto.Address{}, true, payload)
 }
 
 // adoptInbound offers an attributed inbound connection to the peer's
@@ -542,12 +567,13 @@ func (t *TCP) sendReject(conn net.Conn, txID gcrypto.Hash, cause error) {
 }
 
 // readFrames pumps envelopes off a connection from `from` until it
-// fails, starting with first when the caller already read a frame off
-// it. Client connections additionally pay a per-connection ingress byte
+// fails, reading through br, the connection's buffered reader, and
+// starting with first when the caller already read a frame off it.
+// Client connections additionally pay a per-connection ingress byte
 // budget: when the configured rate is exceeded, only this connection's
 // read loop sleeps off the deficit, so one flooder cannot slow anyone
 // else.
-func (t *TCP) readFrames(conn net.Conn, from gcrypto.Address, client bool, first []byte) {
+func (t *TCP) readFrames(conn net.Conn, br *bufio.Reader, from gcrypto.Address, client bool, first []byte) {
 	if first != nil && !t.deliverPayload(conn, from, first, client) {
 		return
 	}
@@ -563,7 +589,7 @@ func (t *TCP) readFrames(conn net.Conn, from gcrypto.Address, client bool, first
 		if t.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 		}
-		payload, err := readRawFrame(conn)
+		payload, err := readRawFrame(br)
 		if err != nil {
 			return
 		}
@@ -770,7 +796,7 @@ func (t *TCP) serveOutbound(p *peer, conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer p.dropConn(conn)
-	t.readFrames(conn, p.addr, false, nil)
+	t.readFrames(conn, bufio.NewReaderSize(conn, readBufSize), p.addr, false, nil)
 }
 
 // offerConn installs a connection as the peer's writer conduit; it

@@ -114,15 +114,15 @@ type Block struct {
 }
 
 // ComputeTxRoot returns the Merkle root over the encoded transactions.
+// A decoded or pooled transaction brings its leaf digest with it, so
+// only the interior nodes are hashed here; any other is encoded and
+// hashed in full.
 func ComputeTxRoot(txs []Transaction) gcrypto.Hash {
-	if len(txs) == 0 {
-		return gcrypto.Hash{}
-	}
-	leaves := make([][]byte, len(txs))
+	leaves := make([]gcrypto.Hash, len(txs))
 	for i := range txs {
-		leaves[i] = EncodeTx(&txs[i])
+		leaves[i] = txs[i].leafHash()
 	}
-	return gcrypto.MerkleRoot(leaves)
+	return gcrypto.MerkleRootOfLeaves(leaves)
 }
 
 // NewBlock assembles a block over txs and fills the TxRoot.

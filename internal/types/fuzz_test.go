@@ -9,9 +9,22 @@ import (
 	"gpbft/internal/geo"
 )
 
+// checkDigests fails unless tx carries the ID and leaf digests its
+// fields give when hashed afresh.
+func checkDigests(t *testing.T, tx *Transaction) {
+	t.Helper()
+	if tx.id != gcrypto.HashBytes(tx.signingBytes()) {
+		t.Fatal("carried ID differs from the hash of the signed content")
+	}
+	if tx.leaf != gcrypto.LeafHash(EncodeTx(tx)) {
+		t.Fatal("carried leaf differs from the leaf hash of the encoding")
+	}
+}
+
 // FuzzDecodeTx: arbitrary bytes must never panic the transaction
 // decoder, and any successfully decoded transaction must re-encode to
-// the identical bytes (canonical form).
+// the identical bytes (canonical form) and carry the digests its fields
+// give.
 func FuzzDecodeTx(f *testing.F) {
 	kp := gcrypto.DeterministicKeyPair(1)
 	tx := &Transaction{
@@ -30,10 +43,12 @@ func FuzzDecodeTx(f *testing.F) {
 		if !bytes.Equal(EncodeTx(got), data) {
 			t.Fatal("decoded tx does not re-encode canonically")
 		}
+		checkDigests(t, got)
 	})
 }
 
-// FuzzDecodeBlock: the block decoder must be total.
+// FuzzDecodeBlock: the block decoder must be total, and every
+// transaction of a decoded block carries the digests its fields give.
 func FuzzDecodeBlock(f *testing.F) {
 	kp := gcrypto.DeterministicKeyPair(1)
 	tx := Transaction{
@@ -51,6 +66,9 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeBlock(got), data) {
 			t.Fatal("decoded block does not re-encode canonically")
+		}
+		for i := range got.Txs {
+			checkDigests(t, &got.Txs[i])
 		}
 	})
 }

@@ -168,6 +168,14 @@ type Transaction struct {
 	Fee       uint64 // transaction fee funding the incentive mechanism
 	Geo       GeoInfo
 	Signature []byte
+
+	// id and leaf are the two digests of a transaction whose bytes are
+	// fixed: the ID over the signed content, and the Merkle leaf hash of
+	// the wire encoding. UnmarshalCanonical and Sealed set them; both
+	// are zero on a literal or a Sign'd transaction, which then hashes
+	// on every call. A transaction carrying them is never mutated
+	// (DESIGN.md §5q).
+	id, leaf gcrypto.Hash
 }
 
 // Errors returned by transaction validation.
@@ -194,13 +202,43 @@ func (tx *Transaction) signingBytes() []byte {
 }
 
 // ID returns the transaction digest (over the signed content, so two
-// transactions with the same ID are the same transaction).
+// transactions with the same ID are the same transaction). A decoded or
+// sealed transaction returns the digest it carries; any other hashes
+// its fields.
 func (tx *Transaction) ID() gcrypto.Hash {
+	if !tx.id.IsZero() {
+		return tx.id
+	}
 	return gcrypto.HashBytes(tx.signingBytes())
 }
 
-// Sign fills Sender, SenderPub and Signature using kp.
+// leafHash returns the transaction's Merkle leaf digest,
+// gcrypto.LeafHash(EncodeTx(tx)): it covers the whole wire encoding,
+// key and signature included. Carried like ID.
+func (tx *Transaction) leafHash() gcrypto.Hash {
+	if !tx.leaf.IsZero() {
+		return tx.leaf
+	}
+	return gcrypto.LeafHash(EncodeTx(tx))
+}
+
+// Sealed returns tx with both digests set: tx itself when it already
+// carries them, else a copy. The pool holds sealed transactions, so the
+// blocks built from it hash nothing a second time. The caller must not
+// mutate tx afterwards.
+func (tx *Transaction) Sealed() *Transaction {
+	if !tx.id.IsZero() {
+		return tx
+	}
+	c := *tx
+	c.id, c.leaf = tx.ID(), tx.leafHash()
+	return &c
+}
+
+// Sign fills Sender, SenderPub and Signature using kp. It clears the
+// digests: the transaction it signs is new content.
 func (tx *Transaction) Sign(kp *gcrypto.KeyPair) {
+	tx.id, tx.leaf = gcrypto.Hash{}, gcrypto.Hash{}
 	tx.Sender = kp.Address()
 	tx.SenderPub = append([]byte(nil), kp.Public()...)
 	tx.Signature = kp.Sign(tx.signingBytes())
@@ -291,8 +329,11 @@ func (tx *Transaction) MarshalCanonical(w *codec.Writer) {
 	w.WriteBytes(tx.Signature)
 }
 
-// UnmarshalCanonical decodes a transaction written by MarshalCanonical.
+// UnmarshalCanonical decodes a transaction written by MarshalCanonical
+// and sets its digests: the leaf from the bytes just consumed, which are
+// EncodeTx of the result since decoding is canonical.
 func (tx *Transaction) UnmarshalCanonical(r *codec.Reader) error {
+	start := r.Offset()
 	tx.Type = TxType(r.Uint8())
 	tx.Nonce = r.Uint64()
 	r.RawInto(tx.Sender[:])
@@ -301,7 +342,11 @@ func (tx *Transaction) UnmarshalCanonical(r *codec.Reader) error {
 	tx.Fee = r.Uint64()
 	tx.Geo.unmarshal(r)
 	tx.Signature = r.ReadBytes()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	tx.id, tx.leaf = gcrypto.HashBytes(tx.signingBytes()), gcrypto.LeafHash(r.Since(start))
+	return nil
 }
 
 // MinTxSize is the length of the shortest transaction encoding: a

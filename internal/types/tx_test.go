@@ -261,3 +261,44 @@ func TestGeoInfoMarshalDeterministic(t *testing.T) {
 		t.Fatal("GeoInfo encoding not deterministic")
 	}
 }
+
+// Digests are carried only where a transaction's bytes are fixed: a
+// literal or a Sign'd transaction carries none and hashes afresh, even
+// when Sign is called on a copy of a decoded one; Sealed sets them on a
+// copy and leaves its argument as it was.
+func TestTxDigestsCarriedOnlyWhenFixed(t *testing.T) {
+	kp := gcrypto.DeterministicKeyPair(1)
+	lit := Transaction{Type: TxNormal, Nonce: 1, Payload: []byte("x")}
+	if !lit.id.IsZero() || !lit.leaf.IsZero() {
+		t.Fatal("a literal carries digests")
+	}
+	tx := testTx(t, kp, TxNormal)
+	if !tx.id.IsZero() || !tx.leaf.IsZero() {
+		t.Fatal("a Sign'd transaction carries digests")
+	}
+
+	dec, err := DecodeTx(EncodeTx(tx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.id != tx.ID() || dec.leaf != tx.leafHash() {
+		t.Fatal("decoded digests differ from the hashes of the original")
+	}
+	resigned := *dec
+	resigned.Fee++
+	resigned.Sign(kp)
+	if !resigned.id.IsZero() || !resigned.leaf.IsZero() || resigned.ID() == dec.ID() {
+		t.Fatal("Sign kept the digests of the content it replaced")
+	}
+
+	sealed := tx.Sealed()
+	if sealed == tx || !tx.id.IsZero() {
+		t.Fatal("Sealed must seal a copy, not its argument")
+	}
+	if sealed.id != tx.ID() || sealed.leaf != tx.leafHash() {
+		t.Fatal("sealed digests differ from the hashes of the fields")
+	}
+	if sealed.Sealed() != sealed || dec.Sealed() != dec {
+		t.Fatal("a transaction that carries digests is sealed already")
+	}
+}

@@ -12,9 +12,9 @@ import (
 // submission, once per committee relay received, and once per replica
 // inside block validation. The checks are pure functions of the
 // transaction bytes, so the results are memoized in a bounded,
-// lock-striped cache keyed by (tx ID, signature); block validation
-// additionally fans the uncached checks out over the gcrypto worker
-// pool. Both layers preserve byte-exact accept/reject semantics with
+// lock-striped cache keyed by the transaction's leaf digest; block
+// validation additionally fans the uncached checks out over the gcrypto
+// worker pool. Both layers preserve byte-exact accept/reject semantics with
 // the serial path: only successful verifications under real
 // (non-disabled) crypto are ever cached.
 
@@ -42,13 +42,14 @@ func SigCacheStats() (hits, misses uint64) {
 	return sigCacheHits.Load(), sigCacheMisses.Load()
 }
 
-// sigCacheKey binds the cached verdict to the exact signature bytes:
-// the tx ID covers only the signed content, so two encodings of the
-// same ID with different signatures must not share a cache slot.
-func sigCacheKey(tx *Transaction) gcrypto.Hash {
-	id := tx.ID()
-	return gcrypto.HashConcat(id[:], tx.Signature)
-}
+// sigCacheKey binds the cached verdict to the exact key, content and
+// signature bytes: it is the transaction's Merkle leaf digest, a hash of
+// its whole wire encoding, which a decoded or pooled transaction already
+// carries. The tx ID alone would not do — it covers only the signed
+// content, so two encodings of the same ID with different signatures
+// must not share a cache slot. Leaf digests start from a 0x00 prefix,
+// vote keys from "vote", so the two kinds of key never meet.
+func sigCacheKey(tx *Transaction) gcrypto.Hash { return tx.leafHash() }
 
 func sigCacheLookup(key gcrypto.Hash) bool {
 	s := &sigCache[key[0]&(sigCacheStripes-1)]

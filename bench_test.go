@@ -317,8 +317,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 				}
 				cl.RunUntilIdle(time.Minute)
 				mean = cl.Metrics().MeanLatency().Seconds()
-				// Committed TPS over the virtual run, so batch-size
-				// ablations are comparable with BENCH_tps.json entries.
+				// Committed TPS over the whole virtual run.
 				if elapsed := cl.Now().Seconds(); elapsed > 0 {
 					tps = float64(cl.Metrics().CommittedCount()) / elapsed
 				}

@@ -143,9 +143,9 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		if site.shardPrefix != "" {
 			chain.SetShardPrefix(site.shardPrefix)
 		}
-		pool := runtime.NewMempoolShards(opts.MempoolCap, opts.MempoolShards)
+		pool := runtime.NewMempool(opts.MempoolCap)
 		if opts.RateLimit > 0 {
-			pool = runtime.NewMempoolQoS(opts.MempoolCap, opts.MempoolShards, runtime.QoSConfig{
+			pool = runtime.NewMempoolQoS(opts.MempoolCap, runtime.DefaultMempoolShards, runtime.QoSConfig{
 				LaneWeights: opts.LaneWeights,
 				FairShare:   opts.FairShare,
 			})
@@ -236,7 +236,6 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		if opts.RateLimit > 0 {
 			adm := runtime.NewAdmission(runtime.AdmissionConfig{
 				Rate:           opts.RateLimit,
-				Burst:          opts.RateBurst,
 				ShedThresholds: opts.ShedThresholds,
 			})
 			adm.BindPool(pool)
@@ -258,13 +257,10 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 				peers = append(peers, e.Address)
 			}
 			node.Relay = consensus.NewRelay(consensus.RelayConfig{
-				Self:       kp.Address(),
-				Peers:      peers,
-				Fanout:     opts.GossipFanout,
-				FlushEvery: consensus.Time(opts.GossipFlush),
-				DupeTTL:    consensus.Time(opts.DupemapTTL),
-				DupeCap:    opts.DupemapCap,
-				Seed:       opts.Seed ^ int64(uint64(site.keyBase+i+1)*0x9e3779b97f4a7c15),
+				Self:   kp.Address(),
+				Peers:  peers,
+				Fanout: opts.GossipFanout,
+				Seed:   opts.Seed ^ int64(uint64(site.keyBase+i+1)*0x9e3779b97f4a7c15),
 			})
 		}
 		if i == 0 {
@@ -425,16 +421,6 @@ func (c *Cluster) SubmitNodeTx(at time.Duration, i int, payload []byte, fee uint
 	tx := c.NewNodeTx(i, at, payload, fee)
 	c.SubmitTx(at, i, tx)
 	return tx
-}
-
-// SubmitAttackTx injects a pre-signed transaction through node `via`
-// WITHOUT starting the latency clock: attack traffic competes for
-// admission and pool space but must not pollute the honest latency
-// distribution the bench gates on.
-func (c *Cluster) SubmitAttackTx(at time.Duration, via int, tx *types.Transaction) {
-	c.net.Schedule(at, func(now consensus.Time) {
-		_ = c.nodes[via].Submit(now, tx)
-	})
 }
 
 // ScheduleReports makes node i submit `count` location reports every

@@ -9,9 +9,13 @@ import (
 	"gpbft/internal/types"
 )
 
-// runGossipLoad drives a committee-n cluster under round-robin load
-// and returns it after quiescence with agreement verified.
-func runGossipLoad(t *testing.T, n int, gossip bool, txs int) *Cluster {
+// loadStart is when runGossipLoad's first transaction enters.
+const loadStart = 10 * time.Millisecond
+
+// runGossipLoad drives a committee-n cluster with txs transactions
+// spread evenly over window from loadStart, round-robin over nodes, and
+// returns it after quiescence with agreement verified.
+func runGossipLoad(t *testing.T, n int, gossip bool, txs int, window time.Duration) *Cluster {
 	t.Helper()
 	opts := DefaultOptions(GPBFT, n)
 	opts.MaxEndorsers = n // let the whole population form the committee
@@ -21,11 +25,11 @@ func runGossipLoad(t *testing.T, n int, gossip bool, txs int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interval := 2 * time.Second / time.Duration(txs)
+	interval := window / time.Duration(txs)
 	for k := 0; k < txs; k++ {
-		c.SubmitNodeTx(time.Duration(k)*interval, k%n, []byte("payload"), 1)
+		c.SubmitNodeTx(loadStart+time.Duration(k)*interval, k%n, []byte{byte(k), byte(k >> 8), byte(k >> 16)}, 1)
 	}
-	c.RunUntilIdle(10 * time.Minute)
+	c.RunUntilIdle(window + 5*time.Minute)
 	if _, err := c.VerifyAgreement(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +45,8 @@ func runGossipLoad(t *testing.T, n int, gossip bool, txs int) *Cluster {
 // traffic replaced by relay frames).
 func TestGossipClusterEquivalence(t *testing.T) {
 	const n, txs = 7, 60
-	off := runGossipLoad(t, n, false, txs)
-	on := runGossipLoad(t, n, true, txs)
+	off := runGossipLoad(t, n, false, txs, 2*time.Second)
+	on := runGossipLoad(t, n, true, txs, 2*time.Second)
 
 	offTxs, onTxs := committedTxs(off), committedTxs(on)
 	if offTxs != txs || onTxs != txs {
@@ -88,11 +92,10 @@ func TestGossipClusterEquivalence(t *testing.T) {
 
 // TestGossipOffIsDeterministic: two gossip-off runs of the same seed
 // are byte-for-byte the same simulation — the knob's default must not
-// perturb the pre-existing path (the CI quick gate then pins the
-// absolute numbers against the recorded trajectory).
+// perturb the pre-existing path.
 func TestGossipOffIsDeterministic(t *testing.T) {
-	a := runGossipLoad(t, 7, false, 40)
-	b := runGossipLoad(t, 7, false, 40)
+	a := runGossipLoad(t, 7, false, 40, 2*time.Second)
+	b := runGossipLoad(t, 7, false, 40, 2*time.Second)
 	if am, bm := a.Traffic().Messages(), b.Traffic().Messages(); am != bm {
 		t.Fatalf("message totals diverge: %d vs %d", am, bm)
 	}
@@ -104,15 +107,32 @@ func TestGossipOffIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestGossipMessageBound is the scalability claim in miniature: with
-// gossip on, per-node relay frames per committed slot stay within
-// 4·f·log₂(n) — the all-to-all path would need n−1 sends per broadcast
-// and there are several broadcasts per slot per node.
-func TestGossipMessageBound(t *testing.T) {
-	const n, txs = 22, 200
-	c := runGossipLoad(t, n, true, txs)
+// gossipRun is one point of TestGossipMessageBound's sweep.
+type gossipRun struct {
+	tps, p50Ms    float64
+	framesPerSlot float64 // relay frames per node per committed slot
+	bound         float64 // 4·f·log₂(n)
+}
 
-	slots := float64(c.MaxHeight())
+// measureGossipRun offers 40 tx/s for 5 s (seed 1, frozen committee of
+// n) and reads committed TPS over the window from the first submission
+// to quiescence, virtual-time commit p50 and, with gossip on, the relay
+// frames each node sent per committed slot.
+func measureGossipRun(t *testing.T, n int, gossip bool) gossipRun {
+	t.Helper()
+	const txs = 200
+	c := runGossipLoad(t, n, gossip, txs, 5*time.Second)
+	m := c.Metrics()
+	if got := m.CommittedCount(); got != txs {
+		t.Fatalf("n=%d gossip=%v: committed %d of %d", n, gossip, got, txs)
+	}
+	r := gossipRun{
+		tps:   float64(txs) / (c.Now() - loadStart).Seconds(),
+		p50Ms: float64(m.Quantile(0.50)) / float64(time.Millisecond),
+	}
+	if !gossip {
+		return r
+	}
 	var frames float64
 	fanout := 0
 	for i := 0; i < n; i++ {
@@ -121,14 +141,47 @@ func TestGossipMessageBound(t *testing.T) {
 			fanout = f
 		}
 	}
-	perNodePerSlot := frames / float64(n) / slots
-	bound := 4 * float64(fanout) * math.Log2(float64(n))
-	if perNodePerSlot > bound {
-		t.Fatalf("relay frames per node per slot %.1f exceeds 4·f·log2(n) = %.1f (f=%d, slots=%.0f)",
-			perNodePerSlot, bound, fanout, slots)
+	r.framesPerSlot = frames / float64(n) / float64(c.MaxHeight())
+	r.bound = 4 * float64(fanout) * math.Log2(float64(n))
+	return r
+}
+
+// TestGossipMessageBound is the scalability claim as a committee sweep
+// on the virtual-time simulator, deterministic per seed:
+//
+//  1. message complexity stays epidemic, not quadratic — per-node relay
+//     frames per committed slot stay within 4·f·log₂(n) at every size
+//     (the all-to-all path needs n−1 sends per broadcast, several
+//     broadcasts per slot per node);
+//  2. throughput holds up as the committee doubles — committed TPS at
+//     n = 46 stays within 0.8x of n = 22 (the offered rate sits below
+//     every size's saturation point, so this asks whether the service
+//     level survives growth, not how raw capacity falls);
+//  3. the relay earns its keep — at n = 100 gossip commit p50 beats
+//     direct broadcast's, whose n² frames queue in front of the 2f+1
+//     votes a commit waits on. TPS is not compared gossip against
+//     direct: below saturation both commit everything offered.
+func TestGossipMessageBound(t *testing.T) {
+	t.Parallel() // the two longest tests in the package overlap
+	gossip := make(map[int]gossipRun)
+	for _, n := range []int{22, 46, 100} {
+		r := measureGossipRun(t, n, true)
+		if r.framesPerSlot > r.bound {
+			t.Fatalf("n=%d: relay frames per node per slot %.1f exceeds 4·f·log2(n) = %.1f", n, r.framesPerSlot, r.bound)
+		}
+		t.Logf("gossip n=%d: %.1f tx/s, p50 %.1f ms, %.1f relay frames/node/slot (bound %.1f)",
+			n, r.tps, r.p50Ms, r.framesPerSlot, r.bound)
+		gossip[n] = r
 	}
-	t.Logf("n=%d: %.1f relay frames/node/slot (bound %.1f, all-to-all would be ~%d sends/broadcast)",
-		n, perNodePerSlot, bound, n-1)
+	if gossip[46].tps < 0.8*gossip[22].tps {
+		t.Fatalf("TPS collapsed with committee growth: n=46 %.1f < 0.8 x n=22 %.1f", gossip[46].tps, gossip[22].tps)
+	}
+	direct := measureGossipRun(t, 100, false)
+	if gossip[100].p50Ms >= direct.p50Ms {
+		t.Fatalf("gossip stopped paying at n=100: p50 %.1f ms >= direct %.1f ms", gossip[100].p50Ms, direct.p50Ms)
+	}
+	t.Logf("n=46/n=22 TPS %.2f; n=100 p50 %.1f ms gossip vs %.1f ms direct",
+		gossip[46].tps/gossip[22].tps, gossip[100].p50Ms, direct.p50Ms)
 }
 
 // committedTxs counts normal transactions in node 0's chain.

@@ -19,8 +19,8 @@ import (
 	"gpbft/internal/geo"
 )
 
-// DefaultPrefixLen is the geohash precision used for region cells when
-// Options.ShardPrefixLen is zero: ~4.9 km × 4.9 km at the equator,
+// DefaultPrefixLen is the geohash precision of a simulated deployment's
+// region cells: ~4.9 km × 4.9 km at the equator,
 // city-district sized — wide enough to hold a full endorser committee,
 // narrow enough that intra-region latency stays LAN-like.
 const DefaultPrefixLen = 5

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,24 +148,9 @@ func startTCPCluster(t *testing.T, n int) *tcpCluster {
 				c.keys = append(c.keys, kp)
 			}
 		}
-		// Start all endpoints first so the address book is complete.
-		tp, err := New(Config{Listen: "127.0.0.1:0", Key: c.keys[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(tp.Close)
-		c.tcps = append(c.tcps, tp)
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				c.tcps[i].AddPeer(Peer{Addr: c.keys[j].Address(), HostPort: c.tcps[j].ListenAddr()})
-			}
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	for i := 0; i < n; i++ {
+	nodes := make([]*runtime.Node, n)
+	for i := range nodes {
 		chain, err := ledger.NewChain(g)
 		if err != nil {
 			t.Fatal(err)
@@ -178,14 +164,54 @@ func startTCPCluster(t *testing.T, n int) *tcpCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := &runtime.Node{
+		nodes[i] = &runtime.Node{
 			ID: c.keys[i].Address(), Key: c.keys[i], App: app, Engine: eng,
 			OnCommit: func(_ consensus.Time, b *types.Block) { c.committed <- b },
 		}
-		c.runners = append(c.runners, NewRunner(node, c.tcps[i]))
-		go c.runners[i].Run(ctx)
 	}
+	c.tcps, c.runners = runMesh(t, c.keys, nodes)
 	return c
+}
+
+// runMesh puts each node behind its own localhost endpoint, gives every
+// endpoint the full address book and starts every runner; keys[i] is
+// nodes[i]'s identity. When the test ends the runners are stopped and
+// waited for, then the endpoints close.
+func runMesh(t *testing.T, keys []*gcrypto.KeyPair, nodes []*runtime.Node) ([]*TCP, []*Runner) {
+	t.Helper()
+	n := len(nodes)
+	tcps := make([]*TCP, n)
+	for i := range tcps {
+		tp, err := New(Config{Listen: "127.0.0.1:0", Key: keys[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tp.Close)
+		tcps[i] = tp
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				tcps[i].AddPeer(Peer{Addr: keys[j].Address(), HostPort: tcps[j].ListenAddr()})
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	runners := make([]*Runner, n)
+	for i := range runners {
+		runners[i] = NewRunner(nodes[i], tcps[i])
+		wg.Add(1)
+		go func(r *Runner) {
+			defer wg.Done()
+			r.Run(ctx)
+		}(runners[i])
+	}
+	return tcps, runners
 }
 
 // TestRealTCPPBFTCluster runs a full 4-node PBFT committee over real

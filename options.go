@@ -66,18 +66,12 @@ type Options struct {
 	// MempoolCap bounds each node's pending transaction pool
 	// (0 = runtime.DefaultMempoolCap).
 	MempoolCap int
-	// MempoolShards sets the mempool lock-stripe count
-	// (0 = runtime.DefaultMempoolShards; clamped to a power of two ≤ 256).
-	MempoolShards int
 	// RateLimit enables the overload armor on every node: per-identity
 	// token-bucket admission at this sustained tx/s, QoS priority lanes
 	// in the mempool, and the graceful-degradation shed controller.
 	// 0 keeps the plain FIFO pool and unguarded submit path — exactly
 	// the pre-armor behaviour (the ablation baseline).
 	RateLimit float64
-	// RateBurst overrides the admission token-bucket depth (0 = default:
-	// max(2×RateLimit, 8)).
-	RateBurst float64
 	// LaneWeights sets the control/normal/bulk Peek scheduling weights
 	// (zeros = 8/4/1); FairShare is the per-identity pending count above
 	// which traffic demotes to the bulk lane (0 = 16); ShedThresholds
@@ -96,16 +90,6 @@ type Options struct {
 	// GossipFanout is the number of random peers each relay flush
 	// targets (0 = ceil(log₂(n+1))+1 for the current committee size).
 	GossipFanout int
-	// GossipFlush is the relay batching interval (0 = consensus
-	// default). Smaller means lower added dissemination latency per
-	// hop; larger means fewer, bigger frames.
-	GossipFlush time.Duration
-	// DupemapTTL is the wall-clock backstop for dupemap generations on
-	// a stalled chain (0 = consensus default); DupemapCap bounds total
-	// retained digests per node (0 = default). All ignored unless
-	// Gossip is set.
-	DupemapTTL time.Duration
-	DupemapCap int
 	// Snapshots enables signed era snapshots (GPBFT only): every era
 	// boundary each node exports its canonical chain state, signs it,
 	// and retains the newest RetainSnapshots checkpoints. A node whose
@@ -125,10 +109,6 @@ type Options struct {
 	// cluster bit-for-bit. Only consulted by NewShardCluster; plain
 	// NewCluster ignores it.
 	ShardRegions int
-	// ShardPrefixLen is the geohash prefix length used as the shard key
-	// (0 = shard.DefaultPrefixLen). Longer prefixes mean smaller,
-	// denser regions.
-	ShardPrefixLen int
 	// AnchorPeriod is the interval at which region delegates emit
 	// signed region checkpoints to the anchor committee and destination
 	// regions apply anchored transfer receipts (0 = default 500ms).

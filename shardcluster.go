@@ -89,11 +89,7 @@ func NewShardCluster(opts Options) (*ShardCluster, error) {
 	if r < 1 || r > shard.MaxRegions {
 		return nil, fmt.Errorf("gpbft: ShardRegions %d out of range [1, %d]", r, shard.MaxRegions)
 	}
-	prefixLen := opts.ShardPrefixLen
-	if prefixLen == 0 {
-		prefixLen = shard.DefaultPrefixLen
-	}
-	prefixes, err := shard.Partition(opts.Region, prefixLen, r)
+	prefixes, err := shard.Partition(opts.Region, shard.DefaultPrefixLen, r)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +209,7 @@ func (s *ShardCluster) buildAnchor() error {
 		if err != nil {
 			return err
 		}
-		app := runtime.NewApp(chain, runtime.NewMempoolShards(s.opts.MempoolCap, s.opts.MempoolShards), kp.Address(), s.opts.Epoch, s.opts.BatchSize)
+		app := runtime.NewApp(chain, runtime.NewMempool(s.opts.MempoolCap), kp.Address(), s.opts.Epoch, s.opts.BatchSize)
 		eng, err := pbft.New(pbft.Config{
 			Era:                0,
 			Committee:          com,

@@ -112,3 +112,91 @@ func TestShardClusterRegionRouting(t *testing.T) {
 		}
 	}
 }
+
+// shardRun is one point of TestShardScaling.
+type shardRun struct {
+	tps, p50Ms          float64
+	transfers, received int
+}
+
+// measureShardRun offers 4000 tx/s for 2 s — far beyond one 7-node
+// committee's saturation point — spread round-robin over `regions`
+// region committees of 7 nodes each, with 8 cross-region transfers per
+// region in flight when there is more than one region. The anchors run
+// 20 s past the load window so every receipt is anchored and applied.
+// TPS is measured from the first submission to the last tracked commit:
+// the anchor pump keeps the event loop ticking long after the workload
+// drains.
+func measureShardRun(t *testing.T, regions int) shardRun {
+	t.Helper()
+	const (
+		nodes  = 7
+		window = 2 * time.Second
+		start  = 10 * time.Millisecond
+		total  = 4000 * 2
+	)
+	s, err := NewShardCluster(shardOptions(regions, nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	interval := window / total
+	for k := 0; k < total; k++ {
+		at := start + time.Duration(k)*interval
+		s.SubmitNodeTx(at, k%regions, (k/regions)%nodes, []byte{byte(k), byte(k >> 8), byte(k >> 16)}, 1)
+	}
+	if regions > 1 {
+		transfers := 8 * regions
+		tInterval := window / time.Duration(transfers)
+		for k := 0; k < transfers; k++ {
+			recipient := gcrypto.DeterministicKeyPair(700_000 + k).Address()
+			if _, err := s.SubmitTransfer(start+time.Duration(k)*tInterval, k%regions, k%nodes, (k+1)%regions, recipient, uint64(k+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drain := window + 20*time.Second
+	s.StartAnchors(drain)
+	s.RunUntilIdle(drain + 5*time.Minute)
+	if _, err := s.VerifyAgreement(); err != nil {
+		t.Fatalf("r%d: %v", regions, err)
+	}
+	m := s.Metrics()
+	committed := m.CommittedCount()
+	if committed < total {
+		t.Fatalf("r%d: committed %d of %d", regions, committed, total)
+	}
+	return shardRun{
+		tps:       float64(committed) / (time.Duration(m.LastCommitAt()) - start).Seconds(),
+		p50Ms:     float64(m.Quantile(0.50)) / float64(time.Millisecond),
+		transfers: s.TransfersSubmitted(),
+		received:  s.TransfersApplied(),
+	}
+}
+
+// TestShardScaling is the hierarchy's scaling claim on the virtual-time
+// simulator, deterministic per seed. At the same total offered load:
+//
+//  1. parallelism pays — 4 regions commit at least 3x the aggregate TPS
+//     of the anchored single-region baseline;
+//  2. the anchor layer stays off the hot path — the 4-region commit p50
+//     stays within 1.5x of the baseline's;
+//  3. cross-region transfers are exactly-once — every submitted transfer
+//     was applied at its destination (the ledger refuses double credits,
+//     so applied == submitted is the whole invariant).
+func TestShardScaling(t *testing.T) {
+	t.Parallel() // the two longest tests in the package overlap
+	r1, r4 := measureShardRun(t, 1), measureShardRun(t, 4)
+	if r4.tps < 3*r1.tps {
+		t.Fatalf("r4 aggregate TPS %.1f below 3x the single-region %.1f", r4.tps, r1.tps)
+	}
+	if r4.p50Ms > 1.5*r1.p50Ms {
+		t.Fatalf("r4 p50 %.1f ms exceeds 1.5x the single-region %.1f ms", r4.p50Ms, r1.p50Ms)
+	}
+	for _, r := range []shardRun{r1, r4} {
+		if r.received != r.transfers {
+			t.Fatalf("applied %d of %d cross-region transfers", r.received, r.transfers)
+		}
+	}
+	t.Logf("r4/r1 TPS %.2f (%.1f vs %.1f tx/s), p50 %.0f ms vs %.0f ms, transfers %d of %d",
+		r4.tps/r1.tps, r4.tps, r1.tps, r4.p50Ms, r1.p50Ms, r4.received, r4.transfers)
+}

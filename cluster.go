@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/byzantine"
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
@@ -125,76 +126,22 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 	c.pbftEng = make([]*pbft.Engine, opts.Nodes)
 	c.snaps = make([]*store.MemSnapshots, opts.Nodes)
 
-	var pbftCommittee *consensus.Committee
-	if opts.Protocol == PBFT {
-		com, err := consensus.NewCommittee(g.Endorsers)
-		if err != nil {
-			return nil, err
-		}
-		pbftCommittee = com
+	if opts.Protocol != PBFT && opts.Protocol != GPBFT {
+		return nil, errors.New("gpbft: unknown protocol")
 	}
-
+	pp := core.ProposerGeoTimer
+	if !opts.GeoTimerProposer {
+		pp = core.ProposerAddress
+	}
 	for i := 0; i < opts.Nodes; i++ {
 		kp := c.keys[i]
-		chain, err := ledger.NewChain(g)
-		if err != nil {
-			return nil, err
-		}
-		if site.shardPrefix != "" {
-			chain.SetShardPrefix(site.shardPrefix)
-		}
-		pool := runtime.NewMempool(opts.MempoolCap)
-		if opts.RateLimit > 0 {
-			pool = runtime.NewMempoolQoS(opts.MempoolCap, runtime.DefaultMempoolShards, runtime.QoSConfig{
-				LaneWeights: opts.LaneWeights,
-				FairShare:   opts.FairShare,
-			})
-		}
-		app := runtime.NewApp(chain, pool, kp.Address(), opts.Epoch, opts.BatchSize)
-		// Adaptive block sizing: a deep backlog packs fuller blocks (up to
-		// 4x the base batch) instead of queueing more rounds.
-		app.SetMaxBatch(4 * opts.BatchSize)
-		var eng consensus.Engine
-		switch opts.Protocol {
-		case PBFT:
-			pe, err := pbft.New(pbft.Config{
-				Era:                0,
-				Committee:          pbftCommittee,
-				Key:                kp,
-				App:                app,
-				Timers:             consensus.NewTimerAllocator(),
-				StartHeight:        1,
-				CheckpointInterval: opts.CheckpointInterval,
-				ViewChangeTimeout:  opts.ViewChangeTimeout,
-				MaxInFlight:        opts.MaxInFlight,
-			})
-			if err != nil {
-				return nil, err
-			}
-			c.pbftEng[i] = pe
-			eng = pe
-		case GPBFT:
-			pp := core.ProposerGeoTimer
-			if !opts.GeoTimerProposer {
-				pp = core.ProposerAddress
-			}
-			var snaps *store.MemSnapshots
-			if opts.Snapshots {
-				snaps = store.NewMemSnapshots(opts.RetainSnapshots)
-				c.snaps[i] = snaps
-				self, sink := kp, snaps
-				chain.SetEraBumpHook(func(st *ledger.ChainState) {
-					if st.Height() == 0 {
-						return
-					}
-					_ = sink.Add(store.NewSnapshot(st, self))
-				})
-			}
-			cfg := core.Config{
-				Chain:              chain,
-				Key:                kp,
-				App:                app,
-				Timers:             consensus.NewTimerAllocator(),
+		cfg := assemble.Config{
+			Genesis:  g,
+			Key:      kp,
+			Index:    site.keyBase + i,
+			Seed:     opts.Seed,
+			Baseline: opts.Protocol == PBFT,
+			Engine: core.Config{
 				Epoch:              opts.Epoch,
 				CheckpointInterval: opts.CheckpointInterval,
 				ViewChangeTimeout:  opts.ViewChangeTimeout,
@@ -204,64 +151,40 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 				ProposerPolicy:     pp,
 				DisableEraSwitch:   opts.DisableEraSwitch,
 				ForceEraSwitch:     opts.ForceEraSwitch,
-			}
-			if snaps != nil {
-				cfg.Snapshots = snaps
-				cfg.FastSyncThreshold = opts.FastSyncThreshold
-			}
-			ce, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			c.coreEng[i] = ce
-			eng = ce
-		default:
-			return nil, errors.New("gpbft: unknown protocol")
-		}
-		switch opts.Byzantine[i] {
-		case FaultSilent:
-			eng = byzantine.Silent{}
-		case FaultEquivocate:
-			eng = &byzantine.Equivocator{Inner: eng, Key: kp}
-		case FaultWithholdVotes:
-			eng = &byzantine.VoteWithholder{Inner: eng}
-		case FaultDoubleVote:
-			eng = &byzantine.DoubleVoter{Inner: eng, Key: kp}
-		}
-		node := &runtime.Node{
-			ID: kp.Address(), Key: kp, App: app, Engine: eng,
-			Exec:     c.net.Executor(kp.Address()),
-			OnCommit: c.metrics.ObserveCommit,
+				FastSyncThreshold:  opts.FastSyncThreshold,
+			},
+			ShardPrefix: site.shardPrefix,
+			Batch:       opts.BatchSize,
+			MempoolCap:  opts.MempoolCap,
 		}
 		if opts.RateLimit > 0 {
-			adm := runtime.NewAdmission(runtime.AdmissionConfig{
-				Rate:           opts.RateLimit,
-				ShedThresholds: opts.ShedThresholds,
-			})
-			adm.BindPool(pool)
-			if c.coreEng[i] != nil {
-				adm.BindInFlight(c.coreEng[i].InFlight)
-			} else if c.pbftEng[i] != nil {
-				adm.BindInFlight(c.pbftEng[i].InFlight)
-			}
-			node.Admission = adm
+			cfg.QoS = &runtime.QoSConfig{LaneWeights: opts.LaneWeights, FairShare: opts.FairShare}
+			cfg.Admission = &runtime.AdmissionConfig{Rate: opts.RateLimit, ShedThresholds: opts.ShedThresholds}
 		}
 		if opts.Gossip {
-			// Every node gets a relay (candidates included: they broadcast
-			// request relays at the committee). Peers start as the genesis
-			// committee; EraSwitched actions retarget them. Distinct
-			// per-node seeds keep target selection decorrelated — identical
-			// seeds would make every node gossip to the same subset.
-			peers := make([]gcrypto.Address, 0, committeeSize)
-			for _, e := range g.Endorsers {
-				peers = append(peers, e.Address)
-			}
-			node.Relay = consensus.NewRelay(consensus.RelayConfig{
-				Self:   kp.Address(),
-				Peers:  peers,
-				Fanout: opts.GossipFanout,
-				Seed:   opts.Seed ^ int64(uint64(site.keyBase+i+1)*0x9e3779b97f4a7c15),
-			})
+			cfg.Relay = &consensus.RelayConfig{Fanout: opts.GossipFanout}
+		}
+		if opts.Snapshots && opts.Protocol == GPBFT {
+			c.snaps[i] = store.NewMemSnapshots(opts.RetainSnapshots)
+			cfg.Engine.Snapshots = c.snaps[i]
+		}
+		built, err := assemble.Node(cfg)
+		if err != nil {
+			return nil, err
+		}
+		c.coreEng[i], c.pbftEng[i] = built.Core, built.PBFT
+		node := built.Node
+		node.Exec = c.net.Executor(kp.Address())
+		node.OnCommit = c.metrics.ObserveCommit
+		switch opts.Byzantine[i] {
+		case FaultSilent:
+			node.Engine = byzantine.Silent{}
+		case FaultEquivocate:
+			node.Engine = &byzantine.Equivocator{Inner: node.Engine, Key: kp}
+		case FaultWithholdVotes:
+			node.Engine = &byzantine.VoteWithholder{Inner: node.Engine}
+		case FaultDoubleVote:
+			node.Engine = &byzantine.DoubleVoter{Inner: node.Engine, Key: kp}
 		}
 		if i == 0 {
 			node.OnEraSwitch = func(consensus.Time, uint64, []gcrypto.Address) {

@@ -182,26 +182,69 @@ func TestGPBFTEraSwitchExpelsSilentEndorser(t *testing.T) {
 	}
 }
 
+// TestClusterDeterminism runs each configuration twice and requires
+// the same (height, bytes on the wire, mean latency), and requires
+// those values to be the ones recorded before node assembly moved into
+// one function: a refactor of how nodes are built must not change what
+// they do. Each case switches on one part of the assembly.
 func TestClusterDeterminism(t *testing.T) {
-	run := func() (uint64, int64, time.Duration) {
-		o := fastOpts(gpbft.GPBFT, 8)
-		o.MaxEndorsers = 6
-		o.DisableEraSwitch = true
-		o.Seed = 99
-		c, err := gpbft.NewCluster(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			c.SubmitNodeTx(time.Duration(5+i*3)*time.Millisecond, i, []byte{byte(i)}, 1)
-		}
-		c.RunUntilIdle(20 * time.Second)
-		return c.MaxHeight(), c.Traffic().Bytes(), c.Metrics().MeanLatency()
+	type result struct {
+		height  uint64
+		bytes   int64
+		latency time.Duration
 	}
-	h1, b1, l1 := run()
-	h2, b2, l2 := run()
-	if h1 != h2 || b1 != b2 || l1 != l2 {
-		t.Fatalf("non-deterministic: (%d,%d,%v) vs (%d,%d,%v)", h1, b1, l1, h2, b2, l2)
+	cases := []struct {
+		name  string
+		proto gpbft.Protocol
+		set   func(*gpbft.Options)
+		want  result
+	}{
+		{"gpbft", gpbft.GPBFT, func(*gpbft.Options) {}, result{64, 981655, 6194654}},
+		{"gossip", gpbft.GPBFT, func(o *gpbft.Options) { o.Gossip = true }, result{52, 3119706, 81145316}},
+		{"rate-limit", gpbft.GPBFT, func(o *gpbft.Options) { o.RateLimit = 1 }, result{36, 552732, 5885156}},
+		{"snapshots", gpbft.GPBFT, func(o *gpbft.Options) {
+			o.DisableEraSwitch = false
+			o.ForceEraSwitch = true
+			o.EraPeriod = 2 * time.Second
+			o.SwitchPeriod = 250 * time.Millisecond
+			o.QualificationWindow = time.Second
+			o.Snapshots = true
+		}, result{65, 1002230, 27563277}},
+		{"pbft", gpbft.PBFT, func(*gpbft.Options) {}, result{64, 1668418, 6916251}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() result {
+				o := fastOpts(tc.proto, 8)
+				o.MaxEndorsers = 6
+				o.DisableEraSwitch = true
+				o.Seed = 99
+				tc.set(&o)
+				c, err := gpbft.NewCluster(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 8; i++ {
+					c.ScheduleReports(i, 50*time.Millisecond, 300*time.Millisecond, 20)
+				}
+				for i := 0; i < 24; i++ {
+					c.SubmitNodeTx(time.Duration(5+i*250)*time.Millisecond, i%8, []byte{byte(i)}, 1)
+				}
+				c.RunUntilIdle(20 * time.Second)
+				if o.Snapshots && c.SnapshotCount(0) == 0 {
+					t.Fatal("no era snapshot was written; the case tests nothing")
+				}
+				return result{c.MaxHeight(), c.Traffic().Bytes(), c.Metrics().MeanLatency()}
+			}
+			r1, r2 := run(), run()
+			if r1 != r2 {
+				t.Fatalf("non-deterministic: %+v vs %+v", r1, r2)
+			}
+			t.Logf("%s: height %d, bytes %d, mean latency %d ns", tc.name, r1.height, r1.bytes, int64(r1.latency))
+			if r1 != tc.want {
+				t.Fatalf("got %+v, recorded %+v", r1, tc.want)
+			}
+		})
 	}
 }
 

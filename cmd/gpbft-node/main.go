@@ -43,12 +43,12 @@ import (
 	"syscall"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
-	"gpbft/internal/pbft"
 	"gpbft/internal/runtime"
 	"gpbft/internal/store"
 	"gpbft/internal/transport"
@@ -135,70 +135,9 @@ func run() error {
 			Geohash: geo.MustEncode(positions[i], geo.CSCPrecision),
 		})
 	}
-	chain, err := ledger.NewChain(g)
-	if err != nil {
-		return fmt.Errorf("genesis: %v", err)
+	if *protocol != "pbft" && *protocol != "gpbft" {
+		return fmt.Errorf("unknown -protocol %q", *protocol)
 	}
-
-	// Durable persistence: replay the block log into the chain and read
-	// back the consensus WAL, then append every commit / persist every
-	// vote. Close (which syncs) runs on every exit path via the defers.
-	var blockLog *store.BlockLog
-	var voteWAL *store.WAL
-	var recovered []store.WALRecord
-	var snapStore *store.SnapshotStore
-	if *dataPath != "" {
-		lg, blocks, err := store.Open(*dataPath, store.Options{Sync: *fsync})
-		if err != nil {
-			return fmt.Errorf("block log: %v", err)
-		}
-		blockLog = lg
-		defer blockLog.Close()
-		// Restart at scale: boot from the newest verifiable era snapshot
-		// and replay only the block-log tail above its checkpoint. A
-		// corrupt or unverifiable snapshot is skipped (Latest already
-		// filters), and a failed restore degrades to full replay.
-		if *retain > 0 && *protocol == "gpbft" {
-			ss, err := store.OpenSnapshotStore(*dataPath+".snap", *retain)
-			if err != nil {
-				return fmt.Errorf("snapshot store: %v", err)
-			}
-			snapStore = ss
-			if snap, err := ss.Latest(); err == nil && snap != nil {
-				restored, err := ledger.RestoreChain(g, snap.State)
-				if err != nil {
-					log.Printf("WARNING: snapshot restore at height %d: %v (replaying instead)", snap.Height(), err)
-				} else {
-					chain = restored
-					log.Printf("restored snapshot height=%d era=%d from %s", snap.Height(), snap.Era(), ss.Dir())
-				}
-			}
-		}
-		replayed := 0
-		for _, b := range blocks {
-			if b.Header.Height != chain.Height()+1 {
-				continue // at or below the snapshot checkpoint
-			}
-			if err := chain.AddBlock(b); err != nil {
-				return fmt.Errorf("replay block %d: %v", b.Header.Height, err)
-			}
-			replayed++
-		}
-		if replayed > 0 {
-			log.Printf("recovered %d blocks from %s (height %d)", replayed, *dataPath, chain.Height())
-		}
-		w, recs, err := store.OpenWAL(*dataPath+".wal", store.WALOptions{NoSync: !*fsync})
-		if err != nil {
-			return fmt.Errorf("consensus wal: %v", err)
-		}
-		voteWAL = w
-		defer voteWAL.Close()
-		recovered = recs
-		if len(recs) > 0 {
-			log.Printf("recovered %d consensus records from %s.wal", len(recs), *dataPath)
-		}
-	}
-
 	weights, err := parseTriple(*laneWts, [3]int{})
 	if err != nil {
 		return fmt.Errorf("-lane-weights: %v", err)
@@ -207,82 +146,96 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("-shed-thresholds: %v", err)
 	}
-	// With -rate-limit the mempool grows priority lanes; without it the
-	// plain sharded pool keeps the exact pre-armor behaviour.
-	pool := runtime.NewMempoolShards(*poolCap, *shards)
-	if *rateLimit > 0 {
-		pool = runtime.NewMempoolQoS(*poolCap, *shards, runtime.QoSConfig{LaneWeights: weights})
+	cfg := assemble.Config{
+		Genesis:       g,
+		Key:           self,
+		Index:         *index,
+		Baseline:      *protocol == "pbft",
+		Engine:        core.Config{Epoch: epoch, MaxInFlight: *inflight},
+		Batch:         *batch,
+		MempoolCap:    *poolCap,
+		MempoolShards: *shards,
 	}
-	app := runtime.NewApp(chain, pool, self.Address(), epoch, *batch)
-	// Adaptive block sizing: when the pool runs deep, pack blocks past
-	// the target so the pipeline drains backlog instead of queueing it.
-	app.SetMaxBatch(4 * *batch)
 
-	var engine consensus.Engine
-	var inflightProbe func() (used, depth int)
-	switch *protocol {
-	case "pbft":
-		com, err := consensus.NewCommittee(g.Endorsers)
+	// Durable persistence: read back the block log, the retained era
+	// snapshots and the consensus WAL; the node is rebuilt from them,
+	// then appends every commit and persists every vote. Close (which
+	// syncs) runs on every exit path via the defers.
+	var blockLog *store.BlockLog
+	var snaps *producedSnapshots
+	if *dataPath != "" {
+		lg, blocks, err := store.Open(*dataPath, store.Options{Sync: *fsync})
 		if err != nil {
-			return fmt.Errorf("committee: %v", err)
+			return fmt.Errorf("block log: %v", err)
 		}
-		cfg := pbft.Config{
-			Committee: com, Key: self, App: app,
-			Timers: consensus.NewTimerAllocator(), StartHeight: chain.Height() + 1,
-			MaxInFlight: *inflight,
+		blockLog = lg
+		defer blockLog.Close()
+		cfg.Blocks = blocks
+		// Restart at scale: boot from the newest verifiable era snapshot
+		// and replay only the block-log tail above its checkpoint.
+		if *retain > 0 && *protocol == "gpbft" {
+			ss, err := store.OpenSnapshotStore(*dataPath+".snap", *retain)
+			if err != nil {
+				return fmt.Errorf("snapshot store: %v", err)
+			}
+			snaps = &producedSnapshots{SnapshotStore: ss, self: self.Address()}
+			cfg.Engine.Snapshots = snaps
+			cfg.Engine.FastSyncThreshold = *fsThresh
 		}
-		if voteWAL != nil {
-			cfg.WAL = voteWAL
-			cfg.Durable = pbft.RecoverState(0, recovered)
-		}
-		eng, err := pbft.New(cfg)
+		w, recs, err := store.OpenWAL(*dataPath+".wal", store.WALOptions{NoSync: !*fsync})
 		if err != nil {
-			return fmt.Errorf("pbft: %v", err)
+			return fmt.Errorf("consensus wal: %v", err)
 		}
-		engine = eng
-		inflightProbe = eng.InFlight
-	case "gpbft":
-		cfg := core.Config{
-			Chain: chain, Key: self, App: app,
-			Timers: consensus.NewTimerAllocator(), Epoch: epoch,
-			MaxInFlight: *inflight,
+		defer w.Close()
+		cfg.Engine.WAL, cfg.Engine.Recovered = w, recs
+		if len(recs) > 0 {
+			log.Printf("recovered %d consensus records from %s.wal", len(recs), *dataPath)
 		}
-		if voteWAL != nil {
-			cfg.WAL = voteWAL
-			cfg.Recovered = recovered
-		}
-		if snapStore != nil {
-			cfg.Snapshots = snapStore
-			cfg.FastSyncThreshold = *fsThresh
-		}
-		eng, err := core.New(cfg)
-		if err != nil {
-			return fmt.Errorf("gpbft: %v", err)
-		}
-		engine = eng
-		inflightProbe = eng.InFlight
-	default:
-		return fmt.Errorf("unknown -protocol %q", *protocol)
 	}
 
 	// Overload armor: the admission controller charges one token bucket
-	// per sender identity and sheds load by lane as the pool fills. The
-	// deployment's own deterministic node identities are exempt — their
-	// location reports and evidence are the control traffic the armor
-	// exists to protect, and authenticated committee members are not the
-	// flood surface (unattributed client connections are).
-	var adm *runtime.Admission
+	// per sender identity and sheds load by lane as the pool fills, and
+	// the mempool grows priority lanes. The deployment's own
+	// deterministic node identities are exempt — their location reports
+	// and evidence are the control traffic the armor exists to protect,
+	// and authenticated committee members are not the flood surface
+	// (unattributed client connections are). Without -rate-limit the
+	// plain sharded pool keeps the exact pre-armor behaviour.
 	if *rateLimit > 0 {
-		adm = runtime.NewAdmission(runtime.AdmissionConfig{
+		cfg.QoS = &runtime.QoSConfig{LaneWeights: weights}
+		cfg.Admission = &runtime.AdmissionConfig{
 			Rate:           *rateLimit,
 			Burst:          *rateBurst,
 			ShedThresholds: thresholds,
-		})
-		for i := 0; i < *nodes; i++ {
-			adm.Exempt(keys[i].Address())
 		}
-		adm.BindPool(pool)
-		adm.BindInFlight(inflightProbe)
+		for i := 0; i < *nodes; i++ {
+			cfg.Admission.Exempt = append(cfg.Admission.Exempt, keys[i].Address())
+		}
+	}
+	if *gossip {
+		// Epidemic relay over the same TCP peer set: engine broadcasts
+		// queue on the relay and flush as batched frames to a random
+		// fanout; the dupemap drops re-deliveries.
+		cfg.Relay = &consensus.RelayConfig{Fanout: *fanout, DupeTTL: consensus.Time(*dupeTTL)}
+	}
+
+	built, err := assemble.Node(cfg)
+	if err != nil {
+		return err
+	}
+	if built.Refused != nil {
+		log.Printf("WARNING: %v (replaying instead)", built.Refused)
+	}
+	if built.Restored != nil {
+		log.Printf("restored snapshot height=%d era=%d from %s", built.Restored.Height(), built.Restored.Era(), snaps.Dir())
+	}
+	node := built.Node
+	chain := node.App.Chain()
+	if built.Replayed > 0 {
+		log.Printf("recovered %d blocks from %s (height %d)", built.Replayed, *dataPath, chain.Height())
+	}
+	if node.Relay != nil {
+		log.Printf("gossip relay on: fanout=%d flush=%v", node.Relay.Fanout(), time.Duration(node.Relay.FlushEvery()))
 	}
 
 	addr := *listen
@@ -290,7 +243,7 @@ func run() error {
 		addr = fmt.Sprintf("%s:%d", *host, *basePort+*index)
 	}
 	tcpCfg := transport.Config{Listen: addr, Key: self, IngressBytesPerSec: *ingressBy}
-	if adm != nil {
+	if adm := node.Admission; adm != nil {
 		// The transport gate is the single admission charge for network
 		// requests; rejected client requests get a signed TxRejected reply
 		// with the retry-after hint. The clock only has to be monotone and
@@ -315,25 +268,6 @@ func run() error {
 		}
 	}
 
-	node := &runtime.Node{ID: self.Address(), Key: self, App: app, Engine: engine, Admission: adm}
-	if *gossip {
-		// Epidemic relay over the same TCP peer set: engine broadcasts
-		// queue on the relay and flush as batched frames to a random
-		// fanout; the dupemap drops re-deliveries. Seed from the node
-		// index so target draws are deterministic but decorrelated.
-		peers := make([]gcrypto.Address, 0, len(g.Endorsers))
-		for _, e := range g.Endorsers {
-			peers = append(peers, e.Address)
-		}
-		node.Relay = consensus.NewRelay(consensus.RelayConfig{
-			Self:    self.Address(),
-			Peers:   peers,
-			Fanout:  *fanout,
-			DupeTTL: consensus.Time(*dupeTTL),
-			Seed:    int64(uint64(*index+1) * 0x9e3779b97f4a7c15),
-		})
-		log.Printf("gossip relay on: fanout=%d flush=%v", node.Relay.Fanout(), time.Duration(node.Relay.FlushEvery()))
-	}
 	node.OnCommit = func(now consensus.Time, b *types.Block) {
 		if blockLog != nil {
 			if err := blockLog.Append(b); err != nil {
@@ -345,21 +279,8 @@ func run() error {
 				b.Header.Height, b.Header.Era, len(b.Txs), b.TotalFees(), b.Hash().Short())
 		}
 	}
-	var snapsWritten, compactedBytes atomic.Uint64
-	if snapStore != nil {
-		// Every era bump exports the canonical chain state at the config
-		// block itself — the same (height, root) on every honest node —
-		// signs it, and publishes it to the store (pruned to -retain-eras).
-		chain.SetEraBumpHook(func(st *ledger.ChainState) {
-			if st.Height() == 0 {
-				return
-			}
-			if err := snapStore.Add(store.NewSnapshot(st, self)); err != nil {
-				log.Printf("WARNING: snapshot write at height %d: %v", st.Height(), err)
-				return
-			}
-			snapsWritten.Add(1)
-		})
+	var compactedBytes atomic.Uint64
+	if snaps != nil {
 		// A fast-sync install replaces the chain wholesale; everything in
 		// the block log below the new base can never connect again.
 		node.OnSnapshotInstall = func(_ consensus.Time, era, height uint64) {
@@ -380,8 +301,8 @@ func run() error {
 		// Compaction rides the era switch, outside the chain lock: drop
 		// block-log frames and in-memory blocks below the oldest retained
 		// snapshot. The snapshot itself is the durable history below it.
-		if snapStore != nil && blockLog != nil {
-			if floor := snapStore.OldestHeight(); floor > chain.BaseHeight() {
+		if snaps != nil && blockLog != nil {
+			if floor := snaps.OldestHeight(); floor > chain.BaseHeight() {
 				if n, err := blockLog.CompactBelow(floor + 1); err != nil {
 					log.Printf("WARNING: block log compaction: %v", err)
 				} else if n > 0 {
@@ -443,7 +364,7 @@ func run() error {
 			c.Admission.WritePrometheus(w, "gpbft_")
 			runtime.SyncMetrics{
 				Stats:            c.Sync,
-				SnapshotsWritten: snapsWritten.Load(),
+				SnapshotsWritten: snaps.Written(),
 				CompactedBytes:   compactedBytes.Load(),
 			}.WritePrometheus(w, "gpbft")
 		})
@@ -537,4 +458,35 @@ func parseTripleFloat(s string, def [3]float64) ([3]float64, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// producedSnapshots is the node's snapshot store. It counts the era
+// snapshots this node signs into it and logs a failed write; a peer
+// snapshot that fast sync installs passes through uncounted.
+type producedSnapshots struct {
+	*store.SnapshotStore
+	self    gcrypto.Address
+	written atomic.Uint64
+}
+
+// Add implements store.SnapshotProvider.
+func (p *producedSnapshots) Add(s *store.Snapshot) error {
+	err := p.SnapshotStore.Add(s)
+	switch {
+	case s.Producer != p.self:
+	case err != nil:
+		log.Printf("WARNING: snapshot write at height %d: %v", s.Height(), err)
+	default:
+		p.written.Add(1)
+	}
+	return err
+}
+
+// Written returns how many era snapshots this node produced (0 when
+// snapshots are off).
+func (p *producedSnapshots) Written() uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.written.Load()
 }

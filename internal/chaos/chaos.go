@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/byzantine"
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
@@ -143,6 +144,9 @@ func New(opts Options) (*Cluster, error) {
 	if opts.StepInterval == 0 {
 		opts.StepInterval = 200 * time.Millisecond
 	}
+	if opts.BatchSize <= 0 {
+		opts.BatchSize = 1
+	}
 	c := &Cluster{
 		opts:     opts,
 		epoch:    time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC),
@@ -245,140 +249,90 @@ func gridLayout(n int) []geo.Point {
 	return out
 }
 
-// boot builds node i's incarnation from its durable slot only: restore
-// the newest valid snapshot (when snapshots are on), replay the block
-// log on top of it, then hand the engine the WAL and its recovered
-// records. Blocks below the restore point — or disconnected from it,
-// as when every local snapshot is corrupt but the log was already
-// compacted — are skipped; the engine's sync machinery covers the rest
-// from peers. With amnesia=true the consensus WAL is wiped first — the
+// boot builds node i's incarnation from its durable slot only, with
+// assemble.Node: restore the newest valid snapshot (when snapshots are
+// on), replay the block log on top of it, then hand the engine the WAL
+// and its recovered records. Blocks below the restore point — or
+// disconnected from it, as when every local snapshot is corrupt but the
+// log was already compacted — are skipped; the engine's sync machinery
+// covers the rest from peers. With amnesia=true the consensus WAL is wiped first — the
 // configuration the regression-guard tests prove unsafe.
 func (c *Cluster) boot(i int, amnesia bool) error {
 	s := c.slots[i]
 	if amnesia {
 		s.wal = &store.MemWAL{}
 	}
-	var chain *ledger.Chain
-	var err error
-	if s.snaps != nil {
-		if snap, serr := s.snaps.Latest(); serr == nil && snap != nil {
-			chain, err = ledger.RestoreChain(c.genesis, snap.State)
-		}
-	}
-	if chain == nil && err == nil {
-		chain, err = ledger.NewChain(c.genesis)
-	}
-	if err != nil {
-		return err
-	}
-	for _, b := range s.blocks {
-		if b.Header.Height != chain.Height()+1 {
-			continue
-		}
-		if err := chain.AddBlock(b); err != nil {
-			return fmt.Errorf("chaos: node %d replay height %d: %w", i, b.Header.Height, err)
-		}
-		c.replayed[i]++
-	}
 	kp := c.keys[i]
-	pool := runtime.NewMempool(0)
-	if c.opts.RateLimit > 0 {
-		pool = runtime.NewMempoolQoS(c.opts.MempoolCap, 0, runtime.QoSConfig{
-			LaneWeights: c.opts.LaneWeights,
-			FairShare:   c.opts.FairShare,
-		})
-	}
-	batch := 1
-	if c.opts.BatchSize > 0 {
-		batch = c.opts.BatchSize
-	}
-	app := runtime.NewApp(chain, pool, kp.Address(), c.epoch, batch)
-	cfg := core.Config{
-		Chain:              chain,
-		Key:                kp,
-		App:                app,
-		Timers:             consensus.NewTimerAllocator(),
-		Epoch:              c.epoch,
-		CheckpointInterval: 4,
-		ViewChangeTimeout:  500 * time.Millisecond,
-		ProposerPolicy:     core.ProposerAddress,
-		DisableEraSwitch:   !c.opts.EnableEraSwitch,
-		ForceEraSwitch:     c.opts.EnableEraSwitch,
-		EraPeriod:          c.opts.EraPeriod,
+	cfg := assemble.Config{
+		Genesis: c.genesis,
+		Key:     kp,
+		Index:   i,
+		Seed:    c.opts.Seed,
+		Engine: core.Config{
+			Epoch:              c.epoch,
+			CheckpointInterval: 4,
+			ViewChangeTimeout:  500 * time.Millisecond,
+			ProposerPolicy:     core.ProposerAddress,
+			DisableEraSwitch:   !c.opts.EnableEraSwitch,
+			ForceEraSwitch:     c.opts.EnableEraSwitch,
+			EraPeriod:          c.opts.EraPeriod,
+			FastSyncThreshold:  c.opts.FastSyncThreshold,
+		},
+		Blocks: s.blocks,
+		// Ceiling = Batch: chaos runs without adaptive block sizing.
+		Batch:   c.opts.BatchSize,
+		Ceiling: c.opts.BatchSize,
 	}
 	if !amnesia {
-		cfg.WAL = s.wal
-		cfg.Recovered = s.wal.Records()
+		cfg.Engine.WAL = s.wal
+		cfg.Engine.Recovered = s.wal.Records()
 	}
 	if s.snaps != nil {
-		cfg.Snapshots = s.snaps
-		cfg.FastSyncThreshold = c.opts.FastSyncThreshold
+		cfg.Engine.Snapshots = s.snaps
 	}
-	eng, err := core.New(cfg)
+	if c.opts.RateLimit > 0 {
+		cfg.MempoolCap = c.opts.MempoolCap
+		cfg.QoS = &runtime.QoSConfig{LaneWeights: c.opts.LaneWeights, FairShare: c.opts.FairShare}
+		cfg.Admission = &runtime.AdmissionConfig{
+			Rate:           c.opts.RateLimit,
+			Burst:          c.opts.RateBurst,
+			ShedThresholds: c.opts.ShedThresholds,
+			LatencyTarget:  c.opts.LatencyTarget,
+		}
+	}
+	if c.opts.Gossip {
+		// A restart builds a fresh relay: the dupemap dies with the
+		// process, and re-delivered duplicates are absorbed by the
+		// engine's idempotent vote tables. The seed is per node and
+		// stable across incarnations, so reruns stay bit for bit.
+		cfg.Relay = &consensus.RelayConfig{Fanout: c.opts.GossipFanout}
+	}
+	built, err := assemble.Node(cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("chaos: node %d: %w", i, err)
 	}
-	var engine consensus.Engine = eng
+	c.replayed[i] += uint64(built.Replayed)
+	eng, node := built.Core, built.Node
+	chain := node.App.Chain()
 	for _, dv := range c.opts.DoubleVoters {
 		if dv == i {
 			// The wrapper survives restarts: a rebooted double-voter
 			// comes back just as malicious.
-			engine = &byzantine.DoubleVoter{Inner: eng, Key: kp}
+			node.Engine = &byzantine.DoubleVoter{Inner: eng, Key: kp}
 			break
 		}
 	}
 	for _, sl := range c.opts.SnapshotLiars {
 		if sl == i {
-			engine = &byzantine.SnapshotLiar{Inner: engine, Key: kp}
+			node.Engine = &byzantine.SnapshotLiar{Inner: node.Engine, Key: kp}
 			break
 		}
 	}
-	node := &runtime.Node{
-		ID: kp.Address(), Key: kp, App: app, Engine: engine,
-		Exec: c.net.Executor(kp.Address()),
-	}
-	if c.opts.Gossip {
-		peers := make([]gcrypto.Address, len(c.genesis.Endorsers))
-		for k := range c.genesis.Endorsers {
-			peers[k] = c.genesis.Endorsers[k].Address
-		}
-		// A restart builds a fresh relay: the dupemap dies with the
-		// process, and re-delivered duplicates are absorbed by the
-		// engine's idempotent vote tables. The seed is per-node and
-		// stable across incarnations so reruns stay bit-for-bit.
-		node.Relay = consensus.NewRelay(consensus.RelayConfig{
-			Self:   kp.Address(),
-			Peers:  peers,
-			Fanout: c.opts.GossipFanout,
-			Seed:   c.opts.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15),
-		})
-	}
-	if c.opts.RateLimit > 0 {
-		adm := runtime.NewAdmission(runtime.AdmissionConfig{
-			Rate:           c.opts.RateLimit,
-			Burst:          c.opts.RateBurst,
-			ShedThresholds: c.opts.ShedThresholds,
-			LatencyTarget:  c.opts.LatencyTarget,
-		})
-		adm.BindPool(pool)
-		adm.BindInFlight(eng.InFlight)
-		node.Admission = adm
-	}
+	node.Exec = c.net.Executor(kp.Address())
 	node.OnCommit = func(_ consensus.Time, b *types.Block) {
 		s.blocks = append(s.blocks, b)
 	}
 	if s.snaps != nil {
-		// Every era bump publishes a signed snapshot of the canonical
-		// chain state, exported at the config block itself (ledger
-		// hook) so all nodes snapshot the identical (height, root)
-		// pair no matter how the block reached them — the exact-pair
-		// quorum fast sync anchors trust in depends on it.
-		chain.SetEraBumpHook(func(st *ledger.ChainState) {
-			if st.Height() == 0 {
-				return
-			}
-			_ = s.snaps.Add(store.NewSnapshot(st, kp))
-		})
 		// Compaction is local hygiene, not consensus state: it rides
 		// the (timing-skewed) era-switch callback, outside the chain
 		// lock. With it on, history below the oldest retained snapshot

@@ -163,15 +163,12 @@ type RelayConfig struct {
 	// Fanout is the number of random peers each flush targets; 0 means
 	// ceil(log₂(peers+1))+1, recomputed on every SetPeers.
 	Fanout int
-	// MaxHops bounds propagation depth; 0 means DefaultMaxRelayHops.
-	MaxHops int
 	// FlushEvery is the batching interval; 0 means DefaultRelayFlush.
 	FlushEvery Time
 
-	// Dupemap tuning; zeros select the dupemap defaults.
-	DupeTTL    Time
-	DupeRounds int
-	DupeCap    int
+	// DupeTTL is the dupemap's generation TTL on a stalled chain; 0
+	// means DefaultDupemapTTL.
+	DupeTTL Time
 
 	// Seed drives target selection. Each node must use a distinct seed
 	// (derive from the cluster seed and the node index) or every node
@@ -205,12 +202,11 @@ type RelayStats struct {
 // Receive, Flush, Advance and SetPeers must all be called from that
 // loop. Only Stats is safe from other goroutines.
 type Relay struct {
-	self    gcrypto.Address
-	peers   []gcrypto.Address
-	fanout  int
-	auto    bool // fanout derived from peer count
-	maxHops int
-	every   Time
+	self   gcrypto.Address
+	peers  []gcrypto.Address
+	fanout int
+	auto   bool // fanout derived from peer count
+	every  Time
 
 	pending []RelayEntry
 	scratch []gcrypto.Address
@@ -243,16 +239,12 @@ func autoFanout(n int) int {
 // NewRelay builds a relay for one node.
 func NewRelay(cfg RelayConfig) *Relay {
 	r := &Relay{
-		self:    cfg.Self,
-		fanout:  cfg.Fanout,
-		auto:    cfg.Fanout <= 0,
-		maxHops: cfg.MaxHops,
-		every:   cfg.FlushEvery,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		dupe:    NewDupeMap(cfg.DupeTTL, cfg.DupeRounds, cfg.DupeCap),
-	}
-	if r.maxHops <= 0 {
-		r.maxHops = DefaultMaxRelayHops
+		self:   cfg.Self,
+		fanout: cfg.Fanout,
+		auto:   cfg.Fanout <= 0,
+		every:  cfg.FlushEvery,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		dupe:   NewDupeMap(cfg.DupeTTL, 0, 0),
 	}
 	if r.every <= 0 {
 		r.every = DefaultRelayFlush
@@ -315,7 +307,7 @@ func (r *Relay) Receive(now Time, frame *Envelope) ([]*Envelope, error) {
 		}
 		novel = append(novel, ent.Env)
 		r.delivered.Add(1)
-		if int(ent.Hop) >= r.maxHops {
+		if int(ent.Hop) >= DefaultMaxRelayHops {
 			r.dropped.Add(1)
 			continue
 		}

@@ -71,13 +71,6 @@ type Config struct {
 	// every T seconds in our system") and produces the switch-period
 	// latency outliers of Figure 3b.
 	ForceEraSwitch bool
-	// DisableEvidence stops this node from detecting misbehavior and
-	// submitting evidence transactions (ablation knob, per-node). It
-	// does NOT stop the node from validating and enforcing evidence
-	// others commit — that is consensus state; the consensus-wide
-	// enforcement ablation is Policy.DisableExpulsion in genesis.
-	DisableEvidence bool
-
 	// Snapshots, when set, enables snapshot-then-tail fast sync: this
 	// node serves its retained snapshots to lagging peers and, when its
 	// own lag exceeds FastSyncThreshold, installs a quorum-anchored
@@ -86,11 +79,6 @@ type Config struct {
 	// FastSyncThreshold is the block gap at which snapshot sync is
 	// preferred over tailing (0 = default 64).
 	FastSyncThreshold uint64
-	// SyncRetryBase / SyncRetryCap bound the capped-exponential backoff
-	// on unanswered sync, head, and snapshot requests (0 = defaults
-	// 500ms / 8s).
-	SyncRetryBase time.Duration
-	SyncRetryCap  time.Duration
 }
 
 // ConsensusWAL is the durable log the era layer threads into its inner
@@ -211,12 +199,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.FastSyncThreshold == 0 {
 		cfg.FastSyncThreshold = 64
-	}
-	if cfg.SyncRetryBase == 0 {
-		cfg.SyncRetryBase = 500 * time.Millisecond
-	}
-	if cfg.SyncRetryCap == 0 {
-		cfg.SyncRetryCap = 8 * time.Second
 	}
 	return &Engine{
 		cfg:         cfg,
@@ -340,11 +322,9 @@ func (e *Engine) buildInstance(now consensus.Time, acts []consensus.Action) []co
 		MaxInFlight:        e.cfg.MaxInFlight,
 		WAL:                e.cfg.WAL,
 		Durable:            durable,
-	}
-	if !e.cfg.DisableEvidence {
-		icfg.EvidenceSink = func(rec *evidence.Record) {
+		EvidenceSink: func(rec *evidence.Record) {
 			e.evQueue = append(e.evQueue, rec)
-		}
+		},
 	}
 	inner, err := pbft.New(icfg)
 	if err != nil {
@@ -537,7 +517,7 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	e.lagSeq, e.lagFrom = seq, env.From
 	e.lagTID = e.cfg.Timers.Next()
 	e.timers[e.lagTID] = tLagCheck
-	return []consensus.Action{consensus.StartTimer{ID: e.lagTID, Delay: e.cfg.SyncRetryBase}}
+	return []consensus.Action{consensus.StartTimer{ID: e.lagTID, Delay: syncRetryBase}}
 }
 
 // onLagCheck settles a lag suspicion: a node that keeps up has long
@@ -635,7 +615,7 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 // quiet; the flushing guard stops the OnRequest re-entry into
 // filterInner from recursing.
 func (e *Engine) flushEvidence(now consensus.Time, acts []consensus.Action) []consensus.Action {
-	if e.cfg.DisableEvidence || e.flushing || e.switching || e.inner == nil {
+	if e.flushing || e.switching || e.inner == nil {
 		return acts
 	}
 	recs, cur := e.chain.DetectedEvidence(e.evCursor)

@@ -374,22 +374,29 @@ func (e *Engine) stopSyncRetry(acts []consensus.Action) []consensus.Action {
 	return acts
 }
 
+// syncRetryBase and syncRetryCap bound the capped exponential backoff on
+// unanswered sync, head and snapshot requests; syncRetryBase is also the
+// grace a lag suspicion waits before it is checked.
+const (
+	syncRetryBase = 500 * time.Millisecond
+	syncRetryCap  = 8 * time.Second
+)
+
 // backoffDelay is capped exponential backoff with deterministic jitter:
 // the engine must stay a pure function of its inputs (the simulator
 // replays it), so the jitter is derived from the node address and the
 // attempt counter rather than a random source.
 func (e *Engine) backoffDelay() time.Duration {
-	base := e.cfg.SyncRetryBase
-	d := base << e.retries
-	if d > e.cfg.SyncRetryCap || d <= 0 {
-		d = e.cfg.SyncRetryCap
+	d := syncRetryBase << e.retries
+	if d > syncRetryCap || d <= 0 {
+		d = syncRetryCap
 	}
 	e.retrySeq++
 	var buf [28]byte
 	copy(buf[:20], e.self[:])
 	binary.BigEndian.PutUint64(buf[20:], e.retrySeq)
 	h := gcrypto.HashBytes(buf[:])
-	jitter := time.Duration(binary.BigEndian.Uint64(h[:8]) % uint64(base/2+1))
+	jitter := time.Duration(binary.BigEndian.Uint64(h[:8]) % uint64(syncRetryBase/2+1))
 	return d + jitter
 }
 

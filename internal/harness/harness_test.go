@@ -2,6 +2,7 @@ package harness
 
 import (
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -139,15 +140,36 @@ func TestStaticTables(t *testing.T) {
 	}
 }
 
+// TestModelTable regenerates the n = 22, 58 and 112 rows of the
+// Section IV model table, as `gpbft-sim -exp model -sizes 22,58,112
+// -runs 3` does, and requires them to read exactly as the recorded
+// results/model.txt: the simulated cluster is deterministic per seed,
+// so any drift is a behaviour change.
 func TestModelTable(t *testing.T) {
-	c := tinyConfig()
-	c.Sizes = []int{8}
+	c := Quick()
+	c.Sizes = []int{22, 58, 112}
 	tb, err := c.Model(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 2 {
+	raw, err := os.ReadFile("../../results/model.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := make(map[string]string) // "nodes protocol" -> whole row
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 6 {
+			recorded[f[0]+" "+f[1]] = strings.Join(f, " ")
+		}
+	}
+	if len(tb.Rows) != 2*len(c.Sizes) {
 		t.Fatalf("model rows: %d", len(tb.Rows))
+	}
+	for _, row := range tb.Rows {
+		got := strings.Join(row, " ")
+		if want := recorded[row[0]+" "+row[1]]; got != want {
+			t.Errorf("model row %q, results/model.txt has %q", got, want)
+		}
 	}
 }
 

@@ -111,9 +111,10 @@ type tokenBucket struct {
 type Admission struct {
 	cfg AdmissionConfig
 
+	exempt map[gcrypto.Address]bool // fixed at construction
+
 	mu         sync.Mutex
 	buckets    map[gcrypto.Address]*tokenBucket
-	exempt     map[gcrypto.Address]bool
 	lastRecalc consensus.Time
 
 	level  atomic.Int32
@@ -150,13 +151,6 @@ func (a *Admission) BindPool(p *Mempool) { a.pool = p }
 // BindInFlight installs the consensus pipeline occupancy probe.
 func (a *Admission) BindInFlight(fn func() (used, depth int)) { a.inflight = fn }
 
-// Exempt marks an identity as never rate-limited or shed (own traffic).
-func (a *Admission) Exempt(addr gcrypto.Address) {
-	a.mu.Lock()
-	a.exempt[addr] = true
-	a.mu.Unlock()
-}
-
 // Level returns the current shed level (0..3).
 func (a *Admission) Level() int {
 	if a == nil {
@@ -183,13 +177,10 @@ func (a *Admission) Admit(now consensus.Time, tx *types.Transaction) error {
 	a.maybeRecalc(now)
 
 	sender := tx.Sender
-	a.mu.Lock()
 	if a.exempt[sender] {
-		a.mu.Unlock()
 		a.accepted.Add(1)
 		return nil
 	}
-	a.mu.Unlock()
 
 	lane := a.lane(tx)
 	lvl := a.level.Load()

@@ -216,12 +216,6 @@ type Mempool struct {
 	evictedShed  atomic.Uint64
 }
 
-// NewMempool creates a pool with the given capacity (0 = default) and
-// the default shard count.
-func NewMempool(capacity int) *Mempool {
-	return NewMempoolShards(capacity, 0)
-}
-
 // NewMempoolQoS creates a pool with priority lanes enabled: Peek
 // serves lanes by weight instead of pure pool-wide FIFO, identities
 // over their fair share are demoted to the bulk lane, and at capacity

@@ -55,7 +55,7 @@ func TestMempoolShardClamping(t *testing.T) {
 // reapers is accounted as removed exactly once — the guard against a
 // tx being claimed into two blocks.
 func TestMempoolNoDoubleCommit(t *testing.T) {
-	p := NewMempool(100)
+	p := NewMempoolShards(100, 0)
 	txs := make([]types.Transaction, 50)
 	for i := range txs {
 		tx := mkTx(0, uint64(i))

@@ -55,7 +55,7 @@ func testNode(t *testing.T, eng consensus.Engine) (*Node, *recordExec, *ledger.C
 		t.Fatal(err)
 	}
 	kp := gcrypto.DeterministicKeyPair(0)
-	app := NewApp(chain, NewMempool(0), kp.Address(), epoch, 8)
+	app := NewApp(chain, NewMempoolShards(0, 0), kp.Address(), epoch, 8)
 	exec := &recordExec{}
 	return &Node{ID: kp.Address(), Key: kp, App: app, Engine: eng, Exec: exec}, exec, chain
 }

@@ -41,7 +41,7 @@ func mkGenesis(t testing.TB, n int) *ledger.Genesis {
 }
 
 func TestMempoolAddPeekFIFO(t *testing.T) {
-	p := NewMempool(10)
+	p := NewMempoolShards(10, 0)
 	for i := 0; i < 5; i++ {
 		if err := p.Add(mkTx(0, uint64(i))); err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMempoolAddPeekFIFO(t *testing.T) {
 }
 
 func TestMempoolDuplicate(t *testing.T) {
-	p := NewMempool(10)
+	p := NewMempoolShards(10, 0)
 	tx := mkTx(0, 1)
 	if err := p.Add(tx); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestMempoolDuplicate(t *testing.T) {
 }
 
 func TestMempoolFull(t *testing.T) {
-	p := NewMempool(2)
+	p := NewMempoolShards(2, 0)
 	p.Add(mkTx(0, 1))
 	p.Add(mkTx(0, 2))
 	if err := p.Add(mkTx(0, 3)); err != ErrPoolFull {
@@ -93,7 +93,7 @@ func TestMempoolFull(t *testing.T) {
 }
 
 func TestMempoolMarkCommitted(t *testing.T) {
-	p := NewMempool(10)
+	p := NewMempoolShards(10, 0)
 	tx1, tx2 := mkTx(0, 1), mkTx(0, 2)
 	p.Add(tx1)
 	p.Add(tx2)
@@ -114,7 +114,7 @@ func TestMempoolMarkCommitted(t *testing.T) {
 }
 
 func TestMempoolGenerationRotation(t *testing.T) {
-	p := NewMempool(2) // genLimit = 8
+	p := NewMempoolShards(2, 0) // genLimit = 8
 	var committed []types.Transaction
 	for i := 0; i < 12; i++ {
 		tx := mkTx(0, uint64(i))
@@ -136,7 +136,7 @@ func TestAppBuildBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	self := gcrypto.DeterministicKeyPair(0).Address()
-	app := NewApp(chain, NewMempool(0), self, epoch, 2)
+	app := NewApp(chain, NewMempoolShards(0, 0), self, epoch, 2)
 
 	// Empty pool: nothing to propose.
 	if app.BuildBlock(time.Second, 1, 0, 1) != nil {
@@ -184,7 +184,7 @@ func TestAppBuildBlockOnFullBlockOnly(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			chain, _ := ledger.NewChain(mkGenesis(t, 4))
-			app := NewApp(chain, NewMempool(0), gcrypto.DeterministicKeyPair(0).Address(), epoch, tc.base)
+			app := NewApp(chain, NewMempoolShards(0, 0), gcrypto.DeterministicKeyPair(0).Address(), epoch, tc.base)
 			app.SetMaxBatch(tc.ceiling)
 			if app.MinSpeculativeBatch() != tc.full || app.BaseBatch() != tc.base {
 				t.Fatalf("MinSpeculativeBatch %d, BaseBatch %d", app.MinSpeculativeBatch(), app.BaseBatch())
@@ -218,7 +218,7 @@ func TestAppBuildBlockOnFullBlockOnly(t *testing.T) {
 
 func TestAppSubmitTxValidates(t *testing.T) {
 	chain, _ := ledger.NewChain(mkGenesis(t, 4))
-	app := NewApp(chain, NewMempool(0), gcrypto.DeterministicKeyPair(0).Address(), epoch, 0)
+	app := NewApp(chain, NewMempoolShards(0, 0), gcrypto.DeterministicKeyPair(0).Address(), epoch, 0)
 	bad := mkTx(0, 1)
 	bad.Fee = 999 // breaks signature
 	if err := app.SubmitTx(bad); err == nil {
@@ -240,7 +240,7 @@ func TestAppSubmitTxValidates(t *testing.T) {
 func TestAppCommit(t *testing.T) {
 	chain, _ := ledger.NewChain(mkGenesis(t, 4))
 	self := gcrypto.DeterministicKeyPair(0).Address()
-	app := NewApp(chain, NewMempool(0), self, epoch, 0)
+	app := NewApp(chain, NewMempoolShards(0, 0), self, epoch, 0)
 	app.SubmitTx(mkTx(0, 1))
 	b := app.BuildBlock(time.Second, 0, 0, 1)
 	if b == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
@@ -52,28 +53,23 @@ func TestTCPSaturatedPullsNothing(t *testing.T) {
 	chains := make([]*ledger.Chain, n)
 	nodes := make([]*runtime.Node, n)
 	for i := range nodes {
-		chain, err := ledger.NewChain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chains[i] = chain
-		app := runtime.NewApp(chain, runtime.NewMempool(0), keys[i].Address(), epoch, batch)
-		app.SetMaxBatch(4 * batch)
-		eng, err := core.New(core.Config{
-			Chain:              chain,
-			Key:                keys[i],
-			App:                app,
-			Timers:             consensus.NewTimerAllocator(),
-			Epoch:              epoch,
-			CheckpointInterval: 16,
-			ViewChangeTimeout:  20 * time.Second,
-			ProposerPolicy:     core.ProposerAddress,
-			DisableEraSwitch:   true,
+		built, err := assemble.Node(assemble.Config{
+			Genesis: g,
+			Key:     keys[i],
+			Engine: core.Config{
+				Epoch:              epoch,
+				CheckpointInterval: 16,
+				ViewChangeTimeout:  20 * time.Second,
+				ProposerPolicy:     core.ProposerAddress,
+				DisableEraSwitch:   true,
+			},
+			Batch: batch,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = &runtime.Node{ID: keys[i].Address(), Key: keys[i], App: app, Engine: eng}
+		nodes[i] = built.Node
+		chains[i] = built.Node.App.Chain()
 	}
 	nodes[0].OnCommit = func(_ consensus.Time, b *types.Block) {
 		mu.Lock()

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/consensus"
+	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
@@ -151,26 +153,29 @@ func startTCPCluster(t *testing.T, n int) *tcpCluster {
 	}
 	nodes := make([]*runtime.Node, n)
 	for i := range nodes {
-		chain, err := ledger.NewChain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app := runtime.NewApp(chain, runtime.NewMempool(0), c.keys[i].Address(), epoch, 16)
-		eng, err := pbft.New(pbft.Config{
-			Committee: com, Key: c.keys[i], App: app,
-			Timers: consensus.NewTimerAllocator(), StartHeight: 1,
-			ViewChangeTimeout: 5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = &runtime.Node{
-			ID: c.keys[i].Address(), Key: c.keys[i], App: app, Engine: eng,
-			OnCommit: func(_ consensus.Time, b *types.Block) { c.committed <- b },
-		}
+		nodes[i] = pbftTestNode(t, g, c.keys[i])
+		nodes[i].OnCommit = func(_ consensus.Time, b *types.Block) { c.committed <- b }
 	}
 	c.tcps, c.runners = runMesh(t, c.keys, nodes)
 	return c
+}
+
+// pbftTestNode builds a PBFT baseline node over g's committee with
+// 16-transaction blocks and a 5 s view-change timeout.
+func pbftTestNode(t *testing.T, g *ledger.Genesis, kp *gcrypto.KeyPair) *runtime.Node {
+	t.Helper()
+	built, err := assemble.Node(assemble.Config{
+		Genesis:  g,
+		Key:      kp,
+		Baseline: true,
+		Engine:   core.Config{Epoch: epoch, ViewChangeTimeout: 5 * time.Second},
+		Batch:    16,
+		Ceiling:  16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built.Node
 }
 
 // runMesh puts each node behind its own localhost endpoint, gives every
@@ -454,11 +459,6 @@ func TestTCPClusterStatsAndPeerMove(t *testing.T) {
 			Geohash: geo.MustEncode(geo.Point{Lng: 114.18, Lat: 22.3}, geo.CSCPrecision),
 		})
 	}
-	com, err := consensus.NewCommittee(g.Endorsers)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	newTCP := func(i int) *TCP {
 		tp, err := New(Config{Listen: "127.0.0.1:0", Key: keys[i], DialTimeout: 500 * time.Millisecond})
 		if err != nil {
@@ -510,25 +510,10 @@ func TestTCPClusterStatsAndPeerMove(t *testing.T) {
 	}
 	runners := make([]*Runner, n)
 	for i := 0; i < n; i++ {
-		chain, err := ledger.NewChain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app := runtime.NewApp(chain, runtime.NewMempool(0), keys[i].Address(), epoch, 16)
-		eng, err := pbft.New(pbft.Config{
-			Committee: com, Key: keys[i], App: app,
-			Timers: consensus.NewTimerAllocator(), StartHeight: 1,
-			ViewChangeTimeout: 5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		i := i
-		nodes[i] = &runtime.Node{
-			ID: keys[i].Address(), Key: keys[i], App: app, Engine: eng,
-			OnCommit: func(_ consensus.Time, b *types.Block) {
-				committed <- commitEv{node: i, height: b.Header.Height}
-			},
+		nodes[i] = pbftTestNode(t, g, keys[i])
+		nodes[i].OnCommit = func(_ consensus.Time, b *types.Block) {
+			committed <- commitEv{node: i, height: b.Header.Height}
 		}
 		runners[i] = startRunner(i)
 	}

@@ -6,11 +6,12 @@ import (
 	"math"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/consensus"
+	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
-	"gpbft/internal/pbft"
 	"gpbft/internal/runtime"
 	"gpbft/internal/shard"
 	"gpbft/internal/simnet"
@@ -56,12 +57,10 @@ type ShardCluster struct {
 	prefixes []string
 	regions  []*Cluster
 
-	anchorKeys    []*gcrypto.KeyPair
-	anchorNodes   []*runtime.Node
-	anchorEng     []*pbft.Engine
-	anchorPos     []geo.Point
-	anchorGenesis *ledger.Genesis
-	anchorNonces  []uint64
+	anchorKeys   []*gcrypto.KeyPair
+	anchorNodes  []*runtime.Node
+	anchorPos    []geo.Point
+	anchorNonces []uint64
 
 	crashedAnchor map[int]bool // anchor member index -> crashed
 	isolated      map[int]bool // region index -> isolated
@@ -195,42 +194,33 @@ func (s *ShardCluster) buildAnchor() error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	s.anchorGenesis = g
 
-	com, err := consensus.NewCommittee(g.Endorsers)
-	if err != nil {
-		return err
-	}
 	s.anchorNodes = make([]*runtime.Node, members)
-	s.anchorEng = make([]*pbft.Engine, members)
 	for j := 0; j < members; j++ {
 		kp := s.anchorKeys[j]
-		chain, err := ledger.NewChain(g)
-		if err != nil {
-			return err
-		}
-		app := runtime.NewApp(chain, runtime.NewMempool(s.opts.MempoolCap), kp.Address(), s.opts.Epoch, s.opts.BatchSize)
-		eng, err := pbft.New(pbft.Config{
-			Era:                0,
-			Committee:          com,
-			Key:                kp,
-			App:                app,
-			Timers:             consensus.NewTimerAllocator(),
-			StartHeight:        1,
-			CheckpointInterval: s.opts.CheckpointInterval,
-			ViewChangeTimeout:  s.opts.ViewChangeTimeout,
-			MaxInFlight:        s.opts.MaxInFlight,
+		// Ceiling = Batch: the anchor committee runs without adaptive
+		// block sizing.
+		built, err := assemble.Node(assemble.Config{
+			Genesis:  g,
+			Key:      kp,
+			Baseline: true,
+			Engine: core.Config{
+				Epoch:              s.opts.Epoch,
+				CheckpointInterval: s.opts.CheckpointInterval,
+				ViewChangeTimeout:  s.opts.ViewChangeTimeout,
+				MaxInFlight:        s.opts.MaxInFlight,
+			},
+			Batch:      s.opts.BatchSize,
+			Ceiling:    s.opts.BatchSize,
+			MempoolCap: s.opts.MempoolCap,
 		})
 		if err != nil {
 			return err
 		}
-		node := &runtime.Node{
-			ID: kp.Address(), Key: kp, App: app, Engine: eng,
-			Exec: s.net.Executor(kp.Address()),
-		}
+		node := built.Node
+		node.Exec = s.net.Executor(kp.Address())
 		s.net.AddNode(kp.Address(), node)
 		s.anchorNodes[j] = node
-		s.anchorEng[j] = eng
 	}
 	s.net.Schedule(0, func(now consensus.Time) {
 		for _, n := range s.anchorNodes {

@@ -134,10 +134,18 @@ type Cluster struct {
 	replayed []uint64 // cumulative blocks replayed at boot, per node
 	parts    map[[2]int]bool
 	checker  *Checker
+	// timeout is every engine's ViewChangeTimeout: New fixes it at
+	// 500 ms, and zero lets each replica take it from the rounds it times.
+	timeout time.Duration
 }
 
 // New builds and starts (at virtual time 0) a chaos cluster.
 func New(opts Options) (*Cluster, error) {
+	return newCluster(opts, 500*time.Millisecond)
+}
+
+// newCluster is New with the engines' view-change timeout.
+func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 	if opts.Nodes < 4 || opts.Nodes > 16 {
 		return nil, fmt.Errorf("chaos: Nodes must be in [4,16], got %d", opts.Nodes)
 	}
@@ -160,6 +168,7 @@ func New(opts Options) (*Cluster, error) {
 		replayed: make([]uint64, opts.Nodes),
 		parts:    make(map[[2]int]bool),
 		checker:  NewChecker(),
+		timeout:  timeout,
 	}
 	c.net = simnet.New(simnet.Config{
 		Seed: opts.Seed,
@@ -271,7 +280,7 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 		Engine: core.Config{
 			Epoch:              c.epoch,
 			CheckpointInterval: 4,
-			ViewChangeTimeout:  500 * time.Millisecond,
+			ViewChangeTimeout:  c.timeout,
 			ProposerPolicy:     core.ProposerAddress,
 			DisableEraSwitch:   !c.opts.EnableEraSwitch,
 			ForceEraSwitch:     c.opts.EnableEraSwitch,

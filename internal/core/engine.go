@@ -160,6 +160,8 @@ type Engine struct {
 	lagTID  consensus.TimerID
 	lagSeq  uint64
 	lagFrom gcrypto.Address
+	// view is the inner engine's view as filterInner last saw it.
+	view uint64
 
 	// pendingDurable is the recovered consensus state awaiting the
 	// first buildInstance; consumed exactly once (later instances start
@@ -331,6 +333,7 @@ func (e *Engine) buildInstance(now consensus.Time, acts []consensus.Action) []co
 		return acts
 	}
 	e.inner = inner
+	e.view = inner.View()
 	inner.Hold(e.held)
 	e.held = nil
 	acts = append(acts, e.filterInner(now, inner.Init(now))...)
@@ -441,7 +444,8 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 			return nil
 		}
 		acts := e.maybeLagSync(env)
-		return append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
+		acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
+		return append(acts, e.maybeCheckpointSync(env)...)
 	}
 }
 
@@ -520,6 +524,24 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	return []consensus.Action{consensus.StartTimer{ID: e.lagTID, Delay: syncRetryBase}}
 }
 
+// maybeCheckpointSync pulls at once when a checkpoint has just become
+// stable at or above the slot this node executes next. That is proof, not
+// suspicion: 2f+1 members executed past the slot, and the stable
+// checkpoint pruned the instances below it, so this node cannot execute
+// them any more — sync is the only way on. A replica that missed a single
+// commit vote, which the epidemic relay may lose, holds its next slot's
+// proposal and raises no lag suspicion; this is how it catches up before
+// its progress timer takes the stall for the primary's.
+func (e *Engine) maybeCheckpointSync(env *consensus.Envelope) []consensus.Action {
+	if env.MsgKind != consensus.KindCheckpoint || e.inner == nil || e.switching {
+		return nil
+	}
+	if stable := e.inner.LowWater(); stable >= e.inner.NextSeq() {
+		return e.lagPull(stable+1, env.From)
+	}
+	return nil
+}
+
 // onLagCheck settles a lag suspicion: a node that keeps up has long
 // executed the suspicious commit's slot, or at least holds its next
 // slot's proposal.
@@ -580,6 +602,15 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 			e.sstats.fetchSent.Add(c.FetchesSent)
 			e.sstats.fetchAnswered.Add(c.FetchesAnswered)
 		}
+	}
+	// A view change can leave this replica behind: the slots that
+	// executed elsewhere before it began are in no prepared proof, and
+	// when the others cannot form a quorum without it they commit nothing
+	// it could overhear. So every view it enters opens, as a restart
+	// does, with a request for the blocks above its head.
+	if e.inner != nil && e.inner.View() != e.view {
+		e.view = e.inner.View()
+		acts = e.requestCatchUp(acts)
 	}
 	out := acts
 	if len(acts) > 0 {

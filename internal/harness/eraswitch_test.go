@@ -37,8 +37,9 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 	// and by the current one (an era switch replaces the instance).
 	type views struct{ era, past, current uint64 }
 	seen := make([]views, n)
-	// On node 0: every commit gap that begins at a config block.
-	var switchGaps []time.Duration
+	// On node 0: every commit gap that begins at a config block, and the
+	// view-change timeout in effect when it began.
+	var switchGaps, timeouts []time.Duration
 	var configAt time.Duration
 	for i := 0; i < n; i++ {
 		i := i
@@ -62,6 +63,7 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 			for k := range b.Txs {
 				if b.Txs[k].Type == types.TxConfig {
 					configAt = now
+					timeouts = append(timeouts, eng.Inner().Timeout())
 				}
 			}
 		}
@@ -87,9 +89,8 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 	if len(switchGaps) < 3 {
 		t.Fatalf("only %d era switches inside the run", len(switchGaps))
 	}
-	bound := o.SwitchPeriod + o.ViewChangeTimeout/2
 	for k, gap := range switchGaps {
-		if gap >= bound {
+		if bound := o.SwitchPeriod + timeouts[k]/2; gap >= bound {
 			t.Fatalf("switch %d: %v without a commit, want under %v (switch period %v)", k+1, gap, bound, o.SwitchPeriod)
 		}
 	}
@@ -103,5 +104,5 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 			t.Fatalf("node %d held %d requests and re-relayed %d", i, s.RequestsHeld, s.RequestsRerelayed)
 		}
 	}
-	t.Logf("%d transactions, switch gaps %v, p50 %v, max %v", offered, switchGaps, cl.Metrics().Quantile(0.5), cl.Metrics().MaxLatency())
+	t.Logf("%d transactions, switch gaps %v (timeouts %v), p50 %v, max %v", offered, switchGaps, timeouts, cl.Metrics().Quantile(0.5), cl.Metrics().MaxLatency())
 }

@@ -39,8 +39,12 @@ type voteKey struct {
 // vote it may already have sent, and the prepared certificates it must
 // still be able to exhibit in view changes.
 type DurableState struct {
-	Era             uint64
-	View            uint64
+	Era  uint64
+	View uint64
+	// NewView is the encoded certificate of View, when it was recorded:
+	// a restarted replica keeps handing it to peers that missed the view
+	// change, as it did before the crash.
+	NewView         []byte
 	SentPrePrepares map[voteKey]gcrypto.Hash
 	SentPrepares    map[voteKey]gcrypto.Hash
 	SentCommits     map[voteKey]gcrypto.Hash
@@ -95,7 +99,7 @@ func RecoverState(era uint64, recs []store.WALRecord) *DurableState {
 			}
 		case store.WALNewView:
 			if rec.View > d.View {
-				d.View = rec.View
+				d.View, d.NewView = rec.View, rec.Data
 			}
 		case store.WALViewChange, store.WALEra:
 			// Position/trace records; nothing to restore. A crash during
@@ -130,15 +134,21 @@ func (e *Engine) recordVote(kind store.WALKind, sent map[voteKey]gcrypto.Hash, v
 }
 
 // recordPosition persists a non-vote protocol event (view change
-// started, new view entered) best-effort. These records restore the
-// replica's position after a crash but are not equivocation-critical:
-// losing one costs at most a repeated view change, never safety, so a
-// failing disk does not wedge view transitions.
-func (e *Engine) recordPosition(kind store.WALKind, view uint64) {
+// started, new view entered, with data its certificate) best-effort.
+// These records restore the replica's position after a crash but are not
+// equivocation-critical: losing one costs at most a repeated view change,
+// never safety, so a failing disk does not wedge view transitions. A
+// record the log refuses with its data (a certificate too large for a
+// frame) is kept without it.
+func (e *Engine) recordPosition(kind store.WALKind, view uint64, data []byte) {
 	if e.wal == nil {
 		return
 	}
-	_ = e.wal.Append(store.WALRecord{Kind: kind, Era: e.cfg.Era, View: view})
+	rec := store.WALRecord{Kind: kind, Era: e.cfg.Era, View: view, Data: data}
+	if e.wal.Append(rec) != nil && data != nil {
+		rec.Data = nil
+		_ = e.wal.Append(rec)
+	}
 }
 
 // persistPrepared stores the instance's prepared certificate so a
@@ -177,6 +187,9 @@ func (e *Engine) restoreDurable(d *DurableState) {
 		return
 	}
 	e.view = d.View
+	if env, err := e.decode(d.NewView); err == nil && env.MsgKind == consensus.KindNewView {
+		e.newViewEnv = env
+	}
 	for k, v := range d.SentPrePrepares {
 		e.sentPrePrepares[k] = v
 	}

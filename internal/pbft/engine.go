@@ -18,9 +18,6 @@ const (
 	// DefaultCheckpointInterval is K: a checkpoint every K executions;
 	// the high watermark is lowWater + 2K.
 	DefaultCheckpointInterval = 16
-	// DefaultViewChangeTimeout is the progress timeout before a backup
-	// starts a view change.
-	DefaultViewChangeTimeout = 2 * time.Second
 	// DefaultMaxInFlight is the pipelining depth: how many sequence
 	// numbers may run their three phases concurrently. 1 is the serial
 	// ablation (one full round trip per block, the pre-pipelining
@@ -82,7 +79,9 @@ type Config struct {
 	StartHeight uint64
 	// CheckpointInterval is K; zero selects the default.
 	CheckpointInterval uint64
-	// ViewChangeTimeout is the progress timeout; zero selects default.
+	// ViewChangeTimeout, when non-zero, fixes the base of every liveness
+	// timer. Zero takes it from the rounds this replica times (see
+	// Engine.Timeout).
 	ViewChangeTimeout time.Duration
 	// MaxInFlight bounds how many sequence numbers run concurrently
 	// (clamped to the watermark window). Zero selects the default; 1 is
@@ -105,9 +104,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = DefaultCheckpointInterval
-	}
-	if c.ViewChangeTimeout == 0 {
-		c.ViewChangeTimeout = DefaultViewChangeTimeout
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = DefaultMaxInFlight
@@ -134,10 +130,13 @@ type instance struct {
 	prepared  bool
 	committed bool
 	executed  bool
-	// proposed marks a slot this replica proposed itself, as primary of
-	// inst.view, at proposedAt; its execution then measures a round.
+	// acceptedAt is when this replica accepted the slot's proposal in
+	// inst.view, or made it as that view's primary (proposed); timed says
+	// this incarnation did so, and then the slot's execution ends a round
+	// (a prepared slot restored from the WAL began in an earlier one).
 	proposed   bool
-	proposedAt consensus.Time
+	timed      bool
+	acceptedAt consensus.Time
 }
 
 func newInstance(view uint64) *instance {
@@ -184,10 +183,18 @@ type Engine struct {
 	// restarted node can verify the jump to the committee's view.
 	newViewEnv *consensus.Envelope
 
-	timers       map[consensus.TimerID]timerPurpose
-	progressTID  consensus.TimerID
-	vcTID        consensus.TimerID
-	vcRetryDelay time.Duration
+	timers      map[consensus.TimerID]timerPurpose
+	progressTID consensus.TimerID
+	vcTID       consensus.TimerID
+
+	// Failure detection (see Timeout and patience): the last roundWindow
+	// rounds this replica timed, roundsTimed in all; backoff counts the
+	// doublings of every timer since a slot last executed, and fresh
+	// marks a view entered by a view change that has executed nothing yet.
+	rounds      [roundWindow]time.Duration
+	roundsTimed int
+	backoff     int
+	fresh       bool
 
 	// Per-slot progress timers: every accepted proposal gets its own
 	// deadline, so an earlier slot's progress can never mask a leader
@@ -290,7 +297,6 @@ func New(cfg Config) (*Engine, error) {
 		timers:          make(map[consensus.TimerID]timerPurpose),
 		slotTimers:      make(map[uint64]consensus.TimerID),
 		timerSlots:      make(map[consensus.TimerID]uint64),
-		vcRetryDelay:    cfg.ViewChangeTimeout,
 		maxInFlight:     cfg.MaxInFlight,
 		pendingMsgs:     make(map[uint64][]*consensus.Envelope),
 		parked:          make(map[uint64]*parkedProposal),
@@ -555,7 +561,7 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 		e.progressTID = 0
 		// No progress on outstanding work: suspect the primary.
 		if e.hasOutstandingWork() {
-			return e.startViewChange(now, e.view+1)
+			return e.timedOut(now)
 		}
 		return nil
 	case timerSlot:
@@ -570,7 +576,7 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 		}
 		if inst := e.insts[seq]; inst != nil && inst.prePrepare != nil && !inst.executed {
 			// One specific slot ran out of patience: depose the primary.
-			return e.startViewChange(now, e.view+1)
+			return e.timedOut(now)
 		}
 		return nil
 	case timerViewChange:
@@ -580,12 +586,8 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 		e.vcTID = 0
 		if e.inViewChange {
 			// The view change itself stalled; escalate to the next view
-			// with doubled patience (exponential backoff, as in PBFT),
-			// capped so a long outage cannot push the retry horizon out
-			// indefinitely.
-			if e.vcRetryDelay < time.Minute {
-				e.vcRetryDelay *= 2
-			}
+			// with doubled patience (exponential backoff, as in PBFT).
+			e.backoff++
 			return e.startViewChange(now, e.vcTarget+1)
 		}
 		return nil
@@ -743,7 +745,7 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
 		acts = e.acceptPrePrepare(now, pp, block, env, acts)
 		if inst := e.insts[seq]; inst != nil {
-			inst.proposed, inst.proposedAt = true, now
+			inst.proposed = true
 		}
 	}
 	return acts
@@ -773,7 +775,7 @@ func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
 		return acts
 	}
 	hold := round / 2
-	if max := e.cfg.ViewChangeTimeout / 4; hold > max {
+	if max := e.Timeout() / 4; hold > max {
 		hold = max
 	}
 	e.holdTID = e.cfg.Timers.Next()
@@ -1010,6 +1012,9 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, block *typ
 	if inst == nil || inst.view != pp.View {
 		inst = newInstance(pp.View)
 		e.insts[pp.Seq] = inst
+	}
+	if inst.prePrepare == nil {
+		inst.timed, inst.acceptedAt = true, now
 	}
 	inst.digest = pp.Digest
 	inst.block = block
@@ -1281,9 +1286,15 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 			break
 		}
 		inst.executed = true
-		if inst.proposed {
-			e.lastRound = now - inst.proposedAt
+		if inst.timed {
+			round := now - inst.acceptedAt
+			e.rounds[e.roundsTimed%roundWindow] = round
+			e.roundsTimed++
+			if inst.proposed {
+				e.lastRound = round
+			}
 		}
+		e.backoff, e.fresh = 0, false
 		seq := e.execNext
 		e.execNext++
 		block := inst.block
@@ -1421,27 +1432,43 @@ func (e *Engine) hasOutstandingWork() bool {
 	return false
 }
 
-// ensureProgressTimer arms the progress timer if there is outstanding
-// work and none is armed.
+// ensureProgressTimer keeps the progress timer armed exactly while there
+// is outstanding work. A timer armed for work that is gone stops: an
+// executed block's transactions stay pooled until the runtime applies it,
+// so the execution that re-arms the timer may count them, and a timer
+// left running from then would fire on the next request a whole timeout
+// early.
 func (e *Engine) ensureProgressTimer(acts []consensus.Action) []consensus.Action {
-	if e.inViewChange || e.progressTID != 0 || !e.hasOutstandingWork() {
+	if e.inViewChange {
+		return acts
+	}
+	if !e.hasOutstandingWork() {
+		return e.stopProgressTimer(acts)
+	}
+	if e.progressTID != 0 {
 		return acts
 	}
 	id := e.cfg.Timers.Next()
 	e.progressTID = id
 	e.timers[id] = timerProgress
-	return append(acts, consensus.StartTimer{ID: id, Delay: e.cfg.ViewChangeTimeout})
+	return append(acts, consensus.StartTimer{ID: id, Delay: e.patience()})
+}
+
+// stopProgressTimer stops the progress timer, if one is armed.
+func (e *Engine) stopProgressTimer(acts []consensus.Action) []consensus.Action {
+	if e.progressTID == 0 {
+		return acts
+	}
+	acts = append(acts, consensus.StopTimer{ID: e.progressTID})
+	delete(e.timers, e.progressTID)
+	e.progressTID = 0
+	return acts
 }
 
 // resetProgressTimer stops any armed progress timer and re-arms if
 // needed.
 func (e *Engine) resetProgressTimer(acts []consensus.Action) []consensus.Action {
-	if e.progressTID != 0 {
-		acts = append(acts, consensus.StopTimer{ID: e.progressTID})
-		delete(e.timers, e.progressTID)
-		e.progressTID = 0
-	}
-	return e.ensureProgressTimer(acts)
+	return e.ensureProgressTimer(e.stopProgressTimer(acts))
 }
 
 // --- per-slot timers ---
@@ -1465,7 +1492,7 @@ func (e *Engine) armSlotTimer(seq uint64, acts []consensus.Action) []consensus.A
 	if seq > e.execNext {
 		depth += seq - e.execNext
 	}
-	return append(acts, consensus.StartTimer{ID: id, Delay: time.Duration(depth) * e.cfg.ViewChangeTimeout})
+	return append(acts, consensus.StartTimer{ID: id, Delay: time.Duration(depth) * e.patience()})
 }
 
 // stopSlotTimer cancels one slot's deadline (it executed, was synced

@@ -35,3 +35,12 @@ func (e *Engine) PreparedProof(seq uint64) (prepared, verifies bool) {
 	}
 	return true, e.verifyPreparedProof(e.proofForInstance(seq, inst))
 }
+
+// The failure-detection constants (failure.go), for tests that drive the
+// measured rule.
+const (
+	RoundWindow    = roundWindow
+	RoundFactor    = roundFactor
+	MinTimeout     = minTimeout
+	InitialTimeout = initialTimeout
+)

@@ -21,11 +21,7 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 	var acts []consensus.Action
 	// Progress and slot timers are meaningless during a view change;
 	// the view-change completion timer takes over the liveness watch.
-	if e.progressTID != 0 {
-		acts = append(acts, consensus.StopTimer{ID: e.progressTID})
-		delete(e.timers, e.progressTID)
-		e.progressTID = 0
-	}
+	acts = e.stopProgressTimer(acts)
 	acts = e.stopAllSlotTimers(acts)
 	acts = e.endHold(acts)
 	// Arm the view-change completion timer (escalate if it stalls).
@@ -35,9 +31,9 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 	}
 	e.vcTID = e.cfg.Timers.Next()
 	e.timers[e.vcTID] = timerViewChange
-	acts = append(acts, consensus.StartTimer{ID: e.vcTID, Delay: e.vcRetryDelay})
+	acts = append(acts, consensus.StartTimer{ID: e.vcTID, Delay: e.patience()})
 
-	e.recordPosition(store.WALViewChange, target)
+	e.recordPosition(store.WALViewChange, target, nil)
 	vc := &ViewChange{
 		Era:        e.cfg.Era,
 		NewView:    target,
@@ -156,6 +152,7 @@ func (e *Engine) onViewChange(now consensus.Time, env *consensus.Envelope) []con
 		// nobody will second a dead view. Hand it the NewView
 		// certificate of our current view so it can verify the jump
 		// and rejoin, instead of escalating through stale views alone.
+		// The certificate survives this replica's own restarts (WAL).
 		if e.newViewEnv != nil {
 			return []consensus.Action{consensus.Send{To: env.From, Env: e.newViewEnv}}
 		}
@@ -377,11 +374,11 @@ func (e *Engine) onNewView(now consensus.Time, env *consensus.Envelope) []consen
 // enterNewView installs the new view on this replica and processes the
 // re-issued pre-prepares.
 func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.Action) []consensus.Action {
-	e.recordPosition(store.WALNewView, nv.View)
+	e.recordPosition(store.WALNewView, nv.View, consensus.EncodeEnvelope(e.newViewEnv))
 	e.view = nv.View
 	e.inViewChange = false
 	e.vcTarget = 0
-	e.vcRetryDelay = e.cfg.ViewChangeTimeout
+	e.fresh = true // the backoff stands until a slot executes here
 	e.viewChangesFin++
 	if e.vcTID != 0 {
 		acts = append(acts, consensus.StopTimer{ID: e.vcTID})

@@ -42,7 +42,8 @@ const (
 	walRetiredPrepared
 	// WALViewChange: this replica asked to move to View in Era.
 	WALViewChange
-	// WALNewView: this replica entered View in Era.
+	// WALNewView: this replica entered View in Era; Data, when present,
+	// is the NewView envelope that certified it.
 	WALNewView
 	// WALEra: this replica completed a switch into Era.
 	WALEra

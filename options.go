@@ -55,7 +55,11 @@ type Options struct {
 	Region geo.Region
 
 	// --- engine knobs ---
-	BatchSize          int
+	BatchSize int
+	// ViewChangeTimeout, when non-zero, fixes the base of every consensus
+	// liveness timer (progress, slot, view-change retry, hold cap). Zero
+	// lets each replica take it from the rounds it times (DESIGN.md,
+	// "Failure detection").
 	ViewChangeTimeout  time.Duration
 	CheckpointInterval uint64
 	// MaxInFlight is the consensus pipelining depth: how many sequence
@@ -175,7 +179,6 @@ func DefaultOptions(p Protocol, nodes int) Options {
 		MinReports:          3,
 		Region:              geo.NewRegion(geo.Point{Lng: 114.175, Lat: 22.300}, geo.Point{Lng: 114.185, Lat: 22.310}),
 		BatchSize:           32,
-		ViewChangeTimeout:   0, // filled per committee size in NewCluster
 		CheckpointInterval:  16,
 		GeoTimerProposer:    true,
 		Epoch:               time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC),
@@ -228,14 +231,6 @@ func (o *Options) validate() error {
 	}
 	if o.GenesisEndorsers > 0 && o.GenesisEndorsers < o.MinEndorsers {
 		return fmt.Errorf("gpbft: GenesisEndorsers %d below MinEndorsers %d", o.GenesisEndorsers, o.MinEndorsers)
-	}
-	if o.ViewChangeTimeout == 0 {
-		// Scale patience with committee size: a 202-node PBFT round
-		// takes ~n*ProcTime per phase, and under sustained load the
-		// queueing delay grows far beyond a single round — a fixed
-		// small timeout would depose primaries that are merely slow.
-		n := o.committeeSize()
-		o.ViewChangeTimeout = 2*time.Second + time.Duration(n*n/4)*o.Network.ProcTime
 	}
 	return nil
 }

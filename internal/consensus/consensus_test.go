@@ -155,7 +155,7 @@ func TestOpenKindMismatch(t *testing.T) {
 
 func TestMsgKindString(t *testing.T) {
 	kinds := []MsgKind{KindRequest, KindPrePrepare, KindPrepare, KindCommit,
-		KindCheckpoint, KindViewChange, KindNewView, KindEraSwitch, KindBlockSync}
+		KindViewChange, KindNewView, KindEraSwitch, KindBlockSync}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -30,7 +30,10 @@ const (
 	KindPrePrepare
 	KindPrepare
 	KindCommit
-	KindCheckpoint
+	// kindRetiredCheckpoint was the checkpoint vote. The commit
+	// certificate proves a stable point now (DESIGN.md 5t); DecodeEnvelope
+	// refuses the number, and the kinds after it keep theirs.
+	kindRetiredCheckpoint
 	KindViewChange
 	KindNewView
 	KindEraSwitch
@@ -60,8 +63,6 @@ func (k MsgKind) String() string {
 		return "prepare"
 	case KindCommit:
 		return "commit"
-	case KindCheckpoint:
-		return "checkpoint"
 	case KindViewChange:
 		return "view-change"
 	case KindNewView:
@@ -86,7 +87,7 @@ func (k MsgKind) String() string {
 // era's committee.
 func (k MsgKind) IntraEra() bool {
 	switch k {
-	case KindPrePrepare, KindPrepare, KindCommit, KindCheckpoint, KindViewChange, KindNewView, KindFetch:
+	case KindPrePrepare, KindPrepare, KindCommit, KindViewChange, KindNewView, KindFetch:
 		return true
 	}
 	return false
@@ -150,8 +151,9 @@ type Envelope struct {
 
 // Errors returned by envelope operations.
 var (
-	ErrEnvelopeSig  = errors.New("consensus: envelope signature invalid")
-	ErrEnvelopeKind = errors.New("consensus: envelope kind mismatch")
+	ErrEnvelopeSig     = errors.New("consensus: envelope signature invalid")
+	ErrEnvelopeKind    = errors.New("consensus: envelope kind mismatch")
+	ErrEnvelopeRetired = errors.New("consensus: envelope of a retired kind")
 )
 
 func envelopeDigest(kind MsgKind, from gcrypto.Address, body []byte) []byte {
@@ -271,6 +273,9 @@ func (e *Envelope) MarshalCanonical(w *codec.Writer) {
 // UnmarshalCanonical decodes an envelope.
 func (e *Envelope) UnmarshalCanonical(r *codec.Reader) error {
 	e.MsgKind = MsgKind(r.Uint8())
+	if e.MsgKind == kindRetiredCheckpoint {
+		return ErrEnvelopeRetired
+	}
 	switch {
 	case e.MsgKind.IntraEra():
 		e.Sender = r.Uvarint()

@@ -6,7 +6,7 @@ import (
 )
 
 // SlotHeader is what every slot-bound payload — pre-prepare, prepare,
-// commit, checkpoint, fetch — begins with: the slot it speaks for and the
+// commit, fetch — begins with: the slot it speaks for and the
 // digest of the value it speaks about. A prepare and a commit are
 // nothing else. Era, View and Seq travel as canonical uvarints: a round
 // is O(n²) votes whatever its block carries, and three fixed-width
@@ -39,14 +39,14 @@ func (h *SlotHeader) UnmarshalCanonical(r *codec.Reader) error {
 	return r.Err()
 }
 
-// PeekSlot reads the slot header of a pre-prepare, prepare, commit or
-// checkpoint without opening the envelope: nothing is verified, and
-// whatever follows the header is not looked at. It is for code that
-// routes or cross-examines votes without knowing their payload types.
+// PeekSlot reads the slot header of a pre-prepare, prepare or commit
+// without opening the envelope: nothing is verified, and whatever
+// follows the header is not looked at. It is for code that routes or
+// cross-examines votes without knowing their payload types.
 func PeekSlot(env *Envelope) (SlotHeader, bool) {
 	var h SlotHeader
 	switch env.MsgKind {
-	case KindPrePrepare, KindPrepare, KindCommit, KindCheckpoint:
+	case KindPrePrepare, KindPrepare, KindCommit:
 		return h, h.UnmarshalCanonical(codec.NewReader(env.Body)) == nil
 	default:
 		return h, false

@@ -46,7 +46,7 @@ func TestSlotHeaderPeek(t *testing.T) {
 	if want := 2 + 1 + 3 + len(h.Digest); len(body) != want {
 		t.Fatalf("header is %d bytes, want %d", len(body), want)
 	}
-	for _, kind := range []MsgKind{KindPrePrepare, KindPrepare, KindCommit, KindCheckpoint} {
+	for _, kind := range []MsgKind{KindPrePrepare, KindPrepare, KindCommit} {
 		// Whatever follows the header (a pre-prepare's block) is not read.
 		env := Seal(kp, &slotPayload{h, kind})
 		env.Body = append(env.Body, 0xff, 0xff)

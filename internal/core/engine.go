@@ -445,7 +445,7 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		}
 		acts := e.maybeLagSync(env)
 		acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
-		return append(acts, e.maybeCheckpointSync(env)...)
+		return append(acts, e.maybeCertifiedSync(env)...)
 	}
 }
 
@@ -524,22 +524,22 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	return []consensus.Action{consensus.StartTimer{ID: e.lagTID, Delay: syncRetryBase}}
 }
 
-// maybeCheckpointSync pulls at once when a checkpoint has just become
-// stable at or above the slot this node executes next. That is proof, not
-// suspicion: 2f+1 members executed past the slot, and the stable
-// checkpoint pruned the instances below it, so this node cannot execute
-// them any more — sync is the only way on. A replica that missed a single
+// maybeCertifiedSync pulls at once when the commit just delivered
+// completed a certificate for a slot above the one this node executes
+// next. That is proof, not suspicion: the slot is decided, and by the
+// hash chain so is every block below it. A replica that missed a single
 // commit vote, which the epidemic relay may lose, holds its next slot's
 // proposal and raises no lag suspicion; this is how it catches up before
 // its progress timer takes the stall for the primary's.
-func (e *Engine) maybeCheckpointSync(env *consensus.Envelope) []consensus.Action {
-	if env.MsgKind != consensus.KindCheckpoint || e.inner == nil || e.switching {
+func (e *Engine) maybeCertifiedSync(env *consensus.Envelope) []consensus.Action {
+	if env.MsgKind != consensus.KindCommit || e.inner == nil || e.switching {
 		return nil
 	}
-	if stable := e.inner.LowWater(); stable >= e.inner.NextSeq() {
-		return e.lagPull(stable+1, env.From)
+	slot, ok := consensus.PeekSlot(env)
+	if !ok || slot.Seq <= e.inner.NextSeq() || !e.inner.Certified(slot.Seq) {
+		return nil
 	}
-	return nil
+	return e.lagPull(slot.Seq, env.From)
 }
 
 // onLagCheck settles a lag suspicion: a node that keeps up has long

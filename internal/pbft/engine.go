@@ -15,8 +15,8 @@ import (
 
 // Defaults for engine tuning knobs.
 const (
-	// DefaultCheckpointInterval is K: a checkpoint every K executions;
-	// the high watermark is lowWater + 2K.
+	// DefaultCheckpointInterval is K: the stable point advances at every
+	// K-th executed block; the high watermark is lowWater + 2K.
 	DefaultCheckpointInterval = 16
 	// DefaultMaxInFlight is the pipelining depth: how many sequence
 	// numbers may run their three phases concurrently. 1 is the serial
@@ -41,6 +41,10 @@ type Application interface {
 	// PooledTx returns the pending transaction with the given ID, or nil:
 	// a backup assembles a proposal's block from the pool.
 	PooledTx(id gcrypto.Hash) *types.Transaction
+	// Head returns the newest block applied to the chain, with its
+	// commit certificate: what a replica restored from its chain offers
+	// as its stable point, and how far executed blocks are applied.
+	Head() *types.Block
 }
 
 // SpeculativeApplication is the optional surface pipelined slots need:
@@ -77,7 +81,9 @@ type Config struct {
 	// StartHeight is the first block height this instance decides
 	// (current chain height + 1).
 	StartHeight uint64
-	// CheckpointInterval is K; zero selects the default.
+	// CheckpointInterval is K, the interval of the stable point: the
+	// watermark window and WAL compaction advance at every K-th executed
+	// block. Zero selects the default.
 	CheckpointInterval uint64
 	// ViewChangeTimeout, when non-zero, fixes the base of every liveness
 	// timer. Zero takes it from the rounds this replica times (see
@@ -166,12 +172,15 @@ type Engine struct {
 	index uint64 // self's committee position, which names it on the wire
 	com   *consensus.Committee
 
-	view         uint64
-	lowWater     uint64 // last stable checkpoint seq
-	execNext     uint64 // next seq to execute
-	insts        map[uint64]*instance
-	ownDigests   map[uint64]gcrypto.Hash // executed seq -> digest
-	checkpoints  map[uint64]map[gcrypto.Address]gcrypto.Hash
+	view     uint64
+	execNext uint64 // next seq to execute
+	insts    map[uint64]*instance
+	// The stable point (DESIGN.md 5t) and its proof (nil: unproven); the
+	// highest seq whose instance may be dropped, and the WAL's compaction.
+	lowWater     uint64
+	stableCert   *types.Certificate
+	floor        uint64
+	compacted    uint64
 	viewChanges  map[uint64]map[gcrypto.Address]*vcRecord
 	inViewChange bool
 	vcTarget     uint64 // view we are trying to reach while inViewChange
@@ -213,13 +222,6 @@ type Engine struct {
 	spec        SpeculativeApplication
 	pendingMsgs map[uint64][]*consensus.Envelope
 	draining    bool
-
-	// lastExecuted is the block of the last executed slot. The chain
-	// applies it only after the handler that executed it returns, and a
-	// checkpoint that stabilizes in that handler prunes its instance: a
-	// proposal for the next slot replayed in between meets a chain head
-	// one block behind and no retained parent, and is validated on this.
-	lastExecuted *types.Block
 
 	// Block assembly (fetch.go): parked tracks, by seq, the buffered
 	// pre-prepares whose blocks this replica could not assemble yet; the
@@ -289,10 +291,10 @@ func New(cfg Config) (*Engine, error) {
 		index:           uint64(cfg.Committee.IndexOf(cfg.Key.Address())),
 		com:             cfg.Committee,
 		lowWater:        cfg.StartHeight - 1,
+		floor:           cfg.StartHeight - 1,
+		compacted:       cfg.StartHeight - 1,
 		execNext:        cfg.StartHeight,
 		insts:           make(map[uint64]*instance),
-		ownDigests:      make(map[uint64]gcrypto.Hash),
-		checkpoints:     make(map[uint64]map[gcrypto.Address]gcrypto.Hash),
 		viewChanges:     make(map[uint64]map[gcrypto.Address]*vcRecord),
 		timers:          make(map[consensus.TimerID]timerPurpose),
 		slotTimers:      make(map[uint64]consensus.TimerID),
@@ -306,6 +308,7 @@ func New(cfg Config) (*Engine, error) {
 		sentCommits:     make(map[voteKey]gcrypto.Hash),
 	}
 	e.spec, _ = cfg.App.(SpeculativeApplication)
+	e.stableCert = e.headProof(e.lowWater) // a restored replica's stable point
 	if cfg.EvidenceSink != nil {
 		e.seenVotes = make(map[seenSlot]seenVote)
 		e.accused = make(map[gcrypto.Address]bool)
@@ -333,9 +336,6 @@ func (e *Engine) InViewChange() bool { return e.inViewChange }
 
 // NextSeq returns the next sequence number awaiting execution.
 func (e *Engine) NextSeq() uint64 { return e.execNext }
-
-// LowWater returns the last stable checkpoint sequence.
-func (e *Engine) LowWater() uint64 { return e.lowWater }
 
 // InFlight reports how many sequence numbers currently have a proposed
 // but not yet executed instance, and the configured pipelining depth.
@@ -365,14 +365,21 @@ func (e *Engine) HasProposal(seq uint64) bool {
 	return inst != nil && inst.prePrepare != nil
 }
 
+// Certified reports whether this replica holds a commit certificate for
+// seq: 2f+1 commits matching the proposal it accepted there.
+func (e *Engine) Certified(seq uint64) bool {
+	inst := e.insts[seq]
+	return inst != nil && len(inst.certVotes) >= e.com.Quorum()
+}
+
 // Counts is what an engine did since the previous TakeCounts. The vote
-// fast path: VotesVerified counts seal checks on prepares, commits and
-// checkpoints (each vote once, when it first entered engine state),
-// VotesSurplus the votes dropped unverified because their phase already
-// held its quorum or their slot was already stable. The request path
-// across a view change: RequestsHeld counts transactions pooled without
-// a relay (see Engine.held), RequestsRerelayed those relayed on entering
-// the new view; the two are equal once the view change has completed.
+// fast path: VotesVerified counts seal checks on prepares and commits
+// (each vote once, when it first entered engine state), VotesSurplus the
+// votes dropped unverified because their phase already held its quorum
+// or their slot was already stable. The request path across a view
+// change: RequestsHeld counts transactions pooled without a relay (see
+// Engine.held), RequestsRerelayed those relayed on entering the new
+// view; the two are equal once the view change has completed.
 // The proposal policy: ProposalsHeld counts the under-full head blocks
 // the primary held back (see maybePropose), ProposalsHeldFired those
 // whose hold ran its full time instead of ending early on a fuller pool.
@@ -431,7 +438,8 @@ func (e *Engine) Init(now consensus.Time) []consensus.Action {
 
 // AdvanceTo informs the engine that the runtime applied synced blocks
 // up to and including height seq; local instances at or below it are
-// dropped.
+// dropped, and the synced head, whose certificate the sync path checked,
+// becomes the stable point.
 func (e *Engine) AdvanceTo(now consensus.Time, seq uint64) []consensus.Action {
 	if e.halted || seq < e.execNext {
 		return nil
@@ -442,11 +450,7 @@ func (e *Engine) AdvanceTo(now consensus.Time, seq uint64) []consensus.Action {
 		delete(e.insts, s)
 	}
 	e.execNext = seq + 1
-	if seq > e.lowWater {
-		e.lowWater = seq
-		e.pruneSentVotes(seq)
-		e.pruneSeenVotes(seq)
-	}
+	e.stabilize(seq, e.headProof(seq))
 	// Synced-past slots count as executed parents: a child slot whose
 	// commit was held back waiting for them can release it now.
 	acts = e.maybeSendCommit(now, e.execNext, acts)
@@ -464,6 +468,7 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 	if e.halted {
 		return nil
 	}
+	e.compactWAL()
 	var acts []consensus.Action
 	acts = e.holdHead(acts)
 	acts = e.maybePropose(now, acts)
@@ -614,8 +619,6 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		return e.onPrepare(now, env)
 	case consensus.KindCommit:
 		return e.onCommit(now, env)
-	case consensus.KindCheckpoint:
-		return e.onCheckpoint(now, env)
 	case consensus.KindViewChange:
 		return e.onViewChange(now, env)
 	case consensus.KindNewView:
@@ -708,12 +711,12 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 	if hw := e.highWater(); maxSeq > hw {
 		maxSeq = hw
 	}
-	// A quorum checkpoint can stabilize while this replica's execution
-	// still lags it (the synced blocks are in flight): those slots are
-	// final, their instances and sent-vote guards are pruned, and
-	// re-proposing one would rebuild a different block from today's pool
-	// and equivocate against our own earlier pre-prepare. Stay silent
-	// below the stable checkpoint; sync moves execNext past it.
+	// A NewView can prove a stable point above this replica's execution
+	// (DESIGN.md 5t): those slots are decided, their instances and
+	// sent-vote guards are pruned, and re-proposing one would rebuild a
+	// different block from today's pool and equivocate against our own
+	// earlier pre-prepare. Stay silent at or below the stable point; sync
+	// moves execNext past it.
 	seqStart := e.execNext
 	if seqStart <= e.lowWater {
 		seqStart = e.lowWater + 1
@@ -786,8 +789,9 @@ func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
 
 // underfull reports whether the pool holds a backlog too small to pay
 // for a round: some transactions, fewer than min(f, base batch), and
-// none of them control-lane (an era switch, evidence or a checkpoint
-// never waits for company). At n = 4, f = 1 and no backlog is under-full.
+// none of them control-lane (an era switch, evidence or a region
+// checkpoint never waits for company). At n = 4, f = 1 and no backlog
+// is under-full.
 func (e *Engine) underfull() bool {
 	limit := e.com.F()
 	if e.spec != nil && e.spec.BaseBatch() < limit {
@@ -850,11 +854,11 @@ func (e *Engine) buildAt(now consensus.Time, seq uint64) *types.Block {
 	// Exclude everything packed below seq — including executed blocks
 	// whose CommitBlock action has not been applied yet — because those
 	// transactions still sit in the pool.
-	return e.spec.BuildBlockOn(now, e.cfg.Era, e.view, seq, parent, e.exclusionRange(e.lowWater+1, seq))
+	return e.spec.BuildBlockOn(now, e.cfg.Era, e.view, seq, parent, e.exclusionRange(e.floor+1, seq))
 }
 
 // parentBlock returns the block occupying slot seq-1 if this replica
-// holds it (in flight, or executed and not yet pruned by a checkpoint).
+// holds it (in flight, or executed and not yet pruned by stabilize).
 func (e *Engine) parentBlock(seq uint64) *types.Block {
 	if seq == 0 {
 		return nil
@@ -892,8 +896,8 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	if pp.Era != e.cfg.Era || env.From != e.com.Primary(pp.View) {
 		return nil // only the view's primary may pre-prepare
 	}
-	if pp.Seq < e.execNext {
-		return nil // already executed locally
+	if pp.Seq < e.execNext || pp.Seq <= e.lowWater {
+		return nil // already executed locally, or decided without us
 	}
 	if e.inViewChange && pp.View == e.vcTarget && pp.Seq < e.execNext+uint64(e.maxInFlight) {
 		// The new primary sends NewView and then its first proposals; on a
@@ -953,9 +957,6 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 			return nil
 		}
 		parent := e.parentBlock(pp.Seq)
-		if parent == nil && pp.Seq == e.execNext && e.lastExecuted != nil && e.lastExecuted.Header.Seq+1 == pp.Seq {
-			parent = e.lastExecuted
-		}
 		if parent == nil {
 			if pp.Seq == e.execNext {
 				return nil
@@ -984,9 +985,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	var acts []consensus.Action
 	acts = e.acceptPrePrepare(now, &pp, block, env, acts)
 	// Accepting can complete the slot on the spot: recovered prepares
-	// and raced-ahead commits may already form certificates, and the
-	// resulting execution + checkpoint stabilization prunes the
-	// instance. Only a still-live slot needs this backup's own prepare.
+	// and raced-ahead commits may already form certificates.
 	if inst := e.insts[pp.Seq]; inst != nil {
 		// A backup that accepts multicasts prepare to all others.
 		prep := &Prepare{pp.SlotHeader}
@@ -1053,7 +1052,7 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, block *typ
 //
 // A vote is surplus when it agrees with the slot's accepted digest and
 // its phase already holds its quorum (or the slot is at or below the
-// stable checkpoint): storing it could never change an outcome, so it
+// stable point): storing it could never change an outcome, so it
 // is dropped unverified. The exception keeps accountability whole — if
 // the sender is already on record for this slot with a different
 // digest, the vote is verified and cross-checked as before, so a
@@ -1298,7 +1297,6 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 		seq := e.execNext
 		e.execNext++
 		block := inst.block
-		e.lastExecuted = block
 		// Attach the commit certificate: the seals of the counted commits.
 		votes := inst.certVotes
 		if len(votes) > e.com.Quorum() {
@@ -1310,7 +1308,6 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 			View:      inst.view,
 			Votes:     append([]types.Vote(nil), votes...),
 		}
-		e.ownDigests[seq] = inst.digest
 		acts = append(acts, consensus.CommitBlock{Block: block})
 
 		// This slot made it: retire its deadline. Only its own execution
@@ -1320,11 +1317,10 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 		// The pool-level grace period saw progress too.
 		acts = e.resetProgressTimer(acts)
 
+		// Every K-th block is a stable point, and the certificate just
+		// attached is its proof: no message is exchanged for it.
 		if seq%e.cfg.CheckpointInterval == 0 {
-			ck := &Checkpoint{consensus.SlotHeader{Era: e.cfg.Era, Seq: seq, Digest: inst.digest}}
-			ckEnv := e.seal(ck)
-			acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: ckEnv})
-			e.noteCheckpoint(seq, e.self, inst.digest)
+			e.stabilize(seq, block.Cert)
 		}
 	}
 	// An executed parent may release a child's deferred commit, and the
@@ -1336,85 +1332,50 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 	return acts
 }
 
-// --- checkpoints ---
+// --- stable point ---
 
-func (e *Engine) onCheckpoint(now consensus.Time, env *consensus.Envelope) []consensus.Action {
-	// Same order as admitVote: everything that rules the checkpoint out
-	// without its seal first, the seal check only when it will be stored.
-	var ck Checkpoint
-	if err := consensus.OpenUnverified(env, consensus.KindCheckpoint, &ck); err != nil {
+// headProof returns the certificate of the applied chain head if the
+// head is at seq and was certified by this era's committee, else nil.
+func (e *Engine) headProof(seq uint64) *types.Certificate {
+	head := e.cfg.App.Head()
+	if head.Header.Height != seq || head.Cert == nil || head.Cert.Era != e.cfg.Era {
 		return nil
 	}
-	if ck.Era != e.cfg.Era || !e.com.IsMember(env.From) {
-		return nil
-	}
-	if ck.Seq <= e.lowWater {
-		e.counts.VotesSurplus++
-		return nil // already stable: the quorum formed without this one
-	}
-	if d, dup := e.checkpoints[ck.Seq][env.From]; dup && d == ck.Digest {
-		return nil
-	}
-	if env.Verify() != nil {
-		return nil
-	}
-	e.counts.VotesVerified++
-	e.noteCheckpoint(ck.Seq, env.From, ck.Digest)
-	// A stabilized checkpoint lifts the watermarks: buffered messages
-	// just above the old window may be deliverable now.
-	return e.drainBuffered(now, nil)
+	return head.Cert
 }
 
-func (e *Engine) noteCheckpoint(seq uint64, from gcrypto.Address, digest gcrypto.Hash) {
-	m := e.checkpoints[seq]
-	if m == nil {
-		m = make(map[gcrypto.Address]gcrypto.Hash)
-		e.checkpoints[seq] = m
-	}
-	m[from] = digest
-	// Count signatures matching our own executed digest (if known);
-	// otherwise the majority digest.
-	own, haveOwn := e.ownDigests[seq]
-	counts := make(map[gcrypto.Hash]int)
-	for _, d := range m {
-		counts[d]++
-	}
-	for d, c := range counts {
-		if c >= e.com.Quorum() && (!haveOwn || d == own) {
-			e.stabilizeCheckpoint(seq)
-			return
-		}
-	}
-}
-
-// stabilizeCheckpoint garbage-collects the log below seq.
-func (e *Engine) stabilizeCheckpoint(seq uint64) {
+// stabilize makes seq the stable point, proven by cert, and drops the
+// instances and vote guards at or below it — except the instances of
+// executed blocks the chain has not applied yet: their transactions are
+// still pooled, and the next proposal builds on them.
+func (e *Engine) stabilize(seq uint64, cert *types.Certificate) {
 	if seq <= e.lowWater {
 		return
 	}
-	e.lowWater = seq
-	for s := range e.insts {
-		if s <= seq {
+	e.lowWater, e.stableCert = seq, cert
+	applied := e.cfg.App.Head().Header.Height
+	for s, inst := range e.insts {
+		if s <= seq && (s <= applied || !inst.executed) {
 			delete(e.insts, s)
 		}
 	}
-	for s := range e.checkpoints {
-		if s <= seq {
-			delete(e.checkpoints, s)
-		}
-	}
-	for s := range e.ownDigests {
-		if s < seq {
-			delete(e.ownDigests, s)
-		}
-	}
+	e.floor = min(seq, applied)
 	e.pruneSentVotes(seq)
 	e.pruneSeenVotes(seq)
-	// A stable checkpoint also makes the durable log below it dead
-	// weight; compacting here (rather than on a timer) keeps disk usage
-	// a pure function of protocol progress.
+}
+
+// compactWAL drops the WAL records at or below the stable point whose
+// blocks the chain holds, once the runtime has applied a step's commits:
+// a crash keeps the votes of any block not yet applied, and the fsyncs
+// never delay a commit.
+func (e *Engine) compactWAL() {
+	to := min(e.lowWater, e.cfg.App.Head().Header.Height)
+	if to <= e.compacted {
+		return
+	}
+	e.compacted = to
 	if c, ok := e.wal.(WALCompacter); ok && e.wal != nil {
-		c.CompactBelow(e.cfg.Era, seq)
+		c.CompactBelow(e.cfg.Era, to)
 	}
 }
 
@@ -1520,7 +1481,7 @@ func (e *Engine) stopAllSlotTimers(acts []consensus.Action) []consensus.Action {
 
 // bufferVote holds a message addressed just above the acceptance window
 // so it can be replayed deterministically once the window advances.
-// Messages more than one checkpoint interval past the high watermark
+// Messages more than one stable-point interval past the high watermark
 // are dropped outright — a correct peer can never be that far ahead,
 // and the bound keeps the buffer finite under a flooding adversary.
 func (e *Engine) bufferVote(seq uint64, env *consensus.Envelope) []consensus.Action {

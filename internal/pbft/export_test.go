@@ -36,6 +36,10 @@ func (e *Engine) PreparedProof(seq uint64) (prepared, verifies bool) {
 	return true, e.verifyPreparedProof(e.proofForInstance(seq, inst))
 }
 
+// LowWater returns the stable point: the highest sequence the replica
+// knows decided.
+func (e *Engine) LowWater() uint64 { return e.lowWater }
+
 // The failure-detection constants (failure.go), for tests that drive the
 // measured rule.
 const (

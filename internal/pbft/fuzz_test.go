@@ -30,8 +30,6 @@ func newPBFTMessage(kind consensus.MsgKind) pbftMessage {
 		return new(pbft.Prepare)
 	case consensus.KindCommit:
 		return new(pbft.Commit)
-	case consensus.KindCheckpoint:
-		return new(pbft.Checkpoint)
 	case consensus.KindViewChange:
 		return new(pbft.ViewChange)
 	case consensus.KindNewView:
@@ -47,8 +45,8 @@ func newPBFTMessage(kind consensus.MsgKind) pbftMessage {
 // back to the same bytes. Votes are compared, stored in evidence and
 // WAL proofs, and signed over as bytes, so one message must have one
 // encoding — in particular a slot number has one uvarint form, the
-// minimal one. And a list — of transaction IDs or bodies, envelopes or
-// prepared proofs — is refused, before
+// minimal one. And a list — of transaction IDs or bodies, envelopes,
+// prepared proofs or certificate votes — is refused, before
 // anything is allocated for it, when its count claims more elements than
 // the bytes after it can hold: for every list, with as many elements
 // claimed as bytes follow, and for whatever the fuzzer finds as an
@@ -64,14 +62,14 @@ func FuzzDecodePBFTMessage(f *testing.F) {
 	slot := pp.SlotHeader
 	prepare := consensus.EncodeEnvelope(consensus.Seal(kp, &pbft.Prepare{SlotHeader: slot}))
 	prePrepare := consensus.EncodeEnvelope(consensus.Seal(kp, pp))
-	viewChange := &pbft.ViewChange{Era: 1, NewView: 301, LastStable: 16, Prepared: []pbft.PreparedProof{{
+	stable := &types.Certificate{BlockHash: block.Hash(), Era: 1, View: 299, Votes: []types.Vote{{Endorser: kp.Address(), Signature: kp.Sign([]byte("vote"))}}}
+	viewChange := &pbft.ViewChange{Era: 1, NewView: 301, LastStable: 16, StableCert: stable, Prepared: []pbft.PreparedProof{{
 		Seq: 17, View: 300, Digest: block.Hash(), PrePrepareEnv: prePrepare, PrepareEnvs: [][]byte{prepare, prepare},
 	}}}
 	for _, m := range []pbftMessage{
 		pp,
 		&pbft.Prepare{SlotHeader: slot},
 		&pbft.Commit{SlotHeader: slot},
-		&pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 1, Seq: 16, Digest: block.Hash()}},
 		viewChange,
 		&pbft.NewView{Era: 1, View: 301, ViewChangeEnvs: [][]byte{consensus.EncodeEnvelope(consensus.Seal(kp, viewChange))}, PrePrepares: [][]byte{prePrepare}},
 		&pbft.Fetch{SlotHeader: slot, IDs: pp.TxIDs},
@@ -91,10 +89,12 @@ func FuzzDecodePBFTMessage(f *testing.F) {
 	}
 	f.Add(uint8(consensus.KindPrePrepare), counted(&pbft.PrePrepare{SlotHeader: slot, Header: block.Header}, 1))
 	f.Add(uint8(consensus.KindFetch), counted(&pbft.Fetch{SlotHeader: slot}, 1))
-	// The view-change lists, each claiming as many envelopes or proofs as
-	// bytes follow: refused at the count, since each element takes more.
+	// The view-change lists, each claiming as many envelopes, proofs or
+	// certificate votes as bytes follow: refused at the count, since each
+	// element takes more.
 	for _, pair := range [][2]pbftMessage{
 		{&pbft.ViewChange{Era: 1}, &pbft.ViewChange{Era: 1, Prepared: make([]pbft.PreparedProof, 3)}},
+		{&pbft.ViewChange{Era: 1, StableCert: &types.Certificate{}}, &pbft.ViewChange{Era: 1, StableCert: &types.Certificate{Votes: make([]types.Vote, 3)}}},
 		{&pbft.ViewChange{Prepared: make([]pbft.PreparedProof, 1)}, &pbft.ViewChange{Prepared: []pbft.PreparedProof{{PrepareEnvs: make([][]byte, 3)}}}},
 		{&pbft.NewView{Era: 1}, &pbft.NewView{Era: 1, ViewChangeEnvs: make([][]byte, 3)}},
 		{&pbft.NewView{Era: 1}, &pbft.NewView{Era: 1, PrePrepares: make([][]byte, 3)}},

@@ -1,9 +1,10 @@
 // Package pbft implements Practical Byzantine Fault Tolerance (Castro
 // & Liskov, OSDI '99) as an event-driven engine: the three normal-case
-// phases (pre-prepare, prepare, commit), checkpointing with watermarks,
-// and view change with new-view certificates. It is both the paper's
-// comparison baseline and the intra-era consensus core of G-PBFT
-// ("each era is an intact PBFT algorithm", Section III-E).
+// phases (pre-prepare, prepare, commit), watermarks that advance with
+// the commit certificates of the blocks the replica executes, and view
+// change with new-view certificates. It is both the paper's comparison
+// baseline and the intra-era consensus core of G-PBFT ("each era is an
+// intact PBFT algorithm", Section III-E).
 //
 // Simplifications relative to the original, chosen to match the
 // chain-of-blocks setting: the sequence number equals the block height,
@@ -179,16 +180,6 @@ type Commit struct{ consensus.SlotHeader }
 // Kind implements consensus.Payload.
 func (*Commit) Kind() consensus.MsgKind { return consensus.KindCommit }
 
-// Checkpoint attests that the replica executed through Seq with the
-// given block digest; 2f+1 matching checkpoints form a stable
-// checkpoint and let replicas garbage-collect their logs. View is left
-// zero and never read: a sequence number is executed once, whatever view
-// decided it.
-type Checkpoint struct{ consensus.SlotHeader }
-
-// Kind implements consensus.Payload.
-func (*Checkpoint) Kind() consensus.MsgKind { return consensus.KindCheckpoint }
-
 // PreparedProof shows that a proposal reached prepared state: the
 // pre-prepare envelope plus 2f prepare envelopes from distinct
 // replicas. It rides inside a ViewChange so the new primary can
@@ -236,12 +227,15 @@ func (p *PreparedProof) UnmarshalCanonical(r *codec.Reader) error {
 }
 
 // ViewChange announces that a replica wants to move to NewView,
-// carrying its last stable checkpoint and any prepared-but-unexecuted
-// proposal above it.
+// carrying its stable point and any prepared-but-unexecuted proposal
+// above it. StableCert, when present, proves LastStable: it is the
+// commit certificate of the block at that height (DESIGN.md 5t). A
+// claim without it proves nothing and lifts nobody's stable point.
 type ViewChange struct {
 	Era        uint64
 	NewView    uint64
 	LastStable uint64
+	StableCert *types.Certificate
 	Prepared   []PreparedProof
 }
 
@@ -253,6 +247,10 @@ func (m *ViewChange) MarshalCanonical(w *codec.Writer) {
 	w.Uvarint(m.Era)
 	w.Uvarint(m.NewView)
 	w.Uvarint(m.LastStable)
+	w.Bool(m.StableCert != nil)
+	if m.StableCert != nil {
+		m.StableCert.MarshalCanonical(w)
+	}
 	w.Count(len(m.Prepared))
 	for i := range m.Prepared {
 		m.Prepared[i].MarshalCanonical(w)
@@ -264,6 +262,13 @@ func (m *ViewChange) UnmarshalCanonical(r *codec.Reader) error {
 	m.Era = r.Uvarint()
 	m.NewView = r.Uvarint()
 	m.LastStable = r.Uvarint()
+	if r.Bool() {
+		// The certificate's decoder bounds its vote list by CountOf.
+		m.StableCert = new(types.Certificate)
+		if err := m.StableCert.UnmarshalCanonical(r); err != nil {
+			return err
+		}
+	}
 	n := r.CountOf(minPreparedProofSize)
 	if r.Err() != nil {
 		return r.Err()

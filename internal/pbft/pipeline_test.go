@@ -303,7 +303,7 @@ func TestSlotTimerCatchesLaterSlotStall(t *testing.T) {
 // TestWatermarkEdges exercises both acceptance boundaries: a proposal
 // at exactly the high watermark is accepted, and messages just above
 // the window (a pre-prepare and a prepare) are buffered — not dropped —
-// and delivered deterministically once a checkpoint lifts the window.
+// and delivered deterministically once the stable point lifts the window.
 func TestWatermarkEdges(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
@@ -326,7 +326,10 @@ func TestWatermarkEdges(t *testing.T) {
 	}
 	r.eng.OnEnvelope(0, r.prepareAt(p1, 5, blocks[4].Hash()))
 
-	// Slots 1 and 2 run to execution; seq 2 is a checkpoint boundary.
+	// Slots 1 and 2 run to execution. Seq 2 is a stable point: executing
+	// it makes the window (2, 6], and the drain must replay the buffered
+	// slot-5 traffic in the same delivery.
+	var stableActs []consensus.Action
 	for s := uint64(1); s <= 2; s++ {
 		d := blocks[s-1].Hash()
 		var acts []consensus.Action
@@ -337,19 +340,12 @@ func TestWatermarkEdges(t *testing.T) {
 		if len(r.applyCommits(t, acts)) != 1 {
 			t.Fatalf("setup: slot %d did not execute", s)
 		}
+		stableActs = acts
 	}
-
-	// Peer checkpoints at seq 2 stabilize it: the window becomes (2, 6]
-	// and the drain must replay the buffered slot-5 traffic.
-	ck1 := r.seal(p1, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
-	ck2 := r.seal(p2, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 2, Digest: blocks[1].Hash()}})
-	var ckActs []consensus.Action
-	ckActs = append(ckActs, r.eng.OnEnvelope(0, ck1)...)
-	ckActs = append(ckActs, r.eng.OnEnvelope(0, ck2)...)
 	if r.eng.LowWater() != 2 {
-		t.Fatalf("low water %d after checkpoint quorum, want 2", r.eng.LowWater())
+		t.Fatalf("low water %d after executing slot 2, want 2", r.eng.LowWater())
 	}
-	if !containsSeq(prepareSeqs(t, ckActs), 5) {
+	if !containsSeq(prepareSeqs(t, stableActs), 5) {
 		t.Fatal("buffered slot-5 proposal not delivered when the window lifted")
 	}
 
@@ -529,10 +525,9 @@ func TestWALOrdersParentPreparedBeforeChildCommit(t *testing.T) {
 	}
 }
 
-// TestProposalOnPrunedParentIsKept: a backup that lags its peers gets
-// their checkpoints for slot 1 before executing slot 1, and the proposal
-// for slot 2 before that. Executing slot 1 then stabilizes the
-// checkpoint, pruning slot 1's instance, in the same handler that
+// TestProposalOnPrunedParentIsKept: a backup gets the proposal for slot
+// 2 before executing slot 1. With K = 1, executing slot 1 makes it the
+// stable point and garbage-collects below it, in the same handler that
 // replays the buffered proposal for slot 2, while slot 1's CommitBlock
 // is not yet applied to the chain. The proposal must be validated on the
 // block just executed and accepted; dropped, it left the backup without
@@ -552,25 +547,18 @@ func TestProposalOnPrunedParentIsKept(t *testing.T) {
 		t.Fatal("slot 2 must wait for slot 1")
 	}
 	d := blocks[0].Hash()
-	for _, i := range []int{p1, p2} {
-		r.eng.OnEnvelope(0, r.seal(i, &pbft.Checkpoint{SlotHeader: consensus.SlotHeader{Era: 0, Seq: 1, Digest: d}}))
-	}
-	if r.eng.LowWater() != 0 {
-		t.Fatal("two peer checkpoints must not stabilize slot 1")
-	}
-
 	var acts []consensus.Action
 	acts = append(acts, r.eng.OnEnvelope(0, r.prepareAt(p1, 1, d))...)
 	acts = append(acts, r.eng.OnEnvelope(0, r.prepareAt(p2, 1, d))...)
 	acts = append(acts, r.eng.OnEnvelope(0, r.commitAt(p1, 1, d))...)
 	acts = append(acts, r.eng.OnEnvelope(0, r.commitAt(p2, 1, d))...)
 	if r.eng.LowWater() != 1 {
-		t.Fatal("executing slot 1 must stabilize its checkpoint")
+		t.Fatal("executing slot 1 must make it the stable point")
 	}
 	if len(r.applyCommits(t, acts)) != 1 {
 		t.Fatal("slot 1 did not execute")
 	}
 	if !containsSeq(prepareSeqs(t, acts), 2) || !r.eng.HasProposal(2) {
-		t.Fatal("the proposal for slot 2 was dropped when slot 1's checkpoint pruned its parent")
+		t.Fatal("the proposal for slot 2 was dropped when slot 1's stable point pruned its parent")
 	}
 }

@@ -38,6 +38,7 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 		Era:        e.cfg.Era,
 		NewView:    target,
 		LastStable: e.lowWater,
+		StableCert: e.stableCert,
 		Prepared:   e.preparedProofs(),
 	}
 	env := e.seal(vc)
@@ -49,7 +50,7 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 }
 
 // preparedProofs gathers prepared-but-unexecuted proposals above the
-// stable checkpoint.
+// stable point.
 func (e *Engine) preparedProofs() []PreparedProof {
 	var out []PreparedProof
 	for seq, inst := range e.insts {
@@ -236,37 +237,50 @@ func (e *Engine) maybeFinishViewChange(now consensus.Time, acts []consensus.Acti
 	froms = froms[:e.com.Quorum()]
 
 	nv := &NewView{Era: e.cfg.Era, View: target}
-	chosen := make([]*vcRecord, 0, len(froms))
+	chosen := make([]*ViewChange, 0, len(froms))
 	for _, from := range froms {
 		rec := m[from]
-		chosen = append(chosen, rec)
+		chosen = append(chosen, rec.msg)
 		nv.ViewChangeEnvs = append(nv.ViewChangeEnvs, consensus.EncodeEnvelope(rec.env))
 	}
 	// Re-issue pre-prepares for the prepared values in the chosen set.
-	for _, pp := range e.reissuedPrePrepares(target, chosen) {
+	stable, cert := e.provenStable(chosen)
+	for _, pp := range e.reissuedPrePrepares(target, chosen, stable) {
 		nv.PrePrepares = append(nv.PrePrepares, consensus.EncodeEnvelope(pp))
 	}
 	env := e.seal(nv)
 	e.newViewEnv = env
 	acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
-	return e.enterNewView(now, nv, acts)
+	return e.enterNewView(now, nv, stable, cert, acts)
+}
+
+// provenStable returns the highest stable point the view changes prove,
+// and its proof; this replica's own when none proves a higher one. A
+// LastStable counts only with the commit certificate of the block at
+// that height (DESIGN.md 5t): an unproven claim would let one member of
+// the chosen set hide every prepared value below it.
+func (e *Engine) provenStable(vcs []*ViewChange) (uint64, *types.Certificate) {
+	stable, cert := e.lowWater, e.stableCert
+	for _, vc := range vcs {
+		c := vc.StableCert
+		if vc.LastStable <= stable || c == nil || c.Era != e.cfg.Era {
+			continue
+		}
+		if c.Verify(c.BlockHash, vc.LastStable, e.com.Keys(), e.com.Quorum()) == nil {
+			stable, cert = vc.LastStable, c
+		}
+	}
+	return stable, cert
 }
 
 // reissuedPrePrepares computes the O set: for each prepared seq above
-// the max stable checkpoint in the chosen view-changes, a fresh
-// pre-prepare in the new view naming the prepared block (picking the
-// highest-view proof per seq).
-func (e *Engine) reissuedPrePrepares(target uint64, chosen []*vcRecord) []*consensus.Envelope {
-	maxStable := uint64(0)
-	for _, rec := range chosen {
-		if rec.msg.LastStable > maxStable {
-			maxStable = rec.msg.LastStable
-		}
-	}
+// the proven stable point, a fresh pre-prepare in the new view naming
+// the prepared block (picking the highest-view proof per seq).
+func (e *Engine) reissuedPrePrepares(target uint64, chosen []*ViewChange, maxStable uint64) []*consensus.Envelope {
 	best := make(map[uint64]*PreparedProof)
-	for _, rec := range chosen {
-		for i := range rec.msg.Prepared {
-			p := &rec.msg.Prepared[i]
+	for _, vc := range chosen {
+		for i := range vc.Prepared {
+			p := &vc.Prepared[i]
 			if p.Seq <= maxStable {
 				continue
 			}
@@ -284,7 +298,7 @@ func (e *Engine) reissuedPrePrepares(target uint64, chosen []*vcRecord) []*conse
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
-	// Walk the prepared proofs as a chain from the stable checkpoint:
+	// Walk the prepared proofs as a chain from the stable point:
 	// each re-issued block must directly extend the previous one (seq
 	// and PrevHash). Truncate at the first gap or hash mismatch — the
 	// commit-after-parent-prepared rule guarantees anything that might
@@ -345,7 +359,7 @@ func (e *Engine) onNewView(now consensus.Time, env *consensus.Envelope) []consen
 	}
 	// Verify the 2f+1 view-change envelopes.
 	seen := make(map[gcrypto.Address]bool)
-	valid := 0
+	var valid []*ViewChange
 	for _, raw := range nv.ViewChangeEnvs {
 		vcEnv, err := e.decode(raw)
 		if err != nil {
@@ -362,18 +376,22 @@ func (e *Engine) onNewView(now consensus.Time, env *consensus.Envelope) []consen
 			continue
 		}
 		seen[vcEnv.From] = true
-		valid++
+		valid = append(valid, &vc)
 	}
-	if valid < e.com.Quorum() {
+	if len(valid) < e.com.Quorum() {
 		return nil
 	}
 	e.newViewEnv = env
-	return e.enterNewView(now, &nv, nil)
+	stable, cert := e.provenStable(valid)
+	return e.enterNewView(now, &nv, stable, cert, nil)
 }
 
-// enterNewView installs the new view on this replica and processes the
-// re-issued pre-prepares.
-func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.Action) []consensus.Action {
+// enterNewView installs the new view on this replica, with the stable
+// point its view changes prove, and processes the re-issued
+// pre-prepares. A proven stable point above this replica's execution
+// becomes its own: the slots up to it are decided, no proposal or vote
+// for them counts any more, and block sync brings their blocks.
+func (e *Engine) enterNewView(now consensus.Time, nv *NewView, stable uint64, cert *types.Certificate, acts []consensus.Action) []consensus.Action {
 	e.recordPosition(store.WALNewView, nv.View, consensus.EncodeEnvelope(e.newViewEnv))
 	e.view = nv.View
 	e.inViewChange = false
@@ -390,6 +408,7 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.
 	// head block: what the new view proposes first is never held.
 	acts = e.stopAllSlotTimers(acts)
 	acts = e.endHold(acts)
+	e.stabilize(stable, cert)
 	// Drop un-executed instances and parked proposals from older views;
 	// prepared values come back through the re-issued pre-prepares,
 	// assembled from the dropped blocks or fetched from their provers.

@@ -60,6 +60,9 @@ func (a *App) effectiveBatch() int {
 // Chain returns the underlying chain.
 func (a *App) Chain() *ledger.Chain { return a.chain }
 
+// Head returns the newest block applied to the chain.
+func (a *App) Head() *types.Block { return a.chain.Head() }
+
 // Pool returns the mempool.
 func (a *App) Pool() *Mempool { return a.pool }
 

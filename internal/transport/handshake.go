@@ -25,8 +25,10 @@ const (
 	// a commit's seal as its certificate vote. 3: pre-prepares name their
 	// transactions by ID, requests travel unsealed, the fetch kind. 4:
 	// intra-era envelopes name their sender by committee position,
-	// requests and relay frames name none, others only their key.
-	helloVersion = 4
+	// requests and relay frames name none, others only their key. 5: the
+	// checkpoint kind is retired, and a view change carries the
+	// certificate of its stable point.
+	helloVersion = 5
 	// MaxHello bounds a hello frame payload; anything larger is a
 	// protocol violation and the connection is dropped.
 	MaxHello = 1024

@@ -60,7 +60,10 @@ type Options struct {
 	// liveness timer (progress, slot, view-change retry, hold cap). Zero
 	// lets each replica take it from the rounds it times (DESIGN.md,
 	// "Failure detection").
-	ViewChangeTimeout  time.Duration
+	ViewChangeTimeout time.Duration
+	// CheckpointInterval is K: every K-th block a replica executes is its
+	// stable point, proven by the block's commit certificate (DESIGN.md,
+	// "The commit certificate is the stable point"). 0 selects 16.
 	CheckpointInterval uint64
 	// MaxInFlight is the consensus pipelining depth: how many sequence
 	// numbers run their PBFT phases concurrently (commits still execute

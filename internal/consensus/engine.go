@@ -99,14 +99,3 @@ type Engine interface {
 type CommitNotifiable interface {
 	OnCommitApplied(now Time) []Action
 }
-
-// Application is the runtime surface an engine drives blocks through:
-// building a block proposal from the mempool and validating a proposal
-// from a peer. Implementations live in the node runtime.
-type Application interface {
-	// BuildBlock assembles a proposal for the given era/view/seq on top
-	// of the current head. It may return an empty block.
-	BuildBlock(now Time, era, view, seq uint64) *types.Block
-	// ValidateBlock checks a proposal received in a pre-prepare.
-	ValidateBlock(b *types.Block) error
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math"
 	"time"
 
 	"gpbft/internal/consensus"
@@ -1064,41 +1063,42 @@ func (e *Engine) maybeJoin(now consensus.Time) []consensus.Action {
 // on proposals: at most one configuration transaction per block, and
 // it must equal the election outcome every honest endorser computes
 // from the same committed state.
+//
+// Configuration transactions are a pipeline barrier (paper §IV-A2: the
+// old committee halts at a switch). They travel only in a block whose
+// parent is the applied chain head, where the election is judged against
+// committed state; a block on an in-flight parent may carry none, and
+// nothing is built on a config-carrying parent, so the window drains and
+// the switch proposal goes out on the head.
 type eraApp struct {
 	pbft.Application
 	eng *Engine
 }
 
-// BuildBlock filters stale or foreign config transactions out of the
-// proposal (they would be rejected by validators and stall the view).
-// Filtered config transactions are DROPPED from the pool: a stale one
-// left at the head of the FIFO would wedge proposals forever once it
-// became the only buildable transaction.
-func (a *eraApp) BuildBlock(now consensus.Time, era, view, seq uint64) *types.Block {
-	b := a.Application.BuildBlock(now, era, view, seq)
-	if b == nil {
+// BuildBlockOn implements pbft.Application. On the head it filters
+// stale or foreign config transactions out of the proposal (validators
+// would reject them and stall the view) and DROPS them from the pool: a
+// stale one left at the head of the FIFO would wedge proposals forever
+// once it became the only buildable transaction. Off the head it builds
+// nothing that carries, or extends, a config transaction.
+func (a *eraApp) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
+	onHead := types.SameBlock(parent, a.Head())
+	if !onHead && blockHasConfig(parent) {
+		return nil // an era switch is landing; let it finish first
+	}
+	b := a.Application.BuildBlockOn(now, era, view, seq, parent, exclude)
+	if b == nil || !blockHasConfig(b) {
+		return b
+	}
+	if !onHead {
 		return nil
 	}
-	var expected []byte
-	expectedComputed := false
-	keep := b.Txs[:0]
+	expected := a.expectedConfig()
+	keep := make([]types.Transaction, 0, len(b.Txs))
 	configKept := false
-	for i := range b.Txs {
-		tx := b.Txs[i]
+	for _, tx := range b.Txs {
 		if tx.Type == types.TxConfig {
-			drop := false
-			if configKept {
-				drop = true
-			} else {
-				if !expectedComputed {
-					expectedComputed = true
-					if ch := a.eng.expectedChange(); ch != nil {
-						expected = types.EncodeConfigChange(ch)
-					}
-				}
-				drop = expected == nil || !bytes.Equal(tx.Payload, expected)
-			}
-			if drop {
+			if configKept || expected == nil || !bytes.Equal(tx.Payload, expected) {
 				a.eng.cfg.App.Pool().Drop(tx.ID())
 				continue
 			}
@@ -1106,71 +1106,22 @@ func (a *eraApp) BuildBlock(now consensus.Time, era, view, seq uint64) *types.Bl
 		}
 		keep = append(keep, tx)
 	}
-	if len(keep) == 0 {
+	switch {
+	case len(keep) == 0:
 		return nil
-	}
-	if len(keep) != len(b.Txs) {
-		return types.NewBlock(b.Header, append([]types.Transaction(nil), keep...))
+	case len(keep) != len(b.Txs):
+		return types.NewBlock(b.Header, keep)
 	}
 	return b
 }
 
-// BuildBlockOn implements pbft.SpeculativeApplication for pipelined
-// slots. Configuration transactions are a pipeline barrier: they only
-// travel through the serial path (seq == head+1, via BuildBlock), where
-// era semantics are judged against the committed head. A speculative
-// build that would carry one returns nil instead, so the window drains
-// and the switch proposal goes out serially; nothing is ever built on
-// top of a config-carrying parent.
-func (a *eraApp) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
-	app, ok := a.Application.(pbft.SpeculativeApplication)
-	if !ok {
-		return nil
+// expectedConfig is the payload of the config transaction the election
+// expects in a block on the head, or nil when no switch is due.
+func (a *eraApp) expectedConfig() []byte {
+	if ch := a.eng.expectedChange(); ch != nil {
+		return types.EncodeConfigChange(ch)
 	}
-	if blockHasConfig(parent) {
-		return nil // an era switch is landing; let it finish first
-	}
-	b := app.BuildBlockOn(now, era, view, seq, parent, exclude)
-	if b == nil || blockHasConfig(b) {
-		return nil
-	}
-	return b
-}
-
-// ValidateBlockOn implements pbft.SpeculativeApplication, mirroring the
-// build-side barrier: no configuration transaction is acceptable on the
-// speculative path, and no block may extend a config-carrying parent.
-func (a *eraApp) ValidateBlockOn(b, parent *types.Block) error {
-	if blockHasConfig(parent) {
-		return errors.New("gpbft: speculative child of a config block")
-	}
-	if blockHasConfig(b) {
-		return errors.New("gpbft: config transaction outside the serial path")
-	}
-	app, ok := a.Application.(pbft.SpeculativeApplication)
-	if !ok {
-		return errors.New("gpbft: application does not support speculative validation")
-	}
-	return app.ValidateBlockOn(b, parent)
-}
-
-// MinSpeculativeBatch implements pbft.SpeculativeApplication. An
-// application without the speculative surface never builds on an
-// in-flight parent, which no pool depth can satisfy.
-func (a *eraApp) MinSpeculativeBatch() int {
-	if app, ok := a.Application.(pbft.SpeculativeApplication); ok {
-		return app.MinSpeculativeBatch()
-	}
-	return math.MaxInt
-}
-
-// BaseBatch implements pbft.SpeculativeApplication; without the
-// speculative surface the hold's threshold is f alone, as in pbft.
-func (a *eraApp) BaseBatch() int {
-	if app, ok := a.Application.(pbft.SpeculativeApplication); ok {
-		return app.BaseBatch()
-	}
-	return math.MaxInt
+	return nil
 }
 
 // blockHasConfig reports whether any transaction in b is a TxConfig.
@@ -1183,26 +1134,29 @@ func blockHasConfig(b *types.Block) bool {
 	return false
 }
 
-// ValidateBlock additionally checks proposed config transactions
-// against the locally computed election outcome.
-func (a *eraApp) ValidateBlock(b *types.Block) error {
+// ValidateBlockOn implements pbft.Application, mirroring BuildBlockOn:
+// on the head a proposed config transaction must be the only one and
+// match the locally computed election outcome; off the head no block may
+// carry one or extend a config-carrying parent.
+func (a *eraApp) ValidateBlockOn(b, parent *types.Block) error {
+	onHead := types.SameBlock(parent, a.Head())
+	switch {
+	case !onHead && blockHasConfig(parent):
+		return errors.New("gpbft: speculative child of a config block")
+	case !blockHasConfig(b):
+		return a.Application.ValidateBlockOn(b, parent)
+	case !onHead:
+		return errors.New("gpbft: config transaction outside the serial path")
+	}
+	expected := a.expectedConfig()
 	configs := 0
-	var expected []byte
-	expectedComputed := false
 	for i := range b.Txs {
 		tx := &b.Txs[i]
 		if tx.Type != types.TxConfig {
 			continue
 		}
-		configs++
-		if configs > 1 {
+		if configs++; configs > 1 {
 			return errors.New("gpbft: multiple config transactions in one block")
-		}
-		if !expectedComputed {
-			expectedComputed = true
-			if ch := a.eng.expectedChange(); ch != nil {
-				expected = types.EncodeConfigChange(ch)
-			}
 		}
 		if expected == nil {
 			return errors.New("gpbft: unexpected config transaction (no switch due)")
@@ -1211,5 +1165,5 @@ func (a *eraApp) ValidateBlock(b *types.Block) error {
 			return errors.New("gpbft: config transaction disagrees with local election")
 		}
 	}
-	return a.Application.ValidateBlock(b)
+	return a.Application.ValidateBlockOn(b, parent)
 }

@@ -247,54 +247,43 @@ func (c *Chain) Forks() []ForkEvidence {
 	return out
 }
 
-// ValidateBlock checks b against the current head without committing:
-// height continuity, parent linkage, tx root, transaction signatures,
-// region membership of every geo report, and config-from-endorser.
-func (c *Chain) ValidateBlock(b *types.Block) error {
+// ValidateBlock checks b as the child of the current head:
+// ValidateBlockOn's head case.
+func (c *Chain) ValidateBlock(b *types.Block) error { return c.ValidateBlockOn(b, nil) }
+
+// ValidateBlockOn checks b as the immediate child of parent without
+// committing: height continuity, parent linkage, tx root, transaction
+// signatures, region membership of every geo report, and
+// config-from-endorser. A nil parent names the head. When parent is the
+// head, a block at or below it is refused as a duplicate or recorded
+// against it as a fork; otherwise parent is a block still in flight
+// (pipelined consensus), and only the link to it is checked.
+func (c *Chain) ValidateBlockOn(b, parent *types.Block) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.validateLocked(b)
+	return c.validateLocked(b, parent)
 }
 
-func (c *Chain) validateLocked(b *types.Block) error {
-	head := c.blocks[len(c.blocks)-1]
-	if existing, ok := c.byHash[b.Hash()]; ok && existing != nil {
-		return ErrDuplicateBlock
-	}
-	if b.Header.Height != head.Header.Height+1 {
-		if b.Header.Height <= head.Header.Height {
-			if b.Header.Height < c.base {
+func (c *Chain) validateLocked(b, parent *types.Block) error {
+	if head := c.blocks[len(c.blocks)-1]; parent == nil || types.SameBlock(parent, head) {
+		parent = head
+		if existing, ok := c.byHash[b.Hash()]; ok && existing != nil {
+			return ErrDuplicateBlock
+		}
+		if h := b.Header.Height; h <= head.Header.Height {
+			if h < c.base {
 				// Below the compaction checkpoint the committed block is
 				// gone, so a conflict can no longer be adjudicated; the
 				// height is committed either way, so the block is refused
 				// as a duplicate and never applied.
 				return ErrDuplicateBlock
 			}
-			committed := c.blocks[b.Header.Height-c.base]
-			if committed.Hash() != b.Hash() {
+			if c.blocks[h-c.base].Hash() != b.Hash() {
 				return ErrForkDetected
 			}
 			return ErrDuplicateBlock
 		}
-		return fmt.Errorf("%w: got %d, head %d", ErrHeightGap, b.Header.Height, head.Header.Height)
 	}
-	if b.Header.PrevHash != head.Hash() {
-		return ErrPrevHash
-	}
-	if b.Header.Era < head.Header.Era {
-		return ErrEraRegressed
-	}
-	return c.validateStatelessLocked(b)
-}
-
-// ValidateBlockAgainst checks b as the immediate child of parent — the
-// head-independent half of validation plus parent linkage. Pipelined
-// consensus uses it to judge proposals whose parent is itself still in
-// flight: everything except the head comparison is identical to
-// ValidateBlock.
-func (c *Chain) ValidateBlockAgainst(b, parent *types.Block) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if b.Header.Height != parent.Header.Height+1 {
 		return fmt.Errorf("%w: got %d, parent %d", ErrHeightGap, b.Header.Height, parent.Header.Height)
 	}
@@ -456,7 +445,7 @@ func (c *Chain) AddBlock(b *types.Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	eraBefore := c.era
-	if err := c.validateLocked(b); err != nil {
+	if err := c.validateLocked(b, nil); err != nil {
 		if errors.Is(err, ErrForkDetected) {
 			c.recordForkLocked(ForkEvidence{
 				Height:    b.Header.Height,

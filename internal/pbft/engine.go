@@ -25,10 +25,30 @@ const (
 	DefaultMaxInFlight = 8
 )
 
-// Application extends the consensus Application with the mempool
-// surface the engine needs.
+// Application is the runtime surface the engine drives blocks through:
+// building and validating the block of a slot on the parent the engine
+// names for it, and the mempool behind them. Implementations live in
+// the node runtime.
 type Application interface {
-	consensus.Application
+	// BuildBlockOn assembles the block at seq on top of parent,
+	// skipping transactions whose ID is in exclude (they are packed into
+	// retained ancestors, but still sit in the pool until those are
+	// applied). On the applied head the block is eager; on any other
+	// parent it is full or nil (MinSpeculativeBatch). Nil means nothing
+	// to propose.
+	BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block
+	// ValidateBlockOn checks b, a proposal received in a pre-prepare, as
+	// the immediate child of parent.
+	ValidateBlockOn(b, parent *types.Block) error
+	// MinSpeculativeBatch is the fewest transactions BuildBlockOn packs
+	// off the applied head — a full block: with fewer pooled transactions
+	// outside exclude it returns nil. The engine uses it to tell, from
+	// counts alone, when assembling the exclusion set cannot lead to a
+	// block.
+	MinSpeculativeBatch() int
+	// BaseBatch is the application's configured block size, at or below
+	// MinSpeculativeBatch. It bounds the proposal hold's threshold.
+	BaseBatch() int
 	// SubmitTx adds a transaction to the pending pool; duplicates are
 	// ignored. It returns an error only for invalid transactions.
 	SubmitTx(tx *types.Transaction) error
@@ -43,32 +63,9 @@ type Application interface {
 	PooledTx(id gcrypto.Hash) *types.Transaction
 	// Head returns the newest block applied to the chain, with its
 	// commit certificate: what a replica restored from its chain offers
-	// as its stable point, and how far executed blocks are applied.
+	// as its stable point, how far executed blocks are applied, and the
+	// parent of a slot no retained block precedes.
 	Head() *types.Block
-}
-
-// SpeculativeApplication is the optional surface pipelined slots need:
-// building and validating a block whose parent is an in-flight,
-// not-yet-committed block rather than the chain head. Applications
-// that do not implement it cap the engine at one in-flight slot
-// regardless of MaxInFlight.
-type SpeculativeApplication interface {
-	// BuildBlockOn assembles the block at seq on top of parent,
-	// skipping transactions whose ID is in exclude (they are already
-	// packed into in-flight ancestors, but still sit in the pool until
-	// they commit). Nil means nothing to propose.
-	BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block
-	// ValidateBlockOn checks b as the immediate child of parent,
-	// independent of the chain head.
-	ValidateBlockOn(b, parent *types.Block) error
-	// MinSpeculativeBatch is the fewest transactions BuildBlockOn packs —
-	// a full block: with fewer pooled transactions outside exclude it
-	// returns nil. The engine uses it to tell, from counts alone, when
-	// assembling the exclusion set cannot lead to a block.
-	MinSpeculativeBatch() int
-	// BaseBatch is the application's configured block size, at or below
-	// MinSpeculativeBatch. It bounds the proposal hold's threshold.
-	BaseBatch() int
 }
 
 // Config configures one PBFT engine instance (one era in G-PBFT).
@@ -212,14 +209,12 @@ type Engine struct {
 	slotTimers map[uint64]consensus.TimerID
 	timerSlots map[consensus.TimerID]uint64
 
-	// Pipelining: the in-flight depth negotiated from Config, the
-	// optional speculative application surface, and the deterministic
-	// hold-back buffer for messages just above the acceptance window
-	// (votes ahead of the watermarks, pre-prepares whose parent or whose
-	// transactions have not arrived yet). draining guards re-entrant
-	// drains.
+	// Pipelining: the in-flight depth negotiated from Config, and the
+	// deterministic hold-back buffer for messages just above the
+	// acceptance window (votes ahead of the watermarks, pre-prepares whose
+	// parent or whose transactions have not arrived yet). draining guards
+	// re-entrant drains.
 	maxInFlight int
-	spec        SpeculativeApplication
 	pendingMsgs map[uint64][]*consensus.Envelope
 	draining    bool
 
@@ -307,7 +302,6 @@ func New(cfg Config) (*Engine, error) {
 		sentPrepares:    make(map[voteKey]gcrypto.Hash),
 		sentCommits:     make(map[voteKey]gcrypto.Hash),
 	}
-	e.spec, _ = cfg.App.(SpeculativeApplication)
 	e.stableCert = e.headProof(e.lowWater) // a restored replica's stable point
 	if cfg.EvidenceSink != nil {
 		e.seenVotes = make(map[seenSlot]seenVote)
@@ -462,8 +456,8 @@ func (e *Engine) AdvanceTo(now consensus.Time, seq uint64) []consensus.Action {
 
 // OnCommitApplied implements consensus.CommitNotifiable: once the
 // runtime has applied committed blocks to the chain, the primary can
-// propose on top of the new head (BuildBlock declines while the head
-// still lags the engine's sequence).
+// propose on top of the new head (a block is eager only on the applied
+// head; on an executed parent not yet applied it is full or nothing).
 func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 	if e.halted {
 		return nil
@@ -696,9 +690,9 @@ func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []con
 
 // maybePropose issues pre-prepares when this replica is the primary:
 // one for every unproposed slot from execNext up to the pipelining
-// depth (bounded by the high watermark). Slot execNext extends the
-// applied chain head; later slots are built speculatively on their
-// in-flight predecessor, so the window always forms a hash chain.
+// depth (bounded by the high watermark). Each slot is built on the
+// parent parentBlock names — the applied chain head, or the in-flight
+// predecessor — so the window always forms a hash chain.
 //
 // Every slot is proposed as soon as it can be built, with one exception
 // (DESIGN.md 5l): a head block that holdHead is holding back waits until
@@ -793,10 +787,7 @@ func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
 // checkpoint never waits for company). At n = 4, f = 1 and no backlog
 // is under-full.
 func (e *Engine) underfull() bool {
-	limit := e.com.F()
-	if e.spec != nil && e.spec.BaseBatch() < limit {
-		limit = e.spec.BaseBatch()
-	}
+	limit := min(e.com.F(), e.cfg.App.BaseBatch())
 	n := e.cfg.App.PendingTxs()
 	if n == 0 || n >= limit {
 		return false
@@ -822,52 +813,54 @@ func (e *Engine) endHold(acts []consensus.Action) []consensus.Action {
 	return acts
 }
 
-// buildAt assembles the block for one slot: through the ordinary
-// Application when the slot extends the applied chain head, otherwise
-// speculatively on the retained predecessor block.
+// buildAt assembles the block for one slot on the parent parentBlock
+// names for it.
 func (e *Engine) buildAt(now consensus.Time, seq uint64) *types.Block {
-	if b := e.cfg.App.BuildBlock(now, e.cfg.Era, e.view, seq); b != nil {
-		return b
-	}
-	if e.spec == nil {
-		return nil
-	}
 	parent := e.parentBlock(seq)
 	if parent == nil {
 		return nil
 	}
-	// Count before hashing. This replica's own unexecuted proposals were
-	// packed from its pool and stay there until they commit, so the pool
-	// holds at most PendingTxs minus their transactions for a new block;
-	// below a full block BuildBlockOn would decline, and the exclusion
-	// set (a SHA-256 per in-flight transaction) need not be built to hear
-	// it say so. A primary runs this on every relayed request.
-	packed := 0
-	for s := e.execNext; s < seq; s++ {
-		if inst := e.insts[s]; inst != nil && inst.block != nil && !inst.executed && inst.block.Header.Proposer == e.self {
-			packed += len(inst.block.Txs)
+	var exclude map[gcrypto.Hash]bool
+	if !types.SameBlock(parent, e.cfg.App.Head()) {
+		// Count before hashing. This replica's own unexecuted proposals
+		// were packed from its pool and stay there until they commit, so
+		// the pool holds at most PendingTxs minus their transactions for a
+		// new block; below a full block the application would decline, and
+		// the exclusion set (a map entry per retained transaction) need not
+		// be built to hear it say so. A primary runs this on every relayed
+		// request.
+		packed := 0
+		for s := e.execNext; s < seq; s++ {
+			if inst := e.insts[s]; inst != nil && inst.block != nil && !inst.executed && inst.block.Header.Proposer == e.self {
+				packed += len(inst.block.Txs)
+			}
 		}
+		if e.cfg.App.PendingTxs()-packed < e.cfg.App.MinSpeculativeBatch() {
+			return nil
+		}
+		// Exclude everything packed below seq — including executed blocks
+		// whose CommitBlock action has not been applied yet — because those
+		// transactions still sit in the pool.
+		exclude = e.exclusionRange(e.floor+1, seq)
 	}
-	if e.cfg.App.PendingTxs()-packed < e.spec.MinSpeculativeBatch() {
-		return nil
-	}
-	// Exclude everything packed below seq — including executed blocks
-	// whose CommitBlock action has not been applied yet — because those
-	// transactions still sit in the pool.
-	return e.spec.BuildBlockOn(now, e.cfg.Era, e.view, seq, parent, e.exclusionRange(e.floor+1, seq))
+	return e.cfg.App.BuildBlockOn(now, e.cfg.Era, e.view, seq, parent, exclude)
 }
 
-// parentBlock returns the block occupying slot seq-1 if this replica
-// holds it (in flight, or executed and not yet pruned by stabilize).
+// parentBlock names the block slot seq extends: the block occupying slot
+// seq-1 if this replica holds it (in flight, or executed and not yet
+// pruned by stabilize), otherwise the applied chain head if it is at
+// seq-1; nil while this replica holds neither.
 func (e *Engine) parentBlock(seq uint64) *types.Block {
 	if seq == 0 {
 		return nil
 	}
-	inst := e.insts[seq-1]
-	if inst == nil || inst.block == nil || inst.block.Header.Seq != seq-1 {
-		return nil
+	if inst := e.insts[seq-1]; inst != nil && inst.block != nil && inst.block.Header.Seq == seq-1 {
+		return inst.block
 	}
-	return inst.block
+	if head := e.cfg.App.Head(); head.Header.Height == seq-1 {
+		return head
+	}
+	return nil
 }
 
 // exclusionRange collects the tx IDs packed into retained blocks in
@@ -897,7 +890,8 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		return nil // only the view's primary may pre-prepare
 	}
 	if pp.Seq < e.execNext || pp.Seq <= e.lowWater {
-		return nil // already executed locally, or decided without us
+		// Already executed locally, or decided without us.
+		return e.confirmExecuted(&pp, env)
 	}
 	if e.inViewChange && pp.View == e.vcTarget && pp.Seq < e.execNext+uint64(e.maxInFlight) {
 		// The new primary sends NewView and then its first proposals; on a
@@ -946,28 +940,22 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		acts = e.drainBuffered(now, acts)
 		return e.ensureProgressTimer(acts)
 	}
-	if err := e.cfg.App.ValidateBlock(block); err != nil {
-		// Not a child of the applied chain head. For a pipelined slot the
-		// real parent is the retained predecessor block — in flight, or
-		// executed but not yet applied to the chain — so validate against
-		// it, or hold the proposal until it arrives. Only when the parent
-		// IS the applied head (no retained block) was the head validation
-		// authoritative.
-		if e.spec == nil {
+	parent := e.parentBlock(pp.Seq)
+	if parent == nil {
+		// The parent slot's block has not arrived: hold the proposal for
+		// it, unless the slot is the next to execute and so has none to
+		// wait for.
+		if pp.Seq == e.execNext {
 			return nil
 		}
-		parent := e.parentBlock(pp.Seq)
-		if parent == nil {
-			if pp.Seq == e.execNext {
-				return nil
-			}
-			return e.bufferVote(pp.Seq, env)
-		}
-		if err := e.spec.ValidateBlockOn(block, parent); err != nil {
-			return nil
-		}
-		// Exactly-once across the window: refuse a proposal re-packing a
-		// transaction an in-flight ancestor already carries.
+		return e.bufferVote(pp.Seq, env)
+	}
+	if e.cfg.App.ValidateBlockOn(block, parent) != nil {
+		return nil
+	}
+	// Exactly-once across the window: refuse a proposal re-packing a
+	// transaction an in-flight ancestor already carries.
+	if pp.Seq > e.execNext {
 		excl := e.exclusionRange(e.execNext, pp.Seq)
 		for _, id := range pp.TxIDs {
 			if excl[id] {
@@ -1002,6 +990,33 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	acts = e.drainBuffered(now, acts)
 	acts = e.ensureProgressTimer(acts)
 	return acts
+}
+
+// confirmExecuted votes for a new view's re-issue of a slot this replica
+// has executed, when it names the executed block: that block is decided,
+// and the replicas that have not executed it need the votes of those that
+// have — at n = 4, two executors that stayed silent would leave the new
+// view one vote short for good (DESIGN.md 5t). A backup sends its
+// prepare and its commit, the primary its commit, once. Each is recorded
+// before it is sent, like every vote; the commit's prepared record
+// carries no proof, since the chain holds the block.
+func (e *Engine) confirmExecuted(pp *PrePrepare, env *consensus.Envelope) []consensus.Action {
+	inst := e.insts[pp.Seq]
+	if _, sent := e.sentCommits[voteKey{View: pp.View, Seq: pp.Seq}]; sent || inst == nil || !inst.executed ||
+		inst.digest != pp.Digest || inst.view >= pp.View || pp.View != e.view || e.inViewChange {
+		return nil
+	}
+	var acts []consensus.Action
+	if env.From != e.self {
+		if !e.recordVote(store.WALPrepare, e.sentPrepares, pp.View, pp.Seq, pp.Digest, nil) {
+			return nil
+		}
+		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: e.seal(&Prepare{pp.SlotHeader})})
+	}
+	if !e.recordVote(store.WALPrepared, e.sentCommits, pp.View, pp.Seq, pp.Digest, nil) {
+		return acts
+	}
+	return append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: e.seal(&Commit{pp.SlotHeader})})
 }
 
 // acceptPrePrepare installs the proposal and its block into the
@@ -1123,6 +1138,12 @@ func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consen
 	// Cross-check before the conflicting/duplicate drops below: those
 	// would silently discard exactly the vote that proves a double-sign.
 	e.noteVote(env, &p.SlotHeader)
+	if p.Seq < e.execNext {
+		// Executed here: no vote changes the slot, and one from a later
+		// view must not replace the instance whose proof this replica's
+		// view changes still carry.
+		return nil
+	}
 	inst := e.insts[p.Seq]
 	if inst == nil || inst.view != p.View {
 		inst = newInstance(p.View)
@@ -1229,6 +1250,9 @@ func (e *Engine) onCommit(now consensus.Time, env *consensus.Envelope) []consens
 		return e.bufferVote(c.Seq, env)
 	}
 	e.noteVote(env, &c.SlotHeader)
+	if c.Seq < e.execNext {
+		return nil // executed here, as for a prepare
+	}
 	inst := e.insts[c.Seq]
 	if inst == nil || inst.view != c.View {
 		inst = newInstance(c.View)

@@ -365,8 +365,10 @@ func TestWatermarkEdges(t *testing.T) {
 }
 
 // TestSerialAblationBuffersNextSlot: with MaxInFlight=1 the engine is
-// the pre-pipelining scheduler — the successor proposal is held back
-// (not rejected) until the current slot executes.
+// the pre-pipelining scheduler. A backup holds the successor proposal
+// back (not rejected) until the current slot executes; a primary with a
+// ceiling and a backlog of three ceilings never has a second slot in
+// flight, and drains the backlog one round at a time.
 func TestSerialAblationBuffersNextSlot(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
@@ -395,6 +397,42 @@ func TestSerialAblationBuffersNextSlot(t *testing.T) {
 	// proposal replays without retransmission.
 	if !containsSeq(prepareSeqs(t, acts), 2) {
 		t.Fatal("held-back successor proposal not delivered after slot 1 executed")
+	}
+
+	const ceiling = 16
+	pr := newUnitRigN(t, 4, prim, func(c *pbft.Config) { c.MaxInFlight = 1 })
+	pr.eng.Init(0)
+	pr.app.SetMaxBatch(ceiling)
+	var queue []*pbft.PrePrepare
+	step := func(acts []consensus.Action) []consensus.Action {
+		t.Helper()
+		queue = append(queue, proposalsIn(t, acts)...)
+		if used, _ := pr.eng.InFlight(); used > 1 || len(queue) > 1 {
+			t.Fatalf("serial primary: %d slots in flight, %d proposals outstanding", used, len(queue))
+		}
+		return acts
+	}
+	for k := 0; k <= 3*ceiling; k++ {
+		step(pr.request(time.Duration(k)*time.Microsecond, clientTx(k, 1)))
+	}
+	rounds := 0
+	for ; len(queue) > 0; rounds++ {
+		pp := queue[0]
+		queue = queue[1:]
+		at := time.Duration(rounds+1) * time.Millisecond
+		for _, vote := range []func(int, uint64, gcrypto.Hash) *consensus.Envelope{pr.prepareAt, pr.commitAt} {
+			for _, j := range []int{selfPos, p1, p2} {
+				for _, b := range commitsOf(step(pr.eng.OnEnvelope(at, vote(j, pp.Seq, pp.Digest)))) {
+					if err := pr.app.Commit(b); err != nil {
+						t.Fatal(err)
+					}
+					step(pr.eng.OnCommitApplied(at))
+				}
+			}
+		}
+	}
+	if pr.app.PendingTxs() != 0 || pr.app.Chain().Height() != uint64(rounds) || rounds > 4 {
+		t.Fatalf("serial primary: %d pending after %d rounds at height %d, want none after at most 4", pr.app.PendingTxs(), rounds, pr.app.Chain().Height())
 	}
 }
 

@@ -336,72 +336,171 @@ func TestProposalPolicySpeculativeSlotCarriesTheCeiling(t *testing.T) {
 	}
 }
 
-// With no ceiling set the engine acts as it did before speculative slots
-// waited for the ceiling, byte for byte: a scripted run through the head
-// slot, two base-batch speculative slots, the hold and its early end
-// hashes to the digest recorded under the base-batch rule (n = 7: base
-// batch 8, hold threshold min(f = 2, 8)).
+// The proposal policy acts as it did before speculative slots waited for
+// the ceiling, and before the engine named each slot's parent itself,
+// byte for byte: each scripted run hashes its action stream to the digest
+// recorded under the earlier rules.
+//   - "no ceiling": the head slot, two base-batch speculative slots, the
+//     hold and its early end (n = 7: base batch 8, hold threshold
+//     min(f = 2, 8)).
+//   - "ceiling 4x base": the same script under a ceiling of 32, so each
+//     speculative slot waits for 32 transactions outside the window.
+//   - "backup chain": a backup validating a pipelined chain — a slot
+//     ahead of its parent, the head slot, speculative children, children
+//     that re-pack an in-flight transaction or name the wrong parent, and
+//     a head slot whose parent is a retained, applied block.
 func TestProposalPolicyNoCeilingUnchanged(t *testing.T) {
-	r := newPrimaryRig(t, 7)
-	h := sha256.New()
-	note := func(acts []consensus.Action) []consensus.Action {
-		for _, a := range acts {
-			switch v := a.(type) {
-			case consensus.Broadcast:
-				fmt.Fprintf(h, "B%x|", v.To)
-				h.Write(consensus.EncodeEnvelope(v.Env))
-			case consensus.Send:
-				fmt.Fprintf(h, "S%x|", v.To)
-				h.Write(consensus.EncodeEnvelope(v.Env))
-			case consensus.CommitBlock:
-				fmt.Fprintf(h, "C%x|", v.Block.Hash())
-			default:
-				fmt.Fprintf(h, "%T%+v|", a, a)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, note func([]consensus.Action) []consensus.Action)
+		want string
+	}{
+		{"no ceiling", primaryScript(0, 18, 8, time.Millisecond),
+			"500d763b09b158f3270b6607b7f9d4548b200353b2851febc0ad092e59e71d08"},
+		{"ceiling 4x base", primaryScript(32, 66, 32, 250*time.Microsecond),
+			"af967db512a79cf5458f7c527b21d7f6fcac47eb80628c458af51f478a9b4c50"},
+		{"backup chain", backupChainScript,
+			"7d90a55a6c90fe1001b6bdee8d7a630817776a2238f4dc0e97f64eb28bd66c45"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			tc.run(t, func(acts []consensus.Action) []consensus.Action {
+				for _, a := range acts {
+					switch v := a.(type) {
+					case consensus.Broadcast:
+						fmt.Fprintf(h, "B%x|", v.To)
+						h.Write(consensus.EncodeEnvelope(v.Env))
+					case consensus.Send:
+						fmt.Fprintf(h, "S%x|", v.To)
+						h.Write(consensus.EncodeEnvelope(v.Env))
+					case consensus.CommitBlock:
+						fmt.Fprintf(h, "C%x|", v.Block.Hash())
+					default:
+						fmt.Fprintf(h, "%T%+v|", a, a)
+					}
+				}
+				return acts
+			})
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+				t.Fatalf("action digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// primaryScript drives view 0's primary at n = 7 under the given ceiling
+// (0: none): arrivals transactions step apart make the head slot and two
+// speculative slots of full transactions, with one left over; each slot
+// goes through its quorums, the left-over one is held, and one more
+// arrival ends the hold.
+func primaryScript(ceiling, arrivals, full int, step time.Duration) func(*testing.T, func([]consensus.Action) []consensus.Action) {
+	return func(t *testing.T, note func([]consensus.Action) []consensus.Action) {
+		r := newPrimaryRig(t, 7)
+		if ceiling > 0 {
+			r.app.SetMaxBatch(ceiling)
+		}
+		var pps []*pbft.PrePrepare
+		ms := func(k int) consensus.Time { return time.Duration(k) * time.Millisecond }
+		for k := 0; k < arrivals; k++ {
+			pps = append(pps, proposalsIn(t, note(r.request(time.Duration(k)*step, clientTx(k, 1))))...)
+		}
+		if len(pps) != 3 || len(pps[1].TxIDs) != full || len(pps[2].TxIDs) != full {
+			t.Fatalf("setup: %d slots proposed, want the head and two of %d", len(pps), full)
+		}
+		// Each slot through its quorums; the last leaves one pending, which
+		// is held until an arrival brings the pool to f = 2.
+		var acts []consensus.Action
+		for i, pp := range pps {
+			at := ms(20 + 10*i)
+			var done []consensus.Action
+			for _, vote := range []func(int, uint64, gcrypto.Hash) *consensus.Envelope{r.prepareAt, r.commitAt} {
+				for j, sent := 0, 0; sent < r.com.Quorum()-1; j++ {
+					if j != r.self {
+						done = append(done, note(r.eng.OnEnvelope(at, vote(j, pp.Seq, pp.Digest)))...)
+						sent++
+					}
+				}
+			}
+			for _, b := range commitsOf(done) {
+				if err := r.app.Commit(b); err != nil {
+					t.Fatal(err)
+				}
+				acts = note(r.eng.OnCommitApplied(at))
 			}
 		}
-		return acts
+		hold := holdTimer(acts)
+		if hold == nil {
+			t.Fatal("setup: no hold armed for the one left over")
+		}
+		if pp := oneProposal(t, note(r.request(ms(55), clientTx(arrivals, 1))), "f pending"); len(pp.TxIDs) != 2 {
+			t.Fatalf("setup: the held head slot carries %d transactions, want 2", len(pp.TxIDs))
+		}
+		note(r.eng.OnTimer(ms(55)+hold.Delay, hold.ID))
 	}
-	var pps []*pbft.PrePrepare
+}
+
+// backupChainScript drives a backup at n = 7 through a pipelined chain of
+// view 0's proposals.
+func backupChainScript(t *testing.T, note func([]consensus.Action) []consensus.Action) {
+	prim := newUnitRigN(t, 7, 0, nil).primaryPos()
+	r := newUnitRigN(t, 7, (prim+1)%7, nil)
+	note(r.eng.Init(0))
 	ms := func(k int) consensus.Time { return time.Duration(k) * time.Millisecond }
-	// Eighteen arrivals: the head slot, two speculative slots of eight,
-	// and one left over.
-	for k := 0; k <= 17; k++ {
-		pps = append(pps, proposalsIn(t, note(r.request(ms(k), clientTx(k, 1))))...)
+	blocks, envs := r.chainProposals(5)
+	child := func(parent *types.Block, txs ...types.Transaction) *consensus.Envelope {
+		seq := parent.Header.Seq + 1
+		return r.prePrepare(types.NewBlock(types.BlockHeader{
+			Height: seq, Era: 0, View: 0, Seq: seq,
+			PrevHash:  parent.Hash(),
+			Proposer:  r.com.Primary(0),
+			Timestamp: epoch.Add(time.Duration(seq) * time.Second),
+		}, txs))
 	}
-	if len(pps) != 3 || len(pps[1].TxIDs) != 8 || len(pps[2].TxIDs) != 8 {
-		t.Fatalf("setup: %d slots proposed, want the head and two of eight", len(pps))
+	// Slot 3 ahead of its parent is held back, and replays once slot 2
+	// is in: slot 1 is the head slot, 2 and 3 speculative children.
+	var prepared []uint64
+	for k := range 3 {
+		prepared = append(prepared, prepareSeqs(t, note(r.eng.OnEnvelope(ms(k+1), envs[(k+2)%3])))...)
 	}
-	// Each slot through its quorums; the last leaves one pending, which
-	// is held until an arrival brings the pool to f = 2.
-	var acts []consensus.Action
-	for i, pp := range pps {
-		at := ms(20 + 10*i)
+	if len(prepared) != 3 || !containsSeq(prepared, 3) {
+		t.Fatalf("setup: slots %v prepared, want 1, 2 and the held-back 3", prepared)
+	}
+	// Two bad children for slot 4: one re-packs slot 2's transaction,
+	// one names slot 2 as its parent. Neither is prepared; the real one is.
+	tx := clientTx(200, 4)
+	r.pool(*tx)
+	for k, env := range []*consensus.Envelope{child(blocks[2], blocks[1].Txs[0], *tx), child(blocks[1], *tx), envs[3]} {
+		if got := containsSeq(prepareSeqs(t, note(r.eng.OnEnvelope(ms(4+k), env))), 4); got != (k == 2) {
+			t.Fatalf("setup: child %d of slot 3 prepared: %v", k, got)
+		}
+	}
+	var others []int
+	for i := 0; i < 7; i++ {
+		if i != prim && i != r.self {
+			others = append(others, i)
+		}
+	}
+	for s := uint64(1); s <= 4; s++ {
+		at := ms(10 + int(s))
+		d := blocks[s-1].Hash()
 		var done []consensus.Action
 		for _, vote := range []func(int, uint64, gcrypto.Hash) *consensus.Envelope{r.prepareAt, r.commitAt} {
-			for j, sent := 0, 0; sent < r.com.Quorum()-1; j++ {
-				if j != r.self {
-					done = append(done, note(r.eng.OnEnvelope(at, vote(j, pp.Seq, pp.Digest)))...)
-					sent++
-				}
+			for _, j := range others[:r.com.Quorum()-1] {
+				done = append(done, note(r.eng.OnEnvelope(at, vote(j, s, d)))...)
 			}
 		}
 		for _, b := range commitsOf(done) {
 			if err := r.app.Commit(b); err != nil {
 				t.Fatal(err)
 			}
-			acts = note(r.eng.OnCommitApplied(at))
+			note(r.eng.OnCommitApplied(at))
 		}
 	}
-	hold := holdTimer(acts)
-	if hold == nil {
-		t.Fatal("setup: no hold armed for the one left over")
+	if h := r.app.Chain().Height(); h != 4 {
+		t.Fatalf("setup: chain at height %d, want 4", h)
 	}
-	if pp := oneProposal(t, note(r.request(ms(55), clientTx(18, 1))), "f pending"); len(pp.TxIDs) != 2 {
-		t.Fatalf("setup: the held head slot carries %d transactions, want 2", len(pp.TxIDs))
-	}
-	note(r.eng.OnTimer(ms(55)+hold.Delay, hold.ID))
-	const want = "500d763b09b158f3270b6607b7f9d4548b200353b2851febc0ad092e59e71d08"
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-		t.Fatalf("action digest %s, want %s", got, want)
+	// Slot 5's parent is the retained block of slot 4, now the head.
+	if acts := note(r.eng.OnEnvelope(ms(20), envs[4])); !containsSeq(prepareSeqs(t, acts), 5) {
+		t.Fatal("setup: slot 5 on the applied head was not prepared")
 	}
 }

@@ -2,6 +2,7 @@ package pbft_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -474,6 +475,128 @@ func TestUnprovenStablePointHidesNoPreparedSlot(t *testing.T) {
 		if got := n.block(i, 1).Hash(); got != decided {
 			t.Fatalf("replica %d committed %x at slot 1, C committed %x", i, got[:4], decided[:4])
 		}
+	}
+}
+
+// TestExecutedSlotSurvivesViewChange: a view change carries every
+// prepared slot above its stable point, executed or not (Castro–Liskov).
+// At n = 4 the primary A of view 0 proposes slot 1; C and D prepare it,
+// B never sees it, and only the executors collect the commits: C alone,
+// or C and D. Slot 1 is not a stable point. A is Byzantine: its view
+// change carries no prepared proof, and D's view change reaches B late,
+// so B's NewView rests on A, B and C. Were C's executed slot left out,
+// B would hold no proof for slot 1 and commit a fresh block there with A
+// and D. Carried, it is re-issued; a replica that executed it votes for
+// the matching re-issue, so two executors do not stall the new view.
+func TestExecutedSlotSurvivesViewChange(t *testing.T) {
+	for _, executors := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d executed", executors), func(t *testing.T) {
+			n := newEngineNet(t, 4)
+			a, b := n.pos(n.com.Primary(0)), n.pos(n.com.Primary(1))
+			var c, d int
+			for i := range n.engs {
+				if i != a && i != b {
+					c, d = d, i
+				}
+			}
+			executed := map[int]bool{c: true, d: executors == 2}
+			stripped := make(map[*consensus.Envelope]*consensus.Envelope)
+			n.tamper = func(from, to int, env *consensus.Envelope) *consensus.Envelope {
+				switch env.MsgKind {
+				case consensus.KindPrePrepare, consensus.KindPrepare, consensus.KindCommit:
+					h, _ := consensus.PeekSlot(env)
+					if h.View == 0 && (to == b || env.MsgKind == consensus.KindCommit && !executed[to]) {
+						return nil
+					}
+				case consensus.KindViewChange:
+					if from == d && to == b {
+						return nil
+					}
+					if from != a {
+						break
+					}
+					if s, ok := stripped[env]; ok {
+						return s
+					}
+					var vc pbft.ViewChange
+					if err := consensus.Open(env, consensus.KindViewChange, &vc); err != nil {
+						t.Fatal(err)
+					}
+					vc.Prepared = nil
+					s := consensus.Seal(n.keys[a], &vc)
+					s.Sender = uint64(a)
+					stripped[env] = s
+					return s
+				}
+				return env
+			}
+
+			n.submit(a, clientTx(0, 1))
+			n.run(0)
+			for i := range n.engs {
+				if executed[i] != (n.height(i) == 1) || n.height(i) > 1 {
+					t.Fatalf("setup: replica %d at height %d, executed slot 1: %v", i, n.height(i), executed[i])
+				}
+			}
+			decided := n.block(c, 1).Hash()
+
+			n.run(3 * n.engs[b].Timeout())
+			for i := range n.engs {
+				if n.height(i) < 1 {
+					t.Fatalf("replica %d at height %d after three timeouts, want slot 1 committed", i, n.height(i))
+				}
+				if got := n.block(i, 1).Hash(); got != decided {
+					t.Fatalf("FORK: replica %d committed %x at slot 1, C committed %x", i, got[:4], decided[:4])
+				}
+			}
+		})
+	}
+}
+
+// TestExecutedSlotKeepsItsProof: a vote of a later view for a slot this
+// replica executed changes nothing there, and in particular does not
+// replace the executed instance, so the replica's next view change still
+// carries the slot's prepared proof.
+func TestExecutedSlotKeepsItsProof(t *testing.T) {
+	probe := newUnitRig(t, 0)
+	prim, v1prim := probe.primaryPos(), probe.com.IndexOf(probe.com.Primary(1))
+	var others []int
+	for i := 0; i < 4; i++ {
+		if i != prim && i != v1prim {
+			others = append(others, i)
+		}
+	}
+	self := others[0]
+	r := newUnitRig(t, self)
+	r.eng.Init(0)
+	b := r.driveCommit(t, 1, prim, self)
+
+	nv := &pbft.NewView{Era: 0, View: 1}
+	for _, i := range []int{v1prim, prim, others[1]} {
+		nv.ViewChangeEnvs = append(nv.ViewChangeEnvs, consensus.EncodeEnvelope(r.seal(i, &pbft.ViewChange{Era: 0, NewView: 1})))
+	}
+	r.eng.OnEnvelope(0, r.seal(v1prim, nv))
+	if r.eng.View() != 1 {
+		t.Fatalf("setup: view %d after the NewView, want 1", r.eng.View())
+	}
+	r.eng.OnEnvelope(0, r.seal(others[1], &pbft.Prepare{SlotHeader: consensus.SlotHeader{Era: 0, View: 1, Seq: 1, Digest: b.Hash()}}))
+
+	var vc *pbft.ViewChange
+	for _, i := range []int{prim, others[1]} {
+		for _, a := range r.eng.OnEnvelope(0, r.seal(i, &pbft.ViewChange{Era: 0, NewView: 2})) {
+			if bc, ok := a.(consensus.Broadcast); ok && bc.Env.MsgKind == consensus.KindViewChange {
+				vc = new(pbft.ViewChange)
+				if err := consensus.Open(bc.Env, consensus.KindViewChange, vc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if vc == nil {
+		t.Fatal("setup: the replica did not join the view change")
+	}
+	if len(vc.Prepared) != 1 || vc.Prepared[0].Seq != 1 || vc.Prepared[0].Digest != b.Hash() {
+		t.Fatalf("view change carries %d prepared proofs, want the one of executed slot 1", len(vc.Prepared))
 	}
 }
 

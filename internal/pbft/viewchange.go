@@ -49,12 +49,14 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 	return acts
 }
 
-// preparedProofs gathers prepared-but-unexecuted proposals above the
-// stable point.
+// preparedProofs gathers the prepared proposals above the stable point,
+// executed or not (Castro–Liskov): a slot this replica executed above it
+// may have committed nowhere else, and a view change that left it out
+// would let the new view decide a different block there.
 func (e *Engine) preparedProofs() []PreparedProof {
 	var out []PreparedProof
 	for seq, inst := range e.insts {
-		if seq <= e.lowWater || !inst.prepared || inst.executed || inst.prePrepare == nil {
+		if seq <= e.lowWater || !inst.prepared || inst.prePrepare == nil {
 			continue
 		}
 		if proof := e.proofForInstance(seq, inst); proof != nil {

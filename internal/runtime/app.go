@@ -13,8 +13,8 @@ import (
 // DefaultBatchSize is the maximum transactions packed per block.
 const DefaultBatchSize = 64
 
-// App implements the Application surface engines drive blocks through,
-// backed by a chain and a mempool.
+// App implements pbft.Application, the surface engines drive blocks
+// through, backed by a chain and a mempool.
 type App struct {
 	chain *ledger.Chain
 	pool  *Mempool
@@ -78,58 +78,48 @@ func (a *App) CommitLatency(now consensus.Time, b *types.Block) time.Duration {
 	return a.WallTime(now).Sub(b.Header.Timestamp)
 }
 
-// BuildBlock implements consensus.Application: it assembles the next
-// block from pending transactions, or returns nil when there is
-// nothing to propose.
+// BuildBlock assembles the next block on the applied head, or returns
+// nil when there is nothing to propose: BuildBlockOn's head case.
 func (a *App) BuildBlock(now consensus.Time, era, view, seq uint64) *types.Block {
-	head := a.chain.Head()
-	if seq != head.Header.Height+1 {
-		return nil // engine and chain disagree; sync first
-	}
-	txs := a.pool.Peek(a.effectiveBatch())
-	if len(txs) == 0 {
-		return nil
-	}
-	return types.NewBlock(types.BlockHeader{
-		Height:    seq,
-		Era:       era,
-		View:      view,
-		Seq:       seq,
-		PrevHash:  head.Hash(),
-		Proposer:  a.self,
-		Timestamp: a.WallTime(now),
-	}, txs)
+	return a.BuildBlockOn(now, era, view, seq, a.chain.Head(), nil)
 }
 
-// BuildBlockOn implements pbft.SpeculativeApplication: assemble the
-// block at seq on top of an in-flight (uncommitted) parent. Proposed
-// transactions stay in the pool until their block is applied, so the
-// exclude set filters out everything already packed below seq.
+// BuildBlockOn implements pbft.Application: assemble the block at seq
+// on top of parent from pending transactions, skipping those in exclude,
+// or return nil when there is nothing to propose. Proposed transactions
+// stay in the pool until their block is applied, so the engine excludes
+// everything packed below seq but not yet applied.
 //
-// A speculative slot carries a FULL block — the ceiling, or the base
-// batch when no ceiling is set — or nothing. Every round costs each
-// replica ~4f vote checks whatever its block carries, so a second slot
-// is worth opening only for a backlog the head block cannot carry: while
-// the head slot (BuildBlock, eager for latency) runs, the backlog grows
-// into the next head block, and a speculative slot opened on part of it
-// would split one full round into several smaller ones.
+// How much goes in turns on one fact, whether parent is the applied
+// chain head. On the head the block is eager: whatever is pending, up to
+// a size that grows with the backlog (effectiveBatch). On an in-flight
+// parent the block is FULL — the ceiling, or the base batch when no
+// ceiling is set — or nothing. Every round costs each replica ~4f vote
+// checks whatever its block carries, so a second slot is worth opening
+// only for a backlog the head block cannot carry: while the head slot
+// runs, the backlog grows into the next head block, and a slot opened on
+// part of it would split one full round into several smaller ones.
 func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
 	if parent == nil || seq != parent.Header.Height+1 {
 		return nil
 	}
-	want := a.MinSpeculativeBatch()
-	peeked := a.pool.Peek(want + len(exclude))
-	txs := make([]types.Transaction, 0, want)
-	for i := range peeked {
-		if exclude[peeked[i].ID()] {
-			continue
-		}
-		txs = append(txs, peeked[i])
-		if len(txs) == want {
-			break
-		}
+	want, eager := a.MinSpeculativeBatch(), types.SameBlock(parent, a.chain.Head())
+	if eager {
+		want = a.effectiveBatch()
 	}
-	if len(txs) < want {
+	txs := a.pool.Peek(want + len(exclude))
+	if len(exclude) > 0 {
+		kept := txs[:0]
+		for i := range txs {
+			if !exclude[txs[i].ID()] {
+				if kept = append(kept, txs[i]); len(kept) == want {
+					break
+				}
+			}
+		}
+		txs = kept
+	}
+	if len(txs) == 0 || !eager && len(txs) < want {
 		return nil
 	}
 	return types.NewBlock(types.BlockHeader{
@@ -143,23 +133,19 @@ func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *ty
 	}, txs)
 }
 
-// MinSpeculativeBatch implements pbft.SpeculativeApplication: the full
-// block BuildBlockOn insists on, the ceiling (the base batch if none is
-// set).
+// MinSpeculativeBatch implements pbft.Application: the full block
+// BuildBlockOn insists on off the head, the ceiling (the base batch if
+// none is set).
 func (a *App) MinSpeculativeBatch() int { return max(a.batch, a.maxBatch) }
 
-// BaseBatch implements pbft.SpeculativeApplication: the configured
-// block size, below any ceiling.
+// BaseBatch implements pbft.Application: the configured block size,
+// below any ceiling.
 func (a *App) BaseBatch() int { return a.batch }
 
-// ValidateBlock implements consensus.Application.
-func (a *App) ValidateBlock(b *types.Block) error {
-	return a.chain.ValidateBlock(b)
-}
-
-// ValidateBlockOn implements pbft.SpeculativeApplication.
+// ValidateBlockOn implements pbft.Application: b as the child of parent
+// (see ledger.Chain.ValidateBlockOn).
 func (a *App) ValidateBlockOn(b, parent *types.Block) error {
-	return a.chain.ValidateBlockAgainst(b, parent)
+	return a.chain.ValidateBlockOn(b, parent)
 }
 
 // SubmitTx implements pbft.Application: verify, dedup, enqueue. The
@@ -180,7 +166,7 @@ func (a *App) SubmitTx(tx *types.Transaction) error {
 		return nil
 	}
 	// Admission pre-screen with the exact per-tx rules block validation
-	// applies. The pool has no invalid-tx eviction and BuildBlock does
+	// applies. The pool has no invalid-tx eviction and BuildBlockOn does
 	// no per-tx filtering, so a pooled block-invalid tx would be packed
 	// by honest proposers and stall consensus on repeated rejection;
 	// refusing it here keeps admission and validation from diverging.

@@ -166,7 +166,7 @@ func TestAppBuildBlock(t *testing.T) {
 	if !b.Header.Timestamp.Equal(epoch.Add(time.Second)) {
 		t.Fatal("timestamp must map engine time onto the epoch")
 	}
-	if err := app.ValidateBlock(b); err != nil {
+	if err := app.ValidateBlockOn(b, chain.Head()); err != nil {
 		t.Fatal(err)
 	}
 }

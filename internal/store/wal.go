@@ -51,7 +51,9 @@ const (
 	// which is also the promise of its commit for Digest; Data holds the
 	// encoded prepared proof (pre-prepare envelope plus 2f prepare
 	// envelopes) and the block, so a restarted replica can exhibit the
-	// value in view changes and execute it without its pool.
+	// value in view changes and execute it without its pool. It is empty
+	// for the commit a replica sends for a new view's re-issue of a slot
+	// it has already executed: the chain holds that block.
 	WALPrepared
 )
 

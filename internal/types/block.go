@@ -134,6 +134,13 @@ func NewBlock(header BlockHeader, txs []Transaction) *Block {
 // Hash returns the block identifier.
 func (b *Block) Hash() gcrypto.Hash { return b.Header.Hash() }
 
+// SameBlock reports whether a and b are one block: the same pointer, or
+// headers that hash alike. Heights are compared first, so telling a
+// block from another at a different height hashes nothing.
+func SameBlock(a, b *Block) bool {
+	return a == b || a != nil && b != nil && a.Header.Height == b.Header.Height && a.Hash() == b.Hash()
+}
+
 // VerifyTxRoot recomputes the Merkle root and compares.
 func (b *Block) VerifyTxRoot() error {
 	if ComputeTxRoot(b.Txs) != b.Header.TxRoot {

@@ -158,11 +158,11 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 			MempoolCap:  opts.MempoolCap,
 		}
 		if opts.RateLimit > 0 {
-			cfg.QoS = &runtime.QoSConfig{LaneWeights: opts.LaneWeights, FairShare: opts.FairShare}
-			cfg.Admission = &runtime.AdmissionConfig{Rate: opts.RateLimit, ShedThresholds: opts.ShedThresholds}
+			cfg.QoS = &runtime.QoSConfig{}
+			cfg.Admission = &runtime.AdmissionConfig{Rate: opts.RateLimit}
 		}
 		if opts.Gossip {
-			cfg.Relay = &consensus.RelayConfig{Fanout: opts.GossipFanout}
+			cfg.Relay = &consensus.RelayConfig{}
 		}
 		if opts.Snapshots && opts.Protocol == GPBFT {
 			c.snaps[i] = store.NewMemSnapshots(opts.RetainSnapshots)

@@ -82,7 +82,6 @@ func run() error {
 		batch     = flag.Int("batch", 32, "target transactions per block (blocks grow up to 4x under backlog)")
 		inflight  = flag.Int("max-inflight", 0, "consensus pipelining depth (0 = engine default, 1 = one-slot serial)")
 		poolCap   = flag.Int("mempool-cap", 0, "mempool capacity in transactions (0 = default)")
-		shards    = flag.Int("mempool-shards", 0, "mempool shard count, rounded to a power of two (0 = default)")
 		rateLimit = flag.Float64("rate-limit", 0, "overload armor: per-identity admission rate in tx/s; enables QoS mempool lanes and load shedding (0 = off, exact pre-armor behaviour)")
 		rateBurst = flag.Float64("rate-burst", 0, "admission token-bucket burst in transactions (0 = 2x rate, min 8)")
 		laneWts   = flag.String("lane-weights", "", "QoS scheduler weights as control,normal,bulk (default 8,4,1)")
@@ -147,14 +146,13 @@ func run() error {
 		return fmt.Errorf("-shed-thresholds: %v", err)
 	}
 	cfg := assemble.Config{
-		Genesis:       g,
-		Key:           self,
-		Index:         *index,
-		Baseline:      *protocol == "pbft",
-		Engine:        core.Config{Epoch: epoch, MaxInFlight: *inflight},
-		Batch:         *batch,
-		MempoolCap:    *poolCap,
-		MempoolShards: *shards,
+		Genesis:    g,
+		Key:        self,
+		Index:      *index,
+		Baseline:   *protocol == "pbft",
+		Engine:     core.Config{Epoch: epoch, MaxInFlight: *inflight},
+		Batch:      *batch,
+		MempoolCap: *poolCap,
 	}
 
 	// Durable persistence: read back the block log, the retained era
@@ -200,7 +198,7 @@ func run() error {
 	// and evidence are the control traffic the armor exists to protect,
 	// and authenticated committee members are not the flood surface
 	// (unattributed client connections are). Without -rate-limit the
-	// plain sharded pool keeps the exact pre-armor behaviour.
+	// pool without lanes keeps the exact pre-armor behaviour.
 	if *rateLimit > 0 {
 		cfg.QoS = &runtime.QoSConfig{LaneWeights: weights}
 		cfg.Admission = &runtime.AdmissionConfig{
@@ -335,7 +333,6 @@ func run() error {
 			fmt.Fprintf(w, "# TYPE gpbft_node_evidence_total counter\ngpbft_node_evidence_total %d\n", chain.EvidenceCount())
 			fmt.Fprintf(w, "# TYPE gpbft_node_banned gauge\ngpbft_node_banned %d\n", len(chain.Banned()))
 			fmt.Fprintf(w, "# TYPE gpbft_mempool_pending gauge\ngpbft_mempool_pending %d\n", c.Pool.Pending)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_shards gauge\ngpbft_mempool_shards %d\n", c.Pool.Shards)
 			fmt.Fprintf(w, "# TYPE gpbft_mempool_admitted_total counter\ngpbft_mempool_admitted_total %d\n", c.Pool.Admitted)
 			fmt.Fprintf(w, "# TYPE gpbft_mempool_rejected_full_total counter\ngpbft_mempool_rejected_full_total %d\n", c.Pool.RejectedFull)
 			fmt.Fprintf(w, "# TYPE gpbft_mempool_rejected_dup_total counter\ngpbft_mempool_rejected_dup_total %d\n", c.Pool.RejectedDup)
@@ -345,10 +342,6 @@ func run() error {
 			fmt.Fprintf(w, "# TYPE gpbft_mempool_lane_depth gauge\n")
 			for l, depth := range c.Pool.Lanes {
 				fmt.Fprintf(w, "gpbft_mempool_lane_depth{lane=%q} %d\n", runtime.Lane(l), depth)
-			}
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_shard_depth gauge\n")
-			for sh, depth := range c.Pool.ShardDepths {
-				fmt.Fprintf(w, "gpbft_mempool_shard_depth{shard=\"%d\"} %d\n", sh, depth)
 			}
 			if node.Relay != nil {
 				r := c.Relay

@@ -41,6 +41,67 @@ func TestDocsNameLiveCode(t *testing.T) {
 	}
 }
 
+// TestDocsNameLiveFlags: every -flag inside a backticked `gpbft-node …`
+// span in README.md is a flag cmd/gpbft-node defines, so the README
+// cannot go on naming a flag that was deleted or renamed.
+func TestDocsNameLiveFlags(t *testing.T) {
+	defined := nodeFlags(t)
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`gpbft-node[^`]*`")
+	flagRe := regexp.MustCompile(`(?:^|[\s/])-([a-z][a-z0-9-]*)`)
+	checked := 0
+	for _, sp := range span.FindAllString(string(raw), -1) {
+		for _, m := range flagRe.FindAllStringSubmatch(sp, -1) {
+			checked++
+			if !defined[m[1]] {
+				t.Errorf("README.md names %s, but gpbft-node defines no -%s flag", sp, m[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("README.md names no gpbft-node flag; the scan is broken")
+	}
+}
+
+// nodeFlags collects the names of the flags cmd/gpbft-node defines: the
+// string first argument of every flag.<Kind>(...) call.
+func nodeFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("cmd", "gpbft-node"), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool)
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				out[strings.Trim(lit.Value, "\"")] = true
+			}
+			return true
+		})
+	}
+	if len(out) == 0 {
+		t.Fatal("cmd/gpbft-node defines no flag; the scan is broken")
+	}
+	return out
+}
+
 // declIndex is what the module declares: each package's top-level names
 // and, per package and type, the type's fields and methods.
 type declIndex struct {

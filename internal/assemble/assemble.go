@@ -45,8 +45,8 @@ type Config struct {
 	// the most a block carries under backlog: 0 means 4 × Batch, and
 	// Ceiling = Batch turns adaptive sizing off.
 	Batch, Ceiling int
-	// MempoolCap and MempoolShards size the pool (0 = defaults).
-	MempoolCap, MempoolShards int
+	// MempoolCap bounds the pool (0 = runtime.DefaultMempoolCap).
+	MempoolCap int
 	// QoS, when set, gives the pool priority lanes.
 	QoS *runtime.QoSConfig
 	// Admission, when set, guards the pool with the rate limiter and
@@ -88,13 +88,7 @@ func Node(cfg Config) (*Built, error) {
 		return nil, err
 	}
 
-	var pool *runtime.Mempool
-	if cfg.QoS != nil {
-		pool = runtime.NewMempoolQoS(cfg.MempoolCap, cfg.MempoolShards, *cfg.QoS)
-	} else {
-		pool = runtime.NewMempoolShards(cfg.MempoolCap, cfg.MempoolShards)
-	}
-
+	pool := runtime.NewMempool(cfg.MempoolCap, cfg.QoS)
 	app := runtime.NewApp(chain, pool, cfg.Key.Address(), e.Epoch, cfg.Batch)
 	if cfg.Ceiling == 0 {
 		// Adaptive block sizing: a deep backlog packs fuller blocks

@@ -45,12 +45,11 @@ type Options struct {
 	// evidence still accumulates, but offenders are never removed from
 	// (or refused entry to) the committee.
 	DisableExpulsion bool
-	// Snapshots gives every node a durable snapshot store: era
-	// boundaries write signed state snapshots, restarts boot from the
-	// newest valid one, and deep catch-up goes snapshot-then-tail.
+	// Snapshots gives every node a durable snapshot store keeping the
+	// newest store.DefaultRetainSnapshots: era boundaries write signed
+	// state snapshots, restarts boot from the newest valid one, and deep
+	// catch-up goes snapshot-then-tail.
 	Snapshots bool
-	// RetainSnaps is the per-node snapshot retention depth (default 2).
-	RetainSnaps int
 	// FastSyncThreshold overrides the engine's snapshot-vs-tail gap
 	// threshold (0 = engine default). Keep it small in chaos runs so
 	// modest growth exercises the snapshot path.
@@ -71,23 +70,16 @@ type Options struct {
 	EraPeriod time.Duration
 	// RateLimit turns on the overload armor on every node: per-identity
 	// token-bucket admission at this sustained tx/s, a QoS-lane mempool
-	// and the graceful-degradation shed controller. 0 keeps the plain
-	// FIFO pool and unguarded submit path — the ablation baseline.
+	// and the graceful-degradation shed controller. 0 keeps the pool to
+	// one lane and the submit path unguarded — the ablation baseline.
 	RateLimit float64
-	// RateBurst overrides the admission token-bucket depth (0 = default).
-	RateBurst float64
 	// MempoolCap bounds each node's pool when QoS is on (0 = default).
 	MempoolCap int
 	// BatchSize is the per-block transaction batch (0 = 1, the chaos
 	// default; flood schedules raise it so sustained load can drain).
 	BatchSize int
-	// LaneWeights, FairShare and ShedThresholds pass through to the QoS
-	// mempool and admission controller (zero values pick defaults).
-	LaneWeights    [3]int
-	FairShare      int
-	ShedThresholds [3]float64
-	// LatencyTarget enables commit-latency EWMA shed escalation (0 = off).
-	LatencyTarget time.Duration
+	// FairShare passes through to the mempool's lanes (0 = default).
+	FairShare int
 	// Gossip replaces direct all-to-all broadcast with the epidemic
 	// relay on every node: fanout-f forwarding with round-scoped
 	// duplicate suppression. Faults then hit a sparser, redundant
@@ -226,7 +218,7 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 	for i := 0; i < opts.Nodes; i++ {
 		c.slots[i] = &slot{wal: &store.MemWAL{}}
 		if opts.Snapshots {
-			c.slots[i].snaps = store.NewMemSnapshots(opts.RetainSnaps)
+			c.slots[i].snaps = store.NewMemSnapshots(0)
 		}
 		if err := c.boot(i, false); err != nil {
 			return nil, err
@@ -301,13 +293,8 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 	}
 	if c.opts.RateLimit > 0 {
 		cfg.MempoolCap = c.opts.MempoolCap
-		cfg.QoS = &runtime.QoSConfig{LaneWeights: c.opts.LaneWeights, FairShare: c.opts.FairShare}
-		cfg.Admission = &runtime.AdmissionConfig{
-			Rate:           c.opts.RateLimit,
-			Burst:          c.opts.RateBurst,
-			ShedThresholds: c.opts.ShedThresholds,
-			LatencyTarget:  c.opts.LatencyTarget,
-		}
+		cfg.QoS = &runtime.QoSConfig{FairShare: c.opts.FairShare}
+		cfg.Admission = &runtime.AdmissionConfig{Rate: c.opts.RateLimit}
 	}
 	if c.opts.Gossip {
 		// A restart builds a fresh relay: the dupemap dies with the

@@ -149,6 +149,69 @@ func TestLaggingCommitTriggersSync(t *testing.T) {
 	}
 }
 
+// TestSyncRetryRotatesPeers: a lag pull nobody answers is re-issued
+// each time the retry timer fires, always to a committee member other
+// than the node itself, and any three successive retries ask the three
+// other members; after core.MaxSyncRetries re-issues the pull goes quiet
+// until the next trigger.
+func TestSyncRetryRotatesPeers(t *testing.T) {
+	c := grownCluster(t, 4)
+	endorser := c.CoreEngine(0)
+	self := c.Node(0).Key.Address()
+	members := map[gcrypto.Address]bool{}
+	for i := 0; i < 4; i++ {
+		members[c.Node(i).Key.Address()] = true
+	}
+	h := c.Node(0).App.Chain().Height()
+	_, depth := endorser.InFlight()
+
+	// pull returns the peer acts send a block-sync request to and the
+	// timer they start, if any.
+	pull := func(acts []consensus.Action) (to gcrypto.Address, sent int, timer consensus.TimerID) {
+		for _, a := range acts {
+			switch a := a.(type) {
+			case consensus.Send:
+				if a.Env.MsgKind == consensus.KindBlockSync {
+					to, sent = a.To, sent+1
+				}
+			case consensus.StartTimer:
+				timer = a.ID
+			}
+		}
+		return to, sent, timer
+	}
+
+	first := c.Node(1).Key
+	to, sent, timer := pull(endorser.OnEnvelope(0, commitVote(first, h+uint64(depth)+1)))
+	if sent != 1 || to != first.Address() || timer == 0 {
+		t.Fatalf("lag pull: %d requests to %x, retry timer %d", sent, to, timer)
+	}
+	now := consensus.Time(0)
+	var asked []gcrypto.Address
+	for retry := 1; retry <= core.MaxSyncRetries; retry++ {
+		now += 10 * time.Second // past any backoff
+		to, sent, timer = pull(endorser.OnTimer(now, timer))
+		if sent != 1 || timer == 0 {
+			t.Fatalf("retry %d: %d requests, retry timer %d", retry, sent, timer)
+		}
+		if to == self || !members[to] {
+			t.Fatalf("retry %d went to %x, not another committee member", retry, to)
+		}
+		for _, p := range asked[max(0, len(asked)-2):] {
+			if p == to {
+				t.Fatalf("retry %d asked %x again within three retries (asked %x)", retry, to, asked)
+			}
+		}
+		asked = append(asked, to)
+	}
+	if acts := endorser.OnTimer(now+10*time.Second, timer); len(acts) != 0 {
+		t.Fatalf("after %d retries the pull still acts: %v", core.MaxSyncRetries, acts)
+	}
+	if got := endorser.SyncStats().Retries; got != core.MaxSyncRetries {
+		t.Fatalf("Retries=%d, want %d", got, core.MaxSyncRetries)
+	}
+}
+
 // lagTimers returns the timers acts start with the lag-check delay (the
 // sync retry base, which no other timer in these tests uses).
 func lagTimers(acts []consensus.Action) []consensus.TimerID {

@@ -21,7 +21,7 @@ func newDurableRig(t *testing.T, selfPos int, wal pbft.WAL, durable *pbft.Durabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := runtime.NewApp(chain, runtime.NewMempoolShards(0, 0), base.keys[selfPos].Address(), epoch, 8)
+	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), base.keys[selfPos].Address(), epoch, 8)
 	eng, err := pbft.New(pbft.Config{
 		Committee: base.com, Key: base.keys[selfPos], App: app,
 		Timers: consensus.NewTimerAllocator(), StartHeight: 1,

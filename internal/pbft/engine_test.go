@@ -77,7 +77,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := runtime.NewApp(chain, runtime.NewMempoolShards(0, 0), kp.Address(), epoch, o.batch)
+		app := runtime.NewApp(chain, runtime.NewMempool(0, nil), kp.Address(), epoch, o.batch)
 		eng, err := pbft.New(pbft.Config{
 			Era:                0,
 			Committee:          com,
@@ -419,7 +419,7 @@ func TestEngineConfigValidation(t *testing.T) {
 	com, _ := consensus.NewCommittee(g.Endorsers)
 	chain, _ := ledger.NewChain(g)
 	outsider := gcrypto.DeterministicKeyPair(99)
-	app := runtime.NewApp(chain, runtime.NewMempoolShards(0, 0), outsider.Address(), epoch, 0)
+	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), outsider.Address(), epoch, 0)
 	if _, err := pbft.New(pbft.Config{Committee: com, Key: outsider, App: app, StartHeight: 1}); err == nil {
 		t.Fatal("outsider key must be rejected")
 	}

@@ -65,7 +65,7 @@ func newUnitRigN(t *testing.T, n, selfPos int, adjust func(*pbft.Config)) *unitR
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := runtime.NewApp(chain, runtime.NewMempoolShards(0, 0), keys[selfPos].Address(), epoch, 8)
+	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), keys[selfPos].Address(), epoch, 8)
 	cfg := pbft.Config{
 		Committee: com, Key: keys[selfPos], App: app,
 		Timers: consensus.NewTimerAllocator(), StartHeight: 1,

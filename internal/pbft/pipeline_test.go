@@ -23,7 +23,7 @@ func newPipeRig(t *testing.T, selfPos int, k uint64, inflight int, wal pbft.WAL,
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := runtime.NewApp(chain, runtime.NewMempoolShards(0, 0), base.keys[selfPos].Address(), epoch, 8)
+	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), base.keys[selfPos].Address(), epoch, 8)
 	eng, err := pbft.New(pbft.Config{
 		Committee: base.com, Key: base.keys[selfPos], App: app,
 		Timers: consensus.NewTimerAllocator(), StartHeight: 1,

@@ -633,7 +633,7 @@ func newEngineNet(t *testing.T, size int) *engineNet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := runtime.NewApp(chain, runtime.NewMempoolShards(0, 0), n.keys[i].Address(), epoch, 8)
+		app := runtime.NewApp(chain, runtime.NewMempool(0, nil), n.keys[i].Address(), epoch, 8)
 		eng, err := pbft.New(pbft.Config{
 			Committee: n.com, Key: n.keys[i], App: app,
 			Timers: consensus.NewTimerAllocator(), StartHeight: 1,

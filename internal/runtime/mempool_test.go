@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -11,51 +14,11 @@ import (
 	"gpbft/internal/types"
 )
 
-// TestMempoolShardsFIFOAcrossShards admits transactions that land in
-// different shards and checks Peek still returns pool-wide admission
-// order.
-func TestMempoolShardsFIFOAcrossShards(t *testing.T) {
-	p := NewMempoolShards(1000, 8)
-	var want []gcrypto.Hash
-	for i := 0; i < 64; i++ {
-		tx := mkTx(0, uint64(1000+i))
-		if err := p.Add(tx); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, tx.ID())
-	}
-	got := p.Peek(64)
-	if len(got) != 64 {
-		t.Fatalf("Peek returned %d", len(got))
-	}
-	shardsSeen := map[uint32]bool{}
-	for i := range got {
-		if got[i].ID() != want[i] {
-			t.Fatalf("index %d out of admission order", i)
-		}
-		shardsSeen[uint32(want[i][0])&p.mask] = true
-	}
-	if len(shardsSeen) < 2 {
-		t.Fatalf("fixture too narrow: all txs landed in %d shard(s)", len(shardsSeen))
-	}
-}
-
-func TestMempoolShardClamping(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultMempoolShards}, {1, 1}, {3, 4}, {16, 16}, {100, 128}, {1000, 256},
-	} {
-		p := NewMempoolShards(10, tc.in)
-		if len(p.shards) != tc.want {
-			t.Errorf("shards(%d) = %d, want %d", tc.in, len(p.shards), tc.want)
-		}
-	}
-}
-
 // TestMempoolNoDoubleCommit: a tx marked committed by two concurrent
 // reapers is accounted as removed exactly once — the guard against a
 // tx being claimed into two blocks.
 func TestMempoolNoDoubleCommit(t *testing.T) {
-	p := NewMempoolShards(100, 0)
+	p := NewMempool(100, nil)
 	txs := make([]types.Transaction, 50)
 	for i := range txs {
 		tx := mkTx(0, uint64(i))
@@ -93,7 +56,7 @@ func TestMempoolHammer(t *testing.T) {
 		perG       = 40
 		capacity   = 512
 	)
-	p := NewMempoolShards(capacity, 16)
+	p := NewMempool(capacity, nil)
 	var wg sync.WaitGroup
 	var overCap atomic.Bool
 	var committedTotal atomic.Int64
@@ -174,7 +137,7 @@ func TestMempoolHammer(t *testing.T) {
 
 // TestMempoolStatsCounters pins each counter to its trigger.
 func TestMempoolStatsCounters(t *testing.T) {
-	p := NewMempoolShards(2, 4)
+	p := NewMempool(2, nil)
 	tx1, tx2, tx3 := mkTx(0, 1), mkTx(0, 2), mkTx(0, 3)
 	if err := p.Add(tx1); err != nil {
 		t.Fatal(err)
@@ -193,8 +156,106 @@ func TestMempoolStatsCounters(t *testing.T) {
 		t.Fatalf("MarkCommitted removed %d", n)
 	}
 	st := p.Stats()
-	want := PoolStats{Pending: 0, Shards: 4, Admitted: 2, RejectedFull: 1, RejectedDup: 1, Dropped: 1, Committed: 1, ShardDepths: []int{0, 0, 0, 0}}
+	want := PoolStats{Pending: 0, Admitted: 2, RejectedFull: 1, RejectedDup: 1, Dropped: 1, Committed: 1}
 	if !reflect.DeepEqual(st, want) {
 		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+// poolScheduleDigest drives a seeded sequence of adds from eight
+// identities (control and data types mixed, re-adds of pending and
+// dropped transactions included), peeks, commits of a peeked prefix and
+// drops against p, and hashes everything the pool returns: Add errors,
+// Peek IDs in order, MarkCommitted counts, Len and the Stats counters.
+// A committed ID is never re-added, so the digest does not depend on
+// how long the pool remembers commits. It also reports how many adds
+// were rejected full and how many transactions were evicted, so a
+// caller can check the capacity was small enough to force both paths.
+func poolScheduleDigest(t *testing.T, p *Mempool, ops int) (string, PoolStats) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(50))
+	h := sha256.New()
+	var issued []*types.Transaction
+	committed := make(map[gcrypto.Hash]bool)
+	nonce := uint64(0)
+	// reusable picks an issued transaction that never committed, or nil.
+	reusable := func() *types.Transaction {
+		for tries := 0; tries < 8 && len(issued) > 0; tries++ {
+			if tx := issued[rng.Intn(len(issued))]; !committed[tx.ID()] {
+				return tx
+			}
+		}
+		return nil
+	}
+	for op := 0; op < ops; op++ {
+		switch r := rng.Intn(20); {
+		case r < 11: // add
+			tx := (*types.Transaction)(nil)
+			if rng.Intn(5) == 0 {
+				tx = reusable()
+			}
+			if tx == nil {
+				nonce++
+				ident := rng.Intn(8)
+				if rng.Intn(4) == 0 {
+					tx = mkReport(ident, nonce)
+				} else {
+					tx = mkTx(ident, nonce)
+				}
+				issued = append(issued, tx)
+			}
+			err := p.Add(tx)
+			fmt.Fprintf(h, "add %x %v\n", tx.ID(), err)
+		case r < 14: // peek
+			got := p.Peek(rng.Intn(40))
+			fmt.Fprintf(h, "peek %d", len(got))
+			for i := range got {
+				fmt.Fprintf(h, " %x", got[i].ID())
+			}
+			fmt.Fprintln(h)
+		case r < 17: // commit a peeked prefix
+			got := p.Peek(rng.Intn(8))
+			got = got[:rng.Intn(len(got)+1)]
+			for i := range got {
+				committed[got[i].ID()] = true
+			}
+			fmt.Fprintf(h, "commit %d\n", p.MarkCommitted(got))
+		default: // drop
+			if tx := reusable(); tx != nil {
+				p.Drop(tx.ID())
+				fmt.Fprintf(h, "drop %x\n", tx.ID())
+			}
+		}
+		st := p.Stats()
+		fmt.Fprintf(h, "len %d stats %d %d %d %d %d %d %d %v\n", p.Len(),
+			st.Pending, st.Admitted, st.RejectedFull, st.RejectedDup,
+			st.Dropped, st.Committed, st.EvictedShed, st.Lanes)
+	}
+	return hex.EncodeToString(h.Sum(nil)), p.Stats()
+}
+
+// TestPoolScheduleDigest pins what the pool returns over a long seeded
+// schedule, with and without lanes: a change to any admission, peek
+// order, commit count or counter changes a digest.
+func TestPoolScheduleDigest(t *testing.T) {
+	const ops, capacity = 6000, 64
+	for _, tc := range []struct {
+		name string
+		pool *Mempool
+		want string
+	}{
+		{"no-lanes", NewMempool(capacity, nil), "ed6e2964bc6b1acbbcc19754fb0e61e7ef68f92cea4395f3193dd0d8bb579710"},
+		{"lanes", NewMempool(capacity, &QoSConfig{FairShare: 4}), "f8f5bd44afe9964095d8abc154929adcda4dd7da2947246c8c56566ce7fd0002"},
+	} {
+		got, st := poolScheduleDigest(t, tc.pool, ops)
+		if st.RejectedFull == 0 || st.RejectedDup == 0 || st.Dropped == 0 || st.Committed == 0 {
+			t.Errorf("%s: schedule too gentle, some path never ran: %+v", tc.name, st)
+		}
+		if tc.name == "lanes" && st.EvictedShed == 0 {
+			t.Errorf("%s: no eviction forced: %+v", tc.name, st)
+		}
+		if got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

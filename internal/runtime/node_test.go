@@ -55,7 +55,7 @@ func testNode(t *testing.T, eng consensus.Engine) (*Node, *recordExec, *ledger.C
 		t.Fatal(err)
 	}
 	kp := gcrypto.DeterministicKeyPair(0)
-	app := NewApp(chain, NewMempoolShards(0, 0), kp.Address(), epoch, 8)
+	app := NewApp(chain, NewMempool(0, nil), kp.Address(), epoch, 8)
 	exec := &recordExec{}
 	return &Node{ID: kp.Address(), Key: kp, App: app, Engine: eng, Exec: exec}, exec, chain
 }
@@ -174,18 +174,10 @@ func TestNodeCounters(t *testing.T) {
 	}
 
 	c := n.Counters()
-	depthSum := 0
-	for _, d := range c.Pool.ShardDepths {
-		depthSum += d
-	}
-	if len(c.Pool.ShardDepths) != DefaultMempoolShards || depthSum != c.Pool.Pending {
-		t.Fatalf("shard depths %v don't sum to pending %d", c.Pool.ShardDepths, c.Pool.Pending)
-	}
-	c.Pool.ShardDepths = nil
 	want := CounterSnapshot{
 		Delivered: 2, Fired: 1, Submitted: 1, Rejected: 1,
 		Committed: 1, LastHeight: 1,
-		Pool: PoolStats{Pending: 1, Shards: DefaultMempoolShards, Admitted: 1},
+		Pool: PoolStats{Pending: 1, Admitted: 1},
 	}
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("counters %+v, want %+v", c, want)

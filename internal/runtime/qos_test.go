@@ -30,7 +30,7 @@ func mkReport(i int, nonce uint64) *types.Transaction {
 // Control traffic must be served before data traffic regardless of
 // admission order, and lane depths must be visible in PoolStats.
 func TestQoSPeekServesControlFirst(t *testing.T) {
-	p := NewMempoolQoS(1000, 4, QoSConfig{})
+	p := NewMempool(1000, &QoSConfig{})
 	for i := 0; i < 8; i++ {
 		if err := p.Add(mkTx(1, uint64(100+i))); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestQoSPeekServesControlFirst(t *testing.T) {
 // An identity over its fair share is demoted to the bulk lane, and the
 // bulk lane gets only its weighted share of a Peek.
 func TestQoSFairShareDemotesToBulk(t *testing.T) {
-	p := NewMempoolQoS(1000, 4, QoSConfig{FairShare: 4, LaneWeights: [3]int{8, 4, 1}})
+	p := NewMempool(1000, &QoSConfig{FairShare: 4, LaneWeights: [3]int{8, 4, 1}})
 	// Identity 1 floods far past its fair share; identity 2 stays within.
 	for i := 0; i < 20; i++ {
 		if err := p.Add(mkTx(1, uint64(100+i))); err != nil {
@@ -96,7 +96,7 @@ func TestQoSFairShareDemotesToBulk(t *testing.T) {
 // transaction instead of rejecting an honest newcomer, and counts it
 // under EvictedShed. The flooder itself cannot evict to readmit.
 func TestQoSEvictsHeaviestIdentity(t *testing.T) {
-	p := NewMempoolQoS(10, 1, QoSConfig{FairShare: 2})
+	p := NewMempool(10, &QoSConfig{FairShare: 2})
 	for i := 0; i < 10; i++ {
 		if err := p.Add(mkTx(1, uint64(100+i))); err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestQoSEvictsHeaviestIdentity(t *testing.T) {
 // Satellite: PoolStats backpressure counters must stay exact under
 // concurrent submit / evict / commit traffic (run with -race).
 func TestQoSStatsExactUnderConcurrency(t *testing.T) {
-	p := NewMempoolQoS(64, 8, QoSConfig{FairShare: 4})
+	p := NewMempool(64, &QoSConfig{FairShare: 4})
 	var wg sync.WaitGroup
 	const senders, per = 8, 200
 	committed := make([][]types.Transaction, senders)
@@ -213,7 +213,7 @@ func TestAdmissionRateLimit(t *testing.T) {
 // traffic at level 1, admit only control traffic at level 3, and step
 // back down with hysteresis as the pool drains.
 func TestAdmissionShedLevels(t *testing.T) {
-	pool := NewMempoolQoS(100, 1, QoSConfig{FairShare: 1000})
+	pool := NewMempool(100, &QoSConfig{FairShare: 1000})
 	a := NewAdmission(AdmissionConfig{Rate: 1e9, ShedThresholds: [3]float64{0.5, 0.75, 0.9}})
 	a.BindPool(pool)
 
@@ -265,7 +265,7 @@ func TestAdmissionShedLevels(t *testing.T) {
 
 // The latency EWMA input must escalate the shed level on its own.
 func TestAdmissionLatencyEscalation(t *testing.T) {
-	pool := NewMempoolQoS(1000, 1, QoSConfig{})
+	pool := NewMempool(1000, &QoSConfig{})
 	a := NewAdmission(AdmissionConfig{Rate: 1e9, LatencyTarget: 100 * time.Millisecond})
 	a.BindPool(pool)
 	if lvl := a.Recalc(); lvl != 0 {
@@ -326,7 +326,7 @@ func TestAdmissionWritePrometheus(t *testing.T) {
 // starvation): bulk traffic trickles out even while higher lanes stay
 // populated.
 func TestQoSNoLaneStarvation(t *testing.T) {
-	p := NewMempoolQoS(10000, 4, QoSConfig{FairShare: 1})
+	p := NewMempool(10000, &QoSConfig{FairShare: 1})
 	for i := 0; i < 100; i++ {
 		if err := p.Add(mkTx(1, uint64(i))); err != nil { // all but 1 bulk
 			t.Fatal(err)

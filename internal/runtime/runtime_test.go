@@ -41,7 +41,7 @@ func mkGenesis(t testing.TB, n int) *ledger.Genesis {
 }
 
 func TestMempoolAddPeekFIFO(t *testing.T) {
-	p := NewMempoolShards(10, 0)
+	p := NewMempool(10, nil)
 	for i := 0; i < 5; i++ {
 		if err := p.Add(mkTx(0, uint64(i))); err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMempoolAddPeekFIFO(t *testing.T) {
 }
 
 func TestMempoolDuplicate(t *testing.T) {
-	p := NewMempoolShards(10, 0)
+	p := NewMempool(10, nil)
 	tx := mkTx(0, 1)
 	if err := p.Add(tx); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestMempoolDuplicate(t *testing.T) {
 }
 
 func TestMempoolFull(t *testing.T) {
-	p := NewMempoolShards(2, 0)
+	p := NewMempool(2, nil)
 	p.Add(mkTx(0, 1))
 	p.Add(mkTx(0, 2))
 	if err := p.Add(mkTx(0, 3)); err != ErrPoolFull {
@@ -93,7 +93,7 @@ func TestMempoolFull(t *testing.T) {
 }
 
 func TestMempoolMarkCommitted(t *testing.T) {
-	p := NewMempoolShards(10, 0)
+	p := NewMempool(10, nil)
 	tx1, tx2 := mkTx(0, 1), mkTx(0, 2)
 	p.Add(tx1)
 	p.Add(tx2)
@@ -114,9 +114,10 @@ func TestMempoolMarkCommitted(t *testing.T) {
 }
 
 func TestMempoolGenerationRotation(t *testing.T) {
-	p := NewMempoolShards(2, 0) // genLimit = 8
+	const genLimit = 8 // 4 × capacity, across the whole pool
+	p := NewMempool(2, nil)
 	var committed []types.Transaction
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 30; i++ {
 		tx := mkTx(0, uint64(i))
 		if err := p.Add(tx); err != nil {
 			t.Fatal(err)
@@ -124,9 +125,21 @@ func TestMempoolGenerationRotation(t *testing.T) {
 		committed = append(committed, *tx)
 		p.MarkCommitted(committed[len(committed)-1:])
 	}
-	// Recent commits are still remembered even after rotation.
-	if !p.WasCommitted(committed[len(committed)-1].ID()) {
-		t.Fatal("latest committed tx must be remembered")
+	// The newest genLimit+1 commits are always remembered, even right
+	// after a rotation, and never more than two generations' worth.
+	remembered := 0
+	for i := range committed {
+		if p.WasCommitted(committed[i].ID()) {
+			remembered++
+		} else if i >= len(committed)-(genLimit+1) {
+			t.Fatalf("commit %d of %d forgotten", i, len(committed))
+		}
+	}
+	if remembered > 2*genLimit+1 {
+		t.Fatalf("%d commits remembered, bound is %d", remembered, 2*genLimit+1)
+	}
+	if p.WasCommitted(committed[0].ID()) {
+		t.Fatal("the oldest commit outlived two rotations")
 	}
 }
 
@@ -136,7 +149,7 @@ func TestAppBuildBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	self := gcrypto.DeterministicKeyPair(0).Address()
-	app := NewApp(chain, NewMempoolShards(0, 0), self, epoch, 2)
+	app := NewApp(chain, NewMempool(0, nil), self, epoch, 2)
 
 	// Empty pool: nothing to propose.
 	if app.BuildBlock(time.Second, 1, 0, 1) != nil {
@@ -184,7 +197,7 @@ func TestAppBuildBlockOnFullBlockOnly(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			chain, _ := ledger.NewChain(mkGenesis(t, 4))
-			app := NewApp(chain, NewMempoolShards(0, 0), gcrypto.DeterministicKeyPair(0).Address(), epoch, tc.base)
+			app := NewApp(chain, NewMempool(0, nil), gcrypto.DeterministicKeyPair(0).Address(), epoch, tc.base)
 			app.SetMaxBatch(tc.ceiling)
 			if app.MinSpeculativeBatch() != tc.full || app.BaseBatch() != tc.base {
 				t.Fatalf("MinSpeculativeBatch %d, BaseBatch %d", app.MinSpeculativeBatch(), app.BaseBatch())
@@ -218,7 +231,7 @@ func TestAppBuildBlockOnFullBlockOnly(t *testing.T) {
 
 func TestAppSubmitTxValidates(t *testing.T) {
 	chain, _ := ledger.NewChain(mkGenesis(t, 4))
-	app := NewApp(chain, NewMempoolShards(0, 0), gcrypto.DeterministicKeyPair(0).Address(), epoch, 0)
+	app := NewApp(chain, NewMempool(0, nil), gcrypto.DeterministicKeyPair(0).Address(), epoch, 0)
 	bad := mkTx(0, 1)
 	bad.Fee = 999 // breaks signature
 	if err := app.SubmitTx(bad); err == nil {
@@ -240,7 +253,7 @@ func TestAppSubmitTxValidates(t *testing.T) {
 func TestAppCommit(t *testing.T) {
 	chain, _ := ledger.NewChain(mkGenesis(t, 4))
 	self := gcrypto.DeterministicKeyPair(0).Address()
-	app := NewApp(chain, NewMempoolShards(0, 0), self, epoch, 0)
+	app := NewApp(chain, NewMempool(0, nil), self, epoch, 0)
 	app.SubmitTx(mkTx(0, 1))
 	b := app.BuildBlock(time.Second, 0, 0, 1)
 	if b == nil {

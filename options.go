@@ -74,29 +74,19 @@ type Options struct {
 	// (0 = runtime.DefaultMempoolCap).
 	MempoolCap int
 	// RateLimit enables the overload armor on every node: per-identity
-	// token-bucket admission at this sustained tx/s, QoS priority lanes
-	// in the mempool, and the graceful-degradation shed controller.
-	// 0 keeps the plain FIFO pool and unguarded submit path — exactly
-	// the pre-armor behaviour (the ablation baseline).
+	// token-bucket admission at this sustained tx/s, priority lanes in
+	// the mempool (weights 8/4/1, fair share 16 pending), and the
+	// graceful-degradation shed controller (levels at 0.50/0.75/0.90 of
+	// the pool). 0 keeps the pool to one lane and the submit path
+	// unguarded — exactly the pre-armor behaviour (the ablation baseline).
 	RateLimit float64
-	// LaneWeights sets the control/normal/bulk Peek scheduling weights
-	// (zeros = 8/4/1); FairShare is the per-identity pending count above
-	// which traffic demotes to the bulk lane (0 = 16); ShedThresholds
-	// are the pool-occupancy fractions for shed levels 1..3 (zeros =
-	// 0.50/0.75/0.90). All ignored unless RateLimit > 0.
-	LaneWeights    [3]int
-	FairShare      int
-	ShedThresholds [3]float64
 	// Gossip replaces all-to-all consensus broadcast with an epidemic
 	// relay: each node queues its broadcasts and periodically flushes
-	// them as one batched relay frame to a random fanout of committee
+	// them as one batched relay frame to ⌈log₂(n+1)⌉+1 random committee
 	// peers, with a round-scoped dupemap suppressing re-deliveries.
 	// Off keeps the direct per-peer broadcast path bit-for-bit (the
 	// ablation baseline, like RateLimit 0 for the overload armor).
 	Gossip bool
-	// GossipFanout is the number of random peers each relay flush
-	// targets (0 = ceil(log₂(n+1))+1 for the current committee size).
-	GossipFanout int
 	// Snapshots enables signed era snapshots (GPBFT only): every era
 	// boundary each node exports its canonical chain state, signs it,
 	// and retains the newest RetainSnapshots checkpoints. A node whose

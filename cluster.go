@@ -142,20 +142,16 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 			Seed:     opts.Seed,
 			Baseline: opts.Protocol == PBFT,
 			Engine: core.Config{
-				Epoch:              opts.Epoch,
-				CheckpointInterval: opts.CheckpointInterval,
-				ViewChangeTimeout:  opts.ViewChangeTimeout,
-				MaxInFlight:        opts.MaxInFlight,
-				EraPeriod:          opts.EraPeriod,
-				SwitchPeriod:       opts.SwitchPeriod,
-				ProposerPolicy:     pp,
-				DisableEraSwitch:   opts.DisableEraSwitch,
-				ForceEraSwitch:     opts.ForceEraSwitch,
-				FastSyncThreshold:  opts.FastSyncThreshold,
+				Epoch:             opts.Epoch,
+				ViewChangeTimeout: opts.ViewChangeTimeout,
+				EraPeriod:         opts.EraPeriod,
+				SwitchPeriod:      opts.SwitchPeriod,
+				ProposerPolicy:    pp,
+				DisableEraSwitch:  opts.DisableEraSwitch,
+				ForceEraSwitch:    opts.ForceEraSwitch,
 			},
 			ShardPrefix: site.shardPrefix,
 			Batch:       opts.BatchSize,
-			MempoolCap:  opts.MempoolCap,
 		}
 		if opts.RateLimit > 0 {
 			cfg.QoS = &runtime.QoSConfig{}

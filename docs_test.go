@@ -7,9 +7,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"gpbft"
 )
 
 // TestDocsNameLiveCode: every backticked `pkg.Name` or `Type.Member` in
@@ -38,6 +41,24 @@ func TestDocsNameLiveCode(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("README.md names no identifier; the scan is broken")
+	}
+}
+
+// TestEveryOptionIsDocumented: README.md names every exported field of
+// Options as `Options.<Field>`, so no field goes without a row in the
+// cluster-options table. TestDocsNameLiveCode catches the converse, a
+// row whose field is gone.
+func TestEveryOptionIsDocumented(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(gpbft.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.IsExported() && !strings.Contains(string(raw), "`Options."+f.Name+"`") {
+			t.Errorf("README.md does not name `Options.%s`", f.Name)
+		}
 	}
 }
 

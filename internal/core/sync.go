@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -12,10 +11,6 @@ import (
 	"gpbft/internal/runtime"
 	"gpbft/internal/store"
 )
-
-// debugFastSync turns on stderr tracing of the fast-sync state
-// machine; development aid only.
-const debugFastSync = false
 
 // Snapshot-then-tail fast sync.
 //
@@ -305,9 +300,6 @@ func (e *Engine) onSnapshotResponse(now consensus.Time, from gcrypto.Address, re
 // best-informed peer. Correctness never depends on snapshots — they are
 // an optimization with a verified-or-replay failure mode.
 func (e *Engine) fallbackReplay(acts []consensus.Action) []consensus.Action {
-	if debugFastSync {
-		fmt.Printf("DEBUG fallbackReplay self=%v height=%d heads=%v\n", e.self, e.chain.Height(), e.fsHeads)
-	}
 	// Prefer the peer that reported the highest head.
 	var best gcrypto.Address
 	bestHeight := uint64(0)

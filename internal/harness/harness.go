@@ -37,21 +37,14 @@ type Config struct {
 	// ReportEvery is the location-upload period of G-PBFT devices.
 	ReportEvery time.Duration
 
-	// EraPeriod / SwitchPeriod configure the G-PBFT era layer; the
-	// switch period is the paper's measured ~0.25 s.
-	EraPeriod    time.Duration
-	SwitchPeriod time.Duration
+	// EraPeriod configures the G-PBFT era layer; the switch period is
+	// the ledger default, the paper's measured ~0.25 s.
+	EraPeriod time.Duration
 	// MaxEndorsers caps the G-PBFT committee (paper: 40).
 	MaxEndorsers int
 
 	// Profile is the simulated hardware/network model.
 	Profile gpbft.NetworkProfile
-
-	// RealCrypto re-enables actual ed25519 verification inside the
-	// simulator. Off by default: the DES already charges per-message
-	// processing cost (ProcTime), so real verification only burns
-	// wall-clock time without changing simulated results.
-	RealCrypto bool
 
 	// DrainCap bounds how long a run may take to drain its queue.
 	DrainCap time.Duration
@@ -68,7 +61,6 @@ func Default() Config {
 		PerNodeInterval: 3 * time.Second,
 		ReportEvery:     2 * time.Second,
 		EraPeriod:       10 * time.Second,
-		SwitchPeriod:    250 * time.Millisecond,
 		MaxEndorsers:    40,
 		Profile:         gpbft.LANProfile(),
 		DrainCap:        5 * time.Minute,
@@ -86,11 +78,11 @@ func Quick() Config {
 }
 
 // cryptoOff disables simulated signature verification for the scope
-// of an experiment and returns a restore function.
+// of an experiment and returns a restore function. The simulator already
+// charges each message its processing cost (ProcTime), so real
+// verification would only burn wall-clock time without changing a
+// simulated result.
 func (c *Config) cryptoOff() func() {
-	if c.RealCrypto {
-		return func() {}
-	}
 	prev := gcrypto.SetVerification(false)
 	return func() { gcrypto.SetVerification(prev) }
 }
@@ -102,7 +94,6 @@ func (c *Config) clusterOptions(proto gpbft.Protocol, n int, seed int64) gpbft.O
 	o.Network = c.Profile
 	o.MaxEndorsers = c.MaxEndorsers
 	o.EraPeriod = c.EraPeriod
-	o.SwitchPeriod = c.SwitchPeriod
 	// Devices qualify after staying put for three era periods; scaled
 	// from the paper's 72 h to simulation time.
 	o.QualificationWindow = 3 * c.EraPeriod

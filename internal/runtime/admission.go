@@ -64,8 +64,6 @@ type AdmissionConfig struct {
 	// LatencyTarget escalates the shed level by one while the commit
 	// latency EWMA exceeds it (0 = latency input disabled).
 	LatencyTarget time.Duration
-	// RetryAfterMin floors the retry-after hint (0 = default).
-	RetryAfterMin time.Duration
 	// Exempt identities are always admitted without charging a bucket
 	// (a node's own control traffic: location reports, evidence).
 	Exempt []gcrypto.Address
@@ -83,9 +81,6 @@ func (c *AdmissionConfig) fill() {
 	}
 	if c.ShedThresholds == ([3]float64{}) {
 		c.ShedThresholds = [3]float64{0.50, 0.75, 0.90}
-	}
-	if c.RetryAfterMin <= 0 {
-		c.RetryAfterMin = DefaultRetryAfterMin
 	}
 }
 
@@ -186,7 +181,8 @@ func (a *Admission) Admit(now consensus.Time, tx *types.Transaction) error {
 	lvl := a.level.Load()
 	if (lvl >= 1 && lane == LaneBulk) || (lvl >= 3 && lane != LaneControl) {
 		a.shed.Add(1)
-		return &RejectError{Reason: types.RejectShed, RetryAfter: a.shedRetryAfter(lvl)}
+		// The retry-after hint doubles with each shed level.
+		return &RejectError{Reason: types.RejectShed, RetryAfter: DefaultRetryAfterMin << uint(lvl)}
 	}
 
 	if a.cfg.Rate <= 0 {
@@ -212,8 +208,8 @@ func (a *Admission) Admit(now consensus.Time, tx *types.Transaction) error {
 		need := cost - b.tokens
 		a.mu.Unlock()
 		ra := time.Duration(need / a.cfg.Rate * float64(time.Second))
-		if ra < a.cfg.RetryAfterMin {
-			ra = a.cfg.RetryAfterMin
+		if ra < DefaultRetryAfterMin {
+			ra = DefaultRetryAfterMin
 		}
 		a.rejectedRate.Add(1)
 		return &RejectError{Reason: types.RejectRateLimit, RetryAfter: ra}
@@ -251,15 +247,6 @@ func (a *Admission) recycleStalest() {
 	if !first {
 		delete(a.buckets, victim)
 	}
-}
-
-// shedRetryAfter scales the back-off hint with the shed level.
-func (a *Admission) shedRetryAfter(lvl int32) time.Duration {
-	ra := a.cfg.RetryAfterMin * time.Duration(1<<uint(lvl))
-	if ra <= 0 {
-		ra = DefaultRetryAfterMin
-	}
-	return ra
 }
 
 // maybeRecalc refreshes the shed level at most once per interval.

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"gpbft/internal/backoff"
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/pbft"
@@ -28,6 +29,16 @@ import (
 // MaxFrame bounds one wire frame (a block-sync response with full
 // blocks is the largest message).
 const MaxFrame = 32 << 20
+
+// keepAlivePeriod is the TCP keepalive probe interval. An idle committee
+// is legitimately silent between proposals, so a dead peer is found by
+// keepalives, not by a read deadline.
+const keepAlivePeriod = 30 * time.Second
+
+// redialBackoff is the redial schedule: 50 ms doubling to 2 s, each wait
+// widened by up to half again so a committee redialing a restarted peer
+// does not stampede it.
+var redialBackoff = backoff.Policy{Base: 50 * time.Millisecond, Cap: 2 * time.Second, Factor: 2, Jitter: 0.5}
 
 // Errors returned by the transport.
 var (
@@ -132,18 +143,6 @@ type Config struct {
 	// HandshakeTimeout bounds the wait for an inbound connection's
 	// first frame (default 5 s), shedding silent connections.
 	HandshakeTimeout time.Duration
-	// KeepAlivePeriod is the TCP keepalive probe interval (default
-	// 30 s; negative disables).
-	KeepAlivePeriod time.Duration
-	// BaseBackoff and MaxBackoff bound the capped-exponential redial
-	// delay (defaults 50 ms and 2 s). Jitter of up to 50% is added so a
-	// committee redialing a restarted peer does not stampede it.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// IdleTimeout, when positive, closes connections that deliver no
-	// frame for that long (default 0: rely on keepalives, since an
-	// idle committee is legitimately silent between proposals).
-	IdleTimeout time.Duration
 	// AdmitTx, when set, gates every inbound request envelope before it
 	// reaches the engine loop (per-identity rate limits, load shedding).
 	// A *runtime.RejectError return is answered with a signed TxRejected
@@ -175,15 +174,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HandshakeTimeout == 0 {
 		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.KeepAlivePeriod == 0 {
-		c.KeepAlivePeriod = 30 * time.Second
-	}
-	if c.BaseBackoff == 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 2 * time.Second
 	}
 	if c.IngressBytesPerSec > 0 && c.IngressBurstBytes <= 0 {
 		c.IngressBurstBytes = 4 * c.IngressBytesPerSec
@@ -386,12 +376,8 @@ func (t *TCP) configureConn(conn net.Conn) {
 	if !ok {
 		return
 	}
-	if t.cfg.KeepAlivePeriod > 0 {
-		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(t.cfg.KeepAlivePeriod)
-	} else {
-		tc.SetKeepAlive(false)
-	}
+	tc.SetKeepAlive(true)
+	tc.SetKeepAlivePeriod(keepAlivePeriod)
 	tc.SetNoDelay(true)
 }
 
@@ -586,9 +572,6 @@ func (t *TCP) readFrames(conn net.Conn, br *bufio.Reader, from gcrypto.Address, 
 		last = time.Now()
 	}
 	for {
-		if t.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
-		}
 		payload, err := readRawFrame(br)
 		if err != nil {
 			return
@@ -701,7 +684,7 @@ func (p *peer) deliver(frames [][]byte) bool {
 // effect on the next (re)dial instead of never. Returns ok=false when
 // the transport closes.
 func (p *peer) ensureConn() (net.Conn, bool) {
-	backoff := p.t.cfg.BaseBackoff
+	attempt := 0
 	for {
 		select {
 		case <-p.t.done:
@@ -738,19 +721,13 @@ func (p *peer) ensureConn() (net.Conn, bool) {
 		p.setState(PeerBackoff)
 		// Jittered wait, interruptible by shutdown or a wake (endpoint
 		// change, adopted inbound connection).
-		delay := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
 		select {
 		case <-p.t.done:
 			return nil, false
 		case <-p.wake:
-			backoff = p.t.cfg.BaseBackoff
-		case <-time.After(delay):
-			if backoff < p.t.cfg.MaxBackoff {
-				backoff *= 2
-				if backoff > p.t.cfg.MaxBackoff {
-					backoff = p.t.cfg.MaxBackoff
-				}
-			}
+			attempt = 0
+		case <-time.After(redialBackoff.Delay(attempt, rand.Float64)):
+			attempt++
 		}
 	}
 }

@@ -7,24 +7,13 @@ import (
 
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
-	"gpbft/internal/pbft"
 )
 
-// Options configures a simulated cluster.
+// Options configures a simulated cluster. The fields are grouped as
+// README.md's cluster-options table is: paper policy, engine, armor,
+// gossip, snapshots, shard, and run.
 type Options struct {
-	// Protocol selects PBFT (baseline) or GPBFT.
-	Protocol Protocol
-	// Nodes is the total number of IoT nodes in the system (the
-	// paper's n). Under PBFT all of them form the consensus group;
-	// under GPBFT the committee is capped at MaxEndorsers and the rest
-	// are clients/candidates.
-	Nodes int
-	// Seed drives every random choice; same seed ⇒ identical run.
-	Seed int64
-	// Network is the simulated network/node model.
-	Network NetworkProfile
-
-	// --- genesis policy (Section III-C) ---
+	// --- paper policy: the genesis admittance policy (Section III-C) ---
 	MinEndorsers int
 	MaxEndorsers int
 	// GenesisEndorsers sets the size of the initial core-node
@@ -42,37 +31,27 @@ type Options struct {
 	MinWitnesses int
 	// WitnessRangeMeters bounds credible witness distance (0 = any).
 	WitnessRangeMeters float64
-	// SybilWindow enables Sybil-pair evidence: two committed reports
-	// from distinct identities in one CSC cell within the window become
-	// a SybilSameCell conviction (0 = off). Leave it off for dense
-	// deployments where honest devices legitimately share cells.
-	SybilWindow time.Duration
-	// DisableExpulsion is the accountability ablation: evidence is
-	// still detected, committed and counted, but offenders keep their
-	// committee seats and stay electable.
-	DisableExpulsion bool
 	// Region is the deployment area; devices are laid out inside it.
 	Region geo.Region
 
-	// --- engine knobs ---
+	// --- engine ---
 	BatchSize int
 	// ViewChangeTimeout, when non-zero, fixes the base of every consensus
 	// liveness timer (progress, slot, view-change retry, hold cap). Zero
 	// lets each replica take it from the rounds it times (DESIGN.md,
 	// "Failure detection").
 	ViewChangeTimeout time.Duration
-	// CheckpointInterval is K: every K-th block a replica executes is its
-	// stable point, proven by the block's commit certificate (DESIGN.md,
-	// "The commit certificate is the stable point"). 0 selects 16.
-	CheckpointInterval uint64
-	// MaxInFlight is the consensus pipelining depth: how many sequence
-	// numbers run their PBFT phases concurrently (commits still execute
-	// strictly in order). 0 selects the engine default; 1 is the serial
-	// one-slot-at-a-time ablation.
-	MaxInFlight int
-	// MempoolCap bounds each node's pending transaction pool
-	// (0 = runtime.DefaultMempoolCap).
-	MempoolCap int
+	// GeoTimerProposer orders the committee by geographic timer (the
+	// incentive bias). Only meaningful under GPBFT.
+	GeoTimerProposer bool
+	// DisableEraSwitch freezes the committee (ablation).
+	DisableEraSwitch bool
+	// ForceEraSwitch switches eras every EraPeriod even when the
+	// election changes nothing — the paper's literal schedule, which
+	// produces the switch-period latency outliers of Figure 3b.
+	ForceEraSwitch bool
+
+	// --- armor ---
 	// RateLimit enables the overload armor on every node: per-identity
 	// token-bucket admission at this sustained tx/s, priority lanes in
 	// the mempool (weights 8/4/1, fair share 16 pending), and the
@@ -80,6 +59,8 @@ type Options struct {
 	// the pool). 0 keeps the pool to one lane and the submit path
 	// unguarded — exactly the pre-armor behaviour (the ablation baseline).
 	RateLimit float64
+
+	// --- gossip ---
 	// Gossip replaces all-to-all consensus broadcast with an epidemic
 	// relay: each node queues its broadcasts and periodically flushes
 	// them as one batched relay frame to ⌈log₂(n+1)⌉+1 random committee
@@ -87,18 +68,19 @@ type Options struct {
 	// Off keeps the direct per-peer broadcast path bit-for-bit (the
 	// ablation baseline, like RateLimit 0 for the overload armor).
 	Gossip bool
+
+	// --- snapshots ---
 	// Snapshots enables signed era snapshots (GPBFT only): every era
 	// boundary each node exports its canonical chain state, signs it,
-	// and retains the newest RetainSnapshots checkpoints. A node whose
-	// lag exceeds FastSyncThreshold then fast-syncs snapshot-then-tail
-	// instead of replaying every block.
+	// and retains the newest RetainSnapshots checkpoints. A node that
+	// lags by the engine's fast-sync threshold (64 blocks) then syncs
+	// snapshot-then-tail instead of replaying every block.
 	Snapshots bool
 	// RetainSnapshots is the per-node snapshot retention depth
 	// (0 = store.DefaultRetainSnapshots).
 	RetainSnapshots int
-	// FastSyncThreshold is the block gap at which a lagging node
-	// prefers a snapshot over full replay (0 = engine default).
-	FastSyncThreshold uint64
+
+	// --- shard ---
 	// ShardRegions splits the deployment into this many geohash-prefix
 	// regions, each running its own full consensus instance over a
 	// region-local committee, anchored by a top-level checkpoint
@@ -116,19 +98,21 @@ type Options struct {
 	// DefaultEndorserEndowment when zero. Plain clusters keep the
 	// historical zero (fees are the only income).
 	EndorserEndowment uint64
-	// GeoTimerProposer orders the committee by geographic timer (the
-	// incentive bias). Only meaningful under GPBFT.
-	GeoTimerProposer bool
-	// DisableEraSwitch freezes the committee (ablation).
-	DisableEraSwitch bool
-	// ForceEraSwitch switches eras every EraPeriod even when the
-	// election changes nothing — the paper's literal schedule, which
-	// produces the switch-period latency outliers of Figure 3b.
-	ForceEraSwitch bool
 
+	// --- run ---
+	// Protocol selects PBFT (baseline) or GPBFT.
+	Protocol Protocol
+	// Nodes is the total number of IoT nodes in the system (the
+	// paper's n). Under PBFT all of them form the consensus group;
+	// under GPBFT the committee is capped at MaxEndorsers and the rest
+	// are clients/candidates.
+	Nodes int
+	// Seed drives every random choice; same seed ⇒ identical run.
+	Seed int64
+	// Network is the simulated network/node model.
+	Network NetworkProfile
 	// Epoch anchors simulated time to wall-clock timestamps.
 	Epoch time.Time
-
 	// Byzantine assigns adversarial behaviour to node indices. The
 	// protocol tolerates fewer than one third faulty committee members
 	// (the paper's threat model); exceeding that voids all guarantees.
@@ -172,7 +156,6 @@ func DefaultOptions(p Protocol, nodes int) Options {
 		MinReports:          3,
 		Region:              geo.NewRegion(geo.Point{Lng: 114.175, Lat: 22.300}, geo.Point{Lng: 114.185, Lat: 22.310}),
 		BatchSize:           32,
-		CheckpointInterval:  16,
 		GeoTimerProposer:    true,
 		Epoch:               time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC),
 	}
@@ -209,12 +192,6 @@ func (o *Options) validate() error {
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 32
-	}
-	if o.CheckpointInterval == 0 {
-		o.CheckpointInterval = 16
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = pbft.DefaultMaxInFlight
 	}
 	if o.Epoch.IsZero() {
 		o.Epoch = time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
@@ -256,8 +233,6 @@ func (o *Options) policy() ledger.AdmittancePolicy {
 		ReportInterval:      o.ReportInterval,
 		MinWitnesses:        o.MinWitnesses,
 		WitnessRangeMeters:  o.WitnessRangeMeters,
-		SybilWindow:         o.SybilWindow,
-		DisableExpulsion:    o.DisableExpulsion,
 		EndorserEndowment:   o.EndorserEndowment,
 	}
 }

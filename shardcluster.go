@@ -205,14 +205,11 @@ func (s *ShardCluster) buildAnchor() error {
 			Key:      kp,
 			Baseline: true,
 			Engine: core.Config{
-				Epoch:              s.opts.Epoch,
-				CheckpointInterval: s.opts.CheckpointInterval,
-				ViewChangeTimeout:  s.opts.ViewChangeTimeout,
-				MaxInFlight:        s.opts.MaxInFlight,
+				Epoch:             s.opts.Epoch,
+				ViewChangeTimeout: s.opts.ViewChangeTimeout,
 			},
-			Batch:      s.opts.BatchSize,
-			Ceiling:    s.opts.BatchSize,
-			MempoolCap: s.opts.MempoolCap,
+			Batch:   s.opts.BatchSize,
+			Ceiling: s.opts.BatchSize,
 		})
 		if err != nil {
 			return err

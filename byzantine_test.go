@@ -25,7 +25,7 @@ func TestEquivocatingPrimaryDeposed(t *testing.T) {
 	leaderIdx := -1
 	probe.RunUntilIdle(time.Millisecond)
 	for i := 0; i < 7; i++ {
-		if probe.PBFTEngine(i).IsPrimary() {
+		if probe.CoreEngine(i).Inner().IsPrimary() {
 			leaderIdx = i
 			break
 		}
@@ -56,7 +56,7 @@ func TestEquivocatingPrimaryDeposed(t *testing.T) {
 	// The equivocator was deposed: some honest node moved past view 0.
 	moved := false
 	for i := 0; i < 7; i++ {
-		if i != leaderIdx && c.PBFTEngine(i).View() > 0 {
+		if i != leaderIdx && c.CoreEngine(i).Inner().View() > 0 {
 			moved = true
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
-	"gpbft/internal/pbft"
 	"gpbft/internal/runtime"
 	"gpbft/internal/simnet"
 	"gpbft/internal/store"
@@ -33,8 +32,7 @@ type Cluster struct {
 	nodes     []*runtime.Node
 	keys      []*gcrypto.KeyPair
 	positions []geo.Point
-	coreEng   []*core.Engine        // GPBFT mode (index-aligned, else nil)
-	pbftEng   []*pbft.Engine        // PBFT mode (index-aligned, else nil)
+	coreEng   []*core.Engine
 	snaps     []*store.MemSnapshots // per-node snapshot stores (nil unless Options.Snapshots)
 
 	metrics *Metrics
@@ -123,31 +121,30 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 
 	c.nodes = make([]*runtime.Node, opts.Nodes)
 	c.coreEng = make([]*core.Engine, opts.Nodes)
-	c.pbftEng = make([]*pbft.Engine, opts.Nodes)
 	c.snaps = make([]*store.MemSnapshots, opts.Nodes)
 
 	if opts.Protocol != PBFT && opts.Protocol != GPBFT {
 		return nil, errors.New("gpbft: unknown protocol")
 	}
+	// Classic PBFT is the era layer with the genesis committee frozen
+	// and rotated in address order.
+	baseline := opts.Protocol == PBFT
 	pp := core.ProposerGeoTimer
-	if !opts.GeoTimerProposer {
+	if !opts.GeoTimerProposer || baseline {
 		pp = core.ProposerAddress
 	}
 	for i := 0; i < opts.Nodes; i++ {
 		kp := c.keys[i]
 		cfg := assemble.Config{
-			Genesis:  g,
-			Key:      kp,
-			Index:    site.keyBase + i,
-			Seed:     opts.Seed,
-			Baseline: opts.Protocol == PBFT,
+			Genesis: g,
+			Key:     kp,
+			Index:   site.keyBase + i,
+			Seed:    opts.Seed,
 			Engine: core.Config{
 				Epoch:             opts.Epoch,
 				ViewChangeTimeout: opts.ViewChangeTimeout,
-				EraPeriod:         opts.EraPeriod,
-				SwitchPeriod:      opts.SwitchPeriod,
 				ProposerPolicy:    pp,
-				DisableEraSwitch:  opts.DisableEraSwitch,
+				DisableEraSwitch:  opts.DisableEraSwitch || baseline,
 				ForceEraSwitch:    opts.ForceEraSwitch,
 			},
 			ShardPrefix: site.shardPrefix,
@@ -168,7 +165,7 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.coreEng[i], c.pbftEng[i] = built.Core, built.PBFT
+		c.coreEng[i] = built.Core
 		node := built.Node
 		node.Exec = c.net.Executor(kp.Address())
 		node.OnCommit = c.metrics.ObserveCommit
@@ -235,25 +232,18 @@ func (c *Cluster) NodeCount() int { return len(c.nodes) }
 // Node returns full node i (advanced use).
 func (c *Cluster) Node(i int) *runtime.Node { return c.nodes[i] }
 
-// CoreEngine returns node i's G-PBFT engine (nil under PBFT).
+// CoreEngine returns node i's engine. Under PBFT it runs one era
+// that never ends; Inner is the PBFT instance of that era.
 func (c *Cluster) CoreEngine(i int) *core.Engine { return c.coreEng[i] }
-
-// PBFTEngine returns node i's PBFT engine (nil under GPBFT).
-func (c *Cluster) PBFTEngine(i int) *pbft.Engine { return c.pbftEng[i] }
 
 // NodeCounters returns node i's runtime event counters (envelopes
 // delivered, timers fired, blocks committed) — the same snapshot a TCP
 // deployment exports through gpbft-node's -metrics-addr endpoint.
 func (c *Cluster) NodeCounters(i int) runtime.CounterSnapshot { return c.nodes[i].Counters() }
 
-// SyncStats returns node i's snapshot/fast-sync counters (zero value
-// under PBFT, which has no snapshot path).
-func (c *Cluster) SyncStats(i int) runtime.SyncStats {
-	if c.coreEng[i] == nil {
-		return runtime.SyncStats{}
-	}
-	return c.coreEng[i].SyncStats()
-}
+// SyncStats returns node i's block-sync and snapshot fast-sync
+// counters.
+func (c *Cluster) SyncStats(i int) runtime.SyncStats { return c.coreEng[i].SyncStats() }
 
 // SnapshotCount returns how many era snapshots node i currently
 // retains (0 when Options.Snapshots is off).

@@ -149,10 +149,14 @@ func run() error {
 		Genesis:    g,
 		Key:        self,
 		Index:      *index,
-		Baseline:   *protocol == "pbft",
 		Engine:     core.Config{Epoch: epoch, MaxInFlight: *inflight},
 		Batch:      *batch,
 		MempoolCap: *poolCap,
+	}
+	if *protocol == "pbft" {
+		// Classic PBFT: one era over the genesis committee that never ends.
+		cfg.Engine.ProposerPolicy = core.ProposerAddress
+		cfg.Engine.DisableEraSwitch = true
 	}
 
 	// Durable persistence: read back the block log, the retained era

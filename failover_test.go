@@ -193,3 +193,45 @@ func TestReplicaLeftBehindCatchesUpAfterViewChange(t *testing.T) {
 		t.Fatalf("%d view changes, want 1", views)
 	}
 }
+
+// TestPBFTBaselineLaggardCatchesUp cuts one of four PBFT replicas off
+// from the other three for three seconds while they commit. The baseline
+// is the era layer with its committee frozen, so the healed replica pulls
+// the blocks it missed through block sync and ends at the committee's
+// height, as a G-PBFT endorser does.
+func TestPBFTBaselineLaggardCatchesUp(t *testing.T) {
+	const n, laggard = 4, 3
+	c, err := gpbft.NewCluster(fastOpts(gpbft.PBFT, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(heal bool) {
+		for i := 0; i < n; i++ {
+			switch {
+			case i == laggard:
+			case heal:
+				c.Net().Heal(c.Address(laggard), c.Address(i))
+			default:
+				c.Net().Partition(c.Address(laggard), c.Address(i))
+			}
+		}
+	}
+	c.Net().Schedule(500*time.Millisecond, func(time.Duration) { cut(false) })
+	c.Net().Schedule(3500*time.Millisecond, func(time.Duration) { cut(true) })
+	const total = 60
+	for k := 0; k < total; k++ {
+		c.SubmitNodeTx(time.Duration(k+1)*100*time.Millisecond, k%laggard, []byte{byte(k)}, 1)
+	}
+	c.RunUntilIdle(20 * time.Second)
+
+	if _, err := c.VerifyAgreement(); err != nil {
+		t.Fatal(err)
+	}
+	head, behind := c.Node(0).App.Chain().Height(), c.Node(laggard).App.Chain().Height()
+	if behind != head {
+		t.Fatalf("healed replica at height %d, the committee at %d", behind, head)
+	}
+	if got := c.Metrics().CommittedCount(); got != total {
+		t.Fatalf("committed %d of %d", got, total)
+	}
+}

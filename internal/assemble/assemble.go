@@ -11,7 +11,6 @@ import (
 	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/ledger"
-	"gpbft/internal/pbft"
 	"gpbft/internal/runtime"
 	"gpbft/internal/store"
 	"gpbft/internal/types"
@@ -27,13 +26,10 @@ type Config struct {
 	// target-selection seed.
 	Index int
 	Seed  int64
-	// Baseline builds classic PBFT over the genesis committee instead
-	// of G-PBFT's era layer.
-	Baseline bool
 	// Engine carries the engine knobs, the vote WAL with its recovered
 	// records, and the snapshot store; Chain, Key and App are filled in
-	// here. The baseline engine reads CheckpointInterval,
-	// ViewChangeTimeout, MaxInFlight, WAL and Recovered.
+	// here. Classic PBFT is the configuration that freezes the genesis
+	// committee: DisableEraSwitch with ProposerAddress.
 	Engine core.Config
 	// Blocks is the durable block log, replayed on top of the restored
 	// chain. Blocks that do not extend the chain's head are skipped:
@@ -60,9 +56,7 @@ type Config struct {
 // Built is an assembled node with the parts its caller observes.
 type Built struct {
 	Node *runtime.Node
-	// Core is the G-PBFT engine, PBFT the baseline's; the other is nil.
 	Core *core.Engine
-	PBFT *pbft.Engine
 	// Restored is the snapshot the chain booted from. Refused is why
 	// the newest snapshot was not used; the chain then starts from
 	// genesis and replays the whole log.
@@ -97,43 +91,18 @@ func Node(cfg Config) (*Built, error) {
 	}
 	app.SetMaxBatch(cfg.Ceiling)
 
-	var engine consensus.Engine
-	var inflight func() (used, depth int)
-	if cfg.Baseline {
-		com, err := consensus.NewCommittee(cfg.Genesis.Endorsers)
-		if err != nil {
-			return nil, err
-		}
-		pc := pbft.Config{
-			Committee: com, Key: cfg.Key, App: app,
-			StartHeight:        chain.Height() + 1,
-			CheckpointInterval: e.CheckpointInterval,
-			ViewChangeTimeout:  e.ViewChangeTimeout,
-			MaxInFlight:        e.MaxInFlight,
-		}
-		if e.WAL != nil {
-			pc.WAL = e.WAL
-			pc.Durable = pbft.RecoverState(0, e.Recovered)
-		}
-		pe, err := pbft.New(pc)
-		if err != nil {
-			return nil, err
-		}
-		out.PBFT, engine, inflight = pe, pe, pe.InFlight
-	} else {
-		e.Chain, e.Key, e.App = chain, cfg.Key, app
-		ce, err := core.New(e)
-		if err != nil {
-			return nil, err
-		}
-		out.Core, engine, inflight = ce, ce, ce.InFlight
+	e.Chain, e.Key, e.App = chain, cfg.Key, app
+	engine, err := core.New(e)
+	if err != nil {
+		return nil, err
 	}
+	out.Core = engine
 	node := &runtime.Node{ID: cfg.Key.Address(), Key: cfg.Key, App: app, Engine: engine}
 
 	if cfg.Admission != nil {
 		adm := runtime.NewAdmission(*cfg.Admission)
 		adm.BindPool(pool)
-		adm.BindInFlight(inflight)
+		adm.BindInFlight(engine.InFlight)
 		node.Admission = adm
 	}
 

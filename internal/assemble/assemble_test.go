@@ -95,9 +95,12 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 	}
 	boot := func(wal *store.MemWAL) *assemble.Built {
 		cfg := assemble.Config{
-			Genesis: g, Key: keys[self], Baseline: true,
-			Engine: core.Config{Epoch: epoch, ViewChangeTimeout: time.Second},
-			Batch:  8,
+			Genesis: g, Key: keys[self],
+			Engine: core.Config{
+				Epoch: epoch, ViewChangeTimeout: time.Second,
+				ProposerPolicy: core.ProposerAddress, DisableEraSwitch: true,
+			},
+			Batch: 8,
 		}
 		if wal != nil {
 			cfg.Engine.WAL, cfg.Engine.Recovered = wal, wal.Records()
@@ -106,10 +109,7 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.PBFT == nil || b.Core != nil {
-			t.Fatal("the baseline must build a PBFT engine only")
-		}
-		b.PBFT.Init(0)
+		b.Core.Init(0)
 		for _, tx := range []*types.Transaction{tx1, tx2} {
 			if err := b.Node.App.SubmitTx(tx); err != nil {
 				t.Fatal(err)
@@ -119,17 +119,17 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 	}
 
 	wal := &store.MemWAL{}
-	if !hasPrepare(boot(wal).PBFT.OnEnvelope(0, pp1)) {
+	if !hasPrepare(boot(wal).Core.OnEnvelope(0, pp1)) {
 		t.Fatal("the first proposal must be prepared")
 	}
 	again := boot(wal)
-	if hasPrepare(again.PBFT.OnEnvelope(0, pp2)) {
+	if hasPrepare(again.Core.OnEnvelope(0, pp2)) {
 		t.Fatal("the reassembled backup prepared a conflicting proposal")
 	}
-	if !hasPrepare(again.PBFT.OnEnvelope(0, pp1)) {
+	if !hasPrepare(again.Core.OnEnvelope(0, pp1)) {
 		t.Fatal("the reassembled backup must still support its original vote")
 	}
-	if !hasPrepare(boot(nil).PBFT.OnEnvelope(0, pp2)) {
+	if !hasPrepare(boot(nil).Core.OnEnvelope(0, pp2)) {
 		t.Fatal("without its WAL a restarted backup prepares anything; the check above proves nothing")
 	}
 }

@@ -64,9 +64,9 @@ type Options struct {
 	// The property under test: receivers reject every lie and fall back
 	// to block replay with no forked or partial state.
 	SnapshotLiars []int
-	// EraPeriod overrides the chain policy's era switch interval
-	// (0 = policy default, 10s). Snapshot schedules shrink it so
-	// growing ten eras stays a short virtual-time run.
+	// EraPeriod is the genesis policy's era switch interval T, which
+	// the engine's forced switches and the election's authentication
+	// window both read (0 = 1 s).
 	EraPeriod time.Duration
 	// RateLimit turns on the overload armor on every node: per-identity
 	// token-bucket admission at this sustained tx/s, a QoS-lane mempool
@@ -188,7 +188,10 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 	if opts.Nodes > g.Policy.MaxEndorsers {
 		g.Policy.MaxEndorsers = opts.Nodes
 	}
-	g.Policy.EraPeriod = time.Second
+	g.Policy.EraPeriod = opts.EraPeriod
+	if g.Policy.EraPeriod == 0 {
+		g.Policy.EraPeriod = time.Second
+	}
 	g.Policy.SwitchPeriod = 50 * time.Millisecond
 	g.Policy.DisableExpulsion = opts.DisableExpulsion
 	for i := 0; i < opts.Nodes; i++ {
@@ -276,7 +279,6 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 			ProposerPolicy:     core.ProposerAddress,
 			DisableEraSwitch:   !c.opts.EnableEraSwitch,
 			ForceEraSwitch:     c.opts.EnableEraSwitch,
-			EraPeriod:          c.opts.EraPeriod,
 			FastSyncThreshold:  c.opts.FastSyncThreshold,
 		},
 		Blocks: s.blocks,

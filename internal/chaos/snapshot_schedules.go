@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"gpbft/internal/ledger"
 	"gpbft/internal/runtime"
 	"gpbft/internal/types"
 )
@@ -56,12 +55,8 @@ func (c *Cluster) gatewayReport(device int) {
 // reports that keep every identity qualified) until the live cluster
 // has completed n more forced era switches.
 func (c *Cluster) growEras(n int) error {
-	period := c.opts.EraPeriod
-	if period == 0 {
-		period = ledger.DefaultEraPeriod
-	}
 	target := c.maxEra() + uint64(n)
-	deadline := c.Now() + time.Duration(n+2)*3*period
+	deadline := c.Now() + time.Duration(n+2)*3*c.genesis.Policy.EraPeriod
 	for c.maxEra() < target {
 		if c.Now() > deadline {
 			return fmt.Errorf("chaos: era growth stalled at %d (want %d)", c.maxEra(), target)

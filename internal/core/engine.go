@@ -47,10 +47,6 @@ type Config struct {
 	// pipeline concurrently (0 = pbft default; 1 = serial ablation).
 	MaxInFlight int
 
-	// EraPeriod / SwitchPeriod override the chain policy when non-zero.
-	EraPeriod    time.Duration
-	SwitchPeriod time.Duration
-
 	ProposerPolicy ProposerPolicy
 	// WAL, when set, makes the inner consensus engines durable: every
 	// vote is persisted before it is sent, and the log is rotated when
@@ -61,14 +57,16 @@ type Config struct {
 	// instance so a restarted endorser rejoins at the view it had
 	// reached and never contradicts a vote it already sent.
 	Recovered []store.WALRecord
-	// DisableEraSwitch turns the era layer off (ablation: a static
-	// committee forever).
+	// DisableEraSwitch turns the era layer off: the genesis committee
+	// forever. With ProposerAddress this is classic PBFT, the paper's
+	// baseline: one era that never ends.
 	DisableEraSwitch bool
-	// ForceEraSwitch performs a switch every T even when the election
-	// changes nothing (an empty config change that only bumps the era).
-	// This is the paper's literal behaviour ("Era switch will be made
-	// every T seconds in our system") and produces the switch-period
-	// latency outliers of Figure 3b.
+	// ForceEraSwitch performs a switch every T, the chain policy's
+	// EraPeriod, even when the election changes nothing (an empty config
+	// change that only bumps the era). This is the paper's literal
+	// behaviour ("Era switch will be made every T seconds in our
+	// system") and produces the switch-period latency outliers of
+	// Figure 3b.
 	ForceEraSwitch bool
 	// Snapshots, when set, enables snapshot-then-tail fast sync: this
 	// node serves its retained snapshots to lagging peers and, when its
@@ -191,13 +189,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Timers == nil {
 		cfg.Timers = consensus.NewTimerAllocator()
 	}
-	policy := cfg.Chain.Policy()
-	if cfg.EraPeriod == 0 {
-		cfg.EraPeriod = policy.EraPeriod
-	}
-	if cfg.SwitchPeriod == 0 {
-		cfg.SwitchPeriod = policy.SwitchPeriod
-	}
 	if cfg.FastSyncThreshold == 0 {
 		cfg.FastSyncThreshold = 64
 	}
@@ -205,7 +196,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		self:        cfg.Key.Address(),
 		chain:       cfg.Chain,
-		policy:      policy,
+		policy:      cfg.Chain.Policy(),
 		timers:      make(map[consensus.TimerID]tpurpose),
 		evSubmitted: make(map[gcrypto.Hash]bool),
 	}, nil
@@ -348,7 +339,7 @@ func (e *Engine) armEraTimer(acts []consensus.Action) []consensus.Action {
 	id := e.cfg.Timers.Next()
 	e.eraTID = id
 	e.timers[id] = tEraTick
-	return append(acts, consensus.StartTimer{ID: id, Delay: e.cfg.EraPeriod})
+	return append(acts, consensus.StartTimer{ID: id, Delay: e.policy.EraPeriod})
 }
 
 // OnTimer implements consensus.Engine.
@@ -732,8 +723,8 @@ func (e *Engine) beginSwitch(change *types.ConfigChange, acts []consensus.Action
 	id := e.cfg.Timers.Next()
 	e.resumeID = id
 	e.timers[id] = tResume
-	e.switchPauses += e.cfg.SwitchPeriod
-	return append(acts, consensus.StartTimer{ID: id, Delay: e.cfg.SwitchPeriod})
+	e.switchPauses += e.policy.SwitchPeriod
+	return append(acts, consensus.StartTimer{ID: id, Delay: e.policy.SwitchPeriod})
 }
 
 // onResume completes the era switch: the chain has applied the config

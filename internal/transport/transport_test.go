@@ -165,12 +165,14 @@ func startTCPCluster(t *testing.T, n int) *tcpCluster {
 func pbftTestNode(t *testing.T, g *ledger.Genesis, kp *gcrypto.KeyPair) *runtime.Node {
 	t.Helper()
 	built, err := assemble.Node(assemble.Config{
-		Genesis:  g,
-		Key:      kp,
-		Baseline: true,
-		Engine:   core.Config{Epoch: epoch, ViewChangeTimeout: 5 * time.Second},
-		Batch:    16,
-		Ceiling:  16,
+		Genesis: g,
+		Key:     kp,
+		Engine: core.Config{
+			Epoch: epoch, ViewChangeTimeout: 5 * time.Second,
+			ProposerPolicy: core.ProposerAddress, DisableEraSwitch: true,
+		},
+		Batch:   16,
+		Ceiling: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
 )
 
@@ -110,6 +111,48 @@ func TestShardClusterRegionRouting(t *testing.T) {
 		if !ok || got != j%s.Regions() {
 			t.Fatalf("delegate %d routed to %d (%v)", j, got, ok)
 		}
+	}
+}
+
+// TestRecoveredDelegateCatchesUp crashes anchor member 0, region 0's
+// first delegate, while the other three keep the anchor committee's
+// quorum and commit region checkpoints. Recovered, the delegate must
+// pull the anchor blocks it missed: it is again the one that reads the
+// anchor chain for region 0, so a transfer into region 0 is applied
+// only if its replica has caught up.
+func TestRecoveredDelegateCatchesUp(t *testing.T) {
+	s, err := NewShardCluster(shardOptions(2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 80; k++ {
+		at := time.Duration(k+1) * 100 * time.Millisecond
+		s.SubmitNodeTx(at, 0, k%4, []byte{1, byte(k)}, 1)
+		s.SubmitNodeTx(at, 1, k%4, []byte{2, byte(k)}, 1)
+	}
+	s.Net().Schedule(500*time.Millisecond, func(consensus.Time) { s.CrashDelegate(0) })
+	s.Net().Schedule(4*time.Second, func(consensus.Time) { s.RecoverDelegate(0) })
+	recipient := gcrypto.DeterministicKeyPair(777_001).Address()
+	if _, err := s.SubmitTransfer(5*time.Second, 1, 0, 0, recipient, 42); err != nil {
+		t.Fatal(err)
+	}
+	s.StartAnchors(10 * time.Second)
+	s.RunUntilIdle(time.Minute)
+
+	if _, err := s.VerifyAgreement(); err != nil {
+		t.Fatal(err)
+	}
+	heights := make([]uint64, s.AnchorSize())
+	for j := range heights {
+		heights[j] = s.AnchorNode(j).App.Chain().Height()
+	}
+	for _, h := range heights[1:] {
+		if h != heights[0] {
+			t.Fatalf("anchor heights %v, want one height", heights)
+		}
+	}
+	if got := s.TransfersApplied(); got != 1 {
+		t.Fatalf("applied %d of 1 transfers (anchor heights %v)", got, heights)
 	}
 }
 

@@ -127,10 +127,9 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		return nil, errors.New("gpbft: unknown protocol")
 	}
 	// Classic PBFT is the era layer with the genesis committee frozen
-	// and rotated in address order.
-	baseline := opts.Protocol == PBFT
+	// (Options.eraRule) and rotated in address order.
 	pp := core.ProposerGeoTimer
-	if !opts.GeoTimerProposer || baseline {
+	if !opts.GeoTimerProposer || opts.Protocol == PBFT {
 		pp = core.ProposerAddress
 	}
 	for i := 0; i < opts.Nodes; i++ {
@@ -144,8 +143,6 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 				Epoch:             opts.Epoch,
 				ViewChangeTimeout: opts.ViewChangeTimeout,
 				ProposerPolicy:    pp,
-				DisableEraSwitch:  opts.DisableEraSwitch || baseline,
-				ForceEraSwitch:    opts.ForceEraSwitch,
 			},
 			ShardPrefix: site.shardPrefix,
 			Batch:       opts.BatchSize,

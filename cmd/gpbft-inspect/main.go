@@ -145,7 +145,7 @@ func main() {
 		chain.Height(), chain.Era(), len(chain.Endorsers()),
 		chain.Table().Len(), chain.Witnesses().Len())
 	fmt.Printf("tx mix:  ")
-	for _, k := range []types.TxType{types.TxNormal, types.TxConfig, types.TxLocationReport, types.TxWitness, types.TxEvidence} {
+	for _, k := range []types.TxType{types.TxNormal, types.TxLocationReport, types.TxWitness, types.TxEvidence} {
 		fmt.Printf("%s=%d  ", k, kinds[k])
 	}
 	fmt.Println()

@@ -137,6 +137,9 @@ func run() error {
 	if *protocol != "pbft" && *protocol != "gpbft" {
 		return fmt.Errorf("unknown -protocol %q", *protocol)
 	}
+	if *protocol == "gpbft" {
+		g.Policy.Eras = ledger.ErasElect
+	}
 	weights, err := parseTriple(*laneWts, [3]int{})
 	if err != nil {
 		return fmt.Errorf("-lane-weights: %v", err)
@@ -154,9 +157,9 @@ func run() error {
 		MempoolCap: *poolCap,
 	}
 	if *protocol == "pbft" {
-		// Classic PBFT: one era over the genesis committee that never ends.
+		// Classic PBFT: one era over the genesis committee that never ends
+		// (the genesis era rule's zero value, ledger.ErasFrozen).
 		cfg.Engine.ProposerPolicy = core.ProposerAddress
-		cfg.Engine.DisableEraSwitch = true
 	}
 
 	// Durable persistence: read back the block log, the retained era

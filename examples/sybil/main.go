@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"gpbft"
-	"gpbft/internal/core"
+	"gpbft/internal/ledger"
 	"gpbft/internal/types"
 	"gpbft/internal/workload"
 )
@@ -59,12 +59,12 @@ func main() {
 
 	chain := cluster.Node(0).App.Chain()
 	// Evaluate the election as of the last report, while the location
-	// streams were still live (the same instant an era tick would see).
+	// streams were still live (the state an era boundary block would see).
 	asOf := chain.Head().Header.Timestamp
 	if e, ok := chain.Table().LatestEntry(cluster.Address(4).String()); ok {
 		asOf = e.Timestamp
 	}
-	res := core.RunElection(chain, asOf)
+	res := ledger.RunElection(chain, asOf)
 
 	fmt.Printf("era=%d committee=%d devices-known=%d\n",
 		chain.Era(), len(chain.Endorsers()), chain.Table().Len())

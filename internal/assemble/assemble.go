@@ -28,8 +28,8 @@ type Config struct {
 	Seed  int64
 	// Engine carries the engine knobs, the vote WAL with its recovered
 	// records, and the snapshot store; Chain, Key and App are filled in
-	// here. Classic PBFT is the configuration that freezes the genesis
-	// committee: DisableEraSwitch with ProposerAddress.
+	// here. Classic PBFT is a genesis whose era rule freezes the
+	// committee (ledger.ErasFrozen) with ProposerAddress.
 	Engine core.Config
 	// Blocks is the durable block log, replayed on top of the restored
 	// chain. Blocks that do not extend the chain's head are skipped:
@@ -121,7 +121,7 @@ func Node(cfg Config) (*Built, error) {
 
 	if snaps := e.Snapshots; snaps != nil {
 		// Every era bump publishes a signed snapshot of the chain state
-		// at the config block itself, so all nodes snapshot the same
+		// at the era's boundary block itself, so all nodes snapshot the same
 		// (height, root) pair: fast sync's quorum anchors trust in it.
 		// Installed after replay, so a restart rewrites none of its past.
 		key := cfg.Key

@@ -46,6 +46,11 @@ func (d *DoubleVoter) OnRequest(now consensus.Time, tx *types.Transaction) []con
 	return d.mutate(d.Inner.OnRequest(now, tx))
 }
 
+// OnCommitApplied implements consensus.CommitNotifiable.
+func (d *DoubleVoter) OnCommitApplied(now consensus.Time) []consensus.Action {
+	return d.mutate(commitApplied(d.Inner, now))
+}
+
 func (d *DoubleVoter) mutate(acts []consensus.Action) []consensus.Action {
 	out := make([]consensus.Action, 0, len(acts))
 	for _, a := range acts {

@@ -13,6 +13,17 @@ import (
 	"gpbft/internal/types"
 )
 
+// commitApplied forwards a commit notification to an engine that takes
+// one. Every wrapper passes it on: the era layer halts there at the
+// boundary block of a switching era, and a wrapper models a fault, not
+// a node that never leaves its first era.
+func commitApplied(inner consensus.Engine, now consensus.Time) []consensus.Action {
+	if cn, ok := inner.(consensus.CommitNotifiable); ok {
+		return cn.OnCommitApplied(now)
+	}
+	return nil
+}
+
 // Silent is an engine that participates in nothing: it models a
 // "frustrated" endorser that joined the committee and then stopped
 // serving (distinct from a crash — the node is reachable, it just
@@ -60,6 +71,11 @@ func (e *Equivocator) OnTimer(now consensus.Time, id consensus.TimerID) []consen
 // OnRequest implements consensus.Engine.
 func (e *Equivocator) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
 	return e.mutate(e.Inner.OnRequest(now, tx))
+}
+
+// OnCommitApplied implements consensus.CommitNotifiable.
+func (e *Equivocator) OnCommitApplied(now consensus.Time) []consensus.Action {
+	return e.mutate(commitApplied(e.Inner, now))
 }
 
 func (e *Equivocator) mutate(acts []consensus.Action) []consensus.Action {
@@ -123,6 +139,11 @@ func (v *VoteWithholder) OnTimer(now consensus.Time, id consensus.TimerID) []con
 // OnRequest implements consensus.Engine.
 func (v *VoteWithholder) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
 	return v.mutate(v.Inner.OnRequest(now, tx))
+}
+
+// OnCommitApplied implements consensus.CommitNotifiable.
+func (v *VoteWithholder) OnCommitApplied(now consensus.Time) []consensus.Action {
+	return v.mutate(commitApplied(v.Inner, now))
 }
 
 func (v *VoteWithholder) mutate(acts []consensus.Action) []consensus.Action {

@@ -42,13 +42,9 @@ func (l *SnapshotLiar) OnRequest(now consensus.Time, tx *types.Transaction) []co
 	return l.mutate(l.Inner.OnRequest(now, tx))
 }
 
-// OnCommitApplied forwards commit notifications so the liar keeps
-// pipelining like an honest endorser.
+// OnCommitApplied implements consensus.CommitNotifiable.
 func (l *SnapshotLiar) OnCommitApplied(now consensus.Time) []consensus.Action {
-	if cn, ok := l.Inner.(consensus.CommitNotifiable); ok {
-		return l.mutate(cn.OnCommitApplied(now))
-	}
-	return nil
+	return l.mutate(commitApplied(l.Inner, now))
 }
 
 func (l *SnapshotLiar) mutate(acts []consensus.Action) []consensus.Action {

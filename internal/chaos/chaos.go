@@ -193,6 +193,9 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 		g.Policy.EraPeriod = time.Second
 	}
 	g.Policy.SwitchPeriod = 50 * time.Millisecond
+	if opts.EnableEraSwitch {
+		g.Policy.Eras = ledger.ErasForced
+	}
 	g.Policy.DisableExpulsion = opts.DisableExpulsion
 	for i := 0; i < opts.Nodes; i++ {
 		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
@@ -277,8 +280,6 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 			CheckpointInterval: 4,
 			ViewChangeTimeout:  c.timeout,
 			ProposerPolicy:     core.ProposerAddress,
-			DisableEraSwitch:   !c.opts.EnableEraSwitch,
-			ForceEraSwitch:     c.opts.EnableEraSwitch,
 			FastSyncThreshold:  c.opts.FastSyncThreshold,
 		},
 		Blocks: s.blocks,

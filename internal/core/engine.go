@@ -1,8 +1,21 @@
+// Package core implements the paper's primary contribution: the
+// Geographic-PBFT era layer. It wraps a fresh PBFT instance per era
+// ("G-PBFT can be regarded as a splice of multiple successive PBFT",
+// Section III-B4) and adds:
+//
+//   - the era switch of Section III-E: the chain ends an era at its
+//     boundary block, where it runs Algorithm 1 (ledger.RunElection),
+//     and the layer halts the old instance for the switch period before
+//     the new committee starts;
+//   - the incentive mechanism's proposer bias (longer geographic timer
+//     ⇒ earlier in the primary rotation);
+//   - block and snapshot sync, era announcements to added endorsers, and
+//     submission of misbehavior evidence.
 package core
 
 import (
-	"bytes"
 	"errors"
+	"sort"
 	"time"
 
 	"gpbft/internal/consensus"
@@ -57,17 +70,10 @@ type Config struct {
 	// instance so a restarted endorser rejoins at the view it had
 	// reached and never contradicts a vote it already sent.
 	Recovered []store.WALRecord
-	// DisableEraSwitch turns the era layer off: the genesis committee
-	// forever. With ProposerAddress this is classic PBFT, the paper's
-	// baseline: one era that never ends.
+	// DisableEraSwitch asserts that the chain's era rule is
+	// ledger.ErasFrozen; New refuses the configuration otherwise. Whether
+	// eras switch is the genesis policy's decision, not a node's.
 	DisableEraSwitch bool
-	// ForceEraSwitch performs a switch every T, the chain policy's
-	// EraPeriod, even when the election changes nothing (an empty config
-	// change that only bumps the era). This is the paper's literal
-	// behaviour ("Era switch will be made every T seconds in our
-	// system") and produces the switch-period latency outliers of
-	// Figure 3b.
-	ForceEraSwitch bool
 	// Snapshots, when set, enables snapshot-then-tail fast sync: this
 	// node serves its retained snapshots to lagging peers and, when its
 	// own lag exceeds FastSyncThreshold, installs a quorum-anchored
@@ -90,8 +96,7 @@ type ConsensusWAL interface {
 type tpurpose uint8
 
 const (
-	tEraTick tpurpose = iota + 1
-	tResume
+	tResume tpurpose = iota + 1
 	tSyncRetry
 	tLagCheck
 )
@@ -99,8 +104,8 @@ const (
 // maxBuffered bounds the next-era message buffer.
 const maxBuffered = 4096
 
-// maxBacklog bounds the pending pool the proposer of a config block
-// hands to the endorsers that block adds.
+// maxBacklog bounds the pending pool the proposer of a boundary block
+// hands to the endorsers the switch adds.
 const maxBacklog = 128
 
 // Engine is the G-PBFT era layer: a consensus.Engine that runs a fresh
@@ -108,22 +113,16 @@ const maxBacklog = 128
 // era switches, block sync and announcements. Candidate nodes run the
 // same engine in observer mode (no inner instance) until elected.
 type Engine struct {
-	cfg    Config
-	self   gcrypto.Address
-	chain  *ledger.Chain
-	policy ledger.AdmittancePolicy
+	cfg   Config
+	self  gcrypto.Address
+	chain *ledger.Chain
 
 	era       uint64
 	committee *consensus.Committee
 	inner     *pbft.Engine // nil while not an endorser
 
-	switching   bool
-	pendingEra  uint64
-	pendingAdds []gcrypto.Address
-
-	timers   map[consensus.TimerID]tpurpose
-	eraTID   consensus.TimerID
-	resumeID consensus.TimerID
+	switching bool
+	timers    map[consensus.TimerID]tpurpose
 
 	buffered []*consensus.Envelope
 
@@ -165,8 +164,6 @@ type Engine struct {
 	// fresh eras with no prior promises).
 	pendingDurable *pbft.DurableState
 
-	nonce uint64
-
 	// Accountability: proofs handed over by the inner engine's
 	// detector awaiting submission, the IDs this node has already
 	// submitted, the chain-detected-evidence cursor, and the
@@ -176,15 +173,16 @@ type Engine struct {
 	evCursor    int
 	flushing    bool
 
-	// stats
-	eraSwitches  uint64
-	switchPauses time.Duration
+	eraSwitches uint64
 }
 
 // New constructs a G-PBFT node engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Chain == nil || cfg.Key == nil || cfg.App == nil {
 		return nil, errors.New("gpbft: config needs Chain, Key and App")
+	}
+	if cfg.DisableEraSwitch && cfg.Chain.Policy().Eras != ledger.ErasFrozen {
+		return nil, errors.New("gpbft: DisableEraSwitch on a chain whose genesis switches eras")
 	}
 	if cfg.Timers == nil {
 		cfg.Timers = consensus.NewTimerAllocator()
@@ -196,7 +194,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		self:        cfg.Key.Address(),
 		chain:       cfg.Chain,
-		policy:      cfg.Chain.Policy(),
 		timers:      make(map[consensus.TimerID]tpurpose),
 		evSubmitted: make(map[gcrypto.Hash]bool),
 	}, nil
@@ -244,7 +241,6 @@ func (e *Engine) Init(now consensus.Time) []consensus.Action {
 	}
 	var acts []consensus.Action
 	acts = e.buildInstance(now, acts)
-	acts = e.armEraTimer(acts)
 	if restarted {
 		// A restarted node may have missed commits (and even era
 		// switches) while it was down: pull from the committee through
@@ -286,6 +282,24 @@ func (e *Engine) buildCommittee() (*consensus.Committee, error) {
 		members = OrderByGeoTimer(members, e.chain.Table())
 	}
 	return consensus.NewOrderedCommittee(members)
+}
+
+// OrderByGeoTimer orders committee members by descending geographic
+// timer (address tiebreak): the primary rotation then favours
+// longer-resident endorsers, implementing the incentive's block
+// generation bias.
+func OrderByGeoTimer(members []types.EndorserInfo, table *ledger.ElectionTable) []types.EndorserInfo {
+	out := make([]types.EndorserInfo, len(members))
+	copy(out, members)
+	sort.Slice(out, func(i, j int) bool {
+		ti := table.Timer(out[i].Address.String())
+		tj := table.Timer(out[j].Address.String())
+		if ti != tj {
+			return ti > tj
+		}
+		return out[i].Address.Less(out[j].Address)
+	})
+	return out
 }
 
 // buildInstance (re)creates the inner PBFT engine if self is in the
@@ -330,18 +344,6 @@ func (e *Engine) buildInstance(now consensus.Time, acts []consensus.Action) []co
 	return acts
 }
 
-// armEraTimer schedules the next Algorithm 1 pass ("Algorithm 1 will
-// be executed every T seconds").
-func (e *Engine) armEraTimer(acts []consensus.Action) []consensus.Action {
-	if e.cfg.DisableEraSwitch || e.inner == nil {
-		return acts
-	}
-	id := e.cfg.Timers.Next()
-	e.eraTID = id
-	e.timers[id] = tEraTick
-	return append(acts, consensus.StartTimer{ID: id, Delay: e.policy.EraPeriod})
-}
-
 // OnTimer implements consensus.Engine.
 func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.Action {
 	purpose, mine := e.timers[id]
@@ -353,8 +355,6 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 	}
 	delete(e.timers, id)
 	switch purpose {
-	case tEraTick:
-		return e.onEraTick(now)
 	case tResume:
 		return e.onResume(now)
 	case tSyncRetry:
@@ -365,11 +365,17 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 	return nil
 }
 
-// OnCommitApplied implements consensus.CommitNotifiable by forwarding
-// to the inner era instance.
+// OnCommitApplied implements consensus.CommitNotifiable. The chain has
+// just applied what the inner instance committed; if that included the
+// boundary block of a switching era, the old instance halts here, before
+// it could propose on the new head. Otherwise the notification goes on
+// to the inner instance.
 func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 	if e.switching || e.inner == nil {
 		return nil
+	}
+	if e.chain.Era() > e.era {
+		return e.beginSwitch()
 	}
 	return e.filterInner(now, e.inner.OnCommitApplied(now))
 }
@@ -407,18 +413,25 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 	case consensus.KindBlockSync:
 		return e.onBlockSync(now, env)
 	case consensus.KindRequest:
-		if e.switching || e.inner == nil {
-			e.poolRequest(env)
+		if e.inner != nil && !e.switching {
+			return e.filterInner(now, e.inner.OnEnvelope(now, env))
+		}
+		tx := e.poolRequest(env)
+		// An observer forwards a request from outside the committee to a
+		// member, as it does its own submissions. A member's relay, or the
+		// backlog a switch hands an added endorser, came from the committee
+		// and goes nowhere.
+		if tx == nil || e.switching || e.committee == nil || e.committee.IsMember(env.From) {
 			return nil
 		}
-		return e.filterInner(now, e.inner.OnEnvelope(now, env))
+		return e.OnRequest(now, tx)
 	default:
 		// Intra-era consensus traffic.
 		msgEra, ok := consensus.PeekEra(env)
 		if !ok {
 			return nil
 		}
-		if msgEra > e.era || (e.switching && msgEra == e.pendingEra) {
+		if msgEra > e.era {
 			// A peer finished its switch before us; hold the message
 			// until our own switch completes.
 			if len(e.buffered) < maxBuffered {
@@ -440,19 +453,20 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 }
 
 // poolRequest admits a request that reaches this node while it runs no
-// consensus — in the switch pause, or elected and still syncing toward
-// its first era, when the backlog arrives (see onResume) — to the pool
-// and relays nothing: "refuses to process or commit" holds, pool
-// admission is neither. A request is never dropped because the node is
-// between eras.
-func (e *Engine) poolRequest(env *consensus.Envelope) {
+// consensus — in the switch pause, as an observer, or elected and still
+// syncing toward its first era, when the backlog arrives (see onResume)
+// — to the pool, and returns it (nil if the pool refused it): "refuses
+// to process or commit" holds, pool admission is neither. A request is
+// never dropped because the node is between eras.
+func (e *Engine) poolRequest(env *consensus.Envelope) *types.Transaction {
 	tx, err := pbft.OpenRequest(env)
 	if err != nil || e.cfg.App.SubmitTx(tx) != nil {
-		return
+		return nil
 	}
 	if e.switching && !e.committee.IsMember(env.From) {
 		e.hold(tx)
 	}
+	return tx
 }
 
 // hold remembers a pooled transaction that only this node may know.
@@ -573,10 +587,9 @@ func (e *Engine) lagPull(seq uint64, from gcrypto.Address) []consensus.Action {
 	return e.armSyncRetry([]consensus.Action{consensus.Send{To: from, Env: req}})
 }
 
-// filterInner passes inner-engine actions through, watching committed
-// blocks for the era-switch configuration transaction, then flushes
-// any misbehavior evidence awaiting submission (detection may have
-// fired during the very events that produced these actions).
+// filterInner passes inner-engine actions through, then flushes any
+// misbehavior evidence awaiting submission (detection may have fired
+// during the very events that produced these actions).
 func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []consensus.Action {
 	if e.inner != nil {
 		// Every delivery to the inner engine passes through here: fold its
@@ -602,30 +615,7 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 		e.view = e.inner.View()
 		acts = e.requestCatchUp(acts)
 	}
-	out := acts
-	if len(acts) > 0 {
-		out = make([]consensus.Action, 0, len(acts)+2)
-		for _, a := range acts {
-			out = append(out, a)
-			cb, ok := a.(consensus.CommitBlock)
-			if !ok || e.switching {
-				continue
-			}
-			for i := range cb.Block.Txs {
-				tx := &cb.Block.Txs[i]
-				if tx.Type != types.TxConfig {
-					continue
-				}
-				change, err := types.DecodeConfigChange(tx.Payload)
-				if err != nil || change.NewEra != e.era+1 {
-					continue
-				}
-				out = e.beginSwitch(change, out)
-				break
-			}
-		}
-	}
-	return e.flushEvidence(now, out)
+	return e.flushEvidence(now, acts)
 }
 
 // flushEvidence turns pending misbehavior proofs — handed over by the
@@ -675,10 +665,8 @@ func (e *Engine) flushEvidence(now consensus.Time, acts []consensus.Action) []co
 
 // evidenceTx wraps an evidence record into a signed transaction.
 func (e *Engine) evidenceTx(now consensus.Time, rec *evidence.Record) *types.Transaction {
-	e.nonce++
 	tx := &types.Transaction{
 		Type:    types.TxEvidence,
-		Nonce:   (e.chain.Height()+1)<<16 | e.nonce,
 		Payload: evidence.Encode(rec),
 		Geo: types.GeoInfo{
 			Location:  e.ownLocation(),
@@ -702,150 +690,86 @@ func (e *Engine) ownLocation() geo.Point {
 	return geo.Point{}
 }
 
-// beginSwitch halts the old consensus and schedules the resume after
-// the switch period ("during the period of an era switch, the system
-// will refuse to process or commit any transactions").
-func (e *Engine) beginSwitch(change *types.ConfigChange, acts []consensus.Action) []consensus.Action {
+// beginSwitch halts the old consensus once the chain has applied the
+// boundary block of a switching era, and schedules the resume after the
+// switch period ("during the period of an era switch, the system will
+// refuse to process or commit any transactions").
+func (e *Engine) beginSwitch() []consensus.Action {
 	e.switching = true
-	e.pendingEra = change.NewEra
-	e.pendingAdds = make([]gcrypto.Address, 0, len(change.Add))
-	for _, add := range change.Add {
-		e.pendingAdds = append(e.pendingAdds, add.Address)
-	}
-	if e.inner != nil {
-		e.inner.Halt()
-	}
-	if e.eraTID != 0 {
-		acts = append(acts, consensus.StopTimer{ID: e.eraTID})
-		delete(e.timers, e.eraTID)
-		e.eraTID = 0
-	}
+	e.inner.Halt()
 	id := e.cfg.Timers.Next()
-	e.resumeID = id
 	e.timers[id] = tResume
-	e.switchPauses += e.policy.SwitchPeriod
-	return append(acts, consensus.StartTimer{ID: id, Delay: e.policy.SwitchPeriod})
+	return []consensus.Action{consensus.StartTimer{ID: id, Delay: e.chain.Policy().SwitchPeriod}}
 }
 
-// onResume completes the era switch: the chain has applied the config
-// transaction by now, so rebuild the committee and relaunch consensus.
+// onResume completes the era switch: announce the new era to the
+// endorsers it adds — the chain's committee members the ended era's
+// committee lacks — then rebuild the committee from the chain and
+// relaunch consensus.
 func (e *Engine) onResume(now consensus.Time) []consensus.Action {
 	e.switching = false
-	e.resumeID = 0
-	newEra := e.chain.Era()
-	if newEra < e.pendingEra {
-		// The config block has not been applied locally (should not
-		// happen: we observed its commit); stay in the old era.
-		e.pendingEra = 0
-		return e.armEraTimer(nil)
-	}
-	e.era = newEra
+	e.era = e.chain.Era()
 	e.eraSwitches++
 	e.rotateWAL()
 
+	var adds []gcrypto.Address
+	for _, m := range e.chain.Endorsers() {
+		if !e.committee.IsMember(m.Address) {
+			adds = append(adds, m.Address)
+		}
+	}
 	var acts []consensus.Action
-	// Announce to the freshly added endorsers so they sync and join.
 	announce := consensus.Seal(e.cfg.Key, &EraAnnounce{NewEra: e.era, Height: e.chain.Height()})
-	for _, addr := range e.pendingAdds {
+	for _, addr := range adds {
 		if addr != e.self {
 			acts = append(acts, consensus.Send{To: addr, Env: announce})
 		}
 	}
-	acts = e.sendBacklog(acts)
-	e.pendingAdds = nil
+	acts = e.sendBacklog(adds, acts)
 
 	acts = e.buildInstance(now, acts)
-	acts = e.armEraTimer(acts)
 	if e.committee != nil {
 		acts = append(acts, consensus.EraSwitched{Era: e.era, Committee: e.committee.Addresses()})
 	}
-	// Replay consensus traffic that arrived for the new era while we
-	// were still switching.
-	if e.inner != nil && len(e.buffered) > 0 {
-		pending := e.buffered
-		e.buffered = nil
-		for _, env := range pending {
-			if msgEra, ok := consensus.PeekEra(env); ok && msgEra == e.era {
-				acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
-			}
-		}
-	} else {
-		e.buffered = nil
+	return e.relayHeld(now, e.replayBuffered(now, acts))
+}
+
+// replayBuffered hands the inner instance of the era just begun the
+// consensus traffic that arrived for it early, and forgets the rest.
+func (e *Engine) replayBuffered(now consensus.Time, acts []consensus.Action) []consensus.Action {
+	pending := e.buffered
+	e.buffered = nil
+	if e.inner == nil {
+		return acts
 	}
-	return e.relayHeld(now, acts)
+	for _, env := range pending {
+		if msgEra, ok := consensus.PeekEra(env); ok && msgEra == e.era {
+			acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
+		}
+	}
+	return acts
 }
 
 // sendBacklog gives the endorsers a switch adds the transactions relayed
 // before it: every old member pools them and no added member does, so an
 // added member leading the new era's first view would have nothing to
 // propose while everyone else waits on it. One node sends — the proposer
-// of the config block, which is the chain head (nothing commits during
+// of the boundary block, which is the chain head (nothing commits during
 // the pause) and names the same node to everyone — so a receiver's cost
 // is bounded by the pool, whatever the committee size. Every member
 // re-announcing its pool to every other cost each receiver n x pool
 // envelopes in front of the new era's first pre-prepare.
-func (e *Engine) sendBacklog(acts []consensus.Action) []consensus.Action {
-	if len(e.pendingAdds) == 0 || e.chain.Head().Header.Proposer != e.self {
+func (e *Engine) sendBacklog(adds []gcrypto.Address, acts []consensus.Action) []consensus.Action {
+	if len(adds) == 0 || e.chain.Head().Header.Proposer != e.self {
 		return acts
 	}
 	for _, tx := range e.cfg.App.PendingList(maxBacklog) {
 		env := pbft.NewRequest(e.cfg.Key, &tx)
-		for _, addr := range e.pendingAdds {
+		for _, addr := range adds {
 			acts = append(acts, consensus.Send{To: addr, Env: env})
 		}
 	}
 	return acts
-}
-
-// onEraTick runs Algorithm 1 and, when this node leads the current
-// view, proposes the configuration transaction for the next era.
-func (e *Engine) onEraTick(now consensus.Time) []consensus.Action {
-	e.eraTID = 0
-	if e.switching || e.inner == nil {
-		return e.armEraTimer(nil)
-	}
-	// Memory hygiene (election-table and witness pruning) happens in the
-	// ledger when a config transaction commits: every node prunes at the
-	// same committed block, keeping the canonical ChainState — and hence
-	// snapshot roots — byte-identical across the committee.
-	var acts []consensus.Action
-	res := RunElection(e.chain, e.chain.Head().Header.Timestamp)
-	due := !res.Stalled && (!res.IsEmpty() || e.cfg.ForceEraSwitch)
-	if due && e.inner.Primary() == e.self && !e.inner.InViewChange() {
-		tx := e.configTx(now, res.Change(e.era+1))
-		if e.cfg.App.SubmitTx(tx) == nil {
-			acts = append(acts, e.filterInner(now, e.inner.OnRequest(now, tx))...)
-		}
-	}
-	return e.armEraTimer(acts)
-}
-
-// configTx crafts the signed configuration transaction carrying the
-// election outcome.
-func (e *Engine) configTx(now consensus.Time, change *types.ConfigChange) *types.Transaction {
-	e.nonce++
-	tx := &types.Transaction{
-		Type:    types.TxConfig,
-		Nonce:   (e.chain.Height()+1)<<16 | e.nonce,
-		Payload: types.EncodeConfigChange(change),
-		Geo: types.GeoInfo{
-			Location:  e.ownLocation(),
-			Timestamp: e.cfg.Epoch.Add(now),
-		},
-	}
-	tx.Sign(e.cfg.Key)
-	return tx
-}
-
-// expectedChange computes the deterministic election outcome every
-// honest endorser expects in the next config transaction, or nil when
-// no switch is due.
-func (e *Engine) expectedChange() *types.ConfigChange {
-	res := RunElection(e.chain, e.chain.Head().Header.Timestamp)
-	if res.Stalled || (res.IsEmpty() && !e.cfg.ForceEraSwitch) {
-		return nil
-	}
-	return res.Change(e.chain.Era() + 1)
 }
 
 // --- announcements and block sync ---
@@ -1033,128 +957,46 @@ func (e *Engine) maybeJoin(now consensus.Time) []consensus.Action {
 	e.rotateWAL()
 	var acts []consensus.Action
 	acts = e.buildInstance(now, acts)
-	acts = e.armEraTimer(acts)
 	if e.committee != nil {
 		acts = append(acts, consensus.EraSwitched{Era: e.era, Committee: e.committee.Addresses()})
 	}
-	// Replay buffered traffic for this era.
-	if e.inner != nil && len(e.buffered) > 0 {
-		pending := e.buffered
-		e.buffered = nil
-		for _, env := range pending {
-			if msgEra, ok := consensus.PeekEra(env); ok && msgEra == e.era {
-				acts = append(acts, e.filterInner(now, e.inner.OnEnvelope(now, env))...)
-			}
-		}
-	}
-	return e.relayHeld(now, acts)
+	return e.relayHeld(now, e.replayBuffered(now, acts))
 }
 
-// eraApp wraps the node's application to enforce era-switch semantics
-// on proposals: at most one configuration transaction per block, and
-// it must equal the election outcome every honest endorser computes
-// from the same committed state.
-//
-// Configuration transactions are a pipeline barrier (paper §IV-A2: the
-// old committee halts at a switch). They travel only in a block whose
-// parent is the applied chain head, where the election is judged against
-// committed state; a block on an in-flight parent may carry none, and
-// nothing is built on a config-carrying parent, so the window drains and
-// the switch proposal goes out on the head.
+// eraApp wraps the node's application with the era switch's pipeline
+// barrier (paper §IV-A2: the old committee halts at a switch). A block
+// stamped past the era boundary ends the era, and the chain decides at
+// that block whether the committee switches, so nothing is built on, or
+// validated against, an in-flight parent that crossed the boundary: the
+// window drains, the boundary block is applied, and then the era
+// either goes on from the new head or halts for the switch.
 type eraApp struct {
 	pbft.Application
 	eng *Engine
 }
 
-// BuildBlockOn implements pbft.Application. On the head it filters
-// stale or foreign config transactions out of the proposal (validators
-// would reject them and stall the view) and DROPS them from the pool: a
-// stale one left at the head of the FIFO would wedge proposals forever
-// once it became the only buildable transaction. Off the head it builds
-// nothing that carries, or extends, a config transaction.
+// errPastBoundary refuses a proposal that extends an in-flight boundary
+// block.
+var errPastBoundary = errors.New("gpbft: block extends an unapplied era boundary block")
+
+// endsEra reports whether parent is an in-flight block that crossed the
+// era boundary.
+func (a *eraApp) endsEra(parent *types.Block) bool {
+	return !types.SameBlock(parent, a.Head()) && a.eng.chain.CrossesBoundary(parent)
+}
+
+// BuildBlockOn implements pbft.Application.
 func (a *eraApp) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
-	onHead := types.SameBlock(parent, a.Head())
-	if !onHead && blockHasConfig(parent) {
-		return nil // an era switch is landing; let it finish first
-	}
-	b := a.Application.BuildBlockOn(now, era, view, seq, parent, exclude)
-	if b == nil || !blockHasConfig(b) {
-		return b
-	}
-	if !onHead {
+	if a.endsEra(parent) {
 		return nil
 	}
-	expected := a.expectedConfig()
-	keep := make([]types.Transaction, 0, len(b.Txs))
-	configKept := false
-	for _, tx := range b.Txs {
-		if tx.Type == types.TxConfig {
-			if configKept || expected == nil || !bytes.Equal(tx.Payload, expected) {
-				a.eng.cfg.App.Pool().Drop(tx.ID())
-				continue
-			}
-			configKept = true
-		}
-		keep = append(keep, tx)
-	}
-	switch {
-	case len(keep) == 0:
-		return nil
-	case len(keep) != len(b.Txs):
-		return types.NewBlock(b.Header, keep)
-	}
-	return b
+	return a.Application.BuildBlockOn(now, era, view, seq, parent, exclude)
 }
 
-// expectedConfig is the payload of the config transaction the election
-// expects in a block on the head, or nil when no switch is due.
-func (a *eraApp) expectedConfig() []byte {
-	if ch := a.eng.expectedChange(); ch != nil {
-		return types.EncodeConfigChange(ch)
-	}
-	return nil
-}
-
-// blockHasConfig reports whether any transaction in b is a TxConfig.
-func blockHasConfig(b *types.Block) bool {
-	for i := range b.Txs {
-		if b.Txs[i].Type == types.TxConfig {
-			return true
-		}
-	}
-	return false
-}
-
-// ValidateBlockOn implements pbft.Application, mirroring BuildBlockOn:
-// on the head a proposed config transaction must be the only one and
-// match the locally computed election outcome; off the head no block may
-// carry one or extend a config-carrying parent.
+// ValidateBlockOn implements pbft.Application.
 func (a *eraApp) ValidateBlockOn(b, parent *types.Block) error {
-	onHead := types.SameBlock(parent, a.Head())
-	switch {
-	case !onHead && blockHasConfig(parent):
-		return errors.New("gpbft: speculative child of a config block")
-	case !blockHasConfig(b):
-		return a.Application.ValidateBlockOn(b, parent)
-	case !onHead:
-		return errors.New("gpbft: config transaction outside the serial path")
-	}
-	expected := a.expectedConfig()
-	configs := 0
-	for i := range b.Txs {
-		tx := &b.Txs[i]
-		if tx.Type != types.TxConfig {
-			continue
-		}
-		if configs++; configs > 1 {
-			return errors.New("gpbft: multiple config transactions in one block")
-		}
-		if expected == nil {
-			return errors.New("gpbft: unexpected config transaction (no switch due)")
-		}
-		if !bytes.Equal(tx.Payload, expected) {
-			return errors.New("gpbft: config transaction disagrees with local election")
-		}
+	if a.endsEra(parent) {
+		return errPastBoundary
 	}
 	return a.Application.ValidateBlockOn(b, parent)
 }

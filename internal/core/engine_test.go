@@ -58,9 +58,52 @@ func TestForcedEraSwitchRotates(t *testing.T) {
 	}
 }
 
-// TestRogueConfigTxNeverCommits: a config transaction whose payload
-// disagrees with the deterministic election outcome is filtered by
-// proposers and rejected by validators — it must never reach the chain.
+// TestEraAdvancesWithoutAProposal: an era switch is nobody's proposal,
+// so no primary can withhold it. With forced switches, seven endorsers
+// and location reports keeping blocks coming, the era advances at the
+// first block stamped past the era's end — within EraPeriod plus two
+// view-change timeouts — and no view change is needed.
+func TestEraAdvancesWithoutAProposal(t *testing.T) {
+	o := fastOpts(7)
+	o.ForceEraSwitch = true
+	o.EraPeriod = 2 * time.Second
+	o.SwitchPeriod = 100 * time.Millisecond
+	c, err := gpbft.NewCluster(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		c.ScheduleReports(i, 50*time.Millisecond, 250*time.Millisecond, 40)
+	}
+	c.Run(10 * time.Millisecond)
+	deadline := o.EraPeriod + 2*c.CoreEngine(0).Inner().Timeout()
+
+	views := uint64(0)
+	for c.Now() < deadline && c.Node(0).App.Chain().Era() == 0 {
+		c.Run(c.Now() + 10*time.Millisecond)
+		for i := 0; i < 7; i++ {
+			if in := c.CoreEngine(i).Inner(); in != nil {
+				views = max(views, in.View())
+			}
+		}
+	}
+	for i := 0; i < 7; i++ {
+		if era := c.Node(i).App.Chain().Era(); era != 1 {
+			t.Fatalf("node %d at era %d %v into the run, want 1 (deadline %v)", i, era, c.Now(), deadline)
+		}
+	}
+	if views != 0 {
+		t.Fatalf("the era advanced only after a view change (view %d)", views)
+	}
+	if h := c.Node(0).App.Chain().Height(); h < 2 {
+		t.Fatalf("chain at height %d", h)
+	}
+}
+
+// TestRogueConfigTxNeverCommits: the era switch carries no transaction,
+// so a configuration transaction — the retired kind, here one claiming
+// to add a node that never qualified — is refused at the door and in
+// blocks alike. It must never reach the chain or move the era.
 func TestRogueConfigTxNeverCommits(t *testing.T) {
 	o := fastOpts(5)
 	o.DisableEraSwitch = false
@@ -68,27 +111,16 @@ func TestRogueConfigTxNeverCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A rogue (but currently valid endorser) proposes adding a node
-	// that never qualified.
-	rogueChange := &types.ConfigChange{
-		NewEra: 1,
-		Add: []types.EndorserInfo{{
-			Address: c.Address(4),
-			PubKey:  c.Node(4).Key.Public(),
-			Geohash: "wecnyhwbp1",
-		}},
-	}
 	tx := &types.Transaction{
-		Type:    types.TxConfig,
+		Type:    types.TxType(1), // the retired configuration kind
 		Nonce:   999,
-		Payload: types.EncodeConfigChange(rogueChange),
+		Payload: []byte("add " + c.Address(4).String()),
 		Geo: types.GeoInfo{
 			Location:  c.Position(0),
 			Timestamp: o.Epoch.Add(time.Second),
 		},
 	}
-	// Signed by endorser 0 — passes the ledger's "config from
-	// endorser" rule; only the election check can stop it.
+	// Signed by an endorser, which the old kind required.
 	txKey := c.Node(0).Key
 	tx.Sign(txKey)
 	c.SubmitTx(10*time.Millisecond, 0, tx)
@@ -198,5 +230,25 @@ func TestObserverRelaysToCommittee(t *testing.T) {
 	c.RunUntilIdle(30 * time.Second)
 	if got := c.Metrics().CommittedCount(); got != 4 {
 		t.Fatalf("committed %d of 4 observer txs", got)
+	}
+}
+
+// TestDisableEraSwitchMustMatchTheChain: whether eras switch is the
+// genesis era rule's decision, so an engine told to freeze the committee
+// on a chain whose genesis switches eras is refused, and accepted on a
+// frozen chain.
+func TestDisableEraSwitchMustMatchTheChain(t *testing.T) {
+	for _, frozen := range []bool{false, true} {
+		o := fastOpts(4)
+		o.DisableEraSwitch = frozen
+		c, err := gpbft.NewCluster(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.Node(0)
+		_, err = core.New(core.Config{Chain: n.App.Chain(), Key: n.Key, App: n.App, DisableEraSwitch: true})
+		if (err == nil) != frozen {
+			t.Fatalf("frozen genesis %v: core.New with DisableEraSwitch returned %v", frozen, err)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // switch", Section IV-A2).
 type EraAnnounce struct {
 	NewEra uint64
-	Height uint64 // chain height of the block carrying the config tx
+	Height uint64 // chain height of the boundary block that switched the era
 }
 
 // Kind implements consensus.Payload.

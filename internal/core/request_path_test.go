@@ -280,7 +280,7 @@ func TestDemotedNodeForwardsHeldRequests(t *testing.T) {
 
 // TestAddedPrimaryProposesBacklog: the switch adds a member that leads
 // the new era's first view. The transactions relayed before the switch
-// reach it from the config block's proposer, so it proposes them and no
+// reach it from the boundary block's proposer, so it proposes them and no
 // view change is needed.
 func TestAddedPrimaryProposesBacklog(t *testing.T) {
 	o := fastOpts(5)
@@ -328,5 +328,38 @@ func TestAddedPrimaryProposesBacklog(t *testing.T) {
 		if in := c.CoreEngine(i).Inner(); in == nil || in.Era() == 0 || in.CompletedViewChanges() != 0 {
 			t.Fatalf("node %d: new era opened with a view change (or it never joined)", i)
 		}
+	}
+}
+
+// TestObserverRelaysClientRequest: a client's request that reaches a
+// node outside the committee is pooled there and forwarded to one
+// member, so it commits. A member's relay that reaches the observer is
+// pooled and goes nowhere: it came from the committee.
+func TestObserverRelaysClientRequest(t *testing.T) {
+	o := fastOpts(6)
+	o.MaxEndorsers = 4
+	o.DisableEraSwitch = true
+	c, err := gpbft.NewCluster(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := tapRequests(c, 5)
+	c.Run(10 * time.Millisecond) // every engine has run Init
+
+	client := gcrypto.DeterministicKeyPair(99)
+	fromClient := c.NewNodeTx(5, c.Now(), []byte("via a client"), 1)
+	c.Node(5).Deliver(c.Now(), consensus.Seal(client, &pbft.Request{Tx: *fromClient}))
+	fromMember := c.NewNodeTx(1, c.Now(), []byte("relayed by a member"), 1)
+	c.Node(5).Deliver(c.Now(), consensus.Seal(c.Node(1).Key, &pbft.Request{Tx: *fromMember}))
+	c.RunUntilIdle(30 * time.Second)
+
+	if to := tap.sent[fromClient.ID()]; len(to) != 1 || !c.Node(0).App.Chain().IsEndorser(to[0]) {
+		t.Fatalf("client request forwarded to %v, want one committee member", to)
+	}
+	if !committed(c, 0, fromClient) {
+		t.Fatalf("client request sent to an observer never committed (observer pool holds %d)", c.Node(5).App.PendingTxs())
+	}
+	if got := len(tap.sent[fromMember.ID()]); got != 0 {
+		t.Fatalf("a member's relay bounced from the observer to %d peers", got)
 	}
 }

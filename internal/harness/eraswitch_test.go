@@ -37,10 +37,12 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 	// and by the current one (an era switch replaces the instance).
 	type views struct{ era, past, current uint64 }
 	seen := make([]views, n)
-	// On node 0: every commit gap that begins at a config block, and the
-	// view-change timeout in effect when it began.
+	// On node 0: every commit gap that begins at a switch block — the
+	// block after which the node's era advanced — and the view-change
+	// timeout in effect when it began.
 	var switchGaps, timeouts []time.Duration
 	var configAt time.Duration
+	chainEra := uint64(0)
 	for i := 0; i < n; i++ {
 		i := i
 		node, eng, observe := cl.Node(i), cl.CoreEngine(i), cl.Node(i).OnCommit
@@ -60,11 +62,10 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 				switchGaps = append(switchGaps, now-configAt)
 				configAt = 0
 			}
-			for k := range b.Txs {
-				if b.Txs[k].Type == types.TxConfig {
-					configAt = now
-					timeouts = append(timeouts, eng.Inner().Timeout())
-				}
+			if e := node.App.Chain().Era(); e != chainEra {
+				chainEra = e
+				configAt = now
+				timeouts = append(timeouts, eng.Inner().Timeout())
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"gpbft/internal/evidence"
 	"gpbft/internal/gcrypto"
@@ -19,10 +20,11 @@ var (
 	ErrForkDetected   = errors.New("ledger: conflicting block at committed height")
 	ErrDuplicateBlock = errors.New("ledger: block already committed")
 	ErrTxInvalid      = errors.New("ledger: block contains invalid transaction")
-	ErrConfigSender   = errors.New("ledger: config transaction from non-endorser")
+	ErrConfigSender   = errors.New("ledger: region checkpoint from non-endorser")
 	ErrApplySender    = errors.New("ledger: transfer apply from non-endorser")
 	ErrUnknownHeight  = errors.New("ledger: no block at height")
 	ErrEraRegressed   = errors.New("ledger: block era lower than head era")
+	ErrTimeRegressed  = errors.New("ledger: block time earlier than its parent's")
 )
 
 // ForkEvidence records an attempted fork: a second, different block
@@ -47,12 +49,15 @@ type Chain struct {
 	// from (or compacted below) a snapshot.
 	base   uint64
 	byHash map[gcrypto.Hash]*types.Block
-	// endorsers is the current committee, derived from genesis plus
-	// committed config transactions.
+	// endorsers is the current committee: genesis plus the result of
+	// every era boundary that switched.
 	endorsers map[gcrypto.Address]types.EndorserInfo
-	// era is the current G-PBFT era, advanced by committed config
-	// transactions.
+	// era is the current G-PBFT era, advanced at era boundaries.
 	era uint64
+	// boundary is the header time at which the current era's time is up:
+	// the first block stamped at or after it is the boundary block, where
+	// Algorithm 1 runs (unused under ErasFrozen).
+	boundary time.Time
 	// accounts records the public key of every address that has sent a
 	// committed transaction, so election can mint EndorserInfo for
 	// candidates.
@@ -124,6 +129,7 @@ func NewChain(g *Genesis) (*Chain, error) {
 		lastGeo:       make(map[gcrypto.Address]geoEntry),
 		cellSeen:      make(map[string]map[gcrypto.Address]geoEntry),
 		everEndorsers: make(map[gcrypto.Address]bool, len(g.Endorsers)),
+		boundary:      g.Timestamp.Add(g.Policy.EraPeriod),
 
 		appliedReceipts: make(map[gcrypto.Hash]TxLocation),
 	}
@@ -190,23 +196,16 @@ func (c *Chain) ByHash(h gcrypto.Hash) (*types.Block, bool) {
 	return b, ok
 }
 
-// Era returns the current G-PBFT era (the highest NewEra of any
-// committed config transaction; 0 at genesis).
+// Era returns the current G-PBFT era: the number of era boundaries
+// that switched the committee (0 at genesis).
 func (c *Chain) Era() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.era
 }
 
-// AccountKey returns the recorded public key of an address, or nil.
-func (c *Chain) AccountKey(addr gcrypto.Address) []byte {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.accounts[addr]
-}
-
-// Endorsers returns the current committee (genesis plus committed
-// config deltas), sorted by address for deterministic ordering.
+// Endorsers returns the current committee (genesis plus every switch's
+// election result), sorted by address for deterministic ordering.
 func (c *Chain) Endorsers() []types.EndorserInfo {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -226,18 +225,6 @@ func (c *Chain) IsEndorser(addr gcrypto.Address) bool {
 	return ok
 }
 
-// EndorserKeys returns the committee's address → public key map, for
-// certificate verification.
-func (c *Chain) EndorserKeys() map[gcrypto.Address]gcrypto.PublicKey {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[gcrypto.Address]gcrypto.PublicKey, len(c.endorsers))
-	for a, e := range c.endorsers {
-		out[a] = e.PubKey
-	}
-	return out
-}
-
 // Forks returns recorded fork evidence.
 func (c *Chain) Forks() []ForkEvidence {
 	c.mu.RLock()
@@ -252,9 +239,10 @@ func (c *Chain) Forks() []ForkEvidence {
 func (c *Chain) ValidateBlock(b *types.Block) error { return c.ValidateBlockOn(b, nil) }
 
 // ValidateBlockOn checks b as the immediate child of parent without
-// committing: height continuity, parent linkage, tx root, transaction
-// signatures, region membership of every geo report, and
-// config-from-endorser. A nil parent names the head. When parent is the
+// committing: height continuity, parent linkage, time that never runs
+// backwards, tx root, transaction signatures, region membership of every
+// geo report, and the senders of endorser-only transactions. A nil
+// parent names the head. When parent is the
 // head, a block at or below it is refused as a duplicate or recorded
 // against it as a fork; otherwise parent is a block still in flight
 // (pipelined consensus), and only the link to it is checked.
@@ -292,6 +280,11 @@ func (c *Chain) validateLocked(b, parent *types.Block) error {
 	}
 	if b.Header.Era < parent.Header.Era {
 		return ErrEraRegressed
+	}
+	// The era boundary and the proposer's geographic-timer reset both
+	// read header time, so a block may not be stamped before its parent.
+	if b.Header.Timestamp.Before(parent.Header.Timestamp) {
+		return ErrTimeRegressed
 	}
 	return c.validateStatelessLocked(b)
 }
@@ -353,13 +346,6 @@ func (c *Chain) checkTxLocked(tx *types.Transaction, seenCkpts map[string]gcrypt
 		return fmt.Errorf("%w: outside deployment region", ErrTxInvalid)
 	}
 	switch tx.Type {
-	case types.TxConfig:
-		if _, ok := c.endorsers[tx.Sender]; !ok {
-			return ErrConfigSender
-		}
-		if _, err := types.DecodeConfigChange(tx.Payload); err != nil {
-			return fmt.Errorf("%w: bad config payload: %v", ErrTxInvalid, err)
-		}
 	case types.TxEvidence:
 		rec, err := evidence.Decode(tx.Payload)
 		if err != nil {
@@ -382,7 +368,7 @@ func (c *Chain) checkTxLocked(tx *types.Transaction, seenCkpts map[string]gcrypt
 	case types.TxTransferApply:
 		// Application is idempotent per receipt ID (duplicate applies
 		// commit as counted no-ops), but the right to submit one is
-		// restricted like TxConfig: applying a receipt credits value,
+		// restricted to endorsers: applying a receipt credits value,
 		// so an arbitrary identity forging receipt payloads must not
 		// mint balances. A region chain additionally refuses receipts
 		// not destined for it.
@@ -397,8 +383,7 @@ func (c *Chain) checkTxLocked(tx *types.Transaction, seenCkpts map[string]gcrypt
 			return fmt.Errorf("%w: receipt destined for region %q (this chain serves %q)", ErrTxInvalid, rc.Dest, c.shardPrefix)
 		}
 	case types.TxRegionCheckpoint:
-		// Like TxConfig, only a committee member may attest a region
-		// head; and a checkpoint conflicting with an already-anchored
+		// Only a committee member may attest a region head; and a checkpoint conflicting with an already-anchored
 		// root for the same (region, height) is a cross-region fork
 		// proof — refuse to commit it.
 		if _, ok := c.endorsers[tx.Sender]; !ok {
@@ -437,14 +422,13 @@ func (c *Chain) CheckTxAdmissible(tx *types.Transaction) error {
 }
 
 // AddBlock validates and commits b: appends it, feeds every
-// transaction's geo info into the election table, applies config
-// deltas to the committee, and distributes rewards. A conflicting
-// block at a committed height is recorded as fork evidence and
-// rejected with ErrForkDetected.
+// transaction's geo info into the election table, distributes rewards,
+// and, when b is the era's boundary block, runs Algorithm 1 and
+// switches the era. A conflicting block at a committed height is
+// recorded as fork evidence and rejected with ErrForkDetected.
 func (c *Chain) AddBlock(b *types.Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	eraBefore := c.era
 	if err := c.validateLocked(b, nil); err != nil {
 		if errors.Is(err, ErrForkDetected) {
 			c.recordForkLocked(ForkEvidence{
@@ -455,6 +439,12 @@ func (c *Chain) AddBlock(b *types.Block) error {
 			})
 		}
 		return err
+	}
+	// Algorithm 1 runs over the state b extends, as of its parent's time.
+	boundary := c.crossesLocked(b)
+	var elected ElectionResult
+	if boundary {
+		elected = c.electLocked(c.blocks[len(c.blocks)-1].Header.Timestamp)
 	}
 	c.blocks = append(c.blocks, b)
 	c.byHash[b.Hash()] = b
@@ -497,13 +487,6 @@ func (c *Chain) AddBlock(b *types.Block) error {
 			if rec, err := evidence.Decode(tx.Payload); err == nil {
 				c.applyEvidenceLocked(rec)
 			}
-		}
-		if tx.Type == types.TxConfig {
-			change, err := types.DecodeConfigChange(tx.Payload)
-			if err != nil {
-				continue // validated above; defensive
-			}
-			c.applyConfigLocked(change)
 		}
 		if tx.Type == types.TxTransferLock {
 			if tr, err := shard.DecodeTransfer(tx.Payload); err == nil {
@@ -573,10 +556,53 @@ func (c *Chain) AddBlock(b *types.Block) error {
 		// geographic timer will reset by the system."
 		c.table.ResetTimer(b.Header.Proposer.String(), b.Header.Timestamp)
 	}
-	if c.era != eraBefore && c.onEraBump != nil {
+	if boundary && c.endEraLocked(b, elected) && c.onEraBump != nil {
 		c.onEraBump(c.exportStateLocked())
 	}
 	return nil
+}
+
+// CrossesBoundary reports whether b, a child of the head or of a block
+// in flight above it, is stamped at or after the end of the current
+// era: the block at which the chain runs Algorithm 1. Nothing may be
+// built on such a block until it is applied.
+func (c *Chain) CrossesBoundary(b *types.Block) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.crossesLocked(b)
+}
+
+func (c *Chain) crossesLocked(b *types.Block) bool {
+	return c.genesis.Policy.Eras != ErasFrozen && !b.Header.Timestamp.Before(c.boundary)
+}
+
+// endEraLocked closes the era at its boundary block b with the election
+// result computed as of b's parent, and reports whether the era
+// advanced. It advances when the result changes the committee (and does
+// not stall it), or on every boundary under ErasForced. Either way the
+// next boundary is one era period on; a switch adds the switch pause,
+// during which no block commits.
+func (c *Chain) endEraLocked(b *types.Block, res ElectionResult) bool {
+	p := &c.genesis.Policy
+	c.boundary = b.Header.Timestamp.Add(p.EraPeriod)
+	if res.Stalled || res.IsEmpty() && p.Eras != ErasForced {
+		return false
+	}
+	c.era++
+	c.boundary = c.boundary.Add(p.SwitchPeriod)
+	if latest := c.table.LatestTimestamp(); !latest.IsZero() {
+		horizon := latest.Add(-pruneHorizonFactor * p.QualificationWindow)
+		c.table.Prune(horizon)
+		c.witnesses.Prune(horizon)
+	}
+	for _, a := range res.Invalid {
+		delete(c.endorsers, a)
+	}
+	for _, e := range res.Qualified {
+		c.endorsers[e.Address] = e
+		c.everEndorsers[e.Address] = true
+	}
+	return true
 }
 
 // SetEraBumpHook registers fn to observe every era advance at the
@@ -594,40 +620,10 @@ func (c *Chain) SetEraBumpHook(fn func(*ChainState)) {
 // pruneHorizonFactor sets how far behind table time the election table
 // and witness index retain rows: several qualification windows, so
 // every lookback any election or dispute check consults stays intact.
-// Pruning runs at era boundaries (config application) — a point every
-// honest node reaches at the same committed block — so the retained
-// row set, and therefore the canonical ChainState encoding, is a pure
-// function of chain content.
+// Pruning runs when an era switches — at a block every honest node
+// applies — so the retained row set, and therefore the canonical
+// ChainState encoding, is a pure function of chain content.
 const pruneHorizonFactor = 4
-
-func (c *Chain) applyConfigLocked(change *types.ConfigChange) {
-	if change.NewEra > c.era {
-		c.era = change.NewEra
-		if latest := c.table.LatestTimestamp(); !latest.IsZero() {
-			horizon := latest.Add(-pruneHorizonFactor * c.genesis.Policy.QualificationWindow)
-			c.table.Prune(horizon)
-			c.witnesses.Prune(horizon)
-		}
-	}
-	for _, a := range change.Remove {
-		delete(c.endorsers, a)
-	}
-	for _, e := range change.Add {
-		if c.genesis.Policy.Blacklisted(e.Address) {
-			continue
-		}
-		if !c.genesis.Policy.DisableExpulsion {
-			if _, bad := c.banned[e.Address]; bad {
-				continue // convicted by evidence: readmission refused
-			}
-		}
-		if len(c.endorsers) >= c.genesis.Policy.MaxEndorsers {
-			break
-		}
-		c.endorsers[e.Address] = e
-		c.everEndorsers[e.Address] = true
-	}
-}
 
 // recordForkLocked counts a fork attempt and stores its evidence,
 // collapsing duplicates and capping retained records.

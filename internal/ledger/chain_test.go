@@ -167,101 +167,6 @@ func TestAddBlockForkDetection(t *testing.T) {
 	}
 }
 
-func TestConfigTxOnlyFromEndorser(t *testing.T) {
-	c, _ := NewChain(testGenesis(t, 4))
-	change := &types.ConfigChange{NewEra: 1}
-	// Key 99 is not a genesis endorser.
-	outsider := gcrypto.DeterministicKeyPair(99)
-	tx := types.Transaction{
-		Type:    types.TxConfig,
-		Nonce:   1,
-		Payload: types.EncodeConfigChange(change),
-		Geo: types.GeoInfo{
-			Location:  geo.Point{Lng: 114.1795, Lat: 22.3050},
-			Timestamp: tableEpoch,
-		},
-	}
-	tx.Sign(outsider)
-	b := nextBlock(c, []types.Transaction{tx}, 0)
-	if err := c.AddBlock(b); !errors.Is(err, ErrConfigSender) {
-		t.Fatalf("want ErrConfigSender, got %v", err)
-	}
-}
-
-func TestConfigTxAppliesCommitteeDelta(t *testing.T) {
-	c, _ := NewChain(testGenesis(t, 4))
-	newKp := gcrypto.DeterministicKeyPair(50)
-	oldAddr := gcrypto.DeterministicKeyPair(3).Address()
-	change := &types.ConfigChange{
-		NewEra: 1,
-		Add: []types.EndorserInfo{{
-			Address: newKp.Address(),
-			PubKey:  newKp.Public(),
-			Geohash: geo.MustEncode(fixedSpot, geo.CSCPrecision),
-		}},
-		Remove: []gcrypto.Address{oldAddr},
-	}
-	tx := types.Transaction{
-		Type:    types.TxConfig,
-		Nonce:   1,
-		Payload: types.EncodeConfigChange(change),
-		Geo: types.GeoInfo{
-			Location:  geo.Point{Lng: 114.1795, Lat: 22.3050},
-			Timestamp: tableEpoch,
-		},
-	}
-	tx.Sign(gcrypto.DeterministicKeyPair(0)) // endorser proposes
-	b := nextBlock(c, []types.Transaction{tx}, 0)
-	b.Header.Era = 1
-	if err := c.AddBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	if c.IsEndorser(oldAddr) {
-		t.Error("removed endorser still present")
-	}
-	if !c.IsEndorser(newKp.Address()) {
-		t.Error("added endorser missing")
-	}
-	keys := c.EndorserKeys()
-	if len(keys) != 4 {
-		t.Fatalf("committee size %d, want 4", len(keys))
-	}
-}
-
-func TestConfigTxRespectsBlacklistAndMax(t *testing.T) {
-	g := testGenesis(t, 4)
-	banned := gcrypto.DeterministicKeyPair(60)
-	g.Policy.Blacklist = []gcrypto.Address{banned.Address()}
-	g.Policy.MaxEndorsers = 5
-	c, _ := NewChain(g)
-
-	mk := func(i int) types.EndorserInfo {
-		kp := gcrypto.DeterministicKeyPair(i)
-		return types.EndorserInfo{Address: kp.Address(), PubKey: kp.Public(),
-			Geohash: geo.MustEncode(fixedSpot, geo.CSCPrecision)}
-	}
-	change := &types.ConfigChange{
-		NewEra: 1,
-		Add:    []types.EndorserInfo{mk(60), mk(61), mk(62)},
-	}
-	tx := types.Transaction{
-		Type: types.TxConfig, Nonce: 1,
-		Payload: types.EncodeConfigChange(change),
-		Geo:     types.GeoInfo{Location: fixedSpot, Timestamp: tableEpoch},
-	}
-	tx.Sign(gcrypto.DeterministicKeyPair(0))
-	b := nextBlock(c, []types.Transaction{tx}, 0)
-	if err := c.AddBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	if c.IsEndorser(banned.Address()) {
-		t.Error("blacklisted node admitted")
-	}
-	if got := len(c.Endorsers()); got != 5 {
-		t.Errorf("committee size %d, want capped at 5", got)
-	}
-}
-
 func TestRegionEnforcedOnTxs(t *testing.T) {
 	g := testGenesis(t, 4)
 	g.Policy.Region = geo.NewRegion(geo.Point{Lng: 114, Lat: 22}, geo.Point{Lng: 115, Lat: 23})

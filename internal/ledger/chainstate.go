@@ -40,6 +40,8 @@ import (
 type ChainState struct {
 	GenesisHash gcrypto.Hash
 	Era         uint64
+	// Boundary is the header time at which the era's time is up.
+	Boundary time.Time
 	// Base is the checkpoint block: the head at export time, with its
 	// commit certificate. Its header carries the last-stable (view,
 	// seq) of the producing era.
@@ -112,8 +114,9 @@ var (
 )
 
 // chainStateTag versions the canonical encoding; v2 appended the
-// cross-region receipt and anchor indexes, v3 the refused-lock counter.
-const chainStateTag = "gpbft/chainstate/v3"
+// cross-region receipt and anchor indexes, v3 the refused-lock counter,
+// v4 the era boundary.
+const chainStateTag = "gpbft/chainstate/v4"
 
 // Height returns the checkpoint height.
 func (st *ChainState) Height() uint64 { return st.Base.Header.Height }
@@ -123,6 +126,7 @@ func (st *ChainState) MarshalCanonical(w *codec.Writer) {
 	w.String(chainStateTag)
 	w.Raw(st.GenesisHash[:])
 	w.Uint64(st.Era)
+	w.Time(st.Boundary)
 	st.Base.MarshalCanonical(w)
 
 	w.Count(len(st.Endorsers))
@@ -226,6 +230,7 @@ func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
 	}
 	r.RawInto(st.GenesisHash[:])
 	st.Era = r.Uint64()
+	st.Boundary = r.Time()
 	if err := st.Base.UnmarshalCanonical(r); err != nil {
 		return err
 	}
@@ -423,6 +428,7 @@ func (c *Chain) exportStateLocked() *ChainState {
 	st := &ChainState{
 		GenesisHash: c.genesis.Hash(),
 		Era:         c.era,
+		Boundary:    c.boundary,
 		Base:        head,
 	}
 
@@ -599,6 +605,7 @@ func validateState(g *Genesis, st *ChainState) error {
 func (c *Chain) applyStateLocked(st *ChainState) {
 	base := st.Base
 	c.era = st.Era
+	c.boundary = st.Boundary
 	c.base = base.Header.Height
 	c.blocks = []*types.Block{&base}
 	c.byHash = map[gcrypto.Hash]*types.Block{base.Hash(): &base}

@@ -1,19 +1,4 @@
-// Package core implements the paper's primary contribution: the
-// Geographic-PBFT era layer. It wraps a fresh PBFT instance per era
-// ("G-PBFT can be regarded as a splice of multiple successive PBFT",
-// Section III-B4) and adds:
-//
-//   - geographic authentication of endorsers and candidates
-//     (Algorithm 1), driven by the on-chain election table;
-//   - the Sybil guard of Section IV-A1 (no two identities in one CSC
-//     cell, deployment-region membership);
-//   - the era-switch mechanism of Section III-E, agreed through a
-//     configuration transaction committed by the old committee, with a
-//     switch period during which no transactions commit;
-//   - the incentive mechanism's proposer bias (longer geographic timer
-//     ⇒ earlier in the primary rotation) and expulsion of endorsers
-//     that miss blocks or fork.
-package core
+package ledger
 
 import (
 	"sort"
@@ -21,14 +6,14 @@ import (
 
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
-	"gpbft/internal/ledger"
 	"gpbft/internal/types"
 )
 
 // ElectionResult is the outcome of one Algorithm 1 pass.
 type ElectionResult struct {
 	// Invalid are current endorsers that failed re-authentication
-	// (moved, under-reported, left the region, or caused a fork).
+	// (moved, under-reported, left the region, or were convicted by
+	// committed evidence).
 	Invalid []gcrypto.Address
 	// Qualified are candidates admitted for the next era, best first.
 	Qualified []types.EndorserInfo
@@ -47,27 +32,27 @@ func (r *ElectionResult) IsEmpty() bool {
 	return len(r.Invalid) == 0 && len(r.Qualified) == 0
 }
 
-// Change converts the result into the config-transaction payload for
-// the next era.
-func (r *ElectionResult) Change(newEra uint64) *types.ConfigChange {
-	return &types.ConfigChange{
-		NewEra: newEra,
-		Add:    append([]types.EndorserInfo(nil), r.Qualified...),
-		Remove: append([]gcrypto.Address(nil), r.Invalid...),
-	}
+// RunElection executes Algorithm 1 against the chain's committed state.
+// asOf anchors all lookbacks. The chain runs it itself at every era
+// boundary (AddBlock), as of the parent of the boundary block; callers
+// outside the ledger use it to inspect what the next boundary would do.
+func RunElection(c *Chain, asOf time.Time) ElectionResult {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.electLocked(asOf)
 }
 
-// RunElection executes Algorithm 1 against the chain's election table.
-// asOf anchors all lookbacks; callers pass the head block's timestamp
-// so every honest endorser computes the identical result from the same
-// committed state.
+// electLocked is RunElection under the caller's lock. It reads committed
+// state only, so every honest node computes the identical result at the
+// same block: local fork records, which depend on what a node happened
+// to receive, take no part (committed evidence expels a double-signer).
 //
 // Lines 2-14 of the algorithm re-authenticate current endorsers over
 // the last era period; lines 15-26 qualify candidates over the
 // qualification window.
-func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
-	policy := chain.Policy()
-	table := chain.Table()
+func (c *Chain) electLocked(asOf time.Time) ElectionResult {
+	policy := &c.genesis.Policy
+	table := c.table
 	// Anchor lookbacks at table time: under load, committed reports
 	// lag the head timestamp by the consensus queue delay, and judging
 	// devices against wall time would starve everyone. Table time is
@@ -77,29 +62,18 @@ func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
 		asOf = tt
 	}
 	res := ElectionResult{Rejected: make(map[gcrypto.Address]string)}
-
-	endorsers := chain.Endorsers()
-	current := make(map[gcrypto.Address]bool, len(endorsers))
-	for _, e := range endorsers {
-		current[e.Address] = true
-	}
-
-	// Endorsers that produced fork evidence are expelled outright:
-	// "If there are block missing and forking caused by an endorser,
-	// the endorser will be removed from the endorser list."
-	forkers := make(map[gcrypto.Address]bool)
-	for _, f := range chain.Forks() {
-		forkers[f.Proposer] = true
+	banned := func(addr gcrypto.Address) bool {
+		_, bad := c.banned[addr]
+		return bad && !policy.DisableExpulsion
 	}
 
 	// --- lines 2-14: re-authenticate the committee ---
 	authSince := asOf.Add(-policy.EraPeriod)
-	for _, v := range endorsers {
-		addr := v.Address
+	for addr := range c.endorsers {
 		// Committed evidence outranks the whitelist: a proof of
 		// misbehavior is a consensus decision, while the whitelist is
 		// only a genesis presumption of honesty.
-		if !policy.DisableExpulsion && chain.IsBanned(addr) {
+		if banned(addr) {
 			res.Rejected[addr] = "expelled by committed evidence"
 			res.Invalid = append(res.Invalid, addr)
 			continue
@@ -107,19 +81,15 @@ func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
 		if policy.Whitelisted(addr) {
 			continue // whitelisted endorsers stay without qualification
 		}
-		if forkers[addr] {
-			res.Invalid = append(res.Invalid, addr)
-			continue
-		}
 		g := table.ReportsSince(addr.String(), authSince)
-		if reason, ok := disqualify(g, &policy, policy.MinReports); ok {
+		if reason, ok := disqualify(g, policy); ok {
 			res.Rejected[addr] = reason
 			res.Invalid = append(res.Invalid, addr)
 		}
 	}
 
 	// --- lines 15-26: qualify candidates ---
-	room := policy.MaxEndorsers - (len(endorsers) - len(res.Invalid))
+	room := policy.MaxEndorsers - (len(c.endorsers) - len(res.Invalid))
 	if room > 0 {
 		qualSince := asOf.Add(-policy.QualificationWindow)
 		type scored struct {
@@ -129,19 +99,22 @@ func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
 		var pool []scored
 		for _, addrStr := range table.Devices() {
 			addr, err := gcrypto.ParseAddress(addrStr)
-			if err != nil || current[addr] {
+			if err != nil {
+				continue
+			}
+			if _, member := c.endorsers[addr]; member {
 				continue
 			}
 			if policy.Blacklisted(addr) {
 				res.Rejected[addr] = "blacklisted"
 				continue
 			}
-			if !policy.DisableExpulsion && chain.IsBanned(addr) {
+			if banned(addr) {
 				// Readmission refused: conviction is permanent.
 				res.Rejected[addr] = "expelled by committed evidence"
 				continue
 			}
-			pub := chain.AccountKey(addr)
+			pub := c.accounts[addr]
 			if pub == nil {
 				res.Rejected[addr] = "unknown public key"
 				continue
@@ -160,7 +133,7 @@ func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
 				continue
 			}
 			g := table.ReportsSince(addrStr, qualSince)
-			if reason, bad := disqualify(g, &policy, policy.MinReports); bad {
+			if reason, bad := disqualify(g, policy); bad {
 				res.Rejected[addr] = reason
 				continue
 			}
@@ -183,7 +156,7 @@ func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
 			// credible dispute is disqualifying — this catches liars
 			// whose self-reports are perfectly consistent.
 			if policy.MinWitnesses > 0 {
-				if reason, bad := witnessVerdict(chain, &policy, addr, entry.CSC.Geohash, qualSince); bad {
+				if reason, bad := c.witnessVerdictLocked(addr, entry.CSC.Geohash, qualSince); bad {
 					res.Rejected[addr] = reason
 					continue
 				}
@@ -217,36 +190,33 @@ func RunElection(chain *ledger.Chain, asOf time.Time) ElectionResult {
 	// Below-minimum guard: the paper stops the system under the
 	// minimum; we refuse the switch instead so the old committee keeps
 	// serving (conservative, documented in DESIGN.md).
-	if len(endorsers)-len(res.Invalid)+len(res.Qualified) < policy.MinEndorsers {
+	if len(c.endorsers)-len(res.Invalid)+len(res.Qualified) < policy.MinEndorsers {
 		return ElectionResult{Stalled: true, Rejected: res.Rejected}
 	}
 	return res
 }
 
-// witnessVerdict evaluates committed witness statements about a
+// witnessVerdictLocked evaluates committed witness statements about a
 // candidate's claimed cell: only statements from current endorsers
 // located within the witness range are credible; one credible dispute
 // rejects; fewer than MinWitnesses confirmations rejects.
-func witnessVerdict(chain *ledger.Chain, policy *ledger.AdmittancePolicy, subject gcrypto.Address, cell string, since time.Time) (string, bool) {
+func (c *Chain) witnessVerdictLocked(subject gcrypto.Address, cell string, since time.Time) (string, bool) {
+	policy := &c.genesis.Policy
 	cellCenter, err := geo.Decode(cell)
 	if err != nil {
 		return "unresolvable claimed cell", true
 	}
-	endorserCells := make(map[gcrypto.Address]string)
-	for _, e := range chain.Endorsers() {
-		endorserCells[e.Address] = e.Geohash
-	}
 	confirms := make(map[gcrypto.Address]bool)
-	for _, st := range chain.Witnesses().StatementsFor(subject, since) {
+	for _, st := range c.witnesses.StatementsFor(subject, since) {
 		if st.Geohash != cell {
 			continue // statement about an older claim
 		}
-		wCell, isEndorser := endorserCells[st.Witness]
+		w, isEndorser := c.endorsers[st.Witness]
 		if !isEndorser {
 			continue // only committee members are credible witnesses
 		}
 		if policy.WitnessRangeMeters > 0 {
-			wPos, err := geo.Decode(wCell)
+			wPos, err := geo.Decode(w.Geohash)
 			if err != nil || wPos.DistanceMeters(cellCenter) > policy.WitnessRangeMeters {
 				continue // witness too far away to know
 			}
@@ -265,8 +235,8 @@ func witnessVerdict(chain *ledger.Chain, policy *ledger.AdmittancePolicy, subjec
 // disqualify applies the shared checks of Algorithm 1 to a report
 // window: enough reports (Len(G) >= n), no movement (all lng/lat
 // equal), and region membership.
-func disqualify(g []ledger.Entry, policy *ledger.AdmittancePolicy, minReports int) (string, bool) {
-	if len(g) < minReports {
+func disqualify(g []Entry, policy *AdmittancePolicy) (string, bool) {
+	if len(g) < policy.MinReports {
 		return "insufficient geographic reports", true
 	}
 	first := g[0].CSC.Geohash
@@ -282,22 +252,4 @@ func disqualify(g []ledger.Entry, policy *ledger.AdmittancePolicy, minReports in
 		}
 	}
 	return "", false
-}
-
-// OrderByGeoTimer orders committee members by descending geographic
-// timer (address tiebreak): the primary rotation then favours
-// longer-resident endorsers, implementing the incentive's block
-// generation bias.
-func OrderByGeoTimer(members []types.EndorserInfo, table *ledger.ElectionTable) []types.EndorserInfo {
-	out := make([]types.EndorserInfo, len(members))
-	copy(out, members)
-	sort.Slice(out, func(i, j int) bool {
-		ti := table.Timer(out[i].Address.String())
-		tj := table.Timer(out[j].Address.String())
-		if ti != tj {
-			return ti > tj
-		}
-		return out[i].Address.Less(out[j].Address)
-	})
-	return out
 }

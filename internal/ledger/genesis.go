@@ -49,6 +49,25 @@ const (
 	DefaultSybilWindow = 2 * DefaultReportInterval
 )
 
+// EraRule says what the chain does when an era's time is up. It is a
+// genesis value because it decides block validity: two replicas that
+// disagreed on it would disagree on the committee.
+type EraRule uint8
+
+const (
+	// ErasFrozen keeps the genesis committee forever: one era that never
+	// ends, which with address-order rotation is classic PBFT.
+	ErasFrozen EraRule = iota
+	// ErasElect runs Algorithm 1 every EraPeriod and switches when its
+	// result changes the committee.
+	ErasElect
+	// ErasForced switches every EraPeriod even when Algorithm 1 changes
+	// nothing: the paper's literal schedule ("Era switch will be made
+	// every T seconds in our system"), which produces the switch-period
+	// latency outliers of Figure 3b.
+	ErasForced
+)
+
 // AdmittancePolicy is the genesis-block policy set of Section III-C:
 // "the genesis block contains extra admittance policies, such as
 // blacklist, whitelist, minimum number, and maximum number of
@@ -71,6 +90,8 @@ type AdmittancePolicy struct {
 	QualificationWindow time.Duration
 	// MinReports is Algorithm 1's threshold n.
 	MinReports int
+	// Eras is the era rule; the zero value freezes the committee.
+	Eras EraRule
 	// EraPeriod is Algorithm 1's / Section III-E's T.
 	EraPeriod time.Duration
 	// SwitchPeriod is the consensus pause for one era switch.
@@ -167,6 +188,9 @@ func (p *AdmittancePolicy) Validate() error {
 	if p.SwitchPeriod < 0 {
 		return errors.New("ledger: SwitchPeriod must be non-negative")
 	}
+	if p.Eras > ErasForced {
+		return fmt.Errorf("ledger: unknown era rule %d", p.Eras)
+	}
 	return nil
 }
 
@@ -250,6 +274,12 @@ func (g *Genesis) MarshalCanonical(w *codec.Writer) {
 	w.Int64(int64(p.SybilWindow))
 	w.Bool(p.DisableExpulsion)
 	w.Uint64(p.EndorserEndowment)
+	// The era rule comes last and only when it is not the zero value: a
+	// frozen chain's genesis hashes without it, so block logs of frozen
+	// deployments written by earlier builds still replay.
+	if p.Eras != ErasFrozen {
+		w.Uint8(uint8(p.Eras))
+	}
 }
 
 // Hash returns the digest of the canonical genesis encoding.

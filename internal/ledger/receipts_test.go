@@ -235,7 +235,7 @@ func TestRegionCheckpointAnchorsAndRefusesForks(t *testing.T) {
 		Root:     gcrypto.HashBytes([]byte("region-head")),
 		Receipts: []shard.Receipt{rc},
 	}
-	// Non-endorser senders are refused, like TxConfig.
+	// Non-endorser senders are refused.
 	outsider := shardTx(50, 1, types.TxRegionCheckpoint, shard.EncodeCheckpoint(cp))
 	if err := c.AddBlock(nextBlock(c, []types.Transaction{outsider}, 0)); !errors.Is(err, ErrConfigSender) {
 		t.Fatalf("outsider checkpoint: %v", err)

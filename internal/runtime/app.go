@@ -122,6 +122,12 @@ func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *ty
 	if len(txs) == 0 || !eager && len(txs) < want {
 		return nil
 	}
+	// Block time never runs backwards (ledger.ErrTimeRegressed): a clock
+	// behind the parent's proposer stamps the parent's time.
+	stamp := a.WallTime(now)
+	if stamp.Before(parent.Header.Timestamp) {
+		stamp = parent.Header.Timestamp
+	}
 	return types.NewBlock(types.BlockHeader{
 		Height:    seq,
 		Era:       era,
@@ -129,7 +135,7 @@ func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *ty
 		Seq:       seq,
 		PrevHash:  parent.Hash(),
 		Proposer:  a.self,
-		Timestamp: a.WallTime(now),
+		Timestamp: stamp,
 	}, txs)
 }
 

@@ -103,7 +103,7 @@ type PoolStats struct {
 	Admitted     uint64 // successful Add calls
 	RejectedFull uint64 // Add rejections due to the size bound
 	RejectedDup  uint64 // Add rejections due to duplicate suppression
-	Dropped      uint64 // admitted txs removed via Drop (stale proposals)
+	Dropped      uint64 // admitted txs removed via Drop
 	Committed    uint64 // admitted txs removed because they committed
 	// EvictedShed counts admitted txs evicted at capacity to make room
 	// for higher-priority traffic (pools with lanes only).
@@ -431,7 +431,7 @@ func (m *Mempool) MarkCommitted(txs []types.Transaction) int {
 }
 
 // Drop removes a pending transaction without remembering it as
-// committed (stale era-switch proposals are discarded this way).
+// committed.
 func (m *Mempool) Drop(id gcrypto.Hash) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gpbft/internal/codec"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 )
@@ -231,8 +232,13 @@ func TestMinimumEncodings(t *testing.T) {
 	if n := len(EncodeBlock(&Block{})); n != MinBlockSize {
 		t.Fatalf("shortest block encodes to %d bytes, MinBlockSize is %d", n, MinBlockSize)
 	}
-	one := &ConfigChange{Add: make([]EndorserInfo, 1)}
-	if n := len(EncodeConfigChange(one)) - len(EncodeConfigChange(&ConfigChange{})); n != MinEndorserInfoSize {
+	// An endorser encodes as chain state writes it: address, key, cell.
+	var e EndorserInfo
+	w := codec.NewWriter(0)
+	w.Raw(e.Address[:])
+	w.WriteBytes(e.PubKey)
+	w.String(e.Geohash)
+	if n := len(w.Bytes()); n != MinEndorserInfoSize {
 		t.Fatalf("shortest endorser encodes to %d bytes, MinEndorserInfoSize is %d", n, MinEndorserInfoSize)
 	}
 }

@@ -73,26 +73,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	})
 }
 
-// FuzzDecodeConfigChange and FuzzDecodeWitnessStatement cover the two
-// payload sub-codecs.
-func FuzzDecodeConfigChange(f *testing.F) {
-	kp := gcrypto.DeterministicKeyPair(2)
-	f.Add(EncodeConfigChange(&ConfigChange{
-		NewEra: 3,
-		Add:    []EndorserInfo{{Address: kp.Address(), PubKey: kp.Public(), Geohash: "wecnyhwbp1"}},
-		Remove: []gcrypto.Address{gcrypto.DeterministicKeyPair(3).Address()},
-	}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeConfigChange(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(EncodeConfigChange(got), data) {
-			t.Fatal("config change not canonical")
-		}
-	})
-}
-
+// FuzzDecodeWitnessStatement covers the witness payload sub-codec.
 func FuzzDecodeWitnessStatement(f *testing.F) {
 	f.Add(EncodeWitnessStatement(&WitnessStatement{
 		Subject: gcrypto.DeterministicKeyPair(4).Address(),

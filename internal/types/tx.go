@@ -1,15 +1,17 @@
-// Package types defines the chain data model: transactions (normal,
-// configuration, and periodic location reports), blocks, headers, and
-// commit certificates, together with their canonical encodings,
-// digests, and signature checks.
+// Package types defines the chain data model: transactions (normal
+// data, periodic location reports, and the protocol's own kinds),
+// blocks, headers, and commit certificates, together with their
+// canonical encodings, digests, and signature checks.
 //
 // Paper Section III-B2: "There are two kinds of transactions contained
 // in our system, normal transactions and configuration transactions...
 // both normal and configuration transactions carry the geographic
-// information at the end of the transaction body." We additionally
-// model the periodic location uploads of Section III-B3 as a third,
-// payload-free transaction type so that the election table can be fed
-// even by idle devices.
+// information at the end of the transaction body." Here the era
+// boundary is a rule on block time and the committee change is derived
+// from committed state, so no configuration transaction exists (its
+// kind number is retired). We additionally model the periodic location
+// uploads of Section III-B3 as a payload-free transaction type so that
+// the election table can be fed even by idle devices.
 package types
 
 import (
@@ -30,9 +32,11 @@ type TxType uint8
 const (
 	// TxNormal changes application ledger state (sensor data, payments).
 	TxNormal TxType = iota
-	// TxConfig modifies chain configuration (endorser set changes);
-	// only endorsers may propose it.
-	TxConfig
+	// txRetiredConfig was the configuration transaction that carried an
+	// era switch. The chain derives the switch at the era's boundary block
+	// now (DESIGN.md 5b); Verify refuses the number, and the kinds after
+	// it keep theirs.
+	txRetiredConfig
 	// TxLocationReport is a periodic location upload with no payload.
 	TxLocationReport
 	// TxWitness carries a WitnessStatement: a peer attestation that a
@@ -55,7 +59,7 @@ const (
 	// TxRegionCheckpoint carries a shard.RegionCheckpoint: a region
 	// delegate's attestation of its region chain's head, committed on
 	// the anchor chain. Only current endorsers (of the anchor chain) may
-	// send it, mirroring TxConfig.
+	// send it.
 	TxRegionCheckpoint
 )
 
@@ -64,8 +68,6 @@ func (t TxType) String() string {
 	switch t {
 	case TxNormal:
 		return "normal"
-	case TxConfig:
-		return "config"
 	case TxLocationReport:
 		return "location-report"
 	case TxWitness:
@@ -83,18 +85,18 @@ func (t TxType) String() string {
 	}
 }
 
-// Valid reports whether t is a known type.
-func (t TxType) Valid() bool { return t <= TxRegionCheckpoint }
+// Valid reports whether t is a known, unretired type.
+func (t TxType) Valid() bool { return t <= TxRegionCheckpoint && t != txRetiredConfig }
 
 // Control reports whether t is protocol-critical traffic rather than
-// data: configuration changes, evidence, the location and witness
+// data: evidence, the location and witness
 // reports elections run on, and the cross-region plumbing
 // (delegate-submitted applies and checkpoints, which must not starve
 // behind data traffic or anchored transfers stall region-wide). The
 // mempool serves it first and a primary never holds it back.
 func (t TxType) Control() bool {
 	switch t {
-	case TxConfig, TxEvidence, TxWitness, TxLocationReport, TxTransferApply, TxRegionCheckpoint:
+	case TxEvidence, TxWitness, TxLocationReport, TxTransferApply, TxRegionCheckpoint:
 		return true
 	default:
 		return false
@@ -181,6 +183,7 @@ type Transaction struct {
 // Errors returned by transaction validation.
 var (
 	ErrTxType        = errors.New("types: unknown transaction type")
+	ErrTxRetired     = errors.New("types: transaction of a retired kind")
 	ErrTxNoSender    = errors.New("types: transaction has zero sender")
 	ErrTxSignature   = errors.New("types: transaction signature invalid")
 	ErrTxGeo         = errors.New("types: transaction geographic information invalid")
@@ -255,6 +258,9 @@ func (tx *Transaction) Verify() error {
 // verifyStructure runs every check Verify performs before the
 // signature, in the same order.
 func (tx *Transaction) verifyStructure() error {
+	if tx.Type == txRetiredConfig {
+		return ErrTxRetired
+	}
 	if !tx.Type.Valid() {
 		return ErrTxType
 	}
@@ -370,14 +376,6 @@ func DecodeTx(b []byte) (*Transaction, error) {
 	return &tx, nil
 }
 
-// ConfigChange is the payload of a TxConfig transaction: the endorser
-// set delta agreed during an era switch (Section III-B2, III-E).
-type ConfigChange struct {
-	NewEra uint64
-	Add    []EndorserInfo
-	Remove []gcrypto.Address
-}
-
 // EndorserInfo identifies an endorser: address, public key, and its
 // authenticated CSC cell.
 type EndorserInfo struct {
@@ -389,58 +387,3 @@ type EndorserInfo struct {
 // MinEndorserInfoSize is the length of the shortest endorser encoding:
 // an address, then a key and a cell of at least their length bytes.
 const MinEndorserInfoSize = gcrypto.AddressSize + 2
-
-// MarshalCanonical appends the canonical encoding of the change set.
-func (c *ConfigChange) MarshalCanonical(w *codec.Writer) {
-	w.Uint64(c.NewEra)
-	w.Count(len(c.Add))
-	for i := range c.Add {
-		w.Raw(c.Add[i].Address[:])
-		w.WriteBytes(c.Add[i].PubKey)
-		w.String(c.Add[i].Geohash)
-	}
-	w.Count(len(c.Remove))
-	for i := range c.Remove {
-		w.Raw(c.Remove[i][:])
-	}
-}
-
-// UnmarshalCanonical decodes a change set.
-func (c *ConfigChange) UnmarshalCanonical(r *codec.Reader) error {
-	c.NewEra = r.Uint64()
-	n := r.CountOf(MinEndorserInfoSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	c.Add = make([]EndorserInfo, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(c.Add[i].Address[:])
-		c.Add[i].PubKey = r.ReadBytes()
-		c.Add[i].Geohash = r.ReadString()
-	}
-	m := r.CountOf(gcrypto.AddressSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	c.Remove = make([]gcrypto.Address, m)
-	for i := 0; i < m; i++ {
-		r.RawInto(c.Remove[i][:])
-	}
-	return r.Err()
-}
-
-// EncodeConfigChange returns the payload bytes for a config tx.
-func EncodeConfigChange(c *ConfigChange) []byte { return codec.Encode(c) }
-
-// DecodeConfigChange parses a config tx payload.
-func DecodeConfigChange(b []byte) (*ConfigChange, error) {
-	r := codec.NewReader(b)
-	var c ConfigChange
-	if err := c.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}

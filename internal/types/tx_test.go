@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func testTx(t *testing.T, kp *gcrypto.KeyPair, typ TxType) *Transaction {
 
 func TestTxSignVerify(t *testing.T) {
 	kp := gcrypto.DeterministicKeyPair(1)
-	for _, typ := range []TxType{TxNormal, TxConfig, TxLocationReport} {
+	for _, typ := range []TxType{TxNormal, TxLocationReport} {
 		tx := testTx(t, kp, typ)
 		if err := tx.Verify(); err != nil {
 			t.Fatalf("%v tx: %v", typ, err)
@@ -166,8 +167,7 @@ func TestTxReport(t *testing.T) {
 }
 
 func TestTxTypeString(t *testing.T) {
-	if TxNormal.String() != "normal" || TxConfig.String() != "config" ||
-		TxLocationReport.String() != "location-report" {
+	if TxNormal.String() != "normal" || TxLocationReport.String() != "location-report" {
 		t.Error("type names wrong")
 	}
 	if TxType(42).String() == "" {
@@ -175,62 +175,32 @@ func TestTxTypeString(t *testing.T) {
 	}
 }
 
-func TestConfigChangeRoundTrip(t *testing.T) {
-	kp1 := gcrypto.DeterministicKeyPair(1)
-	kp2 := gcrypto.DeterministicKeyPair(2)
-	c := &ConfigChange{
-		NewEra: 5,
-		Add: []EndorserInfo{{
-			Address: kp1.Address(),
-			PubKey:  kp1.Public(),
-			Geohash: "wecnyh1234",
-		}},
-		Remove: []gcrypto.Address{kp2.Address()},
+// TestRetiredConfigKindRefused: the configuration transaction's kind
+// number is retired, not reused. A transaction of that kind — from any
+// sender, validly signed — fails Verify with a named error, so no block
+// holding one (a block log written before the retirement included) is
+// ever applied.
+func TestRetiredConfigKindRefused(t *testing.T) {
+	tx := testTx(t, gcrypto.DeterministicKeyPair(1), txRetiredConfig)
+	if err := tx.Verify(); !errors.Is(err, ErrTxRetired) {
+		t.Fatalf("verify of the retired kind: %v, want ErrTxRetired", err)
 	}
-	wire := EncodeConfigChange(c)
-	got, err := DecodeConfigChange(wire)
-	if err != nil {
-		t.Fatal(err)
+	if txRetiredConfig.Valid() || txRetiredConfig.Control() {
+		t.Fatal("the retired kind is still a valid or control type")
 	}
-	if got.NewEra != 5 || len(got.Add) != 1 || len(got.Remove) != 1 {
-		t.Fatalf("decoded: %+v", got)
-	}
-	if got.Add[0].Address != kp1.Address() || got.Add[0].Geohash != "wecnyh1234" {
-		t.Fatal("add entry mangled")
-	}
-	if !bytes.Equal(got.Add[0].PubKey, kp1.Public()) {
-		t.Fatal("pubkey mangled")
-	}
-	if got.Remove[0] != kp2.Address() {
-		t.Fatal("remove entry mangled")
-	}
-}
-
-func TestConfigChangeEmptyRoundTrip(t *testing.T) {
-	wire := EncodeConfigChange(&ConfigChange{NewEra: 1})
-	got, err := DecodeConfigChange(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NewEra != 1 || len(got.Add) != 0 || len(got.Remove) != 0 {
-		t.Fatalf("decoded: %+v", got)
-	}
-}
-
-func TestDecodeConfigChangeErrors(t *testing.T) {
-	if _, err := DecodeConfigChange([]byte{0xFF}); err == nil {
-		t.Error("garbage must fail")
+	if !TxLocationReport.Valid() || !TxRegionCheckpoint.Valid() {
+		t.Fatal("the kinds after the retired number lost their validity")
 	}
 }
 
 // Property: random transactions round-trip through the wire format.
 func TestTxWireProperty(t *testing.T) {
-	f := func(seed int64, nonce uint64, fee uint64, payload []byte, typRaw uint8) bool {
+	// Normal is the one kind whose arbitrary payload Verify accepts.
+	f := func(seed int64, nonce uint64, fee uint64, payload []byte) bool {
 		kp := gcrypto.DeterministicKeyPair(int(seed % 64))
-		typ := TxType(typRaw % 2) // normal or config
 		rng := rand.New(rand.NewSource(seed))
 		tx := &Transaction{
-			Type:    typ,
+			Type:    TxNormal,
 			Nonce:   nonce,
 			Payload: payload,
 			Fee:     fee,

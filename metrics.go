@@ -110,7 +110,7 @@ func (m *Metrics) ObserveCommit(now consensus.Time, b *types.Block) {
 		}
 		sub, ok := m.submits[id]
 		if !ok {
-			continue // internally generated (e.g. config txs) or evicted
+			continue // internally generated (e.g. evidence txs) or evicted
 		}
 		delete(m.submits, id)
 		m.committed[id] = now

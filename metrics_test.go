@@ -53,7 +53,7 @@ func TestMetricsLatencyAccounting(t *testing.T) {
 	if m.CommittedCount() != 1 || m.PendingCount() != 1 {
 		t.Fatal("commit accounting wrong")
 	}
-	// Unsubmitted transactions in a block (e.g. config txs) are skipped.
+	// Unsubmitted transactions in a block (e.g. evidence txs) are skipped.
 	m.ObserveCommit(600*time.Millisecond, metricsBlock(metricsTx(99)))
 	if m.CommittedCount() != 1 {
 		t.Fatal("foreign tx counted")

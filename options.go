@@ -44,11 +44,14 @@ type Options struct {
 	// GeoTimerProposer orders the committee by geographic timer (the
 	// incentive bias). Only meaningful under GPBFT.
 	GeoTimerProposer bool
-	// DisableEraSwitch freezes the committee (ablation).
+	// DisableEraSwitch freezes the committee (ablation): the genesis era
+	// rule is ledger.ErasFrozen. It wins over ForceEraSwitch.
 	DisableEraSwitch bool
 	// ForceEraSwitch switches eras every EraPeriod even when the
-	// election changes nothing — the paper's literal schedule, which
-	// produces the switch-period latency outliers of Figure 3b.
+	// election changes nothing (ledger.ErasForced) — the paper's literal
+	// schedule, which produces the switch-period latency outliers of
+	// Figure 3b. With neither flag the chain switches when the election
+	// changes the committee (ledger.ErasElect).
 	ForceEraSwitch bool
 
 	// --- armor ---
@@ -228,6 +231,7 @@ func (o *Options) policy() ledger.AdmittancePolicy {
 		Region:              o.Region,
 		QualificationWindow: o.QualificationWindow,
 		MinReports:          o.MinReports,
+		Eras:                o.eraRule(),
 		EraPeriod:           o.EraPeriod,
 		SwitchPeriod:        o.SwitchPeriod,
 		ReportInterval:      o.ReportInterval,
@@ -235,6 +239,17 @@ func (o *Options) policy() ledger.AdmittancePolicy {
 		WitnessRangeMeters:  o.WitnessRangeMeters,
 		EndorserEndowment:   o.EndorserEndowment,
 	}
+}
+
+// eraRule: classic PBFT is one era that never ends.
+func (o *Options) eraRule() ledger.EraRule {
+	switch {
+	case o.DisableEraSwitch || o.Protocol == PBFT:
+		return ledger.ErasFrozen
+	case o.ForceEraSwitch:
+		return ledger.ErasForced
+	}
+	return ledger.ErasElect
 }
 
 // maxForProtocol: under baseline PBFT every node is a consensus member,

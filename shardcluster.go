@@ -174,6 +174,7 @@ func (s *ShardCluster) buildAnchor() error {
 		Policy:    s.opts.policy(),
 	}
 	g.Policy.Region = bound
+	g.Policy.Eras = ledger.ErasFrozen
 	if g.Policy.MaxEndorsers < members {
 		g.Policy.MaxEndorsers = members
 	}
@@ -207,7 +208,6 @@ func (s *ShardCluster) buildAnchor() error {
 				Epoch:             s.opts.Epoch,
 				ViewChangeTimeout: s.opts.ViewChangeTimeout,
 				ProposerPolicy:    core.ProposerAddress,
-				DisableEraSwitch:  true,
 			},
 			Batch:   s.opts.BatchSize,
 			Ceiling: s.opts.BatchSize,

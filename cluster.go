@@ -127,9 +127,10 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		return nil, errors.New("gpbft: unknown protocol")
 	}
 	// Classic PBFT is the era layer with the genesis committee frozen
-	// (Options.eraRule) and rotated in address order.
+	// (Options.eraRule), whose rotation is the genesis order: address
+	// order. Address order in every era is the proposer ablation.
 	pp := core.ProposerGeoTimer
-	if !opts.GeoTimerProposer || opts.Protocol == PBFT {
+	if !opts.GeoTimerProposer {
 		pp = core.ProposerAddress
 	}
 	for i := 0; i < opts.Nodes; i++ {

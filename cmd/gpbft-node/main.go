@@ -156,11 +156,6 @@ func run() error {
 		Batch:      *batch,
 		MempoolCap: *poolCap,
 	}
-	if *protocol == "pbft" {
-		// Classic PBFT: one era over the genesis committee that never ends
-		// (the genesis era rule's zero value, ledger.ErasFrozen).
-		cfg.Engine.ProposerPolicy = core.ProposerAddress
-	}
 
 	// Durable persistence: read back the block log, the retained era
 	// snapshots and the consensus WAL; the node is rebuilt from them,

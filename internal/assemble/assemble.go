@@ -29,7 +29,7 @@ type Config struct {
 	// Engine carries the engine knobs, the vote WAL with its recovered
 	// records, and the snapshot store; Chain, Key and App are filled in
 	// here. Classic PBFT is a genesis whose era rule freezes the
-	// committee (ledger.ErasFrozen) with ProposerAddress.
+	// committee (ledger.ErasFrozen), which then rotates in address order.
 	Engine core.Config
 	// Blocks is the durable block log, replayed on top of the restored
 	// chain. Blocks that do not extend the chain's head are skipped:

@@ -98,7 +98,7 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 			Genesis: g, Key: keys[self],
 			Engine: core.Config{
 				Epoch: epoch, ViewChangeTimeout: time.Second,
-				ProposerPolicy: core.ProposerAddress, DisableEraSwitch: true,
+				DisableEraSwitch: true,
 			},
 			Batch: 8,
 		}
@@ -145,7 +145,7 @@ func commitBlocks(t *testing.T, g *ledger.Genesis, keys []*gcrypto.KeyPair, txs 
 	for i, kp := range keys {
 		b, err := assemble.Node(assemble.Config{
 			Genesis: g, Key: kp, Index: i, Seed: 1,
-			Engine: core.Config{Epoch: epoch, ProposerPolicy: core.ProposerAddress, DisableEraSwitch: true},
+			Engine: core.Config{Epoch: epoch, DisableEraSwitch: true},
 			Batch:  1,
 		})
 		if err != nil {
@@ -201,7 +201,7 @@ func reboot(t *testing.T, g *ledger.Genesis, kp *gcrypto.KeyPair, snap *store.Sn
 	}
 	b, err := assemble.Node(assemble.Config{
 		Genesis: g, Key: kp,
-		Engine: core.Config{Epoch: epoch, ProposerPolicy: core.ProposerAddress, DisableEraSwitch: true, Snapshots: snaps},
+		Engine: core.Config{Epoch: epoch, DisableEraSwitch: true, Snapshots: snaps},
 		Blocks: blocks,
 		Batch:  1,
 	})

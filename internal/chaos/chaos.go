@@ -279,7 +279,6 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 			Epoch:              c.epoch,
 			CheckpointInterval: 4,
 			ViewChangeTimeout:  c.timeout,
-			ProposerPolicy:     core.ProposerAddress,
 			FastSyncThreshold:  c.opts.FastSyncThreshold,
 		},
 		Blocks: s.blocks,
@@ -509,7 +508,8 @@ func (c *Cluster) Now() time.Duration { return c.net.Now() }
 func (c *Cluster) Checker() *Checker { return c.checker }
 
 // PrimaryIndex returns the node index acting as primary for the given
-// view in the current era (ProposerAddress rotation).
+// view in the current era, in the rotation the chain fixed when the era
+// began.
 func (c *Cluster) PrimaryIndex(view uint64) int {
 	for _, e := range c.engines {
 		if com := e.Committee(); com != nil {

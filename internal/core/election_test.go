@@ -395,25 +395,3 @@ func TestElectionIgnoresLocalForkRecords(t *testing.T) {
 		}
 	}
 }
-
-func TestOrderByGeoTimer(t *testing.T) {
-	chain := fixture(t, 4)
-	table := chain.Table()
-	// Give endorser 2 the longest residency, endorser 0 none.
-	for i, hours := range map[int]int{1: 1, 2: 10, 3: 5} {
-		addr := gcrypto.DeterministicKeyPair(i).Address().String()
-		table.Record(geo.Report{Location: spot(i), Timestamp: epoch, Address: addr})
-		table.Record(geo.Report{Location: spot(i), Timestamp: epoch.Add(time.Duration(hours) * time.Hour), Address: addr})
-		_ = i
-	}
-	ordered := OrderByGeoTimer(chain.Endorsers(), table)
-	if ordered[0].Address != gcrypto.DeterministicKeyPair(2).Address() {
-		t.Fatal("longest-resident endorser must lead the rotation")
-	}
-	if ordered[1].Address != gcrypto.DeterministicKeyPair(3).Address() {
-		t.Fatal("second-longest must be second")
-	}
-	if ordered[3].Address != gcrypto.DeterministicKeyPair(0).Address() {
-		t.Fatal("zero-timer endorser must be last")
-	}
-}

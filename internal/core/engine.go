@@ -8,14 +8,14 @@
 //     and the layer halts the old instance for the switch period before
 //     the new committee starts;
 //   - the incentive mechanism's proposer bias (longer geographic timer
-//     ⇒ earlier in the primary rotation);
+//     ⇒ earlier in the primary rotation), read from the rotation the
+//     chain fixed when the era began;
 //   - block and snapshot sync, era announcements to added endorsers, and
 //     submission of misbehavior evidence.
 package core
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"gpbft/internal/consensus"
@@ -34,9 +34,12 @@ import (
 type ProposerPolicy int
 
 const (
-	// ProposerGeoTimer orders by descending geographic timer — the
-	// paper's incentive bias ("A longer time in the geographic timer
-	// will have a higher chance of generating a new block").
+	// ProposerGeoTimer follows the chain's rotation: descending
+	// geographic timer as the boundary block that began the era left the
+	// table — the paper's incentive bias ("A longer time in the
+	// geographic timer will have a higher chance of generating a new
+	// block"). The genesis era, and so a chain whose committee never
+	// switches, rotates in address order.
 	ProposerGeoTimer ProposerPolicy = iota
 	// ProposerAddress is plain canonical rotation (the ablation
 	// baseline).
@@ -160,7 +163,7 @@ type Engine struct {
 	view uint64
 
 	// pendingDurable is the recovered consensus state awaiting the
-	// first buildInstance; consumed exactly once (later instances start
+	// first startInstance; consumed exactly once (later instances start
 	// fresh eras with no prior promises).
 	pendingDurable *pbft.DurableState
 
@@ -239,73 +242,67 @@ func (e *Engine) Init(now consensus.Time) []consensus.Action {
 	if len(e.cfg.Recovered) > 0 {
 		e.pendingDurable = pbft.RecoverState(e.era, e.cfg.Recovered)
 	}
-	var acts []consensus.Action
-	acts = e.buildInstance(now, acts)
-	if restarted {
-		// A restarted node may have missed commits (and even era
-		// switches) while it was down: pull from the committee through
-		// the ordinary sync path before relying on timers to notice.
-		acts = e.requestCatchUp(acts)
+	acts := e.enterEra(now, nil)
+	if !restarted {
+		return acts
 	}
-	return e.relayHeld(now, acts)
-}
-
-// requestCatchUp asks the committee for blocks beyond our head. The
-// responses flow through the certificate-checked applySync path; peers
-// that have nothing newer simply stay silent. With snapshots enabled
-// the node instead opens with a head poll: if a quorum agrees on a
-// checkpoint ahead of us, the gap is crossed by snapshot; otherwise
-// the machinery degrades to the same block pull.
-func (e *Engine) requestCatchUp(acts []consensus.Action) []consensus.Action {
+	// A restarted node may have missed commits (and even era switches)
+	// while it was down: pull from the committee through the ordinary
+	// sync path before relying on timers to notice. With snapshots
+	// enabled it opens with a head poll instead: if a quorum agrees on a
+	// checkpoint ahead of it, the gap is crossed by snapshot; otherwise
+	// the machinery degrades to the same block pull.
 	if e.cfg.Snapshots != nil {
 		return append(acts, e.startFastSync(e.chain.Height())...)
 	}
-	com := e.committee
-	if com == nil {
-		var err error
-		if com, err = e.buildCommittee(); err != nil {
-			return acts
-		}
+	return e.pullFromCommittee(acts)
+}
+
+// pullFromCommittee asks every other member for the blocks beyond this
+// node's head. The responses flow through the certificate-checked
+// applySync path; peers that have nothing newer simply stay silent.
+func (e *Engine) pullFromCommittee(acts []consensus.Action) []consensus.Action {
+	if e.committee == nil {
+		return acts
 	}
 	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
-	for _, addr := range com.Others(e.self) {
+	for _, addr := range e.committee.Others(e.self) {
 		acts = append(acts, consensus.Send{To: addr, Env: req})
 	}
 	return acts
 }
 
-// buildCommittee derives the era committee from chain state, ordered
-// per the proposer policy.
-func (e *Engine) buildCommittee() (*consensus.Committee, error) {
-	members := e.chain.Endorsers()
-	if e.cfg.ProposerPolicy == ProposerGeoTimer {
-		members = OrderByGeoTimer(members, e.chain.Table())
+// enterEra is the one way this node enters the chain's current era: at
+// Init, when a switch pause ends, and when sync or a snapshot install
+// carries it into a newer era. The committee is the chain's, in the
+// rotation the ledger fixed when the era began, for an endorser and an
+// observer alike; an endorser runs a fresh inner PBFT instance over it.
+// Entering a newer era discards the consensus WAL of the one before and
+// is reported as an era switch. Early traffic for the era and the
+// transactions held while no request path ran are handed on.
+func (e *Engine) enterEra(now consensus.Time, acts []consensus.Action) []consensus.Action {
+	switched := false
+	if era := e.chain.Era(); era != e.era {
+		e.era, switched = era, true
+		e.rotateWAL()
 	}
-	return consensus.NewOrderedCommittee(members)
+	acts = e.startInstance(now, acts)
+	if switched && e.committee != nil {
+		acts = append(acts, consensus.EraSwitched{Era: e.era, Committee: e.committee.Addresses()})
+	}
+	return e.relayHeld(now, e.replayBuffered(now, acts))
 }
 
-// OrderByGeoTimer orders committee members by descending geographic
-// timer (address tiebreak): the primary rotation then favours
-// longer-resident endorsers, implementing the incentive's block
-// generation bias.
-func OrderByGeoTimer(members []types.EndorserInfo, table *ledger.ElectionTable) []types.EndorserInfo {
-	out := make([]types.EndorserInfo, len(members))
-	copy(out, members)
-	sort.Slice(out, func(i, j int) bool {
-		ti := table.Timer(out[i].Address.String())
-		tj := table.Timer(out[j].Address.String())
-		if ti != tj {
-			return ti > tj
-		}
-		return out[i].Address.Less(out[j].Address)
-	})
-	return out
-}
-
-// buildInstance (re)creates the inner PBFT engine if self is in the
-// committee, otherwise leaves the node an observer.
-func (e *Engine) buildInstance(now consensus.Time, acts []consensus.Action) []consensus.Action {
-	com, err := e.buildCommittee()
+// startInstance sets the era's committee — the chain's, in the era's
+// rotation, or sorted by address under the ablation — and creates the
+// inner PBFT engine if self is in it, otherwise leaves the node an
+// observer.
+func (e *Engine) startInstance(now consensus.Time, acts []consensus.Action) []consensus.Action {
+	newCommittee := consensus.NewOrderedCommittee
+	if e.cfg.ProposerPolicy == ProposerAddress {
+		newCommittee = consensus.NewCommittee
+	}
+	com, err := newCommittee(e.chain.Endorsers())
 	if err != nil {
 		return acts
 	}
@@ -400,8 +397,11 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 		return nil
 	}
 	// Spread client load across the committee deterministically by the
-	// sender's own address.
+	// sender's own address. The member relays it to the committee, which
+	// commits it on a chain this node does not follow: a copy kept here
+	// would never leave the pool.
 	target := e.committee.Member(int(e.self[0]) % e.committee.Size()).Address
+	e.cfg.App.Pool().Drop(tx.ID())
 	return []consensus.Action{consensus.Send{To: target, Env: pbft.NewRequest(e.cfg.Key, tx)}}
 }
 
@@ -478,7 +478,7 @@ func (e *Engine) hold(tx *types.Transaction) {
 // relayHeld hands the held transactions to the request path of the era
 // that has just begun, once each: a node the switch demoted forwards them
 // to a member as any observer would. An endorser's own engine has
-// already relayed them, ahead of its first proposal (buildInstance).
+// already relayed them, ahead of its first proposal (startInstance).
 func (e *Engine) relayHeld(now consensus.Time, acts []consensus.Action) []consensus.Action {
 	held := e.held
 	e.held = nil
@@ -609,11 +609,12 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 	// A view change can leave this replica behind: the slots that
 	// executed elsewhere before it began are in no prepared proof, and
 	// when the others cannot form a quorum without it they commit nothing
-	// it could overhear. So every view it enters opens, as a restart
-	// does, with a request for the blocks above its head.
+	// it could overhear. So every view it enters opens with a request to
+	// the committee for the blocks above its head — a shallow in-era
+	// pull, never a snapshot poll.
 	if e.inner != nil && e.inner.View() != e.view {
 		e.view = e.inner.View()
-		acts = e.requestCatchUp(acts)
+		acts = e.pullFromCommittee(acts)
 	}
 	return e.flushEvidence(now, acts)
 }
@@ -704,13 +705,10 @@ func (e *Engine) beginSwitch() []consensus.Action {
 
 // onResume completes the era switch: announce the new era to the
 // endorsers it adds — the chain's committee members the ended era's
-// committee lacks — then rebuild the committee from the chain and
-// relaunch consensus.
+// committee lacks — then enter it.
 func (e *Engine) onResume(now consensus.Time) []consensus.Action {
 	e.switching = false
-	e.era = e.chain.Era()
 	e.eraSwitches++
-	e.rotateWAL()
 
 	var adds []gcrypto.Address
 	for _, m := range e.chain.Endorsers() {
@@ -719,19 +717,14 @@ func (e *Engine) onResume(now consensus.Time) []consensus.Action {
 		}
 	}
 	var acts []consensus.Action
-	announce := consensus.Seal(e.cfg.Key, &EraAnnounce{NewEra: e.era, Height: e.chain.Height()})
+	announce := consensus.Seal(e.cfg.Key, &EraAnnounce{NewEra: e.chain.Era(), Height: e.chain.Height()})
 	for _, addr := range adds {
 		if addr != e.self {
 			acts = append(acts, consensus.Send{To: addr, Env: announce})
 		}
 	}
 	acts = e.sendBacklog(adds, acts)
-
-	acts = e.buildInstance(now, acts)
-	if e.committee != nil {
-		acts = append(acts, consensus.EraSwitched{Era: e.era, Committee: e.committee.Addresses()})
-	}
-	return e.relayHeld(now, e.replayBuffered(now, acts))
+	return e.enterEra(now, acts)
 }
 
 // replayBuffered hands the inner instance of the era just begun the
@@ -937,30 +930,18 @@ func (e *Engine) rotateWAL() {
 	e.pendingDurable = nil
 }
 
-// maybeJoin starts participation when the chain says this node is an
-// endorser of an era newer than the engine's.
+// maybeJoin enters the chain's era when sync or a snapshot install has
+// carried the chain past the engine's, as an endorser or an observer,
+// and joins the running era when the chain says this node endorses it.
 func (e *Engine) maybeJoin(now consensus.Time) []consensus.Action {
 	if e.switching {
 		return nil
 	}
 	chainEra := e.chain.Era()
-	if chainEra < e.era || (chainEra == e.era && e.inner != nil) {
+	if chainEra < e.era || chainEra == e.era && (e.inner != nil || !e.chain.IsEndorser(e.self)) {
 		return nil
 	}
-	if !e.chain.IsEndorser(e.self) {
-		// Stay an observer but track the era.
-		e.era = chainEra
-		e.inner = nil
-		return nil
-	}
-	e.era = chainEra
-	e.rotateWAL()
-	var acts []consensus.Action
-	acts = e.buildInstance(now, acts)
-	if e.committee != nil {
-		acts = append(acts, consensus.EraSwitched{Era: e.era, Committee: e.committee.Addresses()})
-	}
-	return e.relayHeld(now, e.replayBuffered(now, acts))
+	return e.enterEra(now, nil)
 }
 
 // eraApp wraps the node's application with the era switch's pipeline

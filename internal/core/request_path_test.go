@@ -363,3 +363,38 @@ func TestObserverRelaysClientRequest(t *testing.T) {
 		t.Fatalf("a member's relay bounced from the observer to %d peers", got)
 	}
 }
+
+// TestObserverKeepsNothingItForwards: an observer follows no chain, so
+// a transaction it forwarded to a member and kept would never leave its
+// pool. In a five-node deployment with a committee of four, two
+// transactions submitted at the observer and one a client sends it all
+// commit, and every pool ends empty, the observer's included.
+func TestObserverKeepsNothingItForwards(t *testing.T) {
+	o := fastOpts(5)
+	o.MaxEndorsers = 4
+	o.DisableEraSwitch = true
+	c, err := gpbft.NewCluster(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(10 * time.Millisecond) // every engine has run Init
+	txs := []*types.Transaction{
+		c.SubmitNodeTx(c.Now(), 4, []byte("local one"), 1),
+		c.SubmitNodeTx(c.Now(), 4, []byte("local two"), 1),
+	}
+	fromClient := c.NewNodeTx(4, c.Now(), []byte("via a client"), 1)
+	c.Node(4).Deliver(c.Now(), consensus.Seal(gcrypto.DeterministicKeyPair(99), &pbft.Request{Tx: *fromClient}))
+	txs = append(txs, fromClient)
+	c.RunUntilIdle(30 * time.Second)
+
+	for _, tx := range txs {
+		if !committed(c, 0, tx) {
+			t.Fatalf("transaction %s submitted at the observer never committed", tx.ID().Short())
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if n := c.Node(i).App.PendingTxs(); n != 0 {
+			t.Fatalf("node %d holds %d pending transactions after every one committed", i, n)
+		}
+	}
+}

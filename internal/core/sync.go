@@ -96,20 +96,6 @@ func (e *Engine) SyncStats() runtime.SyncStats {
 	}
 }
 
-// syncCommittee returns the committee the sync machinery addresses —
-// the current one, or one rebuilt from (possibly stale) chain state.
-func (e *Engine) syncCommittee() *consensus.Committee {
-	if e.committee != nil {
-		return e.committee
-	}
-	com, err := e.buildCommittee()
-	if err != nil {
-		return nil
-	}
-	e.committee = com
-	return com
-}
-
 // fastSyncDue reports whether a gap to target is deep enough to prefer
 // a snapshot over tailing blocks.
 func (e *Engine) fastSyncDue(target uint64) bool {
@@ -120,8 +106,7 @@ func (e *Engine) fastSyncDue(target uint64) bool {
 
 // startFastSync enters the head-collection phase.
 func (e *Engine) startFastSync(target uint64) []consensus.Action {
-	com := e.syncCommittee()
-	if com == nil || len(com.Others(e.self)) == 0 {
+	if e.committee == nil || len(e.committee.Others(e.self)) == 0 {
 		return nil
 	}
 	e.fsPhase = fsHeads
@@ -138,12 +123,11 @@ func (e *Engine) startFastSync(target uint64) []consensus.Action {
 // broadcastHeadRequest asks every other committee member for its head
 // and newest snapshot checkpoint.
 func (e *Engine) broadcastHeadRequest(acts []consensus.Action) []consensus.Action {
-	com := e.syncCommittee()
-	if com == nil {
+	if e.committee == nil {
 		return acts
 	}
 	env := consensus.Seal(e.cfg.Key, &HeadRequest{})
-	return append(acts, consensus.Broadcast{To: com.Others(e.self), Env: env})
+	return append(acts, consensus.Broadcast{To: e.committee.Others(e.self), Env: env})
 }
 
 // onHeadRequest serves this node's head and newest snapshot.
@@ -170,7 +154,7 @@ func (e *Engine) onHeadResponse(now consensus.Time, from gcrypto.Address, hr *He
 		return nil
 	}
 	e.fsHeads[from] = *hr
-	com := e.syncCommittee()
+	com := e.committee
 	if com == nil {
 		return nil
 	}
@@ -394,11 +378,10 @@ func (e *Engine) backoffDelay() time.Duration {
 
 // rotationPeer picks a committee peer round-robin by attempt count.
 func (e *Engine) rotationPeer() gcrypto.Address {
-	com := e.syncCommittee()
-	if com == nil {
+	if e.committee == nil {
 		return gcrypto.Address{}
 	}
-	others := com.Others(e.self)
+	others := e.committee.Others(e.self)
 	if len(others) == 0 {
 		return gcrypto.Address{}
 	}

@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -206,5 +208,85 @@ func TestBlockTimeNeverRunsBackwards(t *testing.T) {
 	}
 	if got := c.Table().Timer(proposer); got != 0 {
 		t.Fatalf("proposer timer %v after its honest block, want 0", got)
+	}
+}
+
+// TestRotationIsFixedWhenTheEraBegins: the genesis era rotates in
+// address order (the table is empty). The boundary block that switches
+// the era fixes the next rotation by geographic timer, as the block
+// left the table: endorser 2 never proposed and leads, then 3, 1 and 0
+// by how long ago each last did. The era's own blocks reset their
+// proposers' timers and do not move it, and the order survives export
+// and restore.
+func TestRotationIsFixedWhenTheEraBegins(t *testing.T) {
+	c, err := NewChain(eraGenesis(t, 4, ErasForced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := func(i int) gcrypto.Address { return gcrypto.DeterministicKeyPair(i).Address() }
+	rotation := func(c *Chain) []gcrypto.Address {
+		var out []gcrypto.Address
+		for _, e := range c.Endorsers() {
+			out = append(out, e.Address)
+		}
+		return out
+	}
+	want := []gcrypto.Address{addr(0), addr(1), addr(2), addr(3)}
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	if got := rotation(c); !slices.Equal(got, want) {
+		t.Fatalf("genesis rotation %v, want address order %v", got, want)
+	}
+
+	// Every endorser reports every second; endorser 3 proposes the block
+	// at +4 s, endorser 1 the one at +7 s, endorser 0 all the others.
+	proposer := map[int]int{4: 3, 7: 1}
+	g := c.Genesis().Timestamp
+	for s := 1; s <= 10; s++ {
+		at := g.Add(time.Duration(s) * time.Second)
+		var txs []types.Transaction
+		for i := 0; i < 4; i++ {
+			txs = append(txs, locationReport(i, at))
+		}
+		b := blockAt(c, at, txs)
+		b.Header.Proposer = addr(proposer[s])
+		if err := c.AddBlock(b); err != nil {
+			t.Fatalf("block at +%ds: %v", s, err)
+		}
+	}
+	if c.Era() != 1 {
+		t.Fatalf("era %d after the boundary block at +10 s, want 1", c.Era())
+	}
+	want = []gcrypto.Address{addr(2), addr(3), addr(1), addr(0)}
+	if got := rotation(c); !slices.Equal(got, want) {
+		t.Fatalf("era 1 rotation %v, want %v", got, want)
+	}
+
+	// Endorser 2 proposes the era's next blocks: its timer resets, the
+	// rotation stays.
+	for s := 11; s <= 13; s++ {
+		at := g.Add(time.Duration(s) * time.Second)
+		b := blockAt(c, at, []types.Transaction{locationReport(2, at)})
+		b.Header.Proposer = addr(2)
+		if err := c.AddBlock(b); err != nil {
+			t.Fatalf("block at +%ds: %v", s, err)
+		}
+	}
+	if timer := c.Table().Timer(addr(2).String()); timer != 0 {
+		t.Fatalf("endorser 2's timer %v after proposing, want 0", timer)
+	}
+	if got := rotation(c); !slices.Equal(got, want) {
+		t.Fatalf("rotation moved within the era: %v, want %v", got, want)
+	}
+
+	st, err := DecodeChainState(EncodeChainState(c.ExportState()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreChain(c.Genesis(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rotation(restored); !slices.Equal(got, want) {
+		t.Fatalf("restored rotation %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,8 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -49,9 +51,10 @@ type Chain struct {
 	// from (or compacted below) a snapshot.
 	base   uint64
 	byHash map[gcrypto.Hash]*types.Block
-	// endorsers is the current committee: genesis plus the result of
-	// every era boundary that switched.
-	endorsers map[gcrypto.Address]types.EndorserInfo
+	// endorsers is the current committee — genesis plus the result of
+	// every era boundary that switched — in the era's rotation order,
+	// fixed when the era began (rotateLocked).
+	endorsers []types.EndorserInfo
 	// era is the current G-PBFT era, advanced at era boundaries.
 	era uint64
 	// boundary is the header time at which the current era's time is up:
@@ -116,7 +119,6 @@ func NewChain(g *Genesis) (*Chain, error) {
 	c := &Chain{
 		genesis:       g,
 		byHash:        make(map[gcrypto.Hash]*types.Block),
-		endorsers:     make(map[gcrypto.Address]types.EndorserInfo, len(g.Endorsers)),
 		accounts:      make(map[gcrypto.Address][]byte),
 		table:         NewElectionTable(),
 		rewards:       NewRewardLedger(),
@@ -140,12 +142,14 @@ func NewChain(g *Genesis) (*Chain, error) {
 	c.blocks = append(c.blocks, gb)
 	c.byHash[gb.Hash()] = gb
 	for _, e := range g.Endorsers {
-		c.endorsers[e.Address] = e
+		c.endorsers = append(c.endorsers, e)
 		c.everEndorsers[e.Address] = true
 		if g.Policy.EndorserEndowment > 0 {
 			c.rewards.Credit(e.Address, g.Policy.EndorserEndowment)
 		}
 	}
+	// The table is empty, so the genesis era rotates in address order.
+	c.rotateLocked()
 	return c, nil
 }
 
@@ -205,24 +209,31 @@ func (c *Chain) Era() uint64 {
 }
 
 // Endorsers returns the current committee (genesis plus every switch's
-// election result), sorted by address for deterministic ordering.
+// election result) in the era's rotation order: the order the chain
+// fixed when the era began, which every node reads the same at any
+// height of the era.
 func (c *Chain) Endorsers() []types.EndorserInfo {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]types.EndorserInfo, 0, len(c.endorsers))
-	for _, e := range c.endorsers {
-		out = append(out, e)
-	}
-	sortEndorsers(out)
-	return out
+	return append([]types.EndorserInfo(nil), c.endorsers...)
 }
 
 // IsEndorser reports whether addr is in the current committee.
 func (c *Chain) IsEndorser(addr gcrypto.Address) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	_, ok := c.endorsers[addr]
+	_, ok := c.endorserLocked(addr)
 	return ok
+}
+
+// endorserLocked looks addr up in the current committee.
+func (c *Chain) endorserLocked(addr gcrypto.Address) (types.EndorserInfo, bool) {
+	for _, e := range c.endorsers {
+		if e.Address == addr {
+			return e, true
+		}
+	}
+	return types.EndorserInfo{}, false
 }
 
 // Forks returns recorded fork evidence.
@@ -302,8 +313,8 @@ func (c *Chain) validateStatelessLocked(b *types.Block) error {
 	// the consensus protocol itself.
 	if b.Cert != nil {
 		keys := make(map[gcrypto.Address]gcrypto.PublicKey, len(c.endorsers))
-		for a, e := range c.endorsers {
-			keys[a] = e.PubKey
+		for _, e := range c.endorsers {
+			keys[e.Address] = e.PubKey
 		}
 		n := len(c.endorsers)
 		f := (n - 1) / 3
@@ -372,7 +383,7 @@ func (c *Chain) checkTxLocked(tx *types.Transaction, seenCkpts map[string]gcrypt
 		// so an arbitrary identity forging receipt payloads must not
 		// mint balances. A region chain additionally refuses receipts
 		// not destined for it.
-		if _, ok := c.endorsers[tx.Sender]; !ok {
+		if _, ok := c.endorserLocked(tx.Sender); !ok {
 			return ErrApplySender
 		}
 		rc, err := shard.DecodeReceipt(tx.Payload)
@@ -386,7 +397,7 @@ func (c *Chain) checkTxLocked(tx *types.Transaction, seenCkpts map[string]gcrypt
 		// Only a committee member may attest a region head; and a checkpoint conflicting with an already-anchored
 		// root for the same (region, height) is a cross-region fork
 		// proof — refuse to commit it.
-		if _, ok := c.endorsers[tx.Sender]; !ok {
+		if _, ok := c.endorserLocked(tx.Sender); !ok {
 			return ErrConfigSender
 		}
 		cp, err := shard.DecodeCheckpoint(tx.Payload)
@@ -450,8 +461,8 @@ func (c *Chain) AddBlock(b *types.Block) error {
 	c.byHash[b.Hash()] = b
 
 	committee := make([]gcrypto.Address, 0, len(c.endorsers))
-	for a := range c.endorsers {
-		committee = append(committee, a)
+	for _, e := range c.endorsers {
+		committee = append(committee, e.Address)
 	}
 	for i := range b.Txs {
 		tx := &b.Txs[i]
@@ -581,7 +592,9 @@ func (c *Chain) crossesLocked(b *types.Block) bool {
 // advanced. It advances when the result changes the committee (and does
 // not stall it), or on every boundary under ErasForced. Either way the
 // next boundary is one era period on; a switch adds the switch pause,
-// during which no block commits.
+// during which no block commits. The new era's rotation is fixed last,
+// over the table as b left it: b's proposer has just had its timer
+// reset, and the prune and the committee delta are applied.
 func (c *Chain) endEraLocked(b *types.Block, res ElectionResult) bool {
 	p := &c.genesis.Policy
 	c.boundary = b.Header.Timestamp.Add(p.EraPeriod)
@@ -595,14 +608,32 @@ func (c *Chain) endEraLocked(b *types.Block, res ElectionResult) bool {
 		c.table.Prune(horizon)
 		c.witnesses.Prune(horizon)
 	}
-	for _, a := range res.Invalid {
-		delete(c.endorsers, a)
-	}
+	c.endorsers = slices.DeleteFunc(c.endorsers, func(e types.EndorserInfo) bool {
+		return slices.Contains(res.Invalid, e.Address)
+	})
 	for _, e := range res.Qualified {
-		c.endorsers[e.Address] = e
+		c.endorsers = append(c.endorsers, e)
 		c.everEndorsers[e.Address] = true
 	}
+	c.rotateLocked()
 	return true
+}
+
+// rotateLocked fixes the era's rotation order (the primary of view v is
+// member v mod n): descending geographic timer, address as the
+// tiebreak. That is the incentive's block-generation bias ("A longer
+// time in the geographic timer will have a higher chance of generating
+// a new block", Section III-B5). It runs once per era, when the era
+// begins, so the order is a fact of the chain: the blocks of the era
+// reset their proposers' timers, and none of that moves it.
+func (c *Chain) rotateLocked() {
+	sort.Slice(c.endorsers, func(i, j int) bool {
+		a, b := c.endorsers[i].Address, c.endorsers[j].Address
+		if ta, tb := c.table.Timer(a.String()), c.table.Timer(b.String()); ta != tb {
+			return ta > tb
+		}
+		return a.Less(b)
+	})
 }
 
 // SetEraBumpHook registers fn to observe every era advance at the
@@ -664,12 +695,4 @@ func (c *Chain) Blocks() []*types.Block {
 	out := make([]*types.Block, len(c.blocks))
 	copy(out, c.blocks)
 	return out
-}
-
-func sortEndorsers(es []types.EndorserInfo) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Address.Less(es[j-1].Address); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }

@@ -47,6 +47,7 @@ type ChainState struct {
 	// seq) of the producing era.
 	Base types.Block
 
+	// Endorsers is the committee in the era's rotation order.
 	Endorsers     []types.EndorserInfo
 	Accounts      []AccountRecord
 	EverEndorsers []gcrypto.Address
@@ -115,8 +116,9 @@ var (
 
 // chainStateTag versions the canonical encoding; v2 appended the
 // cross-region receipt and anchor indexes, v3 the refused-lock counter,
-// v4 the era boundary.
-const chainStateTag = "gpbft/chainstate/v4"
+// v4 the era boundary, and v5 writes the committee in the era's rotation
+// order instead of address order.
+const chainStateTag = "gpbft/chainstate/v5"
 
 // Height returns the checkpoint height.
 func (st *ChainState) Height() uint64 { return st.Base.Header.Height }
@@ -432,11 +434,7 @@ func (c *Chain) exportStateLocked() *ChainState {
 		Base:        head,
 	}
 
-	st.Endorsers = make([]types.EndorserInfo, 0, len(c.endorsers))
-	for _, e := range c.endorsers {
-		st.Endorsers = append(st.Endorsers, e)
-	}
-	sortEndorsers(st.Endorsers)
+	st.Endorsers = append([]types.EndorserInfo(nil), c.endorsers...)
 
 	st.Accounts = make([]AccountRecord, 0, len(c.accounts))
 	for a, pub := range c.accounts {
@@ -580,14 +578,21 @@ func (r *RewardLedger) exportBalances() []BalanceRecord {
 }
 
 // validateState performs structural checks shared by restore and
-// install: genesis binding, tx-root integrity of the base block, and
-// index sanity.
+// install: genesis binding, tx-root integrity of the base block, a
+// committee without a repeated member, and index sanity.
 func validateState(g *Genesis, st *ChainState) error {
 	if st.GenesisHash != g.Hash() {
 		return ErrStateGenesis
 	}
 	if err := st.Base.VerifyTxRoot(); err != nil {
 		return fmt.Errorf("%w: base block: %v", ErrStateShape, err)
+	}
+	seen := make(map[gcrypto.Address]bool, len(st.Endorsers))
+	for _, e := range st.Endorsers {
+		if seen[e.Address] {
+			return fmt.Errorf("%w: endorser %s listed twice", ErrStateShape, e.Address.Short())
+		}
+		seen[e.Address] = true
 	}
 	// The base block carries no certificate (deliberately excluded from
 	// the canonical encoding — certs are node-dependent); a snapshot's
@@ -610,10 +615,7 @@ func (c *Chain) applyStateLocked(st *ChainState) {
 	c.blocks = []*types.Block{&base}
 	c.byHash = map[gcrypto.Hash]*types.Block{base.Hash(): &base}
 
-	c.endorsers = make(map[gcrypto.Address]types.EndorserInfo, len(st.Endorsers))
-	for _, e := range st.Endorsers {
-		c.endorsers[e.Address] = e
-	}
+	c.endorsers = append([]types.EndorserInfo(nil), st.Endorsers...)
 	c.accounts = make(map[gcrypto.Address][]byte, len(st.Accounts))
 	for _, a := range st.Accounts {
 		c.accounts[a.Address] = a.PubKey

@@ -109,6 +109,19 @@ func TestRestoreChainRejectsIndexBeyondCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRestoreChainRejectsRepeatedEndorser: the committee is a rotation,
+// so a state that lists a member twice would name it for two views'
+// primary; it is refused.
+func TestRestoreChainRejectsRepeatedEndorser(t *testing.T) {
+	c, _ := NewChain(testGenesis(t, 4))
+	grow(t, c, 2)
+	st := c.ExportState()
+	st.Endorsers[3] = st.Endorsers[0]
+	if _, err := RestoreChain(c.genesis, st); !errors.Is(err, ErrStateShape) {
+		t.Fatalf("want ErrStateShape, got %v", err)
+	}
+}
+
 // TestRestoreThenTailMatchesReplay: a chain restored from a mid-point
 // snapshot and fed the remaining blocks must converge to the same root
 // as the chain that replayed everything from genesis.

@@ -69,7 +69,8 @@ func (c *Chain) electLocked(asOf time.Time) ElectionResult {
 
 	// --- lines 2-14: re-authenticate the committee ---
 	authSince := asOf.Add(-policy.EraPeriod)
-	for addr := range c.endorsers {
+	for _, e := range c.endorsers {
+		addr := e.Address
 		// Committed evidence outranks the whitelist: a proof of
 		// misbehavior is a consensus decision, while the whitelist is
 		// only a genesis presumption of honesty.
@@ -102,7 +103,7 @@ func (c *Chain) electLocked(asOf time.Time) ElectionResult {
 			if err != nil {
 				continue
 			}
-			if _, member := c.endorsers[addr]; member {
+			if _, member := c.endorserLocked(addr); member {
 				continue
 			}
 			if policy.Blacklisted(addr) {
@@ -211,7 +212,7 @@ func (c *Chain) witnessVerdictLocked(subject gcrypto.Address, cell string, since
 		if st.Geohash != cell {
 			continue // statement about an older claim
 		}
-		w, isEndorser := c.endorsers[st.Witness]
+		w, isEndorser := c.endorserLocked(st.Witness)
 		if !isEndorser {
 			continue // only committee members are credible witnesses
 		}

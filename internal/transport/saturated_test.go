@@ -60,7 +60,6 @@ func TestTCPSaturatedPullsNothing(t *testing.T) {
 				Epoch:              epoch,
 				CheckpointInterval: 16,
 				ViewChangeTimeout:  20 * time.Second,
-				ProposerPolicy:     core.ProposerAddress,
 				DisableEraSwitch:   true,
 			},
 			Batch: batch,

@@ -168,8 +168,7 @@ func pbftTestNode(t *testing.T, g *ledger.Genesis, kp *gcrypto.KeyPair) *runtime
 		Genesis: g,
 		Key:     kp,
 		Engine: core.Config{
-			Epoch: epoch, ViewChangeTimeout: 5 * time.Second,
-			ProposerPolicy: core.ProposerAddress, DisableEraSwitch: true,
+			Epoch: epoch, ViewChangeTimeout: 5 * time.Second, DisableEraSwitch: true,
 		},
 		Batch:   16,
 		Ceiling: 16,

@@ -199,15 +199,15 @@ func (s *ShardCluster) buildAnchor() error {
 	s.anchorNodes = make([]*runtime.Node, members)
 	for j := 0; j < members; j++ {
 		kp := s.anchorKeys[j]
-		// Classic PBFT over the frozen genesis committee; Ceiling =
-		// Batch: the anchor committee runs without adaptive block sizing.
+		// Classic PBFT over the frozen genesis committee, which rotates
+		// in address order; Ceiling = Batch: the anchor committee runs
+		// without adaptive block sizing.
 		built, err := assemble.Node(assemble.Config{
 			Genesis: g,
 			Key:     kp,
 			Engine: core.Config{
 				Epoch:             s.opts.Epoch,
 				ViewChangeTimeout: s.opts.ViewChangeTimeout,
-				ProposerPolicy:    core.ProposerAddress,
 			},
 			Batch:   s.opts.BatchSize,
 			Ceiling: s.opts.BatchSize,

@@ -33,7 +33,7 @@ type Cluster struct {
 	keys      []*gcrypto.KeyPair
 	positions []geo.Point
 	coreEng   []*core.Engine
-	snaps     []*store.MemSnapshots // per-node snapshot stores (nil unless Options.Snapshots)
+	dirs      []*store.Dir // per-node durable state on a MemFS (nil unless Options.Snapshots)
 
 	metrics *Metrics
 	nonces  []uint64
@@ -121,7 +121,7 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 
 	c.nodes = make([]*runtime.Node, opts.Nodes)
 	c.coreEng = make([]*core.Engine, opts.Nodes)
-	c.snaps = make([]*store.MemSnapshots, opts.Nodes)
+	c.dirs = make([]*store.Dir, opts.Nodes)
 
 	if opts.Protocol != PBFT && opts.Protocol != GPBFT {
 		return nil, errors.New("gpbft: unknown protocol")
@@ -156,8 +156,15 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 			cfg.Relay = &consensus.RelayConfig{}
 		}
 		if opts.Snapshots && opts.Protocol == GPBFT {
-			c.snaps[i] = store.NewMemSnapshots(opts.RetainSnapshots)
-			cfg.Engine.Snapshots = c.snaps[i]
+			retain := opts.RetainSnapshots
+			if retain == 0 {
+				retain = store.DefaultRetainSnapshots
+			}
+			d, err := store.OpenDir(store.NewMemFS(), "node", store.DirOptions{Retain: retain})
+			if err != nil {
+				return nil, err
+			}
+			cfg.Durable, c.dirs[i] = d, d
 		}
 		built, err := assemble.Node(cfg)
 		if err != nil {
@@ -246,10 +253,10 @@ func (c *Cluster) SyncStats(i int) runtime.SyncStats { return c.coreEng[i].SyncS
 // SnapshotCount returns how many era snapshots node i currently
 // retains (0 when Options.Snapshots is off).
 func (c *Cluster) SnapshotCount(i int) int {
-	if c.snaps[i] == nil {
+	if c.dirs[i] == nil {
 		return 0
 	}
-	return c.snaps[i].Len()
+	return c.dirs[i].Snapshots().Len()
 }
 
 // Address returns node i's chain address.

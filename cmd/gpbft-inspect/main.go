@@ -1,8 +1,10 @@
-// Command gpbft-inspect dumps a persisted block log (written by
+// Command gpbft-inspect dumps a node's durable directory (written by
 // gpbft-node -data): per-block summaries, transaction breakdowns, the
-// committee's evolution across eras, and reward balances. It fully
-// re-validates the chain while reading, so it doubles as an integrity
-// checker.
+// committee's evolution across eras, and reward balances. It reads the
+// directory read-only, as a restart would: from the newest snapshot in
+// <data>.snap that the genesis accepts, then the block-log tail above
+// it, fully re-validated, so it doubles as an integrity checker. It
+// refuses a missing -data path and never creates or changes a file.
 //
 //	gpbft-inspect -data node0.blk
 //	gpbft-inspect -data node0.blk -txs -rewards
@@ -26,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -59,6 +62,7 @@ func main() {
 		committee = flag.Int("committee", 4, "genesis committee size (must match the node's)")
 		nodes     = flag.Int("nodes", 0, "total nodes (default = committee)")
 		chainID   = flag.String("chain-id", "gpbft-tcp", "chain identifier (must match the node's)")
+		protocol  = flag.String("protocol", "gpbft", "pbft or gpbft (must match the node's)")
 		eraPeriod = flag.Duration("era", 30*time.Second, "era period (must match the node's)")
 		swPeriod  = flag.Duration("switch", 250*time.Millisecond, "switch pause (must match)")
 		report    = flag.Duration("report", 5*time.Second, "report period (must match)")
@@ -69,21 +73,35 @@ func main() {
 	if *dataPath == "" {
 		fatalf("-data is required")
 	}
+	if *protocol != "pbft" && *protocol != "gpbft" {
+		fatalf("unknown -protocol %q", *protocol)
+	}
 	if *nodes == 0 {
 		*nodes = *committee
 	}
 
-	// Reconstruct the same deterministic genesis gpbft-node derives.
-	epoch := time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
-	g := &ledger.Genesis{ChainID: *chainID, Timestamp: epoch, Policy: ledger.DefaultPolicy()}
-	g.Policy.EraPeriod = *eraPeriod
-	g.Policy.SwitchPeriod = *swPeriod
-	g.Policy.ReportInterval = *report
-	g.Policy.QualificationWindow = 3 * *eraPeriod
-	if *committee > g.Policy.MaxEndorsers {
-		g.Policy.MaxEndorsers = *committee
+	g := deriveGenesis(*chainID, *protocol, *committee, *eraPeriod, *swPeriod, *report)
+	if err := inspectData(os.Stdout, g, *dataPath, *showTxs, *rewards); err != nil {
+		fatalf("%v", err)
 	}
-	for i := 0; i < *committee; i++ {
+}
+
+// deriveGenesis reconstructs the deterministic genesis gpbft-node
+// derives from the same flags.
+func deriveGenesis(chainID, protocol string, committee int, eraPeriod, swPeriod, report time.Duration) *ledger.Genesis {
+	epoch := time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
+	g := &ledger.Genesis{ChainID: chainID, Timestamp: epoch, Policy: ledger.DefaultPolicy()}
+	g.Policy.EraPeriod = eraPeriod
+	g.Policy.SwitchPeriod = swPeriod
+	g.Policy.ReportInterval = report
+	g.Policy.QualificationWindow = 3 * eraPeriod
+	if committee > g.Policy.MaxEndorsers {
+		g.Policy.MaxEndorsers = committee
+	}
+	if protocol == "gpbft" {
+		g.Policy.Eras = ledger.ErasElect
+	}
+	for i := 0; i < committee; i++ {
 		kp := gcrypto.DeterministicKeyPair(i)
 		pos := geo.Point{Lng: 114.175 + float64(i)*0.0004, Lat: 22.302 + float64(i%7)*0.0005}
 		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
@@ -91,82 +109,94 @@ func main() {
 			Geohash: geo.MustEncode(pos, geo.CSCPrecision),
 		})
 	}
+	return g
+}
 
-	log, blocks, err := store.Open(*dataPath, store.Options{})
+// inspectData reads the durable directory at path read-only, as a
+// restart would: from the newest snapshot the genesis accepts, then the
+// logged blocks above it, each re-validated and printed.
+func inspectData(w io.Writer, g *ledger.Genesis, path string, showTxs, rewards bool) error {
+	dir, err := store.InspectDir(store.OS, path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	defer log.Close()
-
-	chain, err := ledger.NewChain(g)
+	boot, err := dir.Load(g)
 	if err != nil {
-		fatalf("genesis: %v", err)
+		return fmt.Errorf("genesis: %v", err)
 	}
-	fmt.Printf("block log: %s (%d blocks)\n", *dataPath, len(blocks))
-	fmt.Printf("genesis:   chain-id=%s committee=%d hash=%s\n\n",
-		*chainID, *committee, g.Hash().Short())
+	chain := boot.Chain
+	fmt.Fprintf(w, "block log: %s (%d blocks)\n", path, len(dir.Logged()))
+	fmt.Fprintf(w, "genesis:   chain-id=%s committee=%d hash=%s\n", g.ChainID, len(g.Endorsers), g.Hash().Short())
+	if boot.Refused != nil {
+		fmt.Fprintf(w, "WARNING:   %v (replaying from genesis)\n", boot.Refused)
+	}
+	if snap := boot.Snapshot; snap != nil {
+		fmt.Fprintf(w, "snapshot:  height=%d era=%d from %s.snap\n", snap.Height(), snap.Era(), path)
+	}
+	fmt.Fprintln(w)
 
-	prevEra := uint64(0)
+	prevEra := chain.Era()
 	kinds := map[types.TxType]int{}
-	for _, b := range blocks {
+	for _, b := range boot.Tail {
 		if err := chain.AddBlock(b); err != nil {
-			fatalf("INTEGRITY FAILURE at height %d: %v", b.Header.Height, err)
+			return fmt.Errorf("INTEGRITY FAILURE at height %d: %v", b.Header.Height, err)
 		}
 		certStr := "no-cert"
 		if b.Cert != nil {
 			certStr = fmt.Sprintf("cert(%d votes)", len(b.Cert.Votes))
 		}
-		fmt.Printf("height %4d  era %d  view %d  txs %3d  fees %4d  proposer %s  %s\n",
+		fmt.Fprintf(w, "height %4d  era %d  view %d  txs %3d  fees %4d  proposer %s  %s\n",
 			b.Header.Height, b.Header.Era, b.Header.View, len(b.Txs),
 			b.TotalFees(), b.Header.Proposer.Short(), certStr)
 		if chain.Era() != prevEra {
-			fmt.Printf("  >>> ERA SWITCH to era %d; committee now %d members\n",
+			fmt.Fprintf(w, "  >>> ERA SWITCH to era %d; committee now %d members\n",
 				chain.Era(), len(chain.Endorsers()))
 			prevEra = chain.Era()
 		}
 		for i := range b.Txs {
 			tx := &b.Txs[i]
 			kinds[tx.Type]++
-			if *showTxs {
-				fmt.Printf("    tx %s  %-15s  from %s  fee %d  at %s\n",
+			if showTxs {
+				fmt.Fprintf(w, "    tx %s  %-15s  from %s  fee %d  at %s\n",
 					tx.ID().Short(), tx.Type, tx.Sender.Short(), tx.Fee, tx.Geo.Location)
 			}
 			if tx.Type == types.TxEvidence {
 				// Always surface committed accusations, even without -txs:
 				// they are the chain's security events.
 				if rec, err := evidence.Decode(tx.Payload); err == nil {
-					fmt.Printf("    !! EVIDENCE %s (submitted by %s)\n", rec.Describe(), tx.Sender.Short())
+					fmt.Fprintf(w, "    !! EVIDENCE %s (submitted by %s)\n", rec.Describe(), tx.Sender.Short())
 				}
 			}
 		}
 	}
 
-	fmt.Printf("\nsummary: height=%d era=%d committee=%d devices-known=%d witness-stmts=%d\n",
+	fmt.Fprintf(w, "\nsummary: height=%d era=%d committee=%d devices-known=%d witness-stmts=%d\n",
 		chain.Height(), chain.Era(), len(chain.Endorsers()),
 		chain.Table().Len(), chain.Witnesses().Len())
-	fmt.Printf("tx mix:  ")
+	fmt.Fprintf(w, "tx mix:  ")
 	for _, k := range []types.TxType{types.TxNormal, types.TxLocationReport, types.TxWitness, types.TxEvidence} {
-		fmt.Printf("%s=%d  ", k, kinds[k])
+		fmt.Fprintf(w, "%s=%d  ", k, kinds[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if forks := chain.Forks(); len(forks) > 0 {
-		fmt.Printf("FORK EVIDENCE: %d conflicting proposals recorded (%d total observed)\n", len(forks), chain.ForkCount())
+		fmt.Fprintf(w, "FORK EVIDENCE: %d conflicting proposals recorded (%d total observed)\n", len(forks), chain.ForkCount())
 	}
 	if banned := chain.Banned(); len(banned) > 0 {
-		fmt.Printf("\ndynamic blacklist (%d committed evidence records):\n", chain.EvidenceCount())
+		fmt.Fprintf(w, "\ndynamic blacklist (%d committed evidence records):\n", chain.EvidenceCount())
 		for _, e := range banned {
-			fmt.Printf("  %s  convicted by evidence %s\n", e.Address.Short(), e.Evidence.Short())
+			fmt.Fprintf(w, "  %s  convicted by evidence %s\n", e.Address.Short(), e.Evidence.Short())
 		}
 	}
-	if *rewards {
+	if rewards {
 		fmt.Println("\nreward balances:")
 		r := chain.Rewards()
 		for _, a := range r.Accounts() {
-			fmt.Printf("  %s  balance=%6d  blocks=%d\n", a.Short(), r.Balance(a), r.BlocksProduced(a))
+			fmt.Fprintf(w, "  %s  balance=%6d  blocks=%d\n", a.Short(), r.Balance(a), r.BlocksProduced(a))
 		}
-		fmt.Printf("  total distributed: %d\n", r.TotalDistributed())
+		fmt.Fprintf(w, "  total distributed: %d\n", r.TotalDistributed())
 	}
-	fmt.Println("\nintegrity: OK (all blocks re-validated)")
+	fmt.Fprintln(w, "\nintegrity: OK (all blocks re-validated)")
+	return nil
 }
 
 // inspectSnapshot decodes, verifies and pretty-prints one signed era
@@ -238,10 +268,11 @@ func inspectShards(paths []string) {
 	checkpoints, locks, applies := 0, 0, 0
 
 	for _, path := range paths {
-		log, blocks, err := store.Open(path, store.Options{})
+		dir, err := store.InspectDir(store.OS, path)
 		if err != nil {
 			fatalf("%s: %v", path, err)
 		}
+		blocks := dir.Logged()
 		fmt.Printf("%s: %d blocks\n", path, len(blocks))
 		for _, b := range blocks {
 			for i := range b.Txs {
@@ -299,7 +330,6 @@ func inspectShards(paths []string) {
 				}
 			}
 		}
-		log.Close()
 	}
 
 	fmt.Printf("\nanchored region heads (%d checkpoints committed):\n", checkpoints)

@@ -15,10 +15,13 @@
 // participants compute the same genesis block without a coordination
 // step; pass -chain-id to isolate deployments.
 //
-// With -data, the node is crash-safe: committed blocks go to the block
-// log and every consensus vote is persisted to <data>.wal before it is
-// sent, so a killed-and-restarted node recovers its chain, rejoins its
-// era, and never contradicts a vote it already sent.
+// With -data, the node is crash-safe: it keeps one durable directory
+// (store.Dir). Every consensus vote is persisted to <data>.wal before it
+// is sent, and every committed block to the block log at <data> before
+// it is acknowledged, so a killed-and-restarted node recovers its chain,
+// rejoins its era, and never contradicts a vote it already sent. A block
+// that cannot be persisted fail-stops the node: it sends nothing more
+// and exits non-zero, and a restart recovers it by WAL and block sync.
 //
 // With -retain-eras N (the default), every era boundary additionally
 // writes a signed snapshot of the full chain state to <data>.snap and
@@ -39,7 +42,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -157,39 +159,27 @@ func run() error {
 		MempoolCap: *poolCap,
 	}
 
-	// Durable persistence: read back the block log, the retained era
-	// snapshots and the consensus WAL; the node is rebuilt from them,
-	// then appends every commit and persists every vote. Close (which
-	// syncs) runs on every exit path via the defers.
-	var blockLog *store.BlockLog
-	var snaps *producedSnapshots
+	// Durable persistence: the node is rebuilt from its durable
+	// directory (block log, retained era snapshots, consensus WAL), then
+	// persists every vote before sending it and every commit before
+	// acknowledging it. Close (which syncs) runs on every exit path via
+	// the defer.
 	if *dataPath != "" {
-		lg, blocks, err := store.Open(*dataPath, store.Options{Sync: *fsync})
-		if err != nil {
-			return fmt.Errorf("block log: %v", err)
-		}
-		blockLog = lg
-		defer blockLog.Close()
-		cfg.Blocks = blocks
+		opts := store.DirOptions{Sync: *fsync, Logf: log.Printf}
 		// Restart at scale: boot from the newest verifiable era snapshot
 		// and replay only the block-log tail above its checkpoint.
 		if *retain > 0 && *protocol == "gpbft" {
-			ss, err := store.OpenSnapshotStore(*dataPath+".snap", *retain)
-			if err != nil {
-				return fmt.Errorf("snapshot store: %v", err)
-			}
-			snaps = &producedSnapshots{SnapshotStore: ss, self: self.Address()}
-			cfg.Engine.Snapshots = snaps
+			opts.Retain, opts.Compact = *retain, true
 			cfg.Engine.FastSyncThreshold = *fsThresh
 		}
-		w, recs, err := store.OpenWAL(*dataPath+".wal", store.WALOptions{NoSync: !*fsync})
+		dir, err := store.OpenDir(store.OS, *dataPath, opts)
 		if err != nil {
-			return fmt.Errorf("consensus wal: %v", err)
+			return err
 		}
-		defer w.Close()
-		cfg.Engine.WAL, cfg.Engine.Recovered = w, recs
-		if len(recs) > 0 {
-			log.Printf("recovered %d consensus records from %s.wal", len(recs), *dataPath)
+		defer dir.Close()
+		cfg.Durable = dir
+		if n := len(dir.Recovered()); n > 0 {
+			log.Printf("recovered %d consensus records from %s.wal", n, *dataPath)
 		}
 	}
 
@@ -226,8 +216,8 @@ func run() error {
 	if built.Refused != nil {
 		log.Printf("WARNING: %v (replaying instead)", built.Refused)
 	}
-	if built.Restored != nil {
-		log.Printf("restored snapshot height=%d era=%d from %s", built.Restored.Height(), built.Restored.Era(), snaps.Dir())
+	if built.Snapshot != nil {
+		log.Printf("restored snapshot height=%d era=%d from %s.snap", built.Snapshot.Height(), built.Snapshot.Era(), *dataPath)
 	}
 	node := built.Node
 	chain := node.App.Chain()
@@ -268,49 +258,13 @@ func run() error {
 		}
 	}
 
-	node.OnCommit = func(now consensus.Time, b *types.Block) {
-		if blockLog != nil {
-			if err := blockLog.Append(b); err != nil {
-				log.Printf("WARNING: persist height %d: %v", b.Header.Height, err)
-			}
-		}
-		if !*quiet {
+	if !*quiet {
+		node.OnCommit = func(now consensus.Time, b *types.Block) {
 			log.Printf("committed height=%d era=%d txs=%d fees=%d hash=%s",
 				b.Header.Height, b.Header.Era, len(b.Txs), b.TotalFees(), b.Hash().Short())
 		}
-	}
-	var compactedBytes atomic.Uint64
-	if snaps != nil {
-		// A fast-sync install replaces the chain wholesale; everything in
-		// the block log below the new base can never connect again.
-		node.OnSnapshotInstall = func(_ consensus.Time, era, height uint64) {
-			log.Printf("installed peer snapshot era=%d height=%d", era, height)
-			if blockLog != nil {
-				if n, err := blockLog.CompactBelow(height + 1); err != nil {
-					log.Printf("WARNING: block log compaction: %v", err)
-				} else {
-					compactedBytes.Add(uint64(n))
-				}
-			}
-		}
-	}
-	node.OnEraSwitch = func(now consensus.Time, era uint64, com []gcrypto.Address) {
-		if !*quiet {
+		node.OnEraSwitch = func(now consensus.Time, era uint64, com []gcrypto.Address) {
 			log.Printf("era switch -> era=%d committee=%d", era, len(com))
-		}
-		// Compaction rides the era switch, outside the chain lock: drop
-		// block-log frames and in-memory blocks below the oldest retained
-		// snapshot. The snapshot itself is the durable history below it.
-		if snaps != nil && blockLog != nil {
-			if floor := snaps.OldestHeight(); floor > chain.BaseHeight() {
-				if n, err := blockLog.CompactBelow(floor + 1); err != nil {
-					log.Printf("WARNING: block log compaction: %v", err)
-				} else if n > 0 {
-					compactedBytes.Add(uint64(n))
-					log.Printf("compacted block log below height %d (%d bytes reclaimed)", floor+1, n)
-				}
-				chain.CompactBelow(floor)
-			}
 		}
 	}
 	runner := transport.NewRunner(node, tcp)
@@ -357,11 +311,9 @@ func run() error {
 				fmt.Fprintf(w, "# TYPE gpbft_relay_fanout gauge\ngpbft_relay_fanout %d\n", node.Relay.Fanout())
 			}
 			c.Admission.WritePrometheus(w, "gpbft_")
-			runtime.SyncMetrics{
-				Stats:            c.Sync,
-				SnapshotsWritten: snaps.Written(),
-				CompactedBytes:   compactedBytes.Load(),
-			}.WritePrometheus(w, "gpbft")
+			m := runtime.SyncMetrics{Stats: c.Sync}
+			m.SnapshotsWritten, m.CompactedBytes = cfg.Durable.Counts()
+			m.WritePrometheus(w, "gpbft")
 		})
 		msrv := &http.Server{Addr: *metrics, Handler: mux}
 		go func() {
@@ -411,6 +363,9 @@ func run() error {
 		*index, self.Address().Short(), addr, *protocol, *committee, *nodes)
 	runner.Run(ctx)
 	log.Printf("shutting down at height %d", chain.Height())
+	if err := node.Halted(); err != nil {
+		return fmt.Errorf("fail-stop: %w", err)
+	}
 	return nil
 }
 
@@ -453,35 +408,4 @@ func parseTripleFloat(s string, def [3]float64) ([3]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// producedSnapshots is the node's snapshot store. It counts the era
-// snapshots this node signs into it and logs a failed write; a peer
-// snapshot that fast sync installs passes through uncounted.
-type producedSnapshots struct {
-	*store.SnapshotStore
-	self    gcrypto.Address
-	written atomic.Uint64
-}
-
-// Add implements store.SnapshotProvider.
-func (p *producedSnapshots) Add(s *store.Snapshot) error {
-	err := p.SnapshotStore.Add(s)
-	switch {
-	case s.Producer != p.self:
-	case err != nil:
-		log.Printf("WARNING: snapshot write at height %d: %v", s.Height(), err)
-	default:
-		p.written.Add(1)
-	}
-	return err
-}
-
-// Written returns how many era snapshots this node produced (0 when
-// snapshots are off).
-func (p *producedSnapshots) Written() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.written.Load()
 }

@@ -1,19 +1,16 @@
 // Package assemble builds a node. The simulated cluster and its shard
 // anchors, the chaos harness, gpbft-node and the transport tests all
 // build theirs with Node, and add only their executor or transport,
-// commit observers, persistence, compaction, fault wrappers and metrics.
+// commit observers, fault wrappers and metrics.
 package assemble
 
 import (
-	"fmt"
-
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/ledger"
 	"gpbft/internal/runtime"
 	"gpbft/internal/store"
-	"gpbft/internal/types"
 )
 
 // Config is what a node is built from. A nil sub-config leaves its
@@ -26,15 +23,15 @@ type Config struct {
 	// target-selection seed.
 	Index int
 	Seed  int64
-	// Engine carries the engine knobs, the vote WAL with its recovered
-	// records, and the snapshot store; Chain, Key and App are filled in
-	// here. Classic PBFT is a genesis whose era rule freezes the
-	// committee (ledger.ErasFrozen), which then rotates in address order.
+	// Engine carries the engine knobs; Chain, Key and App are filled in
+	// here, and WAL, Recovered and Snapshots from Durable. Classic PBFT
+	// is a genesis whose era rule freezes the committee
+	// (ledger.ErasFrozen), which then rotates in address order.
 	Engine core.Config
-	// Blocks is the durable block log, replayed on top of the restored
-	// chain. Blocks that do not extend the chain's head are skipped:
-	// they lie at or below the snapshot, or above a compacted gap.
-	Blocks []*types.Block
+	// Durable is the node's durable state (nil = in memory only): the
+	// chain is restored from it, the engine votes through its WAL, and
+	// the node persists every commit to it.
+	Durable *store.Dir
 	// ShardPrefix pins the chain to one geo-shard region ("" = none).
 	ShardPrefix string
 	// Batch is the block size a round aims at (0 = default). Ceiling is
@@ -53,17 +50,12 @@ type Config struct {
 	Relay *consensus.RelayConfig
 }
 
-// Built is an assembled node with the parts its caller observes.
+// Built is an assembled node with the parts its caller observes, and
+// how its chain was restored (the zero Boot without a durable state).
 type Built struct {
 	Node *runtime.Node
 	Core *core.Engine
-	// Restored is the snapshot the chain booted from. Refused is why
-	// the newest snapshot was not used; the chain then starts from
-	// genesis and replays the whole log.
-	Restored *store.Snapshot
-	Refused  error
-	// Replayed counts the blocks replayed from Blocks.
-	Replayed int
+	store.Boot
 }
 
 // relaySeedStride spreads the nodes' relay seeds apart (2⁶⁴/φ):
@@ -77,9 +69,22 @@ const relaySeedStride = 0x9e3779b97f4a7c15
 func Node(cfg Config) (*Built, error) {
 	e := cfg.Engine
 	out := &Built{}
-	chain, err := restore(cfg, out)
-	if err != nil {
+	var chain *ledger.Chain
+	var err error
+	if d := cfg.Durable; d != nil {
+		boot, err := d.Restore(cfg.Genesis)
+		if err != nil {
+			return nil, err
+		}
+		chain, out.Boot = boot.Chain, *boot
+		e.WAL, e.Recovered, e.Snapshots = d.WAL(), d.Recovered(), d.Snapshots()
+	} else if chain, err = ledger.NewChain(cfg.Genesis); err != nil {
 		return nil, err
+	}
+	if cfg.ShardPrefix != "" {
+		// After replay: the prefix only validates new transactions, and
+		// the replayed blocks are the node's own.
+		chain.SetShardPrefix(cfg.ShardPrefix)
 	}
 
 	pool := runtime.NewMempool(cfg.MempoolCap, cfg.QoS)
@@ -97,7 +102,7 @@ func Node(cfg Config) (*Built, error) {
 		return nil, err
 	}
 	out.Core = engine
-	node := &runtime.Node{ID: cfg.Key.Address(), Key: cfg.Key, App: app, Engine: engine}
+	node := &runtime.Node{ID: cfg.Key.Address(), Key: cfg.Key, App: app, Engine: engine, Durable: cfg.Durable}
 
 	if cfg.Admission != nil {
 		adm := runtime.NewAdmission(*cfg.Admission)
@@ -119,55 +124,18 @@ func Node(cfg Config) (*Built, error) {
 		node.Relay = consensus.NewRelay(rc)
 	}
 
-	if snaps := e.Snapshots; snaps != nil {
+	if e.Snapshots != nil {
 		// Every era bump publishes a signed snapshot of the chain state
 		// at the era's boundary block itself, so all nodes snapshot the same
 		// (height, root) pair: fast sync's quorum anchors trust in it.
 		// Installed after replay, so a restart rewrites none of its past.
 		key := cfg.Key
 		chain.SetEraBumpHook(func(st *ledger.ChainState) {
-			if st.Height() == 0 {
-				return
+			if st.Height() != 0 {
+				cfg.Durable.Publish(store.NewSnapshot(st, key))
 			}
-			// A failed write loses this snapshot only; the block commits.
-			_ = snaps.Add(store.NewSnapshot(st, key))
 		})
 	}
 	out.Node = node
 	return out, nil
-}
-
-// restore builds the chain from the newest verifiable snapshot, or from
-// genesis when there is none or the chain refuses it, and replays the
-// block log on top.
-func restore(cfg Config, out *Built) (*ledger.Chain, error) {
-	var chain *ledger.Chain
-	var err error
-	if snaps := cfg.Engine.Snapshots; snaps != nil {
-		if snap, serr := snaps.Latest(); serr == nil && snap != nil {
-			if chain, err = ledger.RestoreChain(cfg.Genesis, snap.State); err != nil {
-				out.Refused = fmt.Errorf("snapshot at height %d: %w", snap.Height(), err)
-			} else {
-				out.Restored = snap
-			}
-		}
-	}
-	if chain == nil {
-		if chain, err = ledger.NewChain(cfg.Genesis); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.ShardPrefix != "" {
-		chain.SetShardPrefix(cfg.ShardPrefix)
-	}
-	for _, b := range cfg.Blocks {
-		if b.Header.Height != chain.Height()+1 {
-			continue
-		}
-		if err := chain.AddBlock(b); err != nil {
-			return nil, fmt.Errorf("replay block %d: %w", b.Header.Height, err)
-		}
-		out.Replayed++
-	}
-	return chain, nil
 }

@@ -93,7 +93,7 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 	if b1.Hash() == b2.Hash() {
 		t.Fatal("test blocks must differ")
 	}
-	boot := func(wal *store.MemWAL) *assemble.Built {
+	boot := func(fsys *store.MemFS) *assemble.Built {
 		cfg := assemble.Config{
 			Genesis: g, Key: keys[self],
 			Engine: core.Config{
@@ -102,8 +102,8 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 			},
 			Batch: 8,
 		}
-		if wal != nil {
-			cfg.Engine.WAL, cfg.Engine.Recovered = wal, wal.Records()
+		if fsys != nil {
+			cfg.Durable = openDir(t, fsys, 0)
 		}
 		b, err := assemble.Node(cfg)
 		if err != nil {
@@ -118,11 +118,11 @@ func TestBaselineReassembledFromWALKeepsItsVotes(t *testing.T) {
 		return b
 	}
 
-	wal := &store.MemWAL{}
-	if !hasPrepare(boot(wal).Core.OnEnvelope(0, pp1)) {
+	fsys := store.NewMemFS()
+	if !hasPrepare(boot(fsys).Core.OnEnvelope(0, pp1)) {
 		t.Fatal("the first proposal must be prepared")
 	}
-	again := boot(wal)
+	again := boot(fsys)
 	if hasPrepare(again.Core.OnEnvelope(0, pp2)) {
 		t.Fatal("the reassembled backup prepared a conflicting proposal")
 	}
@@ -191,19 +191,36 @@ func snapshotAt(t *testing.T, g *ledger.Genesis, blocks []*types.Block, height i
 	return store.NewSnapshot(chain.ExportState(), kp)
 }
 
-// reboot assembles member 0 again from a snapshot store holding snap
+// openDir opens the durable directory "node" on fsys, keeping retain
+// snapshots.
+func openDir(t *testing.T, fsys store.FS, retain int) *store.Dir {
+	t.Helper()
+	d, err := store.OpenDir(fsys, "node", store.DirOptions{Sync: true, Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// reboot assembles member 0 again from a durable directory holding snap
 // and the whole block log.
 func reboot(t *testing.T, g *ledger.Genesis, kp *gcrypto.KeyPair, snap *store.Snapshot, blocks []*types.Block) *assemble.Built {
 	t.Helper()
-	snaps := store.NewMemSnapshots(2)
-	if err := snaps.Add(snap); err != nil {
+	fsys := store.NewMemFS()
+	d := openDir(t, fsys, 2)
+	for _, b := range blocks {
+		if err := d.Committed(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Snapshots().Add(snap); err != nil {
 		t.Fatal(err)
 	}
 	b, err := assemble.Node(assemble.Config{
 		Genesis: g, Key: kp,
-		Engine: core.Config{Epoch: epoch, DisableEraSwitch: true, Snapshots: snaps},
-		Blocks: blocks,
-		Batch:  1,
+		Engine:  core.Config{Epoch: epoch, DisableEraSwitch: true},
+		Durable: openDir(t, fsys, 2),
+		Batch:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +235,8 @@ func TestBootFromSnapshotAndTail(t *testing.T) {
 	g, keys := committee(t, "assemble-snap")
 	blocks := commitBlocks(t, g, keys, 8)
 	b := reboot(t, g, keys[0], snapshotAt(t, g, blocks, 3, keys[0]), blocks)
-	if b.Restored == nil || b.Restored.Height() != 3 || b.Refused != nil {
-		t.Fatalf("restored %v, refused %v: want the height-3 snapshot", b.Restored, b.Refused)
+	if b.Snapshot == nil || b.Snapshot.Height() != 3 || b.Refused != nil {
+		t.Fatalf("restored %v, refused %v: want the height-3 snapshot", b.Snapshot, b.Refused)
 	}
 	if b.Replayed != 5 {
 		t.Fatalf("replayed %d blocks, want the 5 above the snapshot", b.Replayed)
@@ -238,10 +255,119 @@ func TestRefusedSnapshotFallsBackToFullReplay(t *testing.T) {
 	blocks := commitBlocks(t, g, keys, 8)
 	other, _ := committee(t, "assemble-other")
 	b := reboot(t, g, keys[0], snapshotAt(t, other, nil, 0, keys[0]), blocks)
-	if b.Restored != nil || !errors.Is(b.Refused, ledger.ErrStateGenesis) {
-		t.Fatalf("restored %v, refused %v: want the foreign snapshot refused", b.Restored, b.Refused)
+	if b.Snapshot != nil || !errors.Is(b.Refused, ledger.ErrStateGenesis) {
+		t.Fatalf("restored %v, refused %v: want the foreign snapshot refused", b.Snapshot, b.Refused)
 	}
 	if b.Replayed != 8 || b.Node.App.Chain().Height() != 8 {
 		t.Fatalf("replayed %d blocks to height %d, want all 8", b.Replayed, b.Node.App.Chain().Height())
 	}
+}
+
+// TestNodeHaltsWhenABlockCannotBePersisted pins the rule for a block the
+// durable state cannot persist: the node fail-stops. Member 3's disk
+// refuses block-log writes; at its first commit it halts, and from then
+// on sends nothing while the other three keep committing. Restarted on
+// the healed disk, it catches up to the committee by WAL and block sync.
+func TestNodeHaltsWhenABlockCannotBePersisted(t *testing.T) {
+	g, keys := committee(t, "assemble-halt")
+	const victim = 3
+	var nodes [4]*runtime.Node
+	sentAfterHalt := 0
+	net := simnet.New(simnet.Config{
+		Seed: 1, Latency: simnet.UniformLatency{Base: time.Millisecond},
+		Tap: func(_ consensus.Time, from, _ simnet.NodeID, _ *consensus.Envelope) {
+			if from == keys[victim].Address() && nodes[victim].Halted() != nil {
+				sentAfterHalt++
+			}
+		},
+	})
+	var disks [4]store.FS
+	boot := func(i int) *runtime.Node {
+		b, err := assemble.Node(assemble.Config{
+			Genesis: g, Key: keys[i], Index: i, Seed: 1,
+			Engine:  core.Config{Epoch: epoch, DisableEraSwitch: true},
+			Durable: openDir(t, disks[i], 0),
+			Batch:   1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Node.Exec = net.Executor(keys[i].Address())
+		return b.Node
+	}
+	broken := &faultyFS{MemFS: store.NewMemFS(), broken: true}
+	for i := range keys {
+		disks[i] = store.NewMemFS()
+		if i == victim {
+			disks[i] = broken
+		}
+		nodes[i] = boot(i)
+		net.AddNode(keys[i].Address(), nodes[i])
+	}
+	net.Schedule(0, func(now consensus.Time) {
+		for _, n := range nodes {
+			n.Start(now)
+		}
+	})
+	submit := func(from, count int) {
+		for k := from; k < from+count; k++ {
+			tx := clientTx(k)
+			net.Schedule(net.Now()+consensus.Time(k-from+1)*consensus.Time(100*time.Millisecond), func(now consensus.Time) {
+				_ = nodes[0].Submit(now, tx)
+			})
+		}
+	}
+	submit(0, 6)
+	net.RunUntilIdle(consensus.Time(20 * time.Second))
+	if err := nodes[victim].Halted(); !errors.Is(err, errDisk) {
+		t.Fatalf("the victim did not halt on its failed write: %v", err)
+	}
+	if sentAfterHalt != 0 {
+		t.Fatalf("the halted victim sent %d envelopes", sentAfterHalt)
+	}
+	if h := nodes[0].App.Chain().Height(); h != 6 {
+		t.Fatalf("the other three committed to height %d, want 6", h)
+	}
+
+	broken.broken = false
+	net.Crash(keys[victim].Address())
+	nodes[victim] = boot(victim)
+	net.Restart(keys[victim].Address(), nodes[victim])
+	nodes[victim].Start(net.Now())
+	submit(6, 3)
+	net.RunUntilIdle(net.Now() + consensus.Time(20*time.Second))
+	if err := nodes[victim].Halted(); err != nil {
+		t.Fatalf("halted again on the healed disk: %v", err)
+	}
+	if got, want := nodes[victim].App.Chain().Height(), nodes[0].App.Chain().Height(); got != want || want != 9 {
+		t.Fatalf("the restarted victim is at height %d, the committee at %d (want 9)", got, want)
+	}
+}
+
+var errDisk = errors.New("disk refuses the write")
+
+// faultyFS fails every write to the block log "node" while broken.
+type faultyFS struct {
+	*store.MemFS
+	broken bool
+}
+
+func (f *faultyFS) OpenAppend(name string) (store.File, error) {
+	file, err := f.MemFS.OpenAppend(name)
+	if err != nil || name != "node" {
+		return file, err
+	}
+	return faultyFile{file, f}, nil
+}
+
+type faultyFile struct {
+	store.File
+	fs *faultyFS
+}
+
+func (f faultyFile) Write(p []byte) (int, error) {
+	if f.fs.broken {
+		return 0, errDisk
+	}
+	return f.File.Write(p)
 }

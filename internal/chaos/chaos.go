@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -89,21 +90,14 @@ type Options struct {
 	GossipFanout int
 }
 
-// slot is one node's durable storage: what survives a crash. The WAL
-// holds consensus votes, blocks is the persisted block log, snaps the
-// retained era snapshots, and base the height below which the block
-// log has been compacted (blocks[0], when present, is height base+1).
-// Everything else — mempool, vote tables, timers, sockets — dies with
-// the process and is rebuilt from these on restart.
-type slot struct {
-	wal    *store.MemWAL
-	blocks []*types.Block
-	snaps  *store.MemSnapshots
-	base   uint64
-}
-
-// top returns the height of the last durable block.
-func (s *slot) top() uint64 { return s.base + uint64(len(s.blocks)) }
+// Every node's durable storage, what survives a crash, is its slot: an
+// in-memory file system holding the node's durable directory (the vote
+// WAL, the block log and, with Options.Snapshots, the retained era
+// snapshots) at slotPath. Everything else — mempool, vote tables,
+// timers, sockets — dies with the process and is rebuilt from it on
+// restart.
+// slotPath is where every node keeps its durable directory in its slot.
+const slotPath = "node"
 
 // Cluster is a simulated committee under fault injection. All nodes
 // are genesis endorsers; each has a durable slot it reboots from.
@@ -117,7 +111,8 @@ type Cluster struct {
 	keys      []*gcrypto.KeyPair
 	positions []geo.Point
 
-	slots    []*slot
+	slots    []*store.MemFS
+	logs     []logView // CheckInvariants' reads of the block logs
 	nodes    []*runtime.Node
 	engines  []*core.Engine
 	crashed  []bool
@@ -151,7 +146,8 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 		opts:     opts,
 		epoch:    time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC),
 		rng:      rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
-		slots:    make([]*slot, opts.Nodes),
+		slots:    make([]*store.MemFS, opts.Nodes),
+		logs:     make([]logView, opts.Nodes),
 		nodes:    make([]*runtime.Node, opts.Nodes),
 		engines:  make([]*core.Engine, opts.Nodes),
 		crashed:  make([]bool, opts.Nodes),
@@ -222,10 +218,7 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 	}
 
 	for i := 0; i < opts.Nodes; i++ {
-		c.slots[i] = &slot{wal: &store.MemWAL{}}
-		if opts.Snapshots {
-			c.slots[i].snaps = store.NewMemSnapshots(0)
-		}
+		c.slots[i] = store.NewMemFS()
 		if err := c.boot(i, false); err != nil {
 			return nil, err
 		}
@@ -262,12 +255,20 @@ func gridLayout(n int) []geo.Point {
 // and its recovered records. Blocks below the restore point — or
 // disconnected from it, as when every local snapshot is corrupt but the
 // log was already compacted — are skipped; the engine's sync machinery
-// covers the rest from peers. With amnesia=true the consensus WAL is wiped first — the
-// configuration the regression-guard tests prove unsafe.
+// covers the rest from peers. With amnesia=true the consensus WAL file
+// is removed first — the configuration the regression-guard tests prove
+// unsafe.
 func (c *Cluster) boot(i int, amnesia bool) error {
-	s := c.slots[i]
 	if amnesia {
-		s.wal = &store.MemWAL{}
+		c.slots[i].Remove(slotPath + ".wal")
+	}
+	opts := store.DirOptions{Sync: true, Compact: c.opts.Compact}
+	if c.opts.Snapshots {
+		opts.Retain = store.DefaultRetainSnapshots
+	}
+	dir, err := store.OpenDir(c.slots[i], slotPath, opts)
+	if err != nil {
+		return fmt.Errorf("chaos: node %d: %w", i, err)
 	}
 	kp := c.keys[i]
 	cfg := assemble.Config{
@@ -281,17 +282,10 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 			ViewChangeTimeout:  c.timeout,
 			FastSyncThreshold:  c.opts.FastSyncThreshold,
 		},
-		Blocks: s.blocks,
+		Durable: dir,
 		// Ceiling = Batch: chaos runs without adaptive block sizing.
 		Batch:   c.opts.BatchSize,
 		Ceiling: c.opts.BatchSize,
-	}
-	if !amnesia {
-		cfg.Engine.WAL = s.wal
-		cfg.Engine.Recovered = s.wal.Records()
-	}
-	if s.snaps != nil {
-		cfg.Engine.Snapshots = s.snaps
 	}
 	if c.opts.RateLimit > 0 {
 		cfg.MempoolCap = c.opts.MempoolCap
@@ -311,7 +305,6 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 	}
 	c.replayed[i] += uint64(built.Replayed)
 	eng, node := built.Core, built.Node
-	chain := node.App.Chain()
 	for _, dv := range c.opts.DoubleVoters {
 		if dv == i {
 			// The wrapper survives restarts: a rebooted double-voter
@@ -327,38 +320,6 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 		}
 	}
 	node.Exec = c.net.Executor(kp.Address())
-	node.OnCommit = func(_ consensus.Time, b *types.Block) {
-		s.blocks = append(s.blocks, b)
-	}
-	if s.snaps != nil {
-		// Compaction is local hygiene, not consensus state: it rides
-		// the (timing-skewed) era-switch callback, outside the chain
-		// lock. With it on, history below the oldest retained snapshot
-		// is truncated — restarts must come back through a snapshot,
-		// exactly the restart-at-scale regime under test.
-		node.OnEraSwitch = func(_ consensus.Time, _ uint64, _ []gcrypto.Address) {
-			if c.opts.Compact {
-				if floor := s.snaps.OldestHeight(); floor > s.base {
-					chain.CompactBelow(floor)
-					kept := make([]*types.Block, 0, len(s.blocks))
-					for _, b := range s.blocks {
-						if b.Header.Height > floor {
-							kept = append(kept, b)
-						}
-					}
-					s.blocks = kept
-					s.base = floor
-				}
-			}
-		}
-		// A fast-sync install replaces the chain wholesale: the durable
-		// block log restarts empty at the new base (the snapshot itself
-		// is the durable history below it).
-		node.OnSnapshotInstall = func(_ consensus.Time, _, height uint64) {
-			s.blocks = nil
-			s.base = height
-		}
-	}
 	c.nodes[i] = node
 	c.engines[i] = eng
 	return nil
@@ -526,7 +487,8 @@ func (c *Cluster) PrimaryIndex(view uint64) int {
 
 // --- invariants ---
 
-// CheckInvariants asserts the crash-recovery safety properties:
+// CheckInvariants asserts the crash-recovery safety properties, reading
+// each node's durable state from its slot:
 //
 //  1. no double-signed conflicting votes anywhere in the trace;
 //  2. no commit errors (a fork detected by a node's own ledger);
@@ -539,40 +501,92 @@ func (c *Cluster) CheckInvariants() error {
 	if v := c.checker.Violations(); len(v) > 0 {
 		return fmt.Errorf("equivocation in trace: %s", v[0])
 	}
+	tops := make([]uint64, len(c.slots))
 	ref := 0
 	for i := range c.slots {
-		if c.slots[i].top() > c.slots[ref].top() {
+		var err error
+		if tops[i], err = c.readDurable(i); err != nil {
+			return fmt.Errorf("node %d: durable state: %w", i, err)
+		}
+		if tops[i] > tops[ref] {
 			ref = i
 		}
 	}
-	rs := c.slots[ref]
-	for i, s := range c.slots {
+	rs := &c.logs[ref]
+	for i := range c.slots {
 		if err := c.nodes[i].CommitErr; err != nil {
 			return fmt.Errorf("node %d commit error: %w", i, err)
 		}
-		if got := c.Height(i); got != s.top() {
-			return fmt.Errorf("node %d: in-memory height %d != durable height %d", i, got, s.top())
+		if got := c.Height(i); got != tops[i] {
+			return fmt.Errorf("node %d: in-memory height %d != durable height %d", i, got, tops[i])
 		}
-		if s.top() < c.high[i] {
-			return fmt.Errorf("node %d: committed height regressed %d -> %d", i, c.high[i], s.top())
+		if tops[i] < c.high[i] {
+			return fmt.Errorf("node %d: committed height regressed %d -> %d", i, c.high[i], tops[i])
 		}
-		c.high[i] = s.top()
-		for k, b := range s.blocks {
-			h := s.base + uint64(k) + 1
-			if b.Header.Height != h {
-				return fmt.Errorf("node %d: durable log gap at position %d (height %d, base %d)", i, k, b.Header.Height, s.base)
-			}
-			// Fork detection over the heights both logs retain; heights
-			// the reference has compacted are vouched for by its
-			// snapshot (which a quorum had to co-sign off on via heads).
-			if h > rs.base && h <= rs.top() {
-				if b.Hash() != rs.blocks[h-rs.base-1].Hash() {
-					return fmt.Errorf("fork: nodes %d and %d disagree at height %d", i, ref, h)
-				}
+		c.high[i] = tops[i]
+		// Fork detection over the heights both logs retain; heights
+		// the reference has compacted are vouched for by its
+		// snapshot (which a quorum had to co-sign off on via heads).
+		// The block log refuses a gap, so both logs are contiguous.
+		ls := &c.logs[i]
+		for k, h := range ls.hashes {
+			height := ls.first + uint64(k)
+			if height >= rs.first && height < rs.first+uint64(len(rs.hashes)) && h != rs.hashes[height-rs.first] {
+				return fmt.Errorf("fork: nodes %d and %d disagree at height %d", i, ref, height)
 			}
 		}
 	}
 	return nil
+}
+
+// logView is what CheckInvariants last read of one node's block log:
+// the file's bytes and the hashes of the blocks they hold, the first at
+// height first. The log only grows between compactions, so a read that
+// extends the last one decodes the new frames alone.
+type logView struct {
+	raw    []byte
+	first  uint64
+	hashes []gcrypto.Hash
+}
+
+// readDurable reads node i's block log from its slot into c.logs[i]
+// and returns the height its durable state reaches: the log's last
+// block, or with none logged the newest valid snapshot's height (0
+// without one).
+func (c *Cluster) readDurable(i int) (uint64, error) {
+	raw, err := c.slots[i].ReadFile(slotPath)
+	if err != nil {
+		return 0, err
+	}
+	v := &c.logs[i]
+	if !bytes.HasPrefix(raw, v.raw) {
+		*v = logView{}
+	}
+	blocks, err := store.DecodeBlockLog(raw[len(v.raw):])
+	if err != nil {
+		return 0, err
+	}
+	for _, b := range blocks {
+		if len(v.hashes) == 0 {
+			v.first = b.Header.Height
+		} else if b.Header.Height != v.first+uint64(len(v.hashes)) {
+			return 0, fmt.Errorf("block log gap at height %d", b.Header.Height)
+		}
+		v.hashes = append(v.hashes, b.Hash())
+	}
+	v.raw = raw
+	if len(v.hashes) > 0 {
+		return v.first + uint64(len(v.hashes)) - 1, nil
+	}
+	d, err := store.InspectDir(c.slots[i], slotPath)
+	if err != nil {
+		return 0, err
+	}
+	snap, err := d.Snapshots().Latest()
+	if err != nil || snap == nil {
+		return 0, err
+	}
+	return snap.Height(), nil
 }
 
 // --- schedules ---

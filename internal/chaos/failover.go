@@ -44,9 +44,7 @@ func RunFailoverSchedule(seed int64) (*FailoverReport, error) {
 	}
 	var crashAt consensus.Time
 	node := c.nodes[ref]
-	persist := node.OnCommit
 	node.OnCommit = func(now consensus.Time, b *types.Block) {
-		persist(now, b)
 		rep.Round = max(rep.Round, node.App.CommitLatency(now, b))
 		if crashAt > 0 && rep.Gap == 0 {
 			rep.Gap = now - crashAt
@@ -80,7 +78,7 @@ func RunFailoverSchedule(seed int64) (*FailoverReport, error) {
 	if err := offer(load); err != nil {
 		return nil, err
 	}
-	node.OnCommit = persist
+	node.OnCommit = nil
 	for i, e := range c.engines {
 		if !c.crashed[i] {
 			rep.ViewChanges = max(rep.ViewChanges, e.Inner().CompletedViewChanges())

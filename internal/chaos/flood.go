@@ -69,15 +69,13 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 	}
 
 	// Node 0 observes commit latency: the flood schedule never crashes
-	// nodes, so its OnCommit wrapper survives the whole run. Honest
+	// nodes, so its OnCommit observer survives the whole run. Honest
 	// latency is measured per transaction in virtual time from its one
 	// submission to the observer's commit — the client-perceived latency.
 	pending := make(map[gcrypto.Hash]consensus.Time) // tx ID -> submit time
 	var honestLat []time.Duration
 	obs := c.nodes[0]
-	prevCommit := obs.OnCommit
 	obs.OnCommit = func(now consensus.Time, b *types.Block) {
-		prevCommit(now, b)
 		for i := range b.Txs {
 			tx := &b.Txs[i]
 			if attackerIDs[tx.Sender] {
@@ -91,7 +89,7 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 			}
 		}
 	}
-	defer func() { obs.OnCommit = prevCommit }()
+	defer func() { obs.OnCommit = nil }()
 
 	// One honest data transaction per committee node per step — the
 	// per-identity honest rate the attackers are measured against.

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"gpbft/internal/runtime"
@@ -177,7 +178,7 @@ func (c *Cluster) RunCorruptSnapshotSchedule(eras int) error {
 	if err != nil {
 		return err
 	}
-	c.slots[victim].snaps.CorruptAll()
+	c.corruptSnapshots(victim)
 	replayedBefore := c.replayed[victim]
 	if err := c.rejoinAndSettle(victim); err != nil {
 		return err
@@ -190,6 +191,20 @@ func (c *Cluster) RunCorruptSnapshotSchedule(eras int) error {
 		return fmt.Errorf("chaos: expected remote snapshot recovery, stats %+v", st)
 	}
 	return c.proveLiveness("corrupt-local-probe")
+}
+
+// corruptSnapshots flips one byte in the middle of every snapshot file
+// in node i's slot: disk damage that the CRC frame catches.
+func (c *Cluster) corruptSnapshots(i int) {
+	fsys, dir := c.slots[i], slotPath+".snap"
+	names, _ := fsys.List(dir)
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		data, _ := fsys.ReadFile(path)
+		data[len(data)/2] ^= 0x40
+		f, _ := fsys.Create(path)
+		f.Write(data)
+	}
 }
 
 // RunLyingPeerSchedule proves the fallback: every peer the victim can

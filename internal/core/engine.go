@@ -81,15 +81,15 @@ type Config struct {
 	// node serves its retained snapshots to lagging peers and, when its
 	// own lag exceeds FastSyncThreshold, installs a quorum-anchored
 	// snapshot instead of replaying the gap block by block.
-	Snapshots store.SnapshotProvider
+	Snapshots *store.SnapshotStore
 	// FastSyncThreshold is the block gap at which snapshot sync is
 	// preferred over tailing (0 = default 64).
 	FastSyncThreshold uint64
 }
 
 // ConsensusWAL is the durable log the era layer threads into its inner
-// PBFT instances: an append sink plus era rotation. *store.WAL and
-// *store.MemWAL both satisfy it.
+// PBFT instances: an append sink plus era rotation. *store.WAL
+// satisfies it.
 type ConsensusWAL interface {
 	pbft.WAL
 	Rotate(era uint64) error

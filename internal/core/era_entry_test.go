@@ -32,8 +32,7 @@ type durableNet struct {
 	pos     []geo.Point
 	nodes   []*runtime.Node
 	engines []*core.Engine
-	wals    []*store.MemWAL
-	logs    [][]*types.Block
+	disks   []*store.MemFS
 	nonces  []uint64
 	// votes records, per node, the (era, view) of every prepare and
 	// commit it sent and when.
@@ -58,8 +57,7 @@ func newDurableNet(t *testing.T, nodes, endorsers int) *durableNet {
 		pos:     make([]geo.Point, nodes),
 		nodes:   make([]*runtime.Node, nodes),
 		engines: make([]*core.Engine, nodes),
-		wals:    make([]*store.MemWAL, nodes),
-		logs:    make([][]*types.Block, nodes),
+		disks:   make([]*store.MemFS, nodes),
 		nonces:  make([]uint64, nodes),
 		votes:   make(map[gcrypto.Address][]sentVote),
 	}
@@ -86,7 +84,7 @@ func newDurableNet(t *testing.T, nodes, endorsers int) *durableNet {
 	for i := range d.keys {
 		d.keys[i] = gcrypto.DeterministicKeyPair(i)
 		d.pos[i] = geo.Point{Lng: 114.171 + float64(i%4)*0.002, Lat: 22.301 + float64(i/4)*0.002}
-		d.wals[i] = &store.MemWAL{}
+		d.disks[i] = store.NewMemFS()
 		if i < endorsers {
 			d.g.Endorsers = append(d.g.Endorsers, types.EndorserInfo{
 				Address: d.keys[i].Address(),
@@ -102,8 +100,12 @@ func newDurableNet(t *testing.T, nodes, endorsers int) *durableNet {
 	return d
 }
 
-// boot builds node i's incarnation from its WAL and block log only.
+// boot builds node i's incarnation from its durable directory only.
 func (d *durableNet) boot(i int) {
+	dir, err := store.OpenDir(d.disks[i], "node", store.DirOptions{Sync: true})
+	if err != nil {
+		d.t.Fatal(err)
+	}
 	built, err := assemble.Node(assemble.Config{
 		Genesis: d.g,
 		Key:     d.keys[i],
@@ -112,17 +114,14 @@ func (d *durableNet) boot(i int) {
 		Engine: core.Config{
 			Epoch:             d.epoch,
 			ViewChangeTimeout: 500 * time.Millisecond,
-			WAL:               d.wals[i],
-			Recovered:         d.wals[i].Records(),
 		},
-		Blocks: d.logs[i],
+		Durable: dir,
 	})
 	if err != nil {
 		d.t.Fatal(err)
 	}
 	node := built.Node
 	node.Exec = d.net.Executor(d.keys[i].Address())
-	node.OnCommit = func(_ consensus.Time, b *types.Block) { d.logs[i] = append(d.logs[i], b) }
 	d.nodes[i], d.engines[i] = node, built.Core
 }
 

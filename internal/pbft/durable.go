@@ -13,7 +13,7 @@ import (
 // WAL is the durable sink for consensus events. The engine appends a
 // record before the corresponding vote leaves the replica
 // (persist-before-send); a failed append suppresses the vote entirely.
-// *store.WAL and *store.MemWAL both satisfy it.
+// *store.WAL satisfies it.
 type WAL interface {
 	Append(rec store.WALRecord) error
 }

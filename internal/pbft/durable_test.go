@@ -36,10 +36,35 @@ func newDurableRig(t *testing.T, selfPos int, wal pbft.WAL, durable *pbft.Durabl
 	return base
 }
 
+// durableWAL is a vote WAL kept in a durable directory on an in-memory file
+// system. Records reads back what a restart would recover.
+type durableWAL struct {
+	*store.WAL
+	t  *testing.T
+	fs *store.MemFS
+}
+
+func newDurableWAL(t *testing.T) *durableWAL {
+	w := &durableWAL{t: t, fs: store.NewMemFS()}
+	w.WAL = w.open().WAL()
+	return w
+}
+
+func (w *durableWAL) open() *store.Dir {
+	d, err := store.OpenDir(w.fs, "replica", store.DirOptions{Sync: true})
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return d
+}
+
+// Records reopens the directory and returns the records it recovers.
+func (w *durableWAL) Records() []store.WALRecord { return w.open().Recovered() }
+
 // restart rebuilds the rig's engine from nothing but the WAL: fresh
 // chain, fresh mempool, state recovered from the records — exactly
 // what a process restart sees.
-func (r *unitRig) restart(t *testing.T, wal *store.MemWAL) *unitRig {
+func (r *unitRig) restart(t *testing.T, wal *durableWAL) *unitRig {
 	t.Helper()
 	return newDurableRig(t, r.self, wal, pbft.RecoverState(0, wal.Records()))
 }
@@ -72,7 +97,7 @@ func TestRecoverStateFromRecords(t *testing.T) {
 func TestRestartedBackupRefusesConflictingPrepare(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newDurableRig(t, selfPos, wal, nil)
 	r.eng.Init(0)
 
@@ -125,7 +150,7 @@ func TestAmnesiaBackupEquivocatesWithoutWAL(t *testing.T) {
 
 func TestRestartedPrimaryDoesNotReproposeDifferentBlock(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newDurableRig(t, prim, wal, nil)
 	r.eng.Init(0)
 
@@ -155,7 +180,7 @@ func TestRestartedPrimaryDoesNotReproposeDifferentBlock(t *testing.T) {
 func TestRecoveredPreparedInstanceResendsCommit(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newDurableRig(t, selfPos, wal, nil)
 	r.eng.Init(0)
 
@@ -206,7 +231,7 @@ func TestViewSurvivesRestart(t *testing.T) {
 	probe := newUnitRig(t, 0)
 	v1prim := probe.com.IndexOf(probe.com.Primary(1))
 	backup := (v1prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newDurableRig(t, backup, wal, nil)
 	r.eng.Init(0)
 
@@ -239,7 +264,7 @@ func TestViewSurvivesRestart(t *testing.T) {
 func TestPreparedRecordIsTheCommitPromise(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newDurableRig(t, selfPos, wal, nil)
 	r.eng.Init(0)
 	peer, _ := otherBackups(prim, selfPos)
@@ -272,7 +297,7 @@ func TestPreparedRecordIsTheCommitPromise(t *testing.T) {
 	// Only the record's header survives (proof destroyed, nothing else in
 	// the log): no instance comes back, but the promise does.
 	prepared.Data = []byte("damaged")
-	r3 := newDurableRig(t, selfPos, &store.MemWAL{}, pbft.RecoverState(0, []store.WALRecord{prepared}))
+	r3 := newDurableRig(t, selfPos, newDurableWAL(t), pbft.RecoverState(0, []store.WALRecord{prepared}))
 	if hasKind(r3.eng.Init(0), consensus.KindCommit) {
 		t.Fatal("setup: the damaged proof still restored the instance")
 	}
@@ -312,7 +337,7 @@ func TestPreparedRecordRebuildsTheBlock(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
 	peer, _ := otherBackups(prim, selfPos)
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newDurableRig(t, selfPos, wal, nil)
 	r.eng.Init(0)
 	block, ppEnv := r.proposal(*clientTx(0, 1))

@@ -444,7 +444,7 @@ func TestSerialAblationBuffersNextSlot(t *testing.T) {
 func TestRestartStreamsOutOfOrderCommits(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newPipeRig(t, selfPos, 0, 0, wal, nil)
 	r.eng.Init(0)
 	p1, p2 := otherBackups(prim, selfPos)
@@ -522,7 +522,7 @@ func TestRestartStreamsOutOfOrderCommits(t *testing.T) {
 func TestWALOrdersParentPreparedBeforeChildCommit(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newPipeRig(t, selfPos, 0, 0, wal, nil)
 	r.eng.Init(0)
 	p1, p2 := otherBackups(prim, selfPos)

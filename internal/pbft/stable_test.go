@@ -165,7 +165,7 @@ func TestCheckpointPruneNeverReproposes(t *testing.T) {
 func TestWALKeepsVotesOfUnappliedBlocks(t *testing.T) {
 	prim := newUnitRig(t, 0).primaryPos()
 	selfPos := (prim + 1) % 4
-	wal := &store.MemWAL{}
+	wal := newDurableWAL(t)
 	r := newPipeRig(t, selfPos, 1, 1, wal, nil)
 	r.eng.Init(0)
 	p1, p2 := otherBackups(prim, selfPos)

@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/ledger"
+	"gpbft/internal/store"
 	"gpbft/internal/types"
 )
 
@@ -36,10 +38,6 @@ type Node struct {
 	OnCommit func(now consensus.Time, b *types.Block)
 	// OnEraSwitch, if set, observes completed era switches.
 	OnEraSwitch func(now consensus.Time, era uint64, committee []gcrypto.Address)
-	// OnSnapshotInstall, if set, observes fast-sync snapshot installs —
-	// the chain jumped to height wholesale, so block-by-block mirrors
-	// (the block log, chaos replay slices) must reset to this base.
-	OnSnapshotInstall func(now consensus.Time, era, height uint64)
 	// Admission, if set, gates Submit with per-identity rate limits and
 	// load shedding, and is fed commit latencies for its EWMA. Nil
 	// reproduces the unprotected behavior exactly.
@@ -50,8 +48,15 @@ type Node struct {
 	// are unwrapped through the duplicate-suppression map before engine
 	// delivery. Nil reproduces the direct-broadcast path exactly.
 	Relay *consensus.Relay
+	// Durable, if set, is the node's durable state: every committed block
+	// is appended to it before OnCommit sees it, an era switch compacts
+	// it, and a snapshot install re-anchors its block log. A block it
+	// cannot persist fail-stops the node (Halted).
+	Durable *store.Dir
 	// CommitErr records the first commit failure (a bug or a fork).
 	CommitErr error
+
+	halted error // see Halted
 
 	// relayFlushArmed tracks whether a relay flush timer is pending, so
 	// the timer is armed on demand (only while the queue is non-empty)
@@ -201,6 +206,12 @@ func (n *Node) Counters() CounterSnapshot {
 	return cs
 }
 
+// Halted returns why the node fail-stopped, nil while it runs: its
+// durable state could not persist a committed block. A halted node
+// handles no further input and sends nothing; a restart recovers it by
+// its vote WAL and block sync.
+func (n *Node) Halted() error { return n.halted }
+
 // Start runs the engine's Init.
 func (n *Node) Start(now consensus.Time) {
 	n.apply(now, n.Engine.Init(now))
@@ -222,6 +233,9 @@ func (n *Node) HandleTimer(now consensus.Time, id consensus.TimerID) {
 // dupemap, and a stray frame with gossip disabled is dropped (a relay
 // frame is unsealed, so it must never reach an engine's Verify path).
 func (n *Node) Deliver(now consensus.Time, env *consensus.Envelope) {
+	if n.halted != nil {
+		return
+	}
 	if env.MsgKind == consensus.KindRelay {
 		if n.Relay == nil {
 			return
@@ -245,6 +259,9 @@ func (n *Node) Deliver(now consensus.Time, env *consensus.Envelope) {
 // handled here: it drains the relay's pending queue as batched frames
 // to the fanout and never reaches the engine.
 func (n *Node) Fire(now consensus.Time, id consensus.TimerID) {
+	if n.halted != nil {
+		return
+	}
 	if id == consensus.RelayTimerID {
 		n.ctr.fired.Add(1)
 		n.relayFlushArmed = false
@@ -274,6 +291,9 @@ func (n *Node) armRelayFlush(now consensus.Time) {
 // proposal/forwarding. Admission failures return *RejectError carrying
 // the reason and a retry-after hint.
 func (n *Node) Submit(now consensus.Time, tx *types.Transaction) error {
+	if n.halted != nil {
+		return n.halted
+	}
 	if err := n.Admission.Admit(now, tx); err != nil {
 		n.ctr.rejected.Add(1)
 		return err
@@ -290,8 +310,11 @@ func (n *Node) Submit(now consensus.Time, tx *types.Transaction) error {
 // apply executes the actions an engine step produced. After CommitBlock
 // actions have been applied to the chain, engines implementing
 // consensus.CommitNotifiable get a follow-up step so they can propose
-// on top of the new head.
+// on top of the new head. A halt drops the rest of the step.
 func (n *Node) apply(now consensus.Time, acts []consensus.Action) {
+	if n.halted != nil {
+		return
+	}
 	committed := n.applyList(now, acts)
 	for depth := 0; committed && depth < 4; depth++ {
 		cn, ok := n.Engine.(consensus.CommitNotifiable)
@@ -332,6 +355,12 @@ func (n *Node) applyList(now consensus.Time, acts []consensus.Action) (committed
 					continue
 				}
 			}
+			if n.Durable != nil {
+				if err := n.Durable.Committed(act.Block); err != nil {
+					n.halted = fmt.Errorf("persist height %d: %w", act.Block.Header.Height, err)
+					return false
+				}
+			}
 			committed = true
 			n.ctr.committed.Add(1)
 			n.ctr.lastHeight.Store(act.Block.Header.Height)
@@ -352,13 +381,16 @@ func (n *Node) applyList(now consensus.Time, acts []consensus.Action) (committed
 			if n.Relay != nil {
 				n.Relay.SetPeers(act.Committee)
 			}
+			if n.Durable != nil {
+				n.Durable.EraSwitched(n.App.Chain())
+			}
 			if n.OnEraSwitch != nil {
 				n.OnEraSwitch(now, act.Era, act.Committee)
 			}
 		case consensus.SnapshotInstalled:
 			n.ctr.lastHeight.Store(act.Height)
-			if n.OnSnapshotInstall != nil {
-				n.OnSnapshotInstall(now, act.Era, act.Height)
+			if n.Durable != nil {
+				n.Durable.SnapshotInstalled(act.Era, act.Height)
 			}
 		}
 	}

@@ -9,10 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
 
-	"gpbft/internal/ledger"
 	"gpbft/internal/types"
 )
 
@@ -36,14 +33,13 @@ var (
 
 // BlockLog is an append-only, crash-tolerant block file. A torn final
 // frame (power loss mid-write) is detected on open and truncated away;
-// corruption anywhere earlier is an error.
+// corruption anywhere earlier is an error. Its heights are contiguous:
+// first, first+1, ..., height.
 type BlockLog struct {
-	f      *os.File
-	path   string
+	logFile
+	first  uint64 // height of the first block held (when count > 0)
 	height uint64 // height of the last appended block; 0 = none/genesis
 	count  int
-	sync   bool
-	closed bool
 }
 
 // Options configures opening a block log.
@@ -52,66 +48,72 @@ type Options struct {
 	Sync bool
 }
 
-// Open opens (or creates) the log at path, scanning existing frames
-// and truncating a torn tail. It returns the log and the blocks
-// recovered, in order. Creating the log fsyncs the parent directory so
-// the file itself survives power loss.
+// Open opens (or creates) the log at path on the operating system's
+// file system. It returns the log and the blocks recovered, in order.
 func Open(path string, opts Options) (*BlockLog, []*types.Block, error) {
-	f, err := openLogFile(path)
+	return openBlockLog(OS, path, opts.Sync)
+}
+
+// openBlockLog opens (or creates) the log at path, scanning existing
+// frames and truncating a torn tail.
+func openBlockLog(fsys FS, path string, sync bool) (*BlockLog, []*types.Block, error) {
+	var blocks []*types.Block
+	f, err := openLog(fsys, path, sync, MaxBlockFrame, collectBlocks(&blocks), func() error { return contiguous(blocks) })
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", path, err)
-	}
-	log := &BlockLog{f: f, path: path, sync: opts.Sync}
-	blocks, validEnd, err := scan(f)
-	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	// Truncate a torn tail so the next append starts clean.
-	if err := f.Truncate(validEnd); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	log.count = len(blocks)
+	log := &BlockLog{logFile: f, count: len(blocks)}
 	if len(blocks) > 0 {
+		log.first = blocks[0].Header.Height
 		log.height = blocks[len(blocks)-1].Header.Height
 	}
 	return log, blocks, nil
 }
 
-// scan reads frames until EOF or a torn tail; it returns the decoded
-// blocks and the byte offset of the last valid frame end. A damaged
-// frame followed by valid frames is ErrCorruptFrame — truncating there
-// would silently lose committed blocks.
-func scan(f *os.File) ([]*types.Block, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
-	}
-	data, err := io.ReadAll(f)
+// readBlocks decodes the block log at path without changing it.
+func readBlocks(fsys FS, path string) ([]*types.Block, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: read log: %w", err)
+		return nil, err
 	}
+	return DecodeBlockLog(data)
+}
+
+// DecodeBlockLog decodes a block-log image: its intact frames, in
+// order, which must hold contiguous heights.
+func DecodeBlockLog(data []byte) ([]*types.Block, error) {
 	var blocks []*types.Block
-	validEnd, err := scanFrames(data, MaxBlockFrame, func(body []byte) error {
+	if _, err := scanFrames(data, MaxBlockFrame, collectBlocks(&blocks)); err != nil {
+		return nil, err
+	}
+	return blocks, contiguous(blocks)
+}
+
+// collectBlocks is the frame visitor that decodes blocks into out.
+func collectBlocks(out *[]*types.Block) func([]byte) error {
+	return func(body []byte) error {
 		b, err := types.DecodeBlock(body)
 		if err != nil {
 			return err
 		}
-		blocks = append(blocks, b)
+		*out = append(*out, b)
 		return nil
-	})
-	if err != nil {
-		return nil, 0, err
 	}
-	return blocks, validEnd, nil
+}
+
+// contiguous refuses a log whose heights skip or repeat: Append never
+// writes one.
+func contiguous(blocks []*types.Block) error {
+	for i := 1; i < len(blocks); i++ {
+		if h := blocks[i].Header.Height; h != blocks[i-1].Header.Height+1 {
+			return fmt.Errorf("%w: height %d follows %d", ErrOutOfOrder, h, blocks[i-1].Header.Height)
+		}
+	}
+	return nil
 }
 
 // Append persists a block. Blocks must be appended in height order
-// (the log mirrors the committed chain).
+// (the log mirrors the committed chain). A failed write closes the log.
 func (l *BlockLog) Append(b *types.Block) error {
 	if l.closed {
 		return ErrLogClosed
@@ -123,13 +125,11 @@ func (l *BlockLog) Append(b *types.Block) error {
 	if len(body) > MaxBlockFrame {
 		return fmt.Errorf("store: block frame %d exceeds limit", len(body))
 	}
-	if _, err := l.f.Write(encodeFrame(body)); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	if err := l.append(body); err != nil {
+		return err
 	}
-	if l.sync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("store: sync: %w", err)
-		}
+	if l.count == 0 {
+		l.first = b.Header.Height
 	}
 	l.height = b.Header.Height
 	l.count++
@@ -143,30 +143,4 @@ func (l *BlockLog) Height() uint64 { return l.height }
 func (l *BlockLog) Count() int { return l.count }
 
 // Close flushes and closes the file.
-func (l *BlockLog) Close() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return err
-	}
-	return l.f.Close()
-}
-
-// Replay reconstructs a chain from genesis plus the persisted blocks.
-// Blocks are fully re-validated (linkage, signatures, certificates) —
-// a tampered log cannot smuggle state in.
-func Replay(g *ledger.Genesis, blocks []*types.Block) (*ledger.Chain, error) {
-	chain, err := ledger.NewChain(g)
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range blocks {
-		if err := chain.AddBlock(b); err != nil {
-			return nil, fmt.Errorf("store: replay block %d (height %d): %w", i, b.Header.Height, err)
-		}
-	}
-	return chain, nil
-}
+func (l *BlockLog) Close() error { return l.close() }

@@ -1,62 +1,17 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
-
-	"gpbft/internal/codec"
-	"gpbft/internal/types"
 )
 
 // Log compaction. Snapshots make history below the latest stable
 // checkpoint redundant: any restart can load a retained snapshot and
 // replay only the tail, so frames below the checkpoint are dead weight.
-// Both rewrites go through a temp file plus an atomic rename — a crash
-// mid-compaction leaves the complete old log, never a partial one.
-// Losing WAL votes to a torn compaction would reopen the equivocation
-// window the WAL exists to close.
-
-// rewriteLog atomically replaces the file behind f (at path) with
-// frames, fsyncing the data and the directory, and returns the new
-// handle positioned at end-of-file.
-func rewriteLog(path string, frames []byte) (*os.File, error) {
-	tmp := path + ".compact"
-	t, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: compact tmp: %w", err)
-	}
-	if _, err := t.Write(frames); err != nil {
-		t.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("store: compact write: %w", err)
-	}
-	if err := t.Sync(); err != nil {
-		t.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := t.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("store: compact publish: %w", err)
-	}
-	if err := syncDir(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: compact reopen: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
+// Both rewrites publish through replaceFile — a crash mid-compaction
+// leaves the complete old log, never a partial one. Losing WAL votes to
+// a torn compaction would reopen the equivocation window the WAL exists
+// to close.
 
 // CompactBelow drops every block below height keepFrom, keeping the
 // tail intact, and returns the number of bytes reclaimed. The log may
@@ -67,43 +22,25 @@ func (l *BlockLog) CompactBelow(keepFrom uint64) (int64, error) {
 	if l.closed {
 		return 0, ErrLogClosed
 	}
-	blocks, validEnd, err := scan(l.f)
-	if err != nil {
-		return 0, err
-	}
-	var kept []byte
-	count := 0
-	height := uint64(0)
-	for _, b := range blocks {
-		if b.Header.Height < keepFrom {
-			continue
-		}
-		kept = append(kept, encodeFrame(types.EncodeBlock(b))...)
-		count++
-		height = b.Header.Height
-	}
-	if count == len(blocks) {
-		// Nothing to drop; restore the append position and bail.
-		if _, err := l.f.Seek(validEnd, io.SeekStart); err != nil {
-			return 0, err
-		}
+	if l.count == 0 || keepFrom <= l.first {
 		return 0, nil
 	}
-	f, err := rewriteLog(l.path, kept)
+	data, err := l.fs.ReadFile(l.path)
 	if err != nil {
-		// The old file is still intact; restore the append position.
-		if _, serr := l.f.Seek(validEnd, io.SeekStart); serr == nil {
-			return 0, err
-		}
-		l.closed = true
-		l.f.Close()
+		return 0, fmt.Errorf("store: compact read: %w", err)
+	}
+	// Heights are contiguous, so the k-th frame holds height first+k.
+	drop := min(keepFrom-l.first, uint64(l.count))
+	off := 0
+	for k := uint64(0); k < drop; k++ {
+		off += frameHeaderSize + int(binary.BigEndian.Uint32(data[off:])) + frameTrailerSize
+	}
+	if err := l.rewrite(data[off:]); err != nil {
 		return 0, err
 	}
-	l.f.Close()
-	l.f = f
-	l.count = count
-	l.height = height
-	return validEnd - int64(len(kept)), nil
+	l.count -= int(drop)
+	l.first += drop
+	return int64(off), nil
 }
 
 // CompactBelow drops vote and prepared records from the given era at or
@@ -118,10 +55,7 @@ func (w *WAL) CompactBelow(era, seq uint64) (int64, error) {
 	if w.closed {
 		return 0, ErrLogClosed
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	data, err := io.ReadAll(w.f)
+	data, err := w.fs.ReadFile(w.path)
 	if err != nil {
 		return 0, fmt.Errorf("store: compact read wal: %w", err)
 	}
@@ -135,30 +69,16 @@ func (w *WAL) CompactBelow(era, seq uint64) (int64, error) {
 		if walRecordStable(rec, era, seq) {
 			return nil
 		}
-		kept = append(kept, encodeFrame(codec.Encode(&rec))...)
+		kept = append(kept, encodeFrame(body)...)
 		count++
 		return nil
 	})
-	if err != nil {
+	if err != nil || count == w.count {
 		return 0, err
 	}
-	if count == w.count {
-		if _, err := w.f.Seek(validEnd, io.SeekStart); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}
-	f, err := rewriteLog(w.path, kept)
-	if err != nil {
-		if _, serr := w.f.Seek(validEnd, io.SeekStart); serr == nil {
-			return 0, err
-		}
-		w.closed = true
-		w.f.Close()
+	if err := w.rewrite(kept); err != nil {
 		return 0, err
 	}
-	w.f.Close()
-	w.f = f
 	w.count = count
 	return validEnd - int64(len(kept)), nil
 }
@@ -171,20 +91,4 @@ func walRecordStable(rec WALRecord, era, seq uint64) bool {
 		return false
 	}
 	return rec.Era == era && rec.Seq <= seq
-}
-
-// CompactBelow mirrors WAL.CompactBelow for the in-memory log.
-func (m *MemWAL) CompactBelow(era, seq uint64) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	kept := m.recs[:0]
-	for _, rec := range m.recs {
-		if walRecordStable(rec, era, seq) {
-			continue
-		}
-		kept = append(kept, rec)
-	}
-	dropped := int64(len(m.recs) - len(kept))
-	m.recs = kept
-	return dropped, nil
 }

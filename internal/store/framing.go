@@ -2,9 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io/fs"
 	"path/filepath"
 )
 
@@ -111,33 +112,120 @@ func scanFrames(data []byte, maxFrame int, visit func(body []byte) error) (int64
 	}
 }
 
-// syncDir fsyncs the directory containing path, making a freshly
-// created file durable: without it the file's directory entry can
-// vanish entirely after power loss even though the data blocks were
-// written.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+// logFile is the one append-only file both logs are: CRC frames
+// appended after the last intact one, rewritten whole by compaction. A
+// failed write or rewrite closes it: part of a frame may be on disk, and
+// only a reopen, which truncates a torn tail, may append again.
+type logFile struct {
+	fs     FS
+	f      File
+	path   string
+	sync   bool
+	closed bool
 }
 
-// openLogFile opens (or creates) a log file, fsyncing the parent
-// directory when the file is new.
-func openLogFile(path string) (*os.File, error) {
-	_, statErr := os.Stat(path)
-	created := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// openLog is the one open routine of the logs: it reads the file at
+// path (a missing one is created, and its directory synced so the entry
+// survives power loss), hands every intact frame body to visit, and
+// truncates a torn tail so the next append starts clean. check, when
+// set, may refuse what visit collected before anything is written.
+func openLog(fsys FS, path string, sync bool, maxFrame int, visit func(body []byte) error, check func() error) (logFile, error) {
+	l := logFile{fs: fsys, path: path, sync: sync}
+	data, err := fsys.ReadFile(path)
+	created := errors.Is(err, fs.ErrNotExist)
+	if err != nil && !created {
+		return l, fmt.Errorf("store: read %s: %w", path, err)
+	}
+	validEnd, err := scanFrames(data, maxFrame, visit)
+	if err == nil && check != nil {
+		err = check()
+	}
 	if err != nil {
-		return nil, err
+		return l, err
+	}
+	if l.f, err = fsys.OpenAppend(path); err != nil {
+		return l, fmt.Errorf("store: open %s: %w", path, err)
 	}
 	if created {
-		if err := syncDir(path); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: sync dir for %s: %w", path, err)
-		}
+		err = fsys.SyncDir(filepath.Dir(path))
+	} else if validEnd < int64(len(data)) {
+		err = l.f.Truncate(validEnd)
 	}
-	return f, nil
+	if err != nil {
+		l.f.Close()
+		return l, fmt.Errorf("store: open %s: %w", path, err)
+	}
+	return l, nil
+}
+
+// append writes body as one frame and, with sync, fsyncs it.
+func (l *logFile) append(body []byte) error {
+	if l.closed {
+		return ErrLogClosed
+	}
+	_, err := l.f.Write(encodeFrame(body))
+	if err == nil && l.sync {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		l.closed = true
+		l.f.Close()
+		return fmt.Errorf("store: append %s: %w", l.path, err)
+	}
+	return nil
+}
+
+// rewrite atomically replaces the file with data and reopens it.
+func (l *logFile) rewrite(data []byte) error {
+	err := replaceFile(l.fs, l.path, data)
+	l.f.Close()
+	var f File
+	if err == nil {
+		f, err = l.fs.OpenAppend(l.path)
+	}
+	if err != nil {
+		l.closed = true
+		return err
+	}
+	l.f = f
+	return nil
+}
+
+// close syncs and closes the file. Closing twice is fine.
+func (l *logFile) close() error {
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	err := l.f.Sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// replaceFile is the one atomic publish routine: data goes to a temp
+// file, which is fsynced, renamed over path, and its directory fsynced.
+// A crash at any point leaves the old file or the new one, never a mix.
+func replaceFile(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("store: publish %s: %w", path, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return fmt.Errorf("store: publish %s: %w", path, err)
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }

@@ -4,10 +4,8 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -116,53 +114,29 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// WriteSnapshotFile atomically publishes a snapshot: the CRC-framed
-// encoding is written to a temp file, fsynced, renamed into place, and
-// the directory fsynced — a crash at any point leaves either the old
-// file or the new one, never a torn hybrid.
-func WriteSnapshotFile(path string, s *Snapshot) error {
+// WriteSnapshotFile atomically publishes a snapshot on the operating
+// system's file system: a crash at any point leaves either the old file
+// or the new one, never a torn hybrid.
+func WriteSnapshotFile(path string, s *Snapshot) error { return writeSnapshot(OS, path, s) }
+
+// writeSnapshot publishes the CRC-framed encoding of s at path.
+func writeSnapshot(fsys FS, path string, s *Snapshot) error {
 	body := EncodeSnapshot(s)
 	if len(body) > MaxSnapshotFrame {
 		return fmt.Errorf("store: snapshot %d bytes exceeds frame limit", len(body))
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: snapshot tmp: %w", err)
-	}
-	if _, err := f.Write(encodeFrame(body)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot publish: %w", err)
-	}
-	return syncDir(path)
+	return replaceFile(fsys, path, encodeFrame(body))
 }
 
 // ReadSnapshotFile loads and decodes one snapshot file. Unlike the
 // append-only logs, a snapshot is all-or-nothing: a torn or damaged
 // frame is ErrCorruptSnapshot, never a usable prefix.
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+func ReadSnapshotFile(path string) (*Snapshot, error) { return readSnapshot(OS, path) }
+
+func readSnapshot(fsys FS, path string) (*Snapshot, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: read snapshot: %w", err)
 	}
 	return DecodeSnapshotFile(data)
 }
@@ -187,24 +161,11 @@ func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
 	return DecodeSnapshot(body)
 }
 
-// SnapshotProvider is the surface the fast-sync engine and the chaos
-// harness share: publish a snapshot, load the newest valid one.
-type SnapshotProvider interface {
-	// Latest returns the newest verifiable snapshot, or (nil, nil) when
-	// none exists. Corrupt files are skipped, not fatal.
-	Latest() (*Snapshot, error)
-	// Add persists a snapshot (applying retention).
-	Add(*Snapshot) error
-	// OldestHeight returns the checkpoint height of the oldest retained
-	// valid snapshot (0 when none) — the compaction floor: blocks at or
-	// below it may be truncated, because any restart can start from a
-	// retained snapshot instead.
-	OldestHeight() uint64
-}
-
-// SnapshotStore keeps the last K snapshots as files in a directory.
+// SnapshotStore keeps the last K snapshots as files in a directory: the
+// surface the fast-sync engine reads and writes.
 type SnapshotStore struct {
 	mu     sync.Mutex
+	fs     FS
 	dir    string
 	retain int
 }
@@ -212,38 +173,31 @@ type SnapshotStore struct {
 // DefaultRetainSnapshots is the default retention depth.
 const DefaultRetainSnapshots = 2
 
-// OpenSnapshotStore opens (creating if needed) a snapshot directory.
-func OpenSnapshotStore(dir string, retain int) (*SnapshotStore, error) {
-	if retain <= 0 {
-		retain = DefaultRetainSnapshots
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// openSnapshotStore opens (creating if needed) a snapshot directory.
+func openSnapshotStore(fsys FS, dir string, retain int) (*SnapshotStore, error) {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: snapshot dir: %w", err)
 	}
-	return &SnapshotStore{dir: dir, retain: retain}, nil
+	return &SnapshotStore{fs: fsys, dir: dir, retain: retain}, nil
 }
-
-// Dir returns the backing directory.
-func (s *SnapshotStore) Dir() string { return s.dir }
 
 func snapshotFileName(height uint64) string {
 	return fmt.Sprintf("snap-%016d.gsnap", height)
 }
 
-// files lists snapshot filenames sorted ascending by height (the
-// zero-padded name sorts numerically).
+// files lists snapshot filenames ascending by height (List sorts, and
+// the zero-padded name sorts numerically).
 func (s *SnapshotStore) files() ([]string, error) {
-	ents, err := os.ReadDir(s.dir)
+	all, err := s.fs.List(s.dir)
 	if err != nil {
 		return nil, err
 	}
 	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), "snap-") && strings.HasSuffix(e.Name(), ".gsnap") {
-			names = append(names, e.Name())
+	for _, name := range all {
+		if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".gsnap") {
+			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
 	return names, nil
 }
 
@@ -251,8 +205,7 @@ func (s *SnapshotStore) files() ([]string, error) {
 func (s *SnapshotStore) Add(snap *Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := filepath.Join(s.dir, snapshotFileName(snap.Height()))
-	if err := WriteSnapshotFile(path, snap); err != nil {
+	if err := writeSnapshot(s.fs, filepath.Join(s.dir, snapshotFileName(snap.Height())), snap); err != nil {
 		return err
 	}
 	names, err := s.files()
@@ -260,7 +213,7 @@ func (s *SnapshotStore) Add(snap *Snapshot) error {
 		return nil // published fine; retention is best effort
 	}
 	for len(names) > s.retain {
-		os.Remove(filepath.Join(s.dir, names[0]))
+		s.fs.Remove(filepath.Join(s.dir, names[0]))
 		names = names[1:]
 	}
 	return nil
@@ -268,112 +221,44 @@ func (s *SnapshotStore) Add(snap *Snapshot) error {
 
 // Latest returns the newest snapshot that decodes and verifies,
 // skipping damaged files, or (nil, nil) when none survive.
-func (s *SnapshotStore) Latest() (*Snapshot, error) {
+func (s *SnapshotStore) Latest() (*Snapshot, error) { return s.first(true) }
+
+// OldestHeight returns the checkpoint height of the oldest retained
+// valid snapshot (0 when none) — the compaction floor: blocks at or
+// below it may be truncated, because any restart can start from a
+// retained snapshot instead.
+func (s *SnapshotStore) OldestHeight() uint64 {
+	if snap, err := s.first(false); err == nil && snap != nil {
+		return snap.Height()
+	}
+	return 0
+}
+
+// first returns the first snapshot that decodes and verifies, scanning
+// from the newest file when newest is set and from the oldest otherwise.
+func (s *SnapshotStore) first(newest bool) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names, err := s.files()
 	if err != nil {
 		return nil, err
 	}
-	for i := len(names) - 1; i >= 0; i-- {
-		snap, err := ReadSnapshotFile(filepath.Join(s.dir, names[i]))
-		if err != nil || snap.Verify() != nil {
-			continue
-		}
-		return snap, nil
-	}
-	return nil, nil
-}
-
-// OldestHeight implements SnapshotProvider.
-func (s *SnapshotStore) OldestHeight() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names, err := s.files()
-	if err != nil {
-		return 0
+	if newest {
+		slices.Reverse(names)
 	}
 	for _, name := range names {
-		snap, err := ReadSnapshotFile(filepath.Join(s.dir, name))
-		if err != nil || snap.Verify() != nil {
-			continue
+		snap, err := readSnapshot(s.fs, filepath.Join(s.dir, name))
+		if err == nil && snap.Verify() == nil {
+			return snap, nil
 		}
-		return snap.Height()
-	}
-	return 0
-}
-
-// MemSnapshots is the in-memory SnapshotProvider the simulated chaos
-// clusters use as durable snapshot storage: encoded blobs survive a
-// simulated crash exactly like files survive a process kill, and tests
-// can flip bits in them to model disk corruption.
-type MemSnapshots struct {
-	mu     sync.Mutex
-	retain int
-	blobs  [][]byte // encoded snapshots, oldest first
-}
-
-// NewMemSnapshots returns an empty in-memory store retaining K blobs.
-func NewMemSnapshots(retain int) *MemSnapshots {
-	if retain <= 0 {
-		retain = DefaultRetainSnapshots
-	}
-	return &MemSnapshots{retain: retain}
-}
-
-// Add implements SnapshotProvider.
-func (m *MemSnapshots) Add(snap *Snapshot) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blobs = append(m.blobs, EncodeSnapshot(snap))
-	if len(m.blobs) > m.retain {
-		m.blobs = append([][]byte(nil), m.blobs[len(m.blobs)-m.retain:]...)
-	}
-	return nil
-}
-
-// Latest implements SnapshotProvider.
-func (m *MemSnapshots) Latest() (*Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := len(m.blobs) - 1; i >= 0; i-- {
-		snap, err := DecodeSnapshot(m.blobs[i])
-		if err != nil || snap.Verify() != nil {
-			continue
-		}
-		return snap, nil
 	}
 	return nil, nil
 }
 
-// OldestHeight implements SnapshotProvider.
-func (m *MemSnapshots) OldestHeight() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, b := range m.blobs {
-		snap, err := DecodeSnapshot(b)
-		if err != nil || snap.Verify() != nil {
-			continue
-		}
-		return snap.Height()
-	}
-	return 0
-}
-
-// Len returns how many blobs are retained (including corrupt ones).
-func (m *MemSnapshots) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blobs)
-}
-
-// CorruptAll flips one byte in every stored blob.
-func (m *MemSnapshots) CorruptAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, blob := range m.blobs {
-		if len(blob) > 0 {
-			blob[len(blob)/2] ^= 0x40
-		}
-	}
+// Len returns how many snapshot files are retained (corrupt ones too).
+func (s *SnapshotStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names, _ := s.files()
+	return len(names)
 }

@@ -192,7 +192,7 @@ func TestSnapshotStoreRetention(t *testing.T) {
 	states := buildStates(t, 5)
 	kp := gcrypto.DeterministicKeyPair(0)
 	dir := t.TempDir()
-	ss, err := OpenSnapshotStore(dir, 2)
+	ss, err := openSnapshotStore(OS, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSnapshotStoreSkipsCorrupt(t *testing.T) {
 	states := buildStates(t, 4)
 	kp := gcrypto.DeterministicKeyPair(0)
 	dir := t.TempDir()
-	ss, err := OpenSnapshotStore(dir, 2)
+	ss, err := openSnapshotStore(OS, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestDiskBoundedAcrossEras(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lg.Close()
-	ss, err := OpenSnapshotStore(filepath.Join(dir, "snaps"), 2)
+	ss, err := openSnapshotStore(OS, filepath.Join(dir, "snaps"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestDiskBoundedAcrossEras(t *testing.T) {
 		t.Fatalf("compaction ineffective: log is %d bytes vs %d uncompacted", final, uncompacted)
 	}
 	// Retention bounds the snapshot directory too.
-	entries, err := os.ReadDir(ss.Dir())
+	entries, err := os.ReadDir(ss.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"gpbft/internal/codec"
@@ -130,12 +128,9 @@ func decodeWALRecord(body []byte) (WALRecord, error) {
 // reaches the network without reaching the disk is exactly the
 // equivocation window the WAL exists to close.
 type WAL struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	sync   bool
-	closed bool
-	count  int
+	mu sync.Mutex
+	logFile
+	count int
 }
 
 // WALOptions configures opening a write-ahead log.
@@ -145,56 +140,51 @@ type WALOptions struct {
 	NoSync bool
 }
 
-// OpenWAL opens (or creates) the WAL at path, returning the log and
-// the records recovered from it in append order. A torn final frame is
-// truncated away; corruption followed by valid frames is an error.
+// OpenWAL opens (or creates) the WAL at path on the operating system's
+// file system, returning the log and the records recovered from it in
+// append order.
 func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
-	f, err := openLogFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: open wal %s: %w", path, err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: read wal: %w", err)
-	}
+	return openWAL(OS, path, !opts.NoSync)
+}
+
+// openWAL opens (or creates) the WAL at path. A torn final frame is
+// truncated away; corruption followed by valid frames is an error, and
+// so is a record kind this version no longer replays.
+func openWAL(fsys FS, path string, sync bool) (*WAL, []WALRecord, error) {
 	var recs []WALRecord
-	validEnd, err := scanFrames(data, MaxWALFrame, func(body []byte) error {
+	visit := func(body []byte) error {
 		rec, err := decodeWALRecord(body)
 		if err != nil {
 			return err
 		}
 		recs = append(recs, rec)
 		return nil
-	})
-	if err != nil {
-		f.Close()
-		return nil, nil, err
 	}
-	for i := range recs {
-		if recs[i].Kind == walRetiredCommit || recs[i].Kind == walRetiredPrepared {
-			f.Close()
-			return nil, nil, fmt.Errorf("%w: %s", ErrWALRetired, path)
+	retired := func() error {
+		for i := range recs {
+			if recs[i].Kind == walRetiredCommit || recs[i].Kind == walRetiredPrepared {
+				return fmt.Errorf("%w: %s", ErrWALRetired, path)
+			}
 		}
+		return nil
 	}
-	if err := f.Truncate(validEnd); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: truncate wal torn tail: %w", err)
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
+	f, err := openLog(fsys, path, sync, MaxWALFrame, visit, retired)
+	if err != nil {
 		return nil, nil, err
 	}
-	w := &WAL{f: f, path: path, sync: !opts.NoSync, count: len(recs)}
-	return w, recs, nil
+	return &WAL{logFile: f, count: len(recs)}, recs, nil
 }
 
 // Append persists one record, fsyncing before it returns (unless
 // NoSync): callers may only hand the corresponding message to the
-// network after Append succeeds.
+// network after Append succeeds. A failed write closes the log.
 func (w *WAL) Append(rec WALRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.appendLocked(rec)
+}
+
+func (w *WAL) appendLocked(rec WALRecord) error {
 	if w.closed {
 		return ErrLogClosed
 	}
@@ -202,13 +192,8 @@ func (w *WAL) Append(rec WALRecord) error {
 	if len(body) > MaxWALFrame {
 		return fmt.Errorf("store: wal record %d exceeds frame limit", len(body))
 	}
-	if _, err := w.f.Write(encodeFrame(body)); err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: wal sync: %w", err)
-		}
+	if err := w.append(body); err != nil {
+		return err
 	}
 	w.count++
 	return nil
@@ -223,82 +208,20 @@ func (w *WAL) Append(rec WALRecord) error {
 // in the new era yet.
 func (w *WAL) Rotate(era uint64) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return ErrLogClosed
 	}
 	if err := w.f.Truncate(0); err != nil {
-		w.mu.Unlock()
 		return fmt.Errorf("store: wal rotate: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		w.mu.Unlock()
-		return err
-	}
 	w.count = 0
-	w.mu.Unlock()
-	return w.Append(WALRecord{Kind: WALEra, Era: era})
-}
-
-// Count returns the number of records in the log.
-func (w *WAL) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
+	return w.appendLocked(WALRecord{Kind: WALEra, Era: era})
 }
 
 // Close flushes and closes the file. Closing twice is fine.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
-// MemWAL is an in-memory WAL with the same interface, used by the
-// simulator's amnesia-restart fault model: it survives a simulated
-// crash (the harness holds it outside the node) exactly like a file
-// survives a process kill.
-type MemWAL struct {
-	mu   sync.Mutex
-	recs []WALRecord
-}
-
-// Append implements the WAL surface.
-func (m *MemWAL) Append(rec WALRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recs = append(m.recs, rec)
-	return nil
-}
-
-// Rotate implements the WAL surface.
-func (m *MemWAL) Rotate(era uint64) error {
-	m.mu.Lock()
-	m.recs = m.recs[:0]
-	m.mu.Unlock()
-	return m.Append(WALRecord{Kind: WALEra, Era: era})
-}
-
-// Records returns a copy of the recorded entries in append order.
-func (m *MemWAL) Records() []WALRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]WALRecord, len(m.recs))
-	copy(out, m.recs)
-	return out
-}
-
-// Len returns the number of records.
-func (m *MemWAL) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.recs)
+	return w.close()
 }

@@ -36,8 +36,8 @@ func TestWALAppendReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != len(want) {
-		t.Fatalf("count %d", w.Count())
+	if w.count != len(want) {
+		t.Fatalf("count %d", w.count)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -62,8 +62,8 @@ func TestWALAppendReopen(t *testing.T) {
 	if err := w2.Append(walRec(WALPrepare, 1, 2, 4, 9)); err != nil {
 		t.Fatal(err)
 	}
-	if w2.Count() != len(want)+1 {
-		t.Fatalf("count %d after recovered append", w2.Count())
+	if w2.count != len(want)+1 {
+		t.Fatalf("count %d after recovered append", w2.count)
 	}
 }
 
@@ -161,8 +161,8 @@ func TestWALRotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Old-era records are gone; only the fresh era marker remains.
-	if w.Count() != 1 {
-		t.Fatalf("count %d after rotate", w.Count())
+	if w.count != 1 {
+		t.Fatalf("count %d after rotate", w.count)
 	}
 	w.Append(walRec(WALPrepare, 2, 0, 1, 9))
 	w.Close()
@@ -192,17 +192,26 @@ func TestWALClosed(t *testing.T) {
 	}
 }
 
-func TestMemWAL(t *testing.T) {
-	var m MemWAL
-	m.Append(walRec(WALPrepare, 1, 0, 1, 1))
-	m.Append(walRec(WALPrepared, 1, 0, 1, 1))
-	if m.Len() != 2 {
-		t.Fatalf("len %d", m.Len())
-	}
-	if err := m.Rotate(2); err != nil {
+// TestWALOnMemFS: the WAL over the in-memory file system appends,
+// rotates and reads back exactly as on disk.
+func TestWALOnMemFS(t *testing.T) {
+	fsys := NewMemFS()
+	w, _, err := openWAL(fsys, "votes.wal", true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs := m.Records()
+	w.Append(walRec(WALPrepare, 1, 0, 1, 1))
+	w.Append(walRec(WALPrepared, 1, 0, 1, 1))
+	if w.count != 2 {
+		t.Fatalf("count %d", w.count)
+	}
+	if err := w.Rotate(2); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := openWAL(fsys, "votes.wal", true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) != 1 || recs[0].Kind != WALEra || recs[0].Era != 2 {
 		t.Fatalf("records after rotate: %+v", recs)
 	}

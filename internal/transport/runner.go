@@ -95,21 +95,16 @@ func (r *Runner) Submit(tx *types.Transaction) error {
 	return <-errCh
 }
 
-// Run processes events until ctx is cancelled. It starts the engine on
-// entry. A received envelope arrives with its signature work done by the
-// connection that read it (TCP.deliverPayload).
+// Run processes events until ctx is cancelled or the node halts. It
+// starts the engine on entry. A received envelope arrives with its
+// signature work done by the connection that read it
+// (TCP.deliverPayload).
 func (r *Runner) Run(ctx context.Context) {
+	defer r.stopTimers()
 	r.node.Start(r.now())
-	for {
+	for r.node.Halted() == nil {
 		select {
 		case <-ctx.Done():
-			r.mu.Lock()
-			r.closed = true
-			for id, t := range r.timers {
-				t.Stop()
-				delete(r.timers, id)
-			}
-			r.mu.Unlock()
 			return
 		case env := <-r.tcp.Incoming():
 			r.node.Deliver(r.now(), env)
@@ -127,5 +122,16 @@ func (r *Runner) Run(ctx context.Context) {
 				}
 			}
 		}
+	}
+}
+
+// stopTimers cancels every pending timer and refuses new ones.
+func (r *Runner) stopTimers() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	for id, t := range r.timers {
+		t.Stop()
+		delete(r.timers, id)
 	}
 }

@@ -285,19 +285,7 @@ func (c *Cluster) Now() time.Duration { return c.net.Now() }
 // NewNodeTx builds a data transaction authored by node i at its
 // deployed position, timestamped at the given virtual time.
 func (c *Cluster) NewNodeTx(i int, at time.Duration, payload []byte, fee uint64) *types.Transaction {
-	c.nonces[i]++
-	tx := &types.Transaction{
-		Type:    types.TxNormal,
-		Nonce:   c.nonces[i],
-		Payload: payload,
-		Fee:     fee,
-		Geo: types.GeoInfo{
-			Location:  c.positions[i],
-			Timestamp: c.opts.Epoch.Add(at),
-		},
-	}
-	tx.Sign(c.keys[i])
-	return tx
+	return c.NewTypedNodeTx(i, at, types.TxNormal, payload, fee)
 }
 
 // NewTypedNodeTx builds a transaction of an arbitrary type authored by
@@ -387,32 +375,31 @@ func (c *Cluster) SubmitWitness(at time.Duration, witness int, subject gcrypto.A
 // VerifyAgreement checks that all node chains agree on every height
 // they share and that no node hit a commit error; it returns the
 // minimum committed height.
-func (c *Cluster) VerifyAgreement() (uint64, error) {
+func (c *Cluster) VerifyAgreement() (uint64, error) { return chainsAgree(c.nodes, "node") }
+
+// chainsAgree checks every node's chain against node 0's on the heights
+// both hold, and that none hit a commit error; it returns the lowest
+// height among them. who names a node in the errors.
+func chainsAgree(nodes []*runtime.Node, who string) (uint64, error) {
 	minH := uint64(math.MaxUint64)
-	ref := c.nodes[0].App.Chain()
-	for i, n := range c.nodes {
+	ref := nodes[0].App.Chain()
+	for i, n := range nodes {
 		if n.CommitErr != nil {
-			return 0, fmt.Errorf("node %d commit error: %w", i, n.CommitErr)
+			return 0, fmt.Errorf("%s %d commit error: %w", who, i, n.CommitErr)
 		}
-		h := n.App.Chain().Height()
-		if h < minH {
-			minH = h
-		}
-		limit := h
-		if rh := ref.Height(); rh < limit {
-			limit = rh
-		}
-		for k := uint64(0); k <= limit; k++ {
+		chain := n.App.Chain()
+		minH = min(minH, chain.Height())
+		for k := uint64(0); k <= min(chain.Height(), ref.Height()); k++ {
 			a, err := ref.BlockAt(k)
 			if err != nil {
 				return 0, err
 			}
-			b, err := n.App.Chain().BlockAt(k)
+			b, err := chain.BlockAt(k)
 			if err != nil {
 				return 0, err
 			}
 			if a.Hash() != b.Hash() {
-				return 0, fmt.Errorf("node %d disagrees with node 0 at height %d", i, k)
+				return 0, fmt.Errorf("%s %d disagrees with %s 0 at height %d", who, i, who, k)
 			}
 		}
 	}

@@ -14,15 +14,6 @@
 // and pretty-prints the state it carries:
 //
 //	gpbft-inspect snapshot node0.blk.snap/snap-0000000000000042.gsnap
-//
-// The shards subcommand reads one or more block logs from a
-// geo-sharded deployment — region chains and/or the anchor chain — and
-// reports the cross-region machinery they carry: region checkpoints in
-// commit order, and every transfer receipt's lifecycle status (minted
-// by a lock, covered by an anchored checkpoint, applied at the
-// destination):
-//
-//	gpbft-inspect shards anchor.blk region0.blk region1.blk
 package main
 
 import (
@@ -30,14 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/evidence"
-	"gpbft/internal/gcrypto"
-	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
-	"gpbft/internal/shard"
 	"gpbft/internal/store"
 	"gpbft/internal/types"
 )
@@ -50,17 +38,9 @@ func main() {
 		inspectSnapshot(os.Args[2])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "shards" {
-		if len(os.Args) < 3 {
-			fatalf("usage: gpbft-inspect shards <file.blk> [more.blk ...]")
-		}
-		inspectShards(os.Args[2:])
-		return
-	}
 	var (
 		dataPath  = flag.String("data", "", "block-log file (required)")
 		committee = flag.Int("committee", 4, "genesis committee size (must match the node's)")
-		nodes     = flag.Int("nodes", 0, "total nodes (default = committee)")
 		chainID   = flag.String("chain-id", "gpbft-tcp", "chain identifier (must match the node's)")
 		protocol  = flag.String("protocol", "gpbft", "pbft or gpbft (must match the node's)")
 		eraPeriod = flag.Duration("era", 30*time.Second, "era period (must match the node's)")
@@ -76,56 +56,23 @@ func main() {
 	if *protocol != "pbft" && *protocol != "gpbft" {
 		fatalf("unknown -protocol %q", *protocol)
 	}
-	if *nodes == 0 {
-		*nodes = *committee
-	}
 
-	g := deriveGenesis(*chainID, *protocol, *committee, *eraPeriod, *swPeriod, *report)
+	g := assemble.DeploymentGenesis(*chainID, *protocol, *committee, *eraPeriod, *swPeriod, *report)
 	if err := inspectData(os.Stdout, g, *dataPath, *showTxs, *rewards); err != nil {
 		fatalf("%v", err)
 	}
-}
-
-// deriveGenesis reconstructs the deterministic genesis gpbft-node
-// derives from the same flags.
-func deriveGenesis(chainID, protocol string, committee int, eraPeriod, swPeriod, report time.Duration) *ledger.Genesis {
-	epoch := time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
-	g := &ledger.Genesis{ChainID: chainID, Timestamp: epoch, Policy: ledger.DefaultPolicy()}
-	g.Policy.EraPeriod = eraPeriod
-	g.Policy.SwitchPeriod = swPeriod
-	g.Policy.ReportInterval = report
-	g.Policy.QualificationWindow = 3 * eraPeriod
-	if committee > g.Policy.MaxEndorsers {
-		g.Policy.MaxEndorsers = committee
-	}
-	if protocol == "gpbft" {
-		g.Policy.Eras = ledger.ErasElect
-	}
-	for i := 0; i < committee; i++ {
-		kp := gcrypto.DeterministicKeyPair(i)
-		pos := geo.Point{Lng: 114.175 + float64(i)*0.0004, Lat: 22.302 + float64(i%7)*0.0005}
-		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
-			Address: kp.Address(), PubKey: kp.Public(),
-			Geohash: geo.MustEncode(pos, geo.CSCPrecision),
-		})
-	}
-	return g
 }
 
 // inspectData reads the durable directory at path read-only, as a
 // restart would: from the newest snapshot the genesis accepts, then the
 // logged blocks above it, each re-validated and printed.
 func inspectData(w io.Writer, g *ledger.Genesis, path string, showTxs, rewards bool) error {
-	dir, err := store.InspectDir(store.OS, path)
+	boot, err := store.LoadDir(store.OS, path, g)
 	if err != nil {
 		return err
 	}
-	boot, err := dir.Load(g)
-	if err != nil {
-		return fmt.Errorf("genesis: %v", err)
-	}
 	chain := boot.Chain
-	fmt.Fprintf(w, "block log: %s (%d blocks)\n", path, len(dir.Logged()))
+	fmt.Fprintf(w, "block log: %s (%d blocks to replay)\n", path, len(boot.Tail))
 	fmt.Fprintf(w, "genesis:   chain-id=%s committee=%d hash=%s\n", g.ChainID, len(g.Endorsers), g.Hash().Short())
 	if boot.Refused != nil {
 		fmt.Fprintf(w, "WARNING:   %v (replaying from genesis)\n", boot.Refused)
@@ -188,7 +135,7 @@ func inspectData(w io.Writer, g *ledger.Genesis, path string, showTxs, rewards b
 		}
 	}
 	if rewards {
-		fmt.Println("\nreward balances:")
+		fmt.Fprintln(w, "\nreward balances:")
 		r := chain.Rewards()
 		for _, a := range r.Accounts() {
 			fmt.Fprintf(w, "  %s  balance=%6d  blocks=%d\n", a.Short(), r.Balance(a), r.BlocksProduced(a))
@@ -237,135 +184,6 @@ func inspectSnapshot(path string) {
 		len(st.Balances), len(st.TxIndex), len(st.Evidence))
 	if sigStatus != "OK" {
 		fatalf("signature verification failed")
-	}
-}
-
-// receiptTrace is one transfer receipt's observed lifecycle across the
-// inspected logs.
-type receiptTrace struct {
-	rc       shard.Receipt
-	minted   bool // lock seen on a source-region log
-	anchored bool // covered by a committed region checkpoint
-	applied  bool // apply seen on a destination-region log
-	dupes    int  // extra committed applies (benign no-ops)
-}
-
-// inspectShards reads raw blocks from every given log (no chain
-// re-validation — the logs come from different chains with different
-// genesis committees) and reconstructs the cross-region coordination
-// state they collectively describe.
-func inspectShards(paths []string) {
-	traces := make(map[gcrypto.Hash]*receiptTrace)
-	trace := func(id gcrypto.Hash) *receiptTrace {
-		t, ok := traces[id]
-		if !ok {
-			t = &receiptTrace{}
-			traces[id] = t
-		}
-		return t
-	}
-	latest := make(map[string]*shard.RegionCheckpoint)
-	checkpoints, locks, applies := 0, 0, 0
-
-	for _, path := range paths {
-		dir, err := store.InspectDir(store.OS, path)
-		if err != nil {
-			fatalf("%s: %v", path, err)
-		}
-		blocks := dir.Logged()
-		fmt.Printf("%s: %d blocks\n", path, len(blocks))
-		for _, b := range blocks {
-			for i := range b.Txs {
-				tx := &b.Txs[i]
-				switch tx.Type {
-				case types.TxTransferLock:
-					tr, err := shard.DecodeTransfer(tx.Payload)
-					if err != nil {
-						fatalf("%s height %d: bad transfer payload: %v", path, b.Header.Height, err)
-					}
-					t := trace(tx.ID())
-					t.minted = true
-					t.rc = shard.Receipt{
-						ID: tx.ID(), Source: tr.Source, Dest: tr.Dest,
-						Recipient: tr.Recipient, Amount: tr.Amount,
-						LockHeight: b.Header.Height,
-					}
-					locks++
-					fmt.Printf("  height %4d  LOCK       %s  %s -> %s  amount %d\n",
-						b.Header.Height, tx.ID().Short(), tr.Source, tr.Dest, tr.Amount)
-				case types.TxTransferApply:
-					rc, err := shard.DecodeReceipt(tx.Payload)
-					if err != nil {
-						fatalf("%s height %d: bad receipt payload: %v", path, b.Header.Height, err)
-					}
-					t := trace(rc.ID)
-					if t.applied {
-						t.dupes++
-					}
-					t.applied = true
-					if !t.minted {
-						t.rc = *rc
-					}
-					applies++
-					fmt.Printf("  height %4d  APPLY      %s  credit %s += %d\n",
-						b.Header.Height, rc.ID.Short(), rc.Recipient.Short(), rc.Amount)
-				case types.TxRegionCheckpoint:
-					cp, err := shard.DecodeCheckpoint(tx.Payload)
-					if err != nil {
-						fatalf("%s height %d: bad checkpoint payload: %v", path, b.Header.Height, err)
-					}
-					checkpoints++
-					if cur, ok := latest[cp.Region]; !ok || cp.Height > cur.Height {
-						latest[cp.Region] = cp
-					}
-					for _, rc := range cp.Receipts {
-						t := trace(rc.ID)
-						t.anchored = true
-						if !t.minted {
-							t.rc = rc
-						}
-					}
-					fmt.Printf("  height %4d  CHECKPOINT region %s  era %d  height %d  root %s  receipts %d\n",
-						b.Header.Height, cp.Region, cp.Era, cp.Height, cp.Root.Short(), len(cp.Receipts))
-				}
-			}
-		}
-	}
-
-	fmt.Printf("\nanchored region heads (%d checkpoints committed):\n", checkpoints)
-	regions := make([]string, 0, len(latest))
-	for r := range latest {
-		regions = append(regions, r)
-	}
-	sort.Strings(regions)
-	for _, r := range regions {
-		cp := latest[r]
-		fmt.Printf("  %s  era %d  height %d  root %s\n", r, cp.Era, cp.Height, cp.Root.Short())
-	}
-
-	fmt.Printf("\nreceipts (%d locks, %d applies across the given logs):\n", locks, applies)
-	ids := make([]gcrypto.Hash, 0, len(traces))
-	for id := range traces {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].String() < ids[j].String() })
-	for _, id := range ids {
-		t := traces[id]
-		status := "minted"
-		switch {
-		case t.applied:
-			status = "applied"
-		case t.anchored:
-			status = "anchored"
-		case !t.minted:
-			status = "orphan" // applied or anchored on these logs, lock log not given
-		}
-		extra := ""
-		if t.dupes > 0 {
-			extra = fmt.Sprintf("  (+%d duplicate applies, credited once)", t.dupes)
-		}
-		fmt.Printf("  %s  %s -> %s  amount %4d  %-8s%s\n",
-			id.Short(), t.rc.Source, t.rc.Dest, t.rc.Amount, status, extra)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gpbft/internal/assemble"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
@@ -22,7 +23,7 @@ import (
 // it — the snapshot, then the tail above it — and ends intact at the
 // log's head.
 func TestInspectReadsFromTheSnapshot(t *testing.T) {
-	g := deriveGenesis("inspect-test", "gpbft", 4, 30*time.Second, 250*time.Millisecond, 5*time.Second)
+	g := assemble.DeploymentGenesis("inspect-test", "gpbft", 4, 30*time.Second, 250*time.Millisecond, 5*time.Second)
 	chain, err := ledger.NewChain(g)
 	if err != nil {
 		t.Fatal(err)
@@ -63,10 +64,10 @@ func TestInspectReadsFromTheSnapshot(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := inspectData(&out, g, path, false, false); err != nil {
+	if err := inspectData(&out, g, path, false, true); err != nil {
 		t.Fatalf("inspect: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"(4 blocks)", "snapshot:  height=6", "summary: height=10", "integrity: OK"} {
+	for _, want := range []string{"(4 blocks to replay)", "snapshot:  height=6", "summary: height=10", "reward balances:", "integrity: OK"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output lacks %q:\n%s", want, out.String())
 		}
@@ -76,7 +77,7 @@ func TestInspectReadsFromTheSnapshot(t *testing.T) {
 // TestInspectRefusesAMissingPath: inspecting a path that does not exist
 // is an error and leaves nothing behind.
 func TestInspectRefusesAMissingPath(t *testing.T) {
-	g := deriveGenesis("inspect-test", "gpbft", 4, 30*time.Second, 250*time.Millisecond, 5*time.Second)
+	g := assemble.DeploymentGenesis("inspect-test", "gpbft", 4, 30*time.Second, 250*time.Millisecond, 5*time.Second)
 	path := filepath.Join(t.TempDir(), "does-not-exist.blk")
 	if err := inspectData(&bytes.Buffer{}, g, path, false, false); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("inspect of a missing path: %v, want not-exist", err)

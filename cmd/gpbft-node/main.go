@@ -20,8 +20,10 @@
 // is sent, and every committed block to the block log at <data> before
 // it is acknowledged, so a killed-and-restarted node recovers its chain,
 // rejoins its era, and never contradicts a vote it already sent. A block
-// that cannot be persisted fail-stops the node: it sends nothing more
-// and exits non-zero, and a restart recovers it by WAL and block sync.
+// or vote that cannot be persisted fail-stops the node: it sends nothing
+// more and exits non-zero, and a restart recovers it by WAL and block
+// sync. A restart that cannot replay a compacted block log (its snapshot
+// refused, or -retain-eras 0) refuses to start and leaves the log as is.
 //
 // With -retain-eras N (the default), every era boundary additionally
 // writes a signed snapshot of the full chain state to <data>.snap and
@@ -49,8 +51,6 @@ import (
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
-	"gpbft/internal/geo"
-	"gpbft/internal/ledger"
 	"gpbft/internal/runtime"
 	"gpbft/internal/store"
 	"gpbft/internal/transport"
@@ -110,43 +110,22 @@ func run() error {
 	if *committee < 4 {
 		return fmt.Errorf("committee must be at least 4")
 	}
-	epoch := time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC)
-
-	// Deterministic identities and positions: every node derives the
-	// same genesis.
-	keys := make([]*gcrypto.KeyPair, *nodes)
-	positions := make([]geo.Point, *nodes)
-	for i := range keys {
-		keys[i] = gcrypto.DeterministicKeyPair(i)
-		positions[i] = geo.Point{Lng: 114.175 + float64(i)*0.0004, Lat: 22.302 + float64(i%7)*0.0005}
-	}
-	self := keys[*index]
-
-	g := &ledger.Genesis{ChainID: *chainID, Timestamp: epoch, Policy: ledger.DefaultPolicy()}
-	g.Policy.EraPeriod = *eraPeriod
-	g.Policy.SwitchPeriod = *swPeriod
-	g.Policy.ReportInterval = *report
-	g.Policy.QualificationWindow = 3 * *eraPeriod
-	if *committee > g.Policy.MaxEndorsers {
-		g.Policy.MaxEndorsers = *committee
-	}
-	for i := 0; i < *committee; i++ {
-		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
-			Address: keys[i].Address(), PubKey: keys[i].Public(),
-			Geohash: geo.MustEncode(positions[i], geo.CSCPrecision),
-		})
-	}
 	if *protocol != "pbft" && *protocol != "gpbft" {
 		return fmt.Errorf("unknown -protocol %q", *protocol)
 	}
-	if *protocol == "gpbft" {
-		g.Policy.Eras = ledger.ErasElect
+	// Deterministic identities and positions: every node derives the
+	// same genesis.
+	keys := make([]*gcrypto.KeyPair, *nodes)
+	for i := range keys {
+		keys[i] = gcrypto.DeterministicKeyPair(i)
 	}
-	weights, err := parseTriple(*laneWts, [3]int{})
+	self := keys[*index]
+	g := assemble.DeploymentGenesis(*chainID, *protocol, *committee, *eraPeriod, *swPeriod, *report)
+	weights, err := parseTriple(*laneWts, strconv.Atoi)
 	if err != nil {
 		return fmt.Errorf("-lane-weights: %v", err)
 	}
-	thresholds, err := parseTripleFloat(*shedThr, [3]float64{})
+	thresholds, err := parseTriple(*shedThr, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 	if err != nil {
 		return fmt.Errorf("-shed-thresholds: %v", err)
 	}
@@ -154,7 +133,7 @@ func run() error {
 		Genesis:    g,
 		Key:        self,
 		Index:      *index,
-		Engine:     core.Config{Epoch: epoch, MaxInFlight: *inflight},
+		Engine:     core.Config{Epoch: g.Timestamp, MaxInFlight: *inflight},
 		Batch:      *batch,
 		MempoolCap: *poolCap,
 	}
@@ -350,7 +329,7 @@ func run() error {
 					tx := &types.Transaction{
 						Type:  types.TxLocationReport,
 						Nonce: nonce,
-						Geo:   types.GeoInfo{Location: positions[*index], Timestamp: time.Now().UTC()},
+						Geo:   types.GeoInfo{Location: assemble.DevicePosition(*index), Timestamp: time.Now().UTC()},
 					}
 					tx.Sign(self)
 					_ = runner.Submit(tx)
@@ -369,41 +348,21 @@ func run() error {
 	return nil
 }
 
-// parseTriple parses "a,b,c" into three ints; empty keeps def (zeros
-// defer to the runtime's documented defaults).
-func parseTriple(s string, def [3]int) ([3]int, error) {
+// parseTriple parses "a,b,c" with parse; empty gives zeros, which defer
+// to the runtime's documented defaults.
+func parseTriple[T any](s string, parse func(string) (T, error)) ([3]T, error) {
+	var out [3]T
 	if s == "" {
-		return def, nil
+		return out, nil
 	}
 	parts := strings.Split(s, ",")
 	if len(parts) != 3 {
-		return def, fmt.Errorf("want three comma-separated values, got %q", s)
+		return out, fmt.Errorf("want three comma-separated values, got %q", s)
 	}
-	var out [3]int
 	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
-			return def, fmt.Errorf("value %d of %q: %v", i+1, s, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// parseTripleFloat is parseTriple for fractions.
-func parseTripleFloat(s string, def [3]float64) ([3]float64, error) {
-	if s == "" {
-		return def, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return def, fmt.Errorf("want three comma-separated values, got %q", s)
-	}
-	var out [3]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return def, fmt.Errorf("value %d of %q: %v", i+1, s, err)
+			return out, fmt.Errorf("value %d of %q: %v", i+1, s, err)
 		}
 		out[i] = v
 	}

@@ -5,12 +5,16 @@
 package assemble
 
 import (
+	"time"
+
 	"gpbft/internal/consensus"
 	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
+	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
 	"gpbft/internal/runtime"
 	"gpbft/internal/store"
+	"gpbft/internal/types"
 )
 
 // Config is what a node is built from. A nil sub-config leaves its
@@ -138,4 +142,34 @@ func Node(cfg Config) (*Built, error) {
 	}
 	out.Node = node
 	return out, nil
+}
+
+// DevicePosition is where gpbft-node i stands: every node of a
+// deployment derives the same positions from the index alone.
+func DevicePosition(i int) geo.Point {
+	return geo.Point{Lng: 114.175 + float64(i)*0.0004, Lat: 22.302 + float64(i%7)*0.0005}
+}
+
+// DeploymentGenesis is the genesis gpbft-node derives from its flags,
+// and gpbft-inspect from the same ones: the first committee nodes by
+// deterministic key at DevicePosition, eras elected under gpbft and
+// frozen under pbft.
+func DeploymentGenesis(chainID, protocol string, committee int, eraPeriod, swPeriod, report time.Duration) *ledger.Genesis {
+	g := &ledger.Genesis{ChainID: chainID, Timestamp: time.Date(2019, 8, 5, 0, 0, 0, 0, time.UTC), Policy: ledger.DefaultPolicy()}
+	g.Policy.EraPeriod = eraPeriod
+	g.Policy.SwitchPeriod = swPeriod
+	g.Policy.ReportInterval = report
+	g.Policy.QualificationWindow = 3 * eraPeriod
+	g.Policy.MaxEndorsers = max(g.Policy.MaxEndorsers, committee)
+	if protocol == "gpbft" {
+		g.Policy.Eras = ledger.ErasElect
+	}
+	for i := 0; i < committee; i++ {
+		kp := gcrypto.DeterministicKeyPair(i)
+		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
+			Address: kp.Address(), PubKey: kp.Public(),
+			Geohash: geo.MustEncode(DevicePosition(i), geo.CSCPrecision),
+		})
+	}
+	return g
 }

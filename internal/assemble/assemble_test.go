@@ -263,12 +263,19 @@ func TestRefusedSnapshotFallsBackToFullReplay(t *testing.T) {
 	}
 }
 
-// TestNodeHaltsWhenABlockCannotBePersisted pins the rule for a block the
-// durable state cannot persist: the node fail-stops. Member 3's disk
-// refuses block-log writes; at its first commit it halts, and from then
-// on sends nothing while the other three keep committing. Restarted on
-// the healed disk, it catches up to the committee by WAL and block sync.
+// TestNodeHaltsWhenABlockCannotBePersisted pins the rule for a block, or
+// a vote, the durable state cannot persist: the node fail-stops. Member
+// 3's disk refuses writes to its block log, or to its vote WAL; at its
+// first commit, or its first vote, it halts, and from then on sends
+// nothing while the other three keep committing. Restarted on the healed
+// disk, it catches up to the committee by WAL and block sync.
 func TestNodeHaltsWhenABlockCannotBePersisted(t *testing.T) {
+	for _, file := range []string{"node", "node.wal"} {
+		t.Run(file, func(t *testing.T) { testHaltOnFailedWrite(t, file) })
+	}
+}
+
+func testHaltOnFailedWrite(t *testing.T, file string) {
 	g, keys := committee(t, "assemble-halt")
 	const victim = 3
 	var nodes [4]*runtime.Node
@@ -295,7 +302,7 @@ func TestNodeHaltsWhenABlockCannotBePersisted(t *testing.T) {
 		b.Node.Exec = net.Executor(keys[i].Address())
 		return b.Node
 	}
-	broken := &faultyFS{MemFS: store.NewMemFS(), broken: true}
+	broken := &faultyFS{MemFS: store.NewMemFS(), broken: file}
 	for i := range keys {
 		disks[i] = store.NewMemFS()
 		if i == victim {
@@ -329,7 +336,7 @@ func TestNodeHaltsWhenABlockCannotBePersisted(t *testing.T) {
 		t.Fatalf("the other three committed to height %d, want 6", h)
 	}
 
-	broken.broken = false
+	broken.broken = ""
 	net.Crash(keys[victim].Address())
 	nodes[victim] = boot(victim)
 	net.Restart(keys[victim].Address(), nodes[victim])
@@ -346,27 +353,25 @@ func TestNodeHaltsWhenABlockCannotBePersisted(t *testing.T) {
 
 var errDisk = errors.New("disk refuses the write")
 
-// faultyFS fails every write to the block log "node" while broken.
+// faultyFS fails every write to the file named broken.
 type faultyFS struct {
 	*store.MemFS
-	broken bool
+	broken string
 }
 
 func (f *faultyFS) OpenAppend(name string) (store.File, error) {
 	file, err := f.MemFS.OpenAppend(name)
-	if err != nil || name != "node" {
-		return file, err
-	}
-	return faultyFile{file, f}, nil
+	return faultyFile{file, f, name}, err
 }
 
 type faultyFile struct {
 	store.File
-	fs *faultyFS
+	fs   *faultyFS
+	name string
 }
 
 func (f faultyFile) Write(p []byte) (int, error) {
-	if f.fs.broken {
+	if f.name == f.fs.broken {
 		return 0, errDisk
 	}
 	return f.File.Write(p)

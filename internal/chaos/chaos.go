@@ -95,8 +95,7 @@ type Options struct {
 // WAL, the block log and, with Options.Snapshots, the retained era
 // snapshots) at slotPath. Everything else — mempool, vote tables,
 // timers, sockets — dies with the process and is rebuilt from it on
-// restart.
-// slotPath is where every node keeps its durable directory in its slot.
+// restart. slotPath is where the directory lies in the slot.
 const slotPath = "node"
 
 // Cluster is a simulated committee under fault injection. All nodes
@@ -252,10 +251,10 @@ func gridLayout(n int) []geo.Point {
 // boot builds node i's incarnation from its durable slot only, with
 // assemble.Node: restore the newest valid snapshot (when snapshots are
 // on), replay the block log on top of it, then hand the engine the WAL
-// and its recovered records. Blocks below the restore point — or
-// disconnected from it, as when every local snapshot is corrupt but the
-// log was already compacted — are skipped; the engine's sync machinery
-// covers the rest from peers. With amnesia=true the consensus WAL file
+// and its recovered records. Blocks below the restore point are
+// skipped; a log disconnected from it, as when every local snapshot is
+// corrupt but the log was already compacted, is re-anchored empty; the
+// engine's sync machinery covers the rest from peers. With amnesia=true the consensus WAL file
 // is removed first — the configuration the regression-guard tests prove
 // unsafe.
 func (c *Cluster) boot(i int, amnesia bool) error {
@@ -327,15 +326,13 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 
 // --- fault operations ---
 
-func (c *Cluster) addr(i int) gcrypto.Address { return c.keys[i].Address() }
-
 // Crash fail-stops node i: it drops all traffic and its pending timers
 // die with the process.
 func (c *Cluster) Crash(i int) {
 	if c.crashed[i] {
 		return
 	}
-	c.net.Crash(c.addr(i))
+	c.net.Crash(c.Address(i))
 	c.crashed[i] = true
 }
 
@@ -345,13 +342,13 @@ func (c *Cluster) Crash(i int) {
 // operator who lost the vote log but kept the block log.
 func (c *Cluster) Restart(i int, amnesia bool) error {
 	if !c.crashed[i] {
-		c.net.Crash(c.addr(i))
+		c.net.Crash(c.Address(i))
 		c.crashed[i] = true
 	}
 	if err := c.boot(i, amnesia); err != nil {
 		return err
 	}
-	c.net.Restart(c.addr(i), c.nodes[i])
+	c.net.Restart(c.Address(i), c.nodes[i])
 	c.crashed[i] = false
 	c.nodes[i].Start(c.net.Now())
 	return nil
@@ -366,13 +363,13 @@ func (c *Cluster) Partition(i, j int) {
 		i, j = j, i
 	}
 	c.parts[[2]int{i, j}] = true
-	c.net.Partition(c.addr(i), c.addr(j))
+	c.net.Partition(c.Address(i), c.Address(j))
 }
 
 // HealAll removes every active partition.
 func (c *Cluster) HealAll() {
 	for p := range c.parts {
-		c.net.Heal(c.addr(p[0]), c.addr(p[1]))
+		c.net.Heal(c.Address(p[0]), c.Address(p[1]))
 		delete(c.parts, p)
 	}
 }
@@ -457,7 +454,7 @@ func (c *Cluster) MinHeight() uint64 {
 func (c *Cluster) Chain(i int) *ledger.Chain { return c.nodes[i].App.Chain() }
 
 // Address returns node i's chain address.
-func (c *Cluster) Address(i int) gcrypto.Address { return c.addr(i) }
+func (c *Cluster) Address(i int) gcrypto.Address { return c.keys[i].Address() }
 
 // Epoch returns the wall-clock anchor of virtual time 0.
 func (c *Cluster) Epoch() time.Time { return c.epoch }
@@ -476,7 +473,7 @@ func (c *Cluster) PrimaryIndex(view uint64) int {
 		if com := e.Committee(); com != nil {
 			p := com.Primary(view)
 			for i := range c.keys {
-				if c.addr(i) == p {
+				if c.Address(i) == p {
 					return i
 				}
 			}
@@ -542,7 +539,8 @@ func (c *Cluster) CheckInvariants() error {
 // logView is what CheckInvariants last read of one node's block log:
 // the file's bytes and the hashes of the blocks they hold, the first at
 // height first. The log only grows between compactions, so a read that
-// extends the last one decodes the new frames alone.
+// extends the last one decodes the new frames alone: decoding every log
+// whole at every check made the chaos suite a fifth slower.
 type logView struct {
 	raw    []byte
 	first  uint64
@@ -578,15 +576,11 @@ func (c *Cluster) readDurable(i int) (uint64, error) {
 	if len(v.hashes) > 0 {
 		return v.first + uint64(len(v.hashes)) - 1, nil
 	}
-	d, err := store.InspectDir(c.slots[i], slotPath)
+	boot, err := store.LoadDir(c.slots[i], slotPath, c.genesis)
 	if err != nil {
 		return 0, err
 	}
-	snap, err := d.Snapshots().Latest()
-	if err != nil || snap == nil {
-		return 0, err
-	}
-	return snap.Height(), nil
+	return boot.Chain.Height(), nil
 }
 
 // --- schedules ---
@@ -630,7 +624,7 @@ func (c *Cluster) stepOp(s, f int) {
 		}
 	case r < 90:
 		for p := range c.parts {
-			c.net.Heal(c.addr(p[0]), c.addr(p[1]))
+			c.net.Heal(c.Address(p[0]), c.Address(p[1]))
 			delete(c.parts, p)
 			break
 		}

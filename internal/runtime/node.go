@@ -51,7 +51,8 @@ type Node struct {
 	// Durable, if set, is the node's durable state: every committed block
 	// is appended to it before OnCommit sees it, an era switch compacts
 	// it, and a snapshot install re-anchors its block log. A block it
-	// cannot persist fail-stops the node (Halted).
+	// cannot persist, or a vote WAL write that fails, fail-stops the node
+	// (Halted).
 	Durable *store.Dir
 	// CommitErr records the first commit failure (a bug or a fork).
 	CommitErr error
@@ -207,9 +208,9 @@ func (n *Node) Counters() CounterSnapshot {
 }
 
 // Halted returns why the node fail-stopped, nil while it runs: its
-// durable state could not persist a committed block. A halted node
-// handles no further input and sends nothing; a restart recovers it by
-// its vote WAL and block sync.
+// durable state could not persist a committed block, or its vote WAL
+// failed a write. A halted node handles no further input and sends
+// nothing; a restart recovers it by its vote WAL and block sync.
 func (n *Node) Halted() error { return n.halted }
 
 // Start runs the engine's Init.
@@ -327,6 +328,13 @@ func (n *Node) apply(now consensus.Time, acts []consensus.Action) {
 }
 
 func (n *Node) applyList(now consensus.Time, acts []consensus.Action) (committed bool) {
+	if n.Durable != nil {
+		// The step's votes were logged, or refused, before it returned.
+		if err := n.Durable.Err(); err != nil {
+			n.halted = err
+			return false
+		}
+	}
 	for _, a := range acts {
 		switch act := a.(type) {
 		case consensus.Send:

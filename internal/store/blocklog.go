@@ -70,15 +70,6 @@ func openBlockLog(fsys FS, path string, sync bool) (*BlockLog, []*types.Block, e
 	return log, blocks, nil
 }
 
-// readBlocks decodes the block log at path without changing it.
-func readBlocks(fsys FS, path string) ([]*types.Block, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBlockLog(data)
-}
-
 // DecodeBlockLog decodes a block-log image: its intact frames, in
 // order, which must hold contiguous heights.
 func DecodeBlockLog(data []byte) ([]*types.Block, error) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -61,16 +62,12 @@ func OpenDir(fsys FS, path string, opts DirOptions) (*Dir, error) {
 	return d, nil
 }
 
-// InspectDir opens the durable directory at path read-only: it refuses
-// a missing block log, and it creates, truncates and writes nothing.
-// Load is all it serves.
-func InspectDir(fsys FS, path string) (*Dir, error) {
-	logged, err := readBlocks(fsys, path)
-	if err != nil {
-		return nil, fmt.Errorf("block log: %w", err)
-	}
-	return &Dir{logged: logged, snaps: &SnapshotStore{fs: fsys, dir: path + ".snap"}}, nil
-}
+// ErrLogAboveChain refuses a restart whose block log starts above the
+// chain it restored and that cannot recover the blocks in between: the
+// newest snapshot was refused, or no snapshot store is open. Both are a
+// restart under another configuration than the one that compacted the
+// log, which Restore leaves as it is.
+var ErrLogAboveChain = errors.New("store: block log starts above the restored chain")
 
 // Boot is a chain read back from a durable directory: started from
 // Snapshot (nil: genesis; Refused is why the newest was not used), with
@@ -83,13 +80,28 @@ type Boot struct {
 	Replayed int
 }
 
-// Load starts the chain from the newest verifiable snapshot the genesis
-// accepts, or from genesis, and returns it with the logged blocks above
-// it, unapplied.
-func (d *Dir) Load(g *ledger.Genesis) (*Boot, error) {
+// LoadDir reads the durable directory at path read-only, as a restart
+// would but without replaying: it refuses a missing block log, and it
+// creates, truncates and writes nothing.
+func LoadDir(fsys FS, path string, g *ledger.Genesis) (*Boot, error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("block log: %w", err)
+	}
+	logged, err := DecodeBlockLog(data)
+	if err != nil {
+		return nil, fmt.Errorf("block log: %w", err)
+	}
+	return load(g, &SnapshotStore{fs: fsys, dir: path + ".snap"}, logged)
+}
+
+// load starts the chain from the newest verifiable snapshot in snaps
+// the genesis accepts, or from genesis, and returns it with the logged
+// blocks above it, unapplied.
+func load(g *ledger.Genesis, snaps *SnapshotStore, logged []*types.Block) (*Boot, error) {
 	b := &Boot{}
-	if d.snaps != nil {
-		if snap, err := d.snaps.Latest(); err == nil && snap != nil {
+	if snaps != nil {
+		if snap, err := snaps.Latest(); err == nil && snap != nil {
 			if chain, err := ledger.RestoreChain(g, snap.State); err != nil {
 				b.Refused = fmt.Errorf("snapshot at height %d: %w", snap.Height(), err)
 			} else {
@@ -104,9 +116,9 @@ func (d *Dir) Load(g *ledger.Genesis) (*Boot, error) {
 		}
 		b.Chain = chain
 	}
-	for i, blk := range d.logged {
+	for i, blk := range logged {
 		if blk.Header.Height > b.Chain.Height() {
-			b.Tail = d.logged[i:]
+			b.Tail = logged[i:]
 			break
 		}
 	}
@@ -115,14 +127,28 @@ func (d *Dir) Load(g *ledger.Genesis) (*Boot, error) {
 
 // Restore loads the chain and replays the logged blocks that extend it.
 // The block log must then end at the chain's head, or the next commit
-// could not append. It may end below it — a crash between an era's
-// boundary snapshot and the append of its block — or lie above a gap,
-// when every snapshot that covered its start is lost. Either way what
-// it holds can never be replayed, so it is re-anchored empty.
+// could not append. A log that ends below it (a crash between an era's
+// boundary snapshot and the append of its block) holds only blocks the
+// snapshot covers, and is re-anchored empty. A log that starts above it
+// is refused with ErrLogAboveChain, untouched, when the snapshot was
+// refused or none is kept; when every snapshot that covered its start
+// is lost, it can never be replayed, and is re-anchored too: the node
+// recovers from its peers.
 func (d *Dir) Restore(g *ledger.Genesis) (*Boot, error) {
-	b, err := d.Load(g)
+	b, err := load(g, d.snaps, d.logged)
 	if err != nil {
 		return nil, err
+	}
+	d.logged = nil
+	if len(b.Tail) > 0 && b.Tail[0].Header.Height != b.Chain.Height()+1 {
+		gap := fmt.Errorf("%w: log from height %d, chain at %d", ErrLogAboveChain, b.Tail[0].Header.Height, b.Chain.Height())
+		if b.Refused != nil {
+			return nil, fmt.Errorf("%w: %w", gap, b.Refused)
+		}
+		if d.snaps == nil {
+			return nil, fmt.Errorf("%w, and no snapshot store is open", gap)
+		}
+		d.logf("WARNING: %v, and no snapshot covers it (discarding the log)", gap)
 	}
 	for _, blk := range b.Tail {
 		if blk.Header.Height != b.Chain.Height()+1 {
@@ -133,7 +159,6 @@ func (d *Dir) Restore(g *ledger.Genesis) (*Boot, error) {
 		}
 		b.Replayed++
 	}
-	d.logged = nil
 	if d.blocks.Count() > 0 && d.blocks.Height() != b.Chain.Height() {
 		if _, err := d.compact(d.blocks.Height() + 1); err != nil {
 			return nil, fmt.Errorf("re-anchor block log: %w", err)
@@ -142,9 +167,14 @@ func (d *Dir) Restore(g *ledger.Genesis) (*Boot, error) {
 	return b, nil
 }
 
-// Logged returns the blocks read at open that Restore has not replayed:
-// on a directory InspectDir opened, the whole block log.
-func (d *Dir) Logged() []*types.Block { return d.logged }
+// Err returns the write failure that closed the block log or the vote
+// WAL, nil while both are healthy.
+func (d *Dir) Err() error {
+	if d.blocks.failed != nil {
+		return d.blocks.failed
+	}
+	return d.wal.Err()
+}
 
 // WAL returns the vote WAL and Recovered the records read from it.
 func (d *Dir) WAL() *WAL              { return d.wal }
@@ -217,9 +247,6 @@ func (d *Dir) Counts() (snapshots, compacted uint64) {
 
 // Close syncs and closes the block log and the vote WAL.
 func (d *Dir) Close() error {
-	if d.blocks == nil {
-		return nil // read-only
-	}
 	err := d.blocks.Close()
 	if werr := d.wal.Close(); err == nil {
 		err = werr

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -110,6 +113,115 @@ func TestRestoreReanchorsALogThatEndsBelowTheSnapshot(t *testing.T) {
 	if boot, err = d.Restore(ec.g); err != nil || boot.Chain.Height() != h+1 {
 		t.Fatalf("reopen: height %v, err %v; want %d", boot.Chain.Height(), err, h+1)
 	}
+}
+
+// TestRestoreRefusesALogAboveTheChain: a block log compacted below a
+// snapshot starts above genesis. A restart that cannot start from that
+// snapshot — no snapshot store open, or the snapshot refused by another
+// genesis — must refuse to boot and leave the log's bytes as they were.
+// Only when the snapshots themselves are gone is the log, which nothing
+// can replay any more, re-anchored for the node to recover from peers.
+func TestRestoreRefusesALogAboveTheChain(t *testing.T) {
+	ec := buildEraChain(t, installAt+2)
+	fsys := NewMemFS()
+	if err := (&crashScript{ec: ec}).run(fsys); err != nil {
+		t.Fatal(err)
+	}
+	logged, _ := fsys.ReadFile("node")
+	other := *ec.g
+	other.ChainID = "another-chain"
+	for _, tc := range []struct {
+		name string
+		g    *ledger.Genesis
+		opts DirOptions
+	}{
+		{"no snapshot store", ec.g, DirOptions{Sync: true}},
+		{"refused snapshot", &other, dirOpts},
+	} {
+		d, err := OpenDir(fsys, "node", tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Restore(tc.g); !errors.Is(err, ErrLogAboveChain) {
+			t.Fatalf("%s: restore returned %v, want ErrLogAboveChain", tc.name, err)
+		}
+		d.Close()
+		if now, _ := fsys.ReadFile("node"); !bytes.Equal(now, logged) {
+			t.Fatalf("%s: the refused restart rewrote the block log (%d bytes, was %d)", tc.name, len(now), len(logged))
+		}
+	}
+
+	names, _ := fsys.List("node.snap")
+	for _, name := range names {
+		fsys.Remove(filepath.Join("node.snap", name))
+	}
+	d, err := OpenDir(fsys, "node", dirOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := d.Restore(ec.g)
+	if err != nil || boot.Chain.Height() != 0 || d.blocks.Count() != 0 {
+		t.Fatalf("with the snapshots gone: height %d, %d blocks logged, err %v; want genesis and an empty log", boot.Chain.Height(), d.blocks.Count(), err)
+	}
+}
+
+// TestFailedCompactionKeepsTheLogsOpen: a compaction whose new file
+// cannot be written (a full disk) leaves the old log in place and open.
+// The block log and the vote WAL both take the next append, the
+// directory reports no failure, and a reopen returns everything.
+func TestFailedCompactionKeepsTheLogsOpen(t *testing.T) {
+	ec := buildEraChain(t, 8)
+	fsys := noTemps{NewMemFS()}
+	d, err := OpenDir(fsys, "node", dirOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range ec.blocks[:7] {
+		if err := d.Committed(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Publish(NewSnapshot(ec.states[6], gcrypto.DeterministicKeyPair(0)))
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := d.WAL().Append(walRec(WALPrepared, 0, 0, seq, byte(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain, err := ledger.RestoreChain(ec.g, ec.states[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EraSwitched(chain)
+	if _, err := d.WAL().CompactBelow(0, 2); err == nil {
+		t.Fatal("the WAL compaction succeeded without its temp file")
+	}
+	if err := d.Committed(ec.blocks[7]); err != nil {
+		t.Fatalf("block append after a failed compaction: %v", err)
+	}
+	if err := d.WAL().Append(walRec(WALPrepared, 0, 0, 4, 4)); err != nil {
+		t.Fatalf("WAL append after a failed compaction: %v", err)
+	}
+	if err := d.Err(); err != nil {
+		t.Fatalf("the directory reports %v", err)
+	}
+	d.Close()
+	if d, err = OpenDir(fsys, "node", dirOpts); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := len(d.logged), len(d.Recovered()); n != 8 || m != 4 {
+		t.Fatalf("reopened with %d blocks and %d WAL records, want 8 and 4", n, m)
+	}
+}
+
+// noTemps fails the creation of the logs' temp files, which only their
+// compactions write.
+type noTemps struct{ *MemFS }
+
+func (f noTemps) Create(name string) (File, error) {
+	if name == "node.tmp" || name == "node.wal.tmp" {
+		return nil, errors.New("disk full")
+	}
+	return f.MemFS.Create(name)
 }
 
 // crashScript is one node's durable life in miniature, run against a

@@ -20,23 +20,24 @@ func encodeFrame(body []byte) []byte {
 	return frame
 }
 
-// validFrameAt reports whether a structurally valid frame (plausible
-// length, complete, matching CRC) starts at the head of data.
-func validFrameAt(data []byte, maxFrame int) bool {
-	if len(data) < frameHeaderSize+frameTrailerSize {
-		return false
+// frameAt parses the frame at the head of data: its body and the offset
+// just past it, ok when it is whole and matches its checksum. A length
+// no writer produces gives end 0; a frame data does not hold whole (a
+// torn write) gives an end past len(data).
+func frameAt(data []byte, maxFrame int) (body []byte, end int, ok bool) {
+	if len(data) < frameHeaderSize {
+		return nil, len(data) + 1, false
 	}
 	n := int(binary.BigEndian.Uint32(data))
 	if n <= 0 || n > maxFrame {
-		return false
+		return nil, 0, false
 	}
-	end := frameHeaderSize + n + frameTrailerSize
+	end = frameHeaderSize + n + frameTrailerSize
 	if end > len(data) {
-		return false
+		return nil, end, false
 	}
-	body := data[frameHeaderSize : frameHeaderSize+n]
-	want := binary.BigEndian.Uint32(data[frameHeaderSize+n : end])
-	return crc32.Checksum(body, castagnoli) == want
+	body = data[frameHeaderSize : frameHeaderSize+n]
+	return body, end, crc32.Checksum(body, castagnoli) == binary.BigEndian.Uint32(data[frameHeaderSize+n:end])
 }
 
 // laterFrameSearchWindow bounds how far past a damaged frame the
@@ -51,12 +52,8 @@ const laterFrameSearchWindow = 1 << 20
 // mid-log corruption (valid frames follow — the log is damaged and
 // replaying a prefix would silently lose committed state).
 func hasLaterValidFrame(data []byte, maxFrame int) bool {
-	limit := len(data)
-	if limit > laterFrameSearchWindow {
-		limit = laterFrameSearchWindow
-	}
-	for off := 0; off < limit; off++ {
-		if validFrameAt(data[off:], maxFrame) {
+	for off := 0; off < min(len(data), laterFrameSearchWindow); off++ {
+		if _, _, ok := frameAt(data[off:], maxFrame); ok {
 			return true
 		}
 	}
@@ -66,62 +63,48 @@ func hasLaterValidFrame(data []byte, maxFrame int) bool {
 // scanFrames walks data frame by frame, calling visit with each valid
 // body. It returns the byte offset just past the last valid frame. A
 // genuinely final torn frame (power loss mid-write) is tolerated — the
-// caller truncates at the returned offset. A damaged frame that has
-// valid frames after it returns ErrCorruptFrame: truncating there
+// caller truncates at the returned offset. A damaged frame (a length no
+// writer produces, a checksum mismatch, a payload visit refuses) that
+// has valid frames after it returns ErrCorruptFrame: truncating there
 // would drop durable records that demonstrably survived.
 func scanFrames(data []byte, maxFrame int, visit func(body []byte) error) (int64, error) {
 	off := 0
 	for {
-		if len(data)-off < frameHeaderSize {
-			return int64(off), nil // EOF or partial header: torn tail
+		body, end, ok := frameAt(data[off:], maxFrame)
+		if end > len(data)-off {
+			return int64(off), nil // EOF or a torn frame
 		}
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n <= 0 || n > maxFrame {
-			// A valid writer never produces this length, so the header
-			// bytes themselves are damaged. We cannot locate the frame
-			// boundary, but we can still tell tail garbage from mid-log
-			// corruption by whether anything valid follows.
-			if hasLaterValidFrame(data[off+frameHeaderSize:], maxFrame) {
-				return int64(off), fmt.Errorf("%w: invalid frame length %d at offset %d", ErrCorruptFrame, n, off)
+		var err error
+		switch {
+		case !ok:
+			err = errors.New("bad length or checksum")
+		case visit != nil:
+			err = visit(body)
+		}
+		if err != nil {
+			// Past a damaged header the search starts after it; past a
+			// damaged frame, after the frame.
+			if hasLaterValidFrame(data[off+max(end, frameHeaderSize):], maxFrame) {
+				return int64(off), fmt.Errorf("%w: at offset %d: %v", ErrCorruptFrame, off, err)
 			}
 			return int64(off), nil
 		}
-		end := off + frameHeaderSize + n + frameTrailerSize
-		if end > len(data) {
-			return int64(off), nil // torn frame
-		}
-		body := data[off+frameHeaderSize : off+frameHeaderSize+n]
-		want := binary.BigEndian.Uint32(data[off+frameHeaderSize+n : end])
-		if crc32.Checksum(body, castagnoli) != want {
-			if hasLaterValidFrame(data[end:], maxFrame) {
-				return int64(off), fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorruptFrame, off)
-			}
-			return int64(off), nil
-		}
-		if visit != nil {
-			if err := visit(body); err != nil {
-				// The frame is intact but its payload does not decode:
-				// same torn-versus-corrupt split as a checksum failure.
-				if hasLaterValidFrame(data[end:], maxFrame) {
-					return int64(off), fmt.Errorf("%w: undecodable payload at offset %d: %v", ErrCorruptFrame, off, err)
-				}
-				return int64(off), nil
-			}
-		}
-		off = end
+		off += end
 	}
 }
 
 // logFile is the one append-only file both logs are: CRC frames
 // appended after the last intact one, rewritten whole by compaction. A
-// failed write or rewrite closes it: part of a frame may be on disk, and
-// only a reopen, which truncates a torn tail, may append again.
+// failed write closes it for good and records why (failed): part of a
+// frame may be on disk, and only a reopen, which truncates a torn tail,
+// may append again.
 type logFile struct {
 	fs     FS
 	f      File
 	path   string
 	sync   bool
 	closed bool
+	failed error
 }
 
 // openLog is the one open routine of the logs: it reads the file at
@@ -168,27 +151,33 @@ func (l *logFile) append(body []byte) error {
 		err = l.f.Sync()
 	}
 	if err != nil {
-		l.closed = true
 		l.f.Close()
-		return fmt.Errorf("store: append %s: %w", l.path, err)
+		return l.fail(fmt.Errorf("store: append %s: %w", l.path, err))
 	}
 	return nil
 }
 
-// rewrite atomically replaces the file with data and reopens it.
+// rewrite atomically replaces the file with data and reopens it. A
+// failure before the rename leaves the old file in place and open. One
+// after it closes the log: its handle names the replaced file.
 func (l *logFile) rewrite(data []byte) error {
-	err := replaceFile(l.fs, l.path, data)
-	l.f.Close()
-	var f File
-	if err == nil {
-		f, err = l.fs.OpenAppend(l.path)
-	}
-	if err != nil {
-		l.closed = true
+	renamed, err := replaceFile(l.fs, l.path, data)
+	if !renamed {
 		return err
 	}
-	l.f = f
+	l.f.Close()
+	if err == nil {
+		l.f, err = l.fs.OpenAppend(l.path)
+	}
+	if err != nil {
+		return l.fail(err)
+	}
 	return nil
+}
+
+func (l *logFile) fail(err error) error {
+	l.closed, l.failed = true, err
+	return err
 }
 
 // close syncs and closes the file. Closing twice is fine.
@@ -207,11 +196,12 @@ func (l *logFile) close() error {
 // replaceFile is the one atomic publish routine: data goes to a temp
 // file, which is fsynced, renamed over path, and its directory fsynced.
 // A crash at any point leaves the old file or the new one, never a mix.
-func replaceFile(fsys FS, path string, data []byte) error {
+// renamed reports whether the new file took the old one's place.
+func replaceFile(fsys FS, path string, data []byte) (renamed bool, err error) {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("store: publish %s: %w", path, err)
+		return false, fmt.Errorf("store: publish %s: %w", path, err)
 	}
 	_, err = f.Write(data)
 	if err == nil {
@@ -225,7 +215,7 @@ func replaceFile(fsys FS, path string, data []byte) error {
 	}
 	if err != nil {
 		fsys.Remove(tmp)
-		return fmt.Errorf("store: publish %s: %w", path, err)
+		return false, fmt.Errorf("store: publish %s: %w", path, err)
 	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return true, fsys.SyncDir(filepath.Dir(path))
 }

@@ -125,7 +125,8 @@ func writeSnapshot(fsys FS, path string, s *Snapshot) error {
 	if len(body) > MaxSnapshotFrame {
 		return fmt.Errorf("store: snapshot %d bytes exceeds frame limit", len(body))
 	}
-	return replaceFile(fsys, path, encodeFrame(body))
+	_, err := replaceFile(fsys, path, encodeFrame(body))
+	return err
 }
 
 // ReadSnapshotFile loads and decodes one snapshot file. Unlike the
@@ -144,19 +145,9 @@ func readSnapshot(fsys FS, path string) (*Snapshot, error) {
 // DecodeSnapshotFile parses the on-disk frame layout (one CRC frame
 // holding the snapshot encoding, nothing else).
 func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
-	var body []byte
-	validEnd, err := scanFrames(data, MaxSnapshotFrame, func(b []byte) error {
-		if body != nil {
-			return fmt.Errorf("second frame")
-		}
-		body = append([]byte(nil), b...)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if body == nil || validEnd != int64(len(data)) {
-		return nil, fmt.Errorf("%w: torn or trailing data", ErrCorruptSnapshot)
+	body, end, ok := frameAt(data, MaxSnapshotFrame)
+	if !ok || end != len(data) {
+		return nil, fmt.Errorf("%w: torn, damaged or trailing data", ErrCorruptSnapshot)
 	}
 	return DecodeSnapshot(body)
 }

@@ -219,6 +219,14 @@ func (w *WAL) Rotate(era uint64) error {
 	return w.appendLocked(WALRecord{Kind: WALEra, Era: era})
 }
 
+// Err returns the write failure that closed the log, nil while it is
+// healthy.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
+}
+
 // Close flushes and closes the file. Closing twice is fine.
 func (w *WAL) Close() error {
 	w.mu.Lock()

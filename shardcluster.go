@@ -543,29 +543,10 @@ func (s *ShardCluster) VerifyAgreement() (uint64, error) {
 		}
 	}
 	// Anchor replicas: pairwise agreement with member 0 on shared heights.
-	ref := s.anchorNodes[0].App.Chain()
-	for j, n := range s.anchorNodes {
-		if n.CommitErr != nil {
-			return 0, fmt.Errorf("anchor member %d commit error: %w", j, n.CommitErr)
-		}
-		limit := n.App.Chain().Height()
-		if rh := ref.Height(); rh < limit {
-			limit = rh
-		}
-		for k := uint64(1); k <= limit; k++ {
-			a, err := ref.BlockAt(k)
-			if err != nil {
-				return 0, err
-			}
-			b, err := n.App.Chain().BlockAt(k)
-			if err != nil {
-				return 0, err
-			}
-			if a.Hash() != b.Hash() {
-				return 0, fmt.Errorf("anchor member %d disagrees with member 0 at height %d", j, k)
-			}
-		}
+	if _, err := chainsAgree(s.anchorNodes, "anchor member"); err != nil {
+		return 0, err
 	}
+	ref := s.anchorNodes[0].App.Chain()
 	// Anchored roots match the regions' actual history.
 	for i, cl := range s.regions {
 		pt, ok := ref.AnchorLatest(s.prefixes[i])

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"time"
 
+	"gpbft/internal/codec"
 	"gpbft/internal/consensus"
 	"gpbft/internal/evidence"
 	"gpbft/internal/gcrypto"
@@ -138,27 +139,9 @@ type Engine struct {
 	// the list needs no cap, every entry passed pool admission.
 	held []types.Transaction
 
-	syncInFlight bool
-	syncTarget   uint64
+	cu     catchUpState // sync.go
+	sstats syncStats
 
-	// snapshot fast-sync state machine (sync.go).
-	fsPhase    uint8
-	fsHeads    map[gcrypto.Address]HeadResponse
-	fsHeight   uint64
-	fsRoot     gcrypto.Hash
-	fsVoters   []gcrypto.Address
-	fsVoterIdx int
-	retryTID   consensus.TimerID
-	retries    uint32
-	retrySeq   uint64
-	sstats     syncStats
-
-	// Lag suspicion (maybeLagSync): the in-window commit that found this
-	// node without a proposal for its next slot, and the grace timer
-	// after which that still being so counts as having fallen behind.
-	lagTID  consensus.TimerID
-	lagSeq  uint64
-	lagFrom gcrypto.Address
 	// view is the inner engine's view as filterInner last saw it.
 	view uint64
 
@@ -247,29 +230,8 @@ func (e *Engine) Init(now consensus.Time) []consensus.Action {
 		return acts
 	}
 	// A restarted node may have missed commits (and even era switches)
-	// while it was down: pull from the committee through the ordinary
-	// sync path before relying on timers to notice. With snapshots
-	// enabled it opens with a head poll instead: if a quorum agrees on a
-	// checkpoint ahead of it, the gap is crossed by snapshot; otherwise
-	// the machinery degrades to the same block pull.
-	if e.cfg.Snapshots != nil {
-		return append(acts, e.startFastSync(e.chain.Height())...)
-	}
-	return e.pullFromCommittee(acts)
-}
-
-// pullFromCommittee asks every other member for the blocks beyond this
-// node's head. The responses flow through the certificate-checked
-// applySync path; peers that have nothing newer simply stay silent.
-func (e *Engine) pullFromCommittee(acts []consensus.Action) []consensus.Action {
-	if e.committee == nil {
-		return acts
-	}
-	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
-	for _, addr := range e.committee.Others(e.self) {
-		acts = append(acts, consensus.Send{To: addr, Env: req})
-	}
-	return acts
+	// while it was down: catch up before relying on timers to notice.
+	return append(acts, e.catchUp(byRestart, e.chain.Height(), gcrypto.Address{})...)
 }
 
 // enterEra is the one way this node enters the chain's current era: at
@@ -355,7 +317,7 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 	case tResume:
 		return e.onResume(now)
 	case tSyncRetry:
-		return e.onSyncRetry(now)
+		return e.onSyncRetry()
 	case tLagCheck:
 		return e.onLagCheck()
 	}
@@ -514,18 +476,19 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 		return nil
 	}
 	if e.inner.BeyondWindow(seq) {
-		return e.lagPull(seq, env.From)
+		return e.catchUp(byCommit, seq-1, env.From)
 	}
-	if next := e.inner.NextSeq(); seq <= next || e.inner.HasProposal(next) || e.lagTID != 0 {
+	cu := &e.cu
+	if next := e.inner.NextSeq(); seq <= next || e.inner.HasProposal(next) || cu.lagTID != 0 {
 		return nil
 	}
 	// Suspicious, not conclusive: look again after the grace period. The
 	// first such commit is kept — a later one would restart the doubt a
 	// busy committee raises with every slot.
-	e.lagSeq, e.lagFrom = seq, env.From
-	e.lagTID = e.cfg.Timers.Next()
-	e.timers[e.lagTID] = tLagCheck
-	return []consensus.Action{consensus.StartTimer{ID: e.lagTID, Delay: syncRetryBase}}
+	cu.lagSeq, cu.lagFrom = seq, env.From
+	cu.lagTID = e.cfg.Timers.Next()
+	e.timers[cu.lagTID] = tLagCheck
+	return []consensus.Action{consensus.StartTimer{ID: cu.lagTID, Delay: syncRetryBase}}
 }
 
 // maybeCertifiedSync pulls at once when the commit just delivered
@@ -543,48 +506,22 @@ func (e *Engine) maybeCertifiedSync(env *consensus.Envelope) []consensus.Action 
 	if !ok || slot.Seq <= e.inner.NextSeq() || !e.inner.Certified(slot.Seq) {
 		return nil
 	}
-	return e.lagPull(slot.Seq, env.From)
+	return e.catchUp(byCommit, slot.Seq-1, env.From)
 }
 
 // onLagCheck settles a lag suspicion: a node that keeps up has long
 // executed the suspicious commit's slot, or at least holds its next
 // slot's proposal.
 func (e *Engine) onLagCheck() []consensus.Action {
-	e.lagTID = 0
+	cu := &e.cu
+	cu.lagTID = 0
 	if e.inner == nil || e.switching {
 		return nil
 	}
-	if next := e.inner.NextSeq(); e.lagSeq <= next || e.inner.HasProposal(next) {
+	if next := e.inner.NextSeq(); cu.lagSeq <= next || e.inner.HasProposal(next) {
 		return nil
 	}
-	return e.lagPull(e.lagSeq, e.lagFrom)
-}
-
-// lagPull asks from, whose commit for seq proved blocks up to seq-1
-// exist on its chain, for the blocks above this node's head.
-func (e *Engine) lagPull(seq uint64, from gcrypto.Address) []consensus.Action {
-	// While the snapshot state machine runs, just track the moving
-	// head; the tail pull after the install covers it.
-	if e.fsPhase != fsIdle {
-		if seq-1 > e.syncTarget {
-			e.syncTarget = seq - 1
-		}
-		return nil
-	}
-	// Suppress duplicate pulls while one is in flight, but allow a
-	// re-request when the head keeps moving past the current target
-	// (covers a lost response: the next commit re-arms the sync).
-	if e.syncInFlight && e.syncTarget >= seq-1 {
-		return nil
-	}
-	if e.fastSyncDue(seq - 1) {
-		return e.startFastSync(seq - 1)
-	}
-	e.syncInFlight = true
-	e.syncTarget = seq - 1
-	e.sstats.lagPulls.Add(1)
-	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
-	return e.armSyncRetry([]consensus.Action{consensus.Send{To: from, Env: req}})
+	return e.catchUp(byCommit, cu.lagSeq-1, cu.lagFrom)
 }
 
 // filterInner passes inner-engine actions through, then flushes any
@@ -609,12 +546,10 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 	// A view change can leave this replica behind: the slots that
 	// executed elsewhere before it began are in no prepared proof, and
 	// when the others cannot form a quorum without it they commit nothing
-	// it could overhear. So every view it enters opens with a request to
-	// the committee for the blocks above its head — a shallow in-era
-	// pull, never a snapshot poll.
+	// it could overhear. So every view it enters opens with a catch-up.
 	if e.inner != nil && e.inner.View() != e.view {
 		e.view = e.inner.View()
-		acts = e.pullFromCommittee(acts)
+		acts = append(acts, e.catchUp(byView, 0, gcrypto.Address{})...)
 	}
 	return e.flushEvidence(now, acts)
 }
@@ -767,156 +702,65 @@ func (e *Engine) sendBacklog(adds []gcrypto.Address, acts []consensus.Action) []
 
 // --- announcements and block sync ---
 
+// onAnnounce takes an EraAnnounce from any key whose envelope
+// consensus.Open verifies: the announcer is checked against no
+// committee. A forged one costs the catch-up it starts: one block pull
+// and its retry ladder, at most maxSyncRetries more requests; with
+// snapshots on and a gap of FastSyncThreshold or more, a head poll of
+// the committee first, which ends in that pull when no quorum holds a
+// snapshot ahead (and reports SyncStats.Mode replay). Every block it
+// could fetch is certificate-checked: it moves neither chain nor era.
 func (e *Engine) onAnnounce(now consensus.Time, env *consensus.Envelope) []consensus.Action {
 	var ann EraAnnounce
 	if err := consensus.Open(env, consensus.KindEraSwitch, &ann); err != nil {
 		return nil
 	}
-	// Only accept pokes from accounts we know on-chain (the announcer
-	// was an endorser when it mattered; a bogus poke costs one sync
-	// round trip at worst, and the sync response is certificate-checked).
 	if e.chain.Height() >= ann.Height {
 		return e.maybeJoin(now)
 	}
-	if e.fsPhase != fsIdle {
-		if ann.Height > e.syncTarget {
-			e.syncTarget = ann.Height
-		}
-		return nil
-	}
-	if e.syncInFlight && e.syncTarget >= ann.Height {
-		return nil
-	}
-	if e.fastSyncDue(ann.Height) {
-		return e.startFastSync(ann.Height)
-	}
-	e.syncInFlight = true
-	e.syncTarget = ann.Height
-	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
-	return e.armSyncRetry([]consensus.Action{consensus.Send{To: env.From, Env: req}})
+	return e.catchUp(byAnnounce, ann.Height, env.From)
 }
 
+// onBlockSync opens a block-sync envelope as the message its subtype
+// names and hands it to the serving half or the catch-up.
 func (e *Engine) onBlockSync(now consensus.Time, env *consensus.Envelope) []consensus.Action {
+	var msg interface {
+		UnmarshalCanonical(*codec.Reader) error
+	}
 	switch syncSubtype(env.Body) {
 	case 1:
-		var req SyncRequest
-		if err := consensus.Open(env, consensus.KindBlockSync, &req); err != nil {
-			return nil
-		}
-		return e.serveSync(env.From, req.FromHeight)
+		msg = new(SyncRequest)
 	case 2:
-		var resp SyncResponse
-		if err := consensus.Open(env, consensus.KindBlockSync, &resp); err != nil {
-			return nil
-		}
-		return e.applySync(now, env.From, &resp)
+		msg = new(SyncResponse)
 	case 3:
-		var req HeadRequest
-		if err := consensus.Open(env, consensus.KindBlockSync, &req); err != nil {
-			return nil
-		}
-		return e.onHeadRequest(env.From)
+		msg = new(HeadRequest)
 	case 4:
-		var resp HeadResponse
-		if err := consensus.Open(env, consensus.KindBlockSync, &resp); err != nil {
-			return nil
-		}
-		return e.onHeadResponse(now, env.From, &resp)
+		msg = new(HeadResponse)
 	case 5:
-		var req SnapshotRequest
-		if err := consensus.Open(env, consensus.KindBlockSync, &req); err != nil {
-			return nil
-		}
-		return e.onSnapshotRequest(env.From, &req)
+		msg = new(SnapshotRequest)
 	case 6:
-		var resp SnapshotResponse
-		if err := consensus.Open(env, consensus.KindBlockSync, &resp); err != nil {
-			return nil
-		}
-		return e.onSnapshotResponse(now, env.From, &resp)
+		msg = new(SnapshotResponse)
 	default:
 		return nil
 	}
-}
-
-// serveSync answers a sync request with committed blocks (certificates
-// included).
-func (e *Engine) serveSync(to gcrypto.Address, from uint64) []consensus.Action {
-	head := e.chain.Height()
-	if from == 0 {
-		from = 1
-	}
-	if from > head {
+	if consensus.Open(env, consensus.KindBlockSync, msg) != nil {
 		return nil
 	}
-	if from < e.chain.BaseHeight() {
-		// Compaction dropped the requested range: redirect the puller to
-		// the snapshot path by answering with our head and checkpoint.
-		return e.onHeadRequest(to)
+	switch m := msg.(type) {
+	case *SyncRequest:
+		return e.serveSync(env.From, m.FromHeight)
+	case *SyncResponse:
+		return e.applySync(now, env.From, m)
+	case *HeadRequest:
+		return e.onHeadRequest(env.From)
+	case *HeadResponse:
+		return e.onHeadResponse(env.From, m)
+	case *SnapshotRequest:
+		return e.onSnapshotRequest(env.From, m)
+	case *SnapshotResponse:
+		return e.onSnapshotResponse(now, env.From, m)
 	}
-	resp := &SyncResponse{}
-	for h := from; h <= head && len(resp.Blocks) < MaxSyncBlocks; h++ {
-		b, err := e.chain.BlockAt(h)
-		if err != nil {
-			break
-		}
-		resp.Blocks = append(resp.Blocks, *b)
-	}
-	if len(resp.Blocks) == 0 {
-		return nil
-	}
-	env := consensus.Seal(e.cfg.Key, resp)
-	return []consensus.Action{consensus.Send{To: to, Env: env}}
-}
-
-// applySync applies certificate-carrying blocks directly through the
-// application (AddBlock verifies certificates against the committee as
-// of each height), then joins the new era if elected. Each applied
-// block is also surfaced as an Applied CommitBlock action so the
-// runtime persists it — without that, synced blocks would exist only
-// in memory and vanish at the next restart.
-func (e *Engine) applySync(now consensus.Time, from gcrypto.Address, resp *SyncResponse) []consensus.Action {
-	var acts []consensus.Action
-	// Warm the signature cache across the whole response in one parallel
-	// batch before the serial per-block Commit loop: each ValidateBlock
-	// then finds its transactions' signatures already accepted.
-	for i := range resp.Blocks {
-		types.PrewarmTxs(resp.Blocks[i].Txs)
-	}
-	applied := uint64(0)
-	for i := range resp.Blocks {
-		b := resp.Blocks[i]
-		if b.Header.Height != e.chain.Height()+1 {
-			continue
-		}
-		if b.Cert == nil {
-			break // uncertified sync blocks are not trusted
-		}
-		if err := e.cfg.App.Commit(&b); err != nil {
-			break
-		}
-		applied++
-		acts = append(acts, consensus.CommitBlock{Block: &b, Applied: true})
-	}
-	if applied > 0 {
-		e.sstats.blocksSynced.Add(applied)
-		e.retries = 0 // the peer is answering; restart the backoff ladder
-	}
-	// Keep a live inner instance aligned with the new head: sync can
-	// race normal consensus when this node lags inside its own era.
-	if e.inner != nil && !e.switching && e.chain.Era() == e.era && e.chain.Height() >= e.inner.NextSeq() {
-		acts = append(acts, e.filterInner(now, e.inner.AdvanceTo(now, e.chain.Height()))...)
-	}
-	e.syncInFlight = false
-	if e.chain.Height() < e.syncTarget {
-		// Partial response: keep pulling.
-		e.syncInFlight = true
-		req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
-		acts = append(acts, consensus.Send{To: from, Env: req})
-		return e.armSyncRetry(acts)
-	}
-	acts = e.stopSyncRetry(acts)
-	return append(acts, e.maybeJoin(now)...)
+	return nil
 }
 
 // rotateWAL discards the finished era's consensus records. Best

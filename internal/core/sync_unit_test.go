@@ -422,3 +422,59 @@ func TestSyncResponseIgnoresGappyBlocks(t *testing.T) {
 		t.Fatalf("gappy sync applied %d blocks", got)
 	}
 }
+
+// TestForeignAnnounceCostsOneLadder: an EraAnnounce is taken from any
+// key whose envelope verifies, in a committee or not. One from a
+// stranger naming a height far above the node's costs one block pull
+// and the retry ladder behind it — core.MaxSyncRetries more requests,
+// each to a committee member — repeating it costs nothing more, and it
+// moves neither the chain nor the era. When the ladder is spent, a
+// genuine trigger pulls again.
+func TestForeignAnnounceCostsOneLadder(t *testing.T) {
+	c := grownCluster(t, 4)
+	endorser := c.CoreEngine(0)
+	chain := c.Node(0).App.Chain()
+	h, era := chain.Height(), endorser.Era()
+	stranger := gcrypto.DeterministicKeyPair(99)
+	ann := consensus.Seal(stranger, &core.EraAnnounce{NewEra: era + 5, Height: h + 1000})
+
+	requests := 0
+	var timer consensus.TimerID
+	count := func(acts []consensus.Action) {
+		for _, a := range acts {
+			switch a := a.(type) {
+			case consensus.Send:
+				if a.Env.MsgKind == consensus.KindBlockSync {
+					requests++
+				}
+			case consensus.StartTimer:
+				timer = a.ID
+			}
+		}
+	}
+	now := c.Now()
+	count(endorser.OnEnvelope(now, ann))
+	if requests != 1 || timer == 0 {
+		t.Fatalf("announce: %d requests, retry timer %d", requests, timer)
+	}
+	for fired := 0; timer != 0; fired++ {
+		if fired > core.MaxSyncRetries {
+			t.Fatalf("the ladder outlived %d retries", core.MaxSyncRetries)
+		}
+		now += 10 * time.Second // past any backoff
+		id := timer
+		timer = 0
+		count(endorser.OnEnvelope(now, ann))
+		count(endorser.OnTimer(now, id))
+	}
+	if want := 1 + core.MaxSyncRetries; requests != want {
+		t.Fatalf("one foreign announce cost %d requests, want %d", requests, want)
+	}
+	if chain.Height() != h || endorser.Era() != era {
+		t.Fatalf("foreign announce moved the node to height %d era %d (was %d, %d)", chain.Height(), endorser.Era(), h, era)
+	}
+	_, depth := endorser.InFlight()
+	if n := syncRequests(endorser.OnEnvelope(now, commitVote(c.Node(1).Key, h+uint64(depth)+1))); n != 1 {
+		t.Fatalf("after the ladder, a lagging commit spawned %d sync requests, want 1", n)
+	}
+}

@@ -139,14 +139,13 @@ type Envelope struct {
 	verified    bool
 	verifiedSum gcrypto.Hash
 
-	// relayEntries memoizes the decoded batch of a KindRelay body so
-	// the transport read loop's decode (which also warms every inner
-	// envelope's verify memo) is the one the event loop reuses. Same
-	// ownership rule as the verify memo: one writer, strictly before
-	// the single event loop reads.
-	relayEntries []RelayEntry
-	relayErr     error
-	relayDone    bool
+	// memo holds the decoded body of a request (its transaction) or a
+	// relay frame (its batch), so the transport read loop's decode is the
+	// one the event loop reuses (Decoded). Same ownership rule as the
+	// verify memo: one writer, strictly before the single event loop
+	// reads.
+	memo    any
+	memoErr error
 }
 
 // Errors returned by envelope operations.
@@ -317,6 +316,23 @@ func (e *Envelope) WireSize() int {
 		e.wireSize = len(EncodeEnvelope(e))
 	}
 	return e.wireSize
+}
+
+// Decoded returns the envelope's body as decode reads it, from the
+// memo when the body was decoded and kept before. keep stores a fresh
+// result: only the goroutine that owns the envelope may ask for that —
+// the read loop that decoded it off the wire, before it is queued, or
+// whoever builds it. A simulated broadcast hands every receiver the same
+// envelope, so a receiver's event loop decodes a copy of its own.
+func (e *Envelope) Decoded(keep bool, decode func() (any, error)) (any, error) {
+	if e.memo != nil || e.memoErr != nil {
+		return e.memo, e.memoErr
+	}
+	v, err := decode()
+	if keep {
+		e.memo, e.memoErr = v, err
+	}
+	return v, err
 }
 
 // Open verifies the envelope, checks its kind, and decodes the body

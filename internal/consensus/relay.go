@@ -122,19 +122,17 @@ func DecodeRelayBody(body []byte) ([]RelayEntry, error) {
 	return entries, nil
 }
 
-// RelayEntries decodes a KindRelay envelope's batch, memoized under the
-// same single-writer-before-event-loop rule as the verify memo: the
-// transport's read loop decodes (and verifies inner envelopes) off the
-// hot path, and the event loop reuses that result.
+// RelayEntries decodes a KindRelay envelope's batch, kept in the
+// envelope's memo (Decoded): the transport's read loop decodes (and
+// verifies inner envelopes) off the hot path, and the event loop reuses
+// that result.
 func (e *Envelope) RelayEntries() ([]RelayEntry, error) {
 	if e.MsgKind != KindRelay {
 		return nil, ErrEnvelopeKind
 	}
-	if !e.relayDone {
-		e.relayEntries, e.relayErr = DecodeRelayBody(e.Body)
-		e.relayDone = true
-	}
-	return e.relayEntries, e.relayErr
+	v, err := e.Decoded(true, func() (any, error) { return DecodeRelayBody(e.Body) })
+	entries, _ := v.([]RelayEntry)
+	return entries, err
 }
 
 // NewRelayEnvelope wraps a batch of entries in an UNSEALED envelope.
@@ -150,8 +148,7 @@ func NewRelayEnvelope(relayer gcrypto.Address, entries []RelayEntry) *Envelope {
 		From:    relayer,
 		Body:    EncodeRelayBody(entries),
 
-		relayEntries: entries,
-		relayDone:    true,
+		memo: entries,
 	}
 }
 

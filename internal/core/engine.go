@@ -130,14 +130,10 @@ type Engine struct {
 
 	buffered []*consensus.Envelope
 
-	// held lists the transactions that entered this node's pool while it
-	// ran no request path — before Init, or during the switch pause — and
-	// that no other node may know: a local submission, or a request whose
-	// sender is outside the committee (an observer's or client's single
-	// send). A fellow member's relay is never held — its sender broadcast
-	// it to everyone. Init and resume hand each to the request path once;
-	// the list needs no cap, every entry passed pool admission.
-	held []types.Transaction
+	// held is the node's one held list (pbft.Held): this layer adds what
+	// arrives before Init or in the switch pause, each era's instance what
+	// arrives during a view change.
+	held pbft.Held
 
 	cu     catchUpState // sync.go
 	sstats syncStats
@@ -290,6 +286,7 @@ func (e *Engine) startInstance(now consensus.Time, acts []consensus.Action) []co
 		EvidenceSink: func(rec *evidence.Record) {
 			e.evQueue = append(e.evQueue, rec)
 		},
+		Held: &e.held,
 	}
 	inner, err := pbft.New(icfg)
 	if err != nil {
@@ -297,8 +294,6 @@ func (e *Engine) startInstance(now consensus.Time, acts []consensus.Action) []co
 	}
 	e.inner = inner
 	e.view = inner.View()
-	inner.Hold(e.held)
-	e.held = nil
 	acts = append(acts, e.filterInner(now, inner.Init(now))...)
 	return acts
 }
@@ -348,7 +343,7 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 // two led a view.
 func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
 	if e.switching || e.committee == nil {
-		e.hold(tx)
+		e.held.Add(tx)
 		return nil
 	}
 	if e.inner != nil {
@@ -378,15 +373,15 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		if e.inner != nil && !e.switching {
 			return e.filterInner(now, e.inner.OnEnvelope(now, env))
 		}
-		tx := e.poolRequest(env)
-		// An observer forwards a request from outside the committee to a
-		// member, as it does its own submissions. A member's relay, or the
-		// backlog a switch hands an added endorser, came from the committee
-		// and goes nowhere.
-		if tx == nil || e.switching || e.committee == nil || e.committee.IsMember(env.From) {
-			return nil
+		// No instance runs the request: pool it — "refuses to process or
+		// commit" holds, pool admission is neither — and, if this node may
+		// be its only holder, hold it or forward it to a member as its own
+		// submissions are. A member's relay, or the backlog a switch hands
+		// an added endorser, came from the committee and goes nowhere.
+		if tx, only := pbft.PoolRequest(e.cfg.App, e.committee, env); only {
+			return e.OnRequest(now, tx)
 		}
-		return e.OnRequest(now, tx)
+		return nil
 	default:
 		// Intra-era consensus traffic.
 		msgEra, ok := consensus.PeekEra(env)
@@ -414,38 +409,13 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 	}
 }
 
-// poolRequest admits a request that reaches this node while it runs no
-// consensus — in the switch pause, as an observer, or elected and still
-// syncing toward its first era, when the backlog arrives (see onResume)
-// — to the pool, and returns it (nil if the pool refused it): "refuses
-// to process or commit" holds, pool admission is neither. A request is
-// never dropped because the node is between eras.
-func (e *Engine) poolRequest(env *consensus.Envelope) *types.Transaction {
-	tx, err := pbft.OpenRequest(env)
-	if err != nil || e.cfg.App.SubmitTx(tx) != nil {
-		return nil
-	}
-	if e.switching && !e.committee.IsMember(env.From) {
-		e.hold(tx)
-	}
-	return tx
-}
-
-// hold remembers a pooled transaction that only this node may know.
-func (e *Engine) hold(tx *types.Transaction) {
-	e.held = append(e.held, *tx)
-	e.sstats.reqHeld.Add(1)
-}
-
-// relayHeld hands the held transactions to the request path of the era
-// that has just begun, once each: a node the switch demoted forwards them
-// to a member as any observer would. An endorser's own engine has
-// already relayed them, ahead of its first proposal (startInstance).
+// relayHeld hands the held list to the request path of the era that has
+// just begun, once each: a node the switch demoted forwards them to a
+// member as any observer would. An endorser's own instance has already
+// relayed them, ahead of its first proposal (its Init).
 func (e *Engine) relayHeld(now consensus.Time, acts []consensus.Action) []consensus.Action {
-	held := e.held
-	e.held = nil
+	held := e.held.Take()
 	for i := range held {
-		e.sstats.reqRerelayed.Add(1)
 		acts = append(acts, e.OnRequest(now, &held[i])...)
 	}
 	return acts
@@ -534,8 +504,6 @@ func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []cons
 		if c := e.inner.TakeCounts(); c != (pbft.Counts{}) {
 			e.sstats.votesVerified.Add(c.VotesVerified)
 			e.sstats.votesSurplus.Add(c.VotesSurplus)
-			e.sstats.reqHeld.Add(c.RequestsHeld)
-			e.sstats.reqRerelayed.Add(c.RequestsRerelayed)
 			e.sstats.propHeld.Add(c.ProposalsHeld)
 			e.sstats.propHeldFired.Add(c.ProposalsHeldFired)
 			e.sstats.propParked.Add(c.ProposalsParked)

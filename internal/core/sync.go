@@ -46,8 +46,6 @@ type syncStats struct {
 	lagPulls       atomic.Uint64
 	votesVerified  atomic.Uint64
 	votesSurplus   atomic.Uint64
-	reqHeld        atomic.Uint64
-	reqRerelayed   atomic.Uint64
 	propHeld       atomic.Uint64
 	propHeldFired  atomic.Uint64
 	propParked     atomic.Uint64
@@ -64,13 +62,14 @@ type syncStats struct {
 // most recent deep catch-up (one that considered a snapshot) resolved;
 // shallow in-era tail pulls do not touch it.
 func (e *Engine) SyncStats() runtime.SyncStats {
+	held, rerelayed := e.held.Counts()
 	return runtime.SyncStats{
 		Retries:            e.sstats.retries.Load(),
 		LagPulls:           e.sstats.lagPulls.Load(),
 		VotesVerified:      e.sstats.votesVerified.Load(),
 		VotesSurplus:       e.sstats.votesSurplus.Load(),
-		RequestsHeld:       e.sstats.reqHeld.Load(),
-		RequestsRerelayed:  e.sstats.reqRerelayed.Load(),
+		RequestsHeld:       held,
+		RequestsRerelayed:  rerelayed,
 		ProposalsHeld:      e.sstats.propHeld.Load(),
 		ProposalsHeldFired: e.sstats.propHeldFired.Load(),
 		ProposalsParked:    e.sstats.propParked.Load(),

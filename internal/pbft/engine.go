@@ -102,6 +102,9 @@ type Config struct {
 	// proofs the engine assembles from conflicting votes it observes
 	// (see accountability.go). Nil disables detection.
 	EvidenceSink func(*evidence.Record)
+	// Held is the node's held list, which outlives the instance (the era
+	// layer owns it); nil gives the instance a list of its own.
+	Held *Held
 }
 
 func (c *Config) fill() {
@@ -240,13 +243,7 @@ type Engine struct {
 	seenVotes map[seenSlot]seenVote
 	accused   map[gcrypto.Address]bool
 
-	// held lists the transactions that entered this replica's pool while
-	// a view change kept it from relaying them (or that Hold handed over),
-	// and that no other replica may know: a local submission, or a
-	// non-member's single send. A relay from a fellow member is never held
-	// — its sender broadcast it to everyone. enterNewView and Init relay
-	// each once; the list needs no cap, every entry passed pool admission.
-	held []types.Transaction
+	held *Held
 
 	// Proposal policy (see holdHead): lastRound is the propose-to-execute
 	// time of the own slot that has just executed, until the
@@ -306,6 +303,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.EvidenceSink != nil {
 		e.seenVotes = make(map[seenSlot]seenVote)
 		e.accused = make(map[gcrypto.Address]bool)
+	}
+	if e.held = cfg.Held; e.held == nil {
+		e.held = new(Held)
 	}
 	e.restoreDurable(cfg.Durable)
 	return e, nil
@@ -370,11 +370,7 @@ func (e *Engine) Certified(seq uint64) bool {
 // fast path: VotesVerified counts seal checks on prepares and commits
 // (each vote once, when it first entered engine state), VotesSurplus the
 // votes dropped unverified because their phase already held its quorum
-// or their slot was already stable. The request path across a view
-// change: RequestsHeld counts transactions pooled without a relay (see
-// Engine.held), RequestsRerelayed those relayed on entering the new
-// view; the two are equal once the view change has completed.
-// The proposal policy: ProposalsHeld counts the under-full head blocks
+// or their slot was already stable. The proposal policy: ProposalsHeld counts the under-full head blocks
 // the primary held back (see maybePropose), ProposalsHeldFired those
 // whose hold ran its full time instead of ending early on a fuller pool.
 // Block assembly: ProposalsParked counts pre-prepares this replica could
@@ -382,7 +378,6 @@ func (e *Engine) Certified(seq uint64) bool {
 // requests it sent and answered.
 type Counts struct {
 	VotesVerified, VotesSurplus       uint64
-	RequestsHeld, RequestsRerelayed   uint64
 	ProposalsHeld, ProposalsHeldFired uint64
 	ProposalsParked                   uint64
 	FetchesSent, FetchesAnswered      uint64
@@ -395,6 +390,9 @@ func (e *Engine) TakeCounts() Counts {
 	e.counts = Counts{}
 	return c
 }
+
+// Held returns the held list this instance relays.
+func (e *Engine) Held() *Held { return e.held }
 
 // CompletedViewChanges returns how many view changes this replica has
 // completed.
@@ -480,15 +478,33 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 	if e.halted {
 		return nil
 	}
-	acts := e.relayOrHold(tx, nil)
+	return e.onPooled(now, tx, true)
+}
+
+// onRequestEnv pools a request another node sent and relays it when this
+// replica may be its only holder.
+func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []consensus.Action {
+	tx, only := PoolRequest(e.cfg.App, e.com, env)
+	if tx == nil {
+		return nil
+	}
+	return e.onPooled(now, tx, only)
+}
+
+// onPooled moves the engine on after tx entered the pool: relayed (or
+// held) when relay is set, completing a parked proposal, or proposed.
+func (e *Engine) onPooled(now consensus.Time, tx *types.Transaction, relay bool) []consensus.Action {
+	var acts []consensus.Action
+	if relay {
+		acts = e.relayOrHold(tx, acts)
+	}
 	if len(e.parked) > 0 { // a parked proposal may now be whole
 		acts = e.drainBuffered(now, acts)
 	}
 	if e.IsPrimary() {
 		acts = e.maybePropose(now, acts)
 	}
-	acts = e.ensureProgressTimer(acts)
-	return acts
+	return e.ensureProgressTimer(acts)
 }
 
 // relayOrHold announces a transaction only this replica may know to the
@@ -504,8 +520,7 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 // sit on it for a whole progress timeout and then change views.
 func (e *Engine) relayOrHold(tx *types.Transaction, acts []consensus.Action) []consensus.Action {
 	if e.inViewChange {
-		e.held = append(e.held, *tx)
-		e.counts.RequestsHeld++
+		e.held.Add(tx)
 		return acts
 	}
 	env := NewRequest(e.cfg.Key, tx)
@@ -522,21 +537,12 @@ func (e *Engine) relayOrHold(tx *types.Transaction, acts []consensus.Action) []c
 	return append(acts, consensus.Broadcast{To: rest, Env: env})
 }
 
-// Hold hands the engine, before Init, transactions pooled while no
-// engine ran the request path (an era switch's pause) that no other
-// replica may know. Init relays them before its first proposal can name
-// them: backups assemble proposals from their pools.
-func (e *Engine) Hold(txs []types.Transaction) {
-	e.held = append(e.held, txs...)
-}
-
-// relayHeld announces the transactions held through the view change,
-// or handed over by Hold, once each.
+// relayHeld announces the held list once each: at Init, before the
+// first proposal can name an entry (backups assemble proposals from
+// their pools), and on entering a new view.
 func (e *Engine) relayHeld(acts []consensus.Action) []consensus.Action {
-	held := e.held
-	e.held = nil
+	held := e.held.Take()
 	for i := range held {
-		e.counts.RequestsRerelayed++
 		acts = e.relayOrHold(&held[i], acts)
 	}
 	return acts
@@ -646,47 +652,6 @@ func (e *Engine) decode(raw []byte) (*consensus.Envelope, error) {
 }
 
 // --- normal case ---
-
-// OpenRequest decodes a request envelope and checks the transaction it
-// carries: the envelope is unsealed (NewRequest), so the transaction's
-// own signature is what authenticates it.
-func OpenRequest(env *consensus.Envelope) (*types.Transaction, error) {
-	var req Request
-	if err := consensus.OpenUnverified(env, consensus.KindRequest, &req); err != nil {
-		return nil, err
-	}
-	// VerifyCached: a relayed transaction has usually already been
-	// verified once on this node (local submission or an earlier relay),
-	// so the ed25519 check is memoized.
-	if err := req.Tx.VerifyCached(); err != nil {
-		return nil, err
-	}
-	return &req.Tx, nil
-}
-
-func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []consensus.Action {
-	tx, err := OpenRequest(env)
-	if err != nil {
-		return nil
-	}
-	if err := e.cfg.App.SubmitTx(tx); err != nil {
-		return nil
-	}
-	var acts []consensus.Action
-	if !e.com.IsMember(env.From) {
-		// Direct client submission: relay to the committee (a relay
-		// from a fellow member is terminal — no re-broadcast loops).
-		acts = e.relayOrHold(tx, acts)
-	}
-	if len(e.parked) > 0 { // a parked proposal may now be whole
-		acts = e.drainBuffered(now, acts)
-	}
-	if e.IsPrimary() {
-		acts = e.maybePropose(now, acts)
-	}
-	acts = e.ensureProgressTimer(acts)
-	return acts
-}
 
 // maybePropose issues pre-prepares when this replica is the primary:
 // one for every unproposed slot from execNext up to the pipelining

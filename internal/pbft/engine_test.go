@@ -490,8 +490,8 @@ func TestRequestDuringViewChangeCommitsUnderNewPrimary(t *testing.T) {
 			t.Fatalf("node %s ended in view %d: the transaction waited for more than the one view change", a.Short(), v)
 		}
 	}
-	if got := c.engines[holder].TakeCounts(); got.RequestsHeld != 1 || got.RequestsRerelayed != 1 {
-		t.Fatalf("holder held %d requests and re-relayed %d, want 1 and 1", got.RequestsHeld, got.RequestsRerelayed)
+	if held, rerelayed := c.engines[holder].Held().Counts(); held != 1 || rerelayed != 1 {
+		t.Fatalf("holder held %d requests and re-relayed %d, want 1 and 1", held, rerelayed)
 	}
 }
 

@@ -454,10 +454,10 @@ func (t *TCP) adoptInbound(addr gcrypto.Address, conn net.Conn) *peer {
 // deliverPayload decodes and queues one received frame, attributed to
 // from, the connection's verified identity (zero on a client
 // connection); a malformed frame is a protocol violation that closes
-// the connection. Request envelopes pass through the AdmitTx gate
-// first: a rejected request is dropped (the connection survives) and,
-// on client connections, is answered with a signed TxRejected reply
-// carrying the retry-after hint.
+// the connection. A request's transaction is decoded here, once
+// (pbft.DecodeRequest), and passes the AdmitTx gate: a rejected request
+// is dropped (the connection survives) and, on client connections, is
+// answered with a signed TxRejected reply carrying the retry-after hint.
 //
 // The connection's read goroutine is the node's pre-verification stage:
 // it does the signature work a queued envelope is sure to need before
@@ -471,17 +471,19 @@ func (t *TCP) deliverPayload(conn net.Conn, from gcrypto.Address, payload []byte
 	env = consensus.Attributed(env, from)
 	t.ctr.framesIn.Add(1)
 	t.ctr.bytesIn.Add(int64(4 + len(payload)))
-	if env.MsgKind == consensus.KindRequest && t.cfg.AdmitTx != nil {
-		var req pbft.Request
-		if consensus.OpenUnverified(env, consensus.KindRequest, &req) != nil {
+	if env.MsgKind == consensus.KindRequest {
+		tx, err := pbft.DecodeRequest(env)
+		if err != nil {
 			return false // malformed request body
 		}
-		if err := t.cfg.AdmitTx(&req.Tx); err != nil {
-			t.ctr.ingressRejected.Add(1)
-			if client && t.cfg.Key != nil {
-				t.sendReject(conn, req.Tx.ID(), err)
+		if t.cfg.AdmitTx != nil {
+			if err := t.cfg.AdmitTx(tx); err != nil {
+				t.ctr.ingressRejected.Add(1)
+				if client && t.cfg.Key != nil {
+					t.sendReject(conn, tx.ID(), err)
+				}
+				return true // drop the envelope, keep the connection
 			}
-			return true // drop the envelope, keep the connection
 		}
 	}
 	preVerify(env)
@@ -520,10 +522,9 @@ func preVerify(env *consensus.Envelope) {
 	case consensus.KindRequest:
 		// Request envelopes are unsealed (pbft.NewRequest): the
 		// transaction inside is what authenticates, so that is what gets
-		// warmed.
-		var req pbft.Request
-		if consensus.OpenUnverified(env, consensus.KindRequest, &req) == nil {
-			types.PrewarmTxs([]types.Transaction{req.Tx})
+		// warmed. A top-level request was decoded before the gate.
+		if tx, err := pbft.DecodeRequest(env); err == nil {
+			types.PrewarmTxs([]types.Transaction{*tx})
 		}
 	default:
 		if !env.MsgKind.IntraEra() {

@@ -94,7 +94,7 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 	}
 
 	// Grid layout: every node gets a distinct CSC cell in the region.
-	c.positions = gridLayout(opts.Region, opts.Nodes)
+	c.positions = opts.Region.Grid(opts.Nodes)
 	c.keys = make([]*gcrypto.KeyPair, opts.Nodes)
 	for i := range c.keys {
 		c.keys[i] = gcrypto.DeterministicKeyPair(site.keyBase + i)
@@ -198,23 +198,6 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		}
 	})
 	return c, nil
-}
-
-// gridLayout spreads n points over the region, row-major, at least a
-// cell apart.
-func gridLayout(region geo.Region, n int) []geo.Point {
-	cols := int(math.Ceil(math.Sqrt(float64(n))))
-	dLng := (region.MaxLng - region.MinLng) / float64(cols+1)
-	dLat := (region.MaxLat - region.MinLat) / float64(cols+1)
-	out := make([]geo.Point, n)
-	for i := 0; i < n; i++ {
-		r, cIdx := i/cols, i%cols
-		out[i] = geo.Point{
-			Lng: region.MinLng + dLng*float64(cIdx+1),
-			Lat: region.MinLat + dLat*float64(r+1),
-		}
-	}
-	return out
 }
 
 // --- accessors ---

@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -169,7 +168,9 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 		Tap:      c.checker.Observe,
 	})
 
-	c.positions = gridLayout(opts.Nodes)
+	// A small urban region, the nodes one CSC cell apart, as in the
+	// paper's deployment.
+	c.positions = geo.Region{MinLng: 114.170, MinLat: 22.300, MaxLng: 114.180, MaxLat: 22.310}.Grid(opts.Nodes)
 	c.keys = make([]*gcrypto.KeyPair, opts.Nodes)
 	for i := range c.keys {
 		c.keys[i] = gcrypto.DeterministicKeyPair(i)
@@ -229,23 +230,6 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 		}
 	})
 	return c, nil
-}
-
-// gridLayout spreads n nodes over a small urban region, one CSC cell
-// apart, mirroring the paper's deployment layout.
-func gridLayout(n int) []geo.Point {
-	const minLng, maxLng, minLat, maxLat = 114.170, 114.180, 22.300, 22.310
-	cols := int(math.Ceil(math.Sqrt(float64(n))))
-	dLng := (maxLng - minLng) / float64(cols+1)
-	dLat := (maxLat - minLat) / float64(cols+1)
-	out := make([]geo.Point, n)
-	for i := 0; i < n; i++ {
-		out[i] = geo.Point{
-			Lng: minLng + dLng*float64(i%cols+1),
-			Lat: minLat + dLat*float64(i/cols+1),
-		}
-	}
-	return out
 }
 
 // boot builds node i's incarnation from its durable slot only, with
@@ -623,10 +607,17 @@ func (c *Cluster) stepOp(s, f int) {
 			c.Partition(i, j)
 		}
 	case r < 90:
-		for p := range c.parts {
+		// Heal the smallest partition, not a map's first: the schedule
+		// must replay from its seed.
+		p, none := [2]int{}, true
+		for q := range c.parts {
+			if none || q[0] < p[0] || q[0] == p[0] && q[1] < p[1] {
+				p, none = q, false
+			}
+		}
+		if !none {
 			c.net.Heal(c.Address(p[0]), c.Address(p[1]))
 			delete(c.parts, p)
-			break
 		}
 	default:
 		// Quiet step: let timers fire and views settle.

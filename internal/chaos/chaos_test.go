@@ -2,10 +2,12 @@ package chaos_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"gpbft/internal/chaos"
+	"gpbft/internal/runtime"
 )
 
 // TestRandomSchedules runs seeded random crash/restart/partition/heal
@@ -125,5 +127,57 @@ func TestAmnesiaPrimaryWithoutWALDoubleSigns(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err == nil {
 		t.Fatal("invariant check passed despite equivocation in the trace")
+	}
+}
+
+// replayOutcome is what a seeded run ends with: every node's height and
+// sync counters, and the number of votes the checker saw.
+type replayOutcome struct {
+	heights []uint64
+	sync    []runtime.SyncStats
+	votes   int
+}
+
+func outcomeOf(c *chaos.Cluster, nodes int) replayOutcome {
+	o := replayOutcome{votes: c.Checker().VoteCount()}
+	for i := 0; i < nodes; i++ {
+		o.heights = append(o.heights, c.Height(i))
+		o.sync = append(o.sync, c.SyncStats(i))
+	}
+	return o
+}
+
+// TestAmnesiaScheduleReplaysFromItsSeed: the amnesia schedule has one
+// outcome. A view change's prepared proof and a raced-ahead commit
+// certificate take their votes in committee order, so no map order
+// decides the bytes the committee exchanges.
+func TestAmnesiaScheduleReplaysFromItsSeed(t *testing.T) {
+	c, _ := midInstanceCrash(t, true)
+	want := outcomeOf(c, 4)
+	for run := 1; run < 20; run++ {
+		c, _ := midInstanceCrash(t, true)
+		if got := outcomeOf(c, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d ended %+v, run 0 %+v", run, got, want)
+		}
+	}
+}
+
+// TestRandomScheduleReplaysFromItsSeed: a random schedule (the gossip
+// schedule's setup) run twice from one seed ends the same way.
+func TestRandomScheduleReplaysFromItsSeed(t *testing.T) {
+	opts := chaos.Options{Nodes: 7, Seed: 9004, StepInterval: 200 * time.Millisecond, Gossip: true, DropRate: 0.01}
+	var outs []replayOutcome
+	for run := 0; run < 2; run++ {
+		c, err := chaos.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunRandomSchedule(40); err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, outcomeOf(c, opts.Nodes))
+	}
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Fatalf("seed %d ended %+v, then %+v", opts.Seed, outs[0], outs[1])
 	}
 }

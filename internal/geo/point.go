@@ -115,6 +115,22 @@ func (r Region) HeightMeters() float64 {
 	return Point{Lng: c.Lng, Lat: r.MinLat}.DistanceMeters(Point{Lng: c.Lng, Lat: r.MaxLat})
 }
 
+// Grid spreads n points over the region, row-major, on a square grid
+// of ceil(sqrt(n)) columns inset one step from every edge.
+func (r Region) Grid(n int) []Point {
+	cols := int(math.Ceil(math.Sqrt(float64(n))))
+	dLng := (r.MaxLng - r.MinLng) / float64(cols+1)
+	dLat := (r.MaxLat - r.MinLat) / float64(cols+1)
+	out := make([]Point, n)
+	for i := range out {
+		out[i] = Point{
+			Lng: r.MinLng + dLng*float64(i%cols+1),
+			Lat: r.MinLat + dLat*float64(i/cols+1),
+		}
+	}
+	return out
+}
+
 // IsZero reports whether the region is the zero value (no constraint).
 func (r Region) IsZero() bool {
 	return r.MinLng == 0 && r.MinLat == 0 && r.MaxLng == 0 && r.MaxLat == 0

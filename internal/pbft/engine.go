@@ -1004,8 +1004,9 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, block *typ
 	acts = e.armSlotTimer(pp.Seq, acts)
 	// Votes that raced ahead of the pre-prepare can now be judged against
 	// the accepted digest: prepares join the matching count, commits
-	// become certificate votes. Stored envelopes were verified before they
-	// were stored, so decoding is all that is left.
+	// become certificate votes, in committee order — the certificate's
+	// bytes must not depend on a map's order. Stored envelopes were
+	// verified before they were stored, so decoding is all that is left.
 	inst.matching = 0
 	for _, penv := range inst.prepares {
 		var p Prepare
@@ -1013,9 +1014,9 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, block *typ
 			inst.matching++
 		}
 	}
-	for _, cenv := range inst.commits {
+	for i := 0; i < e.com.Size() && len(inst.commits) > 0; i++ {
 		var c Commit
-		if consensus.OpenUnverified(cenv, consensus.KindCommit, &c) == nil {
+		if cenv := inst.commits[e.com.Member(i).Address]; cenv != nil && consensus.OpenUnverified(cenv, consensus.KindCommit, &c) == nil {
 			e.recordCommitVote(inst, cenv, &c)
 		}
 	}

@@ -1,6 +1,9 @@
 package pbft
 
-import "gpbft/internal/consensus"
+import (
+	"gpbft/internal/consensus"
+	"gpbft/internal/gcrypto"
+)
 
 // StoredVotes counts the vote envelopes of one kind the engine holds for
 // seq: in the instance log, in the hold-back buffer, and in the
@@ -48,3 +51,19 @@ const (
 	MinTimeout     = minTimeout
 	InitialTimeout = initialTimeout
 )
+
+// ProofSenders returns the senders of the prepares in the prepared proof
+// the engine would exhibit for seq, in the proof's order.
+func (e *Engine) ProofSenders(seq uint64) []gcrypto.Address {
+	inst := e.insts[seq]
+	if inst == nil {
+		return nil
+	}
+	var out []gcrypto.Address
+	for _, raw := range e.proofForInstance(seq, inst).PrepareEnvs {
+		if env, err := e.decode(raw); err == nil {
+			out = append(out, env.From)
+		}
+	}
+	return out
+}

@@ -1,6 +1,7 @@
 package pbft_test
 
 import (
+	"reflect"
 	"testing"
 
 	"gpbft/internal/consensus"
@@ -263,5 +264,41 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 	}
 	if c := r.eng.TakeCounts(); c != first {
 		t.Fatalf("the slot that drained the buffer counted %+v, the one before it %+v", c, first)
+	}
+}
+
+// TestPreparedProofTakesPreparesInCommitteeOrder: with every prepare of
+// a slot stored (n = 7: six from backups, two more than the proof
+// needs), the proof carries the first quorum − 1 backups in committee
+// order, on every call — not whichever a map yields first. The order
+// decides the bytes of every view change and WAL prepared record.
+func TestPreparedProofTakesPreparesInCommitteeOrder(t *testing.T) {
+	const n = 7
+	prim := newUnitRigN(t, n, 0, nil).primaryPos()
+	self := (prim + 1) % n
+	r := newUnitRigN(t, n, self, nil)
+	r.eng.Init(0)
+	block, ppEnv := r.proposal(*clientTx(0, 1))
+	// The others' prepares arrive ahead of the proposal, so none is
+	// surplus; the replica's own joins them when it accepts the proposal.
+	for i := n - 1; i >= 0; i-- {
+		if i != prim && i != self {
+			r.eng.OnEnvelope(0, r.prepareFrom(i, block.Hash()))
+		}
+	}
+	r.eng.OnEnvelope(0, ppEnv)
+	if logged, _, _ := r.eng.StoredVotes(consensus.KindPrepare, 1); logged != n-1 {
+		t.Fatalf("%d prepares stored, want %d", logged, n-1)
+	}
+	var want []gcrypto.Address
+	for i := 0; len(want) < r.com.Quorum()-1; i++ {
+		if i != prim {
+			want = append(want, r.com.Member(i).Address)
+		}
+	}
+	for call := 0; call < 20; call++ {
+		if got := r.eng.ProofSenders(1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: the proof carries prepares from %v, want %v", call, got, want)
+		}
 	}
 }

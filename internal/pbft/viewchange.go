@@ -68,9 +68,10 @@ func (e *Engine) preparedProofs() []PreparedProof {
 }
 
 // proofForInstance assembles the prepared proof for one instance: its
-// pre-prepare plus quorum-1 matching prepares from non-primary
-// replicas. It is used both for view-change messages and for the WAL's
-// prepared records.
+// pre-prepare plus the first quorum-1 matching prepares from non-primary
+// replicas, in committee order, so the proof's bytes never depend on a
+// map's order. It is used both for view-change messages and for the
+// WAL's prepared records.
 func (e *Engine) proofForInstance(seq uint64, inst *instance) *PreparedProof {
 	if inst.prePrepare == nil {
 		return nil
@@ -81,9 +82,9 @@ func (e *Engine) proofForInstance(seq uint64, inst *instance) *PreparedProof {
 		Digest:        inst.digest,
 		PrePrepareEnv: consensus.EncodeEnvelope(inst.prePrepare),
 	}
-	count := 0
-	for _, penv := range inst.prepares {
-		if penv.From == e.com.Primary(inst.view) {
+	for i := 0; i < e.com.Size() && len(proof.PrepareEnvs) < e.com.Quorum()-1; i++ {
+		penv := inst.prepares[e.com.Member(i).Address]
+		if penv == nil || penv.From == e.com.Primary(inst.view) {
 			continue
 		}
 		var p Prepare
@@ -91,10 +92,6 @@ func (e *Engine) proofForInstance(seq uint64, inst *instance) *PreparedProof {
 			continue
 		}
 		proof.PrepareEnvs = append(proof.PrepareEnvs, consensus.EncodeEnvelope(penv))
-		count++
-		if count >= e.com.Quorum()-1 {
-			break
-		}
 	}
 	return proof
 }

@@ -185,7 +185,7 @@ func (s *ShardCluster) buildAnchor() error {
 		if err != nil {
 			return err
 		}
-		s.anchorPos[j] = gridLayout(home, members/r+2)[j/r]
+		s.anchorPos[j] = home.Grid(members/r + 2)[j/r]
 		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
 			Address: s.anchorKeys[j].Address(),
 			PubKey:  s.anchorKeys[j].Public(),

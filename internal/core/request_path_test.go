@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -398,3 +399,70 @@ func TestObserverKeepsNothingItForwards(t *testing.T) {
 		}
 	}
 }
+
+// receiveTap wraps a node's engine and keeps every request envelope
+// delivered to it.
+type receiveTap struct {
+	consensus.Engine
+	got []*consensus.Envelope
+}
+
+func (r *receiveTap) OnEnvelope(now consensus.Time, env *consensus.Envelope) []consensus.Action {
+	if env.MsgKind == consensus.KindRequest {
+		r.got = append(r.got, env)
+	}
+	return r.Engine.OnEnvelope(now, env)
+}
+
+func (r *receiveTap) OnCommitApplied(now consensus.Time) []consensus.Action {
+	return r.Engine.(consensus.CommitNotifiable).OnCommitApplied(now)
+}
+
+// TestSimReceiversDecodeTheirOwnRequest: the simulator hands every
+// receiver of a broadcast the one envelope. Each receiver's event loop
+// decodes a copy of its own and keeps nothing on the shared envelope,
+// so no decoded request passes from one node to another.
+func TestSimReceiversDecodeTheirOwnRequest(t *testing.T) {
+	c, err := gpbft.NewCluster(fastOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	taps := make([]*receiveTap, 4)
+	for i := range taps {
+		taps[i] = &receiveTap{Engine: c.Node(i).Engine}
+		c.Node(i).Engine = taps[i]
+	}
+	c.Run(10 * time.Millisecond)
+	tx := c.SubmitNodeTx(c.Now(), 0, []byte("broadcast"), 1)
+	c.RunUntilIdle(10 * time.Second)
+	if !committed(c, 1, tx) {
+		t.Fatal("the request never committed")
+	}
+
+	receivers := make(map[*consensus.Envelope]int)
+	for _, tap := range taps {
+		for _, env := range tap.got {
+			receivers[env]++
+		}
+	}
+	shared := 0
+	for env, n := range receivers {
+		if n < 2 {
+			continue
+		}
+		shared++
+		if _, err := env.Decoded(false, func() (any, error) { return nil, errNoMemo }); err != errNoMemo {
+			t.Fatalf("a request envelope %d receivers share carries a decoded body", n)
+		}
+		a, errA := pbft.OpenRequest(env)
+		b, errB := pbft.OpenRequest(env)
+		if errA != nil || errB != nil || a == b {
+			t.Fatalf("two receivers' opens of one envelope share a transaction (%v, %v)", errA, errB)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("setup: no request envelope reached two receivers")
+	}
+}
+
+var errNoMemo = errors.New("no memo")

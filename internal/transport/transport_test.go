@@ -589,3 +589,50 @@ func TestTCPClusterStatsAndPeerMove(t *testing.T) {
 		t.Fatalf("moved node saw no inbound frames on its new endpoint: %+v", s)
 	}
 }
+
+// TestAdmittedRequestIsTheOneOpened: with an admission gate, the read
+// loop decodes a request once, before the gate, and the event loop's
+// open reuses that decode — the transaction the gate admitted is the
+// one the event loop opens.
+func TestAdmittedRequestIsTheOneOpened(t *testing.T) {
+	var admitted *types.Transaction
+	node, err := New(Config{
+		Listen: "127.0.0.1:0",
+		Key:    gcrypto.DeterministicKeyPair(1),
+		AdmitTx: func(tx *types.Transaction) error {
+			admitted = tx
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	tx := &types.Transaction{
+		Type: types.TxNormal, Nonce: 1, Payload: []byte("decoded once"), Fee: 1,
+		Geo: types.GeoInfo{Location: geo.Point{Lng: 114.18, Lat: 22.3}, Timestamp: epoch.Add(time.Second)},
+	}
+	tx.Sign(gcrypto.DeterministicKeyPair(1001))
+
+	conn := dialRaw(t, node.ListenAddr())
+	defer conn.Close()
+	if err := WriteFrame(conn, pbft.NewRequest(gcrypto.DeterministicKeyPair(9), tx)); err != nil {
+		t.Fatal(err)
+	}
+	var env *consensus.Envelope
+	select {
+	case env = <-node.Incoming():
+	case <-time.After(5 * time.Second):
+		t.Fatal("request not delivered")
+	}
+	opened, err := pbft.OpenRequest(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if admitted == nil || opened != admitted {
+		t.Fatal("the event loop opened a transaction other than the one the gate admitted")
+	}
+	if opened.ID() != tx.ID() {
+		t.Fatal("the opened transaction is not the one sent")
+	}
+}

@@ -607,8 +607,7 @@ func (c *Cluster) stepOp(s, f int) {
 			c.Partition(i, j)
 		}
 	case r < 90:
-		// Heal the smallest partition, not a map's first: the schedule
-		// must replay from its seed.
+		// The smallest partition, so the schedule replays from its seed.
 		p, none := [2]int{}, true
 		for q := range c.parts {
 			if none || q[0] < p[0] || q[0] == p[0] && q[1] < p[1] {

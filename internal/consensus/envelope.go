@@ -318,12 +318,10 @@ func (e *Envelope) WireSize() int {
 	return e.wireSize
 }
 
-// Decoded returns the envelope's body as decode reads it, from the
-// memo when the body was decoded and kept before. keep stores a fresh
-// result: only the goroutine that owns the envelope may ask for that —
-// the read loop that decoded it off the wire, before it is queued, or
-// whoever builds it. A simulated broadcast hands every receiver the same
-// envelope, so a receiver's event loop decodes a copy of its own.
+// Decoded returns the body as decode reads it, or as the memo kept it.
+// keep memoizes a fresh result, for the goroutine that owns the envelope
+// only (the read loop that decoded it off the wire, or its builder): a
+// simulated broadcast hands all receivers one envelope.
 func (e *Envelope) Decoded(keep bool, decode func() (any, error)) (any, error) {
 	if e.memo != nil || e.memoErr != nil {
 		return e.memo, e.memoErr

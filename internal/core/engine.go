@@ -349,14 +349,10 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 	if e.inner != nil {
 		return e.filterInner(now, e.inner.OnRequest(now, tx))
 	}
-	// Observer: relay to the first known endorser.
-	if e.committee.Size() == 0 {
-		return nil
-	}
-	// Spread client load across the committee deterministically by the
-	// sender's own address. The member relays it to the committee, which
-	// commits it on a chain this node does not follow: a copy kept here
-	// would never leave the pool.
+	// Observer: spread client load across the committee deterministically
+	// by the sender's own address. The member relays it to the committee,
+	// which commits it on a chain this node does not follow: a copy kept
+	// here would never leave the pool.
 	target := e.committee.Member(int(e.self[0]) % e.committee.Size()).Address
 	e.cfg.App.Pool().Drop(tx.ID())
 	return []consensus.Action{consensus.Send{To: target, Env: pbft.NewRequest(e.cfg.Key, tx)}}
@@ -373,11 +369,10 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 		if e.inner != nil && !e.switching {
 			return e.filterInner(now, e.inner.OnEnvelope(now, env))
 		}
-		// No instance runs the request: pool it — "refuses to process or
-		// commit" holds, pool admission is neither — and, if this node may
-		// be its only holder, hold it or forward it to a member as its own
-		// submissions are. A member's relay, or the backlog a switch hands
-		// an added endorser, came from the committee and goes nowhere.
+		// No instance runs here: pool it ("refuses to process or commit"
+		// holds, pool admission is neither), and hold or forward what this
+		// node may alone hold. A member's relay, the backlog a switch hands
+		// an added endorser among them, goes nowhere.
 		if tx, only := pbft.PoolRequest(e.cfg.App, e.committee, env); only {
 			return e.OnRequest(now, tx)
 		}
@@ -409,10 +404,9 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 	}
 }
 
-// relayHeld hands the held list to the request path of the era that has
-// just begun, once each: a node the switch demoted forwards them to a
-// member as any observer would. An endorser's own instance has already
-// relayed them, ahead of its first proposal (its Init).
+// relayHeld hands the held list to the request path of the era just
+// begun: a node the switch demoted forwards each to a member. An
+// endorser's instance relayed them already, ahead of its first proposal.
 func (e *Engine) relayHeld(now consensus.Time, acts []consensus.Action) []consensus.Action {
 	held := e.held.Take()
 	for i := range held {

@@ -123,10 +123,7 @@ func (r Region) Grid(n int) []Point {
 	dLat := (r.MaxLat - r.MinLat) / float64(cols+1)
 	out := make([]Point, n)
 	for i := range out {
-		out[i] = Point{
-			Lng: r.MinLng + dLng*float64(i%cols+1),
-			Lat: r.MinLat + dLat*float64(i/cols+1),
-		}
+		out[i] = Point{Lng: r.MinLng + dLng*float64(i%cols+1), Lat: r.MinLat + dLat*float64(i/cols+1)}
 	}
 	return out
 }

@@ -370,9 +370,10 @@ func (e *Engine) Certified(seq uint64) bool {
 // fast path: VotesVerified counts seal checks on prepares and commits
 // (each vote once, when it first entered engine state), VotesSurplus the
 // votes dropped unverified because their phase already held its quorum
-// or their slot was already stable. The proposal policy: ProposalsHeld counts the under-full head blocks
-// the primary held back (see maybePropose), ProposalsHeldFired those
-// whose hold ran its full time instead of ending early on a fuller pool.
+// or their slot was already stable. The proposal policy: ProposalsHeld
+// counts the under-full head blocks the primary held back (see
+// maybePropose), ProposalsHeldFired those whose hold ran its full time
+// instead of ending early on a fuller pool.
 // Block assembly: ProposalsParked counts pre-prepares this replica could
 // not assemble from its pool, FetchesSent and FetchesAnswered the fetch
 // requests it sent and answered.
@@ -390,9 +391,6 @@ func (e *Engine) TakeCounts() Counts {
 	e.counts = Counts{}
 	return c
 }
-
-// Held returns the held list this instance relays.
-func (e *Engine) Held() *Held { return e.held }
 
 // CompletedViewChanges returns how many view changes this replica has
 // completed.
@@ -481,18 +479,9 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 	return e.onPooled(now, tx, true)
 }
 
-// onRequestEnv pools a request another node sent and relays it when this
-// replica may be its only holder.
-func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []consensus.Action {
-	tx, only := PoolRequest(e.cfg.App, e.com, env)
-	if tx == nil {
-		return nil
-	}
-	return e.onPooled(now, tx, only)
-}
-
 // onPooled moves the engine on after tx entered the pool: relayed (or
-// held) when relay is set, completing a parked proposal, or proposed.
+// held) when this replica may be its only holder, completing a parked
+// proposal, or proposed.
 func (e *Engine) onPooled(now consensus.Time, tx *types.Transaction, relay bool) []consensus.Action {
 	var acts []consensus.Action
 	if relay {
@@ -612,7 +601,10 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 	}
 	switch env.MsgKind {
 	case consensus.KindRequest:
-		return e.onRequestEnv(now, env)
+		if tx, only := PoolRequest(e.cfg.App, e.com, env); tx != nil {
+			return e.onPooled(now, tx, only)
+		}
+		return nil
 	case consensus.KindPrePrepare:
 		return e.onPrePrepare(now, env)
 	case consensus.KindPrepare:

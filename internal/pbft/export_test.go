@@ -39,6 +39,9 @@ func (e *Engine) PreparedProof(seq uint64) (prepared, verifies bool) {
 	return true, e.verifyPreparedProof(e.proofForInstance(seq, inst))
 }
 
+// Held returns the held list this instance relays.
+func (e *Engine) Held() *Held { return e.held }
+
 // LowWater returns the stable point: the highest sequence the replica
 // knows decided.
 func (e *Engine) LowWater() uint64 { return e.lowWater }

@@ -7,19 +7,14 @@ import (
 	"gpbft/internal/types"
 )
 
-// The request path (DESIGN.md 5k): a request envelope is decoded once per
-// node, pooled by one routine, and what this node alone may hold is relayed
-// at once or put on the node's one held list.
+// The request path (DESIGN.md 5k): a request is decoded once per node and
+// pooled by one routine, and what this node alone may hold is relayed at
+// once or put on the node's one held list.
 
-// DecodeRequest decodes the transaction a request envelope carries, its
-// signature unchecked, and keeps it on the envelope: the transport's read
-// loop calls it once, before the envelope is queued, and its admission
-// gate, its prewarm and the event loop's OpenRequest share the result.
-func DecodeRequest(env *consensus.Envelope) (*types.Transaction, error) {
-	return decodeRequest(env, true)
-}
-
-func decodeRequest(env *consensus.Envelope, keep bool) (*types.Transaction, error) {
+// DecodeRequest decodes a request's transaction, unverified. keep, for
+// the transport's read loop before it queues env, leaves it on the
+// envelope for the gate, the prewarm and OpenRequest to share.
+func DecodeRequest(env *consensus.Envelope, keep bool) (*types.Transaction, error) {
 	v, err := env.Decoded(keep, func() (any, error) {
 		var req Request
 		if err := consensus.OpenUnverified(env, consensus.KindRequest, &req); err != nil {
@@ -31,29 +26,28 @@ func decodeRequest(env *consensus.Envelope, keep bool) (*types.Transaction, erro
 	return tx, err
 }
 
-// OpenRequest opens a request envelope: the transaction the read loop
-// decoded, or a copy of its own when none did, checked by its own
-// signature — the envelope is unsealed (NewRequest). VerifyCached: a
-// relayed transaction has usually been verified on this node before
-// (prewarmed on the read loop, a local submission or an earlier relay).
+// OpenRequest opens a request envelope — the read loop's decode, or a copy
+// of its own — and checks the transaction by its own signature: the
+// envelope is unsealed (NewRequest). The check is memoized
+// (VerifyCached): the read loop prewarmed it, or an earlier relay or a
+// local submission made it.
 func OpenRequest(env *consensus.Envelope) (*types.Transaction, error) {
-	tx, err := decodeRequest(env, false)
-	if err != nil {
-		return nil, err
+	tx, err := DecodeRequest(env, false)
+	if err == nil {
+		err = tx.VerifyCached()
 	}
-	if err := tx.VerifyCached(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return tx, nil
 }
 
-// PoolRequest opens a request another node sent and adds it to app's
-// pool, whether or not an instance runs here; it returns nil when the
-// envelope does not open or the pool refuses it. only reports whether
-// this node may be the transaction's only holder: its sender is outside
-// com (a client's or an observer's single send), or com is not known yet.
-// A relay from a member is terminal — its sender broadcast it to
-// everyone. A local submission is always its node's alone (OnRequest).
+// PoolRequest opens a request another node sent and pools it, nil when it
+// does not open or the pool refuses it. only reports whether this node
+// may be the transaction's only holder: com does not hold the sender (a
+// client's or an observer's single send), or is not known yet. A member's
+// relay is terminal, its sender broadcast it; a local submission is
+// always its node's alone (OnRequest).
 func PoolRequest(app Application, com *consensus.Committee, env *consensus.Envelope) (tx *types.Transaction, only bool) {
 	tx, err := OpenRequest(env)
 	if err != nil || app.SubmitTx(tx) != nil {
@@ -62,24 +56,18 @@ func PoolRequest(app Application, com *consensus.Committee, env *consensus.Envel
 	return tx, com == nil || !com.IsMember(env.From)
 }
 
-// Held is a node's held list: the pooled transactions this node may be
-// the only holder of that it cannot relay yet — handed to it before
-// Init, in an era switch's pause, or during a view change. The era layer
-// owns it and gives each era's instance a reference; every entry is
-// relayed once, by Init, era entry or the new view. It needs no cap:
-// every entry passed pool admission.
+// Held is a node's held list: pooled transactions it may alone hold and
+// cannot relay yet — before Init, in an era switch's pause, or during a
+// view change. The era layer owns it and hands each era's instance a
+// reference; Init, era entry and a new view relay each entry once. No
+// cap: every entry passed pool admission.
 type Held struct {
-	held []types.Transaction
-	// in and out count entries added and taken for relay; equal whenever
-	// nothing waits. Read from any goroutine.
-	in, out atomic.Uint64
+	held    []types.Transaction
+	in, out atomic.Uint64 // entries added and taken; read from any goroutine
 }
 
 // Add holds tx.
-func (h *Held) Add(tx *types.Transaction) {
-	h.held = append(h.held, *tx)
-	h.in.Add(1)
-}
+func (h *Held) Add(tx *types.Transaction) { h.held = append(h.held, *tx); h.in.Add(1) }
 
 // Take empties the list for its relay.
 func (h *Held) Take() []types.Transaction {

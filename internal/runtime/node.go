@@ -147,10 +147,8 @@ type SyncStats struct {
 	// already stable.
 	VotesVerified uint64
 	VotesSurplus  uint64
-	// RequestsHeld counts transactions pooled while the engine could not
-	// relay them (era switch pause, view change) and that no other node
-	// may know; RequestsRerelayed counts those relayed once the switch or
-	// view change completed. The two are equal whenever none is under way.
+	// RequestsHeld and RequestsRerelayed count the entries in and out of
+	// the node's held list (pbft.Held); equal whenever nothing waits.
 	RequestsHeld      uint64
 	RequestsRerelayed uint64
 	// ProposalsHeld counts the under-full head blocks this node, as

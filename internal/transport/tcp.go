@@ -472,7 +472,7 @@ func (t *TCP) deliverPayload(conn net.Conn, from gcrypto.Address, payload []byte
 	t.ctr.framesIn.Add(1)
 	t.ctr.bytesIn.Add(int64(4 + len(payload)))
 	if env.MsgKind == consensus.KindRequest {
-		tx, err := pbft.DecodeRequest(env)
+		tx, err := pbft.DecodeRequest(env, true)
 		if err != nil {
 			return false // malformed request body
 		}
@@ -523,7 +523,7 @@ func preVerify(env *consensus.Envelope) {
 		// Request envelopes are unsealed (pbft.NewRequest): the
 		// transaction inside is what authenticates, so that is what gets
 		// warmed. A top-level request was decoded before the gate.
-		if tx, err := pbft.DecodeRequest(env); err == nil {
+		if tx, err := pbft.DecodeRequest(env, true); err == nil {
 			types.PrewarmTxs([]types.Transaction{*tx})
 		}
 	default:

@@ -62,7 +62,8 @@ func PoolRequest(app Application, com *consensus.Committee, env *consensus.Envel
 // reference; Init, era entry and a new view relay each entry once. No
 // cap: every entry passed pool admission.
 type Held struct {
-	held    []types.Transaction
+	held []types.Transaction
+
 	in, out atomic.Uint64 // entries added and taken; read from any goroutine
 }
 

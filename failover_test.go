@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"gpbft"
+	"gpbft/internal/consensus"
+	"gpbft/internal/gcrypto"
+	"gpbft/internal/types"
 )
 
 // failoverRun is the outcome of one crashed-primary run.
@@ -233,5 +236,94 @@ func TestPBFTBaselineLaggardCatchesUp(t *testing.T) {
 	}
 	if got := c.Metrics().CommittedCount(); got != total {
 		t.Fatalf("committed %d of %d", got, total)
+	}
+}
+
+// eraCrashGap drives seven G-PBFT endorsers on the LAN profile with a
+// forced era switch every 10 s and one transaction every 100 ms, each
+// through the next live node. The primary of the era that begins near
+// 20 s crashes into after the first node enters that era; the result is
+// the longest time between two heights on a live node.
+func eraCrashGap(t *testing.T, into time.Duration) time.Duration {
+	t.Helper()
+	const n, end = 7, 36 * time.Second
+	o := gpbft.DefaultOptions(gpbft.GPBFT, n)
+	o.Network = gpbft.LANProfile()
+	o.ForceEraSwitch = true
+	o.EraPeriod = 10 * time.Second
+	o.Seed = 1
+	c, err := gpbft.NewCluster(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := -1
+	crash := func(time.Duration) {
+		primary := c.CoreEngine(0).Inner().Primary()
+		for i := 0; i < n; i++ {
+			if c.Address(i) == primary {
+				crashed = i
+				c.Net().Crash(primary)
+			}
+		}
+	}
+	last := make([]time.Duration, n)
+	gaps := make([]time.Duration, n)
+	for i := 0; i < n; i++ {
+		node, observe, switched := c.Node(i), c.Node(i).OnCommit, c.Node(i).OnEraSwitch
+		node.OnCommit = func(now consensus.Time, b *types.Block) {
+			observe(now, b)
+			if last[i] > 0 {
+				gaps[i] = max(gaps[i], now-last[i])
+			}
+			last[i] = now
+		}
+		node.OnEraSwitch = func(now consensus.Time, era uint64, com []gcrypto.Address) {
+			if switched != nil {
+				switched(now, era, com)
+			}
+			if now > 15*time.Second && crashed < 0 {
+				crashed = n // scheduled
+				c.Net().Schedule(now+into, crash)
+			}
+		}
+	}
+	for at := time.Second; at < end-2*time.Second; at += 100 * time.Millisecond {
+		from := int(at/(100*time.Millisecond)) % n
+		tx := c.NewNodeTx(from, at, []byte{byte(at / time.Millisecond), byte(at / time.Millisecond >> 8)}, 1)
+		c.Net().Schedule(at, func(now time.Duration) {
+			via := from
+			if via == crashed {
+				via = (via + 1) % n
+			}
+			c.Metrics().RecordSubmit(tx.ID(), now)
+			_ = c.Node(via).Submit(now, tx)
+		})
+	}
+	c.Run(end)
+	if crashed < 0 || crashed == n {
+		t.Fatal("no primary crashed")
+	}
+	if _, err := c.VerifyAgreement(); err != nil {
+		t.Fatal(err)
+	}
+	longest := time.Duration(0)
+	for i := 0; i < n; i++ {
+		if i != crashed {
+			longest = max(longest, gaps[i])
+		}
+	}
+	return longest
+}
+
+// TestEarlyEraCrashCostsNoMoreThanMidEra: the failure detector outlives
+// the era, so a primary that crashes half a second into its era is
+// replaced on the rounds the node timed in the era before, not on the
+// initial timeout a new history would give it. Its outage may cost at
+// most twice what a crash five seconds into the era does.
+func TestEarlyEraCrashCostsNoMoreThanMidEra(t *testing.T) {
+	early, mid := eraCrashGap(t, 500*time.Millisecond), eraCrashGap(t, 5*time.Second)
+	t.Logf("longest gap between heights: %v at a crash 0.5 s into the era, %v at 5 s", early, mid)
+	if early > 2*mid {
+		t.Fatalf("a crash 0.5 s into the era stalls heights for %v, more than twice the %v of one 5 s into it", early, mid)
 	}
 }

@@ -134,6 +134,8 @@ type Engine struct {
 	// arrives before Init or in the switch pause, each era's instance what
 	// arrives during a view change.
 	held pbft.Held
+	// fd is the node's one failure detector, which each era's instance uses.
+	fd *pbft.Detector
 
 	cu     catchUpState // sync.go
 	sstats syncStats
@@ -177,6 +179,7 @@ func New(cfg Config) (*Engine, error) {
 		self:        cfg.Key.Address(),
 		chain:       cfg.Chain,
 		timers:      make(map[consensus.TimerID]tpurpose),
+		fd:          pbft.NewDetector(cfg.Timers, cfg.ViewChangeTimeout),
 		evSubmitted: make(map[gcrypto.Hash]bool),
 	}, nil
 }
@@ -276,17 +279,16 @@ func (e *Engine) startInstance(now consensus.Time, acts []consensus.Action) []co
 		Committee:          com,
 		Key:                e.cfg.Key,
 		App:                &eraApp{Application: e.cfg.App, eng: e},
-		Timers:             e.cfg.Timers,
 		StartHeight:        e.chain.Height() + 1,
 		CheckpointInterval: e.cfg.CheckpointInterval,
-		ViewChangeTimeout:  e.cfg.ViewChangeTimeout,
 		MaxInFlight:        e.cfg.MaxInFlight,
 		WAL:                e.cfg.WAL,
 		Durable:            durable,
 		EvidenceSink: func(rec *evidence.Record) {
 			e.evQueue = append(e.evQueue, rec)
 		},
-		Held: &e.held,
+		Held:     &e.held,
+		Detector: e.fd,
 	}
 	inner, err := pbft.New(icfg)
 	if err != nil {

@@ -94,7 +94,14 @@ func (c *Chain) noteGeoLocked(tx *types.Transaction, height uint64, idx int) {
 	}
 	ent := geoEntry{cell: cell, ts: tx.Geo.Timestamp, loc: TxLocation{Height: height, TxIndex: idx}}
 	if window := c.genesis.Policy.SybilWindow; window > 0 && !c.flagged[tx.Sender] {
-		for other, oent := range c.cellSeen[cell] {
+		// Accuse in address order: every replica records the same evidence.
+		others := make([]gcrypto.Address, 0, len(c.cellSeen[cell]))
+		for other := range c.cellSeen[cell] {
+			others = append(others, other)
+		}
+		sort.Slice(others, func(i, j int) bool { return others[i].Less(others[j]) })
+		for _, other := range others {
+			oent := c.cellSeen[cell][other]
 			if other == tx.Sender || c.flagged[other] {
 				continue
 			}

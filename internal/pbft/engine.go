@@ -74,7 +74,6 @@ type Config struct {
 	Committee *consensus.Committee
 	Key       *gcrypto.KeyPair
 	App       Application
-	Timers    *consensus.TimerAllocator
 	// StartHeight is the first block height this instance decides
 	// (current chain height + 1).
 	StartHeight uint64
@@ -82,10 +81,6 @@ type Config struct {
 	// watermark window and WAL compaction advance at every K-th executed
 	// block. Zero selects the default.
 	CheckpointInterval uint64
-	// ViewChangeTimeout, when non-zero, fixes the base of every liveness
-	// timer. Zero takes it from the rounds this replica times (see
-	// Engine.Timeout).
-	ViewChangeTimeout time.Duration
 	// MaxInFlight bounds how many sequence numbers run concurrently
 	// (clamped to the watermark window). Zero selects the default; 1 is
 	// the serial ablation.
@@ -105,6 +100,10 @@ type Config struct {
 	// Held is the node's held list, which outlives the instance (the era
 	// layer owns it); nil gives the instance a list of its own.
 	Held *Held
+	// Detector is the node's failure detector, which outlives the instance
+	// (the era layer owns it); nil gives the instance one of its own, with
+	// its own timer IDs and the timeout taken from the rounds it times.
+	Detector *Detector
 }
 
 func (c *Config) fill() {
@@ -114,8 +113,8 @@ func (c *Config) fill() {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = DefaultMaxInFlight
 	}
-	if c.Timers == nil {
-		c.Timers = consensus.NewTimerAllocator()
+	if c.Detector == nil {
+		c.Detector = NewDetector(consensus.NewTimerAllocator(), 0)
 	}
 }
 
@@ -154,16 +153,6 @@ func newInstance(view uint64) *instance {
 	}
 }
 
-// timer purposes
-type timerPurpose uint8
-
-const (
-	timerProgress timerPurpose = iota + 1
-	timerViewChange
-	timerSlot
-	timerHold
-)
-
 // Engine is one replica's PBFT state machine. It is not safe for
 // concurrent use; the runner serializes events.
 type Engine struct {
@@ -192,25 +181,8 @@ type Engine struct {
 	// restarted node can verify the jump to the committee's view.
 	newViewEnv *consensus.Envelope
 
-	timers      map[consensus.TimerID]timerPurpose
-	progressTID consensus.TimerID
-	vcTID       consensus.TimerID
-
-	// Failure detection (see Timeout and patience): the last roundWindow
-	// rounds this replica timed, roundsTimed in all; backoff counts the
-	// doublings of every timer since a slot last executed, and fresh
-	// marks a view entered by a view change that has executed nothing yet.
-	rounds      [roundWindow]time.Duration
-	roundsTimed int
-	backoff     int
-	fresh       bool
-
-	// Per-slot progress timers: every accepted proposal gets its own
-	// deadline, so an earlier slot's progress can never mask a leader
-	// stalling a later one. slotTimers maps seq -> timer, timerSlots the
-	// reverse.
-	slotTimers map[uint64]consensus.TimerID
-	timerSlots map[consensus.TimerID]uint64
+	// fd holds every deadline this instance arms (failure.go).
+	fd *Detector
 
 	// Pipelining: the in-flight depth negotiated from Config, and the
 	// deterministic hold-back buffer for messages just above the
@@ -247,10 +219,8 @@ type Engine struct {
 
 	// Proposal policy (see holdHead): lastRound is the propose-to-execute
 	// time of the own slot that has just executed, until the
-	// OnCommitApplied that follows consumes it; holdTID is the timer of a
-	// head block being held, zero when none is.
+	// OnCommitApplied that follows consumes it.
 	lastRound time.Duration
-	holdTID   consensus.TimerID
 
 	// stats
 	viewChangesFin uint64
@@ -288,9 +258,7 @@ func New(cfg Config) (*Engine, error) {
 		execNext:        cfg.StartHeight,
 		insts:           make(map[uint64]*instance),
 		viewChanges:     make(map[uint64]map[gcrypto.Address]*vcRecord),
-		timers:          make(map[consensus.TimerID]timerPurpose),
-		slotTimers:      make(map[uint64]consensus.TimerID),
-		timerSlots:      make(map[consensus.TimerID]uint64),
+		fd:              cfg.Detector,
 		maxInFlight:     cfg.MaxInFlight,
 		pendingMsgs:     make(map[uint64][]*consensus.Envelope),
 		parked:          make(map[uint64]*parkedProposal),
@@ -307,6 +275,7 @@ func New(cfg Config) (*Engine, error) {
 	if e.held = cfg.Held; e.held == nil {
 		e.held = new(Held)
 	}
+	e.fd.enterEra()
 	e.restoreDurable(cfg.Durable)
 	return e, nil
 }
@@ -315,6 +284,10 @@ func New(cfg Config) (*Engine, error) {
 
 // View returns the current view number.
 func (e *Engine) View() uint64 { return e.view }
+
+// Timeout is the base of every liveness timer, as the failure detector
+// has it now (failure.go).
+func (e *Engine) Timeout() time.Duration { return e.fd.timeout() }
 
 // Era returns the configured era.
 func (e *Engine) Era() uint64 { return e.cfg.Era }
@@ -422,7 +395,7 @@ func (e *Engine) Init(now consensus.Time) []consensus.Action {
 	acts = e.resendRecoveredVotes(acts)
 	acts = e.relayHeld(acts)
 	acts = e.maybePropose(now, acts)
-	acts = e.ensureProgressTimer(acts)
+	acts = e.fd.settle(e.busy(), acts)
 	return acts
 }
 
@@ -436,7 +409,7 @@ func (e *Engine) AdvanceTo(now consensus.Time, seq uint64) []consensus.Action {
 	}
 	var acts []consensus.Action
 	for s := e.execNext; s <= seq; s++ {
-		acts = e.stopSlotTimer(s, acts)
+		acts = e.fd.stop(slotWait(s), acts)
 		delete(e.insts, s)
 	}
 	e.execNext = seq + 1
@@ -446,7 +419,7 @@ func (e *Engine) AdvanceTo(now consensus.Time, seq uint64) []consensus.Action {
 	acts = e.maybeSendCommit(now, e.execNext, acts)
 	acts = e.maybePropose(now, acts)
 	acts = e.drainBuffered(now, acts)
-	acts = e.ensureProgressTimer(acts)
+	acts = e.fd.settle(e.busy(), acts)
 	return acts
 }
 
@@ -462,7 +435,7 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 	var acts []consensus.Action
 	acts = e.holdHead(acts)
 	acts = e.maybePropose(now, acts)
-	acts = e.ensureProgressTimer(acts)
+	acts = e.fd.settle(e.busy(), acts)
 	return acts
 }
 
@@ -493,7 +466,7 @@ func (e *Engine) onPooled(now consensus.Time, tx *types.Transaction, relay bool)
 	if e.IsPrimary() {
 		acts = e.maybePropose(now, acts)
 	}
-	return e.ensureProgressTimer(acts)
+	return e.fd.settle(e.busy(), acts)
 }
 
 // relayOrHold announces a transaction only this replica may know to the
@@ -542,54 +515,32 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 	if e.halted {
 		return nil
 	}
-	purpose, ok := e.timers[id]
+	w, ok := e.fd.fired(id)
 	if !ok {
 		return nil // stale timer
 	}
-	delete(e.timers, id)
-	switch purpose {
-	case timerProgress:
-		if id != e.progressTID {
-			return nil
-		}
-		e.progressTID = 0
+	switch w.kind {
+	case waitProgress:
 		// No progress on outstanding work: suspect the primary.
-		if e.hasOutstandingWork() {
-			return e.timedOut(now)
+		if e.busy() {
+			e.fd.suspect()
+			return e.startViewChange(now, e.view+1)
 		}
-		return nil
-	case timerSlot:
-		seq, ok := e.timerSlots[id]
-		if !ok {
-			return nil
+	case waitSlot:
+		// One accepted slot ran out of patience: depose the primary.
+		if inst := e.insts[w.seq]; !e.inViewChange && w.seq >= e.execNext && inst != nil && inst.prePrepare != nil && !inst.executed {
+			e.fd.suspect()
+			return e.startViewChange(now, e.view+1)
 		}
-		delete(e.timerSlots, id)
-		delete(e.slotTimers, seq)
-		if e.inViewChange || seq < e.execNext {
-			return nil
-		}
-		if inst := e.insts[seq]; inst != nil && inst.prePrepare != nil && !inst.executed {
-			// One specific slot ran out of patience: depose the primary.
-			return e.timedOut(now)
-		}
-		return nil
-	case timerViewChange:
-		if id != e.vcTID {
-			return nil
-		}
-		e.vcTID = 0
-		if e.inViewChange {
-			// The view change itself stalled; escalate to the next view
-			// with doubled patience (exponential backoff, as in PBFT).
-			e.backoff++
-			return e.startViewChange(now, e.vcTarget+1)
-		}
-		return nil
-	case timerHold:
+	case waitViewChange:
+		// The view change itself stalled; escalate to the next view with
+		// doubled patience (exponential backoff, as in PBFT).
+		e.fd.backoff++
+		return e.startViewChange(now, e.vcTarget+1)
+	case waitHold:
 		// The held head block waited its round: propose what there is.
-		e.holdTID = 0
 		e.counts.ProposalsHeldFired++
-		return e.ensureProgressTimer(e.maybePropose(now, nil))
+		return e.fd.settle(e.busy(), e.maybePropose(now, nil))
 	}
 	return nil
 }
@@ -676,11 +627,12 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 		if inst := e.insts[seq]; inst != nil && inst.view == e.view && inst.prePrepare != nil {
 			continue // already proposed in this view
 		}
-		if e.holdTID != 0 {
+		if _, held := e.fd.find(holdWait); held {
 			if e.underfull() {
 				break
 			}
-			acts = e.endHold(acts)
+			e.lastRound = 0
+			acts = e.fd.stop(holdWait, acts)
 		}
 		block := e.buildAt(now, seq)
 		if block == nil {
@@ -732,10 +684,8 @@ func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
 	if max := e.Timeout() / 4; hold > max {
 		hold = max
 	}
-	e.holdTID = e.cfg.Timers.Next()
-	e.timers[e.holdTID] = timerHold
 	e.counts.ProposalsHeld++
-	return append(acts, consensus.StartTimer{ID: e.holdTID, Delay: hold})
+	return e.fd.arm(holdWait, hold, acts)
 }
 
 // underfull reports whether the pool holds a backlog too small to pay
@@ -755,19 +705,6 @@ func (e *Engine) underfull() bool {
 		}
 	}
 	return true
-}
-
-// endHold forgets the measured round and releases a held head block, if
-// there is one; what happens to the block is the caller's business.
-func (e *Engine) endHold(acts []consensus.Action) []consensus.Action {
-	e.lastRound = 0
-	if e.holdTID == 0 {
-		return acts
-	}
-	acts = append(acts, consensus.StopTimer{ID: e.holdTID})
-	delete(e.timers, e.holdTID)
-	e.holdTID = 0
-	return acts
 }
 
 // buildAt assembles the block for one slot on the parent parentBlock
@@ -888,14 +825,14 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	}
 	block, missing := e.assemble(&pp)
 	if block == nil {
-		return e.ensureProgressTimer(e.park(&pp, env, missing))
+		return e.fd.settle(e.busy(), e.park(&pp, env, missing))
 	}
 	if env.From == e.self {
 		// This replica's own re-issue from its NewView: the primary's
 		// vote is the pre-prepare, so install it and wait for prepares.
 		acts := e.acceptPrePrepare(now, &pp, block, env, nil)
 		acts = e.drainBuffered(now, acts)
-		return e.ensureProgressTimer(acts)
+		return e.fd.settle(e.busy(), acts)
 	}
 	parent := e.parentBlock(pp.Seq)
 	if parent == nil {
@@ -945,7 +882,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		acts = e.maybePrepared(now, pp.Seq, acts)
 	}
 	acts = e.drainBuffered(now, acts)
-	acts = e.ensureProgressTimer(acts)
+	acts = e.fd.settle(e.busy(), acts)
 	return acts
 }
 
@@ -992,8 +929,14 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, block *typ
 	inst.prePrepare = env
 	delete(e.parked, pp.Seq)
 	// Every accepted proposal gets its own deadline so an earlier slot's
-	// progress can never mask a primary stalling a later one.
-	acts = e.armSlotTimer(pp.Seq, acts)
+	// progress can never mask a primary stalling a later one. Its delay
+	// grows with the slot's distance from the execution cursor so that
+	// deadlines tend to fire oldest-first: the oldest unexecuted slot
+	// drives the view change, never a later one racing ahead of it.
+	if !e.inViewChange {
+		depth := 1 + max(pp.Seq, e.execNext) - e.execNext
+		acts = e.fd.arm(slotWait(pp.Seq), time.Duration(depth)*e.fd.patience(), acts)
+	}
 	// Votes that raced ahead of the pre-prepare can now be judged against
 	// the accepted digest: prepares join the matching count, commits
 	// become certificate votes, in committee order — the certificate's
@@ -1267,15 +1210,10 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 			break
 		}
 		inst.executed = true
-		if inst.timed {
-			round := now - inst.acceptedAt
-			e.rounds[e.roundsTimed%roundWindow] = round
-			e.roundsTimed++
-			if inst.proposed {
-				e.lastRound = round
-			}
+		e.fd.executed(now-inst.acceptedAt, inst.timed)
+		if inst.timed && inst.proposed {
+			e.lastRound = now - inst.acceptedAt
 		}
-		e.backoff, e.fresh = 0, false
 		seq := e.execNext
 		e.execNext++
 		block := inst.block
@@ -1295,9 +1233,9 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 		// This slot made it: retire its deadline. Only its own execution
 		// does so — other slots' progress never touches it, which is what
 		// keeps a stalled later slot detectable.
-		acts = e.stopSlotTimer(seq, acts)
+		acts = e.fd.stop(slotWait(seq), acts)
 		// The pool-level grace period saw progress too.
-		acts = e.resetProgressTimer(acts)
+		acts = e.fd.settle(e.busy(), e.fd.stop(progressWait, acts))
 
 		// Every K-th block is a stable point, and the certificate just
 		// attached is its proof: no message is exchanged for it.
@@ -1310,7 +1248,7 @@ func (e *Engine) executeReady(now consensus.Time, acts []consensus.Action) []con
 	acts = e.maybeSendCommit(now, e.execNext, acts)
 	acts = e.maybePropose(now, acts)
 	acts = e.drainBuffered(now, acts)
-	acts = e.ensureProgressTimer(acts)
+	acts = e.fd.settle(e.busy(), acts)
 	return acts
 }
 
@@ -1361,9 +1299,14 @@ func (e *Engine) compactWAL() {
 	}
 }
 
-// --- progress timer ---
+// --- progress ---
 
-func (e *Engine) hasOutstandingWork() bool {
+// busy reports whether there is outstanding work the current view's
+// primary owes progress on; never between views.
+func (e *Engine) busy() bool {
+	if e.inViewChange {
+		return false
+	}
 	if e.cfg.App.PendingTxs() > 0 || len(e.parked) > 0 {
 		return true
 	}
@@ -1373,90 +1316,6 @@ func (e *Engine) hasOutstandingWork() bool {
 		}
 	}
 	return false
-}
-
-// ensureProgressTimer keeps the progress timer armed exactly while there
-// is outstanding work. A timer armed for work that is gone stops: an
-// executed block's transactions stay pooled until the runtime applies it,
-// so the execution that re-arms the timer may count them, and a timer
-// left running from then would fire on the next request a whole timeout
-// early.
-func (e *Engine) ensureProgressTimer(acts []consensus.Action) []consensus.Action {
-	if e.inViewChange {
-		return acts
-	}
-	if !e.hasOutstandingWork() {
-		return e.stopProgressTimer(acts)
-	}
-	if e.progressTID != 0 {
-		return acts
-	}
-	id := e.cfg.Timers.Next()
-	e.progressTID = id
-	e.timers[id] = timerProgress
-	return append(acts, consensus.StartTimer{ID: id, Delay: e.patience()})
-}
-
-// stopProgressTimer stops the progress timer, if one is armed.
-func (e *Engine) stopProgressTimer(acts []consensus.Action) []consensus.Action {
-	if e.progressTID == 0 {
-		return acts
-	}
-	acts = append(acts, consensus.StopTimer{ID: e.progressTID})
-	delete(e.timers, e.progressTID)
-	e.progressTID = 0
-	return acts
-}
-
-// resetProgressTimer stops any armed progress timer and re-arms if
-// needed.
-func (e *Engine) resetProgressTimer(acts []consensus.Action) []consensus.Action {
-	return e.ensureProgressTimer(e.stopProgressTimer(acts))
-}
-
-// --- per-slot timers ---
-
-// armSlotTimer gives an accepted proposal its own progress deadline.
-// The delay grows with the slot's distance from the execution cursor so
-// deadlines tend to fire oldest-first: the oldest unexecuted slot
-// drives the view change, never a later one racing ahead of it.
-func (e *Engine) armSlotTimer(seq uint64, acts []consensus.Action) []consensus.Action {
-	if e.inViewChange {
-		return acts
-	}
-	if _, armed := e.slotTimers[seq]; armed {
-		return acts
-	}
-	id := e.cfg.Timers.Next()
-	e.slotTimers[seq] = id
-	e.timerSlots[id] = seq
-	e.timers[id] = timerSlot
-	depth := uint64(1)
-	if seq > e.execNext {
-		depth += seq - e.execNext
-	}
-	return append(acts, consensus.StartTimer{ID: id, Delay: time.Duration(depth) * e.patience()})
-}
-
-// stopSlotTimer cancels one slot's deadline (it executed, was synced
-// past, or a view change supersedes it).
-func (e *Engine) stopSlotTimer(seq uint64, acts []consensus.Action) []consensus.Action {
-	id, ok := e.slotTimers[seq]
-	if !ok {
-		return acts
-	}
-	delete(e.slotTimers, seq)
-	delete(e.timerSlots, id)
-	delete(e.timers, id)
-	return append(acts, consensus.StopTimer{ID: id})
-}
-
-// stopAllSlotTimers cancels every slot deadline (view-change entry).
-func (e *Engine) stopAllSlotTimers(acts []consensus.Action) []consensus.Action {
-	for seq := range e.slotTimers {
-		acts = e.stopSlotTimer(seq, acts)
-	}
-	return acts
 }
 
 // --- hold-back buffer ---

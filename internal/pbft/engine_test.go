@@ -83,10 +83,9 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 			Committee:          com,
 			Key:                kp,
 			App:                app,
-			Timers:             consensus.NewTimerAllocator(),
 			StartHeight:        1,
 			CheckpointInterval: o.checkpointInterval,
-			ViewChangeTimeout:  o.vcTimeout,
+			Detector:           pbft.NewDetector(consensus.NewTimerAllocator(), o.vcTimeout),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -68,8 +68,7 @@ func newUnitRigN(t *testing.T, n, selfPos int, adjust func(*pbft.Config)) *unitR
 	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), keys[selfPos].Address(), epoch, 8)
 	cfg := pbft.Config{
 		Committee: com, Key: keys[selfPos], App: app,
-		Timers: consensus.NewTimerAllocator(), StartHeight: 1,
-		ViewChangeTimeout: time.Second,
+		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 	}
 	if adjust != nil {
 		adjust(&cfg)

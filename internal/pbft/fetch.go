@@ -196,5 +196,5 @@ func (e *Engine) onFetchReply(now consensus.Time, f *Fetch) []consensus.Action {
 		}
 	}
 	p.bodies = bodies
-	return e.ensureProgressTimer(e.drainBuffered(now, nil))
+	return e.fd.settle(e.busy(), e.drainBuffered(now, nil))
 }

@@ -26,8 +26,7 @@ func newPipeRig(t *testing.T, selfPos int, k uint64, inflight int, wal pbft.WAL,
 	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), base.keys[selfPos].Address(), epoch, 8)
 	eng, err := pbft.New(pbft.Config{
 		Committee: base.com, Key: base.keys[selfPos], App: app,
-		Timers: consensus.NewTimerAllocator(), StartHeight: 1,
-		ViewChangeTimeout:  time.Second,
+		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 		CheckpointInterval: k,
 		MaxInFlight:        inflight,
 		WAL:                wal, Durable: durable,

@@ -210,8 +210,7 @@ func TestRestoredReplicaProvesItsStablePoint(t *testing.T) {
 
 	restored, err := pbft.New(pbft.Config{
 		Committee: r.com, Key: r.keys[selfPos], App: r.app,
-		Timers: consensus.NewTimerAllocator(), StartHeight: 2,
-		ViewChangeTimeout: time.Second,
+		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,8 +400,7 @@ func newUnitRigWithK(t *testing.T, selfPos int, k uint64) *unitRig {
 	base := newUnitRig(t, selfPos)
 	eng, err := pbft.New(pbft.Config{
 		Committee: base.com, Key: base.keys[selfPos], App: base.app,
-		Timers: consensus.NewTimerAllocator(), StartHeight: 1,
-		CheckpointInterval: k,
+		StartHeight: 1, CheckpointInterval: k,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -636,8 +634,7 @@ func newEngineNet(t *testing.T, size int) *engineNet {
 		app := runtime.NewApp(chain, runtime.NewMempool(0, nil), n.keys[i].Address(), epoch, 8)
 		eng, err := pbft.New(pbft.Config{
 			Committee: n.com, Key: n.keys[i], App: app,
-			Timers: consensus.NewTimerAllocator(), StartHeight: 1,
-			ViewChangeTimeout: time.Second,
+			Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -19,19 +19,12 @@ func (e *Engine) startViewChange(now consensus.Time, target uint64) []consensus.
 	e.vcTarget = target
 
 	var acts []consensus.Action
-	// Progress and slot timers are meaningless during a view change;
-	// the view-change completion timer takes over the liveness watch.
-	acts = e.stopProgressTimer(acts)
-	acts = e.stopAllSlotTimers(acts)
-	acts = e.endHold(acts)
-	// Arm the view-change completion timer (escalate if it stalls).
-	if e.vcTID != 0 {
-		acts = append(acts, consensus.StopTimer{ID: e.vcTID})
-		delete(e.timers, e.vcTID)
-	}
-	e.vcTID = e.cfg.Timers.Next()
-	e.timers[e.vcTID] = timerViewChange
-	acts = append(acts, consensus.StartTimer{ID: e.vcTID, Delay: e.patience()})
+	// Progress and slot deadlines are meaningless during a view change,
+	// and so is a held head block: the view-change completion deadline
+	// takes over the liveness watch (escalate if it stalls).
+	e.lastRound = 0
+	acts = e.fd.stopFrom(waitProgress, acts)
+	acts = e.fd.arm(viewChangeWait, e.fd.patience(), acts)
 
 	e.recordPosition(store.WALViewChange, target, nil)
 	vc := &ViewChange{
@@ -395,18 +388,14 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, stable uint64, ce
 	e.view = nv.View
 	e.inViewChange = false
 	e.vcTarget = 0
-	e.fresh = true // the backoff stands until a slot executes here
+	e.fd.fresh = true // the backoff stands until a slot executes here
 	e.viewChangesFin++
-	if e.vcTID != 0 {
-		acts = append(acts, consensus.StopTimer{ID: e.vcTID})
-		delete(e.timers, e.vcTID)
-		e.vcTID = 0
-	}
-	// Slot deadlines belong to the old view; surviving proposals get
-	// fresh ones as their re-issues are accepted below. So does a held
-	// head block: what the new view proposes first is never held.
-	acts = e.stopAllSlotTimers(acts)
-	acts = e.endHold(acts)
+	// The view-change deadline is met. Slot deadlines belong to the old
+	// view; surviving proposals get fresh ones as their re-issues are
+	// accepted below. So does a held head block: what the new view
+	// proposes first is never held.
+	e.lastRound = 0
+	acts = e.fd.stopFrom(waitSlot, acts)
 	e.stabilize(stable, cert)
 	// Drop un-executed instances and parked proposals from older views;
 	// prepared values come back through the re-issued pre-prepares,
@@ -439,6 +428,6 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, stable uint64, ce
 	acts = e.relayHeld(acts)
 	acts = e.maybePropose(now, acts)
 	acts = e.drainBuffered(now, acts)
-	acts = e.ensureProgressTimer(acts)
+	acts = e.fd.settle(e.busy(), acts)
 	return acts
 }

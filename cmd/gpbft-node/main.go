@@ -256,43 +256,19 @@ func run() error {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			runner.Stats().WritePrometheus(w, "gpbft")
-			c := node.Counters()
-			fmt.Fprintf(w, "# TYPE gpbft_node_envelopes_delivered_total counter\ngpbft_node_envelopes_delivered_total %d\n", c.Delivered)
-			fmt.Fprintf(w, "# TYPE gpbft_node_timers_fired_total counter\ngpbft_node_timers_fired_total %d\n", c.Fired)
-			fmt.Fprintf(w, "# TYPE gpbft_node_txs_submitted_total counter\ngpbft_node_txs_submitted_total %d\n", c.Submitted)
-			fmt.Fprintf(w, "# TYPE gpbft_node_txs_rejected_total counter\ngpbft_node_txs_rejected_total %d\n", c.Rejected)
-			fmt.Fprintf(w, "# TYPE gpbft_node_blocks_committed_total counter\ngpbft_node_blocks_committed_total %d\n", c.Committed)
-			fmt.Fprintf(w, "# TYPE gpbft_node_height gauge\ngpbft_node_height %d\n", c.LastHeight)
-			fmt.Fprintf(w, "# TYPE gpbft_node_forks_total counter\ngpbft_node_forks_total %d\n", chain.ForkCount())
-			fmt.Fprintf(w, "# TYPE gpbft_node_evidence_total counter\ngpbft_node_evidence_total %d\n", chain.EvidenceCount())
-			fmt.Fprintf(w, "# TYPE gpbft_node_banned gauge\ngpbft_node_banned %d\n", len(chain.Banned()))
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_pending gauge\ngpbft_mempool_pending %d\n", c.Pool.Pending)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_admitted_total counter\ngpbft_mempool_admitted_total %d\n", c.Pool.Admitted)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_rejected_full_total counter\ngpbft_mempool_rejected_full_total %d\n", c.Pool.RejectedFull)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_rejected_dup_total counter\ngpbft_mempool_rejected_dup_total %d\n", c.Pool.RejectedDup)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_dropped_total counter\ngpbft_mempool_dropped_total %d\n", c.Pool.Dropped)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_committed_total counter\ngpbft_mempool_committed_total %d\n", c.Pool.Committed)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_evicted_shed_total counter\ngpbft_mempool_evicted_shed_total %d\n", c.Pool.EvictedShed)
-			fmt.Fprintf(w, "# TYPE gpbft_mempool_lane_depth gauge\n")
-			for l, depth := range c.Pool.Lanes {
-				fmt.Fprintf(w, "gpbft_mempool_lane_depth{lane=%q} %d\n", runtime.Lane(l), depth)
+			s := scrape{
+				transport: runner.Stats(),
+				node:      node.Counters(),
+				gossip:    node.Relay != nil,
+				forks:     chain.ForkCount(),
+				evidence:  chain.EvidenceCount(),
+				banned:    len(chain.Banned()),
 			}
-			if node.Relay != nil {
-				r := c.Relay
-				fmt.Fprintf(w, "# TYPE gpbft_relay_forwarded_total counter\ngpbft_relay_forwarded_total %d\n", r.ForwardedFrames)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_forwarded_entries_total counter\ngpbft_relay_forwarded_entries_total %d\n", r.ForwardedEntries)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_suppressed_total counter\ngpbft_relay_suppressed_total %d\n", r.Suppressed)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_dropped_total counter\ngpbft_relay_dropped_total %d\n", r.Dropped)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_delivered_total counter\ngpbft_relay_delivered_total %d\n", r.Delivered)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_dupemap_entries gauge\ngpbft_relay_dupemap_entries %d\n", r.DupemapEntries)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_dupemap_generations gauge\ngpbft_relay_dupemap_generations %d\n", r.DupemapGenerations)
-				fmt.Fprintf(w, "# TYPE gpbft_relay_fanout gauge\ngpbft_relay_fanout %d\n", node.Relay.Fanout())
+			if s.gossip {
+				s.fanout = node.Relay.Fanout()
 			}
-			c.Admission.WritePrometheus(w, "gpbft_")
-			m := runtime.SyncMetrics{Stats: c.Sync}
-			m.SnapshotsWritten, m.CompactedBytes = cfg.Durable.Counts()
-			m.WritePrometheus(w, "gpbft")
+			s.snapshots, s.compactedBytes = cfg.Durable.Counts()
+			writeMetrics(w, s)
 		})
 		msrv := &http.Server{Addr: *metrics, Handler: mux}
 		go func() {

@@ -156,11 +156,7 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 			cfg.Relay = &consensus.RelayConfig{}
 		}
 		if opts.Snapshots && opts.Protocol == GPBFT {
-			retain := opts.RetainSnapshots
-			if retain == 0 {
-				retain = store.DefaultRetainSnapshots
-			}
-			d, err := store.OpenDir(store.NewMemFS(), "node", store.DirOptions{Retain: retain})
+			d, err := store.OpenDir(store.NewMemFS(), "node", store.DirOptions{Retain: store.DefaultRetainSnapshots})
 			if err != nil {
 				return nil, err
 			}

@@ -322,7 +322,6 @@ func TestGPBFTSnapshotsAtEraBoundaries(t *testing.T) {
 	o.QualificationWindow = 1 * time.Second
 	o.ForceEraSwitch = true // switch every era even with no delta
 	o.Snapshots = true
-	o.RetainSnapshots = 2
 	c, err := gpbft.NewCluster(o)
 	if err != nil {
 		t.Fatal(err)

@@ -204,7 +204,7 @@ func run() error {
 		log.Printf("recovered %d blocks from %s (height %d)", built.Replayed, *dataPath, chain.Height())
 	}
 	if node.Relay != nil {
-		log.Printf("gossip relay on: fanout=%d flush=%v", node.Relay.Fanout(), time.Duration(node.Relay.FlushEvery()))
+		log.Printf("gossip relay on: fanout=%d flush=%v", node.Relay.Stats().Fanout, time.Duration(node.Relay.FlushEvery()))
 	}
 
 	addr := *listen
@@ -263,9 +263,6 @@ func run() error {
 				forks:     chain.ForkCount(),
 				evidence:  chain.EvidenceCount(),
 				banned:    len(chain.Banned()),
-			}
-			if s.gossip {
-				s.fanout = node.Relay.Fanout()
 			}
 			s.snapshots, s.compactedBytes = cfg.Durable.Counts()
 			writeMetrics(w, s)

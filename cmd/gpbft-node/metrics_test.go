@@ -60,9 +60,8 @@ func fixedScrape(gossip bool) scrape {
 	}
 	s.node.Relay = consensus.RelayStats{
 		ForwardedFrames: 501, ForwardedEntries: 502, Suppressed: 503, Dropped: 504, Delivered: 505,
-		DupemapEntries: 506, DupemapGenerations: 507,
+		DupemapEntries: 506, DupemapGenerations: 507, Fanout: 5,
 	}
-	s.fanout = 5
 	return s
 }
 

@@ -136,10 +136,9 @@ func measureGossipRun(t *testing.T, n int, gossip bool) gossipRun {
 	var frames float64
 	fanout := 0
 	for i := 0; i < n; i++ {
-		frames += float64(c.NodeCounters(i).Relay.ForwardedFrames)
-		if f := c.Node(i).Relay.Fanout(); f > fanout {
-			fanout = f
-		}
+		st := c.NodeCounters(i).Relay
+		frames += float64(st.ForwardedFrames)
+		fanout = max(fanout, st.Fanout)
 	}
 	r.framesPerSlot = frames / float64(n) / float64(c.MaxHeight())
 	r.bound = 4 * float64(fanout) * math.Log2(float64(n))

@@ -120,9 +120,7 @@ func (c *Cluster) RunGossipSchedule(steps int) (*GossipReport, error) {
 		rep.Suppressed += st.Suppressed
 		rep.Dropped += st.Dropped
 		rep.Delivered += st.Delivered
-		if f := c.nodes[i].Relay.Fanout(); f > rep.Fanout {
-			rep.Fanout = f
-		}
+		rep.Fanout = max(rep.Fanout, st.Fanout)
 	}
 	rep.Slots = c.MinHeight()
 	if rep.Slots == 0 {

@@ -192,6 +192,8 @@ type RelayStats struct {
 	// DupemapEntries / DupemapGenerations are occupancy gauges.
 	DupemapEntries     uint64
 	DupemapGenerations uint64
+	// Fanout is the current flush fanout, a gauge: SetPeers retunes it.
+	Fanout int
 }
 
 // Relay is a node's gossip relay engine. Like the consensus engines it
@@ -201,8 +203,8 @@ type RelayStats struct {
 type Relay struct {
 	self   gcrypto.Address
 	peers  []gcrypto.Address
-	fanout int
-	auto   bool // fanout derived from peer count
+	fanout atomic.Int64 // SetPeers retunes it on the loop; Stats reads it off it
+	auto   bool         // fanout derived from peer count
 	every  Time
 
 	pending []RelayEntry
@@ -236,16 +238,16 @@ func autoFanout(n int) int {
 // NewRelay builds a relay for one node.
 func NewRelay(cfg RelayConfig) *Relay {
 	r := &Relay{
-		self:   cfg.Self,
-		fanout: cfg.Fanout,
-		auto:   cfg.Fanout <= 0,
-		every:  cfg.FlushEvery,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		dupe:   NewDupeMap(cfg.DupeTTL, 0, 0),
+		self:  cfg.Self,
+		auto:  cfg.Fanout <= 0,
+		every: cfg.FlushEvery,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		dupe:  NewDupeMap(cfg.DupeTTL, 0, 0),
 	}
 	if r.every <= 0 {
 		r.every = DefaultRelayFlush
 	}
+	r.fanout.Store(int64(cfg.Fanout))
 	r.SetPeers(cfg.Peers)
 	return r
 }
@@ -261,12 +263,9 @@ func (r *Relay) SetPeers(peers []gcrypto.Address) {
 		}
 	}
 	if r.auto {
-		r.fanout = autoFanout(len(r.peers))
+		r.fanout.Store(int64(autoFanout(len(r.peers))))
 	}
 }
-
-// Fanout returns the current flush fanout.
-func (r *Relay) Fanout() int { return r.fanout }
 
 // PeerCount returns the current peer-set size (self excluded).
 func (r *Relay) PeerCount() int { return len(r.peers) }
@@ -317,7 +316,7 @@ func (r *Relay) Receive(now Time, frame *Envelope) ([]*Envelope, error) {
 // Flush drains the pending queue into batched relay frames and sends
 // each frame to a fresh fanout-sized random peer subset via send.
 func (r *Relay) Flush(now Time, send func(to gcrypto.Address, env *Envelope)) {
-	if len(r.pending) == 0 || len(r.peers) == 0 || r.fanout == 0 {
+	if len(r.pending) == 0 || len(r.peers) == 0 || r.fanout.Load() == 0 {
 		r.pending = r.pending[:0]
 		return
 	}
@@ -345,7 +344,7 @@ func (r *Relay) Flush(now Time, send func(to gcrypto.Address, env *Envelope)) {
 // pickTargets draws a fanout-sized random peer subset by partial
 // Fisher–Yates over a scratch copy; deterministic under the seeded rng.
 func (r *Relay) pickTargets() []gcrypto.Address {
-	k := r.fanout
+	k := int(r.fanout.Load())
 	if k > len(r.peers) {
 		k = len(r.peers)
 	}
@@ -378,5 +377,6 @@ func (r *Relay) Stats() RelayStats {
 		Delivered:          r.delivered.Load(),
 		DupemapEntries:     r.dupeEntries.Load(),
 		DupemapGenerations: r.dupeGens.Load(),
+		Fanout:             int(r.fanout.Load()),
 	}
 }

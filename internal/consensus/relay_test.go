@@ -260,18 +260,47 @@ func TestRelaySetPeersFiltersSelfAndRetunesFanout(t *testing.T) {
 	if r.PeerCount() != 7 {
 		t.Fatalf("peer count %d, want 7 (self filtered)", r.PeerCount())
 	}
-	if want := autoFanout(7); r.Fanout() != want {
-		t.Fatalf("auto fanout %d, want %d", r.Fanout(), want)
+	if want := autoFanout(7); r.Stats().Fanout != want {
+		t.Fatalf("auto fanout %d, want %d", r.Stats().Fanout, want)
 	}
 	r.SetPeers(committee[:4])
-	if r.PeerCount() != 3 || r.Fanout() != autoFanout(3) {
-		t.Fatalf("after shrink: peers %d fanout %d", r.PeerCount(), r.Fanout())
+	if r.PeerCount() != 3 || r.Stats().Fanout != autoFanout(3) {
+		t.Fatalf("after shrink: peers %d fanout %d", r.PeerCount(), r.Stats().Fanout)
 	}
 
 	fixed := NewRelay(RelayConfig{Self: self.Address(), Peers: committee, Fanout: 2, Seed: 1})
 	fixed.SetPeers(committee[:5])
-	if fixed.Fanout() != 2 {
+	if fixed.Stats().Fanout != 2 {
 		t.Fatal("explicit fanout must survive SetPeers")
+	}
+}
+
+// TestRelayStatsWhileSetPeers: the metrics endpoint reads the relay's
+// fanout through Stats, off the event loop, while the loop retunes it in
+// SetPeers at every era switch. Under -race this fails on any fanout read
+// that is not a snapshot.
+func TestRelayStatsWhileSetPeers(t *testing.T) {
+	var committee []gcrypto.Address
+	for i := 1; i <= 8; i++ {
+		committee = append(committee, gcrypto.DeterministicKeyPair(i).Address())
+	}
+	r := NewRelay(RelayConfig{Self: committee[0], Peers: committee, Seed: 1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			r.SetPeers(committee[:2+i%7])
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if f := r.Stats().Fanout; f < DefaultRelayFanout || f > autoFanout(7) {
+			t.Fatalf("fanout %d outside [%d, %d]", f, DefaultRelayFanout, autoFanout(7))
+		}
 	}
 }
 

@@ -130,12 +130,11 @@ type Engine struct {
 
 	buffered []*consensus.Envelope
 
-	// held is the node's one held list (pbft.Held): this layer adds what
+	// node is what each era's instance shares: the one failure detector,
+	// the counters, and the one held list, to which this layer adds what
 	// arrives before Init or in the switch pause, each era's instance what
 	// arrives during a view change.
-	held pbft.Held
-	// fd is the node's one failure detector, which each era's instance uses.
-	fd *pbft.Detector
+	node *pbft.NodeState
 
 	cu     catchUpState // sync.go
 	sstats syncStats
@@ -179,7 +178,7 @@ func New(cfg Config) (*Engine, error) {
 		self:        cfg.Key.Address(),
 		chain:       cfg.Chain,
 		timers:      make(map[consensus.TimerID]tpurpose),
-		fd:          pbft.NewDetector(cfg.Timers, cfg.ViewChangeTimeout),
+		node:        pbft.NewNodeState(cfg.Timers, cfg.ViewChangeTimeout),
 		evSubmitted: make(map[gcrypto.Hash]bool),
 	}, nil
 }
@@ -287,8 +286,7 @@ func (e *Engine) startInstance(now consensus.Time, acts []consensus.Action) []co
 		EvidenceSink: func(rec *evidence.Record) {
 			e.evQueue = append(e.evQueue, rec)
 		},
-		Held:     &e.held,
-		Detector: e.fd,
+		Node: e.node,
 	}
 	inner, err := pbft.New(icfg)
 	if err != nil {
@@ -345,7 +343,7 @@ func (e *Engine) OnCommitApplied(now consensus.Time) []consensus.Action {
 // two led a view.
 func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
 	if e.switching || e.committee == nil {
-		e.held.Add(tx)
+		e.node.Held.Add(tx)
 		return nil
 	}
 	if e.inner != nil {
@@ -410,7 +408,7 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 // begun: a node the switch demoted forwards each to a member. An
 // endorser's instance relayed them already, ahead of its first proposal.
 func (e *Engine) relayHeld(now consensus.Time, acts []consensus.Action) []consensus.Action {
-	held := e.held.Take()
+	held := e.node.Held.Take()
 	for i := range held {
 		acts = append(acts, e.OnRequest(now, &held[i])...)
 	}
@@ -494,19 +492,6 @@ func (e *Engine) onLagCheck() []consensus.Action {
 // misbehavior evidence awaiting submission (detection may have fired
 // during the very events that produced these actions).
 func (e *Engine) filterInner(now consensus.Time, acts []consensus.Action) []consensus.Action {
-	if e.inner != nil {
-		// Every delivery to the inner engine passes through here: fold its
-		// counts into totals that outlive the era instance.
-		if c := e.inner.TakeCounts(); c != (pbft.Counts{}) {
-			e.sstats.votesVerified.Add(c.VotesVerified)
-			e.sstats.votesSurplus.Add(c.VotesSurplus)
-			e.sstats.propHeld.Add(c.ProposalsHeld)
-			e.sstats.propHeldFired.Add(c.ProposalsHeldFired)
-			e.sstats.propParked.Add(c.ProposalsParked)
-			e.sstats.fetchSent.Add(c.FetchesSent)
-			e.sstats.fetchAnswered.Add(c.FetchesAnswered)
-		}
-	}
 	// A view change can leave this replica behind: the slots that
 	// executed elsewhere before it began are in no prepared proof, and
 	// when the others cannot form a quorum without it they commit nothing

@@ -44,13 +44,6 @@ const maxSyncRetries = 6
 type syncStats struct {
 	retries        atomic.Uint64
 	lagPulls       atomic.Uint64
-	votesVerified  atomic.Uint64
-	votesSurplus   atomic.Uint64
-	propHeld       atomic.Uint64
-	propHeldFired  atomic.Uint64
-	propParked     atomic.Uint64
-	fetchSent      atomic.Uint64
-	fetchAnswered  atomic.Uint64
 	blocksSynced   atomic.Uint64
 	snapsInstalled atomic.Uint64
 	snapsRejected  atomic.Uint64
@@ -62,19 +55,20 @@ type syncStats struct {
 // most recent deep catch-up (one that considered a snapshot) resolved;
 // shallow in-era tail pulls do not touch it.
 func (e *Engine) SyncStats() runtime.SyncStats {
-	held, rerelayed := e.held.Counts()
+	n := e.node
+	held, rerelayed := n.Held.Counts()
 	return runtime.SyncStats{
 		Retries:            e.sstats.retries.Load(),
 		LagPulls:           e.sstats.lagPulls.Load(),
-		VotesVerified:      e.sstats.votesVerified.Load(),
-		VotesSurplus:       e.sstats.votesSurplus.Load(),
+		VotesVerified:      n.VotesVerified.Load(),
+		VotesSurplus:       n.VotesSurplus.Load(),
 		RequestsHeld:       held,
 		RequestsRerelayed:  rerelayed,
-		ProposalsHeld:      e.sstats.propHeld.Load(),
-		ProposalsHeldFired: e.sstats.propHeldFired.Load(),
-		ProposalsParked:    e.sstats.propParked.Load(),
-		FetchesSent:        e.sstats.fetchSent.Load(),
-		FetchesAnswered:    e.sstats.fetchAnswered.Load(),
+		ProposalsHeld:      n.ProposalsHeld.Load(),
+		ProposalsHeldFired: n.ProposalsHeldFired.Load(),
+		ProposalsParked:    n.ProposalsParked.Load(),
+		FetchesSent:        n.FetchesSent.Load(),
+		FetchesAnswered:    n.FetchesAnswered.Load(),
 		BlocksSynced:       e.sstats.blocksSynced.Load(),
 		SnapshotsInstalled: e.sstats.snapsInstalled.Load(),
 		SnapshotsRejected:  e.sstats.snapsRejected.Load(),

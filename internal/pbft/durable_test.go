@@ -24,7 +24,7 @@ func newDurableRig(t *testing.T, selfPos int, wal pbft.WAL, durable *pbft.Durabl
 	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), base.keys[selfPos].Address(), epoch, 8)
 	eng, err := pbft.New(pbft.Config{
 		Committee: base.com, Key: base.keys[selfPos], App: app,
-		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
+		Node: pbft.NewNodeState(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 		WAL: wal, Durable: durable,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"gpbft/internal/consensus"
@@ -97,13 +98,43 @@ type Config struct {
 	// proofs the engine assembles from conflicting votes it observes
 	// (see accountability.go). Nil disables detection.
 	EvidenceSink func(*evidence.Record)
-	// Held is the node's held list, which outlives the instance (the era
-	// layer owns it); nil gives the instance a list of its own.
-	Held *Held
-	// Detector is the node's failure detector, which outlives the instance
-	// (the era layer owns it); nil gives the instance one of its own, with
-	// its own timer IDs and the timeout taken from the rounds it times.
-	Detector *Detector
+	// Node is what outlives the instance (the era layer owns it): the
+	// held list, the failure detector and the counters. Nil gives the
+	// instance a node of its own, with its own timer IDs and the timeout
+	// taken from the rounds it times.
+	Node *NodeState
+}
+
+// NodeState is what a node keeps across its era instances: its held
+// list, its failure detector, and its counters, which each instance adds
+// to as it counts, so they outlive the era by ownership. The counters
+// are read from any goroutine.
+//
+// The vote fast path: VotesVerified counts seal checks on prepares and
+// commits (each vote once, when it first entered engine state),
+// VotesSurplus the votes dropped unverified because their phase already
+// held its quorum or their slot was already stable. The proposal policy:
+// ProposalsHeld counts the under-full head blocks the primary held back
+// (see maybePropose), ProposalsHeldFired those whose hold ran its full
+// time instead of ending early on a fuller pool. Block assembly:
+// ProposalsParked counts pre-prepares this replica could not assemble
+// from its pool, FetchesSent and FetchesAnswered the fetch requests it
+// sent and answered.
+type NodeState struct {
+	Held Held
+	fd   *Detector
+
+	VotesVerified, VotesSurplus       atomic.Uint64
+	ProposalsHeld, ProposalsHeldFired atomic.Uint64
+	ProposalsParked                   atomic.Uint64
+	FetchesSent, FetchesAnswered      atomic.Uint64
+}
+
+// NewNodeState returns a node whose detector takes its timer IDs from
+// timers. A non-zero fixed is the timeout; zero takes it from the rounds
+// timed.
+func NewNodeState(timers *consensus.TimerAllocator, fixed time.Duration) *NodeState {
+	return &NodeState{fd: NewDetector(timers, fixed)}
 }
 
 func (c *Config) fill() {
@@ -113,8 +144,8 @@ func (c *Config) fill() {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = DefaultMaxInFlight
 	}
-	if c.Detector == nil {
-		c.Detector = NewDetector(consensus.NewTimerAllocator(), 0)
+	if c.Node == nil {
+		c.Node = NewNodeState(consensus.NewTimerAllocator(), 0)
 	}
 }
 
@@ -215,16 +246,14 @@ type Engine struct {
 	seenVotes map[seenSlot]seenVote
 	accused   map[gcrypto.Address]bool
 
-	held *Held
+	node *NodeState
 
 	// Proposal policy (see holdHead): lastRound is the propose-to-execute
 	// time of the own slot that has just executed, until the
 	// OnCommitApplied that follows consumes it.
 	lastRound time.Duration
 
-	// stats
 	viewChangesFin uint64
-	counts         Counts // since the last TakeCounts
 }
 
 type vcRecord struct {
@@ -258,7 +287,8 @@ func New(cfg Config) (*Engine, error) {
 		execNext:        cfg.StartHeight,
 		insts:           make(map[uint64]*instance),
 		viewChanges:     make(map[uint64]map[gcrypto.Address]*vcRecord),
-		fd:              cfg.Detector,
+		fd:              cfg.Node.fd,
+		node:            cfg.Node,
 		maxInFlight:     cfg.MaxInFlight,
 		pendingMsgs:     make(map[uint64][]*consensus.Envelope),
 		parked:          make(map[uint64]*parkedProposal),
@@ -271,9 +301,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.EvidenceSink != nil {
 		e.seenVotes = make(map[seenSlot]seenVote)
 		e.accused = make(map[gcrypto.Address]bool)
-	}
-	if e.held = cfg.Held; e.held == nil {
-		e.held = new(Held)
 	}
 	e.fd.enterEra()
 	e.restoreDurable(cfg.Durable)
@@ -337,32 +364,6 @@ func (e *Engine) HasProposal(seq uint64) bool {
 func (e *Engine) Certified(seq uint64) bool {
 	inst := e.insts[seq]
 	return inst != nil && len(inst.certVotes) >= e.com.Quorum()
-}
-
-// Counts is what an engine did since the previous TakeCounts. The vote
-// fast path: VotesVerified counts seal checks on prepares and commits
-// (each vote once, when it first entered engine state), VotesSurplus the
-// votes dropped unverified because their phase already held its quorum
-// or their slot was already stable. The proposal policy: ProposalsHeld
-// counts the under-full head blocks the primary held back (see
-// maybePropose), ProposalsHeldFired those whose hold ran its full time
-// instead of ending early on a fuller pool.
-// Block assembly: ProposalsParked counts pre-prepares this replica could
-// not assemble from its pool, FetchesSent and FetchesAnswered the fetch
-// requests it sent and answered.
-type Counts struct {
-	VotesVerified, VotesSurplus       uint64
-	ProposalsHeld, ProposalsHeldFired uint64
-	ProposalsParked                   uint64
-	FetchesSent, FetchesAnswered      uint64
-}
-
-// TakeCounts reads and resets the engine's counters. The era layer folds
-// them into totals that outlive this instance.
-func (e *Engine) TakeCounts() Counts {
-	c := e.counts
-	e.counts = Counts{}
-	return c
 }
 
 // CompletedViewChanges returns how many view changes this replica has
@@ -482,7 +483,7 @@ func (e *Engine) onPooled(now consensus.Time, tx *types.Transaction, relay bool)
 // sit on it for a whole progress timeout and then change views.
 func (e *Engine) relayOrHold(tx *types.Transaction, acts []consensus.Action) []consensus.Action {
 	if e.inViewChange {
-		e.held.Add(tx)
+		e.node.Held.Add(tx)
 		return acts
 	}
 	env := NewRequest(e.cfg.Key, tx)
@@ -503,7 +504,7 @@ func (e *Engine) relayOrHold(tx *types.Transaction, acts []consensus.Action) []c
 // first proposal can name an entry (backups assemble proposals from
 // their pools), and on entering a new view.
 func (e *Engine) relayHeld(acts []consensus.Action) []consensus.Action {
-	held := e.held.Take()
+	held := e.node.Held.Take()
 	for i := range held {
 		acts = e.relayOrHold(&held[i], acts)
 	}
@@ -539,7 +540,7 @@ func (e *Engine) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.A
 		return e.startViewChange(now, e.vcTarget+1)
 	case waitHold:
 		// The held head block waited its round: propose what there is.
-		e.counts.ProposalsHeldFired++
+		e.node.ProposalsHeldFired.Add(1)
 		return e.fd.settle(e.busy(), e.maybePropose(now, nil))
 	}
 	return nil
@@ -684,7 +685,7 @@ func (e *Engine) holdHead(acts []consensus.Action) []consensus.Action {
 	if max := e.Timeout() / 4; hold > max {
 		hold = max
 	}
-	e.counts.ProposalsHeld++
+	e.node.ProposalsHeld.Add(1)
 	return e.fd.arm(holdWait, hold, acts)
 }
 
@@ -983,7 +984,7 @@ func (e *Engine) admitVote(env *consensus.Envelope, h *consensus.SlotHeader) boo
 		return false
 	}
 	if h.Seq <= e.lowWater {
-		e.countVote(&e.counts.VotesSurplus)
+		e.countVote(&e.node.VotesSurplus)
 		return false
 	}
 	prev, seen := e.seenVotes[seenSlot{kind: env.MsgKind, view: h.View, seq: h.Seq, from: env.From}]
@@ -999,22 +1000,22 @@ func (e *Engine) admitVote(env *consensus.Envelope, h *consensus.SlotHeader) boo
 			return false // the sender's slot is taken
 		}
 		if full && inst.prePrepare != nil && inst.digest == h.Digest {
-			e.countVote(&e.counts.VotesSurplus)
+			e.countVote(&e.node.VotesSurplus)
 			return false
 		}
 	}
 	if env.Verify() != nil {
 		return false
 	}
-	e.countVote(&e.counts.VotesVerified)
+	e.countVote(&e.node.VotesVerified)
 	return true
 }
 
 // countVote counts a vote's fate once: a vote redelivered from the
 // hold-back buffer was verified, and counted, when it was buffered.
-func (e *Engine) countVote(counter *uint64) {
+func (e *Engine) countVote(counter *atomic.Uint64) {
 	if !e.draining {
-		*counter++
+		counter.Add(1)
 	}
 }
 

@@ -85,7 +85,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 			App:                app,
 			StartHeight:        1,
 			CheckpointInterval: o.checkpointInterval,
-			Detector:           pbft.NewDetector(consensus.NewTimerAllocator(), o.vcTimeout),
+			Node:               pbft.NewNodeState(consensus.NewTimerAllocator(), o.vcTimeout),
 		})
 		if err != nil {
 			t.Fatal(err)

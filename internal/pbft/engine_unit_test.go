@@ -68,7 +68,7 @@ func newUnitRigN(t *testing.T, n, selfPos int, adjust func(*pbft.Config)) *unitR
 	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), keys[selfPos].Address(), epoch, 8)
 	cfg := pbft.Config{
 		Committee: com, Key: keys[selfPos], App: app,
-		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
+		Node: pbft.NewNodeState(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 	}
 	if adjust != nil {
 		adjust(&cfg)
@@ -235,7 +235,7 @@ func TestBackupThreePhaseFlow(t *testing.T) {
 	// One ed25519 check per stored vote, as before the commit's seal was
 	// also its certificate vote: one prepare and two commits verified, the
 	// second prepare surplus.
-	if c := r.eng.TakeCounts(); c.VotesVerified != 3 || c.VotesSurplus != 1 {
+	if c := r.eng.Tally(); c.VotesVerified != 3 || c.VotesSurplus != 1 {
 		t.Fatalf("verified %d votes and dropped %d as surplus, want 3 and 1", c.VotesVerified, c.VotesSurplus)
 	}
 	// The certificate is the seals of the counted commits, and a node

@@ -40,7 +40,27 @@ func (e *Engine) PreparedProof(seq uint64) (prepared, verifies bool) {
 }
 
 // Held returns the held list this instance relays.
-func (e *Engine) Held() *Held { return e.held }
+func (e *Engine) Held() *Held { return &e.node.Held }
+
+// Tally is the counters of an instance's node, read at once, for tests
+// that compare them.
+type Tally struct {
+	VotesVerified, VotesSurplus       uint64
+	ProposalsHeld, ProposalsHeldFired uint64
+	ProposalsParked                   uint64
+	FetchesSent, FetchesAnswered      uint64
+}
+
+// Tally reads the counters of the node this instance counts for.
+func (e *Engine) Tally() Tally {
+	n := e.node
+	return Tally{
+		VotesVerified: n.VotesVerified.Load(), VotesSurplus: n.VotesSurplus.Load(),
+		ProposalsHeld: n.ProposalsHeld.Load(), ProposalsHeldFired: n.ProposalsHeldFired.Load(),
+		ProposalsParked: n.ProposalsParked.Load(),
+		FetchesSent:     n.FetchesSent.Load(), FetchesAnswered: n.FetchesAnswered.Load(),
+	}
+}
 
 // LowWater returns the stable point: the highest sequence the replica
 // knows decided.

@@ -40,7 +40,7 @@ func TestTimeoutComesFromTimedRounds(t *testing.T) {
 	// No peer checkpoints reach the rig: a long interval keeps every slot
 	// under the high watermark.
 	r := newUnitRigN(t, 4, newUnitRigN(t, 4, 0, nil).primaryPos(), func(c *pbft.Config) {
-		c.Detector, c.CheckpointInterval = nil, 4*pbft.RoundWindow
+		c.Node, c.CheckpointInterval = nil, 4*pbft.RoundWindow
 	})
 	r.eng.Init(0)
 	var now consensus.Time

@@ -20,15 +20,13 @@ func forged(env *consensus.Envelope) *consensus.Envelope {
 }
 
 // fastPathRig is a backup that has accepted the height-1 proposal, with
-// an evidence sink attached and running totals of its vote counts.
+// an evidence sink attached.
 type fastPathRig struct {
 	*unitRig
-	verified uint64
-	surplus  uint64
-	records  []*evidence.Record
-	prim     int
-	others   []int // the two backups that are not the engine
-	digest   gcrypto.Hash
+	records []*evidence.Record
+	prim    int
+	others  []int // the two backups that are not the engine
+	digest  gcrypto.Hash
 }
 
 func newFastPathRig(t *testing.T) *fastPathRig {
@@ -52,13 +50,10 @@ func newFastPathRig(t *testing.T) *fastPathRig {
 	return f
 }
 
-// counts folds the engine's vote counts into the rig's totals, the way
-// the era layer does, and returns them.
+// counts returns the vote counts of the engine's node.
 func (f *fastPathRig) counts() (verified, surplus uint64) {
-	c := f.eng.TakeCounts()
-	f.verified += c.VotesVerified
-	f.surplus += c.VotesSurplus
-	return f.verified, f.surplus
+	c := f.eng.Tally()
+	return c.VotesVerified, c.VotesSurplus
 }
 
 // TestSurplusVoteDroppedUnverified: once a phase holds its quorum, a
@@ -245,7 +240,7 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 
 	ahead := r.seal(peer, &pbft.Commit{SlotHeader: consensus.SlotHeader{Era: 0, View: 0, Seq: 5, Digest: gcrypto.Hash{0x05}}})
 	r.eng.OnEnvelope(0, ahead)
-	if v := r.eng.TakeCounts().VotesVerified; v != 1 {
+	if v := r.eng.Tally().VotesVerified; v != 1 {
 		t.Fatalf("buffering the vote counted %d seal checks, want 1", v)
 	}
 	if _, b, _ := r.eng.StoredVotes(consensus.KindCommit, 5); b != 1 {
@@ -256,14 +251,17 @@ func TestBufferedVoteCountedOnce(t *testing.T) {
 	// moves the window up to 6 and drains the buffer in the same delivery.
 	// That slot must count exactly what the first, which drained nothing,
 	// counted.
+	before := r.eng.Tally()
 	r.driveCommit(t, 1, prim, selfPos)
-	first := r.eng.TakeCounts()
+	first := r.eng.Tally()
 	r.driveCommit(t, 2, prim, selfPos)
 	if l, b, _ := r.eng.StoredVotes(consensus.KindCommit, 5); l != 1 || b != 0 {
 		t.Fatalf("after the drain: %d logged, %d buffered, want 1 and 0", l, b)
 	}
-	if c := r.eng.TakeCounts(); c != first {
-		t.Fatalf("the slot that drained the buffer counted %+v, the one before it %+v", c, first)
+	c := r.eng.Tally()
+	if c.VotesVerified-first.VotesVerified != first.VotesVerified-before.VotesVerified ||
+		c.VotesSurplus-first.VotesSurplus != first.VotesSurplus-before.VotesSurplus {
+		t.Fatalf("the slot that drained the buffer counted %+v, the one before it %+v (from %+v)", c, first, before)
 	}
 }
 

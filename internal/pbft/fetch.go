@@ -94,7 +94,7 @@ func (e *Engine) park(pp *PrePrepare, env *consensus.Envelope, missing []gcrypto
 	if p == nil {
 		p = &parkedProposal{digest: pp.Digest}
 		e.parked[pp.Seq] = p
-		e.counts.ProposalsParked++
+		e.node.ProposalsParked.Add(1)
 	}
 	p.missing, p.bodies = missing, nil
 	switch {
@@ -120,7 +120,7 @@ func (e *Engine) sendFetch(pp *PrePrepare, p *parkedProposal, ids []gcrypto.Hash
 	var acts []consensus.Action
 	for _, addr := range to {
 		if addr != e.self {
-			e.counts.FetchesSent++
+			e.node.FetchesSent.Add(1)
 			acts = append(acts, consensus.Send{To: addr, Env: env})
 		}
 	}
@@ -171,7 +171,7 @@ func (e *Engine) onFetch(now consensus.Time, env *consensus.Envelope) []consensu
 	if len(reply.Txs) == 0 {
 		return nil
 	}
-	e.counts.FetchesAnswered++
+	e.node.FetchesAnswered.Add(1)
 	out := consensus.Unsealed(e.cfg.Key, reply)
 	out.Sender = e.index
 	return []consensus.Action{consensus.Send{To: env.From, Env: out}}

@@ -89,11 +89,11 @@ func TestProposalOvertakingItsRelaysCommits(t *testing.T) {
 	c.run(5 * time.Second)
 
 	c.committedEverywhere(tx, 0, gcrypto.Address{})
-	got := c.engines[slow].TakeCounts()
+	got := c.engines[slow].Tally()
 	if got.ProposalsParked != 1 || got.FetchesSent != 1 {
 		t.Fatalf("slow backup parked %d proposals and sent %d fetches, want 1 and 1", got.ProposalsParked, got.FetchesSent)
 	}
-	if got := c.engines[prim].TakeCounts(); got.FetchesAnswered != 1 {
+	if got := c.engines[prim].Tally(); got.FetchesAnswered != 1 {
 		t.Fatalf("primary answered %d fetches, want 1", got.FetchesAnswered)
 	}
 }
@@ -135,7 +135,7 @@ func TestParkedProposalFilledByRelay(t *testing.T) {
 	if acts := r.eng.OnEnvelope(0, reply); len(acts) != 0 {
 		t.Fatalf("a late fetch reply produced %d actions", len(acts))
 	}
-	if got := r.eng.TakeCounts(); got.ProposalsParked != 1 || got.FetchesSent != 1 {
+	if got := r.eng.Tally(); got.ProposalsParked != 1 || got.FetchesSent != 1 {
 		t.Fatalf("parked %d, fetched %d; want 1 and 1", got.ProposalsParked, got.FetchesSent)
 	}
 }
@@ -185,7 +185,7 @@ func TestFetchReplyNotMatchingTxRootIgnored(t *testing.T) {
 	if acts := reply(*tx); len(acts) != 0 {
 		t.Fatal("an answer to the first fetch was taken for one to the second")
 	}
-	if got := r.eng.TakeCounts(); got.FetchesSent != 2 {
+	if got := r.eng.Tally(); got.FetchesSent != 2 {
 		t.Fatalf("sent %d fetches, want 2", got.FetchesSent)
 	}
 	acts := r.eng.OnEnvelope(0, consensus.Unsealed(r.keys[prim], &pbft.Fetch{SlotHeader: slot, Txs: b.Txs}))
@@ -231,7 +231,7 @@ func TestSignatureVariantFetchesTheFullBlock(t *testing.T) {
 		if a == prim {
 			continue
 		}
-		if got := c.engines[a].TakeCounts(); got.ProposalsParked != 1 || got.FetchesSent != 1 {
+		if got := c.engines[a].Tally(); got.ProposalsParked != 1 || got.FetchesSent != 1 {
 			t.Fatalf("backup %s parked %d and fetched %d, want 1 and 1", a.Short(), got.ProposalsParked, got.FetchesSent)
 		}
 	}
@@ -271,13 +271,13 @@ func TestReissueFetchesFromPrepareSenders(t *testing.T) {
 	c.run(10 * time.Second)
 
 	c.committedEverywhere(tx, 1, prim)
-	if got := c.engines[next].TakeCounts(); got.ProposalsParked != 1 || got.FetchesSent == 0 {
+	if got := c.engines[next].Tally(); got.ProposalsParked != 1 || got.FetchesSent == 0 {
 		t.Fatalf("view 1's primary parked %d and fetched %d times, want 1 and some", got.ProposalsParked, got.FetchesSent)
 	}
 	answered := uint64(0)
 	for a, e := range c.engines {
 		if a != prim && a != next {
-			answered += e.TakeCounts().FetchesAnswered
+			answered += e.Tally().FetchesAnswered
 		}
 	}
 	if answered == 0 {
@@ -323,7 +323,7 @@ func TestReissueOfAFetchedBlockNeedsNoFetch(t *testing.T) {
 		t.Fatalf("the re-issue sent %d fetches and prepared: %v; want no fetch and a prepare",
 			len(fetches), hasKind(acts, consensus.KindPrepare))
 	}
-	if got := r.eng.TakeCounts(); got.ProposalsParked != 1 || got.FetchesSent != 1 {
+	if got := r.eng.Tally(); got.ProposalsParked != 1 || got.FetchesSent != 1 {
 		t.Fatalf("parked %d, fetched %d; want 1 and 1", got.ProposalsParked, got.FetchesSent)
 	}
 }

@@ -26,7 +26,7 @@ func newPipeRig(t *testing.T, selfPos int, k uint64, inflight int, wal pbft.WAL,
 	app := runtime.NewApp(chain, runtime.NewMempool(0, nil), base.keys[selfPos].Address(), epoch, 8)
 	eng, err := pbft.New(pbft.Config{
 		Committee: base.com, Key: base.keys[selfPos], App: app,
-		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
+		Node: pbft.NewNodeState(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 		CheckpointInterval: k,
 		MaxInFlight:        inflight,
 		WAL:                wal, Durable: durable,

@@ -148,7 +148,7 @@ func TestProposalPolicyIdleArrival(t *testing.T) {
 	if len(pp.TxIDs) != 1 {
 		t.Fatalf("idle proposal carries %d transactions", len(pp.TxIDs))
 	}
-	if c := r.eng.TakeCounts(); c.ProposalsHeld != 0 || c.ProposalsHeldFired != 0 {
+	if c := r.eng.Tally(); c.ProposalsHeld != 0 || c.ProposalsHeldFired != 0 {
 		t.Fatalf("idle path counted holds: %+v", c)
 	}
 }
@@ -170,7 +170,7 @@ func TestProposalPolicyUnderfullWaitsHalfARound(t *testing.T) {
 	if len(pp.TxIDs) != 5 || pp.Seq != 2 {
 		t.Fatalf("slot %d carries %d transactions, want slot 2 with all 5 pending", pp.Seq, len(pp.TxIDs))
 	}
-	if c := r.eng.TakeCounts(); c.ProposalsHeld != 1 || c.ProposalsHeldFired != 1 {
+	if c := r.eng.Tally(); c.ProposalsHeld != 1 || c.ProposalsHeldFired != 1 {
 		t.Fatalf("counts %+v, want one hold that ran its time", c)
 	}
 }
@@ -207,7 +207,7 @@ func TestProposalPolicyThresholdEndsHold(t *testing.T) {
 			if stale := r.eng.OnTimer(2*round, hold.ID); len(stale) != 0 {
 				t.Fatalf("the stale hold timer produced %d actions", len(stale))
 			}
-			if c := r.eng.TakeCounts(); c.ProposalsHeld != 1 || c.ProposalsHeldFired != 0 {
+			if c := r.eng.Tally(); c.ProposalsHeld != 1 || c.ProposalsHeldFired != 0 {
 				t.Fatalf("counts %+v, want one hold ended early", c)
 			}
 		})
@@ -226,7 +226,7 @@ func TestProposalPolicyControlNeverHeld(t *testing.T) {
 	if next := oneProposal(t, acts, "control transaction pending"); len(next.TxIDs) != 2 {
 		t.Fatalf("proposal carries %d transactions, want both pending", len(next.TxIDs))
 	}
-	if holdTimer(acts) != nil || r.eng.TakeCounts().ProposalsHeld != 0 {
+	if holdTimer(acts) != nil || r.eng.Tally().ProposalsHeld != 0 {
 		t.Fatal("a pool holding a control-lane transaction was held")
 	}
 }
@@ -298,7 +298,7 @@ func TestProposalPolicyCommitteeOfFour(t *testing.T) {
 		}
 		r.request(time.Duration(20*(round+1)+5)*time.Millisecond, clientTx(4+round, 1))
 	}
-	if c := r.eng.TakeCounts(); c.ProposalsHeld != 0 {
+	if c := r.eng.Tally(); c.ProposalsHeld != 0 {
 		t.Fatalf("counts %+v", c)
 	}
 }

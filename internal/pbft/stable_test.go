@@ -210,7 +210,7 @@ func TestRestoredReplicaProvesItsStablePoint(t *testing.T) {
 
 	restored, err := pbft.New(pbft.Config{
 		Committee: r.com, Key: r.keys[selfPos], App: r.app,
-		Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 2,
+		Node: pbft.NewNodeState(consensus.NewTimerAllocator(), time.Second), StartHeight: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestRetiredKindNeverReachesAnEngine(t *testing.T) {
 	if acts := r.eng.OnEnvelope(0, env); len(acts) != 0 {
 		t.Fatalf("an engine acted on the retired kind: %v", acts)
 	}
-	if c := r.eng.TakeCounts(); c != (pbft.Counts{}) {
+	if c := r.eng.Tally(); c != (pbft.Tally{}) {
 		t.Fatalf("an engine counted the retired kind: %+v", c)
 	}
 }
@@ -634,7 +634,7 @@ func newEngineNet(t *testing.T, size int) *engineNet {
 		app := runtime.NewApp(chain, runtime.NewMempool(0, nil), n.keys[i].Address(), epoch, 8)
 		eng, err := pbft.New(pbft.Config{
 			Committee: n.com, Key: n.keys[i], App: app,
-			Detector: pbft.NewDetector(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
+			Node: pbft.NewNodeState(consensus.NewTimerAllocator(), time.Second), StartHeight: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

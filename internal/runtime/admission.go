@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,21 +343,4 @@ func (a *Admission) Stats() AdmissionStats {
 		Identities:   idents,
 		LatencyEWMA:  time.Duration(a.ewmaNs.Load()),
 	}
-}
-
-// WritePrometheus emits the admission series in Prometheus text format
-// with the given prefix (e.g. "gpbft_").
-func (s AdmissionStats) WritePrometheus(w io.Writer, prefix string) {
-	fmt.Fprintf(w, "# TYPE %sadmission_accepted_total counter\n", prefix)
-	fmt.Fprintf(w, "%sadmission_accepted_total %d\n", prefix, s.Accepted)
-	fmt.Fprintf(w, "# TYPE %sadmission_rejected_total counter\n", prefix)
-	fmt.Fprintf(w, "%sadmission_rejected_total{reason=\"rate-limit\"} %d\n", prefix, s.RejectedRate)
-	fmt.Fprintf(w, "# TYPE %sadmission_shed_total counter\n", prefix)
-	fmt.Fprintf(w, "%sadmission_shed_total{reason=\"overload\"} %d\n", prefix, s.Shed)
-	fmt.Fprintf(w, "# TYPE %sadmission_level gauge\n", prefix)
-	fmt.Fprintf(w, "%sadmission_level %d\n", prefix, s.Level)
-	fmt.Fprintf(w, "# TYPE %sadmission_identities gauge\n", prefix)
-	fmt.Fprintf(w, "%sadmission_identities %d\n", prefix, s.Identities)
-	fmt.Fprintf(w, "# TYPE %sadmission_latency_ewma_seconds gauge\n", prefix)
-	fmt.Fprintf(w, "%sadmission_latency_ewma_seconds %g\n", prefix, s.LatencyEWMA.Seconds())
 }

@@ -1,9 +1,7 @@
 package runtime
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -300,25 +298,6 @@ func TestAdmissionIdentityBound(t *testing.T) {
 	}
 	if st := a.Stats(); st.Identities > 16 {
 		t.Fatalf("bucket table grew to %d, bound is 16", st.Identities)
-	}
-}
-
-// Satellite: the Prometheus series the node exports must be present.
-func TestAdmissionWritePrometheus(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Rate: 10})
-	_ = a.Admit(0, mkTx(1, 1))
-	var buf bytes.Buffer
-	a.Stats().WritePrometheus(&buf, "gpbft_")
-	out := buf.String()
-	for _, series := range []string{
-		"gpbft_admission_accepted_total 1",
-		"gpbft_admission_rejected_total{reason=\"rate-limit\"}",
-		"gpbft_admission_shed_total{reason=\"overload\"}",
-		"gpbft_admission_level 0",
-	} {
-		if !strings.Contains(out, series) {
-			t.Fatalf("missing series %q in:\n%s", series, out)
-		}
 	}
 }
 

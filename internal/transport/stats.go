@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 
@@ -150,49 +149,4 @@ func (t *TCP) Stats() Stats {
 	t.mu.Unlock()
 	sort.Slice(s.Peers, func(i, j int) bool { return s.Peers[i].Addr.Less(s.Peers[j].Addr) })
 	return s
-}
-
-// WritePrometheus renders the snapshot in Prometheus text exposition
-// format with the given metric prefix (e.g. "gpbft").
-func (s Stats) WritePrometheus(w io.Writer, prefix string) {
-	counter := func(name string, v int64) {
-		fmt.Fprintf(w, "# TYPE %s_%s counter\n%s_%s %d\n", prefix, name, prefix, name, v)
-	}
-	gauge := func(name string, v int64) {
-		fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %d\n", prefix, name, prefix, name, v)
-	}
-	counter("transport_frames_in_total", s.FramesIn)
-	counter("transport_frames_out_total", s.FramesOut)
-	counter("transport_write_batches_total", s.WriteBatches)
-	counter("transport_bytes_in_total", s.BytesIn)
-	counter("transport_bytes_out_total", s.BytesOut)
-	counter("transport_dropped_total", s.Dropped)
-	// The same counter under its canonical name: frames dropped instead
-	// of blocking the shared broadcast path (full queue or dead write).
-	counter("transport_dropped_frames_total", s.Dropped)
-	counter("transport_ingress_rejected_total", s.IngressRejected)
-	counter("transport_ingress_throttled_total", s.IngressThrottled)
-	counter("transport_reject_replies_total", s.RejectReplies)
-	counter("transport_dials_total", s.Dials)
-	counter("transport_dial_failures_total", s.DialFailures)
-	counter("transport_redials_total", s.Redials)
-	counter("transport_accepted_total", s.Accepted)
-	counter("transport_handshake_failures_total", s.HandshakeFailures)
-	counter("transport_conns_pruned_total", s.ConnsPruned)
-	gauge("transport_open_conns", int64(s.OpenConns))
-	if len(s.Peers) > 0 {
-		fmt.Fprintf(w, "# TYPE %s_transport_peer_connected gauge\n", prefix)
-		for _, p := range s.Peers {
-			connected := 0
-			if p.State == PeerConnected {
-				connected = 1
-			}
-			fmt.Fprintf(w, "%s_transport_peer_connected{peer=%q,state=%q,inbound=\"%t\"} %d\n",
-				prefix, p.Addr.Short(), p.State.String(), p.Inbound, connected)
-		}
-		fmt.Fprintf(w, "# TYPE %s_transport_peer_queue_len gauge\n", prefix)
-		for _, p := range s.Peers {
-			fmt.Fprintf(w, "%s_transport_peer_queue_len{peer=%q} %d\n", prefix, p.Addr.Short(), p.QueueLen)
-		}
-	}
 }

@@ -75,13 +75,10 @@ type Options struct {
 	// --- snapshots ---
 	// Snapshots enables signed era snapshots (GPBFT only): every era
 	// boundary each node exports its canonical chain state, signs it,
-	// and retains the newest RetainSnapshots checkpoints. A node that
-	// lags by the engine's fast-sync threshold (64 blocks) then syncs
-	// snapshot-then-tail instead of replaying every block.
+	// and retains the newest two (store.DefaultRetainSnapshots). A node
+	// that lags by the engine's fast-sync threshold (64 blocks) then
+	// syncs snapshot-then-tail instead of replaying every block.
 	Snapshots bool
-	// RetainSnapshots is the per-node snapshot retention depth
-	// (0 = store.DefaultRetainSnapshots).
-	RetainSnapshots int
 
 	// --- shard ---
 	// ShardRegions splits the deployment into this many geohash-prefix

@@ -203,7 +203,7 @@ type RelayStats struct {
 type Relay struct {
 	self   gcrypto.Address
 	peers  []gcrypto.Address
-	fanout atomic.Int64 // SetPeers retunes it on the loop; Stats reads it off it
+	fanout atomic.Int64 // atomic: Stats reads it off the event loop
 	auto   bool         // fanout derived from peer count
 	every  Time
 

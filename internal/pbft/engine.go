@@ -107,8 +107,8 @@ type Config struct {
 
 // NodeState is what a node keeps across its era instances: its held
 // list, its failure detector, and its counters, which each instance adds
-// to as it counts, so they outlive the era by ownership. The counters
-// are read from any goroutine.
+// to as it counts, so no count is lost or reset when an era ends. The
+// counters are read from any goroutine.
 //
 // The vote fast path: VotesVerified counts seal checks on prepares and
 // commits (each vote once, when it first entered engine state),

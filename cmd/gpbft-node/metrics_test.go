@@ -8,8 +8,10 @@ import (
 
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
+	"gpbft/internal/geo"
 	"gpbft/internal/runtime"
 	"gpbft/internal/transport"
+	"gpbft/internal/types"
 )
 
 // fixedScrape is one node's snapshots with every value distinct, so a
@@ -90,5 +92,108 @@ func TestMetricsGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// samples renders s and returns each sample's value by series name
+// (labels included), failing on any sample without its TYPE header.
+func samples(t *testing.T, s scrape) map[string]string {
+	t.Helper()
+	var sb strings.Builder
+	writeMetrics(&sb, s)
+	got, typed := map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			typed[name] = kind
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		family, _, _ := strings.Cut(fields[0], "{")
+		if typed[family] == "" {
+			t.Fatalf("sample %q has no TYPE header", line)
+		}
+		got[fields[0]] = fields[1]
+		got["# TYPE "+family] = typed[family]
+	}
+	return got
+}
+
+// TestWriteMetricsAdmission renders a live Admission's snapshot: one
+// admitted transaction shows as one accepted, nothing rejected or shed.
+func TestWriteMetricsAdmission(t *testing.T) {
+	a := runtime.NewAdmission(runtime.AdmissionConfig{Rate: 10})
+	tx := &types.Transaction{
+		Type: types.TxNormal, Nonce: 1, Payload: []byte{1}, Fee: 1,
+		Geo: types.GeoInfo{Location: geo.Point{Lng: 114.17, Lat: 22.30}, Timestamp: time.Unix(1, 0)},
+	}
+	tx.Sign(gcrypto.DeterministicKeyPair(1))
+	if err := a.Admit(0, tx); err != nil {
+		t.Fatal(err)
+	}
+	var s scrape
+	s.node.Admission = a.Stats()
+	got := samples(t, s)
+	for name, val := range map[string]string{
+		"gpbft_admission_accepted_total":                      "1",
+		`gpbft_admission_rejected_total{reason="rate-limit"}`: "0",
+		`gpbft_admission_shed_total{reason="overload"}`:       "0",
+		"gpbft_admission_level":                               "0",
+		"gpbft_admission_identities":                          "1",
+	} {
+		if got[name] != val {
+			t.Errorf("%s = %q, want %q", name, got[name], val)
+		}
+	}
+}
+
+// TestWriteMetricsSync maps each sync and snapshot series to its
+// SyncStats field (or the directory's counts) and its metric type.
+func TestWriteMetricsSync(t *testing.T) {
+	var s scrape
+	s.node.Sync = runtime.SyncStats{
+		Mode: runtime.SyncModeSnapshot, BlocksSynced: 42,
+		SnapshotsInstalled: 1, SnapshotsRejected: 3, SnapshotsServed: 5,
+		Retries: 2, LagPulls: 4, VotesVerified: 60, VotesSurplus: 40,
+		RequestsHeld: 9, RequestsRerelayed: 8,
+		ProposalsHeld: 6, ProposalsHeldFired: 5, ProposalsParked: 11,
+		FetchesSent: 12, FetchesAnswered: 13,
+	}
+	s.snapshots, s.compactedBytes = 7, 4096
+	got := samples(t, s)
+	for name, val := range map[string]string{
+		"gpbft_snapshot_written_total":                  "7",
+		"gpbft_snapshot_installed_total":                "1",
+		"gpbft_snapshot_rejected_total":                 "3",
+		"gpbft_snapshot_served_total":                   "5",
+		"gpbft_sync_retries_total":                      "2",
+		"gpbft_sync_lag_pulls_total":                    "4",
+		"gpbft_sync_blocks_total":                       "42",
+		"gpbft_votes_verified_total":                    "60",
+		"gpbft_votes_dropped_surplus_total":             "40",
+		"gpbft_requests_held_total":                     "9",
+		"gpbft_requests_rerelayed_total":                "8",
+		"gpbft_proposals_held_total":                    "6",
+		"gpbft_proposals_held_expired_total":            "5",
+		"gpbft_proposals_parked_total":                  "11",
+		`gpbft_proposal_fetches_total{side="sent"}`:     "12",
+		`gpbft_proposal_fetches_total{side="answered"}`: "13",
+		"gpbft_sync_mode":                               "2",
+		"gpbft_compacted_bytes":                         "4096",
+	} {
+		if got[name] != val {
+			t.Errorf("%s = %q, want %q", name, got[name], val)
+		}
+		kind := "counter"
+		if name == "gpbft_sync_mode" || name == "gpbft_compacted_bytes" {
+			kind = "gauge"
+		}
+		family, _, _ := strings.Cut(name, "{")
+		if got["# TYPE "+family] != kind {
+			t.Errorf("%s has type %q, want %s", family, got["# TYPE "+family], kind)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package pbft
 
 import (
+	"gpbft/internal/codec"
 	"gpbft/internal/consensus"
 	"gpbft/internal/gcrypto"
+	"gpbft/internal/store"
+	"gpbft/internal/types"
 )
 
 // StoredVotes counts the vote envelopes of one kind the engine holds for
@@ -89,4 +92,20 @@ func (e *Engine) ProofSenders(seq uint64) []gcrypto.Address {
 		}
 	}
 	return out
+}
+
+// PreparedData is the data of a prepared record holding proof and b, as
+// persistPrepared writes it.
+func PreparedData(proof *PreparedProof, b *types.Block) []byte {
+	return append(codec.Encode(proof), codec.Encode(b)...)
+}
+
+// RecoveredPrepared reads data as RecoverState reads a prepared
+// record's, and encodes what it recovered again.
+func RecoveredPrepared(data []byte) ([]byte, bool) {
+	d := RecoverState(0, []store.WALRecord{{Kind: store.WALPrepared, Data: data}})
+	for _, slot := range d.Prepared {
+		return PreparedData(&slot.proof, &slot.block), true
+	}
+	return nil, false
 }

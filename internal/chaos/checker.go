@@ -126,14 +126,8 @@ func (ck *Checker) note(from gcrypto.Address, kind consensus.MsgKind, era, view,
 // decodeBody decodes an envelope body without verifying the signature:
 // the Tap only ever sees envelopes genuinely emitted by the simulated
 // process that signed them.
-func decodeBody(env *consensus.Envelope, dst interface {
-	UnmarshalCanonical(*codec.Reader) error
-}) bool {
-	r := codec.NewReader(env.Body)
-	if dst.UnmarshalCanonical(r) != nil {
-		return false
-	}
-	return r.Finish() == nil
+func decodeBody(env *consensus.Envelope, dst codec.Unmarshaler) bool {
+	return consensus.OpenUnverified(env, env.MsgKind, dst) == nil
 }
 
 // Violations returns the accumulated safety violations.

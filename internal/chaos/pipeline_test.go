@@ -1,11 +1,11 @@
 package chaos_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"gpbft/internal/chaos"
-	"gpbft/internal/gcrypto"
 )
 
 // TestRandomScheduleWithParallelVerification re-runs a seeded
@@ -16,9 +16,8 @@ import (
 // fails the run with the seed in the message.
 func TestRandomScheduleWithParallelVerification(t *testing.T) {
 	// Force the parallel path on even on a single-core runner, and
-	// restore the process-wide default on exit so sibling tests are
-	// unaffected.
-	defer gcrypto.SetBatchWorkers(gcrypto.SetBatchWorkers(4))
+	// restore GOMAXPROCS on exit so sibling tests are unaffected.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	c, err := chaos.New(chaos.Options{Nodes: 7, Seed: 1337, DropRate: 0.01})
 	if err != nil {

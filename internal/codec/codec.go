@@ -9,6 +9,13 @@
 //   - uvarint-length-prefixed byte strings,
 //   - int64 UnixNano for timestamps.
 //
+// Each type states its format once, as a Canonical method that a Coder
+// runs in either direction: writing its fields, or reading them back.
+// List reads a count no larger than the bytes left can hold before it
+// allocates, and Unmarshal decodes a whole value and refuses trailing
+// bytes, so no type restates either rule. testdata/wire.golden pins the
+// bytes of every format.
+//
 // encoding/gob and encoding/json are unsuitable: gob embeds type
 // metadata and is not canonical across streams, and JSON float
 // formatting is not round-trip stable enough for digests.

@@ -256,35 +256,26 @@ func (e *Envelope) Verify() error {
 	return nil
 }
 
-// MarshalCanonical appends the wire encoding of the envelope.
-func (e *Envelope) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(uint8(e.MsgKind))
-	switch {
-	case e.MsgKind.IntraEra():
-		w.Uvarint(e.Sender)
-	case !e.MsgKind.byChannel():
-		w.Raw(e.FromPub)
-	}
-	w.WriteBytes(e.Body)
-	w.WriteBytes(e.Signature)
-}
-
-// UnmarshalCanonical decodes an envelope.
-func (e *Envelope) UnmarshalCanonical(r *codec.Reader) error {
-	e.MsgKind = MsgKind(r.Uint8())
-	if e.MsgKind == kindRetiredCheckpoint {
-		return ErrEnvelopeRetired
+// Canonical states the envelope's wire format: the kind, the sender as
+// far as the receiver cannot work it out (see Envelope), the body and
+// the seal. A decode refuses the retired kind and derives From from the
+// key it reads.
+func (e *Envelope) Canonical(c codec.Coder) {
+	codec.Uint8(c, &e.MsgKind)
+	if c.Decoding() && e.MsgKind == kindRetiredCheckpoint {
+		c.Fail(ErrEnvelopeRetired)
 	}
 	switch {
 	case e.MsgKind.IntraEra():
-		e.Sender = r.Uvarint()
+		c.Uvarint(&e.Sender)
 	case !e.MsgKind.byChannel():
-		e.FromPub = r.ReadRaw(ed25519.PublicKeySize)
-		e.From = gcrypto.AddressOf(e.FromPub)
+		c.Fixed(&e.FromPub, ed25519.PublicKeySize)
+		if c.Decoding() {
+			e.From = gcrypto.AddressOf(e.FromPub)
+		}
 	}
-	e.Body = r.ReadBytes()
-	e.Signature = r.ReadBytes()
-	return r.Err()
+	c.Bytes(&e.Body)
+	c.Bytes(&e.Signature)
 }
 
 // MinEnvelopeSize is the length of the shortest envelope encoding: a
@@ -293,20 +284,10 @@ func (e *Envelope) UnmarshalCanonical(r *codec.Reader) error {
 const MinEnvelopeSize = 3
 
 // EncodeEnvelope returns the wire bytes of e.
-func EncodeEnvelope(e *Envelope) []byte { return codec.Encode(e) }
+func EncodeEnvelope(e *Envelope) []byte { return codec.Marshal(e) }
 
 // DecodeEnvelope parses wire bytes into an envelope.
-func DecodeEnvelope(b []byte) (*Envelope, error) {
-	r := codec.NewReader(b)
-	var e Envelope
-	if err := e.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
+func DecodeEnvelope(b []byte) (*Envelope, error) { return codec.Unmarshal[Envelope](b) }
 
 // WireSize returns the serialized size of the envelope in bytes; the
 // simulator meters traffic with it. The value is cached: envelopes are
@@ -335,20 +316,14 @@ func (e *Envelope) Decoded(keep bool, decode func() (any, error)) (any, error) {
 
 // Open verifies the envelope, checks its kind, and decodes the body
 // into dst (which must match the kind's payload type).
-func Open(e *Envelope, want MsgKind, dst interface {
-	UnmarshalCanonical(*codec.Reader) error
-}) error {
+func Open(e *Envelope, want MsgKind, dst codec.Unmarshaler) error {
 	if e.MsgKind != want {
 		return ErrEnvelopeKind
 	}
 	if err := e.Verify(); err != nil {
 		return err
 	}
-	r := codec.NewReader(e.Body)
-	if err := dst.UnmarshalCanonical(r); err != nil {
-		return err
-	}
-	return r.Finish()
+	return codec.DecodeInto(e.Body, dst)
 }
 
 // OpenUnverified decodes the body without checking the envelope seal.
@@ -359,15 +334,9 @@ func Open(e *Envelope, want MsgKind, dst interface {
 // exactly the seal: the vote handlers decode with this only to decide
 // whether the vote can still count, and call Verify before anything
 // decoded from it is stored or acted on (pbft.admitVote).
-func OpenUnverified(e *Envelope, want MsgKind, dst interface {
-	UnmarshalCanonical(*codec.Reader) error
-}) error {
+func OpenUnverified(e *Envelope, want MsgKind, dst codec.Unmarshaler) error {
 	if e.MsgKind != want {
 		return ErrEnvelopeKind
 	}
-	r := codec.NewReader(e.Body)
-	if err := dst.UnmarshalCanonical(r); err != nil {
-		return err
-	}
-	return r.Finish()
+	return codec.DecodeInto(e.Body, dst)
 }

@@ -60,66 +60,63 @@ type RelayEntry struct {
 	Env  *Envelope
 }
 
-// EncodeRelayBody builds the canonical body of a relay frame.
-func EncodeRelayBody(entries []RelayEntry) []byte {
-	w := codec.NewWriter(64)
-	w.String(relayMagic)
-	w.Count(len(entries))
-	for i := range entries {
-		w.Uint8(entries[i].Hop)
-		w.WriteBytes(entries[i].Wire)
+// Canonical states an entry's format. A decode refuses a hop counter
+// past any plausible propagation depth, an inner envelope that does not
+// decode, and a nested relay frame, so a Byzantine relayer cannot
+// smuggle unparseable or recursive payloads past the dupemap.
+func (e *RelayEntry) Canonical(c codec.Coder) {
+	codec.Uint8(c, &e.Hop)
+	c.Bytes(&e.Wire)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
-	return w.Bytes()
+	if e.Hop == 0 || e.Hop > maxRelayHopBound {
+		c.Fail(fmt.Errorf("hop %d out of range", e.Hop))
+		return
+	}
+	env, err := DecodeEnvelope(e.Wire)
+	switch {
+	case err != nil:
+		c.Fail(fmt.Errorf("inner envelope: %v", err))
+	case env.MsgKind == KindRelay:
+		c.Fail(errors.New("nested relay frame"))
+	default:
+		e.Env = env
+	}
 }
+
+// relayFrame is the body of a relay frame: a non-empty batch of at most
+// MaxRelayEntries entries, refused by count before any is allocated.
+type relayFrame []RelayEntry
+
+var errRelayMagic = errors.New("bad magic")
+
+func (f *relayFrame) Canonical(c codec.Coder) {
+	c.Tag(relayMagic, errRelayMagic)
+	codec.CheckedList(c, (*[]RelayEntry)(f), 1+1+MinEnvelopeSize, func(n int) error { // a hop, then an envelope's length and bytes
+		if n == 0 {
+			return errors.New("empty batch")
+		}
+		if n > MaxRelayEntries {
+			return fmt.Errorf("%d entries exceeds cap %d", n, MaxRelayEntries)
+		}
+		return nil
+	}, (*RelayEntry).Canonical)
+}
+
+// EncodeRelayBody builds the canonical body of a relay frame.
+func EncodeRelayBody(entries []RelayEntry) []byte { return codec.Marshal((*relayFrame)(&entries)) }
 
 // DecodeRelayBody parses and validates a relay frame body. Strictness
 // matches the evidence codec: non-minimal varints are rejected by the
-// reader, trailing bytes by Finish, and structurally hostile frames
-// (empty batch, hop counter past any plausible propagation depth,
-// nested relay frames, inner envelopes that don't decode) by explicit
-// checks here, so a Byzantine relayer cannot smuggle unparseable or
-// recursive payloads past the dupemap.
+// reader and trailing bytes by the whole-value decode, and every
+// failure is an ErrRelayFrame.
 func DecodeRelayBody(body []byte) ([]RelayEntry, error) {
-	r := codec.NewReader(body)
-	if magic := r.ReadString(); magic != relayMagic {
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRelayFrame, err)
-		}
-		return nil, fmt.Errorf("%w: bad magic %q", ErrRelayFrame, magic)
-	}
-	n := r.CountOf(1 + 1 + MinEnvelopeSize) // a hop, then an envelope's length and bytes
-	if err := r.Err(); err != nil {
+	f, err := codec.Unmarshal[relayFrame](body)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRelayFrame, err)
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrRelayFrame)
-	}
-	if n > MaxRelayEntries {
-		return nil, fmt.Errorf("%w: %d entries exceeds cap %d", ErrRelayFrame, n, MaxRelayEntries)
-	}
-	entries := make([]RelayEntry, 0, n)
-	for i := 0; i < n; i++ {
-		hop := r.Uint8()
-		wire := r.ReadBytes()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRelayFrame, err)
-		}
-		if hop == 0 || hop > maxRelayHopBound {
-			return nil, fmt.Errorf("%w: hop %d out of range", ErrRelayFrame, hop)
-		}
-		env, err := DecodeEnvelope(wire)
-		if err != nil {
-			return nil, fmt.Errorf("%w: inner envelope: %v", ErrRelayFrame, err)
-		}
-		if env.MsgKind == KindRelay {
-			return nil, fmt.Errorf("%w: nested relay frame", ErrRelayFrame)
-		}
-		entries = append(entries, RelayEntry{Hop: hop, Wire: wire, Env: env})
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRelayFrame, err)
-	}
-	return entries, nil
+	return *f, nil
 }
 
 // RelayEntries decodes a KindRelay envelope's batch, kept in the

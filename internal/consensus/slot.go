@@ -22,22 +22,17 @@ type SlotHeader struct {
 	Digest gcrypto.Hash
 }
 
-// MarshalCanonical implements codec.Marshaler.
-func (h *SlotHeader) MarshalCanonical(w *codec.Writer) {
-	w.Uvarint(h.Era)
-	w.Uvarint(h.View)
-	w.Uvarint(h.Seq)
-	w.Raw(h.Digest[:])
+// Canonical states the header's format.
+func (h *SlotHeader) Canonical(c codec.Coder) {
+	c.Uvarint(&h.Era)
+	c.Uvarint(&h.View)
+	c.Uvarint(&h.Seq)
+	c.Raw(h.Digest[:])
 }
 
-// UnmarshalCanonical decodes the header.
-func (h *SlotHeader) UnmarshalCanonical(r *codec.Reader) error {
-	h.Era = r.Uvarint()
-	h.View = r.Uvarint()
-	h.Seq = r.Uvarint()
-	r.RawInto(h.Digest[:])
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (h *SlotHeader) MarshalCanonical(w *codec.Writer)         { h.Canonical(w.Coder()) }
+func (h *SlotHeader) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, h) }
 
 // PeekSlot reads the slot header of a pre-prepare, prepare or commit
 // without opening the envelope: nothing is verified, and whatever

@@ -673,9 +673,7 @@ func (e *Engine) onAnnounce(now consensus.Time, env *consensus.Envelope) []conse
 // onBlockSync opens a block-sync envelope as the message its subtype
 // names and hands it to the serving half or the catch-up.
 func (e *Engine) onBlockSync(now consensus.Time, env *consensus.Envelope) []consensus.Action {
-	var msg interface {
-		UnmarshalCanonical(*codec.Reader) error
-	}
+	var msg codec.Unmarshaler
 	switch syncSubtype(env.Body) {
 	case 1:
 		msg = new(SyncRequest)

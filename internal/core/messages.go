@@ -21,22 +21,16 @@ type EraAnnounce struct {
 // Kind implements consensus.Payload.
 func (*EraAnnounce) Kind() consensus.MsgKind { return consensus.KindEraSwitch }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *EraAnnounce) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(0) // subtype: announce
-	w.Uint64(m.NewEra)
-	w.Uint64(m.Height)
+// Canonical states the payload's format.
+func (m *EraAnnounce) Canonical(c codec.Coder) {
+	subtype(c, 0) // announce
+	c.Uint64(&m.NewEra)
+	c.Uint64(&m.Height)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *EraAnnounce) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 0 {
-		return consensus.ErrEnvelopeKind
-	}
-	m.NewEra = r.Uint64()
-	m.Height = r.Uint64()
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *EraAnnounce) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *EraAnnounce) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // SyncRequest asks a peer for committed blocks above FromHeight.
 type SyncRequest struct {
@@ -46,20 +40,15 @@ type SyncRequest struct {
 // Kind implements consensus.Payload.
 func (*SyncRequest) Kind() consensus.MsgKind { return consensus.KindBlockSync }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *SyncRequest) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(1) // subtype: request
-	w.Uint64(m.FromHeight)
+// Canonical states the payload's format.
+func (m *SyncRequest) Canonical(c codec.Coder) {
+	subtype(c, 1) // request
+	c.Uint64(&m.FromHeight)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *SyncRequest) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 1 {
-		return consensus.ErrEnvelopeKind
-	}
-	m.FromHeight = r.Uint64()
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *SyncRequest) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *SyncRequest) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // MaxSyncBlocks caps one sync response.
 const MaxSyncBlocks = 256
@@ -74,32 +63,15 @@ type SyncResponse struct {
 // Kind implements consensus.Payload.
 func (*SyncResponse) Kind() consensus.MsgKind { return consensus.KindBlockSync }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *SyncResponse) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(2) // subtype: response
-	w.Count(len(m.Blocks))
-	for i := range m.Blocks {
-		m.Blocks[i].MarshalCanonical(w)
-	}
+// Canonical states the payload's format.
+func (m *SyncResponse) Canonical(c codec.Coder) {
+	subtype(c, 2) // response
+	codec.List(c, &m.Blocks, types.MinBlockSize, (*types.Block).Canonical)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *SyncResponse) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 2 {
-		return consensus.ErrEnvelopeKind
-	}
-	n := r.CountOf(types.MinBlockSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Blocks = make([]types.Block, n)
-	for i := 0; i < n; i++ {
-		if err := m.Blocks[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *SyncResponse) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *SyncResponse) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // HeadRequest asks a peer for its chain head and newest snapshot
 // checkpoint. A joiner (or a node that was told its lag is too deep to
@@ -111,18 +83,14 @@ type HeadRequest struct{}
 // Kind implements consensus.Payload.
 func (*HeadRequest) Kind() consensus.MsgKind { return consensus.KindBlockSync }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *HeadRequest) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(3) // subtype: head request
+// Canonical states the payload's format.
+func (m *HeadRequest) Canonical(c codec.Coder) {
+	subtype(c, 3) // head request
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *HeadRequest) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 3 {
-		return consensus.ErrEnvelopeKind
-	}
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *HeadRequest) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *HeadRequest) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // HeadResponse reports a peer's committed head and its newest retained
 // snapshot checkpoint (SnapHeight 0 when it has none). The root is what
@@ -139,24 +107,17 @@ type HeadResponse struct {
 // Kind implements consensus.Payload.
 func (*HeadResponse) Kind() consensus.MsgKind { return consensus.KindBlockSync }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *HeadResponse) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(4) // subtype: head response
-	w.Uint64(m.Height)
-	w.Uint64(m.SnapHeight)
-	w.Raw(m.SnapRoot[:])
+// Canonical states the payload's format.
+func (m *HeadResponse) Canonical(c codec.Coder) {
+	subtype(c, 4) // head response
+	c.Uint64(&m.Height)
+	c.Uint64(&m.SnapHeight)
+	c.Raw(m.SnapRoot[:])
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *HeadResponse) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 4 {
-		return consensus.ErrEnvelopeKind
-	}
-	m.Height = r.Uint64()
-	m.SnapHeight = r.Uint64()
-	r.RawInto(m.SnapRoot[:])
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *HeadResponse) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *HeadResponse) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // SnapshotRequest asks a peer for the snapshot at exactly Height (the
 // checkpoint a head quorum agreed on).
@@ -167,20 +128,15 @@ type SnapshotRequest struct {
 // Kind implements consensus.Payload.
 func (*SnapshotRequest) Kind() consensus.MsgKind { return consensus.KindBlockSync }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *SnapshotRequest) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(5) // subtype: snapshot request
-	w.Uint64(m.Height)
+// Canonical states the payload's format.
+func (m *SnapshotRequest) Canonical(c codec.Coder) {
+	subtype(c, 5) // snapshot request
+	c.Uint64(&m.Height)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *SnapshotRequest) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 5 {
-		return consensus.ErrEnvelopeKind
-	}
-	m.Height = r.Uint64()
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *SnapshotRequest) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *SnapshotRequest) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // SnapshotResponse carries the encoded, signed snapshot. The receiver
 // independently decodes, verifies the producer signature, and checks
@@ -194,21 +150,25 @@ type SnapshotResponse struct {
 // Kind implements consensus.Payload.
 func (*SnapshotResponse) Kind() consensus.MsgKind { return consensus.KindBlockSync }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *SnapshotResponse) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(6) // subtype: snapshot response
-	w.Uint64(m.Height)
-	w.WriteBytes(m.Data)
+// Canonical states the payload's format.
+func (m *SnapshotResponse) Canonical(c codec.Coder) {
+	subtype(c, 6) // snapshot response
+	c.Uint64(&m.Height)
+	c.Bytes(&m.Data)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *SnapshotResponse) UnmarshalCanonical(r *codec.Reader) error {
-	if sub := r.Uint8(); r.Err() == nil && sub != 6 {
-		return consensus.ErrEnvelopeKind
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *SnapshotResponse) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *SnapshotResponse) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
+
+// subtype codes the leading byte that tells the payloads of one kind
+// apart. A decode refuses any other subtype than the one it expects.
+func subtype(c codec.Coder, want uint8) {
+	sub := want
+	codec.Uint8(c, &sub)
+	if c.Decoding() && sub != want {
+		c.Fail(consensus.ErrEnvelopeKind)
 	}
-	m.Height = r.Uint64()
-	m.Data = r.ReadBytes()
-	return r.Err()
 }
 
 // syncSubtype peeks the subtype byte of a KindBlockSync body.

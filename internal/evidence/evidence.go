@@ -104,67 +104,33 @@ var (
 
 const recordTag = "gpbft/evidence/v1"
 
-// MarshalCanonical implements codec.Marshaler.
-func (rec *Record) MarshalCanonical(w *codec.Writer) {
-	w.String(recordTag)
-	w.Uint8(uint8(rec.Kind))
-	w.Count(len(rec.Offenders))
-	for i := range rec.Offenders {
-		w.Raw(rec.Offenders[i][:])
-	}
-	w.Count(len(rec.Proofs))
-	for _, p := range rec.Proofs {
-		w.WriteBytes(p)
+// Canonical states the record's format. A decode refuses an empty or
+// oversized offender or proof list before allocating for it.
+func (rec *Record) Canonical(c codec.Coder) {
+	c.Tag(recordTag, errTag)
+	codec.Uint8(c, &rec.Kind)
+	codec.CheckedList(c, &rec.Offenders, gcrypto.AddressSize, within(MaxOffenders), (*gcrypto.Address).Canonical)
+	codec.CheckedList(c, &rec.Proofs, 1+consensus.MinEnvelopeSize, within(MaxProofs), proofBytes) // an envelope or a transaction, the envelope shorter
+}
+
+// within refuses a list count outside [1, max] as ErrShape.
+func within(max int) func(int) error {
+	return func(n int) error {
+		if n == 0 || n > max {
+			return ErrShape
+		}
+		return nil
 	}
 }
 
-// UnmarshalCanonical decodes a record, enforcing the size limits.
-func (rec *Record) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != recordTag {
-		return errTag
-	}
-	rec.Kind = Type(r.Uint8())
-	n := r.CountOf(gcrypto.AddressSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n == 0 || n > MaxOffenders {
-		return ErrShape
-	}
-	rec.Offenders = make([]gcrypto.Address, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(rec.Offenders[i][:])
-	}
-	m := r.CountOf(1 + consensus.MinEnvelopeSize) // an envelope or a transaction, the envelope shorter
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if m == 0 || m > MaxProofs {
-		return ErrShape
-	}
-	rec.Proofs = make([][]byte, m)
-	for i := 0; i < m; i++ {
-		rec.Proofs[i] = r.ReadBytes()
-	}
-	return r.Err()
-}
+func proofBytes(b *[]byte, c codec.Coder) { c.Bytes(b) }
 
 // Encode returns the canonical wire bytes of rec.
-func Encode(rec *Record) []byte { return codec.Encode(rec) }
+func Encode(rec *Record) []byte { return codec.Marshal(rec) }
 
 // Decode parses wire bytes into a record, requiring full consumption.
 // It checks structure only; call Verify to check the proofs.
-func Decode(b []byte) (*Record, error) {
-	r := codec.NewReader(b)
-	var rec Record
-	if err := rec.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
+func Decode(b []byte) (*Record, error) { return codec.Unmarshal[Record](b) }
 
 // ID is the record's digest over its canonical encoding. Constructors
 // order proofs deterministically, so independent detectors of the same

@@ -28,26 +28,8 @@ type BatchItem struct {
 // the scheduling overhead exceeds the ~50µs an ed25519 check costs.
 const minParallelBatch = 4
 
-// batchWorkers is the configured pool width; 0 selects GOMAXPROCS.
-var batchWorkers atomic.Int32
-
-// SetBatchWorkers sets the verification pool width (0 = GOMAXPROCS,
-// 1 = serial) and returns the previous setting. The serial setting is
-// the ablation baseline benchmarks compare against.
-func SetBatchWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(batchWorkers.Swap(int32(n)))
-}
-
-// BatchWorkers reports the effective pool width.
-func BatchWorkers() int {
-	if n := int(batchWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// BatchWorkers reports the verification pool width: GOMAXPROCS.
+func BatchWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // batchJob is one contiguous slice of a batch assigned to a worker.
 type batchJob struct {
@@ -95,7 +77,7 @@ func runBatchJob(job batchJob) {
 // VerifyBatch verifies every item and returns one error slot per index
 // (nil = accepted). The result is element-for-element identical to
 // calling Verify serially; only the wall-clock cost changes. Small
-// batches and the serial setting bypass the pool entirely.
+// batches, and every batch when GOMAXPROCS is 1, bypass the pool.
 func VerifyBatch(items []BatchItem) []error {
 	errs := make([]error, len(items))
 	workers := BatchWorkers()

@@ -121,13 +121,12 @@ func TestVerifyBatchMixedFailures(t *testing.T) {
 	assertEquivalent(t, items)
 }
 
-// TestVerifyBatchSerialSetting pins SetBatchWorkers(1) to the serial
-// path and confirms identical results, then restores the default.
+// TestVerifyBatchSerialSetting pins a one-processor run to the serial
+// path and confirms identical results, then restores GOMAXPROCS.
 func TestVerifyBatchSerialSetting(t *testing.T) {
-	prev := SetBatchWorkers(1)
-	defer SetBatchWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if BatchWorkers() != 1 {
-		t.Fatalf("BatchWorkers() = %d after SetBatchWorkers(1)", BatchWorkers())
+		t.Fatalf("BatchWorkers() = %d with GOMAXPROCS 1", BatchWorkers())
 	}
 	items := corrupt(batchFixture(t, 9), 4)
 	assertEquivalent(t, items)

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"gpbft/internal/codec"
 )
 
 // AddressSize is the byte length of a chain address (truncated SHA-256
@@ -49,6 +51,9 @@ func (a Address) Bytes() []byte {
 	copy(b, a[:])
 	return b
 }
+
+// Canonical codes the address as its raw bytes.
+func (a *Address) Canonical(c codec.Coder) { c.Raw(a[:]) }
 
 // Less imposes a total order on addresses (used for deterministic
 // committee ordering).
@@ -189,6 +194,9 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
 // Short returns the first four bytes in hex.
 func (h Hash) Short() string { return hex.EncodeToString(h[:4]) }
+
+// Canonical codes the digest as its raw bytes.
+func (h *Hash) Canonical(c codec.Coder) { c.Raw(h[:]) }
 
 // IsZero reports whether the hash is all zeroes.
 func (h Hash) IsZero() bool { return h == Hash{} }

@@ -123,285 +123,111 @@ const chainStateTag = "gpbft/chainstate/v5"
 // Height returns the checkpoint height.
 func (st *ChainState) Height() uint64 { return st.Base.Header.Height }
 
-// MarshalCanonical implements codec.Marshaler.
-func (st *ChainState) MarshalCanonical(w *codec.Writer) {
-	w.String(chainStateTag)
-	w.Raw(st.GenesisHash[:])
-	w.Uint64(st.Era)
-	w.Time(st.Boundary)
-	st.Base.MarshalCanonical(w)
-
-	w.Count(len(st.Endorsers))
-	for i := range st.Endorsers {
-		e := &st.Endorsers[i]
-		w.Raw(e.Address[:])
-		w.WriteBytes(e.PubKey)
-		w.String(e.Geohash)
-	}
-	w.Count(len(st.Accounts))
-	for i := range st.Accounts {
-		w.Raw(st.Accounts[i].Address[:])
-		w.WriteBytes(st.Accounts[i].PubKey)
-	}
-	w.Count(len(st.EverEndorsers))
-	for i := range st.EverEndorsers {
-		w.Raw(st.EverEndorsers[i][:])
-	}
-	w.Count(len(st.Banned))
-	for i := range st.Banned {
-		w.Raw(st.Banned[i].Address[:])
-		w.Raw(st.Banned[i].Evidence[:])
-	}
-	w.Count(len(st.Evidence))
-	for i := range st.Evidence {
-		w.Raw(st.Evidence[i][:])
-	}
-
-	w.Time(st.TableLatest)
-	w.Count(len(st.Devices))
-	for i := range st.Devices {
-		d := &st.Devices[i]
-		w.String(d.Address)
-		w.Time(d.Anchor)
-		w.String(d.LastCSC)
-		w.Count(len(d.Entries))
-		for j := range d.Entries {
-			w.String(d.Entries[j].Geohash)
-			w.Time(d.Entries[j].Timestamp)
-			w.Int64(int64(d.Entries[j].Timer))
-		}
-	}
-	w.Count(len(st.Witnesses))
-	for i := range st.Witnesses {
-		r := &st.Witnesses[i]
-		w.Raw(r.Witness[:])
-		w.Raw(r.Subject[:])
-		w.String(r.Geohash)
-		w.Bool(r.Seen)
-		w.Time(r.Timestamp)
-		w.Uint64(r.Loc.Height)
-		w.Uint64(uint64(r.Loc.TxIndex))
-	}
-	w.Count(len(st.Balances))
-	for i := range st.Balances {
-		w.Raw(st.Balances[i].Address[:])
-		w.Uint64(st.Balances[i].Balance)
-		w.Uint64(st.Balances[i].Produced)
-	}
-	w.Count(len(st.TxIndex))
-	for i := range st.TxIndex {
-		w.Raw(st.TxIndex[i].ID[:])
-		w.Uint64(st.TxIndex[i].Loc.Height)
-		w.Uint64(uint64(st.TxIndex[i].Loc.TxIndex))
-	}
-
-	w.Count(len(st.Outbound))
-	for i := range st.Outbound {
-		st.Outbound[i].MarshalCanonical(w)
-	}
-	w.Count(len(st.Applied))
-	for i := range st.Applied {
-		w.Raw(st.Applied[i].ID[:])
-		w.Uint64(st.Applied[i].Loc.Height)
-		w.Uint64(uint64(st.Applied[i].Loc.TxIndex))
-	}
-	w.Uint64(st.ReceiptDupes)
-	w.Uint64(st.LockRejects)
-	w.Count(len(st.Anchors))
-	for i := range st.Anchors {
-		a := &st.Anchors[i]
-		w.String(a.Region)
-		w.Uint64(a.Era)
-		w.Uint64(a.Height)
-		w.Raw(a.Root[:])
-	}
-	w.Count(len(st.AnchorReceipts))
-	for i := range st.AnchorReceipts {
-		st.AnchorReceipts[i].MarshalCanonical(w)
-	}
-}
-
-// hashSize is the encoded width of a digest. The decoder below refuses a
-// list whose count claims more elements than the bytes left can hold.
+// hashSize is the encoded width of a digest.
 const hashSize = len(gcrypto.Hash{})
 
-// UnmarshalCanonical decodes a chain state.
-func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != chainStateTag {
-		return fmt.Errorf("%w: bad tag %q", ErrStateShape, tag)
-	}
-	r.RawInto(st.GenesisHash[:])
-	st.Era = r.Uint64()
-	st.Boundary = r.Time()
-	if err := st.Base.UnmarshalCanonical(r); err != nil {
-		return err
-	}
+var errStateTag = fmt.Errorf("%w: bad tag", ErrStateShape)
 
-	n := r.CountOf(types.MinEndorserInfoSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Endorsers = make([]types.EndorserInfo, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.Endorsers[i].Address[:])
-		st.Endorsers[i].PubKey = r.ReadBytes()
-		st.Endorsers[i].Geohash = r.ReadString()
-	}
-	n = r.CountOf(gcrypto.AddressSize + 1) // an address, then a key of at least its length
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Accounts = make([]AccountRecord, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.Accounts[i].Address[:])
-		st.Accounts[i].PubKey = r.ReadBytes()
-	}
-	n = r.CountOf(gcrypto.AddressSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.EverEndorsers = make([]gcrypto.Address, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.EverEndorsers[i][:])
-	}
-	n = r.CountOf(gcrypto.AddressSize + hashSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Banned = make([]BannedEntry, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.Banned[i].Address[:])
-		r.RawInto(st.Banned[i].Evidence[:])
-	}
-	n = r.CountOf(hashSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Evidence = make([]gcrypto.Hash, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.Evidence[i][:])
-	}
+// Canonical states the chain state's format. Each list names the length
+// of its element's shortest encoding, which bounds the count a decode
+// accepts.
+func (st *ChainState) Canonical(c codec.Coder) {
+	c.Tag(chainStateTag, errStateTag)
+	c.Raw(st.GenesisHash[:])
+	c.Uint64(&st.Era)
+	c.Time(&st.Boundary)
+	st.Base.Canonical(c)
 
-	st.TableLatest = r.Time()
-	n = r.CountOf(1 + 8 + 1 + 1) // two strings of at least their length, a time, a count
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Devices = make([]DeviceState, n)
-	for i := 0; i < n; i++ {
-		d := &st.Devices[i]
-		d.Address = r.ReadString()
-		d.Anchor = r.Time()
-		d.LastCSC = r.ReadString()
-		m := r.CountOf(1 + 8 + 8) // a cell, a time, a timer
-		if r.Err() != nil {
-			return r.Err()
-		}
-		d.Entries = make([]DeviceEntry, m)
-		for j := 0; j < m; j++ {
-			d.Entries[j].Geohash = r.ReadString()
-			d.Entries[j].Timestamp = r.Time()
-			d.Entries[j].Timer = time.Duration(r.Int64())
-		}
-	}
-	n = r.CountOf(2*gcrypto.AddressSize + 1 + 1 + 8 + 16) // two addresses, a cell, a flag, a time, a location
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Witnesses = make([]WitnessRecord, n)
-	for i := 0; i < n; i++ {
-		w := &st.Witnesses[i]
-		r.RawInto(w.Witness[:])
-		r.RawInto(w.Subject[:])
-		w.Geohash = r.ReadString()
-		w.Seen = r.Bool()
-		w.Timestamp = r.Time()
-		w.Loc.Height = r.Uint64()
-		w.Loc.TxIndex = int(r.Uint64())
-	}
-	n = r.CountOf(gcrypto.AddressSize + 16)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Balances = make([]BalanceRecord, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.Balances[i].Address[:])
-		st.Balances[i].Balance = r.Uint64()
-		st.Balances[i].Produced = r.Uint64()
-	}
-	n = r.CountOf(hashSize + 16) // an ID and a location
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.TxIndex = make([]TxIndexRecord, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.TxIndex[i].ID[:])
-		st.TxIndex[i].Loc.Height = r.Uint64()
-		st.TxIndex[i].Loc.TxIndex = int(r.Uint64())
-	}
+	codec.List(c, &st.Endorsers, types.MinEndorserInfoSize, (*types.EndorserInfo).Canonical)
+	codec.List(c, &st.Accounts, gcrypto.AddressSize+1, (*AccountRecord).Canonical) // an address, then a key of at least its length
+	codec.List(c, &st.EverEndorsers, gcrypto.AddressSize, (*gcrypto.Address).Canonical)
+	codec.List(c, &st.Banned, gcrypto.AddressSize+hashSize, (*BannedEntry).Canonical)
+	codec.List(c, &st.Evidence, hashSize, (*gcrypto.Hash).Canonical)
 
-	n = r.CountOf(shard.MinReceiptSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Outbound = make([]shard.Receipt, n)
-	for i := 0; i < n; i++ {
-		if err := st.Outbound[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	n = r.CountOf(hashSize + 16)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Applied = make([]AppliedReceipt, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(st.Applied[i].ID[:])
-		st.Applied[i].Loc.Height = r.Uint64()
-		st.Applied[i].Loc.TxIndex = int(r.Uint64())
-	}
-	st.ReceiptDupes = r.Uint64()
-	st.LockRejects = r.Uint64()
-	n = r.CountOf(1 + 8 + 8 + hashSize) // a region, an era, a height, a root
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.Anchors = make([]shard.AnchorRecord, n)
-	for i := 0; i < n; i++ {
-		a := &st.Anchors[i]
-		a.Region = r.ReadString()
-		a.Era = r.Uint64()
-		a.Height = r.Uint64()
-		r.RawInto(a.Root[:])
-	}
-	n = r.CountOf(shard.MinReceiptSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	st.AnchorReceipts = make([]shard.Receipt, n)
-	for i := 0; i < n; i++ {
-		if err := st.AnchorReceipts[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
+	c.Time(&st.TableLatest)
+	codec.List(c, &st.Devices, 1+8+1+1, (*DeviceState).Canonical)                            // two strings of at least their length, a time, a count
+	codec.List(c, &st.Witnesses, 2*gcrypto.AddressSize+1+1+8+16, (*WitnessRecord).Canonical) // two addresses, a cell, a flag, a time, a location
+	codec.List(c, &st.Balances, gcrypto.AddressSize+16, (*BalanceRecord).Canonical)
+	codec.List(c, &st.TxIndex, hashSize+16, (*TxIndexRecord).Canonical) // an ID and a location
+
+	codec.List(c, &st.Outbound, shard.MinReceiptSize, (*shard.Receipt).Canonical)
+	codec.List(c, &st.Applied, hashSize+16, (*AppliedReceipt).Canonical)
+	c.Uint64(&st.ReceiptDupes)
+	c.Uint64(&st.LockRejects)
+	codec.List(c, &st.Anchors, 1+8+8+hashSize, (*shard.AnchorRecord).Canonical) // a region, an era, a height, a root
+	codec.List(c, &st.AnchorReceipts, shard.MinReceiptSize, (*shard.Receipt).Canonical)
 }
+
+// Canonical states the account's format.
+func (a *AccountRecord) Canonical(c codec.Coder) {
+	c.Raw(a.Address[:])
+	c.Bytes(&a.PubKey)
+}
+
+// Canonical states the ban's format.
+func (b *BannedEntry) Canonical(c codec.Coder) {
+	c.Raw(b.Address[:])
+	c.Raw(b.Evidence[:])
+}
+
+// Canonical states the device history's format.
+func (d *DeviceState) Canonical(c codec.Coder) {
+	c.String(&d.Address)
+	c.Time(&d.Anchor)
+	c.String(&d.LastCSC)
+	codec.List(c, &d.Entries, 1+8+8, (*DeviceEntry).Canonical) // a cell, a time, a timer
+}
+
+// Canonical states the row's format.
+func (e *DeviceEntry) Canonical(c codec.Coder) {
+	c.String(&e.Geohash)
+	c.Time(&e.Timestamp)
+	codec.Int64(c, &e.Timer)
+}
+
+// Canonical states the witness record's format.
+func (w *WitnessRecord) Canonical(c codec.Coder) {
+	c.Raw(w.Witness[:])
+	c.Raw(w.Subject[:])
+	c.String(&w.Geohash)
+	c.Bool(&w.Seen)
+	c.Time(&w.Timestamp)
+	w.Loc.Canonical(c)
+}
+
+// Canonical states the balance's format.
+func (b *BalanceRecord) Canonical(c codec.Coder) {
+	c.Raw(b.Address[:])
+	c.Uint64(&b.Balance)
+	c.Uint64(&b.Produced)
+}
+
+// Canonical states the index entry's format.
+func (t *TxIndexRecord) Canonical(c codec.Coder) {
+	c.Raw(t.ID[:])
+	t.Loc.Canonical(c)
+}
+
+// Canonical states the applied receipt's format.
+func (a *AppliedReceipt) Canonical(c codec.Coder) {
+	c.Raw(a.ID[:])
+	a.Loc.Canonical(c)
+}
+
+// Canonical states the location's format: a height, then an index.
+func (l *TxLocation) Canonical(c codec.Coder) {
+	c.Uint64(&l.Height)
+	codec.Int64(c, &l.TxIndex)
+}
+
+// UnmarshalCanonical decodes a chain state.
+func (st *ChainState) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, st) }
 
 // EncodeChainState returns the canonical bytes of st.
-func EncodeChainState(st *ChainState) []byte { return codec.Encode(st) }
+func EncodeChainState(st *ChainState) []byte { return codec.Marshal(st) }
 
 // DecodeChainState parses canonical bytes into a chain state.
-func DecodeChainState(b []byte) (*ChainState, error) {
-	r := codec.NewReader(b)
-	var st ChainState
-	if err := st.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
+func DecodeChainState(b []byte) (*ChainState, error) { return codec.Unmarshal[ChainState](b) }
 
 // Root returns the state root: the digest of the canonical encoding.
 // Honest nodes at the same height agree on it byte for byte, so a

@@ -243,21 +243,10 @@ func (g *Genesis) MarshalCanonical(w *codec.Writer) {
 	w.String("gpbft/genesis/v1")
 	w.String(g.ChainID)
 	w.Time(g.Timestamp)
-	w.Count(len(g.Endorsers))
-	for _, e := range g.Endorsers {
-		w.Raw(e.Address[:])
-		w.WriteBytes(e.PubKey)
-		w.String(e.Geohash)
-	}
-	p := &g.Policy
-	w.Count(len(p.Blacklist))
-	for _, a := range p.Blacklist {
-		w.Raw(a[:])
-	}
-	w.Count(len(p.Whitelist))
-	for _, a := range p.Whitelist {
-		w.Raw(a[:])
-	}
+	c, p := w.Coder(), &g.Policy
+	codec.List(c, &g.Endorsers, types.MinEndorserInfoSize, (*types.EndorserInfo).Canonical)
+	codec.List(c, &p.Blacklist, gcrypto.AddressSize, (*gcrypto.Address).Canonical)
+	codec.List(c, &p.Whitelist, gcrypto.AddressSize, (*gcrypto.Address).Canonical)
 	w.Uint32(uint32(p.MinEndorsers))
 	w.Uint32(uint32(p.MaxEndorsers))
 	w.Float64(p.Region.MinLng)

@@ -61,6 +61,12 @@ type preparedSlot struct {
 	block types.Block
 }
 
+// Canonical states the record data's format: the proof, then the block.
+func (s *preparedSlot) Canonical(c codec.Coder) {
+	s.proof.Canonical(c)
+	s.block.Canonical(c)
+}
+
 // RecoverState folds a WAL's records into the durable state for era.
 // Records from other eras are ignored: they belong to consensus
 // instances that can no longer conflict (older eras are complete; the
@@ -89,13 +95,12 @@ func RecoverState(era uint64, recs []store.WALRecord) *DurableState {
 			// The prepared record is also the promise of the commit vote,
 			// whether or not the proof below survives.
 			d.SentCommits[k] = rec.Digest
-			var slot preparedSlot
-			r := codec.NewReader(rec.Data)
-			if slot.proof.UnmarshalCanonical(r) != nil || slot.block.UnmarshalCanonical(r) != nil || r.Finish() != nil {
+			slot, err := codec.Unmarshal[preparedSlot](rec.Data)
+			if err != nil {
 				continue // a damaged proof only costs liveness, never safety
 			}
 			if best, ok := d.Prepared[slot.proof.Seq]; !ok || slot.proof.View > best.proof.View {
-				d.Prepared[slot.proof.Seq] = &slot
+				d.Prepared[slot.proof.Seq] = slot
 			}
 		case store.WALNewView:
 			if rec.View > d.View {
@@ -165,7 +170,7 @@ func (e *Engine) recordPosition(kind store.WALKind, view uint64, data []byte) {
 func (e *Engine) persistPrepared(seq uint64, inst *instance) bool {
 	var data []byte
 	if e.wal != nil {
-		data = append(codec.Encode(e.proofForInstance(seq, inst)), codec.Encode(inst.block)...)
+		data = codec.Marshal(&preparedSlot{proof: *e.proofForInstance(seq, inst), block: *inst.block})
 	}
 	return e.recordVote(store.WALPrepared, e.sentCommits, inst.view, seq, inst.digest, data)
 }

@@ -97,7 +97,7 @@ func (e *Engine) ProofSenders(seq uint64) []gcrypto.Address {
 // PreparedData is the data of a prepared record holding proof and b, as
 // persistPrepared writes it.
 func PreparedData(proof *PreparedProof, b *types.Block) []byte {
-	return append(codec.Encode(proof), codec.Encode(b)...)
+	return codec.Marshal(&preparedSlot{proof: *proof, block: *b})
 }
 
 // RecoveredPrepared reads data as RecoverState reads a prepared

@@ -45,15 +45,12 @@ func NewRequest(kp *gcrypto.KeyPair, tx *types.Transaction) *consensus.Envelope 
 // Kind implements consensus.Payload.
 func (*Request) Kind() consensus.MsgKind { return consensus.KindRequest }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *Request) MarshalCanonical(w *codec.Writer) {
-	m.Tx.MarshalCanonical(w)
-}
+// Canonical states the payload's format: the transaction's.
+func (m *Request) Canonical(c codec.Coder) { m.Tx.Canonical(c) }
 
-// UnmarshalCanonical decodes the payload.
-func (m *Request) UnmarshalCanonical(r *codec.Reader) error {
-	return m.Tx.UnmarshalCanonical(r)
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *Request) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *Request) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // PrePrepare is the primary's proposal for the slot header's (era,
 // view, seq): the block header, whose hash is the digest, and the block's
@@ -81,24 +78,16 @@ func NewPrePrepare(era, view, seq uint64, b *types.Block) *PrePrepare {
 // Kind implements consensus.Payload.
 func (*PrePrepare) Kind() consensus.MsgKind { return consensus.KindPrePrepare }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *PrePrepare) MarshalCanonical(w *codec.Writer) {
-	m.SlotHeader.MarshalCanonical(w)
-	m.Header.MarshalCanonical(w)
-	writeIDs(w, m.TxIDs)
+// Canonical states the payload's format.
+func (m *PrePrepare) Canonical(c codec.Coder) {
+	m.SlotHeader.Canonical(c)
+	m.Header.Canonical(c)
+	codec.List(c, &m.TxIDs, len(gcrypto.Hash{}), (*gcrypto.Hash).Canonical)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *PrePrepare) UnmarshalCanonical(r *codec.Reader) error {
-	if err := m.SlotHeader.UnmarshalCanonical(r); err != nil {
-		return err
-	}
-	if err := m.Header.UnmarshalCanonical(r); err != nil {
-		return err
-	}
-	m.TxIDs = readIDs(r)
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *PrePrepare) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *PrePrepare) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // Fetch asks for transaction bodies of a proposal, or answers. A
 // request names the slot and the IDs wanted and is sealed, so only a
@@ -114,53 +103,16 @@ type Fetch struct {
 // Kind implements consensus.Payload.
 func (*Fetch) Kind() consensus.MsgKind { return consensus.KindFetch }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *Fetch) MarshalCanonical(w *codec.Writer) {
-	m.SlotHeader.MarshalCanonical(w)
-	writeIDs(w, m.IDs)
-	w.Count(len(m.Txs))
-	for i := range m.Txs {
-		m.Txs[i].MarshalCanonical(w)
-	}
+// Canonical states the payload's format.
+func (m *Fetch) Canonical(c codec.Coder) {
+	m.SlotHeader.Canonical(c)
+	codec.List(c, &m.IDs, len(gcrypto.Hash{}), (*gcrypto.Hash).Canonical)
+	codec.List(c, &m.Txs, types.MinTxSize, (*types.Transaction).Canonical)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *Fetch) UnmarshalCanonical(r *codec.Reader) error {
-	if err := m.SlotHeader.UnmarshalCanonical(r); err != nil {
-		return err
-	}
-	m.IDs = readIDs(r)
-	n := r.CountOf(types.MinTxSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Txs = make([]types.Transaction, n)
-	for i := range m.Txs {
-		if err := m.Txs[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-func writeIDs(w *codec.Writer, ids []gcrypto.Hash) {
-	w.Count(len(ids))
-	for i := range ids {
-		w.Raw(ids[i][:])
-	}
-}
-
-func readIDs(r *codec.Reader) []gcrypto.Hash {
-	n := r.CountOf(len(gcrypto.Hash{}))
-	if r.Err() != nil {
-		return nil
-	}
-	ids := make([]gcrypto.Hash, n)
-	for i := range ids {
-		r.RawInto(ids[i][:])
-	}
-	return ids
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *Fetch) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *Fetch) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // Prepare is a backup's agreement to the proposal digest: a slot header
 // and nothing else, encoded by the embedded type.
@@ -197,34 +149,17 @@ type PreparedProof struct {
 // envelope and an empty prepare list.
 const minPreparedProofSize = 1 + 1 + len(gcrypto.Hash{}) + 1 + consensus.MinEnvelopeSize + 1
 
-// MarshalCanonical implements codec.Marshaler.
-func (p *PreparedProof) MarshalCanonical(w *codec.Writer) {
-	w.Uvarint(p.Seq)
-	w.Uvarint(p.View)
-	w.Raw(p.Digest[:])
-	w.WriteBytes(p.PrePrepareEnv)
-	w.Count(len(p.PrepareEnvs))
-	for _, e := range p.PrepareEnvs {
-		w.WriteBytes(e)
-	}
+// Canonical states the proof's format.
+func (p *PreparedProof) Canonical(c codec.Coder) {
+	c.Uvarint(&p.Seq)
+	c.Uvarint(&p.View)
+	c.Raw(p.Digest[:])
+	c.Bytes(&p.PrePrepareEnv)
+	codec.List(c, &p.PrepareEnvs, 1+consensus.MinEnvelopeSize, envelopeBytes)
 }
 
-// UnmarshalCanonical decodes the proof.
-func (p *PreparedProof) UnmarshalCanonical(r *codec.Reader) error {
-	p.Seq = r.Uvarint()
-	p.View = r.Uvarint()
-	r.RawInto(p.Digest[:])
-	p.PrePrepareEnv = r.ReadBytes()
-	n := r.CountOf(1 + consensus.MinEnvelopeSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	p.PrepareEnvs = make([][]byte, n)
-	for i := 0; i < n; i++ {
-		p.PrepareEnvs[i] = r.ReadBytes()
-	}
-	return r.Err()
-}
+// envelopeBytes codes one encoded envelope of a list.
+func envelopeBytes(b *[]byte, c codec.Coder) { c.Bytes(b) }
 
 // ViewChange announces that a replica wants to move to NewView,
 // carrying its stable point and any prepared-but-unexecuted proposal
@@ -242,45 +177,18 @@ type ViewChange struct {
 // Kind implements consensus.Payload.
 func (*ViewChange) Kind() consensus.MsgKind { return consensus.KindViewChange }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *ViewChange) MarshalCanonical(w *codec.Writer) {
-	w.Uvarint(m.Era)
-	w.Uvarint(m.NewView)
-	w.Uvarint(m.LastStable)
-	w.Bool(m.StableCert != nil)
-	if m.StableCert != nil {
-		m.StableCert.MarshalCanonical(w)
-	}
-	w.Count(len(m.Prepared))
-	for i := range m.Prepared {
-		m.Prepared[i].MarshalCanonical(w)
-	}
+// Canonical states the payload's format.
+func (m *ViewChange) Canonical(c codec.Coder) {
+	c.Uvarint(&m.Era)
+	c.Uvarint(&m.NewView)
+	c.Uvarint(&m.LastStable)
+	codec.Optional(c, &m.StableCert, (*types.Certificate).Canonical)
+	codec.List(c, &m.Prepared, minPreparedProofSize, (*PreparedProof).Canonical)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *ViewChange) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uvarint()
-	m.NewView = r.Uvarint()
-	m.LastStable = r.Uvarint()
-	if r.Bool() {
-		// The certificate's decoder bounds its vote list by CountOf.
-		m.StableCert = new(types.Certificate)
-		if err := m.StableCert.UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	n := r.CountOf(minPreparedProofSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Prepared = make([]PreparedProof, n)
-	for i := 0; i < n; i++ {
-		if err := m.Prepared[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *ViewChange) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *ViewChange) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }
 
 // NewView is the new primary's proof that 2f+1 replicas agreed to the
 // view change, plus the pre-prepares it re-issues for prepared values.
@@ -294,39 +202,14 @@ type NewView struct {
 // Kind implements consensus.Payload.
 func (*NewView) Kind() consensus.MsgKind { return consensus.KindNewView }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *NewView) MarshalCanonical(w *codec.Writer) {
-	w.Uvarint(m.Era)
-	w.Uvarint(m.View)
-	w.Count(len(m.ViewChangeEnvs))
-	for _, e := range m.ViewChangeEnvs {
-		w.WriteBytes(e)
-	}
-	w.Count(len(m.PrePrepares))
-	for _, e := range m.PrePrepares {
-		w.WriteBytes(e)
-	}
+// Canonical states the payload's format.
+func (m *NewView) Canonical(c codec.Coder) {
+	c.Uvarint(&m.Era)
+	c.Uvarint(&m.View)
+	codec.List(c, &m.ViewChangeEnvs, 1+consensus.MinEnvelopeSize, envelopeBytes)
+	codec.List(c, &m.PrePrepares, 1+consensus.MinEnvelopeSize, envelopeBytes)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *NewView) UnmarshalCanonical(r *codec.Reader) error {
-	m.Era = r.Uvarint()
-	m.View = r.Uvarint()
-	n := r.CountOf(1 + consensus.MinEnvelopeSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.ViewChangeEnvs = make([][]byte, n)
-	for i := 0; i < n; i++ {
-		m.ViewChangeEnvs[i] = r.ReadBytes()
-	}
-	k := r.CountOf(1 + consensus.MinEnvelopeSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.PrePrepares = make([][]byte, k)
-	for i := 0; i < k; i++ {
-		m.PrePrepares[i] = r.ReadBytes()
-	}
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *NewView) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *NewView) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }

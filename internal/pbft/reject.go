@@ -27,17 +27,13 @@ type TxRejected struct {
 // Kind implements consensus.Payload.
 func (*TxRejected) Kind() consensus.MsgKind { return consensus.KindTxReject }
 
-// MarshalCanonical implements codec.Marshaler.
-func (m *TxRejected) MarshalCanonical(w *codec.Writer) {
-	w.Raw(m.TxID[:])
-	w.Uint8(uint8(m.Reason))
-	w.Int64(int64(m.RetryAfter))
+// Canonical states the payload's format.
+func (m *TxRejected) Canonical(c codec.Coder) {
+	c.Raw(m.TxID[:])
+	codec.Uint8(c, &m.Reason)
+	codec.Int64(c, &m.RetryAfter)
 }
 
-// UnmarshalCanonical decodes the payload.
-func (m *TxRejected) UnmarshalCanonical(r *codec.Reader) error {
-	r.RawInto(m.TxID[:])
-	m.Reason = types.RejectReason(r.Uint8())
-	m.RetryAfter = time.Duration(r.Int64())
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (m *TxRejected) MarshalCanonical(w *codec.Writer)         { m.Canonical(w.Coder()) }
+func (m *TxRejected) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, m) }

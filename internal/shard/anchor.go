@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gpbft/internal/codec"
 	"gpbft/internal/gcrypto"
 )
 
@@ -176,6 +177,14 @@ type AnchorRecord struct {
 	Era    uint64
 	Height uint64
 	Root   gcrypto.Hash
+}
+
+// Canonical states the record's format.
+func (a *AnchorRecord) Canonical(c codec.Coder) {
+	c.String(&a.Region)
+	c.Uint64(&a.Era)
+	c.Uint64(&a.Height)
+	c.Raw(a.Root[:])
 }
 
 // Export flattens the index deterministically: history rows sorted by

@@ -67,59 +67,32 @@ func (cp *RegionCheckpoint) Validate() error {
 	return nil
 }
 
-// MarshalCanonical implements codec.Marshaler.
-func (cp *RegionCheckpoint) MarshalCanonical(w *codec.Writer) {
-	w.String(checkpointTag)
-	w.String(cp.Region)
-	w.Uint64(cp.Era)
-	w.Uint64(cp.Height)
-	w.Raw(cp.Root[:])
-	w.Count(len(cp.Receipts))
-	for i := range cp.Receipts {
-		cp.Receipts[i].MarshalCanonical(w)
-	}
+var errCheckpointTag = errors.New("shard: bad checkpoint tag")
+
+// Canonical states the checkpoint's format. A decode refuses a receipt
+// count above maxCheckpointReceipts before allocating for it.
+func (cp *RegionCheckpoint) Canonical(c codec.Coder) {
+	c.Tag(checkpointTag, errCheckpointTag)
+	c.String(&cp.Region)
+	c.Uint64(&cp.Era)
+	c.Uint64(&cp.Height)
+	c.Raw(cp.Root[:])
+	codec.CheckedList(c, &cp.Receipts, MinReceiptSize, func(n int) error {
+		if n > maxCheckpointReceipts {
+			return fmt.Errorf("shard: checkpoint with %d receipts", n)
+		}
+		return nil
+	}, (*Receipt).Canonical)
 }
 
-// UnmarshalCanonical decodes a checkpoint.
-func (cp *RegionCheckpoint) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != checkpointTag {
-		return fmt.Errorf("shard: bad checkpoint tag %q", tag)
-	}
-	cp.Region = r.ReadString()
-	cp.Era = r.Uint64()
-	cp.Height = r.Uint64()
-	r.RawInto(cp.Root[:])
-	n := r.CountOf(MinReceiptSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > maxCheckpointReceipts {
-		return fmt.Errorf("shard: checkpoint with %d receipts", n)
-	}
-	cp.Receipts = make([]Receipt, n)
-	for i := 0; i < n; i++ {
-		if err := cp.Receipts[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (cp *RegionCheckpoint) MarshalCanonical(w *codec.Writer)         { cp.Canonical(w.Coder()) }
+func (cp *RegionCheckpoint) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, cp) }
 
 // EncodeCheckpoint serializes a checkpoint payload.
-func EncodeCheckpoint(cp *RegionCheckpoint) []byte { return codec.Encode(cp) }
+func EncodeCheckpoint(cp *RegionCheckpoint) []byte { return codec.Marshal(cp) }
 
 // DecodeCheckpoint parses and validates a checkpoint payload.
 func DecodeCheckpoint(b []byte) (*RegionCheckpoint, error) {
-	r := codec.NewReader(b)
-	var cp RegionCheckpoint
-	if err := cp.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	return validated(codec.Unmarshal[RegionCheckpoint](b))
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 
 	"gpbft/internal/codec"
 	"gpbft/internal/gcrypto"
@@ -45,45 +44,29 @@ func (t *Transfer) Validate() error {
 	return nil
 }
 
-// MarshalCanonical implements codec.Marshaler.
-func (t *Transfer) MarshalCanonical(w *codec.Writer) {
-	w.String(transferTag)
-	w.String(t.Source)
-	w.String(t.Dest)
-	w.Raw(t.Recipient[:])
-	w.Uint64(t.Amount)
+var (
+	errTransferTag = errors.New("shard: bad transfer tag")
+	errReceiptTag  = errors.New("shard: bad receipt tag")
+)
+
+// Canonical states the transfer's format.
+func (t *Transfer) Canonical(c codec.Coder) {
+	c.Tag(transferTag, errTransferTag)
+	c.String(&t.Source)
+	c.String(&t.Dest)
+	c.Raw(t.Recipient[:])
+	c.Uint64(&t.Amount)
 }
 
-// UnmarshalCanonical decodes a transfer.
-func (t *Transfer) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != transferTag {
-		return fmt.Errorf("shard: bad transfer tag %q", tag)
-	}
-	t.Source = r.ReadString()
-	t.Dest = r.ReadString()
-	r.RawInto(t.Recipient[:])
-	t.Amount = r.Uint64()
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (t *Transfer) MarshalCanonical(w *codec.Writer)         { t.Canonical(w.Coder()) }
+func (t *Transfer) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, t) }
 
 // EncodeTransfer serializes a transfer payload.
-func EncodeTransfer(t *Transfer) []byte { return codec.Encode(t) }
+func EncodeTransfer(t *Transfer) []byte { return codec.Marshal(t) }
 
 // DecodeTransfer parses and validates a transfer payload.
-func DecodeTransfer(b []byte) (*Transfer, error) {
-	r := codec.NewReader(b)
-	var t Transfer
-	if err := t.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
+func DecodeTransfer(b []byte) (*Transfer, error) { return validated(codec.Unmarshal[Transfer](b)) }
 
 // Receipt is the committed evidence of a lock: minted by the source
 // chain when a TxTransferLock commits, carried (in full) inside the
@@ -130,46 +113,38 @@ func (rc *Receipt) Validate() error {
 	return nil
 }
 
-// MarshalCanonical implements codec.Marshaler.
-func (rc *Receipt) MarshalCanonical(w *codec.Writer) {
-	w.String(receiptTag)
-	w.Raw(rc.ID[:])
-	w.String(rc.Source)
-	w.String(rc.Dest)
-	w.Raw(rc.Recipient[:])
-	w.Uint64(rc.Amount)
-	w.Uint64(rc.LockHeight)
+// Canonical states the receipt's format.
+func (rc *Receipt) Canonical(c codec.Coder) {
+	c.Tag(receiptTag, errReceiptTag)
+	c.Raw(rc.ID[:])
+	c.String(&rc.Source)
+	c.String(&rc.Dest)
+	c.Raw(rc.Recipient[:])
+	c.Uint64(&rc.Amount)
+	c.Uint64(&rc.LockHeight)
 }
 
-// UnmarshalCanonical decodes a receipt.
-func (rc *Receipt) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != receiptTag {
-		return fmt.Errorf("shard: bad receipt tag %q", tag)
-	}
-	r.RawInto(rc.ID[:])
-	rc.Source = r.ReadString()
-	rc.Dest = r.ReadString()
-	r.RawInto(rc.Recipient[:])
-	rc.Amount = r.Uint64()
-	rc.LockHeight = r.Uint64()
-	return r.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (rc *Receipt) MarshalCanonical(w *codec.Writer)         { rc.Canonical(w.Coder()) }
+func (rc *Receipt) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, rc) }
 
 // EncodeReceipt serializes a receipt payload.
-func EncodeReceipt(rc *Receipt) []byte { return codec.Encode(rc) }
+func EncodeReceipt(rc *Receipt) []byte { return codec.Marshal(rc) }
 
 // DecodeReceipt parses and validates a receipt payload.
-func DecodeReceipt(b []byte) (*Receipt, error) {
-	r := codec.NewReader(b)
-	var rc Receipt
-	if err := rc.UnmarshalCanonical(r); err != nil {
+func DecodeReceipt(b []byte) (*Receipt, error) { return validated(codec.Unmarshal[Receipt](b)) }
+
+// validated returns a decoded payload that also passes its Validate, or
+// the first error.
+func validated[T any, P interface {
+	*T
+	Validate() error
+}](v P, err error) (P, error) {
+	if err == nil {
+		err = v.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if err := rc.Validate(); err != nil {
-		return nil, err
-	}
-	return &rc, nil
+	return v, nil
 }

@@ -79,39 +79,41 @@ func (s *Snapshot) Verify() error {
 	return nil
 }
 
-// MarshalCanonical implements codec.Marshaler.
-func (s *Snapshot) MarshalCanonical(w *codec.Writer) {
-	w.String(SnapshotTag)
-	w.WriteBytes(ledger.EncodeChainState(s.State))
-	w.Raw(s.Producer[:])
-	w.WriteBytes(s.ProducerPub)
-	w.WriteBytes(s.Signature)
+var errSnapshotTag = errors.New("bad tag")
+
+// Canonical states the snapshot's format: the state travels as its own
+// canonical encoding, length-prefixed, and a decode reads it from those
+// bytes once the fields around them have read cleanly.
+func (s *Snapshot) Canonical(c codec.Coder) {
+	c.Tag(SnapshotTag, errSnapshotTag)
+	var state []byte
+	if !c.Decoding() {
+		state = ledger.EncodeChainState(s.State)
+	}
+	c.Bytes(&state)
+	c.Raw(s.Producer[:])
+	c.Bytes(&s.ProducerPub)
+	c.Bytes(&s.Signature)
+	if c.Decoding() && c.Err() == nil {
+		st, err := ledger.DecodeChainState(state)
+		if err != nil {
+			c.Fail(fmt.Errorf("state: %v", err))
+		}
+		s.State = st
+	}
 }
 
 // EncodeSnapshot returns the wire bytes of s.
-func EncodeSnapshot(s *Snapshot) []byte { return codec.Encode(s) }
+func EncodeSnapshot(s *Snapshot) []byte { return codec.Marshal(s) }
 
 // DecodeSnapshot parses wire bytes. Every failure — framing, codec,
 // shape — comes back wrapped in ErrCorruptSnapshot.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	r := codec.NewReader(b)
-	if tag := r.ReadString(); r.Err() != nil || tag != SnapshotTag {
-		return nil, fmt.Errorf("%w: bad tag", ErrCorruptSnapshot)
-	}
-	stateBytes := r.ReadBytes()
-	var s Snapshot
-	r.RawInto(s.Producer[:])
-	s.ProducerPub = r.ReadBytes()
-	s.Signature = r.ReadBytes()
-	if err := r.Finish(); err != nil {
+	s, err := codec.Unmarshal[Snapshot](b)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	st, err := ledger.DecodeChainState(stateBytes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: state: %v", ErrCorruptSnapshot, err)
-	}
-	s.State = st
-	return &s, nil
+	return s, nil
 }
 
 // WriteSnapshotFile atomically publishes a snapshot on the operating

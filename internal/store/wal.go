@@ -88,38 +88,27 @@ type WALRecord struct {
 	Data   []byte // kind-specific payload (WALPrepared: proof and block)
 }
 
-// MarshalCanonical implements codec.Marshaler.
-func (r *WALRecord) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(uint8(r.Kind))
-	w.Uint64(r.Era)
-	w.Uint64(r.View)
-	w.Uint64(r.Seq)
-	w.Raw(r.Digest[:])
-	w.WriteBytes(r.Data)
+// Canonical states the record's format.
+func (r *WALRecord) Canonical(c codec.Coder) {
+	codec.Uint8(c, &r.Kind)
+	c.Uint64(&r.Era)
+	c.Uint64(&r.View)
+	c.Uint64(&r.Seq)
+	c.Raw(r.Digest[:])
+	c.Bytes(&r.Data)
 }
 
-// UnmarshalCanonical decodes a record.
-func (r *WALRecord) UnmarshalCanonical(rd *codec.Reader) error {
-	r.Kind = WALKind(rd.Uint8())
-	r.Era = rd.Uint64()
-	r.View = rd.Uint64()
-	r.Seq = rd.Uint64()
-	rd.RawInto(r.Digest[:])
-	r.Data = rd.ReadBytes()
-	return rd.Err()
-}
+// MarshalCanonical and UnmarshalCanonical run Canonical one way each.
+func (r *WALRecord) MarshalCanonical(w *codec.Writer)          { r.Canonical(w.Coder()) }
+func (r *WALRecord) UnmarshalCanonical(rd *codec.Reader) error { return codec.Read(rd, r) }
 
 // decodeWALRecord parses one frame body.
 func decodeWALRecord(body []byte) (WALRecord, error) {
-	var rec WALRecord
-	r := codec.NewReader(body)
-	if err := rec.UnmarshalCanonical(r); err != nil {
-		return rec, err
+	rec, err := codec.Unmarshal[WALRecord](body)
+	if err != nil {
+		return WALRecord{}, err
 	}
-	if err := r.Finish(); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return *rec, nil
 }
 
 // WAL is the durable consensus write-ahead log: an append-only,
@@ -188,7 +177,7 @@ func (w *WAL) appendLocked(rec WALRecord) error {
 	if w.closed {
 		return ErrLogClosed
 	}
-	body := codec.Encode(&rec)
+	body := codec.Marshal(&rec)
 	if len(body) > MaxWALFrame {
 		return fmt.Errorf("store: wal record %d exceeds frame limit", len(body))
 	}

@@ -71,14 +71,24 @@ func (h *Hello) Verify() error {
 	return gcrypto.Verify(h.Pub, h.Addr, helloDigest(h.Addr), h.Sig)
 }
 
+// Canonical states the format of a hello after its magic: the version,
+// then the identity. A decode refuses any other version.
+func (h *Hello) Canonical(c codec.Coder) {
+	version := uint8(helloVersion)
+	codec.Uint8(c, &version)
+	if c.Decoding() && version != helloVersion {
+		c.Fail(ErrHelloVersion)
+	}
+	c.Raw(h.Addr[:])
+	c.Bytes(&h.Pub)
+	c.Bytes(&h.Sig)
+}
+
 // EncodeHello returns the hello frame payload.
 func EncodeHello(h *Hello) []byte {
 	w := codec.NewWriter(128)
 	w.Raw([]byte(helloMagic))
-	w.Uint8(helloVersion)
-	w.Raw(h.Addr[:])
-	w.WriteBytes(h.Pub)
-	w.WriteBytes(h.Sig)
+	h.Canonical(w.Coder())
 	return w.Bytes()
 }
 
@@ -96,18 +106,12 @@ func DecodeHello(b []byte) (*Hello, error) {
 	if !isHello(b) {
 		return nil, ErrHelloMalformed
 	}
-	r := codec.NewReader(b[len(helloMagic):])
-	if v := r.Uint8(); v != helloVersion {
-		if r.Err() == nil {
-			return nil, ErrHelloVersion
-		}
+	h, err := codec.Unmarshal[Hello](b[len(helloMagic):])
+	if err == ErrHelloVersion {
+		return nil, err
 	}
-	var h Hello
-	r.RawInto(h.Addr[:])
-	h.Pub = r.ReadBytes()
-	h.Sig = r.ReadBytes()
-	if err := r.Finish(); err != nil {
+	if err != nil {
 		return nil, ErrHelloMalformed
 	}
-	return &h, nil
+	return h, nil
 }

@@ -23,38 +23,25 @@ type BlockHeader struct {
 	Timestamp time.Time
 }
 
-// MarshalCanonical appends the canonical header encoding.
-func (h *BlockHeader) MarshalCanonical(w *codec.Writer) {
-	w.String("gpbft/block/v1")
-	w.Uint64(h.Height)
-	w.Uint64(h.Era)
-	w.Uint64(h.View)
-	w.Uint64(h.Seq)
-	w.Raw(h.PrevHash[:])
-	w.Raw(h.TxRoot[:])
-	w.Raw(h.Proposer[:])
-	w.Time(h.Timestamp)
+// Canonical states the header's format.
+func (h *BlockHeader) Canonical(c codec.Coder) {
+	c.Tag("gpbft/block/v1", errBlockTag)
+	c.Uint64(&h.Height)
+	c.Uint64(&h.Era)
+	c.Uint64(&h.View)
+	c.Uint64(&h.Seq)
+	c.Raw(h.PrevHash[:])
+	c.Raw(h.TxRoot[:])
+	c.Raw(h.Proposer[:])
+	c.Time(&h.Timestamp)
 }
 
 // UnmarshalCanonical decodes a header.
-func (h *BlockHeader) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != "gpbft/block/v1" {
-		return fmt.Errorf("types: bad block tag %q", tag)
-	}
-	h.Height = r.Uint64()
-	h.Era = r.Uint64()
-	h.View = r.Uint64()
-	h.Seq = r.Uint64()
-	r.RawInto(h.PrevHash[:])
-	r.RawInto(h.TxRoot[:])
-	r.RawInto(h.Proposer[:])
-	h.Timestamp = r.Time()
-	return r.Err()
-}
+func (h *BlockHeader) UnmarshalCanonical(r *codec.Reader) error { return codec.Read(r, h) }
 
 // Hash returns the block identifier: the digest of the header.
 func (h *BlockHeader) Hash() gcrypto.Hash {
-	return gcrypto.HashBytes(codec.Encode(h))
+	return gcrypto.HashBytes(codec.Marshal(h))
 }
 
 // Vote is one endorser's commit vote for a block: the seal of the commit
@@ -62,6 +49,12 @@ func (h *BlockHeader) Hash() gcrypto.Hash {
 type Vote struct {
 	Endorser  gcrypto.Address
 	Signature []byte
+}
+
+// Canonical states the vote's format.
+func (v *Vote) Canonical(c codec.Coder) {
+	c.Raw(v.Endorser[:])
+	c.Bytes(&v.Signature)
 }
 
 // Certificate proves a block committed: 2f+1 endorser votes for the
@@ -102,6 +95,7 @@ var (
 	ErrCertQuorum    = errors.New("types: certificate lacks a quorum of votes")
 	ErrCertBlockHash = errors.New("types: certificate is for a different block")
 	ErrCertDupVote   = errors.New("types: certificate has duplicate voter")
+	errBlockTag      = errors.New("types: bad block tag")
 )
 
 // Block is a batch of transactions with its header and, once committed,
@@ -159,92 +153,30 @@ func (b *Block) TotalFees() uint64 {
 	return sum
 }
 
-// MarshalCanonical appends the full block encoding.
-func (b *Block) MarshalCanonical(w *codec.Writer) {
-	b.Header.MarshalCanonical(w)
-	w.Count(len(b.Txs))
-	for i := range b.Txs {
-		b.Txs[i].MarshalCanonical(w)
-	}
-	if b.Cert != nil {
-		w.Bool(true)
-		b.Cert.MarshalCanonical(w)
-	} else {
-		w.Bool(false)
-	}
+// Canonical states the block's format: the header, the transactions,
+// and the certificate if one is attached.
+func (b *Block) Canonical(c codec.Coder) {
+	b.Header.Canonical(c)
+	codec.List(c, &b.Txs, MinTxSize, (*Transaction).Canonical)
+	codec.Optional(c, &b.Cert, (*Certificate).Canonical)
 }
 
 // MinBlockSize is the length of the shortest block encoding (a header,
 // no transactions, no certificate).
 const MinBlockSize = 141
 
-// UnmarshalCanonical decodes a block.
-func (b *Block) UnmarshalCanonical(r *codec.Reader) error {
-	if err := b.Header.UnmarshalCanonical(r); err != nil {
-		return err
-	}
-	n := r.CountOf(MinTxSize)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	b.Txs = make([]Transaction, n)
-	for i := 0; i < n; i++ {
-		if err := b.Txs[i].UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	if r.Bool() {
-		b.Cert = new(Certificate)
-		if err := b.Cert.UnmarshalCanonical(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
 // EncodeBlock returns the wire bytes of b.
-func EncodeBlock(b *Block) []byte { return codec.Encode(b) }
+func EncodeBlock(b *Block) []byte { return codec.Marshal(b) }
 
 // DecodeBlock parses wire bytes into a block.
-func DecodeBlock(data []byte) (*Block, error) {
-	r := codec.NewReader(data)
-	var b Block
-	if err := b.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
+func DecodeBlock(data []byte) (*Block, error) { return codec.Unmarshal[Block](data) }
 
-// MarshalCanonical appends the certificate encoding.
-func (c *Certificate) MarshalCanonical(w *codec.Writer) {
-	w.Raw(c.BlockHash[:])
-	w.Uint64(c.Era)
-	w.Uint64(c.View)
-	w.Count(len(c.Votes))
-	for i := range c.Votes {
-		w.Raw(c.Votes[i].Endorser[:])
-		w.WriteBytes(c.Votes[i].Signature)
-	}
-}
-
-// UnmarshalCanonical decodes a certificate.
-func (c *Certificate) UnmarshalCanonical(r *codec.Reader) error {
-	r.RawInto(c.BlockHash[:])
-	c.Era = r.Uint64()
-	c.View = r.Uint64()
-	n := r.CountOf(gcrypto.AddressSize + 1) // an endorser, then at least a signature's length
-	if r.Err() != nil {
-		return r.Err()
-	}
-	c.Votes = make([]Vote, n)
-	for i := 0; i < n; i++ {
-		r.RawInto(c.Votes[i].Endorser[:])
-		c.Votes[i].Signature = r.ReadBytes()
-	}
-	return r.Err()
+// Canonical states the certificate's format.
+func (cert *Certificate) Canonical(c codec.Coder) {
+	c.Raw(cert.BlockHash[:])
+	c.Uint64(&cert.Era)
+	c.Uint64(&cert.View)
+	codec.List(c, &cert.Votes, gcrypto.AddressSize+1, (*Vote).Canonical) // an endorser, then at least a signature's length
 }
 
 // Verify checks the certificate against a block's hash and sequence

@@ -147,18 +147,15 @@ type GeoInfo struct {
 	Timestamp time.Time
 }
 
-// MarshalCanonical appends the canonical encoding of the geo info.
-func (g GeoInfo) MarshalCanonical(w *codec.Writer) {
-	w.Float64(g.Location.Lng)
-	w.Float64(g.Location.Lat)
-	w.Time(g.Timestamp)
+// Canonical states the geo info's format.
+func (g *GeoInfo) Canonical(c codec.Coder) {
+	c.Float64(&g.Location.Lng)
+	c.Float64(&g.Location.Lat)
+	c.Time(&g.Timestamp)
 }
 
-func (g *GeoInfo) unmarshal(r *codec.Reader) {
-	g.Location.Lng = r.Float64()
-	g.Location.Lat = r.Float64()
-	g.Timestamp = r.Time()
-}
+// MarshalCanonical appends the canonical encoding of the geo info.
+func (g GeoInfo) MarshalCanonical(w *codec.Writer) { g.Canonical(w.Coder()) }
 
 // Transaction is a signed chain transaction.
 type Transaction struct {
@@ -173,7 +170,7 @@ type Transaction struct {
 
 	// id and leaf are the two digests of a transaction whose bytes are
 	// fixed: the ID over the signed content, and the Merkle leaf hash of
-	// the wire encoding. UnmarshalCanonical and Sealed set them; both
+	// the wire encoding. A decode and Sealed set them; both
 	// are zero on a literal or a Sign'd transaction, which then hashes
 	// on every call. A transaction carrying them is never mutated
 	// (DESIGN.md §5q).
@@ -323,36 +320,22 @@ func (tx *Transaction) Report() geo.Report {
 	}
 }
 
-// MarshalCanonical appends the full wire encoding (including signature).
-func (tx *Transaction) MarshalCanonical(w *codec.Writer) {
-	w.Uint8(uint8(tx.Type))
-	w.Uint64(tx.Nonce)
-	w.Raw(tx.Sender[:])
-	w.WriteBytes(tx.SenderPub)
-	w.WriteBytes(tx.Payload)
-	w.Uint64(tx.Fee)
-	tx.Geo.MarshalCanonical(w)
-	w.WriteBytes(tx.Signature)
-}
-
-// UnmarshalCanonical decodes a transaction written by MarshalCanonical
-// and sets its digests: the leaf from the bytes just consumed, which are
+// Canonical states the wire format, signature included. A decode also
+// sets both digests: the leaf from the bytes it consumed, which are
 // EncodeTx of the result since decoding is canonical.
-func (tx *Transaction) UnmarshalCanonical(r *codec.Reader) error {
-	start := r.Offset()
-	tx.Type = TxType(r.Uint8())
-	tx.Nonce = r.Uint64()
-	r.RawInto(tx.Sender[:])
-	tx.SenderPub = r.ReadBytes()
-	tx.Payload = r.ReadBytes()
-	tx.Fee = r.Uint64()
-	tx.Geo.unmarshal(r)
-	tx.Signature = r.ReadBytes()
-	if err := r.Err(); err != nil {
-		return err
+func (tx *Transaction) Canonical(c codec.Coder) {
+	start := c.Offset()
+	codec.Uint8(c, &tx.Type)
+	c.Uint64(&tx.Nonce)
+	c.Raw(tx.Sender[:])
+	c.Bytes(&tx.SenderPub)
+	c.Bytes(&tx.Payload)
+	c.Uint64(&tx.Fee)
+	tx.Geo.Canonical(c)
+	c.Bytes(&tx.Signature)
+	if c.Decoding() && c.Err() == nil {
+		tx.id, tx.leaf = gcrypto.HashBytes(tx.signingBytes()), gcrypto.LeafHash(c.Since(start))
 	}
-	tx.id, tx.leaf = gcrypto.HashBytes(tx.signingBytes()), gcrypto.LeafHash(r.Since(start))
-	return nil
 }
 
 // MinTxSize is the length of the shortest transaction encoding: a
@@ -360,21 +343,11 @@ func (tx *Transaction) UnmarshalCanonical(r *codec.Reader) error {
 const MinTxSize = 64
 
 // EncodeTx returns the wire bytes of tx.
-func EncodeTx(tx *Transaction) []byte { return codec.Encode(tx) }
+func EncodeTx(tx *Transaction) []byte { return codec.Marshal(tx) }
 
 // DecodeTx parses wire bytes into a transaction, requiring full
 // consumption of the buffer.
-func DecodeTx(b []byte) (*Transaction, error) {
-	r := codec.NewReader(b)
-	var tx Transaction
-	if err := tx.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &tx, nil
-}
+func DecodeTx(b []byte) (*Transaction, error) { return codec.Unmarshal[Transaction](b) }
 
 // EndorserInfo identifies an endorser: address, public key, and its
 // authenticated CSC cell.
@@ -382,6 +355,13 @@ type EndorserInfo struct {
 	Address gcrypto.Address
 	PubKey  []byte
 	Geohash string
+}
+
+// Canonical states the endorser's format.
+func (e *EndorserInfo) Canonical(c codec.Coder) {
+	c.Raw(e.Address[:])
+	c.Bytes(&e.PubKey)
+	c.String(&e.Geohash)
 }
 
 // MinEndorserInfoSize is the length of the shortest endorser encoding:

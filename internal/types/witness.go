@@ -31,37 +31,18 @@ type WitnessStatement struct {
 // ErrWitnessPayload is returned for malformed witness payloads.
 var ErrWitnessPayload = errors.New("types: malformed witness statement payload")
 
-// MarshalCanonical implements codec.Marshaler.
-func (s *WitnessStatement) MarshalCanonical(w *codec.Writer) {
-	w.String("gpbft/witness/v1")
-	w.Raw(s.Subject[:])
-	w.String(s.Geohash)
-	w.Bool(s.Seen)
-}
-
-// UnmarshalCanonical decodes a statement.
-func (s *WitnessStatement) UnmarshalCanonical(r *codec.Reader) error {
-	if tag := r.ReadString(); r.Err() == nil && tag != "gpbft/witness/v1" {
-		return ErrWitnessPayload
-	}
-	r.RawInto(s.Subject[:])
-	s.Geohash = r.ReadString()
-	s.Seen = r.Bool()
-	return r.Err()
+// Canonical states the statement's format.
+func (s *WitnessStatement) Canonical(c codec.Coder) {
+	c.Tag("gpbft/witness/v1", ErrWitnessPayload)
+	c.Raw(s.Subject[:])
+	c.String(&s.Geohash)
+	c.Bool(&s.Seen)
 }
 
 // EncodeWitnessStatement returns the payload bytes for a TxWitness.
-func EncodeWitnessStatement(s *WitnessStatement) []byte { return codec.Encode(s) }
+func EncodeWitnessStatement(s *WitnessStatement) []byte { return codec.Marshal(s) }
 
 // DecodeWitnessStatement parses a TxWitness payload.
 func DecodeWitnessStatement(b []byte) (*WitnessStatement, error) {
-	r := codec.NewReader(b)
-	var s WitnessStatement
-	if err := s.UnmarshalCanonical(r); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return codec.Unmarshal[WitnessStatement](b)
 }

@@ -98,14 +98,9 @@ func (c Coder) Offset() int {
 	return len(c.w.buf)
 }
 
-// Since returns the bytes written or read from offset off up to now.
+// Since returns the bytes a decode has read from offset off up to now.
 // The slice aliases the buffer: hash it or copy it, do not keep it.
-func (c Coder) Since(off int) []byte {
-	if c.r != nil {
-		return c.r.Since(off)
-	}
-	return c.w.buf[off:]
-}
+func (c Coder) Since(off int) []byte { return c.r.buf[off:c.r.off] }
 
 // Bool codes a boolean byte.
 func (c Coder) Bool(v *bool) {
@@ -169,6 +164,9 @@ func (c Coder) String(v *string) {
 	}
 	c.w.String(*v)
 }
+
+// ByteString codes one length-prefixed byte string of a list.
+func ByteString(b *[]byte, c Coder) { c.Bytes(b) }
 
 // Raw codes b with no length prefix: a fixed-size field such as a hash
 // or an address, read in place.

@@ -110,20 +110,18 @@ func (rec *Record) Canonical(c codec.Coder) {
 	c.Tag(recordTag, errTag)
 	codec.Uint8(c, &rec.Kind)
 	codec.CheckedList(c, &rec.Offenders, gcrypto.AddressSize, within(MaxOffenders), (*gcrypto.Address).Canonical)
-	codec.CheckedList(c, &rec.Proofs, 1+consensus.MinEnvelopeSize, within(MaxProofs), proofBytes) // an envelope or a transaction, the envelope shorter
+	codec.CheckedList(c, &rec.Proofs, 1+consensus.MinEnvelopeSize, within(MaxProofs), codec.ByteString) // an envelope or a transaction, the envelope shorter
 }
 
-// within refuses a list count outside [1, max] as ErrShape.
-func within(max int) func(int) error {
+// within refuses a list count outside [1, limit] as ErrShape.
+func within(limit int) func(int) error {
 	return func(n int) error {
-		if n == 0 || n > max {
+		if n == 0 || n > limit {
 			return ErrShape
 		}
 		return nil
 	}
 }
-
-func proofBytes(b *[]byte, c codec.Coder) { c.Bytes(b) }
 
 // Encode returns the canonical wire bytes of rec.
 func Encode(rec *Record) []byte { return codec.Marshal(rec) }

@@ -3,6 +3,7 @@ package harness
 import (
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,47 @@ func TestModelTable(t *testing.T) {
 		got := strings.Join(row, " ")
 		if want := recorded[row[0]+" "+row[1]]; got != want {
 			t.Errorf("model row %q, results/model.txt has %q", got, want)
+		}
+	}
+}
+
+// TestFig5Tables regenerates results/fig5a.txt and fig5b.txt, the
+// paper's communication cost of one transaction, at the files' twelve
+// sizes with gpbft-sim's settings, and compares them row by row as
+// TestModelTable does for model.txt. The costs are sums of canonical
+// encodings, so an envelope whose size moved fails here.
+func TestFig5Tables(t *testing.T) {
+	c := Quick()
+	c.Seed = 1
+	c.Sizes = []int{4, 22, 40, 58, 76, 94, 112, 130, 148, 166, 184, 202}
+	for _, fig := range []struct {
+		name string
+		run  func(io.Writer) (*CommResults, error)
+	}{{"fig5a", c.Fig5a}, {"fig5b", c.Fig5b}} {
+		res, err := fig.run(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile("../../results/" + fig.name + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded := make(map[string]string) // "nodes" -> whole row
+		for _, line := range strings.Split(string(raw), "\n") {
+			if f := strings.Fields(line); len(f) == 3 {
+				if _, err := strconv.Atoi(f[0]); err == nil {
+					recorded[f[0]] = strings.Join(f, " ")
+				}
+			}
+		}
+		rows := res.Table(fig.name).Rows
+		if len(rows) != len(c.Sizes) || len(recorded) != len(c.Sizes) {
+			t.Fatalf("%s: %d rows regenerated, %d recorded, want %d", fig.name, len(rows), len(recorded), len(c.Sizes))
+		}
+		for _, row := range rows {
+			if got, want := strings.Join(row, " "), recorded[row[0]]; got != want {
+				t.Errorf("%s row %q, results/%s.txt has %q", fig.name, got, fig.name, want)
+			}
 		}
 	}
 }

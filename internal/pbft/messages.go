@@ -155,11 +155,8 @@ func (p *PreparedProof) Canonical(c codec.Coder) {
 	c.Uvarint(&p.View)
 	c.Raw(p.Digest[:])
 	c.Bytes(&p.PrePrepareEnv)
-	codec.List(c, &p.PrepareEnvs, 1+consensus.MinEnvelopeSize, envelopeBytes)
+	codec.List(c, &p.PrepareEnvs, 1+consensus.MinEnvelopeSize, codec.ByteString)
 }
-
-// envelopeBytes codes one encoded envelope of a list.
-func envelopeBytes(b *[]byte, c codec.Coder) { c.Bytes(b) }
 
 // ViewChange announces that a replica wants to move to NewView,
 // carrying its stable point and any prepared-but-unexecuted proposal
@@ -206,8 +203,8 @@ func (*NewView) Kind() consensus.MsgKind { return consensus.KindNewView }
 func (m *NewView) Canonical(c codec.Coder) {
 	c.Uvarint(&m.Era)
 	c.Uvarint(&m.View)
-	codec.List(c, &m.ViewChangeEnvs, 1+consensus.MinEnvelopeSize, envelopeBytes)
-	codec.List(c, &m.PrePrepares, 1+consensus.MinEnvelopeSize, envelopeBytes)
+	codec.List(c, &m.ViewChangeEnvs, 1+consensus.MinEnvelopeSize, codec.ByteString)
+	codec.List(c, &m.PrePrepares, 1+consensus.MinEnvelopeSize, codec.ByteString)
 }
 
 // MarshalCanonical and UnmarshalCanonical run Canonical one way each.

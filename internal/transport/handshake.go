@@ -107,7 +107,7 @@ func DecodeHello(b []byte) (*Hello, error) {
 		return nil, ErrHelloMalformed
 	}
 	h, err := codec.Unmarshal[Hello](b[len(helloMagic):])
-	if err == ErrHelloVersion {
+	if errors.Is(err, ErrHelloVersion) {
 		return nil, err
 	}
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"gpbft"
-	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
 	"gpbft/internal/harness"
 	"gpbft/internal/ledger"
@@ -276,10 +275,8 @@ func BenchmarkAblationProposerPolicy(b *testing.B) {
 				o.MaxEndorsers = 8
 				o.GeoTimerProposer = geoTimer
 				o.DisableEraSwitch = true
-				prev := gcrypto.SetVerification(false)
 				cl, err := gpbft.NewCluster(o)
 				if err != nil {
-					gcrypto.SetVerification(prev)
 					b.Fatal(err)
 				}
 				for k := 0; k < 16; k++ {
@@ -287,7 +284,6 @@ func BenchmarkAblationProposerPolicy(b *testing.B) {
 				}
 				cl.RunUntilIdle(time.Minute)
 				mean = cl.Metrics().MeanLatency().Seconds()
-				gcrypto.SetVerification(prev)
 			}
 			b.ReportMetric(mean, "latency-s")
 		})
@@ -306,10 +302,8 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 				o.MaxEndorsers = 8
 				o.BatchSize = batch
 				o.DisableEraSwitch = true
-				prev := gcrypto.SetVerification(false)
 				cl, err := gpbft.NewCluster(o)
 				if err != nil {
-					gcrypto.SetVerification(prev)
 					b.Fatal(err)
 				}
 				for k := 0; k < 32; k++ {
@@ -321,7 +315,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 				if elapsed := cl.Now().Seconds(); elapsed > 0 {
 					tps = float64(cl.Metrics().CommittedCount()) / elapsed
 				}
-				gcrypto.SetVerification(prev)
 			}
 			b.ReportMetric(mean, "latency-s")
 			b.ReportMetric(tps, "committed-tps")

@@ -59,6 +59,12 @@ type clusterSite struct {
 	// region: transfer locks must source here, applies must be destined
 	// here. Set identically on all of a region's nodes.
 	shardPrefix string
+	// positions, when set, places the nodes instead of the grid: the
+	// anchor committee's delegates live in their home regions.
+	positions []geo.Point
+	// fixedBatch turns adaptive block sizing off (Ceiling = Batch), as
+	// the anchor committee runs.
+	fixedBatch bool
 }
 
 // newClusterOn builds and starts (at virtual time 0) a cluster on the
@@ -80,21 +86,14 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 	}
 	c.net = site.net
 	if c.net == nil {
-		c.net = simnet.New(simnet.Config{
-			Seed: opts.Seed,
-			Latency: simnet.UniformLatency{
-				Base:        opts.Network.LatencyBase,
-				Jitter:      opts.Network.LatencyJitter,
-				BytesPerSec: opts.Network.BytesPerSec,
-			},
-			ProcTime: opts.Network.ProcTime,
-			SendTime: opts.Network.SendTime,
-			DropRate: opts.Network.DropRate,
-		})
+		c.net = opts.network()
 	}
 
 	// Grid layout: every node gets a distinct CSC cell in the region.
-	c.positions = opts.Region.Grid(opts.Nodes)
+	c.positions = site.positions
+	if c.positions == nil {
+		c.positions = opts.Region.Grid(opts.Nodes)
+	}
 	c.keys = make([]*gcrypto.KeyPair, opts.Nodes)
 	for i := range c.keys {
 		c.keys[i] = gcrypto.DeterministicKeyPair(site.keyBase + i)
@@ -148,6 +147,9 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 			ShardPrefix: site.shardPrefix,
 			Batch:       opts.BatchSize,
 		}
+		if site.fixedBatch {
+			cfg.Ceiling = opts.BatchSize
+		}
 		if opts.RateLimit > 0 {
 			cfg.QoS = &runtime.QoSConfig{}
 			cfg.Admission = &runtime.AdmissionConfig{Rate: opts.RateLimit}
@@ -170,16 +172,7 @@ func newClusterOn(opts Options, site clusterSite) (*Cluster, error) {
 		node := built.Node
 		node.Exec = c.net.Executor(kp.Address())
 		node.OnCommit = c.metrics.ObserveCommit
-		switch opts.Byzantine[i] {
-		case FaultSilent:
-			node.Engine = byzantine.Silent{}
-		case FaultEquivocate:
-			node.Engine = &byzantine.Equivocator{Inner: node.Engine, Key: kp}
-		case FaultWithholdVotes:
-			node.Engine = &byzantine.VoteWithholder{Inner: node.Engine}
-		case FaultDoubleVote:
-			node.Engine = &byzantine.DoubleVoter{Inner: node.Engine, Key: kp}
-		}
+		node.Engine = byzantine.Wrap(opts.Byzantine[i], node.Engine, kp)
 		if i == 0 {
 			node.OnEraSwitch = func(consensus.Time, uint64, []gcrypto.Address) {
 				c.metrics.ObserveEraSwitch()
@@ -354,17 +347,12 @@ func (c *Cluster) SubmitWitness(at time.Duration, witness int, subject gcrypto.A
 // VerifyAgreement checks that all node chains agree on every height
 // they share and that no node hit a commit error; it returns the
 // minimum committed height.
-func (c *Cluster) VerifyAgreement() (uint64, error) { return chainsAgree(c.nodes, "node") }
-
-// chainsAgree checks every node's chain against node 0's on the heights
-// both hold, and that none hit a commit error; it returns the lowest
-// height among them. who names a node in the errors.
-func chainsAgree(nodes []*runtime.Node, who string) (uint64, error) {
+func (c *Cluster) VerifyAgreement() (uint64, error) {
 	minH := uint64(math.MaxUint64)
-	ref := nodes[0].App.Chain()
-	for i, n := range nodes {
+	ref := c.nodes[0].App.Chain()
+	for i, n := range c.nodes {
 		if n.CommitErr != nil {
-			return 0, fmt.Errorf("%s %d commit error: %w", who, i, n.CommitErr)
+			return 0, fmt.Errorf("node %d commit error: %w", i, n.CommitErr)
 		}
 		chain := n.App.Chain()
 		minH = min(minH, chain.Height())
@@ -378,7 +366,7 @@ func chainsAgree(nodes []*runtime.Node, who string) (uint64, error) {
 				return 0, err
 			}
 			if a.Hash() != b.Hash() {
-				return 0, fmt.Errorf("%s %d disagrees with %s 0 at height %d", who, i, who, k)
+				return 0, fmt.Errorf("node %d disagrees with node 0 at height %d", i, k)
 			}
 		}
 	}

@@ -10,60 +10,27 @@ import (
 	"gpbft/internal/types"
 )
 
-// DoubleVoter wraps an engine and, whenever it broadcasts a prepare or
-// commit vote, also signs and sends a conflicting twin (same era, view
-// and sequence, different digest) to the SAME audience. Unlike the
-// Equivocator — which splits the audience and hopes neither half
-// converges — the DoubleVoter hands every honest replica both signed
-// votes, i.e. exactly the self-verifying double-sign proof the
-// accountability pipeline is built to capture. It is a detectability
-// probe more than a safety attack: correct replicas ignore the losing
-// vote, but each one can now convict the sender.
-type DoubleVoter struct {
-	Inner consensus.Engine
-	Key   *gcrypto.KeyPair
-	// Doubled counts emitted conflicting vote pairs.
-	Doubled int
-}
-
-// Init implements consensus.Engine.
-func (d *DoubleVoter) Init(now consensus.Time) []consensus.Action {
-	return d.mutate(d.Inner.Init(now))
-}
-
-// OnEnvelope implements consensus.Engine.
-func (d *DoubleVoter) OnEnvelope(now consensus.Time, env *consensus.Envelope) []consensus.Action {
-	return d.mutate(d.Inner.OnEnvelope(now, env))
-}
-
-// OnTimer implements consensus.Engine.
-func (d *DoubleVoter) OnTimer(now consensus.Time, id consensus.TimerID) []consensus.Action {
-	return d.mutate(d.Inner.OnTimer(now, id))
-}
-
-// OnRequest implements consensus.Engine.
-func (d *DoubleVoter) OnRequest(now consensus.Time, tx *types.Transaction) []consensus.Action {
-	return d.mutate(d.Inner.OnRequest(now, tx))
-}
-
-// OnCommitApplied implements consensus.CommitNotifiable.
-func (d *DoubleVoter) OnCommitApplied(now consensus.Time) []consensus.Action {
-	return d.mutate(commitApplied(d.Inner, now))
-}
-
-func (d *DoubleVoter) mutate(acts []consensus.Action) []consensus.Action {
+// doubleVote, whenever the node broadcasts a prepare or commit vote,
+// also signs and sends a conflicting twin (same era, view and
+// sequence, different digest) to the SAME audience. Unlike
+// equivocation — which splits the audience and hopes neither half
+// converges — it hands every honest replica both signed votes, i.e.
+// exactly the self-verifying double-sign proof the accountability
+// pipeline is built to capture. It is a detectability probe more than
+// a safety attack: correct replicas ignore the losing vote, but each
+// one can now convict the sender.
+func (a *adversary) doubleVote(acts []consensus.Action) []consensus.Action {
 	out := make([]consensus.Action, 0, len(acts))
-	for _, a := range acts {
-		out = append(out, a)
-		bc, ok := a.(consensus.Broadcast)
+	for _, act := range acts {
+		out = append(out, act)
+		bc, ok := act.(consensus.Broadcast)
 		if !ok {
 			continue
 		}
-		twin := d.twin(bc.Env)
+		twin := a.twinVote(bc.Env)
 		if twin == nil {
 			continue
 		}
-		d.Doubled++
 		for _, to := range bc.To {
 			out = append(out, consensus.Send{To: to, Env: twin})
 		}
@@ -71,10 +38,10 @@ func (d *DoubleVoter) mutate(acts []consensus.Action) []consensus.Action {
 	return out
 }
 
-// twin builds a validly signed conflicting vote for prepare/commit
+// twinVote builds a validly signed conflicting vote for prepare/commit
 // broadcasts, nil for everything else: the same slot re-sealed over
 // another digest.
-func (d *DoubleVoter) twin(env *consensus.Envelope) *consensus.Envelope {
+func (a *adversary) twinVote(env *consensus.Envelope) *consensus.Envelope {
 	slot, ok := consensus.PeekSlot(env)
 	if !ok {
 		return nil
@@ -83,9 +50,9 @@ func (d *DoubleVoter) twin(env *consensus.Envelope) *consensus.Envelope {
 	var twin *consensus.Envelope
 	switch env.MsgKind {
 	case consensus.KindPrepare:
-		twin = consensus.Seal(d.Key, &pbft.Prepare{SlotHeader: slot})
+		twin = consensus.Seal(a.key, &pbft.Prepare{SlotHeader: slot})
 	case consensus.KindCommit:
-		twin = consensus.Seal(d.Key, &pbft.Commit{SlotHeader: slot})
+		twin = consensus.Seal(a.key, &pbft.Commit{SlotHeader: slot})
 	default:
 		return nil
 	}

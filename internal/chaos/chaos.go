@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"gpbft/internal/assemble"
@@ -26,9 +27,6 @@ type Options struct {
 	// Seed drives both the network simulator and the fault schedule;
 	// the same seed reproduces the same run bit for bit.
 	Seed int64
-	// StepInterval is the virtual time between schedule operations
-	// (default 200ms).
-	StepInterval time.Duration
 	// DropRate is the background message-loss probability during the
 	// fault phase ("drop" faults). Recovery runs on a clean network.
 	DropRate float64
@@ -36,7 +34,7 @@ type Options struct {
 	// exercising WAL rotation and era rejoin.
 	EnableEraSwitch bool
 	// DoubleVoters lists node indices that intentionally double-sign
-	// every prepare and commit vote (byzantine.DoubleVoter). They are
+	// every prepare and commit vote (byzantine.FaultDoubleVote). They are
 	// exempted from the trace equivocation invariant — the property
 	// under test becomes that the honest majority stays safe and
 	// convicts them. Keep the count within f = ⌊(n−1)/3⌋.
@@ -60,7 +58,7 @@ type Options struct {
 	// block pulls from compacted ranges to the snapshot path.
 	Compact bool
 	// SnapshotLiars lists node indices that serve bit-flipped snapshot
-	// bytes (byzantine.SnapshotLiar) while behaving honestly otherwise.
+	// bytes (byzantine.FaultSnapshotLie) while behaving honestly otherwise.
 	// The property under test: receivers reject every lie and fall back
 	// to block replay with no forked or partial state.
 	SnapshotLiars []int
@@ -88,6 +86,9 @@ type Options struct {
 	// GossipFanout overrides the relay fanout (0 = auto, ~log₂ n).
 	GossipFanout int
 }
+
+// stepInterval is the virtual time between schedule operations.
+const stepInterval = 200 * time.Millisecond
 
 // Every node's durable storage, what survives a crash, is its slot: an
 // in-memory file system holding the node's durable directory (the vote
@@ -133,9 +134,6 @@ func New(opts Options) (*Cluster, error) {
 func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 	if opts.Nodes < 4 || opts.Nodes > 16 {
 		return nil, fmt.Errorf("chaos: Nodes must be in [4,16], got %d", opts.Nodes)
-	}
-	if opts.StepInterval == 0 {
-		opts.StepInterval = 200 * time.Millisecond
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 1
@@ -288,19 +286,13 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 	}
 	c.replayed[i] += uint64(built.Replayed)
 	eng, node := built.Core, built.Node
-	for _, dv := range c.opts.DoubleVoters {
-		if dv == i {
-			// The wrapper survives restarts: a rebooted double-voter
-			// comes back just as malicious.
-			node.Engine = &byzantine.DoubleVoter{Inner: eng, Key: kp}
-			break
-		}
+	// The wrappers survive restarts: a rebooted adversary comes back
+	// just as malicious.
+	if slices.Contains(c.opts.DoubleVoters, i) {
+		node.Engine = byzantine.Wrap(byzantine.FaultDoubleVote, node.Engine, kp)
 	}
-	for _, sl := range c.opts.SnapshotLiars {
-		if sl == i {
-			node.Engine = &byzantine.SnapshotLiar{Inner: node.Engine, Key: kp}
-			break
-		}
+	if slices.Contains(c.opts.SnapshotLiars, i) {
+		node.Engine = byzantine.Wrap(byzantine.FaultSnapshotLie, node.Engine, kp)
 	}
 	node.Exec = c.net.Executor(kp.Address())
 	c.nodes[i] = node
@@ -576,7 +568,7 @@ func (c *Cluster) RunRandomSchedule(steps int) error {
 	f := (c.opts.Nodes - 1) / 3
 	for s := 0; s < steps; s++ {
 		c.stepOp(s, f)
-		c.RunFor(c.opts.StepInterval)
+		c.RunFor(stepInterval)
 		if err := c.CheckInvariants(); err != nil {
 			return fmt.Errorf("step %d: %w", s, err)
 		}
@@ -643,7 +635,7 @@ func (c *Cluster) RunPipelinedSchedule() error {
 
 	// Fill the window and let a few slots start their phases.
 	burst("warm", 12)
-	c.RunFor(c.opts.StepInterval)
+	c.RunFor(stepInterval)
 	if err := c.CheckInvariants(); err != nil {
 		return fmt.Errorf("mid-burst: %w", err)
 	}
@@ -662,7 +654,7 @@ func (c *Cluster) RunPipelinedSchedule() error {
 		faults++
 	}
 	burst("faulted", 12)
-	c.RunFor(4 * c.opts.StepInterval)
+	c.RunFor(4 * stepInterval)
 	if err := c.CheckInvariants(); err != nil {
 		return fmt.Errorf("mid-window faults: %w", err)
 	}
@@ -675,7 +667,7 @@ func (c *Cluster) RunPipelinedSchedule() error {
 		return err
 	}
 	burst("healed", 12)
-	c.RunFor(4 * c.opts.StepInterval)
+	c.RunFor(4 * stepInterval)
 	if err := c.CheckInvariants(); err != nil {
 		return fmt.Errorf("after heal: %w", err)
 	}

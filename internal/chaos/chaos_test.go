@@ -165,7 +165,7 @@ func TestAmnesiaScheduleReplaysFromItsSeed(t *testing.T) {
 // TestRandomScheduleReplaysFromItsSeed: a random schedule (the gossip
 // schedule's setup) run twice from one seed ends the same way.
 func TestRandomScheduleReplaysFromItsSeed(t *testing.T) {
-	opts := chaos.Options{Nodes: 7, Seed: 9004, StepInterval: 200 * time.Millisecond, Gossip: true, DropRate: 0.01}
+	opts := chaos.Options{Nodes: 7, Seed: 9004, Gossip: true, DropRate: 0.01}
 	var outs []replayOutcome
 	for run := 0; run < 2; run++ {
 		c, err := chaos.New(opts)

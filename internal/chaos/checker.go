@@ -52,7 +52,7 @@ func NewChecker() *Checker {
 }
 
 // Allow exempts an address from the double-sign invariant: a declared
-// adversary (byzantine.DoubleVoter) equivocates on purpose, and the
+// adversary (byzantine.FaultDoubleVote) equivocates on purpose, and the
 // property under test shifts from "nobody equivocates" to "the honest
 // majority stays safe and convicts the equivocator".
 func (ck *Checker) Allow(addr gcrypto.Address) {

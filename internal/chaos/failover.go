@@ -61,7 +61,7 @@ func RunFailoverSchedule(seed int64) (*FailoverReport, error) {
 			}
 			k++
 			c.RunFor(tick)
-			if k%int(c.opts.StepInterval/tick) == 0 {
+			if k%int(stepInterval/tick) == 0 {
 				if err := c.CheckInvariants(); err != nil {
 					return fmt.Errorf("t=%v: %w", c.Now(), err)
 				}

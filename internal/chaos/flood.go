@@ -125,7 +125,7 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 		for i := range c.nodes {
 			honestTx(i, s)
 		}
-		c.RunFor(c.opts.StepInterval)
+		c.RunFor(stepInterval)
 		if err := c.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("baseline step %d: %w", s, err)
 		}
@@ -155,7 +155,7 @@ func (c *Cluster) RunFloodSchedule(attackers, spamFactor, steps int) (*FloodRepo
 				c.SubmitRawTx(k%len(c.nodes), tx)
 			}
 		}
-		c.RunFor(c.opts.StepInterval)
+		c.RunFor(stepInterval)
 		for i := range c.nodes {
 			if lvl := c.nodes[i].Admission.Level(); lvl > rep.MaxShedLevel {
 				rep.MaxShedLevel = lvl

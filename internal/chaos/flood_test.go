@@ -1,9 +1,6 @@
 package chaos
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // floodOpts is the shared n=7 overload-armor configuration: batch
 // blocks so sustained load drains, a per-identity rate limit the
@@ -11,13 +8,12 @@ import (
 // bounded pool so a flood shows up as occupancy.
 func floodOpts(seed int64) Options {
 	return Options{
-		Nodes:        7,
-		Seed:         seed,
-		StepInterval: 200 * time.Millisecond,
-		BatchSize:    8,
-		RateLimit:    8,
-		MempoolCap:   32,
-		FairShare:    8,
+		Nodes:      7,
+		Seed:       seed,
+		BatchSize:  8,
+		RateLimit:  8,
+		MempoolCap: 32,
+		FairShare:  8,
 	}
 }
 
@@ -82,7 +78,7 @@ func TestFloodManyAttackers(t *testing.T) {
 // bucket absorbs at most one burst and rejects the rest, and honest
 // latency still holds.
 func TestFloodRequiresRateLimit(t *testing.T) {
-	c, err := New(Options{Nodes: 7, Seed: 7003, StepInterval: 200 * time.Millisecond})
+	c, err := New(Options{Nodes: 7, Seed: 7003})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (c *Cluster) RunGossipSchedule(steps int) (*GossipReport, error) {
 	// Phase 1: clean warm-up — every node broadcasts through the relay.
 	for s := 0; s < steps; s++ {
 		load("warm", s)
-		c.RunFor(c.opts.StepInterval)
+		c.RunFor(stepInterval)
 		if err := c.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("warm step %d: %w", s, err)
 		}
@@ -89,7 +89,7 @@ func (c *Cluster) RunGossipSchedule(steps int) (*GossipReport, error) {
 	}
 	for s := 0; s < steps; s++ {
 		load("cut", s)
-		c.RunFor(c.opts.StepInterval)
+		c.RunFor(stepInterval)
 		if err := c.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("partition step %d: %w", s, err)
 		}
@@ -100,7 +100,7 @@ func (c *Cluster) RunGossipSchedule(steps int) (*GossipReport, error) {
 	c.HealAll()
 	for s := 0; s < steps; s++ {
 		load("heal", s)
-		c.RunFor(c.opts.StepInterval)
+		c.RunFor(stepInterval)
 		if err := c.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("heal step %d: %w", s, err)
 		}

@@ -1,16 +1,12 @@
 package chaos
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func gossipOpts(seed int64) Options {
 	return Options{
-		Nodes:        7,
-		Seed:         seed,
-		StepInterval: 200 * time.Millisecond,
-		Gossip:       true,
+		Nodes:  7,
+		Seed:   seed,
+		Gossip: true,
 	}
 }
 

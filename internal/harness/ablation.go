@@ -55,11 +55,9 @@ func (c *Config) ablationEraPeriod(w io.Writer) error {
 	for _, T := range []time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second, 60 * time.Second} {
 		cc := *c
 		cc.EraPeriod = T
-		restore := cc.cryptoOff()
 		o := cc.clusterOptions(gpbft.GPBFT, n, cc.Seed)
 		cl, err := gpbft.NewCluster(o)
 		if err != nil {
-			restore()
 			return err
 		}
 		reports := int((time.Second + cc.LoadWindow) / cc.ReportEvery)
@@ -73,7 +71,6 @@ func (c *Config) ablationEraPeriod(w io.Writer) error {
 			}
 		}
 		cl.RunUntilIdle(time.Second + cc.LoadWindow + cc.DrainCap)
-		restore()
 		m := cl.Metrics()
 		t.AddRow(T, fmt.Sprintf("%.3f", m.MeanLatency().Seconds()),
 			fmt.Sprintf("%.3f", m.MaxLatency().Seconds()), m.EraSwitches())
@@ -91,12 +88,10 @@ func (c *Config) ablationProposerPolicy(w io.Writer) error {
 		if !geoTimer {
 			name = "address rotation"
 		}
-		restore := c.cryptoOff()
 		o := c.clusterOptions(gpbft.GPBFT, n, c.Seed)
 		o.GeoTimerProposer = geoTimer
 		cl, err := gpbft.NewCluster(o)
 		if err != nil {
-			restore()
 			return err
 		}
 		reports := int((time.Second + c.LoadWindow) / c.ReportEvery)
@@ -110,7 +105,6 @@ func (c *Config) ablationProposerPolicy(w io.Writer) error {
 			}
 		}
 		cl.RunUntilIdle(time.Second + c.LoadWindow + c.DrainCap)
-		restore()
 
 		proposers := map[gcrypto.Address]bool{}
 		for _, b := range cl.Node(0).App.Chain().Blocks() {
@@ -129,14 +123,12 @@ func (c *Config) ablationBatchSize(w io.Writer) error {
 	t := stats.NewTable(fmt.Sprintf("Ablation — batch size (n = %d devices)", n),
 		"txs/block", "mean latency(s)", "blocks")
 	for _, batch := range []int{1, 8, 32, 128} {
-		restore := c.cryptoOff()
 		o := c.clusterOptions(gpbft.GPBFT, n, c.Seed)
 		o.BatchSize = batch
 		o.DisableEraSwitch = true
 		o.ForceEraSwitch = false
 		cl, err := gpbft.NewCluster(o)
 		if err != nil {
-			restore()
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -146,7 +138,6 @@ func (c *Config) ablationBatchSize(w io.Writer) error {
 			}
 		}
 		cl.RunUntilIdle(time.Second + c.LoadWindow + c.DrainCap)
-		restore()
 		t.AddRow(batch, fmt.Sprintf("%.3f", cl.Metrics().MeanLatency().Seconds()), cl.MaxHeight())
 	}
 	fmt.Fprintln(w, t)

@@ -23,7 +23,6 @@ func TestForcedSwitchCostsTheSwitchPeriod(t *testing.T) {
 	cfg.MaxEndorsers = 20
 	cfg.EraPeriod = 3 * time.Second
 	cfg.PerNodeInterval = 500 * time.Millisecond
-	defer cfg.cryptoOff()()
 
 	const n, warmup, window = 60, time.Second, 9 * time.Second
 	o := cfg.clusterOptions(gpbft.GPBFT, n, 14)

@@ -225,8 +225,6 @@ func (c *Config) Model(w io.Writer) (*stats.Table, error) {
 // singleTxLatency measures an unloaded single-transaction commit
 // latency.
 func (c *Config) singleTxLatency(proto gpbft.Protocol, n int) (float64, error) {
-	restore := c.cryptoOff()
-	defer restore()
 	o := c.clusterOptions(proto, n, c.Seed+int64(n)+7)
 	o.ForceEraSwitch = false
 	o.DisableEraSwitch = true

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"gpbft"
-	"gpbft/internal/gcrypto"
 	"gpbft/internal/stats"
 )
 
@@ -77,16 +76,6 @@ func Quick() Config {
 	return c
 }
 
-// cryptoOff disables simulated signature verification for the scope
-// of an experiment and returns a restore function. The simulator already
-// charges each message its processing cost (ProcTime), so real
-// verification would only burn wall-clock time without changing a
-// simulated result.
-func (c *Config) cryptoOff() func() {
-	prev := gcrypto.SetVerification(false)
-	return func() { gcrypto.SetVerification(prev) }
-}
-
 // clusterOptions assembles cluster options for one run.
 func (c *Config) clusterOptions(proto gpbft.Protocol, n int, seed int64) gpbft.Options {
 	o := gpbft.DefaultOptions(proto, n)
@@ -108,9 +97,6 @@ func (c *Config) clusterOptions(proto gpbft.Protocol, n int, seed int64) gpbft.O
 // proposes at a constant frequency for LoadWindow; the run returns the
 // consensus latency of every committed transaction, in seconds.
 func (c *Config) MeasureLatencyRun(proto gpbft.Protocol, n int, seed int64) ([]float64, error) {
-	restore := c.cryptoOff()
-	defer restore()
-
 	cl, err := gpbft.NewCluster(c.clusterOptions(proto, n, seed))
 	if err != nil {
 		return nil, err
@@ -150,9 +136,6 @@ func (c *Config) MeasureLatencyRun(proto gpbft.Protocol, n int, seed int64) ([]f
 // one transaction in each experiment"). Returns total kilobytes and
 // message count attributable to that transaction's consensus.
 func (c *Config) MeasureCommCost(proto gpbft.Protocol, n int, seed int64) (float64, int64, error) {
-	restore := c.cryptoOff()
-	defer restore()
-
 	o := c.clusterOptions(proto, n, seed)
 	// Background era churn would pollute the single-tx measurement.
 	o.ForceEraSwitch = false

@@ -18,7 +18,6 @@ import (
 // without paying for it in latency.
 func TestUnderfullRoundsAreNotBackToBack(t *testing.T) {
 	cfg := Default()
-	defer cfg.cryptoOff()()
 
 	const n, warmup, window, rate = 22, time.Second, 6 * time.Second, 100
 	o := gpbft.DefaultOptions(gpbft.GPBFT, n)

@@ -14,9 +14,6 @@ import (
 // the TPS metric the paper mentions as the conventional alternative to
 // its latency measurements (Section V-B).
 func (c *Config) MeasureThroughput(proto gpbft.Protocol, n int, seed int64) (float64, error) {
-	restore := c.cryptoOff()
-	defer restore()
-
 	o := c.clusterOptions(proto, n, seed)
 	o.ForceEraSwitch = false
 	o.DisableEraSwitch = true

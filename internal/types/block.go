@@ -191,7 +191,6 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, seq uint64, keys map[gcrypt
 	items := make([]gcrypto.BatchItem, 0, len(c.Votes))
 	keys2 := make([]gcrypto.Hash, 0, len(c.Votes))
 	valid := 0
-	useCache := sigCacheUsable()
 	for i := range c.Votes {
 		v := &c.Votes[i]
 		if seen[v.Endorser] {
@@ -205,14 +204,12 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, seq uint64, keys map[gcrypt
 		// Votes the consensus tally already accepted (see NoteVote) are
 		// served from the cache; only the rest hit the verification pool.
 		msg := CommitVoteBytes(v.Endorser, c.Era, c.View, seq, c.BlockHash)
-		if useCache {
-			key := voteCacheKey(v.Endorser, msg, v.Signature)
-			if sigCacheLookup(key) {
-				valid++
-				continue
-			}
-			keys2 = append(keys2, key)
+		key := voteCacheKey(v.Endorser, msg, v.Signature)
+		if sigCacheLookup(key) {
+			valid++
+			continue
 		}
+		keys2 = append(keys2, key)
 		items = append(items, gcrypto.BatchItem{Pub: pub, Addr: v.Endorser, Msg: msg, Sig: v.Signature})
 	}
 	// The per-vote checks fan out over the verification pool; a vote
@@ -220,9 +217,7 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, seq uint64, keys map[gcrypt
 	for k, err := range gcrypto.VerifyBatch(items) {
 		if err == nil {
 			valid++
-			if useCache {
-				sigCacheStore(keys2[k])
-			}
+			sigCacheStore(keys2[k])
 		}
 	}
 	if valid < quorum {

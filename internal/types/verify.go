@@ -86,20 +86,11 @@ func sigCacheStore(key gcrypto.Hash) {
 	}
 }
 
-// sigCacheUsable reports whether the cache may serve or record
-// verdicts. Verification verdicts recorded while real crypto is
-// disabled (simulation sweeps) would be unsound once re-enabled, so
-// the cache stands down entirely in that mode.
-func sigCacheUsable() bool { return gcrypto.VerificationEnabled() }
-
 // VerifyCached is Verify with signature memoization: structural checks
 // always run (they are cheap and stateless), the ed25519 check is
 // skipped when this exact (content, signature) pair has already been
 // accepted. Accept/reject behaviour is identical to Verify.
 func (tx *Transaction) VerifyCached() error {
-	if !sigCacheUsable() {
-		return tx.Verify()
-	}
 	if err := tx.verifyStructure(); err != nil {
 		return err
 	}
@@ -129,9 +120,7 @@ func voteCacheKey(endorser gcrypto.Address, signed, sig []byte) gcrypto.Hash {
 // to the chain, and Certificate.Verify then finds it here; a vote nobody
 // vouched for — a synced block's, a late joiner's — is verified there.
 func NoteVote(endorser gcrypto.Address, signed, sig []byte) {
-	if sigCacheUsable() {
-		sigCacheStore(voteCacheKey(endorser, signed, sig))
-	}
+	sigCacheStore(voteCacheKey(endorser, signed, sig))
 }
 
 // VerifyTxs verifies a batch of transactions, returning one result
@@ -144,13 +133,6 @@ func VerifyTxs(txs []Transaction) []error {
 	if len(txs) == 0 {
 		return errs
 	}
-	if !sigCacheUsable() && gcrypto.BatchWorkers() <= 1 {
-		for i := range txs {
-			errs[i] = txs[i].Verify()
-		}
-		return errs
-	}
-	useCache := sigCacheUsable()
 	// Pass 1: structure, cache lookups, and batch assembly.
 	items := make([]gcrypto.BatchItem, 0, len(txs))
 	itemIdx := make([]int, 0, len(txs))
@@ -161,11 +143,9 @@ func VerifyTxs(txs []Transaction) []error {
 			errs[i] = err
 			continue
 		}
-		if useCache {
-			keys[i] = sigCacheKey(tx)
-			if sigCacheLookup(keys[i]) {
-				continue
-			}
+		keys[i] = sigCacheKey(tx)
+		if sigCacheLookup(keys[i]) {
+			continue
 		}
 		items = append(items, gcrypto.BatchItem{
 			Pub:  tx.SenderPub,
@@ -182,9 +162,7 @@ func VerifyTxs(txs []Transaction) []error {
 			errs[i] = wrapTxSigError(err)
 			continue
 		}
-		if useCache {
-			sigCacheStore(keys[i])
-		}
+		sigCacheStore(keys[i])
 	}
 	return errs
 }
@@ -195,9 +173,4 @@ func VerifyTxs(txs []Transaction) []error {
 // finishing the previous instance, so the serial ValidateBlock that
 // follows runs at cache speed. Failures are ignored here; the serial
 // validation path re-derives and reports them authoritatively.
-func PrewarmTxs(txs []Transaction) {
-	if !sigCacheUsable() {
-		return
-	}
-	_ = VerifyTxs(txs)
-}
+func PrewarmTxs(txs []Transaction) { _ = VerifyTxs(txs) }

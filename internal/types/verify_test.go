@@ -106,25 +106,6 @@ func TestVerifyCachedRejectsMutation(t *testing.T) {
 	}
 }
 
-// TestSigCacheDisabledCrypto: verdicts must not be cached (or served)
-// while gcrypto verification is globally disabled, or a later
-// re-enable would accept unverified signatures.
-func TestSigCacheDisabledCrypto(t *testing.T) {
-	tx := signedTx(t, 2)
-	tx.Signature = append([]byte(nil), tx.Signature...)
-	tx.Signature[0] ^= 0xFF // invalid signature
-
-	prev := gcrypto.SetVerification(false)
-	if err := tx.VerifyCached(); err != nil {
-		t.Fatalf("with crypto off, bad signature should pass: %v", err)
-	}
-	gcrypto.SetVerification(true)
-	if err := tx.VerifyCached(); err == nil {
-		t.Fatal("bad signature accepted after re-enabling crypto")
-	}
-	gcrypto.SetVerification(prev)
-}
-
 // TestVerifyTxsConcurrent hammers the striped cache from many
 // goroutines under -race.
 func TestVerifyTxsConcurrent(t *testing.T) {
@@ -174,8 +155,7 @@ func TestSigCacheRotation(t *testing.T) {
 }
 
 // TestNoteVote: a noted vote is served from the cache under exactly its
-// (endorser, signed bytes, signature), and a note taken while crypto is
-// disabled is not there once it is back on.
+// (endorser, signed bytes, signature).
 func TestNoteVote(t *testing.T) {
 	kp := gcrypto.DeterministicKeyPair(4242)
 	keys := map[gcrypto.Address]gcrypto.PublicKey{kp.Address(): kp.Public()}
@@ -197,12 +177,5 @@ func TestNoteVote(t *testing.T) {
 	cert.Votes[0].Signature = forged
 	if cert.Verify(hash, 7, keys, 1) == nil {
 		t.Fatal("a different signature rode in on the noted vote")
-	}
-
-	prev := gcrypto.SetVerification(false)
-	NoteVote(kp.Address(), CommitVoteBytes(kp.Address(), 3, 1, 8, hash), forged)
-	gcrypto.SetVerification(prev)
-	if cert.Verify(hash, 8, keys, 1) == nil {
-		t.Fatal("vote noted with crypto off accepted after re-enabling it")
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"gpbft/internal/byzantine"
 	"gpbft/internal/geo"
 	"gpbft/internal/ledger"
+	"gpbft/internal/simnet"
 )
 
 // Options configures a simulated cluster. The fields are grouped as
@@ -119,23 +121,17 @@ type Options struct {
 	Byzantine map[int]Fault
 }
 
-// Fault selects an adversarial behaviour for a node.
-type Fault int
+// Fault selects an adversarial behaviour for a node; byzantine.Wrap
+// documents each one.
+type Fault = byzantine.Fault
 
+// The faults Options.Byzantine assigns.
 const (
-	// Honest is the default.
-	Honest Fault = iota
-	// FaultSilent joins but never participates.
-	FaultSilent
-	// FaultEquivocate sends conflicting proposals to disjoint halves
-	// of the committee when leading.
-	FaultEquivocate
-	// FaultWithholdVotes suppresses own commit votes.
-	FaultWithholdVotes
-	// FaultDoubleVote signs conflicting prepare/commit votes and hands
-	// both to every peer — the offense the accountability pipeline
-	// detects, proves and expels.
-	FaultDoubleVote
+	Honest             = byzantine.Honest
+	FaultSilent        = byzantine.FaultSilent
+	FaultEquivocate    = byzantine.FaultEquivocate
+	FaultWithholdVotes = byzantine.FaultWithholdVotes
+	FaultDoubleVote    = byzantine.FaultDoubleVote
 )
 
 // DefaultOptions returns the paper's experiment configuration for the
@@ -203,6 +199,21 @@ func (o *Options) validate() error {
 		return fmt.Errorf("gpbft: GenesisEndorsers %d below MinEndorsers %d", o.GenesisEndorsers, o.MinEndorsers)
 	}
 	return nil
+}
+
+// network builds the simulator the options describe.
+func (o *Options) network() *simnet.Network {
+	return simnet.New(simnet.Config{
+		Seed: o.Seed,
+		Latency: simnet.UniformLatency{
+			Base:        o.Network.LatencyBase,
+			Jitter:      o.Network.LatencyJitter,
+			BytesPerSec: o.Network.BytesPerSec,
+		},
+		ProcTime: o.Network.ProcTime,
+		SendTime: o.Network.SendTime,
+		DropRate: o.Network.DropRate,
+	})
 }
 
 // committeeSize returns the size of the initial consensus group.

@@ -6,12 +6,9 @@ import (
 	"math"
 	"time"
 
-	"gpbft/internal/assemble"
 	"gpbft/internal/consensus"
-	"gpbft/internal/core"
 	"gpbft/internal/gcrypto"
 	"gpbft/internal/geo"
-	"gpbft/internal/ledger"
 	"gpbft/internal/runtime"
 	"gpbft/internal/shard"
 	"gpbft/internal/simnet"
@@ -56,11 +53,7 @@ type ShardCluster struct {
 	router   *shard.Router
 	prefixes []string
 	regions  []*Cluster
-
-	anchorKeys   []*gcrypto.KeyPair
-	anchorNodes  []*runtime.Node
-	anchorPos    []geo.Point
-	anchorNonces []uint64
+	anchor   *Cluster
 
 	crashedAnchor map[int]bool // anchor member index -> crashed
 	isolated      map[int]bool // region index -> isolated
@@ -109,17 +102,7 @@ func NewShardCluster(opts Options) (*ShardCluster, error) {
 		isolated:       make(map[int]bool),
 		applySubmitted: make(map[gcrypto.Hash]consensus.Time),
 	}
-	s.net = simnet.New(simnet.Config{
-		Seed: opts.Seed,
-		Latency: simnet.UniformLatency{
-			Base:        opts.Network.LatencyBase,
-			Jitter:      opts.Network.LatencyJitter,
-			BytesPerSec: opts.Network.BytesPerSec,
-		},
-		ProcTime: opts.Network.ProcTime,
-		SendTime: opts.Network.SendTime,
-		DropRate: opts.Network.DropRate,
-	})
+	s.net = opts.network()
 
 	// One full consensus instance per region, sharing the event loop
 	// and the latency recorder.
@@ -145,87 +128,37 @@ func NewShardCluster(opts Options) (*ShardCluster, error) {
 		s.regions[i] = cl
 	}
 
-	if err := s.buildAnchor(); err != nil {
+	// The anchor committee: classic PBFT over at least 4 members (PBFT
+	// liveness), spread round-robin over the regions so each region has
+	// at least one delegate, deployed inside its home region. It runs
+	// without adaptive block sizing.
+	bound, err := shard.Bound(prefixes)
+	if err != nil {
+		return nil, err
+	}
+	aopts := opts
+	aopts.Protocol, aopts.Nodes, aopts.Region = PBFT, max(r, 4), bound
+	aopts.RateLimit, aopts.Gossip, aopts.Snapshots, aopts.Byzantine = 0, false, false, nil
+	delegates := make([]geo.Point, aopts.Nodes)
+	for j := range delegates {
+		// Delegate j of region j%r lives inside its home region.
+		home, err := shard.RegionOf(prefixes[j%r])
+		if err != nil {
+			return nil, err
+		}
+		delegates[j] = home.Grid(aopts.Nodes/r + 2)[j/r]
+	}
+	s.anchor, err = newClusterOn(aopts, clusterSite{
+		net:        s.net,
+		chainID:    fmt.Sprintf("gpbft-sim-%d-anchor", opts.Seed),
+		keyBase:    anchorKeyBase,
+		positions:  delegates,
+		fixedBatch: true,
+	})
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// buildAnchor assembles the top-level checkpoint committee: at least 4
-// members (PBFT liveness), spread round-robin over the regions so each
-// region has at least one delegate.
-func (s *ShardCluster) buildAnchor() error {
-	r := len(s.regions)
-	members := r
-	if members < 4 {
-		members = 4
-	}
-	bound, err := shard.Bound(s.prefixes)
-	if err != nil {
-		return err
-	}
-
-	s.anchorKeys = make([]*gcrypto.KeyPair, members)
-	s.anchorPos = make([]geo.Point, members)
-	s.anchorNonces = make([]uint64, members)
-	g := &ledger.Genesis{
-		ChainID:   fmt.Sprintf("gpbft-sim-%d-anchor", s.opts.Seed),
-		Timestamp: s.opts.Epoch,
-		Policy:    s.opts.policy(),
-	}
-	g.Policy.Region = bound
-	g.Policy.Eras = ledger.ErasFrozen
-	if g.Policy.MaxEndorsers < members {
-		g.Policy.MaxEndorsers = members
-	}
-	for j := 0; j < members; j++ {
-		s.anchorKeys[j] = gcrypto.DeterministicKeyPair(anchorKeyBase + j)
-		// Delegate j of region j%r lives inside its home region.
-		home, err := shard.RegionOf(s.prefixes[j%r])
-		if err != nil {
-			return err
-		}
-		s.anchorPos[j] = home.Grid(members/r + 2)[j/r]
-		g.Endorsers = append(g.Endorsers, types.EndorserInfo{
-			Address: s.anchorKeys[j].Address(),
-			PubKey:  s.anchorKeys[j].Public(),
-			Geohash: geo.MustEncode(s.anchorPos[j], geo.CSCPrecision),
-		})
-	}
-	if err := g.Validate(); err != nil {
-		return err
-	}
-
-	s.anchorNodes = make([]*runtime.Node, members)
-	for j := 0; j < members; j++ {
-		kp := s.anchorKeys[j]
-		// Classic PBFT over the frozen genesis committee, which rotates
-		// in address order; Ceiling = Batch: the anchor committee runs
-		// without adaptive block sizing.
-		built, err := assemble.Node(assemble.Config{
-			Genesis: g,
-			Key:     kp,
-			Engine: core.Config{
-				Epoch:             s.opts.Epoch,
-				ViewChangeTimeout: s.opts.ViewChangeTimeout,
-			},
-			Batch:   s.opts.BatchSize,
-			Ceiling: s.opts.BatchSize,
-		})
-		if err != nil {
-			return err
-		}
-		node := built.Node
-		node.Exec = s.net.Executor(kp.Address())
-		s.net.AddNode(kp.Address(), node)
-		s.anchorNodes[j] = node
-	}
-	s.net.Schedule(0, func(now consensus.Time) {
-		for _, n := range s.anchorNodes {
-			n.Start(now)
-		}
-	})
-	return nil
 }
 
 // --- accessors ---
@@ -246,15 +179,15 @@ func (s *ShardCluster) Region(i int) *Cluster { return s.regions[i] }
 func (s *ShardCluster) Prefix(i int) string { return s.prefixes[i] }
 
 // AnchorSize returns the anchor-committee size.
-func (s *ShardCluster) AnchorSize() int { return len(s.anchorNodes) }
+func (s *ShardCluster) AnchorSize() int { return s.anchor.NodeCount() }
 
 // AnchorNode returns anchor member j's runtime node.
-func (s *ShardCluster) AnchorNode(j int) *runtime.Node { return s.anchorNodes[j] }
+func (s *ShardCluster) AnchorNode(j int) *runtime.Node { return s.anchor.Node(j) }
 
 // DelegateOf returns the anchor member indices representing region i.
 func (s *ShardCluster) DelegateOf(i int) []int {
 	var out []int
-	for j := range s.anchorNodes {
+	for j := range s.anchor.NodeCount() {
 		if j%len(s.regions) == i {
 			out = append(out, j)
 		}
@@ -338,7 +271,7 @@ func (s *ShardCluster) emitCheckpoint(now consensus.Time, i, j int) {
 		return
 	}
 	var since uint64
-	if pt, ok := s.anchorNodes[j].App.Chain().AnchorLatest(s.prefixes[i]); ok {
+	if pt, ok := s.anchor.Node(j).App.Chain().AnchorLatest(s.prefixes[i]); ok {
 		if pt.Height >= head.Header.Height {
 			return // already anchored up to (or past) the head the delegate sees
 		}
@@ -362,19 +295,8 @@ func (s *ShardCluster) emitCheckpoint(now consensus.Time, i, j int) {
 		Root:     head.Hash(),
 		Receipts: kept,
 	}
-	s.anchorNonces[j]++
-	tx := &types.Transaction{
-		Type:    types.TxRegionCheckpoint,
-		Nonce:   s.anchorNonces[j],
-		Payload: shard.EncodeCheckpoint(cp),
-		Fee:     1,
-		Geo: types.GeoInfo{
-			Location:  s.anchorPos[j],
-			Timestamp: s.opts.Epoch.Add(now),
-		},
-	}
-	tx.Sign(s.anchorKeys[j])
-	_ = s.anchorNodes[j].Submit(now, tx)
+	tx := s.anchor.NewTypedNodeTx(j, time.Duration(now), types.TxRegionCheckpoint, shard.EncodeCheckpoint(cp), 1)
+	_ = s.anchor.Node(j).Submit(now, tx)
 }
 
 // applyAnchored walks the receipts delegate j's anchor replica has
@@ -390,7 +312,7 @@ func (s *ShardCluster) applyAnchored(now consensus.Time, i, j int) {
 	dest := s.regions[i]
 	chain := dest.Node(k).App.Chain()
 	retryAfter := 4 * consensus.Time(s.anchorPeriod())
-	for _, rc := range s.anchorNodes[j].App.Chain().AnchorReceipts() {
+	for _, rc := range s.anchor.Node(j).App.Chain().AnchorReceipts() {
 		if rc.Dest != s.prefixes[i] {
 			continue
 		}
@@ -459,13 +381,13 @@ func (s *ShardCluster) TransfersApplied() int {
 // CrashDelegate fail-stops anchor member j.
 func (s *ShardCluster) CrashDelegate(j int) {
 	s.crashedAnchor[j] = true
-	s.net.Crash(s.anchorKeys[j].Address())
+	s.net.Crash(s.anchor.Address(j))
 }
 
 // RecoverDelegate brings a crashed anchor member back, memory intact.
 func (s *ShardCluster) RecoverDelegate(j int) {
 	delete(s.crashedAnchor, j)
-	s.net.Recover(s.anchorKeys[j].Address())
+	s.net.Recover(s.anchor.Address(j))
 }
 
 // regionAddrs returns every simnet address physically inside region i:
@@ -476,7 +398,7 @@ func (s *ShardCluster) regionAddrs(i int) []gcrypto.Address {
 		out = append(out, s.regions[i].Address(k))
 	}
 	for _, j := range s.DelegateOf(i) {
-		out = append(out, s.anchorKeys[j].Address())
+		out = append(out, s.anchor.Address(j))
 	}
 	return out
 }
@@ -489,8 +411,8 @@ func (s *ShardCluster) allAddrs() []gcrypto.Address {
 			out = append(out, s.regions[i].Address(k))
 		}
 	}
-	for j := range s.anchorKeys {
-		out = append(out, s.anchorKeys[j].Address())
+	for j := range s.anchor.NodeCount() {
+		out = append(out, s.anchor.Address(j))
 	}
 	return out
 }
@@ -542,11 +464,10 @@ func (s *ShardCluster) VerifyAgreement() (uint64, error) {
 			minH = h
 		}
 	}
-	// Anchor replicas: pairwise agreement with member 0 on shared heights.
-	if _, err := chainsAgree(s.anchorNodes, "anchor member"); err != nil {
-		return 0, err
+	if _, err := s.anchor.VerifyAgreement(); err != nil {
+		return 0, fmt.Errorf("anchor committee: %w", err)
 	}
-	ref := s.anchorNodes[0].App.Chain()
+	ref := s.anchor.Node(0).App.Chain()
 	// Anchored roots match the regions' actual history.
 	for i, cl := range s.regions {
 		pt, ok := ref.AnchorLatest(s.prefixes[i])
@@ -577,12 +498,4 @@ func (s *ShardCluster) MaxHeight() uint64 {
 
 // AnchorHeight returns the highest committed height across anchor
 // replicas.
-func (s *ShardCluster) AnchorHeight() uint64 {
-	var max uint64
-	for _, n := range s.anchorNodes {
-		if h := n.App.Chain().Height(); h > max {
-			max = h
-		}
-	}
-	return max
-}
+func (s *ShardCluster) AnchorHeight() uint64 { return s.anchor.MaxHeight() }

@@ -107,7 +107,7 @@ func TestShardClusterRegionRouting(t *testing.T) {
 	}
 	// Delegates route to their home region too.
 	for j := 0; j < s.AnchorSize(); j++ {
-		got, ok := s.RegionFor(s.anchorPos[j])
+		got, ok := s.RegionFor(s.anchor.Position(j))
 		if !ok || got != j%s.Regions() {
 			t.Fatalf("delegate %d routed to %d (%v)", j, got, ok)
 		}

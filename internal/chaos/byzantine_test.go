@@ -48,7 +48,7 @@ func TestByzantineAccountabilityExpulsion(t *testing.T) {
 		Nodes:           7,
 		Seed:            99,
 		EnableEraSwitch: true,
-		DoubleVoters:    []int{1},
+		Faults:          map[int]byzantine.Fault{1: byzantine.FaultDoubleVote},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestByzantineAccountabilityAblation(t *testing.T) {
 		Nodes:            7,
 		Seed:             99,
 		EnableEraSwitch:  true,
-		DoubleVoters:     []int{1},
+		Faults:           map[int]byzantine.Fault{1: byzantine.FaultDoubleVote},
 		DisableExpulsion: true,
 	})
 	if err != nil {

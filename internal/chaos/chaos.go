@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"gpbft/internal/assemble"
@@ -33,12 +32,17 @@ type Options struct {
 	// EnableEraSwitch runs forced era switches underneath the chaos,
 	// exercising WAL rotation and era rejoin.
 	EnableEraSwitch bool
-	// DoubleVoters lists node indices that intentionally double-sign
-	// every prepare and commit vote (byzantine.FaultDoubleVote). They are
-	// exempted from the trace equivocation invariant — the property
-	// under test becomes that the honest majority stays safe and
-	// convicts them. Keep the count within f = ⌊(n−1)/3⌋.
-	DoubleVoters []int
+	// Faults assigns adversarial behaviour to node indices, one fault
+	// per node; the wrapper survives the node's restarts. A
+	// byzantine.FaultDoubleVote node double-signs every prepare and
+	// commit vote and is exempted from the trace equivocation invariant:
+	// the property under test becomes that the honest majority stays
+	// safe and convicts it. A byzantine.FaultSnapshotLie node serves
+	// bit-flipped snapshot bytes while behaving honestly otherwise: its
+	// receivers must reject every lie and fall back to block replay with
+	// no forked or partial state. Keep the faulty count within
+	// f = ⌊(n−1)/3⌋ unless the schedule says otherwise.
+	Faults map[int]byzantine.Fault
 	// DisableExpulsion sets the genesis ablation knob: committed
 	// evidence still accumulates, but offenders are never removed from
 	// (or refused entry to) the committee.
@@ -57,11 +61,6 @@ type Options struct {
 	// making deep rejoin IMPOSSIBLE via block replay — peers redirect
 	// block pulls from compacted ranges to the snapshot path.
 	Compact bool
-	// SnapshotLiars lists node indices that serve bit-flipped snapshot
-	// bytes (byzantine.FaultSnapshotLie) while behaving honestly otherwise.
-	// The property under test: receivers reject every lie and fall back
-	// to block replay with no forked or partial state.
-	SnapshotLiars []int
 	// EraPeriod is the genesis policy's era switch interval T, which
 	// the engine's forced switches and the election's authentication
 	// window both read (0 = 1 s).
@@ -203,15 +202,12 @@ func newCluster(opts Options, timeout time.Duration) (*Cluster, error) {
 	}
 	c.genesis = g
 
-	for _, dv := range opts.DoubleVoters {
-		if dv < 0 || dv >= opts.Nodes {
-			return nil, fmt.Errorf("chaos: DoubleVoters index %d out of range", dv)
+	for i, f := range opts.Faults {
+		if i < 0 || i >= opts.Nodes {
+			return nil, fmt.Errorf("chaos: Faults index %d out of range", i)
 		}
-		c.checker.Allow(c.keys[dv].Address())
-	}
-	for _, sl := range opts.SnapshotLiars {
-		if sl < 0 || sl >= opts.Nodes {
-			return nil, fmt.Errorf("chaos: SnapshotLiars index %d out of range", sl)
+		if f == byzantine.FaultDoubleVote {
+			c.checker.Allow(c.keys[i].Address())
 		}
 	}
 
@@ -286,14 +282,9 @@ func (c *Cluster) boot(i int, amnesia bool) error {
 	}
 	c.replayed[i] += uint64(built.Replayed)
 	eng, node := built.Core, built.Node
-	// The wrappers survive restarts: a rebooted adversary comes back
+	// The wrapper survives restarts: a rebooted adversary comes back
 	// just as malicious.
-	if slices.Contains(c.opts.DoubleVoters, i) {
-		node.Engine = byzantine.Wrap(byzantine.FaultDoubleVote, node.Engine, kp)
-	}
-	if slices.Contains(c.opts.SnapshotLiars, i) {
-		node.Engine = byzantine.Wrap(byzantine.FaultSnapshotLie, node.Engine, kp)
-	}
+	node.Engine = byzantine.Wrap(c.opts.Faults[i], node.Engine, kp)
 	node.Exec = c.net.Executor(kp.Address())
 	c.nodes[i] = node
 	c.engines[i] = eng

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"gpbft/internal/byzantine"
 	"gpbft/internal/runtime"
 	"gpbft/internal/types"
 )
@@ -208,8 +209,8 @@ func (c *Cluster) corruptSnapshots(i int) {
 }
 
 // RunLyingPeerSchedule proves the fallback: every peer the victim can
-// fetch a snapshot from serves corrupted bytes (Options.SnapshotLiars
-// wraps them). The victim must reject each lie on verification and
+// fetch a snapshot from serves corrupted bytes (Options.Faults makes
+// them byzantine.FaultSnapshotLie). The victim must reject each lie on verification and
 // fall back to full block replay — requiring Options.Compact to be
 // off so peers still hold the blocks — ending converged with sync
 // mode "replay" and zero snapshots installed.
@@ -217,8 +218,12 @@ func (c *Cluster) RunLyingPeerSchedule(eras int) error {
 	if c.opts.Compact {
 		return fmt.Errorf("chaos: lying-peer schedule needs Compact off so block replay stays possible")
 	}
-	if len(c.opts.SnapshotLiars) == 0 {
-		return fmt.Errorf("chaos: lying-peer schedule needs SnapshotLiars")
+	lying := false
+	for _, f := range c.opts.Faults {
+		lying = lying || f == byzantine.FaultSnapshotLie
+	}
+	if !lying {
+		return fmt.Errorf("chaos: lying-peer schedule needs a FaultSnapshotLie in Faults")
 	}
 	victim, _, _, err := c.snapshotScheduleSetup(eras)
 	if err != nil {

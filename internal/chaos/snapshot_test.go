@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gpbft/internal/byzantine"
 	"gpbft/internal/chaos"
 )
 
@@ -61,7 +62,7 @@ func TestCorruptSnapshotSchedule(t *testing.T) {
 // in replay mode with zero snapshots installed.
 func TestLyingPeerSchedule(t *testing.T) {
 	opts := snapshotOptions(107)
-	opts.SnapshotLiars = []int{0, 1, 2}
+	opts.Faults = map[int]byzantine.Fault{0: byzantine.FaultSnapshotLie, 1: byzantine.FaultSnapshotLie, 2: byzantine.FaultSnapshotLie}
 	c, err := chaos.New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,8 @@ package consensus
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -223,15 +225,22 @@ func Attributed(e *Envelope, from gcrypto.Address) *Envelope {
 
 // verifySum digests every field Verify covers (including the public
 // key and signature, which envelopeDigest omits), so a memoized
-// verdict can be tied to the exact bytes that were checked.
+// verdict can be tied to the exact bytes that were checked. The fields
+// stream into the hash as kind, sender, then each of key, body and
+// signature with its uvarint length, so nothing is copied.
 func (e *Envelope) verifySum() gcrypto.Hash {
-	w := codec.NewWriter(96 + len(e.Body))
-	w.Uint8(uint8(e.MsgKind))
-	w.Raw(e.From[:])
-	w.WriteBytes(e.FromPub)
-	w.WriteBytes(e.Body)
-	w.WriteBytes(e.Signature)
-	return gcrypto.HashBytes(w.Bytes())
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	n[0] = uint8(e.MsgKind)
+	h.Write(n[:1])
+	h.Write(e.From[:])
+	for _, b := range [...][]byte{e.FromPub, e.Body, e.Signature} {
+		h.Write(binary.AppendUvarint(n[:0], uint64(len(b))))
+		h.Write(b)
+	}
+	var sum gcrypto.Hash
+	h.Sum(sum[:0])
+	return sum
 }
 
 func (e *Envelope) markVerified() {

@@ -161,7 +161,7 @@ func HashConcat(parts ...[]byte) Hash {
 		h.Write(p)
 	}
 	var out Hash
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 

@@ -74,16 +74,12 @@ func (c *Chain) applyEvidenceLocked(rec *evidence.Record) {
 	}
 }
 
-// noteGeoLocked indexes a committed fresh location claim and checks it
-// against other devices' latest claims for the same cell — the Sybil
-// pattern of Section IV-A1. Each device occupies at most one cell in
-// the index, so memory is bounded by the device population.
-func (c *Chain) noteGeoLocked(tx *types.Transaction, height uint64, idx int) {
-	csc, err := tx.Report().CSC()
-	if err != nil {
-		return
-	}
-	cell := csc.Geohash
+// noteGeoLocked indexes a committed fresh location claim in cell (the
+// geohash of its CSC) and checks it against other devices' latest
+// claims for the same cell — the Sybil pattern of Section IV-A1. Each
+// device occupies at most one cell in the index, so memory is bounded
+// by the device population.
+func (c *Chain) noteGeoLocked(tx *types.Transaction, cell string, height uint64, idx int) {
 	if prev, ok := c.lastGeo[tx.Sender]; ok && prev.cell != cell {
 		if m := c.cellSeen[prev.cell]; m != nil {
 			delete(m, tx.Sender)

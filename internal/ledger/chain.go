@@ -10,6 +10,7 @@ import (
 
 	"gpbft/internal/evidence"
 	"gpbft/internal/gcrypto"
+	"gpbft/internal/geo"
 	"gpbft/internal/shard"
 	"gpbft/internal/types"
 )
@@ -105,6 +106,8 @@ type Chain struct {
 	lastGeo       map[gcrypto.Address]geoEntry
 	cellSeen      map[string]map[gcrypto.Address]geoEntry
 	everEndorsers map[gcrypto.Address]bool
+	// names caches each address's hex form, the election table's key.
+	names map[gcrypto.Address]string
 
 	// onEraBump, when set, observes every era advance at the exact
 	// block that commits it (see SetEraBumpHook).
@@ -131,6 +134,7 @@ func NewChain(g *Genesis) (*Chain, error) {
 		lastGeo:       make(map[gcrypto.Address]geoEntry),
 		cellSeen:      make(map[string]map[gcrypto.Address]geoEntry),
 		everEndorsers: make(map[gcrypto.Address]bool, len(g.Endorsers)),
+		names:         make(map[gcrypto.Address]string),
 		boundary:      g.Timestamp.Add(g.Policy.EraPeriod),
 
 		appliedReceipts: make(map[gcrypto.Hash]TxLocation),
@@ -471,13 +475,17 @@ func (c *Chain) AddBlock(b *types.Block) error {
 		// into the election table (Section III-B3: "Data uploaded from
 		// IoT devices to blockchains will add an entry to the election
 		// table").
-		_, recErr := c.table.Record(tx.Report())
+		row, recErr := c.table.Record(geo.Report{
+			Location:  tx.Geo.Location,
+			Timestamp: tx.Geo.Timestamp,
+			Address:   c.nameLocked(tx.Sender),
+		})
 		c.accounts[tx.Sender] = tx.SenderPub
 		if recErr == nil {
 			// Fresh committed claim: index it and cross-check for the
 			// same-cell Sybil pattern (stale/out-of-order reports carry
 			// no new location information).
-			c.noteGeoLocked(tx, b.Header.Height, i)
+			c.noteGeoLocked(tx, row.CSC.Geohash, b.Header.Height, i)
 		}
 		if tx.Type == types.TxWitness {
 			if st, err := types.DecodeWitnessStatement(tx.Payload); err == nil {
@@ -565,7 +573,7 @@ func (c *Chain) AddBlock(b *types.Block) error {
 	if !b.Header.Proposer.IsZero() {
 		// "Once an endorser successfully generated a block, its
 		// geographic timer will reset by the system."
-		c.table.ResetTimer(b.Header.Proposer.String(), b.Header.Timestamp)
+		c.table.ResetTimer(c.nameLocked(b.Header.Proposer), b.Header.Timestamp)
 	}
 	if boundary && c.endEraLocked(b, elected) && c.onEraBump != nil {
 		c.onEraBump(c.exportStateLocked())
@@ -629,11 +637,21 @@ func (c *Chain) endEraLocked(b *types.Block, res ElectionResult) bool {
 func (c *Chain) rotateLocked() {
 	sort.Slice(c.endorsers, func(i, j int) bool {
 		a, b := c.endorsers[i].Address, c.endorsers[j].Address
-		if ta, tb := c.table.Timer(a.String()), c.table.Timer(b.String()); ta != tb {
+		if ta, tb := c.table.Timer(c.nameLocked(a)), c.table.Timer(c.nameLocked(b)); ta != tb {
 			return ta > tb
 		}
 		return a.Less(b)
 	})
+}
+
+// nameLocked returns a's hex form, encoding it once per address.
+func (c *Chain) nameLocked(a gcrypto.Address) string {
+	s, ok := c.names[a]
+	if !ok {
+		s = a.String()
+		c.names[a] = s
+	}
+	return s
 }
 
 // SetEraBumpHook registers fn to observe every era advance at the

@@ -226,7 +226,7 @@ func (e *Engine) reinstallPrepared(seq uint64, slot *preparedSlot) {
 	if err != nil {
 		return
 	}
-	inst := newInstance(proof.View)
+	inst := e.newInstance(proof.View)
 	inst.digest = proof.Digest
 	inst.block = &slot.block
 	inst.prePrepare = ppEnv

@@ -175,12 +175,16 @@ type instance struct {
 	acceptedAt consensus.Time
 }
 
-func newInstance(view uint64) *instance {
+// newInstance opens a slot's vote tables, sized for the whole committee
+// so that they never grow.
+func (e *Engine) newInstance(view uint64) *instance {
+	n := e.com.Size()
 	return &instance{
-		view:     view,
-		prepares: make(map[gcrypto.Address]*consensus.Envelope),
-		commits:  make(map[gcrypto.Address]*consensus.Envelope),
-		certSeen: make(map[gcrypto.Address]bool),
+		view:      view,
+		prepares:  make(map[gcrypto.Address]*consensus.Envelope, n),
+		commits:   make(map[gcrypto.Address]*consensus.Envelope, n),
+		certSeen:  make(map[gcrypto.Address]bool, n),
+		certVotes: make([]types.Vote, 0, n),
 	}
 }
 
@@ -919,7 +923,7 @@ func (e *Engine) confirmExecuted(pp *PrePrepare, env *consensus.Envelope) []cons
 func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, block *types.Block, env *consensus.Envelope, acts []consensus.Action) []consensus.Action {
 	inst := e.insts[pp.Seq]
 	if inst == nil || inst.view != pp.View {
-		inst = newInstance(pp.View)
+		inst = e.newInstance(pp.View)
 		e.insts[pp.Seq] = inst
 	}
 	if inst.prePrepare == nil {
@@ -1048,7 +1052,7 @@ func (e *Engine) onPrepare(now consensus.Time, env *consensus.Envelope) []consen
 	}
 	inst := e.insts[p.Seq]
 	if inst == nil || inst.view != p.View {
-		inst = newInstance(p.View)
+		inst = e.newInstance(p.View)
 		e.insts[p.Seq] = inst
 	}
 	if inst.prePrepare != nil && inst.digest != p.Digest {
@@ -1157,7 +1161,7 @@ func (e *Engine) onCommit(now consensus.Time, env *consensus.Envelope) []consens
 	}
 	inst := e.insts[c.Seq]
 	if inst == nil || inst.view != c.View {
-		inst = newInstance(c.View)
+		inst = e.newInstance(c.View)
 		e.insts[c.Seq] = inst
 	}
 	if inst.prePrepare != nil && inst.digest != c.Digest {

@@ -14,7 +14,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -97,12 +96,14 @@ const (
 	evFunc
 )
 
+// An event is what the queue holds beside its key. Events are recycled
+// through a free list: an arrival becomes its own handle event, and a
+// dispatched event is zeroed before it is reused, so one delivery
+// allocates nothing here once the list is warm.
 type event struct {
-	at   consensus.Time
-	seq  uint64 // FIFO tiebreak for equal times
 	kind eventKind
 
-	node     NodeID
+	node     *node
 	from     NodeID // an envelope's sender: the channel it arrives on
 	env      *consensus.Envelope
 	timerID  consensus.TimerID
@@ -110,24 +111,61 @@ type event struct {
 	fn       func(now consensus.Time)
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// entry is one queue slot: the key (at, seq) sits beside the event, so
+// ordering never dereferences the event.
+type entry struct {
+	at  consensus.Time
+	seq uint64 // FIFO tiebreak for equal times
+	ev  *event
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// queue is a binary min-heap of entries ordered by (at, seq). Every seq
+// is distinct, so the dispatch order is total and independent of how
+// the heap breaks ties internally.
+type queue []entry
+
+func (q *queue) push(x entry) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+func (q *queue) pop() entry {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = entry{}
+	h = h[:last]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].before(h[l]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }
 
 type node struct {
@@ -136,7 +174,12 @@ type node struct {
 	busyUntil consensus.Time
 	timers    map[consensus.TimerID]*bool // timer -> canceled flag
 	crashed   bool
+	// sent and recv are the traffic meter's per-node byte counts.
+	sent, recv int64
 }
+
+// live reports whether the node takes deliveries and timers.
+func (nd *node) live() bool { return !nd.crashed && nd.handler != nil }
 
 // Network is the simulator.
 type Network struct {
@@ -144,7 +187,8 @@ type Network struct {
 	rng     *rand.Rand
 	now     consensus.Time
 	seq     uint64
-	events  eventHeap
+	events  queue
+	free    []*event
 	nodes   map[NodeID]*node
 	blocked map[[2]NodeID]bool
 	traffic *Traffic
@@ -160,16 +204,21 @@ func New(cfg Config) *Network {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		nodes:   make(map[NodeID]*node),
 		blocked: make(map[[2]NodeID]bool),
-		traffic: NewTraffic(),
 	}
-	heap.Init(&n.events)
+	n.traffic = newTraffic(n.nodes)
 	return n
 }
 
 // AddNode registers a node; handler may be nil for pure clients that
-// ignore incoming traffic.
+// ignore incoming traffic. Registering an address again starts it over
+// as a new node under the same identity; its traffic counts stay.
 func (n *Network) AddNode(id NodeID, h Handler) {
-	n.nodes[id] = &node{id: id, handler: h, timers: make(map[consensus.TimerID]*bool)}
+	nd := n.nodes[id]
+	if nd == nil {
+		nd = new(node)
+		n.nodes[id] = nd
+	}
+	*nd = node{id: id, handler: h, timers: make(map[consensus.TimerID]*bool), sent: nd.sent, recv: nd.recv}
 }
 
 // Now returns the current virtual time.
@@ -182,22 +231,42 @@ func (n *Network) Traffic() *Traffic { return n.traffic }
 // share the deterministic stream).
 func (n *Network) Rand() *rand.Rand { return n.rng }
 
-func (n *Network) push(e *event) {
+// newEvent takes a zeroed event from the free list, or allocates one.
+func (n *Network) newEvent() *event {
+	if k := len(n.free); k > 0 {
+		e := n.free[k-1]
+		n.free = n.free[:k-1]
+		return e
+	}
+	return new(event)
+}
+
+// release zeroes a dispatched event and returns it to the free list.
+func (n *Network) release(e *event) {
+	*e = event{}
+	n.free = append(n.free, e)
+}
+
+func (n *Network) push(at consensus.Time, e *event) {
 	n.seq++
-	e.seq = n.seq
-	heap.Push(&n.events, e)
+	n.events.push(entry{at: at, seq: n.seq, ev: e})
 }
 
 // Send transmits env from one node to another at the current virtual
 // time, charging sender CPU, metering traffic, and applying latency,
 // drops, partitions and crashes.
 func (n *Network) Send(from, to NodeID, env *consensus.Envelope) {
-	sender := n.nodes[from]
+	n.send(n.nodes[from], to, env)
+}
+
+func (n *Network) send(sender *node, to NodeID, env *consensus.Envelope) {
 	if sender == nil || sender.crashed {
 		return
 	}
+	from := sender.id
+	receiver := n.nodes[to]
 	size := env.WireSize() + n.cfg.WireOverhead
-	n.traffic.Record(from, to, env.MsgKind, size)
+	n.traffic.record(sender, receiver, env.MsgKind, size)
 	if n.cfg.Tap != nil {
 		n.cfg.Tap(n.now, from, to, env)
 	}
@@ -212,10 +281,9 @@ func (n *Network) Send(from, to NodeID, env *consensus.Envelope) {
 	if n.cfg.DropRate > 0 && n.rng.Float64() < n.cfg.DropRate {
 		return
 	}
-	if n.blocked[[2]NodeID{from, to}] || n.blocked[[2]NodeID{to, from}] {
+	if len(n.blocked) > 0 && (n.blocked[[2]NodeID{from, to}] || n.blocked[[2]NodeID{to, from}]) {
 		return
 	}
-	receiver := n.nodes[to]
 	if receiver == nil {
 		return
 	}
@@ -223,7 +291,7 @@ func (n *Network) Send(from, to NodeID, env *consensus.Envelope) {
 	if n.cfg.Latency != nil {
 		lat = n.cfg.Latency.Delay(from, to, size, n.rng)
 	}
-	n.push(&event{at: sendDone + lat, kind: evArrival, node: to, from: from, env: env})
+	n.pushArrival(sendDone+lat, receiver, from, env)
 	// Both guards consume rng only when the fault is armed, so existing
 	// seeds replay bit-for-bit with the fault off.
 	if n.cfg.DuplicateRate > 0 && n.rng.Float64() < n.cfg.DuplicateRate {
@@ -231,24 +299,38 @@ func (n *Network) Send(from, to NodeID, env *consensus.Envelope) {
 		if n.cfg.Latency != nil {
 			dup = n.cfg.Latency.Delay(from, to, size, n.rng)
 		}
-		n.push(&event{at: sendDone + dup, kind: evArrival, node: to, from: from, env: env})
+		n.pushArrival(sendDone+dup, receiver, from, env)
 	}
+}
+
+func (n *Network) pushArrival(at consensus.Time, to *node, from NodeID, env *consensus.Envelope) {
+	e := n.newEvent()
+	e.kind, e.node, e.from, e.env = evArrival, to, from, env
+	n.push(at, e)
 }
 
 // SetTimer schedules HandleTimer(id) on a node after delay.
 func (n *Network) SetTimer(nodeID NodeID, id consensus.TimerID, delay consensus.Time) {
-	nd := n.nodes[nodeID]
+	n.setTimer(n.nodes[nodeID], id, delay)
+}
+
+func (n *Network) setTimer(nd *node, id consensus.TimerID, delay consensus.Time) {
 	if nd == nil {
 		return
 	}
 	canceled := new(bool)
 	nd.timers[id] = canceled
-	n.push(&event{at: n.now + delay, kind: evTimer, node: nodeID, timerID: id, canceled: canceled})
+	e := n.newEvent()
+	e.kind, e.node, e.timerID, e.canceled = evTimer, nd, id, canceled
+	n.push(n.now+delay, e)
 }
 
 // CancelTimer cancels a pending timer.
 func (n *Network) CancelTimer(nodeID NodeID, id consensus.TimerID) {
-	nd := n.nodes[nodeID]
+	n.cancelTimer(n.nodes[nodeID], id)
+}
+
+func (n *Network) cancelTimer(nd *node, id consensus.TimerID) {
 	if nd == nil {
 		return
 	}
@@ -263,7 +345,9 @@ func (n *Network) Schedule(at consensus.Time, fn func(now consensus.Time)) {
 	if at < n.now {
 		at = n.now
 	}
-	n.push(&event{at: at, kind: evFunc, fn: fn})
+	e := n.newEvent()
+	e.kind, e.fn = evFunc, fn
+	n.push(at, e)
 }
 
 // Crash makes a node silently drop everything (fail-stop). Pending
@@ -328,16 +412,12 @@ func (n *Network) Heal(a, b NodeID) {
 // exceed `until`. It returns the number of events processed.
 func (n *Network) Run(until consensus.Time) int {
 	processed := 0
-	for n.events.Len() > 0 {
-		e := n.events[0]
-		if e.at > until {
-			break
+	for len(n.events) > 0 && n.events[0].at <= until {
+		x := n.events.pop()
+		if x.at > n.now {
+			n.now = x.at
 		}
-		heap.Pop(&n.events)
-		if e.at > n.now {
-			n.now = e.at
-		}
-		n.dispatch(e)
+		n.dispatch(x.ev)
 		processed++
 	}
 	if n.now < until {
@@ -352,30 +432,29 @@ func (n *Network) Run(until consensus.Time) int {
 // canceled timer is dropped without moving the clock.
 func (n *Network) RunUntilIdle(cap consensus.Time) int {
 	processed := 0
-	for n.events.Len() > 0 {
-		e := n.events[0]
-		if e.at > cap {
-			break
-		}
-		heap.Pop(&n.events)
-		if e.canceled != nil && *e.canceled {
+	for len(n.events) > 0 && n.events[0].at <= cap {
+		x := n.events.pop()
+		if e := x.ev; e.canceled != nil && *e.canceled {
+			n.release(e)
 			continue
 		}
-		if e.at > n.now {
-			n.now = e.at
+		if x.at > n.now {
+			n.now = x.at
 		}
-		n.dispatch(e)
+		n.dispatch(x.ev)
 		processed++
 	}
 	return processed
 }
 
+// dispatch runs one event and recycles it (an arrival is recycled as
+// its own handle event).
 func (n *Network) dispatch(e *event) {
+	nd := e.node
 	switch e.kind {
 	case evArrival:
-		nd := n.nodes[e.node]
-		if nd == nil || nd.crashed || nd.handler == nil {
-			return
+		if !nd.live() {
+			break
 		}
 		// The message queues behind the CPU; the paper's s msgs/sec.
 		start := n.now
@@ -384,26 +463,32 @@ func (n *Network) dispatch(e *event) {
 		}
 		done := start + n.cfg.ProcTime
 		nd.busyUntil = done
-		n.push(&event{at: done, kind: evHandle, node: e.node, from: e.from, env: e.env})
+		e.kind = evHandle
+		n.push(done, e)
+		return
 	case evHandle:
-		nd := n.nodes[e.node]
-		if nd == nil || nd.crashed || nd.handler == nil {
+		if nd.live() {
+			env, from := e.env, e.from
+			n.release(e)
+			nd.handler.HandleMessage(n.now, consensus.Attributed(env, from))
 			return
 		}
-		nd.handler.HandleMessage(n.now, consensus.Attributed(e.env, e.from))
 	case evTimer:
-		if e.canceled != nil && *e.canceled {
-			return
+		if *e.canceled || !nd.live() {
+			break
 		}
-		nd := n.nodes[e.node]
-		if nd == nil || nd.crashed || nd.handler == nil {
-			return
-		}
-		delete(nd.timers, e.timerID)
-		nd.handler.HandleTimer(n.now, e.timerID)
+		id := e.timerID
+		delete(nd.timers, id)
+		n.release(e)
+		nd.handler.HandleTimer(n.now, id)
+		return
 	case evFunc:
-		e.fn(n.now)
+		fn := e.fn
+		n.release(e)
+		fn(n.now)
+		return
 	}
+	n.release(e)
 }
 
 // Executor returns a runtime executor bound to one node.
@@ -416,24 +501,32 @@ func (n *Network) Executor(id NodeID) *NodeExecutor {
 type NodeExecutor struct {
 	net *Network
 	id  NodeID
+	nd  *node // resolved on first use: the executor may predate AddNode
+}
+
+func (x *NodeExecutor) node() *node {
+	if x.nd == nil {
+		x.nd = x.net.nodes[x.id]
+	}
+	return x.nd
 }
 
 // Send implements runtime.Executor.
 func (x *NodeExecutor) Send(to NodeID, env *consensus.Envelope) {
-	x.net.Send(x.id, to, env)
+	x.net.send(x.node(), to, env)
 }
 
 // SetTimer implements runtime.Executor.
 func (x *NodeExecutor) SetTimer(id consensus.TimerID, delay consensus.Time) {
-	x.net.SetTimer(x.id, id, delay)
+	x.net.setTimer(x.node(), id, delay)
 }
 
 // CancelTimer implements runtime.Executor.
 func (x *NodeExecutor) CancelTimer(id consensus.TimerID) {
-	x.net.CancelTimer(x.id, id)
+	x.net.cancelTimer(x.node(), id)
 }
 
 // String summarises the network state for debugging.
 func (n *Network) String() string {
-	return fmt.Sprintf("simnet{t=%v nodes=%d events=%d}", n.now, len(n.nodes), n.events.Len())
+	return fmt.Sprintf("simnet{t=%v nodes=%d events=%d}", n.now, len(n.nodes), len(n.events))
 }

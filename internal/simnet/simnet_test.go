@@ -21,9 +21,10 @@ func (p *echoPayload) UnmarshalCanonical(r *codec.Reader) error {
 
 // recorder collects events a node saw.
 type recorder struct {
-	msgs   []consensus.Time
-	timers []consensus.TimerID
-	onMsg  func(now consensus.Time, env *consensus.Envelope)
+	msgs    []consensus.Time
+	timers  []consensus.TimerID
+	onMsg   func(now consensus.Time, env *consensus.Envelope)
+	onTimer func(now consensus.Time, id consensus.TimerID)
 }
 
 func (r *recorder) HandleMessage(now consensus.Time, env *consensus.Envelope) {
@@ -35,6 +36,9 @@ func (r *recorder) HandleMessage(now consensus.Time, env *consensus.Envelope) {
 
 func (r *recorder) HandleTimer(now consensus.Time, id consensus.TimerID) {
 	r.timers = append(r.timers, id)
+	if r.onTimer != nil {
+		r.onTimer(now, id)
+	}
 }
 
 func ids(n int) []NodeID {

@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"sort"
-
-	"gpbft/internal/consensus"
-)
+import "gpbft/internal/consensus"
 
 // KindStat aggregates traffic for one message kind.
 type KindStat struct {
@@ -15,37 +11,30 @@ type KindStat struct {
 
 // Traffic meters every transmission attempt (the paper's communication
 // cost is wire traffic, so bytes are counted even when the simulator
-// later drops the message).
+// later drops the message). Per-kind totals sit in an array indexed by
+// kind and per-node totals on the node itself, so a send updates
+// counters without a map lookup.
 type Traffic struct {
 	totalMsgs  int64
 	totalBytes int64
-	perKind    map[consensus.MsgKind]*KindStat
-	sentBy     map[NodeID]int64 // bytes
-	recvBy     map[NodeID]int64 // bytes (addressed-to, pre-drop)
+	perKind    [256]KindStat
+	nodes      map[NodeID]*node
 }
 
-// NewTraffic returns an empty meter.
-func NewTraffic() *Traffic {
-	return &Traffic{
-		perKind: make(map[consensus.MsgKind]*KindStat),
-		sentBy:  make(map[NodeID]int64),
-		recvBy:  make(map[NodeID]int64),
-	}
-}
+func newTraffic(nodes map[NodeID]*node) *Traffic { return &Traffic{nodes: nodes} }
 
-// Record notes one transmission.
-func (t *Traffic) Record(from, to NodeID, kind consensus.MsgKind, size int) {
+// record notes one transmission; to is nil when the receiver is not
+// registered.
+func (t *Traffic) record(from, to *node, kind consensus.MsgKind, size int) {
 	t.totalMsgs++
 	t.totalBytes += int64(size)
-	ks := t.perKind[kind]
-	if ks == nil {
-		ks = &KindStat{Kind: kind}
-		t.perKind[kind] = ks
-	}
+	ks := &t.perKind[kind]
 	ks.Count++
 	ks.Bytes += int64(size)
-	t.sentBy[from] += int64(size)
-	t.recvBy[to] += int64(size)
+	from.sent += int64(size)
+	if to != nil {
+		to.recv += int64(size)
+	}
 }
 
 // Messages returns the total transmission count.
@@ -59,26 +48,39 @@ func (t *Traffic) KB() float64 { return float64(t.totalBytes) / 1024 }
 
 // ByKind returns per-kind stats sorted by kind.
 func (t *Traffic) ByKind() []KindStat {
-	out := make([]KindStat, 0, len(t.perKind))
-	for _, ks := range t.perKind {
-		out = append(out, *ks)
+	var out []KindStat
+	for k, ks := range t.perKind {
+		if ks.Count > 0 {
+			ks.Kind = consensus.MsgKind(k)
+			out = append(out, ks)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
 }
 
 // SentBy returns bytes sent by a node.
-func (t *Traffic) SentBy(id NodeID) int64 { return t.sentBy[id] }
+func (t *Traffic) SentBy(id NodeID) int64 {
+	if nd := t.nodes[id]; nd != nil {
+		return nd.sent
+	}
+	return 0
+}
 
-// ReceivedBy returns bytes addressed to a node.
-func (t *Traffic) ReceivedBy(id NodeID) int64 { return t.recvBy[id] }
+// ReceivedBy returns bytes addressed to a registered node.
+func (t *Traffic) ReceivedBy(id NodeID) int64 {
+	if nd := t.nodes[id]; nd != nil {
+		return nd.recv
+	}
+	return 0
+}
 
 // Reset zeroes the meter (used between measurement phases so warm-up
 // traffic is excluded).
 func (t *Traffic) Reset() {
 	t.totalMsgs = 0
 	t.totalBytes = 0
-	t.perKind = make(map[consensus.MsgKind]*KindStat)
-	t.sentBy = make(map[NodeID]int64)
-	t.recvBy = make(map[NodeID]int64)
+	t.perKind = [256]KindStat{}
+	for _, nd := range t.nodes {
+		nd.sent, nd.recv = 0, 0
+	}
 }

@@ -75,18 +75,22 @@ type Certificate struct {
 // seal of a prepare for the same slot and digest is a signature over
 // other bytes and never passes as a vote.
 func CommitVoteBytes(endorser gcrypto.Address, era, view, seq uint64, blockHash gcrypto.Hash) []byte {
-	const kindCommit = 4 // consensus.KindCommit
-	body := codec.NewWriter(3*binary.MaxVarintLen64 + len(blockHash))
-	body.Uvarint(era)
-	body.Uvarint(view)
-	body.Uvarint(seq)
-	body.Raw(blockHash[:])
-	w := codec.NewWriter(64 + body.Len())
-	w.String("gpbft/envelope/v1")
-	w.Uint8(kindCommit)
-	w.Raw(endorser[:])
-	w.WriteBytes(body.Bytes())
-	return w.Bytes()
+	const (
+		domain     = "gpbft/envelope/v1"
+		kindCommit = 4 // consensus.KindCommit
+	)
+	var body [3*binary.MaxVarintLen64 + len(blockHash)]byte
+	bb := binary.AppendUvarint(body[:0], era)
+	bb = binary.AppendUvarint(bb, view)
+	bb = binary.AppendUvarint(bb, seq)
+	bb = append(bb, blockHash[:]...)
+	w := make([]byte, 0, 2*binary.MaxVarintLen64+len(domain)+1+len(endorser)+len(bb))
+	w = binary.AppendUvarint(w, uint64(len(domain)))
+	w = append(w, domain...)
+	w = append(w, kindCommit)
+	w = append(w, endorser[:]...)
+	w = binary.AppendUvarint(w, uint64(len(bb)))
+	return append(w, bb...)
 }
 
 // Errors returned by block and certificate validation.
@@ -188,8 +192,12 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, seq uint64, keys map[gcrypt
 		return ErrCertBlockHash
 	}
 	seen := make(map[gcrypto.Address]bool, len(c.Votes))
-	items := make([]gcrypto.BatchItem, 0, len(c.Votes))
-	keys2 := make([]gcrypto.Hash, 0, len(c.Votes))
+	// Only votes the cache cannot vouch for are batched; once consensus
+	// has noted them all, nothing is.
+	var (
+		items []gcrypto.BatchItem
+		keys2 []gcrypto.Hash
+	)
 	valid := 0
 	for i := range c.Votes {
 		v := &c.Votes[i]

@@ -190,7 +190,9 @@ var (
 
 // signingBytes is the canonical encoding covered by the signature.
 func (tx *Transaction) signingBytes() []byte {
-	w := codec.NewWriter(64 + len(tx.Payload))
+	// The domain string, type, nonce, sender, fee and geo info take 86
+	// bytes, the payload's length prefix at most ten more.
+	w := codec.NewWriter(96 + len(tx.Payload))
 	w.String("gpbft/tx/v1") // domain separation
 	w.Uint8(uint8(tx.Type))
 	w.Uint64(tx.Nonce)

@@ -123,29 +123,42 @@ func NoteVote(endorser gcrypto.Address, signed, sig []byte) {
 	sigCacheStore(voteCacheKey(endorser, signed, sig))
 }
 
+// allPassed is VerifyTxs's result when every transaction is well formed
+// and already cached: a shared all-nil slice, so the warm path allocates
+// nothing. Callers only read VerifyTxs's result.
+var allPassed [1024]error
+
 // VerifyTxs verifies a batch of transactions, returning one result
 // slot per index — errs[i] is exactly what txs[i].Verify() would
 // return. Structural checks run serially (cheap); signature checks not
 // already memoized fan out over the gcrypto batch verifier, and fresh
-// successes are recorded in the cache.
+// successes are recorded in the cache. Each transaction is looked up in
+// the cache once.
 func VerifyTxs(txs []Transaction) []error {
-	errs := make([]error, len(txs))
-	if len(txs) == 0 {
-		return errs
-	}
+	var (
+		errs    []error
+		items   []gcrypto.BatchItem
+		itemIdx []int
+		keys    []gcrypto.Hash
+	)
 	// Pass 1: structure, cache lookups, and batch assembly.
-	items := make([]gcrypto.BatchItem, 0, len(txs))
-	itemIdx := make([]int, 0, len(txs))
-	keys := make([]gcrypto.Hash, len(txs))
 	for i := range txs {
 		tx := &txs[i]
 		if err := tx.verifyStructure(); err != nil {
+			if errs == nil {
+				errs = make([]error, len(txs))
+			}
 			errs[i] = err
 			continue
 		}
-		keys[i] = sigCacheKey(tx)
-		if sigCacheLookup(keys[i]) {
+		key := sigCacheKey(tx)
+		if sigCacheLookup(key) {
 			continue
+		}
+		if items == nil {
+			items = make([]gcrypto.BatchItem, 0, len(txs)-i)
+			itemIdx = make([]int, 0, len(txs)-i)
+			keys = make([]gcrypto.Hash, 0, len(txs)-i)
 		}
 		items = append(items, gcrypto.BatchItem{
 			Pub:  tx.SenderPub,
@@ -154,15 +167,21 @@ func VerifyTxs(txs []Transaction) []error {
 			Sig:  tx.Signature,
 		})
 		itemIdx = append(itemIdx, i)
+		keys = append(keys, key)
+	}
+	if errs == nil {
+		if items == nil && len(txs) <= len(allPassed) {
+			return allPassed[:len(txs):len(txs)]
+		}
+		errs = make([]error, len(txs))
 	}
 	// Pass 2: the remaining signature checks, across all cores.
 	for k, err := range gcrypto.VerifyBatch(items) {
-		i := itemIdx[k]
 		if err != nil {
-			errs[i] = wrapTxSigError(err)
+			errs[itemIdx[k]] = wrapTxSigError(err)
 			continue
 		}
-		sigCacheStore(keys[i])
+		sigCacheStore(keys[k])
 	}
 	return errs
 }
